@@ -426,23 +426,24 @@ class Su2IntervalBump:
         return mine * other.as_finite_function() == mine
 
     def a_norm(self, config: QuadratureConfig | None = None) -> float:
-        """Quadrature A-norm via the closed-form product of sine kernels."""
+        """Quadrature A-norm via the closed-form product of sine kernels.
+
+        The kernel zeros are found once; when the Gauss-Kronrod residual
+        misses the tolerance, every piece is split into 2, then 4, then 8.
+        """
         config = config or DEFAULT_QUADRATURE
         p_dim = self.k2 + self.m2 + 1
         q_dim = self.m2 + 1
-        order = 8
-        while True:
-            raw, raw_residual = su2num.interval_product_l1(
-                p_dim, q_dim, order=order, tolerance=config.tolerance)
+        breaks = su2num.interval_product_breakpoints(p_dim, q_dim)
+        for split in (1, 2, 4, 8):
+            raw, raw_residual = su2num.interval_product_l1(p_dim, q_dim, breaks, split)
             value = raw / float(self._h_v)
             residual = raw_residual / float(self._h_v)
             if residual <= config.tolerance:
                 return value
-            if order >= 64:
-                raise NumericError(
-                    f"interval quadrature residual {residual:.3e} exceeds "
-                    f"tolerance {config.tolerance:.3e}", residual=residual)
-            order *= 2
+        raise NumericError(
+            f"interval quadrature residual {residual:.3e} exceeds "
+            f"tolerance {config.tolerance:.3e}", residual=residual)
 
     def __repr__(self) -> str:
         return (f"<Su2IntervalBump k2={self.k2} m2={self.m2} "

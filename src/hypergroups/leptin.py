@@ -58,11 +58,10 @@ def _as_interval(labels: Collection[int]) -> int | None:
         if labels.start == 0 and labels.step == 1 and len(labels) > 0:
             return labels.stop - 1
         return None
-    try:
-        top = max(labels)
-    except (ValueError, TypeError):
+    if not labels or not all(isinstance(x, int) and not isinstance(x, bool) for x in labels):
         return None
-    if len(labels) == top + 1 and all(isinstance(x, int) for x in labels):
+    top = max(labels)
+    if len(labels) == top + 1 and set(labels) == set(range(top + 1)):
         return top
     return None
 

@@ -19,6 +19,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial.legendre import leggauss
 
+from .core import InternalInvariantError
+
 _INT64_SAFE = 2**62
 
 
@@ -175,28 +177,58 @@ def kernel_sum(M: int, theta: np.ndarray) -> np.ndarray:
     return (c * np.sin(a * theta) - (2 * M + 1) * s * np.cos(a * theta)) / (4 * s * s)
 
 
-def kernel_roots(M: int, grid_factor: int = 4, iterations: int = 40) -> np.ndarray:
-    """Interior zeros of S_M on (0, pi), located by grid sign changes + bisection."""
+_NEWTON_SWEEPS = 8
+_ROOT_SLACK = 4 * float(np.spacing(math.pi))
+
+
+def kernel_roots(M: int) -> np.ndarray:
+    """Interior zeros of S_M on (0, pi), in increasing order, by Newton's method.
+
+    With a = M + 1/2, S_M(theta) = g(theta) / (4 sin^2(theta/2)), where
+
+        g(theta)  = cos(theta/2) sin(a theta) - 2a sin(theta/2) cos(a theta),
+        g'(theta) = (2a^2 - 1/2) sin(theta/2) sin(a theta).
+
+    For k = 1 .. M-1 the bracket [k pi/a, (k + 1/2) pi/a] lies in (0, pi),
+    and g changes sign across it: at the left end sin(a theta) = 0, so g has
+    the sign of -cos(a theta), which is (-1)^(k+1); at the right end
+    cos(a theta) = 0, so g has the sign of sin(a theta), which is (-1)^k.
+    By the g' identity, g is strictly monotone between consecutive zeros of
+    sin(a theta), so each bracket holds exactly one zero, and since
+    g(0) = g(pi) = 0 there is none elsewhere in (0, pi).
+
+    The Newton step g/g' = (cot(theta/2) - 2a cot(a theta)) / (2a^2 - 1/2)
+    costs two tangents.  It starts one arctan step below the right end,
+    theta_0 = ((k + 1/2) pi - arctan(1 / (2a tan(hi/2)))) / a, which solves
+    tan(a theta) = 2a tan(theta/2) with the right side frozen at the end,
+    and stops once no step exceeds a few ulps of pi (3 to 4 sweeps).
+    Neither the convergence nor the rounding is proven, so the result is
+    checked: exactly M - 1 strictly increasing roots, each in its bracket
+    up to a few ulps (near pi a root can round past the right end).  A
+    violation raises InternalInvariantError.
+    """
     if M <= 1:
         return np.empty(0)
-    count = grid_factor * (M + 1) + 1
-    theta = np.linspace(0.0, math.pi, count)[1:-1]
-    values = kernel_sum(M, theta)
-    sign = np.sign(values)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    lo = theta[flips].copy()
-    hi = theta[flips + 1].copy()
-    lo_sign = sign[flips]
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        same = np.sign(kernel_sum(M, mid)) == lo_sign
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    roots = 0.5 * (lo + hi)
-    exact_hits = theta[np.nonzero(values == 0.0)[0]]
-    if exact_hits.size:
-        roots = np.sort(np.concatenate([roots, exact_hits]))
-    return roots
+    a = M + 0.5
+    k = np.arange(1, M, dtype=float)
+    lo = k * (math.pi / a)
+    hi = (k + 0.5) * (math.pi / a)
+    theta = ((k + 0.5) * math.pi - np.arctan(1.0 / (2 * a * np.tan(0.5 * hi)))) / a
+    scale = 2 * a * a - 0.5
+    for _ in range(_NEWTON_SWEEPS):
+        step = 1.0 / np.tan(0.5 * theta)
+        step -= 2 * a / np.tan(a * theta)
+        step /= scale
+        theta -= step
+        if np.max(np.abs(step)) <= _ROOT_SLACK:
+            break
+    else:
+        raise InternalInvariantError(f"kernel_roots({M}): Newton did not converge")
+    inside = (theta >= lo - _ROOT_SLACK) & (theta <= hi + _ROOT_SLACK)
+    if not (inside.all() and np.all(np.diff(theta) > 0)):
+        raise InternalInvariantError(
+            f"kernel_roots({M}): roots are not one per bracket in increasing order")
+    return theta
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -231,27 +263,114 @@ def piecewise_gauss(fn, breakpoints: np.ndarray, order: int, chunk: int = 200_00
     return total
 
 
-def _abs_product_breakpoints(P: int, Q: int) -> np.ndarray:
+# Embedded Gauss 10 / Kronrod 21 pair on [-1, 1], the QUADPACK qk21 constants
+# (Piessens et al., 1983): the Kronrod abscissae of the right half with the
+# Gauss abscissae at odd positions, the Kronrod weights, and the Gauss weights.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208643474262, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+
+
+def _kronrod21() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 21 nodes in increasing order, their K21 weights and G10 weights."""
+    nodes = np.concatenate([-np.array(_XGK[:-1]), _XGK[::-1]])
+    kronrod = np.concatenate([_WGK[:-1], _WGK[::-1]])
+    gauss = np.zeros(21)
+    gauss[1:10:2] = _WG
+    gauss[11:20:2] = _WG[::-1]
+    return nodes, kronrod, gauss
+
+
+_KRONROD21 = _kronrod21()
+
+# nodes per chunk in interval_product_l1: the working arrays stay in cache
+_CHUNK_NODES = 1 << 16
+
+
+def interval_product_breakpoints(P: int, Q: int) -> np.ndarray:
+    """0, pi and the interior zeros of S_P and S_Q, sorted, without repeats."""
     pieces = [np.array([0.0, math.pi]), kernel_roots(P), kernel_roots(Q)]
     return np.unique(np.concatenate(pieces))
 
 
-def interval_product_l1(P: int, Q: int, order: int = 8,
-                        tolerance: float = 1e-9) -> tuple[float, float]:
+def _abs_kernel_product(a_p: float, a_q: float, theta: np.ndarray) -> np.ndarray:
+    """4 |S_P(theta) S_Q(theta)| for a = M + 1/2, from three tangents.
+
+    With t = tan(theta/2) and u = tan(a theta/2) the half-angle formulas give
+    4 sin^2(theta/2) S_M = cos(theta/2) (sin(a theta) - 2a t cos(a theta))
+    = 2 cos(theta/2) h, h = (u - a t (1 - u^2)) / (1 + u^2), so
+    4 |S_P S_Q| = |h_P h_Q| (1 + t^2) / t^4.  The angle theta/2 is shared by
+    both kernels.  Three tangents replace six sines and cosines, and numpy's
+    float64 tangent is SIMD-vectorized on x86 where its sine and cosine are
+    not: 6 ns against 29 ns per value with numpy 2.4 on an AVX-512 core.
+    """
+    t = np.tan(0.5 * theta)
+    out = _tangent_numerator(a_p, t, np.tan((0.5 * a_p) * theta))
+    out *= _tangent_numerator(a_q, t, np.tan((0.5 * a_q) * theta))
+    np.abs(out, out=out)
+    t *= t
+    out /= t
+    out /= t
+    t += 1.0
+    out *= t
+    return out
+
+
+def _tangent_numerator(a: float, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(u - a t (1 - u^2)) / (1 + u^2), elementwise."""
+    u2 = u * u
+    out = u2 - 1.0
+    out *= a * t
+    out += u
+    u2 += 1.0
+    out /= u2
+    return out
+
+
+def interval_product_l1(P: int, Q: int, breaks: np.ndarray,
+                        split: int) -> tuple[float, float]:
     """(2/pi) * integral of |S_P(theta) S_Q(theta)| over (0, pi), with residual.
 
-    Splits at the zeros of both kernels so each piece is smooth, integrates
-    with Gauss-Legendre, and estimates the error by doubling the order.
-    Raises no error itself; the caller compares the residual with its budget.
+    ``breaks`` come from :func:`interval_product_breakpoints`, so |S_P S_Q|
+    is smooth on each piece between them; each piece is cut into
+    ``split`` equal parts and integrated with the Gauss 10 / Kronrod 21 pair.
+    The value is the K21 sum.  The residual is (2/pi) times the sum over all
+    parts of |K21 - G10|, added without cancellation: per part it estimates
+    the G10 error, and since K21 is exact to degree 31 where G10 is exact
+    only to 19, it normally overstates the error of the K21 value.  Raises
+    no error itself; the caller compares the residual with its budget and
+    refines ``split``.
     """
-    breaks = _abs_product_breakpoints(P, Q)
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        return np.abs(kernel_sum(P, theta) * kernel_sum(Q, theta))
-
-    coarse = piecewise_gauss(integrand, breaks, order)
-    fine = piecewise_gauss(integrand, breaks, 2 * order)
-    return (2.0 / math.pi) * fine, (2.0 / math.pi) * abs(fine - coarse)
+    nodes, kronrod, gauss = _KRONROD21
+    weights = np.stack([kronrod, kronrod - gauss], axis=1)
+    offsets = ((np.arange(split)[:, None] + 0.5 * (nodes + 1.0)) / split).ravel()
+    a_p, a_q = P + 0.5, Q + 0.5
+    per_chunk = max(1, _CHUNK_NODES // offsets.size)
+    total = residual = 0.0
+    n_pieces = len(breaks) - 1
+    for start in range(0, n_pieces, per_chunk):
+        stop = min(start + per_chunk, n_pieces)
+        left = breaks[start:stop]
+        width = breaks[start + 1:stop + 1] - left
+        pts = left[:, None] + width[:, None] * offsets
+        sums = _abs_kernel_product(a_p, a_q, pts).reshape(-1, split, 21) @ weights
+        half = (0.5 / split) * width
+        total += float(half @ sums[:, :, 0].sum(axis=1))
+        residual += float(half @ np.abs(sums[:, :, 1]).sum(axis=1))
+    scale = 0.5 / math.pi  # 2/pi for the normalisation, 1/4 for the integrand
+    return scale * total, scale * residual
 
 
 # ---------------------------------------------------------------------------

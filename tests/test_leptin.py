@@ -6,6 +6,7 @@ import pytest
 
 from hypergroups import (
     CapacityError,
+    LabelDomainError,
     UsageError,
     builtin_table,
     finite_group_dual,
@@ -185,6 +186,17 @@ class TestCertificates:
         cert = leptin_search_interval(1, half, hypergroup=su2)
         again = certificate_from_json_dict(cert.to_json_dict(), su2)
         assert again.verify()
+
+    @pytest.mark.parametrize("K", [[-1, 0, 2], [True, 0, 2]])
+    def test_forged_interval_labels_fail_verification(self, su2, K):
+        # three labels with maximum 2 that are not the interval {0, 1, 2}
+        cert = leptin_search_interval(1, half, hypergroup=su2)
+        doc = cert.to_json_dict()
+        assert doc["K"] == [0, 1, 2]
+        doc["K"] = K
+        forged = certificate_from_json_dict(doc, su2)
+        with pytest.raises(LabelDomainError):
+            forged.verify()
 
     def test_malformed_document(self, s3):
         with pytest.raises(UsageError):

@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -37,7 +36,6 @@ from .core import (
 )
 from .duals import (
     BUILTIN_TABLES,
-    CharacterTable,
     FiniteDual,
     ProductDual,
     Su2Dual,
@@ -63,8 +61,6 @@ from .leptin import (
 )
 from .segal import blowup_report, build_witness, check_multiplier_bounded
 
-ENV_THREADS = "HYPERGROUPS_THREADS"
-
 _ERROR_CATEGORIES: list[tuple[type, str, int]] = [
     (LabelDomainError, "usage", 2),
     (UsageError, "usage", 2),
@@ -74,11 +70,6 @@ _ERROR_CATEGORIES: list[tuple[type, str, int]] = [
     (AxiomViolationError, "internal-invariant", 6),
     (InternalInvariantError, "internal-invariant", 6),
 ]
-
-
-def ingest_table(path: str | Path) -> CharacterTable:
-    """Load and invariant-check a character table file."""
-    return load_character_table(path)
 
 
 def _bundled_config(spec: str) -> dict[str, Any] | None:
@@ -172,8 +163,7 @@ def _su2_sample(H: Hypergroup, max_ell: Fraction) -> list[Any]:
 
 
 def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(nodes=args.quad_nodes, tolerance=args.quad_tol,
-                            scheme=args.quad_scheme)
+    return QuadratureConfig(tolerance=args.quad_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +199,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="suppress the generated_at field for byte-identical output")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get(ENV_THREADS, "1")))
 
 
 def _add_quad(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--quad-nodes", type=int, default=2048)
     parser.add_argument("--quad-tol", type=float, default=1e-9)
-    parser.add_argument("--quad-scheme", choices=("legendre", "simpson"),
-                        default="legendre")
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +216,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
         sample = parse_labels(H, args.sample)
     else:
         sample = _su2_sample(H, Fraction(args.max_ell))
-    report = check_axioms(H, sample, threads=max(1, args.threads))
+    report = check_axioms(H, sample)
     _emit(args, {"command": "axioms", "dual": args.dual,
                  "report": report.to_json_dict()},
           pretty_text=report.summary())

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Collection, Hashable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -495,7 +494,7 @@ def _associativity_failures(H: Hypergroup, triples: list[tuple[Label, Label, Lab
     return failures
 
 
-def check_axioms(H: Hypergroup, sample: Collection[Label], threads: int = 1) -> AxiomReport:
+def check_axioms(H: Hypergroup, sample: Collection[Label]) -> AxiomReport:
     """Exact verification of the hypergroup axioms over a finite sample.
 
     Checks mass normalization, identity laws, associativity of point fusion
@@ -512,15 +511,7 @@ def check_axioms(H: Hypergroup, sample: Collection[Label], threads: int = 1) -> 
     counts, failures = _check_pairs(H, sample)
     triples = [(x, y, z) for x in sample for y in sample for z in sample]
     counts["associativity"] = len(triples)
-
-    if threads > 1 and len(triples) > 1:
-        chunk = max(1, len(triples) // (threads * 4))
-        blocks = [triples[i:i + chunk] for i in range(0, len(triples), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for result in pool.map(lambda block: _associativity_failures(H, block), blocks):
-                failures.extend(result)
-    else:
-        failures.extend(_associativity_failures(H, triples))
+    failures.extend(_associativity_failures(H, triples))
 
     return AxiomReport(hypergroup=H.name, sample_size=len(sample),
                        checks=counts, failures=failures)

@@ -43,24 +43,16 @@ from .duals import (
     flat_irrep_index,
 )
 
-VALID_SCHEMES = ("legendre", "simpson")
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node budget, accuracy target and scheme for torus integrals."""
+    """Accuracy target for torus integrals: the residual must not exceed it."""
 
-    nodes: int = 2048
     tolerance: float = 1e-9
-    scheme: str = "legendre"
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise UsageError("quadrature tolerance must be positive")
-        if self.nodes < 8:
-            raise UsageError("quadrature needs at least 8 nodes")
-        if self.scheme not in VALID_SCHEMES:
-            raise UsageError(f"unknown quadrature scheme {self.scheme!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise UsageError(
+                f"quadrature tolerance must be finite and positive, got {self.tolerance}")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -173,12 +165,28 @@ def a_norm_exact_finite(table_or_dual: Any, v: FiniteFunction) -> Any:
     return total / table.group_order
 
 
+def _refine_splits(quadrature, tolerance: float) -> float:
+    """Value of the first quadrature(split), split = 1, 2, 4, 8, within tolerance.
+
+    Each call returns (value, residual).  When the residual still exceeds
+    the tolerance at the 8x split, raises NumericError carrying it.
+    """
+    for split in (1, 2, 4, 8):
+        value, residual = quadrature(split)
+        if residual <= tolerance:
+            return value
+    raise NumericError(
+        f"quadrature residual {residual:.3e} exceeds tolerance {tolerance:.3e} "
+        f"with every piece split {split}x", residual=residual)
+
+
 def a_norm_su2(v: FiniteFunction, config: QuadratureConfig | None = None) -> float:
     """A-norm of v over the dual of SU(2), by Weyl-measure quadrature.
 
     Integrates (2/pi) |sum_n v(n) (n+1) U_n(cos theta)| sin^2 theta over
-    (0, pi).  The integrand is split at the zeros of the series so each
-    piece is smooth; the residual estimate must meet the config tolerance.
+    (0, pi) with the Gauss-Kronrod pass.  The integrand is split at the
+    zeros of the series so each piece is smooth; the residual estimate must
+    meet the config tolerance.
     """
     config = config or DEFAULT_QUADRATURE
     if not v:
@@ -195,36 +203,10 @@ def a_norm_su2(v: FiniteFunction, config: QuadratureConfig | None = None) -> flo
         s = np.sin(theta)
         return (2.0 / math.pi) * np.abs(su2num.u_series_eval(coeffs, np.cos(theta))) * s * s
 
-    if config.scheme == "simpson":
-        def scalar(theta: float) -> float:
-            return float(integrand(np.array([theta]))[0])
-
-        try:
-            value, residual = su2num.adaptive_simpson(
-                scalar, 0.0, math.pi, config.tolerance, max_intervals=config.nodes * 64)
-        except RuntimeError as exc:
-            raise NumericError(str(exc)) from exc
-        if residual > config.tolerance:
-            raise NumericError(
-                f"adaptive Simpson residual {residual:.3e} exceeds tolerance",
-                residual=residual)
-        return value
-
     roots = su2num.u_series_roots_theta(coeffs)
     breaks = np.unique(np.concatenate([[0.0, math.pi], roots]))
-    pieces = max(1, len(breaks) - 1)
-    order = min(max(8, config.nodes // pieces), 256)
-    while True:
-        coarse = su2num.piecewise_gauss(integrand, breaks, order)
-        fine = su2num.piecewise_gauss(integrand, breaks, 2 * order)
-        residual = abs(fine - coarse)
-        if residual <= config.tolerance:
-            return fine
-        if order >= 512:
-            raise NumericError(
-                f"quadrature residual {residual:.3e} exceeds tolerance "
-                f"{config.tolerance:.3e} at order {order}", residual=residual)
-        order *= 2
+    return _refine_splits(lambda split: su2num.gauss_kronrod(integrand, breaks, split),
+                          config.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -435,20 +417,14 @@ class Su2IntervalBump:
         p_dim = self.k2 + self.m2 + 1
         q_dim = self.m2 + 1
         breaks = su2num.interval_product_breakpoints(p_dim, q_dim)
-        for split in (1, 2, 4, 8):
+        h_v = float(self._h_v)
+
+        def quadrature(split: int) -> tuple[float, float]:
             raw, raw_residual = su2num.interval_product_l1(p_dim, q_dim, breaks, split)
-            value = raw / float(self._h_v)
-            residual = raw_residual / float(self._h_v)
-            if residual <= config.tolerance:
-                return value
-        raise NumericError(
-            f"interval quadrature residual {residual:.3e} exceeds "
-            f"tolerance {config.tolerance:.3e}", residual=residual)
+            return raw / h_v, raw_residual / h_v
+
+        return _refine_splits(quadrature, config.tolerance)
 
     def __repr__(self) -> str:
         return (f"<Su2IntervalBump k2={self.k2} m2={self.m2} "
                 f"ratio={float(self.ratio):.6f}>")
-
-
-def su2_interval_bump(H: Su2Dual, k2: int, m2: int) -> Su2IntervalBump:
-    return Su2IntervalBump.build(H, k2, m2)

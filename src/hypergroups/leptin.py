@@ -277,8 +277,7 @@ def leptin_search_exhaustive(
 
 
 def leptin_product(
-    certs: Sequence[LeptinCertificate], hypergroup: ProductDual | None = None,
-    enumeration_cap: int = 20_000
+    certs: Sequence[LeptinCertificate], hypergroup: ProductDual | None = None
 ) -> LeptinCertificate:
     """Combine per-factor certificates into one for the product hypergroup.
 
@@ -304,14 +303,11 @@ def leptin_product(
     bound = Fraction(1)
     for c in certs:
         bound *= c.ratio
-    if len(K) * len(V) <= enumeration_cap:
-        ratio = leptin_ratio(H, K, V)
-    else:
-        # componentwise fusion makes K*V the product of the factor K_i*V_i,
-        # so the ratio factorizes exactly
-        ratio = Fraction(1)
-        for c in certs:
-            ratio *= leptin_ratio(c.hypergroup, c.K, c.V)
+    # componentwise fusion makes K*V the product of the factor K_i*V_i,
+    # so the ratio factorizes exactly
+    ratio = Fraction(1)
+    for c in certs:
+        ratio *= leptin_ratio(c.hypergroup, c.K, c.V)
     if ratio > bound:
         raise InternalInvariantError(
             f"product ratio {ratio} exceeds the factor-ratio bound {bound}")

@@ -79,7 +79,7 @@ class WitnessSequence:
     V_chain: list[Collection[Label]]
     ratios: list[Fraction]
     certificates: list[LeptinCertificate] = field(default_factory=list)
-    _a_cache: dict[tuple, list[Any]] = field(default_factory=dict, repr=False)
+    _a_cache: dict[float | None, list[Any]] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -90,7 +90,7 @@ class WitnessSequence:
 
     def a_values(self, config: QuadratureConfig | None = None) -> list[Any]:
         """Measured A-norms per term (quadrature on su2-hat, exact on finite duals)."""
-        key = (config.nodes, config.tolerance, config.scheme) if config else None
+        key = config.tolerance if config else None
         cached = self._a_cache.get(key)
         if cached is None:
             cached = [term.a_norm(config) for term in self.terms]
@@ -401,8 +401,11 @@ def check_multiplier_bounded(w: WitnessSequence,
     """Verify the chain law exactly and the A-norm cap within tolerance.
 
     Failures are recorded with witnesses, not raised: a corrupted sequence
-    produces a failing report.
+    produces a failing report.  A tolerance that is negative or not finite
+    raises UsageError.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise UsageError(f"tolerance must be finite and nonnegative, got {tolerance}")
     failures = w.chain_failures()
     a_values = w.a_values(config)
     max_a = max(float(a) for a in a_values)

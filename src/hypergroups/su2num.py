@@ -231,36 +231,18 @@ def kernel_roots(M: int) -> np.ndarray:
     return theta
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = _GL_CACHE.get(order)
-    if rule is None:
-        rule = leggauss(order)
-        _GL_CACHE[order] = rule
-    return rule
-
-
-def piecewise_gauss(fn, breakpoints: np.ndarray, order: int, chunk: int = 200_000) -> float:
+def piecewise_gauss(fn, breakpoints: np.ndarray, order: int) -> float:
     """Integrate fn over [b_0, b_last] with Gauss-Legendre on each piece.
 
-    ``fn`` must accept a flat numpy array of angles.  Pieces are processed in
-    chunks to bound peak memory for very fine partitions.
+    A fixed-order reference rule for the tests; the library integrates with
+    :func:`gauss_kronrod`.  ``fn`` must accept a flat numpy array of angles.
     """
-    nodes, weights = _gl_rule(order)
-    total = 0.0
-    n_pieces = len(breakpoints) - 1
-    for start in range(0, n_pieces, chunk):
-        stop = min(start + chunk, n_pieces)
-        left = breakpoints[start:stop]
-        right = breakpoints[start + 1:stop + 1]
-        half = 0.5 * (right - left)
-        mid = 0.5 * (right + left)
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = fn(pts.ravel()).reshape(pts.shape)
-        total += float(np.sum(half * (vals @ weights)))
-    return total
+    nodes, weights = leggauss(order)
+    half = 0.5 * np.diff(breakpoints)
+    mid = 0.5 * (breakpoints[1:] + breakpoints[:-1])
+    pts = mid[:, None] + half[:, None] * nodes[None, :]
+    vals = fn(pts.ravel()).reshape(pts.shape)
+    return float(np.sum(half * (vals @ weights)))
 
 
 # Embedded Gauss 10 / Kronrod 21 pair on [-1, 1], the QUADPACK qk21 constants
@@ -295,8 +277,39 @@ def _kronrod21() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 _KRONROD21 = _kronrod21()
 
-# nodes per chunk in interval_product_l1: the working arrays stay in cache
+# nodes per chunk in gauss_kronrod: the working arrays stay in cache
 _CHUNK_NODES = 1 << 16
+
+
+def gauss_kronrod(fn, breaks: np.ndarray, split: int) -> tuple[float, float]:
+    """Integral of fn over [breaks[0], breaks[-1]], with residual, in one pass.
+
+    ``fn`` maps an array of abscissae to the integrand's values, elementwise
+    and in the same shape.  Each piece between consecutive ``breaks`` is cut
+    into ``split`` equal parts and integrated with the Gauss 10 / Kronrod 21
+    pair, so ``breaks`` should hold every kink of the integrand.  The value
+    is the K21 sum.  The residual is the sum over all parts of |K21 - G10|,
+    added without cancellation: per part it estimates the G10 error, and
+    since K21 is exact to degree 31 where G10 is exact only to 19, it
+    normally overstates the error of the K21 value.  Raises no error itself;
+    the caller compares the residual with its budget and refines ``split``.
+    """
+    nodes, kronrod, gauss = _KRONROD21
+    weights = np.stack([kronrod, kronrod - gauss], axis=1)
+    offsets = ((np.arange(split)[:, None] + 0.5 * (nodes + 1.0)) / split).ravel()
+    per_chunk = max(1, _CHUNK_NODES // offsets.size)
+    total = residual = 0.0
+    n_pieces = len(breaks) - 1
+    for start in range(0, n_pieces, per_chunk):
+        stop = min(start + per_chunk, n_pieces)
+        left = breaks[start:stop]
+        width = breaks[start + 1:stop + 1] - left
+        pts = left[:, None] + width[:, None] * offsets
+        sums = fn(pts).reshape(-1, split, 21) @ weights
+        half = (0.5 / split) * width
+        total += float(half @ sums[:, :, 0].sum(axis=1))
+        residual += float(half @ np.abs(sums[:, :, 1]).sum(axis=1))
+    return total, residual
 
 
 def interval_product_breakpoints(P: int, Q: int) -> np.ndarray:
@@ -344,31 +357,13 @@ def interval_product_l1(P: int, Q: int, breaks: np.ndarray,
     """(2/pi) * integral of |S_P(theta) S_Q(theta)| over (0, pi), with residual.
 
     ``breaks`` come from :func:`interval_product_breakpoints`, so |S_P S_Q|
-    is smooth on each piece between them; each piece is cut into
-    ``split`` equal parts and integrated with the Gauss 10 / Kronrod 21 pair.
-    The value is the K21 sum.  The residual is (2/pi) times the sum over all
-    parts of |K21 - G10|, added without cancellation: per part it estimates
-    the G10 error, and since K21 is exact to degree 31 where G10 is exact
-    only to 19, it normally overstates the error of the K21 value.  Raises
-    no error itself; the caller compares the residual with its budget and
-    refines ``split``.
+    is smooth on each piece between them.  :func:`gauss_kronrod` integrates
+    the fused 4 |S_P S_Q| with ``split`` parts per piece, and its value and
+    residual are both scaled by 1/(2 pi).
     """
-    nodes, kronrod, gauss = _KRONROD21
-    weights = np.stack([kronrod, kronrod - gauss], axis=1)
-    offsets = ((np.arange(split)[:, None] + 0.5 * (nodes + 1.0)) / split).ravel()
     a_p, a_q = P + 0.5, Q + 0.5
-    per_chunk = max(1, _CHUNK_NODES // offsets.size)
-    total = residual = 0.0
-    n_pieces = len(breaks) - 1
-    for start in range(0, n_pieces, per_chunk):
-        stop = min(start + per_chunk, n_pieces)
-        left = breaks[start:stop]
-        width = breaks[start + 1:stop + 1] - left
-        pts = left[:, None] + width[:, None] * offsets
-        sums = _abs_kernel_product(a_p, a_q, pts).reshape(-1, split, 21) @ weights
-        half = (0.5 / split) * width
-        total += float(half @ sums[:, :, 0].sum(axis=1))
-        residual += float(half @ np.abs(sums[:, :, 1]).sum(axis=1))
+    total, residual = gauss_kronrod(
+        lambda theta: _abs_kernel_product(a_p, a_q, theta), breaks, split)
     scale = 0.5 / math.pi  # 2/pi for the normalisation, 1/4 for the integrand
     return scale * total, scale * residual
 
@@ -419,41 +414,3 @@ def u_series_roots_theta(coeffs: np.ndarray) -> np.ndarray:
     real = roots[np.abs(roots.imag) < 1e-9].real
     inside = real[(real > -1.0 + 1e-12) & (real < 1.0 - 1e-12)]
     return np.sort(np.arccos(np.clip(inside, -1.0, 1.0)))
-
-
-def adaptive_simpson(fn, a: float, b: float, tolerance: float,
-                     max_intervals: int = 1 << 20) -> tuple[float, float]:
-    """Plain adaptive Simpson; returns (value, residual estimate).
-
-    Raises RuntimeError when the interval budget runs out; callers translate
-    that into their own error type.
-    """
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    stack = [(a, b, fn(a), fn(0.5 * (a + b)), fn(b), tolerance)]
-    total = 0.0
-    residual = 0.0
-    used = 0
-    while stack:
-        x0, x2, f0, f1, f2, tol = stack.pop()
-        used += 1
-        if used > max_intervals:
-            raise RuntimeError("adaptive Simpson interval budget exhausted")
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = fn(xl)
-        fr = fn(xr)
-        whole = simpson(x0, x2, f0, f1, f2)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        err = abs(left + right - whole) / 15.0
-        if err <= tol or (x2 - x0) < 1e-13:
-            total += left + right + (left + right - whole) / 15.0
-            residual += err
-        else:
-            stack.append((x0, xm, f0, fl, f1, 0.5 * tol))
-            stack.append((xm, x2, f1, fr, f2, 0.5 * tol))
-    return total, residual

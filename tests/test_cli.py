@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hypergroups.cli import ingest_table, parse_label, resolve_dual, run
-from hypergroups.duals import ProductDual, Su2Dual
+from hypergroups.cli import parse_label, resolve_dual, run
+from hypergroups.duals import ProductDual, Su2Dual, load_character_table
 from hypergroups.leptin import certificate_from_json_dict
 
 
@@ -79,7 +79,7 @@ class TestIngestTable:
     def test_bundled_paths(self, tmp_path, q8):
         path = tmp_path / "q8.json"
         path.write_text(json.dumps(q8.table.to_json_dict()))
-        table = ingest_table(path)
+        table = load_character_table(path)
         assert table.n_irreps == 5
 
     def test_truncated_file_names_position(self, tmp_path, capsys):
@@ -180,6 +180,20 @@ class TestCommands:
                                "--quad-tol", "1e-30")
         assert code == 5
         assert json.loads(err)["error"] == "numeric"
+
+    def test_norms_nan_quadrature_tolerance_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "norms", "--dual", "su2",
+                               "--values", "1=1", "--quad-tol", "nan")
+        assert code == 2
+        assert json.loads(err)["error"] == "usage"
+
+    def test_witness_nan_tolerance_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "witness", "--dual", "su2", "--D", "1.5",
+                                 "--N", "2", "--format", "json", "--no-timestamp",
+                                 "--tolerance", "nan")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "usage"
 
     def test_witness_csv(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"

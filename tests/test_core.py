@@ -235,11 +235,6 @@ class TestCheckAxioms:
         norm_failures = [f for f in report.failures if f.check == "normalization"]
         assert norm_failures and norm_failures[0].labels == ("rho", "rho")
 
-    def test_threads_agree(self, s3):
-        single = check_axioms(s3, s3.universe, threads=1)
-        multi = check_axioms(s3, s3.universe, threads=4)
-        assert single.to_json_dict() == multi.to_json_dict()
-
     def test_empty_sample_rejected(self, su2):
         with pytest.raises(UsageError):
             check_axioms(su2, [])

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from hypergroups import (
     su2_dual,
     support_product,
 )
+from hypergroups import su2num
 from hypergroups.fourier import Su2IntervalBump, lp_h_power_sum
 
 half = Fraction(1, 2)
@@ -30,16 +32,12 @@ _SU2 = su2_dual()
 
 class TestQuadratureConfig:
     def test_defaults(self):
-        q = QuadratureConfig()
-        assert q.nodes == 2048 and q.tolerance == 1e-9 and q.scheme == "legendre"
+        assert QuadratureConfig() == QuadratureConfig(tolerance=1e-9)
 
     def test_validation(self):
-        with pytest.raises(UsageError):
-            QuadratureConfig(tolerance=0)
-        with pytest.raises(UsageError):
-            QuadratureConfig(nodes=2)
-        with pytest.raises(UsageError):
-            QuadratureConfig(scheme="romberg")
+        for tolerance in (0, -1e-9, math.nan, math.inf):
+            with pytest.raises(UsageError):
+                QuadratureConfig(tolerance=tolerance)
 
 
 class TestLpNorm:
@@ -166,10 +164,27 @@ class TestANormSu2:
         value = a_norm_su2(FiniteFunction.point(1))
         assert value == pytest.approx(16 / (3 * math.pi), abs=1e-6)
 
-    def test_simpson_agrees(self):
-        cfg = QuadratureConfig(scheme="simpson", tolerance=1e-7)
-        for v in (FiniteFunction.point(1), FiniteFunction({0: 1, 2: half})):
-            assert a_norm_su2(v, cfg) == pytest.approx(a_norm_su2(v), abs=1e-6)
+    def test_matches_gauss_legendre_64(self, su2):
+        # an order-64 Gauss-Legendre rule on the same breakpoints, with the
+        # integrand in sine form: U_n(cos theta) sin^2 theta = sin((n+1) theta) sin theta
+        cases = [FiniteFunction.point(1), FiniteFunction({0: 1, 2: half}),
+                 FiniteFunction({1: 1, 4: Fraction(-2, 3), 7: Fraction(1, 5)}),
+                 bump(su2, [1, 3, 4], range(80)).function]
+        for v in cases:
+            top = max(v.support)
+            coeffs = np.zeros(top + 1)
+            for n, value in v.items():
+                coeffs[n] = float(value) * (n + 1)
+            breaks = np.unique(np.concatenate(
+                [[0.0, math.pi], su2num.u_series_roots_theta(coeffs)]))
+            freqs = np.arange(1, top + 2)
+
+            def integrand(theta):
+                series = np.sin(np.outer(theta, freqs)) @ coeffs
+                return (2.0 / math.pi) * np.abs(series * np.sin(theta))
+
+            reference = su2num.piecewise_gauss(integrand, breaks, 64)
+            assert a_norm_su2(v) == pytest.approx(reference, abs=1e-12), top
 
     def test_absolute_homogeneity(self):
         v = FiniteFunction({1: 1, 4: Fraction(-2, 3)})

@@ -218,6 +218,13 @@ class TestProductCertificates:
         H = prod.hypergroup
         assert leptin_ratio(H, prod.K, prod.V) == prod.ratio
 
+    def test_finite_factors_match_direct_enumeration(self, s3, z4):
+        certs = [leptin_search_greedy(s3, {2}, 2), leptin_search_greedy(z4, {1, 2}, 1)]
+        prod = leptin_product(certs)
+        assert prod.ratio == certs[0].ratio * certs[1].ratio == Fraction(9, 5)
+        assert leptin_ratio(prod.hypergroup, prod.K, prod.V) == prod.ratio
+        assert prod.verified
+
     def test_single_factor_identity(self, s3):
         cert = leptin_search_exhaustive(s3, {2}, half)
         assert leptin_product([cert]) is cert

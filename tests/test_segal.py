@@ -165,6 +165,13 @@ class TestMultiplierBounded:
         report = check_multiplier_bounded(w)
         assert report.product_ok and report.product_failures == []
 
+    def test_tolerance_must_be_finite_and_nonnegative(self, s3):
+        w = build_witness(s3, [0], Fraction(2), 1, search="greedy")
+        assert check_multiplier_bounded(w, tolerance=0).ok
+        for bad in (math.nan, math.inf, -1e-6):
+            with pytest.raises(UsageError):
+                check_multiplier_bounded(w, tolerance=bad)
+
     def test_corrupted_sequence_fails_with_witness(self, s3):
         w = build_witness(s3, [s3.identity], Fraction("1.1"), 3, search="greedy")
         # break the last plateau on the support of the previous one

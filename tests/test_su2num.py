@@ -105,6 +105,27 @@ class TestKronrodRule:
         np.testing.assert_allclose(gauss[used], w, rtol=0, atol=1e-15)
 
 
+class TestGaussKronrod:
+    def test_chunked_pieces_sum_to_the_integral(self):
+        breaks = np.linspace(0.0, math.pi, 10_001)  # more pieces than one chunk holds
+        for split in (1, 8):
+            value, residual = su2num.gauss_kronrod(np.sin, breaks, split)
+            assert value == pytest.approx(2.0, abs=1e-13)
+            assert 0 <= residual <= 1e-13
+
+    def test_kink_at_a_breakpoint_is_integrated_exactly(self):
+        value, residual = su2num.gauss_kronrod(np.abs, np.array([-1.0, 0.0, 2.0]), 1)
+        assert value == pytest.approx(2.5, abs=1e-15)
+        assert residual <= 1e-15
+
+    def test_kink_inside_a_piece_shows_in_the_residual(self):
+        breaks = np.array([-1.0, 2.0])
+        residuals = [su2num.gauss_kronrod(np.abs, breaks, split)[1] for split in (1, 2)]
+        assert residuals[0] > 1e-4
+        # with two parts the kink at 0 sits inside the first part only
+        assert 0 < residuals[1] < residuals[0]
+
+
 class TestIntervalProductL1:
     def test_fused_integrand_matches_kernel_sum(self):
         P, Q = 975, 915

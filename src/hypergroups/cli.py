@@ -59,7 +59,7 @@ from .leptin import (
     leptin_search_interval,
     twice_spin,
 )
-from .segal import blowup_report, build_witness, check_multiplier_bounded
+from .segal import blowup_report, build_witness, check_multiplier_bounded, check_tolerance
 
 _ERROR_CATEGORIES: list[tuple[type, str, int]] = [
     (LabelDomainError, "usage", 2),
@@ -122,6 +122,16 @@ def resolve_dual(spec: str) -> Hypergroup:
     return product_dual(duals)
 
 
+def _exact_arg(text: str, flag: str) -> Fraction:
+    """User text as an exact rational within float range, else UsageError naming the flag."""
+    try:
+        q = Fraction(text)
+        float(q)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise UsageError(f"{flag}: {text!r} is not an exact number in float range") from exc
+    return q
+
+
 def parse_label(H: Hypergroup, text: str) -> Any:
     text = text.strip()
     if isinstance(H, ProductDual):
@@ -132,10 +142,7 @@ def parse_label(H: Hypergroup, text: str) -> Any:
                 f"{len(H.factors)} (separate with '|')")
         return tuple(parse_label(f, part) for f, part in zip(H.factors, parts))
     if isinstance(H, Su2Dual):
-        try:
-            return twice_spin(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad spin label {text!r}: {exc}") from exc
+        return twice_spin(_exact_arg(text, "spin label"))
     if isinstance(H, FiniteDual):
         try:
             return H.table.irrep_index(int(text))
@@ -215,7 +222,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
     if args.sample:
         sample = parse_labels(H, args.sample)
     else:
-        sample = _su2_sample(H, Fraction(args.max_ell))
+        sample = _su2_sample(H, _exact_arg(args.max_ell, "--max-ell"))
     report = check_axioms(H, sample)
     _emit(args, {"command": "axioms", "dual": args.dual,
                  "report": report.to_json_dict()},
@@ -230,7 +237,7 @@ def _cmd_haar(args: argparse.Namespace) -> int:
     elif H.universe is not None:
         labels = list(H.universe)
     else:
-        labels = _su2_sample(H, Fraction(args.max_ell))
+        labels = _su2_sample(H, _exact_arg(args.max_ell, "--max-ell"))
     rows = [(H.label_str(x), H.haar(x)) for x in labels]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -264,11 +271,11 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
 
 def _cmd_leptin(args: argparse.Namespace) -> int:
     H = resolve_dual(args.dual)
-    epsilon = Fraction(args.epsilon)
+    epsilon = _exact_arg(args.epsilon, "--epsilon")
     if args.strategy == "interval":
         if not isinstance(H, Su2Dual):
             raise UsageError("the interval strategy requires --dual su2")
-        cert = leptin_search_interval(Fraction(args.K), epsilon, hypergroup=H)
+        cert = leptin_search_interval(_exact_arg(args.K, "--K"), epsilon, hypergroup=H)
     else:
         K = parse_labels(H, args.K)
         if args.strategy == "greedy":
@@ -321,9 +328,9 @@ def _cmd_norms(args: argparse.Namespace) -> int:
         if "=" not in assignment:
             raise UsageError(f"bad assignment {assignment!r}; use label=value")
         label_text, _, value_text = assignment.partition("=")
-        values[parse_label(H, label_text)] = Fraction(value_text.strip())
+        values[parse_label(H, label_text)] = _exact_arg(value_text, "--values")
     f = FiniteFunction(values)
-    p = Fraction(args.p)
+    p = _exact_arg(args.p, "--p")
     doc: dict[str, Any] = {
         "l1_h": _fraction_json(lp_h_norm(H, f, 1)),
         "lp_h": float(lp_h_norm(H, f, p)),
@@ -352,10 +359,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         k0 = parse_labels(H, args.K0)
     else:
         k0 = [H.identity]
-    w = build_witness(H, k0, Fraction(args.D), args.N, search=strategy,
-                      max_size=args.max_size)
+    D = _exact_arg(args.D, "--D")
+    p = _exact_arg(args.p, "--p")
     quad = _quad_config(args)
-    report = blowup_report(w, Fraction(args.p), config=quad)
+    check_tolerance(args.tolerance)
+    w = build_witness(H, k0, D, args.N, search=strategy, max_size=args.max_size)
+    report = blowup_report(w, p, config=quad)
     checks = check_multiplier_bounded(w, config=quad, tolerance=args.tolerance)
     payload = {
         "command": "witness",

@@ -373,18 +373,12 @@ def support_product(
     return frozenset(out)
 
 
-def _fuse_measure_point(H: Hypergroup, mu: FiniteMeasure, z: Label) -> FiniteMeasure:
+def _fuse_linear(mu: FiniteMeasure,
+                 fuse_with: Callable[[Label], FiniteMeasure]) -> FiniteMeasure:
+    """sum_t mu(t) fuse_with(t): a point fusion extended linearly over mu."""
     acc: dict[Label, Fraction] = {}
     for t, mass in mu.items():
-        for w, m2 in H.fuse(t, z).items():
-            acc[w] = acc.get(w, Fraction(0)) + mass * m2
-    return FiniteMeasure(acc)
-
-
-def _fuse_point_measure(H: Hypergroup, x: Label, nu: FiniteMeasure) -> FiniteMeasure:
-    acc: dict[Label, Fraction] = {}
-    for t, mass in nu.items():
-        for w, m2 in H.fuse(x, t).items():
+        for w, m2 in fuse_with(t).items():
             acc[w] = acc.get(w, Fraction(0)) + mass * m2
     return FiniteMeasure(acc)
 
@@ -484,8 +478,8 @@ def _check_pairs(H: Hypergroup, sample: list[Label]) -> tuple[dict[str, int], li
 def _associativity_failures(H: Hypergroup, triples: list[tuple[Label, Label, Label]]) -> list[AxiomFailure]:
     failures = []
     for x, y, z in triples:
-        left = _fuse_measure_point(H, H.fuse(x, y), z)
-        right = _fuse_point_measure(H, x, H.fuse(y, z))
+        left = _fuse_linear(H.fuse(x, y), lambda t: H.fuse(t, z))
+        right = _fuse_linear(H.fuse(y, z), lambda t: H.fuse(x, t))
         if left != right:
             failures.append(AxiomFailure(
                 "associativity",

@@ -80,10 +80,6 @@ class ExactComplex:
     def abs_squared(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def as_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -628,14 +624,15 @@ def flat_irrep_index(H: Hypergroup, label: Label) -> int:
 class ClassFunctionHandle:
     """Evaluates sum_pi v(pi) d_pi chi_pi, the central function behind v.
 
-    For finite duals the handle holds one value per conjugacy class; for the
-    dual of SU(2) it evaluates at a maximal-torus angle via the Weyl
-    character sin((n+1) theta) / sin(theta).
+    For finite duals the handle holds one value per conjugacy class of its
+    ``table``; for the dual of SU(2) it evaluates at a maximal-torus angle
+    via the Weyl character sin((n+1) theta) / sin(theta).
     """
 
     kind: str  # "classes" | "torus"
     _evaluate: Callable[[Any], Any]
     class_values: tuple[Any, ...] | None = None
+    table: CharacterTable | None = None
 
     def __call__(self, arg: Any) -> Any:
         return self._evaluate(arg)
@@ -698,4 +695,4 @@ def central_function(dual: Any, v: FiniteFunction) -> ClassFunctionHandle:
         return values[c]
 
     return ClassFunctionHandle(kind="classes", _evaluate=evaluate_class,
-                               class_values=values)
+                               class_values=values, table=table)

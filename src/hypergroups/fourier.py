@@ -33,15 +33,7 @@ from .core import (
     involute,
     support_product,
 )
-from .duals import (
-    CharacterTable,
-    ExactComplex,
-    ProductDual,
-    Su2Dual,
-    central_function,
-    dual_character_table,
-    flat_irrep_index,
-)
+from .duals import ExactComplex, Su2Dual, central_function
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -128,19 +120,6 @@ def _exact_abs(z: ExactComplex) -> Fraction | None:
     return _rational_sqrt(z.abs_squared())
 
 
-def _flat_irrep_function(dual: Any, v: FiniteFunction) -> tuple[CharacterTable, FiniteFunction]:
-    """Resolve (table, v-with-flat-row-indices) for table-backed duals."""
-    if isinstance(dual, CharacterTable):
-        return dual, v
-    table = dual_character_table(dual)
-    if table is None:
-        raise UsageError(f"no character table behind {dual!r}")
-    if isinstance(dual, ProductDual):
-        v = FiniteFunction({flat_irrep_index(dual, x): val for x, val in v.items()},
-                           v.lane)
-    return table, v
-
-
 def a_norm_exact_finite(table_or_dual: Any, v: FiniteFunction) -> Any:
     """A-norm of v over a finite dual: the L1 class sum of its central function.
 
@@ -148,13 +127,12 @@ def a_norm_exact_finite(table_or_dual: Any, v: FiniteFunction) -> Any:
     whenever the table and v are exact and every class value has a rational
     absolute value, otherwise a float.
     """
-    table, flat_v = _flat_irrep_function(table_or_dual, v)
-    for i in flat_v.support:
-        if not (isinstance(i, int) and 0 <= i < table.n_irreps):
-            raise UsageError(f"{i!r} is not an irrep index of {table.name}")
-    handle = central_function(table, flat_v)
+    handle = central_function(table_or_dual, v)
+    table = handle.table
+    if table is None:
+        raise UsageError(f"no character table behind {table_or_dual!r}")
     values = handle.values()
-    if table.lane == EXACT and flat_v.lane == EXACT:
+    if table.lane == EXACT and v.lane == EXACT:
         moduli = [_exact_abs(z) for z in values]
         if all(m is not None for m in moduli):
             total = sum((Fraction(size) * m for size, m in zip(table.class_sizes, moduli)),
@@ -214,10 +192,53 @@ def a_norm_su2(v: FiniteFunction, config: QuadratureConfig | None = None) -> flo
 # ---------------------------------------------------------------------------
 
 
-class BumpFunction:
-    """u = (1/h(V)) 1_{K*V} *_h ~1_V with its certified norm-bound data.
+class Plateau:
+    """A plateau function u = (1/h(V)) 1_{K*V} *_h ~1_V with its ratio h(K*V)/h(V).
 
-    Exactly verified at construction: u >= 0 everywhere, u = 1 on K, the
+    One type, two representations: :class:`BumpFunction` stores a
+    label->value dictionary, :class:`Su2IntervalBump` the integer
+    U-coefficient numerators of a spin-interval plateau.  A representation
+    provides ``value``, ``support`` (the labels where u != 0), ``K``, ``V``,
+    ``as_finite_function``, ``segal_power_sum``, ``a_norm`` and
+    ``_segal_norm_float``; everything below is derived from those once.
+    """
+
+    ratio: Fraction
+
+    @property
+    def a_norm_bound(self) -> float:
+        return math.sqrt(float(self.ratio))
+
+    def first_not_one(self, labels: Collection[Label]) -> Label | None:
+        """The first of ``labels`` where u != 1, or None when u = 1 on all."""
+        for x in labels:
+            if self.value(x) != 1:
+                return x
+        return None
+
+    def is_one_on(self, labels: Collection[Label]) -> bool:
+        return self.first_not_one(labels) is None
+
+    def l1_h(self) -> Fraction:
+        return self.segal_power_sum(1)
+
+    def segal_norm(self, p: Any) -> float:
+        """The lp(H, h) norm of u; exact power sum for p = 1 and p = 2."""
+        if p == 1:
+            return float(self.segal_power_sum(1))
+        if p == 2:
+            return math.sqrt(float(self.segal_power_sum(2)))
+        return self._segal_norm_float(p)
+
+    def __repr__(self) -> str:
+        return (f"<{type(self).__name__} on {self.hypergroup.name}: |K|={len(self.K)}, "
+                f"|V|={len(self.V)}, ratio={self.ratio}>")
+
+
+class BumpFunction(Plateau):
+    """Plateau stored as a label->value function, with its certified ratio.
+
+    Exactly verified by :func:`bump`: u >= 0 everywhere, u = 1 on K, the
     support sits inside K*V*~V, and the stored ratio is h(K*V)/h(V).  The
     A-norm bound is sqrt(ratio); measured A-norms are checked against it in
     the test suite, since quadrature values are floats.
@@ -232,10 +253,6 @@ class BumpFunction:
         self.function = function
 
     @property
-    def a_norm_bound(self) -> float:
-        return math.sqrt(float(self.ratio))
-
-    @property
     def support(self) -> tuple[Label, ...]:
         return self.function.support
 
@@ -245,35 +262,16 @@ class BumpFunction:
     def as_finite_function(self) -> FiniteFunction:
         return self.function
 
-    def is_one_on(self, labels: Collection[Label]) -> bool:
-        return all(self.function.value(x) == 1 for x in labels)
-
-    def l1_h(self) -> Fraction:
-        return lp_h_power_sum(self.hypergroup, self.function, 1)
-
     def segal_power_sum(self, p: int) -> Fraction:
         return lp_h_power_sum(self.hypergroup, self.function, p)
 
-    def segal_norm(self, p: Any) -> float:
+    def _segal_norm_float(self, p: Any) -> float:
         return float(lp_h_norm(self.hypergroup, self.function, p))
 
-    def absorbed_by(self, other: "BumpFunction") -> bool:
-        """Whether the pointwise product with `other` reproduces this function."""
-        mine = self.as_finite_function()
-        return mine * other.as_finite_function() == mine
-
     def a_norm(self, config: QuadratureConfig | None = None) -> Any:
-        H = self.hypergroup
-        if isinstance(H, Su2Dual):
+        if isinstance(self.hypergroup, Su2Dual):
             return a_norm_su2(self.function, config)
-        table = dual_character_table(H)
-        if table is not None:
-            return a_norm_exact_finite(H, self.function)
-        raise UsageError(f"no A-norm evaluator for {H!r}")
-
-    def __repr__(self) -> str:
-        return (f"<BumpFunction on {self.hypergroup.name}: |K|={len(self.K)}, "
-                f"|V|={len(self.V)}, ratio={self.ratio}>")
+        return a_norm_exact_finite(self.hypergroup, self.function)
 
 
 def bump(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> BumpFunction:
@@ -308,7 +306,7 @@ def bump(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> BumpFunct
     return BumpFunction(H, frozenset(K), frozenset(V), ratio, u)
 
 
-class Su2IntervalBump:
+class Su2IntervalBump(Plateau):
     """Plateau function for spin intervals on the dual of SU(2).
 
     Holds the exact integer numerators of u(z) = c_{z+1} / (h(V) (z+1))
@@ -333,12 +331,11 @@ class Su2IntervalBump:
         p_dim = k2 + m2 + 1
         q_dim = m2 + 1
         c = su2num.linearized_interval_product(p_dim, q_dim)
-        h_v = su2num.interval_haar_n2(m2)
-        for w in range(1, k2 + 2):
-            if c[w] != h_v * w:
-                raise InternalInvariantError(
-                    f"interval plateau is not 1 at label {w - 1}")
-        return cls(H, k2, m2, c, h_v)
+        plateau = cls(H, k2, m2, c, su2num.interval_haar_n2(m2))
+        miss = plateau.first_not_one(plateau.K)
+        if miss is not None:
+            raise InternalInvariantError(f"interval plateau is not 1 at label {miss}")
+        return plateau
 
     @property
     def K(self) -> range:
@@ -352,31 +349,28 @@ class Su2IntervalBump:
     def support(self) -> range:
         return range(self.k2 + 2 * self.m2 + 1)
 
-    @property
-    def a_norm_bound(self) -> float:
-        return math.sqrt(float(self.ratio))
-
     def value(self, z: int) -> Fraction:
         if 0 <= z < len(self._c) - 1:
             return Fraction(self._c[z + 1], self._h_v * (z + 1))
         return Fraction(0)
 
+    def first_not_one(self, labels: Collection[int]) -> int | None:
+        # u(z) = 1 exactly when c_{z+1} = h(V) (z+1): integer comparisons only
+        c, h_v, stop = self._c, self._h_v, len(self._c) - 1
+        for z in labels:
+            if not (0 <= z < stop and c[z + 1] == h_v * (z + 1)):
+                return z
+        return None
+
     def as_finite_function(self) -> FiniteFunction:
         return FiniteFunction({z: self.value(z) for z in self.support})
-
-    def is_one_on(self, labels: Collection[int]) -> bool:
-        return all(self.value(z) == 1 for z in labels)
-
-    def l1_h(self) -> Fraction:
-        total = sum(w * cw for w, cw in enumerate(self._c))
-        return Fraction(total, self._h_v)
 
     def segal_power_sum(self, p: int) -> Fraction:
         if not (isinstance(p, int) and p >= 1):
             raise UsageError(f"integer exponent >= 1 required, got {p}")
         # sum_z h(z) u(z)^p = sum_w w^(2-p) c_w^p / h(V)^p
         if p == 1:
-            return self.l1_h()
+            return Fraction(sum(w * cw for w, cw in enumerate(self._c)), self._h_v)
         if p == 2:
             total = sum(cw * cw for cw in self._c)
             return Fraction(total, self._h_v * self._h_v)
@@ -386,26 +380,13 @@ class Su2IntervalBump:
                 total += Fraction(cw, 1) ** p / w ** (p - 2)
         return total / Fraction(self._h_v) ** p
 
-    def segal_norm(self, p: Any) -> float:
-        if p == 2:
-            return math.sqrt(float(self.segal_power_sum(2)))
-        if p == 1:
-            return float(self.l1_h())
+    def _segal_norm_float(self, p: Any) -> float:
         p = float(p)
         c = np.fromiter((float(x) for x in self._c), dtype=float)
         w = np.arange(len(self._c), dtype=float)
         w[0] = 1.0  # c[0] = 0; avoid 0/0
         u = c / (float(self._h_v) * w)
         return float(np.sum(w * w * u ** p) ** (1.0 / p))
-
-    def absorbed_by(self, other: Any) -> bool:
-        top = self.k2 + 2 * self.m2
-        if isinstance(other, Su2IntervalBump):
-            if top <= other.k2:
-                return True
-            return all(other.value(z) == 1 for z in range(other.k2 + 1, top + 1))
-        mine = self.as_finite_function()
-        return mine * other.as_finite_function() == mine
 
     def a_norm(self, config: QuadratureConfig | None = None) -> float:
         """Quadrature A-norm via the closed-form product of sine kernels.
@@ -425,6 +406,3 @@ class Su2IntervalBump:
 
         return _refine_splits(quadrature, config.tolerance)
 
-    def __repr__(self) -> str:
-        return (f"<Su2IntervalBump k2={self.k2} m2={self.m2} "
-                f"ratio={float(self.ratio):.6f}>")

@@ -36,7 +36,7 @@ from .core import (
     support_product,
 )
 from .duals import Su2Dual
-from .fourier import QuadratureConfig, Su2IntervalBump, bump
+from .fourier import Plateau, QuadratureConfig, Su2IntervalBump, bump
 from .leptin import (
     LeptinCertificate,
     leptin_ratio,
@@ -65,19 +65,17 @@ def _haar_sum(H: Hypergroup, labels: Collection[Label]) -> Fraction:
 
 @dataclass
 class WitnessSequence:
-    """The chained plateau functions with their interval/set scaffolding.
+    """The chained plateau functions and their Leptin certificates.
 
-    ``K_chain`` has one extra entry: the support bound of the last term,
-    i.e. the set the next stage would have to cover.
+    ``next_K`` is the support bound of the last term, i.e. the set the next
+    stage would have to cover.
     """
 
     hypergroup: Hypergroup
     D: Fraction
     strategy: str
-    terms: list[Any]
-    K_chain: list[Collection[Label]]
-    V_chain: list[Collection[Label]]
-    ratios: list[Fraction]
+    terms: list[Plateau]
+    next_K: Collection[Label]
     certificates: list[LeptinCertificate] = field(default_factory=list)
     _a_cache: dict[float | None, list[Any]] = field(default_factory=dict, repr=False)
 
@@ -85,8 +83,17 @@ class WitnessSequence:
         return len(self.terms)
 
     @property
-    def a_bounds(self) -> list[float]:
-        return [math.sqrt(float(r)) for r in self.ratios]
+    def K_chain(self) -> list[Collection[Label]]:
+        """Each term's K, then ``next_K``."""
+        return [term.K for term in self.terms] + [self.next_K]
+
+    @property
+    def V_chain(self) -> list[Collection[Label]]:
+        return [term.V for term in self.terms]
+
+    @property
+    def ratios(self) -> list[Fraction]:
+        return [term.ratio for term in self.terms]
 
     def a_values(self, config: QuadratureConfig | None = None) -> list[Any]:
         """Measured A-norms per term (quadrature on su2-hat, exact on finite duals)."""
@@ -108,22 +115,13 @@ class WitnessSequence:
         return failures
 
 
-def absorption_witness(earlier: Any, later: Any) -> Label | None:
-    """A label where earlier * later != earlier, or None when absorbed."""
-    if isinstance(earlier, Su2IntervalBump) and isinstance(later, Su2IntervalBump):
-        top = earlier.k2 + 2 * earlier.m2
-        if top <= later.k2:
-            return None
-        for z in range(later.k2 + 1, top + 1):
-            if later.value(z) != 1:
-                return z
-        return None
-    mine = earlier.as_finite_function()
-    product = mine * later.as_finite_function()
-    if product == mine:
-        return None
-    diff = product - mine
-    return diff.support[0]
+def absorption_witness(earlier: Plateau, later: Plateau) -> Label | None:
+    """The smallest label where earlier * later != earlier, or None when absorbed.
+
+    The product equals ``earlier`` exactly where ``later`` is 1 on the
+    support of ``earlier``, so every label of that support is checked.
+    """
+    return later.first_not_one(earlier.support)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +133,7 @@ def _su2_interval_witness(H: Su2Dual, K0: Collection[int], cap: Fraction,
                           n_terms: int) -> WitnessSequence:
     eps = cap * cap - 1
     k2 = max(K0)
-    terms, k_chain, v_chain, ratios, certs = [], [], [], [], []
+    terms, certs = [], []
     for stage in range(n_terms):
         cert = leptin_search_interval(
             Fraction(k2, 2), eps, hypergroup=H, min_m2=max(k2, 1))
@@ -144,13 +142,9 @@ def _su2_interval_witness(H: Su2Dual, K0: Collection[int], cap: Fraction,
         if term.ratio != cert.ratio or not term.ratio < cap * cap:
             raise InternalInvariantError(f"stage {stage + 1}: ratio bound violated")
         terms.append(term)
-        k_chain.append(range(k2 + 1))
-        v_chain.append(range(m2 + 1))
-        ratios.append(term.ratio)
         certs.append(cert)
         k2 = k2 + 2 * m2
-    k_chain.append(range(k2 + 1))
-    return WitnessSequence(H, cap, "interval", terms, k_chain, v_chain, ratios, certs)
+    return WitnessSequence(H, cap, "interval", terms, range(k2 + 1), certs)
 
 
 def _expansion_pool(H: Hypergroup, K: Collection[Label], V: set[Label]) -> list[Label]:
@@ -167,7 +161,7 @@ def _generic_witness(H: Hypergroup, K0: Collection[Label], cap: Fraction,
     eps = cap * cap - 1
     bound = cap * cap
     K = frozenset(K0)
-    terms, k_chain, v_chain, ratios, certs = [], [], [], [], []
+    terms, certs = [], []
     for stage in range(n_terms):
         if strategy == "greedy":
             cert = leptin_search_greedy(H, K, eps, max_size=max_size)
@@ -199,21 +193,17 @@ def _generic_witness(H: Hypergroup, K0: Collection[Label], cap: Fraction,
             if not progressed:
                 break
 
-        ratio = leptin_ratio(H, K, V)
-        if not ratio < bound:
-            raise InternalInvariantError(f"stage {stage + 1}: expansion broke the ratio bound")
         term = bump(H, K, V)
+        if not term.ratio < bound:
+            raise InternalInvariantError(f"stage {stage + 1}: expansion broke the ratio bound")
         terms.append(term)
-        k_chain.append(K)
-        v_chain.append(frozenset(V))
-        ratios.append(ratio)
         certs.append(LeptinCertificate(
-            strategy=cert.strategy, K=K, V=frozenset(V), ratio=ratio,
+            strategy=cert.strategy, K=K, V=term.V, ratio=term.ratio,
             epsilon=eps, hypergroup=H))
-        certs[-1].verify()
+        if not certs[-1].verify():
+            raise InternalInvariantError(f"stage {stage + 1}: certificate does not re-verify")
         K = next_k
-    k_chain.append(K)
-    return WitnessSequence(H, cap, strategy, terms, k_chain, v_chain, ratios, certs)
+    return WitnessSequence(H, cap, strategy, terms, K, certs)
 
 
 def build_witness(H: Hypergroup, K0: Collection[Label], D: Any, N: int,
@@ -302,7 +292,7 @@ class BlowupReport:
                 row.n, row.K_size, row.V_size,
                 f"{row.ratio.numerator}/{row.ratio.denominator}",
                 f"{row.a_bound:.17g}",
-                f"{float(row.a_value):.17g}" if row.a_value is not None else "",
+                f"{float(row.a_value):.17g}",
                 f"{row.segal_p:.17g}",
                 f"{row.lower_bound:.17g}",
             ])
@@ -310,8 +300,7 @@ class BlowupReport:
 
 
 def blowup_report(w: WitnessSequence, p: Any,
-                  config: QuadratureConfig | None = None,
-                  include_a_values: bool = True) -> BlowupReport:
+                  config: QuadratureConfig | None = None) -> BlowupReport:
     """Tabulate a_bound, a_value, the p-Segal norm and its exact lower bound.
 
     The lower bound h(K_n)^(1/p) is certified in rational arithmetic: each
@@ -321,13 +310,11 @@ def blowup_report(w: WitnessSequence, p: Any,
     if not (1 <= p <= 2):
         raise UsageError(f"the central Segal norm requires p in [1, 2], got {p}")
     integral_p = float(p).is_integer()
-    a_values = w.a_values(config) if include_a_values else [None] * len(w)
+    a_values = w.a_values(config)
     rows = []
     power_sums: list[Fraction | None] = []
     for idx, term in enumerate(w.terms):
-        k_set = w.K_chain[idx]
-        v_set = w.V_chain[idx]
-        h_k = _haar_sum(w.hypergroup, k_set)
+        h_k = _haar_sum(w.hypergroup, term.K)
         if integral_p:
             power = term.segal_power_sum(int(p))
             if power < h_k:
@@ -337,17 +324,17 @@ def blowup_report(w: WitnessSequence, p: Any,
             power_sums.append(power)
             segal_value = float(power) ** (1.0 / float(p))
         else:
-            if not term.is_one_on(k_set):
+            if not term.is_one_on(term.K):
                 raise InternalInvariantError(
                     f"stage {idx + 1}: plateau is not 1 on K")
             power_sums.append(None)
             segal_value = term.segal_norm(p)
         rows.append(BlowupRow(
             n=idx + 1,
-            K_size=len(k_set),
-            V_size=len(v_set),
-            ratio=w.ratios[idx],
-            a_bound=math.sqrt(float(w.ratios[idx])),
+            K_size=len(term.K),
+            V_size=len(term.V),
+            ratio=term.ratio,
+            a_bound=term.a_norm_bound,
             a_value=a_values[idx],
             segal_p=segal_value,
             lower_bound=float(h_k) ** (1.0 / float(p)),
@@ -395,6 +382,12 @@ class CheckReport:
         }
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Raise UsageError unless the A-norm cap tolerance is finite and nonnegative."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise UsageError(f"tolerance must be finite and nonnegative, got {tolerance}")
+
+
 def check_multiplier_bounded(w: WitnessSequence,
                              config: QuadratureConfig | None = None,
                              tolerance: float = 1e-6) -> CheckReport:
@@ -404,8 +397,7 @@ def check_multiplier_bounded(w: WitnessSequence,
     produces a failing report.  A tolerance that is negative or not finite
     raises UsageError.
     """
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise UsageError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    check_tolerance(tolerance)
     failures = w.chain_failures()
     a_values = w.a_values(config)
     max_a = max(float(a) for a in a_values)

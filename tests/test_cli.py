@@ -1,10 +1,15 @@
 """End-to-end CLI behaviour: reports, round-trips, error categories."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hypergroups.cli
 from hypergroups.cli import parse_label, resolve_dual, run
 from hypergroups.duals import ProductDual, Su2Dual, load_character_table
 from hypergroups.leptin import certificate_from_json_dict
@@ -232,3 +237,55 @@ class TestCommands:
                                "--y", "rho", "--format", "csv")
         assert code == 2
         assert json.loads(err)["error"] == "usage"
+
+
+def _not_rational(text):
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return True
+    return False
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("argv,flag", [
+        (["norms", "--dual", "s3", "--values", "rho=1", "--p", "nan"], "--p"),
+        (["norms", "--dual", "s3", "--values", "rho=abc"], "--values"),
+        (["norms", "--dual", "su2", "--values", "1=1", "--p", "1/0"], "--p"),
+        (["witness", "--dual", "s3", "--D", "abc", "--N", "1"], "--D"),
+        (["leptin", "--dual", "s3", "--K", "0", "--epsilon", "x"], "--epsilon"),
+        (["haar", "--dual", "su2", "--max-ell", "x"], "--max-ell"),
+        (["leptin", "--dual", "su2", "--K", "1/0", "--epsilon", "1",
+          "--strategy", "interval"], "--K"),
+        (["norms", "--dual", "s3", "--values", "rho=1", "--p", "1e400"], "--p"),
+        (["norms", "--dual", "s3", "--values", "rho=1e400"], "--values"),
+    ])
+    def test_usage_error_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "usage"
+        assert doc["message"].startswith(flag + ":")
+
+    @given(text=st.text(max_size=12).filter(_not_rational))
+    @settings(max_examples=80, deadline=None)
+    def test_any_non_rational_p_exits_2(self, text):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["norms", "--dual", "s3", "--values", "rho=1", f"--p={text}"])
+        assert code == 2
+        assert json.loads(err.getvalue())["error"] == "usage"
+
+
+class TestWitnessTolerancesCheckedFirst:
+    @pytest.mark.parametrize("flag", ["--tolerance", "--quad-tol"])
+    def test_nan_exits_before_building(self, capsys, monkeypatch, flag):
+        calls = []
+        monkeypatch.setattr(hypergroups.cli, "build_witness",
+                            lambda *args, **kwargs: calls.append(args))
+        code, out, err = run_cli(capsys, "witness", "--dual", "su2", "--D", "1.1",
+                                 flag, "nan")
+        assert code == 2
+        assert json.loads(err)["error"] == "usage"
+        assert calls == []

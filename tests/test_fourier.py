@@ -24,7 +24,8 @@ from hypergroups import (
     support_product,
 )
 from hypergroups import su2num
-from hypergroups.fourier import Su2IntervalBump, lp_h_power_sum
+from hypergroups.fourier import Plateau, Su2IntervalBump, lp_h_power_sum
+from hypergroups.segal import absorption_witness
 
 half = Fraction(1, 2)
 _SU2 = su2_dual()
@@ -154,6 +155,16 @@ class TestANormFinite:
     def test_product_dual_dispatch(self, s3_x_z4):
         v = FiniteFunction.point(s3_x_z4.identity)
         assert a_norm_exact_finite(s3_x_z4, v) == 1
+        # a product label flattens to its tensor row: the two-dimensional row of S3
+        assert a_norm_exact_finite(s3_x_z4, FiniteFunction.point((2, 1))) == Fraction(4, 3)
+
+    def test_labels_outside_the_table_are_usage_errors(self, su2, s3, s3_x_z4):
+        with pytest.raises(UsageError):
+            a_norm_exact_finite(s3, FiniteFunction.point(3))
+        with pytest.raises(UsageError):
+            a_norm_exact_finite(s3_x_z4, FiniteFunction.point((3, 0)))
+        with pytest.raises(UsageError):
+            a_norm_exact_finite(su2, FiniteFunction.point(0))
 
 
 class TestANormSu2:
@@ -247,8 +258,8 @@ class TestBump:
     def test_absorption(self, s3):
         small = bump(s3, [s3.identity], [s3.identity, 1])
         big = bump(s3, list(s3.universe), list(s3.universe))
-        assert small.absorbed_by(big)
-        assert not big.absorbed_by(small)
+        assert absorption_witness(small, big) is None
+        assert absorption_witness(big, small) is not None
 
 
 @st.composite
@@ -300,8 +311,18 @@ class TestIntervalBump:
     def test_absorption_structure(self, su2):
         inner = Su2IntervalBump.build(su2, 0, 1)   # support up to n = 2
         outer = Su2IntervalBump.build(su2, 2, 3)   # plateau covers n <= 2
-        assert inner.absorbed_by(outer)
-        assert not outer.absorbed_by(inner)
+        assert absorption_witness(inner, outer) is None
+        assert absorption_witness(outer, inner) is not None
+
+    @given(labels=st.lists(st.integers(0, 40), max_size=30),
+           km=st.sampled_from([(0, 0), (0, 2), (1, 1), (2, 4), (3, 7)]))
+    @settings(max_examples=60, deadline=None)
+    def test_first_not_one_matches_value_scan(self, labels, km):
+        # the integer comparison agrees with the base scan over value(),
+        # also for labels past the support (k2 + 2 m2 <= 17 < 40)
+        b = Su2IntervalBump.build(_SU2, *km)
+        assert b.first_not_one(labels) == Plateau.first_not_one(b, labels)
+        assert b.first_not_one(list(b.K) + labels) == Plateau.first_not_one(b, list(b.K) + labels)
 
     def test_plateau_extends_to_interval(self, su2):
         # the plateau of an interval pair covers the whole lower interval

@@ -123,8 +123,9 @@ class TestBlowupReport:
         e = s3.identity
         u = bump(s3, [e], [e])
         w = WitnessSequence(hypergroup=s3, D=Fraction(2), strategy="greedy",
-                            terms=[u], K_chain=[frozenset({e}), frozenset({e})],
-                            V_chain=[frozenset({e})], ratios=[Fraction(1)])
+                            terms=[u], next_K=frozenset({e}))
+        assert w.K_chain == [frozenset({e}), frozenset({e})]
+        assert w.ratios == [Fraction(1)]
         report = blowup_report(w, 2)
         assert report.rows[0].segal_p == pytest.approx(1.0)
         assert report.rows[0].lower_bound == pytest.approx(1.0)
@@ -211,3 +212,43 @@ class TestAbsorptionWitness:
         assert absorption_witness(small, large) is None
         witness = absorption_witness(large, small)
         assert witness is not None
+
+    @staticmethod
+    def product_oracle(earlier, later):
+        """Smallest label where the materialized product differs from earlier."""
+        mine = earlier.as_finite_function()
+        diff = mine * later.as_finite_function() - mine
+        return diff.support[0] if diff else None
+
+    def test_su2_pairs_match_product_oracle(self, su2):
+        # interval terms and generic bumps, every ordered pair: both mixed orders
+        plateaus = [Su2IntervalBump.build(su2, k2, m2)
+                    for k2, m2 in ((0, 0), (0, 1), (1, 2), (2, 3), (6, 4))]
+        plateaus += [bump(su2, [0], [0, 1]), bump(su2, [1], [0, 2]),
+                     bump(su2, [0, 1, 2], [0, 1, 2, 3]), bump(su2, [0, 2], [1])]
+        absorbed = 0
+        for earlier in plateaus:
+            for later in plateaus:
+                expected = self.product_oracle(earlier, later)
+                assert absorption_witness(earlier, later) == expected
+                absorbed += expected is None
+        assert 0 < absorbed < len(plateaus) ** 2
+
+    def test_s3_pairs_match_product_oracle(self, s3):
+        plateaus = [bump(s3, K, V) for K, V in (
+            ([0], [0]), ([0], [0, 1]), ([2], [0]), ([0], [2]), ([1, 2], [0, 2]))]
+        for earlier in plateaus:
+            for later in plateaus:
+                assert absorption_witness(earlier, later) == \
+                    self.product_oracle(earlier, later)
+
+    def test_dent_inside_later_plateau_is_named(self, su2):
+        # a dent at or below the later term's own k2 is still a chain failure
+        w = build_witness(su2, [0], D32, 3, search="interval")
+        earlier, later = w.terms[1], w.terms[2]
+        z = earlier.k2 + 1
+        assert z in earlier.support and z <= later.k2
+        assert z not in w.terms[0].support
+        later._c = list(later._c)
+        later._c[z + 1] += 1
+        assert w.chain_failures() == [(2, 3, su2.label_str(z))]

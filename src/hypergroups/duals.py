@@ -527,6 +527,9 @@ def finite_group_dual(table: CharacterTable) -> FiniteDual:
 # ---------------------------------------------------------------------------
 
 
+_UNBUILT = object()
+
+
 class ProductDual(Hypergroup):
     """Product hypergroup with componentwise fusion and multiplied Haar mass."""
 
@@ -534,6 +537,7 @@ class ProductDual(Hypergroup):
         if not factors:
             raise UsageError("product requires at least one factor")
         self.factors = tuple(factors)
+        self._table = _UNBUILT
         universe = None
         if all(f.is_finite for f in self.factors):
             universe = [tuple(labels) for labels in
@@ -574,17 +578,19 @@ class ProductDual(Hypergroup):
         return out
 
     def character_table(self) -> CharacterTable | None:
-        """Tensor table when every factor is table-backed, else None."""
-        tables = []
-        for f in self.factors:
-            t = dual_character_table(f)
-            if t is None:
-                return None
-            tables.append(t)
-        result = tables[0]
-        for t in tables[1:]:
-            result = result.tensor(t)
-        return result
+        """Tensor table when every factor is table-backed, else None.
+
+        Built on the first call and kept: later calls return the same object.
+        """
+        if self._table is _UNBUILT:
+            tables = [dual_character_table(f) for f in self.factors]
+            table = None
+            if all(t is not None for t in tables):
+                table = tables[0]
+                for t in tables[1:]:
+                    table = table.tensor(t)
+            self._table = table
+        return self._table
 
 
 def product_dual(factors: Sequence[Hypergroup]) -> ProductDual:
@@ -643,6 +649,21 @@ class ClassFunctionHandle:
         return self.class_values
 
 
+def su2_u_coefficients(v: FiniteFunction) -> np.ndarray:
+    """The float array v(n) (n + 1) at index n, for v on su2-hat.
+
+    These are the U_n(cos theta) coefficients of the central function behind
+    v.  A label outside su2-hat raises LabelDomainError, a UsageError.
+    """
+    for n in v.support:
+        if not _su2_valid(n):
+            raise LabelDomainError(f"{n!r} is not a label of su2-hat")
+    coeffs = np.zeros(max(v.support, default=0) + 1)
+    for n, value in v.items():
+        coeffs[n] = float(value) * (n + 1)
+    return coeffs
+
+
 def central_function(dual: Any, v: FiniteFunction) -> ClassFunctionHandle:
     """Handle for the central function with Fourier coefficients v.
 
@@ -650,11 +671,7 @@ def central_function(dual: Any, v: FiniteFunction) -> ClassFunctionHandle:
     :class:`CharacterTable`, or a table-backed :class:`ProductDual`.
     """
     if isinstance(dual, Su2Dual):
-        for n in v.support:
-            dual.check_label(n)
-        coeffs = np.zeros(max((n for n in v.support), default=0) + 1)
-        for n, value in v.items():
-            coeffs[n] = float(value) * (n + 1)
+        coeffs = su2_u_coefficients(v)
 
         def evaluate(theta: float) -> float:
             x = np.array([np.cos(float(theta))])

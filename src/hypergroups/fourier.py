@@ -33,7 +33,7 @@ from .core import (
     involute,
     support_product,
 )
-from .duals import ExactComplex, Su2Dual, central_function
+from .duals import ExactComplex, Su2Dual, central_function, su2_u_coefficients
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -169,13 +169,7 @@ def a_norm_su2(v: FiniteFunction, config: QuadratureConfig | None = None) -> flo
     config = config or DEFAULT_QUADRATURE
     if not v:
         return 0.0
-    for n in v.support:
-        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
-            raise UsageError(f"{n!r} is not a label of su2-hat")
-    top = max(v.support)
-    coeffs = np.zeros(top + 1)
-    for n, value in v.items():
-        coeffs[n] = float(value) * (n + 1)
+    coeffs = su2_u_coefficients(v)
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         s = np.sin(theta)
@@ -196,8 +190,8 @@ class Plateau:
     """A plateau function u = (1/h(V)) 1_{K*V} *_h ~1_V with its ratio h(K*V)/h(V).
 
     One type, two representations: :class:`BumpFunction` stores a
-    label->value dictionary, :class:`Su2IntervalBump` the integer
-    U-coefficient numerators of a spin-interval plateau.  A representation
+    label->value dictionary, :class:`Su2IntervalBump` the two interval ends
+    and evaluates a closed form.  A representation
     provides ``value``, ``support`` (the labels where u != 0), ``K``, ``V``,
     ``as_finite_function``, ``segal_power_sum``, ``a_norm`` and
     ``_segal_norm_float``; everything below is derived from those once.
@@ -307,35 +301,34 @@ def bump(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> BumpFunct
 
 
 class Su2IntervalBump(Plateau):
-    """Plateau function for spin intervals on the dual of SU(2).
+    """Plateau function for spin intervals K = {0..k2}, V = {0..m2} on su2-hat.
 
-    Holds the exact integer numerators of u(z) = c_{z+1} / (h(V) (z+1))
-    instead of a label->value dictionary, which keeps stage sizes in the
-    millions tractable.  Same exact guarantees as :func:`bump`: u >= 0,
-    u = 1 on the interval K, support exactly the interval K*V*~V.
+    u(z) = c_{z+1} / (h(V) (z+1)), with the integer numerators c_w given in
+    closed form by :func:`su2num.plateau_numerator`, so the state is
+    (k2, m2) whatever the stage size.  Same exact guarantees as
+    :func:`bump`: u >= 0, u = 1 on the interval K (c_w = h(V) w there),
+    support exactly the interval K*V*~V.
     """
 
-    def __init__(self, hypergroup: Su2Dual, k2: int, m2: int,
-                 numerators: list[int], h_v: int):
+    def __init__(self, hypergroup: Su2Dual, k2: int, m2: int):
         self.hypergroup = hypergroup
         self.k2 = k2
         self.m2 = m2
-        self._c = numerators
-        self._h_v = h_v
+        self._h_v = su2num.interval_haar_n2(m2)
         self.ratio = su2num.interval_ratio_n2(k2, m2)
 
     @classmethod
     def build(cls, H: Su2Dual, k2: int, m2: int) -> "Su2IntervalBump":
+        """The plateau, with its closed form re-proved against the recurrence."""
         if k2 < 0 or m2 < 0:
             raise UsageError("interval endpoints must be nonnegative")
-        p_dim = k2 + m2 + 1
-        q_dim = m2 + 1
-        c = su2num.linearized_interval_product(p_dim, q_dim)
-        plateau = cls(H, k2, m2, c, su2num.interval_haar_n2(m2))
-        miss = plateau.first_not_one(plateau.K)
-        if miss is not None:
-            raise InternalInvariantError(f"interval plateau is not 1 at label {miss}")
+        plateau = cls(H, k2, m2)
+        su2num.check_plateau_recurrence(k2, m2, plateau.numerator)
         return plateau
+
+    def numerator(self, w: int) -> int:
+        """c_w, the U_{w-1} coefficient of h(V) u."""
+        return su2num.plateau_numerator(self.k2, self.m2, w)
 
     @property
     def K(self) -> range:
@@ -350,15 +343,15 @@ class Su2IntervalBump(Plateau):
         return range(self.k2 + 2 * self.m2 + 1)
 
     def value(self, z: int) -> Fraction:
-        if 0 <= z < len(self._c) - 1:
-            return Fraction(self._c[z + 1], self._h_v * (z + 1))
-        return Fraction(0)
+        if z < 0:
+            return Fraction(0)
+        return Fraction(self.numerator(z + 1), self._h_v * (z + 1))
 
     def first_not_one(self, labels: Collection[int]) -> int | None:
         # u(z) = 1 exactly when c_{z+1} = h(V) (z+1): integer comparisons only
-        c, h_v, stop = self._c, self._h_v, len(self._c) - 1
+        numerator, h_v = self.numerator, self._h_v
         for z in labels:
-            if not (0 <= z < stop and c[z + 1] == h_v * (z + 1)):
+            if not (0 <= z and numerator(z + 1) == h_v * (z + 1)):
                 return z
         return None
 
@@ -368,25 +361,34 @@ class Su2IntervalBump(Plateau):
     def segal_power_sum(self, p: int) -> Fraction:
         if not (isinstance(p, int) and p >= 1):
             raise UsageError(f"integer exponent >= 1 required, got {p}")
-        # sum_z h(z) u(z)^p = sum_w w^(2-p) c_w^p / h(V)^p
-        if p == 1:
-            return Fraction(sum(w * cw for w, cw in enumerate(self._c)), self._h_v)
-        if p == 2:
-            total = sum(cw * cw for cw in self._c)
-            return Fraction(total, self._h_v * self._h_v)
-        total = Fraction(0)
-        for w, cw in enumerate(self._c):
-            if cw:
-                total += Fraction(cw, 1) ** p / w ** (p - 2)
-        return total / Fraction(self._h_v) ** p
+        # sum_z h(z) u(z)^p = sum_w w^(2-p) c_w^p / h(V)^p over 1 <= w < T
+        k2, top, h_p = self.k2, self.k2 + 2 * self.m2 + 2, self._h_v ** p
+        if p > 2:
+            total = Fraction(0)
+            for w in range(1, top):
+                cw = self.numerator(w)
+                if cw:
+                    total += Fraction(cw ** p, w ** (p - 2))
+            return total / h_p
+        # c_w = h(V) w up to w = k2 + 1; past it w^(2-p) c_w^p is a
+        # polynomial of degree 3p + 2 on each parity class of w
+        total = Fraction(h_p * su2num.sum_squares(k2 + 1))
+        for first in (k2 + 2, k2 + 3):
+            total += su2num.poly_sum(
+                lambda i: (first + 2 * i) ** (2 - p) * self.numerator(first + 2 * i) ** p,
+                len(range(first, top, 2)), 3 * p + 2)
+        return total / h_p
 
     def _segal_norm_float(self, p: Any) -> float:
+        # u = 1 up to w = k2 + 1, then the factored quartics per parity class
         p = float(p)
-        c = np.fromiter((float(x) for x in self._c), dtype=float)
-        w = np.arange(len(self._c), dtype=float)
-        w[0] = 1.0  # c[0] = 0; avoid 0/0
-        u = c / (float(self._h_v) * w)
-        return float(np.sum(w * w * u ** p) ** (1.0 / p))
+        k2, top, h_v = self.k2, self.k2 + 2 * self.m2 + 2, float(self._h_v)
+        total = float(su2num.sum_squares(k2 + 1))
+        for first in (k2 + 2, k2 + 3):
+            w = np.arange(first, top, 2, dtype=float)
+            c = su2num.plateau_quartic48(k2, float(top + 1), w, (first - k2) % 2 == 1) / 48.0
+            total += float(np.sum(w * w * (c / (h_v * w)) ** p))
+        return total ** (1.0 / p)
 
     def a_norm(self, config: QuadratureConfig | None = None) -> float:
         """Quadrature A-norm via the closed-form product of sine kernels.

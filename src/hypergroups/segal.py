@@ -129,6 +129,13 @@ def absorption_witness(earlier: Plateau, later: Plateau) -> Label | None:
 # ---------------------------------------------------------------------------
 
 
+# Largest interval-plateau support (k2 + 2 m2 + 1 labels) a witness stage may
+# have.  The plateau itself is O(1); its A-norm quadrature is not: on the last
+# stage of the D = 1.1, N = 5 chain (1 871 761 labels) it takes about 2.4 s and
+# 65 MB, so 2^22 labels admit that stage and refuse the next (58 935 667).
+MAX_INTERVAL_SUPPORT = 1 << 22
+
+
 def _su2_interval_witness(H: Su2Dual, K0: Collection[int], cap: Fraction,
                           n_terms: int) -> WitnessSequence:
     eps = cap * cap - 1
@@ -137,7 +144,12 @@ def _su2_interval_witness(H: Su2Dual, K0: Collection[int], cap: Fraction,
     for stage in range(n_terms):
         cert = leptin_search_interval(
             Fraction(k2, 2), eps, hypergroup=H, min_m2=max(k2, 1))
-        m2 = max(cert.V)
+        m2 = cert.V[-1]  # V = range(m2 + 1); max() would walk it
+        size = k2 + 2 * m2 + 1
+        if size > MAX_INTERVAL_SUPPORT:
+            raise CapacityError(
+                f"stage {stage + 1}: the plateau support has {size} labels, "
+                f"more than the {MAX_INTERVAL_SUPPORT} an interval witness stage may have")
         term = Su2IntervalBump.build(H, k2, m2)
         if term.ratio != cert.ratio or not term.ratio < cap * cap:
             raise InternalInvariantError(f"stage {stage + 1}: ratio bound violated")

@@ -5,23 +5,25 @@ character at torus angle theta is the Chebyshev kernel U_n(cos theta)
 = sin((n+1) theta) / sin theta.  Interval subsets {0, ..., n} have Haar mass
 S(n+1) with S(N) = sum of the first N squares, and products of interval
 indicators linearize in the U-basis with integer coefficients.  Those
-integer sequences and the associated oscillatory quadrature are what this
-module computes; everything exact is plain `int`/`Fraction`, the quadrature
-is numpy float64.
+coefficients have a closed form, a quartic on each parity class, checked at
+O(1) cost against the recurrence that defines them; the recurrence run over
+every index survives only as the tests' reference.  Closed forms and the
+associated oscillatory quadrature are what this module computes; everything
+exact is plain `int`/`Fraction`, the quadrature is numpy float64.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
+from typing import Any
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial.legendre import leggauss
 
 from .core import InternalInvariantError
-
-_INT64_SAFE = 2**62
 
 
 def sum_squares(n: int) -> int:
@@ -86,81 +88,160 @@ def min_m2_for_ratio(k2: int, bound: Fraction, m2_floor: int = 0) -> int:
 # the exact recurrence
 #   c_1 = A(0),   c_{j+1} = c_{j-1} + A(j) - B(j)   (j >= 1),
 # where A(j) = sum_{|p-q|=j} p q and B(j) = sum_{p+q=j} p q over the index
-# boxes.  A and B have O(1) closed forms; c_w >= 0 and c_w = 0 for w >= P+Q.
+# boxes.  A and B are cubics in j between breakpoints, and c has the closed
+# form of :func:`plateau_numerator`.
 
 
-def _corr_conv_terms(P: int, Q: int) -> tuple[list[int], list[int]]:
-    """A(j) and B(j) for j = 0 .. P+Q+1, exact."""
-    top = P + Q + 2
-    max_n = max(P, Q) + 1
-    limit = (top * sum_first(max_n) + 2 * sum_squares(max_n)) * 2
-    if limit < _INT64_SAFE:
-        return _corr_conv_terms_np(P, Q, top)
-    return _corr_conv_terms_py(P, Q, top)
-
-
-def _corr_conv_terms_np(P: int, Q: int, top: int) -> tuple[list[int], list[int]]:
-    n = np.arange(0, max(P, Q) + 2, dtype=np.int64)
-    s1 = np.concatenate(([0], np.cumsum(n[1:], dtype=np.int64)))
-    s2 = np.concatenate(([0], np.cumsum(n[1:] * n[1:], dtype=np.int64)))
-
-    j = np.arange(0, top, dtype=np.int64)
-    # A(j): sum over q <= L of q (q + j), with L = min(Q, P - j), plus the
-    # mirrored sum with P and Q swapped; j = 0 counts the diagonal once.
-    l1 = np.clip(np.minimum(Q, P - j), 0, None)
-    l2 = np.clip(np.minimum(P, Q - j), 0, None)
-    a = (s2[l1] + j * s1[l1]) + (s2[l2] + j * s1[l2])
-    a[0] = s2[min(P, Q)]
-    # B(j): sum over p in [max(1, j - Q), min(P, j - 1)] of p (j - p).
-    lo = np.clip(j - Q, 1, None)
-    hi = np.minimum(P, j - 1)
-    valid = hi >= lo
-    lo_idx = np.where(valid, lo, 1)
-    hi_idx = np.where(valid, hi, 0)
-    b = np.where(valid, j * (s1[hi_idx] - s1[lo_idx - 1]) - (s2[hi_idx] - s2[lo_idx - 1]), 0)
-    return a.tolist(), b.tolist()
-
-
-def _corr_conv_terms_py(P: int, Q: int, top: int) -> tuple[list[int], list[int]]:
-    a_list, b_list = [], []
-    for j in range(top):
-        l1 = min(Q, P - j)
-        l2 = min(P, Q - j)
-        a = 0
-        if l1 > 0:
-            a += sum_squares(l1) + j * sum_first(l1)
-        if l2 > 0:
-            a += sum_squares(l2) + j * sum_first(l2)
-        if j == 0:
-            a = sum_squares(min(P, Q))
-        lo, hi = max(1, j - Q), min(P, j - 1)
-        b = 0
-        if hi >= lo:
-            b = j * (sum_first(hi) - sum_first(lo - 1)) - (sum_squares(hi) - sum_squares(lo - 1))
-        a_list.append(a)
-        b_list.append(b)
-    return a_list, b_list
+def _ab_terms(P: int, Q: int, j: int) -> tuple[int, int]:
+    """A(j) and B(j), exact."""
+    l1 = min(Q, P - j)
+    l2 = min(P, Q - j)
+    a = 0
+    if l1 > 0:
+        a += sum_squares(l1) + j * sum_first(l1)
+    if l2 > 0:
+        a += sum_squares(l2) + j * sum_first(l2)
+    if j == 0:
+        a = sum_squares(min(P, Q))
+    lo, hi = max(1, j - Q), min(P, j - 1)
+    b = 0
+    if hi >= lo:
+        b = j * (sum_first(hi) - sum_first(lo - 1)) - (sum_squares(hi) - sum_squares(lo - 1))
+    return a, b
 
 
 def linearized_interval_product(P: int, Q: int) -> list[int]:
     """Coefficients c indexed by w with c[w] the U_{w-1} coefficient.
 
-    Returns a list of length P+Q with c[0] = 0 unused.  Raises if the
-    recurrence fails its own sanity constraints (nonnegativity, vanishing
-    tail), which would indicate a bug.
+    Runs the recurrence over every j: the reference that the closed form
+    :func:`plateau_numerator` is tested against.  Returns a list of length
+    P+Q with c[0] = 0 unused.  Raises if the recurrence fails its own
+    sanity constraints (nonnegativity, vanishing tail).
     """
     if P < 1 or Q < 1:
         raise ValueError("interval dimensions must be positive")
-    a, b = _corr_conv_terms(P, Q)
     c = [0] * (P + Q + 2)
-    c[1] = a[0]
+    c[1] = _ab_terms(P, Q, 0)[0]
     for j in range(1, P + Q + 1):
-        c[j + 1] = c[j - 1] + a[j] - b[j]
+        a, b = _ab_terms(P, Q, j)
+        c[j + 1] = c[j - 1] + a - b
     if c[P + Q] != 0 or c[P + Q + 1] != 0:
         raise AssertionError("interval linearization tail does not vanish")
     if any(v < 0 for v in c):
         raise AssertionError("interval linearization produced a negative coefficient")
     return c[: P + Q]
+
+
+def plateau_numerator(k2: int, m2: int, w: int) -> int:
+    """c_w for P = k2 + m2 + 1 and Q = m2 + 1, in closed form (w >= 0).
+
+    These are the numerators of the spin-interval plateau with K = {0..k2},
+    V = {0..m2}: u(z) = c_{z+1} / (h(V) (z+1)), h(V) = S2(Q) with S2 the
+    sum of the first squares.  Put T = P + Q = k2 + 2 m2 + 2, s = T + 1,
+    d = s - w and X = w (w + 2s) - 3 k2^2.  Then
+
+        c_w = h(V) w                       for 0 <= w <= k2 + 1,
+        48 c_w = (d^2 - 1) X               for k2 + 2 <= w <= T, w = k2 mod 2,
+        48 c_w = d^2 X + d (w + 3s)        for k2 + 2 <= w <= T otherwise,
+        c_w = 0                            for w > T.
+
+    Written out, (d^2 - 1) X = (T - w)(T + 2 - w)(w^2 + 2(T+1)w - 3k2^2) and
+    d^2 X + d (w + 3s) = (T + 1 - w)((2T^2 + 4T + 3k2^2 + 3) w - w^3
+    - (T+1) w^2 - 3(T+1)(k2^2 - 1)).
+
+    Derivation from the recurrence, with D(j) = A(j) - B(j) (P - Q = k2):
+
+    * A(0) = S2(Q) = h(V), and D(j) = 2 h(V) for 1 <= j <= k2 (on j <= Q
+      and on Q < j <= k2 alike).  So c_0 = 0, c_1 = h(V) and c_{j+1} =
+      c_{j-1} + 2 h(V) give c_w = h(V) w up to w = k2 + 1.
+    * For j >= k2 + 1, A and B change formula at j = Q and j = P (the box
+      edges), but on every piece the cubics reduce to one:
+      D(j) = (j - s)(2 j^2 + 2 s j - s^2 - 3 k2^2 + 1) / 12.
+    * The product has U-degree (P - 1) + (Q - 1) = T - 2, so c_T = c_{T+1}
+      = 0.  Running c_w = c_{w+2} - D(w+1) down from there gives, for
+      w >= k2, with t = s - j,
+      c_w = -sum_{j = w+1, w+3, .. <= s} D(j)
+          = (1/12) sum_{t < d, t = d-1 mod 2} t (3 (s - t)^2 - t^2 - 3 k2^2 + 1).
+      Summing over t = 0, 2, .., d - 1 (d odd, i.e. w = k2 mod 2) and over
+      t = 1, 3, .., d - 1 (d even) gives the two quartics above.  They also
+      equal h(V) w at w = k2 and k2 + 1, and vanish at w = T and T + 1.
+
+    Nonnegativity: for k2 + 2 <= w <= T we have w > k2 and s > w, so
+    X > w * 3w - 3 k2^2 > 0, and d >= 1; hence (d^2 - 1) X >= 0 and
+    d^2 X + d (w + 3s) > 0.  Below, h(V) w >= 0.
+
+    :func:`check_plateau_recurrence` re-proves the formula for each (k2, m2)
+    the library builds, and :func:`linearized_interval_product` is its
+    reference in the tests.
+    """
+    if w <= k2 + 1:
+        return sum_squares(m2 + 1) * w
+    top = k2 + 2 * m2 + 2
+    if w > top:
+        return 0
+    return plateau_quartic48(k2, top + 1, w, (w - k2) % 2 == 1) // 48
+
+
+def plateau_quartic48(k2: int, s: Any, w: Any, odd: bool) -> Any:
+    """48 c_w past w = k2 + 1, factored; ``s`` = T + 1, ``odd`` = (w - k2 odd).
+
+    Elementwise, so ``w`` may be an int or a float array of one parity class.
+    """
+    d = s - w
+    x = w * (w + 2 * s) - 3 * k2 * k2
+    return d * d * x + (d * (w + 3 * s) if odd else -x)
+
+
+def check_plateau_recurrence(k2: int, m2: int, numerator: Callable[[int], int]) -> None:
+    """Prove that ``numerator(w)`` is c_w of (k2, m2), at O(1) cost.
+
+    Checks c_0 = 0, c_1 = A(0) and c_{j+1} = c_{j-1} + A(j) - B(j) at the
+    first 10 j of every piece of 1 <= j <= T.  A piece ends where A, B,
+    c_{j-1} or c_{j+1} changes formula: A at j = k2 + 1, Q + 1, P + 1;
+    B at Q + 1, P + 1; c_{j+1} at k2 + 1; c_{j-1} at k2 + 3.
+
+    The degree argument: on one piece A(j) and B(j) are fixed cubics in j
+    (sums of a fixed polynomial between ends that are fixed linear
+    functions of j), and for j of one parity c_{j+1} and c_{j-1} each follow
+    one fixed polynomial of degree <= 4 in j (linear or one quartic).  So on
+    each parity class of a piece the residual c_{j+1} - c_{j-1} - A(j) + B(j)
+    is a polynomial of degree <= 4, and five zeros make it vanish.  The
+    first 10 j hold five of each parity, and a shorter piece is checked in
+    full.  The recurrence for j = 1 .. T then fixes c_0 .. c_{T+1}; past that
+    A = B = 0 and the numerator is 0.  A failure raises InternalInvariantError.
+    """
+    P, Q = k2 + m2 + 1, m2 + 1
+    top = P + Q
+    if numerator(0) != 0 or numerator(1) != _ab_terms(P, Q, 0)[0]:
+        raise InternalInvariantError(f"plateau ({k2}, {m2}): c_0 or c_1 is wrong")
+    starts = sorted({j for j in (1, k2 + 1, k2 + 3, Q + 1, P + 1) if j <= top})
+    for start, stop in zip(starts, starts[1:] + [top + 1]):
+        for j in range(start, min(start + 10, stop)):
+            a, b = _ab_terms(P, Q, j)
+            if numerator(j + 1) != numerator(j - 1) + a - b:
+                raise InternalInvariantError(
+                    f"plateau ({k2}, {m2}): the closed form breaks the recurrence at j = {j}")
+
+
+def poly_sum(f: Callable[[int], Any], n: int, deg: int) -> Fraction:
+    """sum of f(i) for i in range(n), where f is a polynomial of degree <= deg.
+
+    The partial sums S(0) .. S(deg + 1) fix S, a polynomial of degree
+    deg + 1, and Lagrange extrapolation gives S(n) exactly.
+    """
+    partial = [Fraction(0)]
+    for i in range(deg + 1):
+        partial.append(partial[-1] + f(i))
+    if n < len(partial):
+        return partial[n]
+    total = Fraction(0)
+    for k, s_k in enumerate(partial):
+        weight = Fraction(1)
+        for m in range(len(partial)):
+            if m != k:
+                weight *= Fraction(n - m, k - m)
+        total += s_k * weight
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,16 @@ class TestCommands:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "usage"
+
+    def test_witness_past_the_support_cap_exits_4(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "witness", "--dual", "su2", "--D", "1.1", "--N", "7")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "capacity"
+        assert doc["message"].startswith("stage 6: ")
 
     def test_witness_csv(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"

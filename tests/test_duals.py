@@ -19,8 +19,10 @@ from hypergroups import (
     finite_group_dual,
     parse_character_table,
     product_dual,
+    su2_dual,
 )
-from hypergroups.duals import ell_str, flat_irrep_index
+from hypergroups.duals import ell_str, flat_irrep_index, su2_u_coefficients
+from hypergroups.fourier import a_norm_su2
 
 half = Fraction(1, 2)
 
@@ -240,6 +242,22 @@ class TestProductDual:
             assert table.dims[flat] == s3.table.dims[label[0]] * z4.table.dims[label[1]]
             assert s3_x_z4.haar(label) == table.dims[flat] ** 2
 
+    def test_character_table_built_once_on_first_use(self, s3, z4, monkeypatch):
+        calls = []
+        tensor = CharacterTable.tensor
+        monkeypatch.setattr(CharacterTable, "tensor",
+                            lambda self, other: calls.append(other) or tensor(self, other))
+        prod = product_dual([s3, z4])
+        assert calls == []
+        first = prod.character_table()
+        assert prod.character_table() is first
+        assert calls == [z4.table]
+
+    def test_tableless_factor_has_no_table(self, s3):
+        prod = product_dual([s3, su2_dual()])
+        assert prod.character_table() is None
+        assert prod.character_table() is None
+
 
 class TestCentralFunction:
     def test_identity_coefficient_gives_constant_one(self, su2, s3):
@@ -279,3 +297,17 @@ class TestCentralFunction:
     def test_label_domain_checked(self, s3):
         with pytest.raises(LabelDomainError):
             central_function(s3, FiniteFunction.point(7))
+
+    @pytest.mark.parametrize("label", [-1, True, 1.0, "1", (0,)])
+    def test_su2_labels_checked_once_for_both_users(self, su2, label):
+        v = FiniteFunction({label: 1})
+        for use in (su2_u_coefficients, lambda f: central_function(su2, f), a_norm_su2):
+            with pytest.raises(LabelDomainError, match="is not a label of su2-hat"):
+                use(v)
+
+    def test_su2_u_coefficients(self, su2):
+        v = FiniteFunction({0: 1, 3: half})
+        assert su2_u_coefficients(v).tolist() == [1.0, 0.0, 0.0, 2.0]
+        handle = central_function(su2, v)
+        theta = 0.7
+        assert handle(theta) == pytest.approx(1 + 2 * math.sin(4 * theta) / math.sin(theta))

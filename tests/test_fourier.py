@@ -2,20 +2,23 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypergroups import (
     FiniteFunction,
+    InternalInvariantError,
     NumericError,
     QuadratureConfig,
     UsageError,
     a_norm_exact_finite,
     a_norm_su2,
+    build_witness,
     bump,
     leptin_ratio,
     lp_h_norm,
@@ -328,3 +331,92 @@ class TestIntervalBump:
         # the plateau of an interval pair covers the whole lower interval
         b = Su2IntervalBump.build(su2, 2, 5)
         assert b.is_one_on(range(3))
+
+
+def _oracle_power_sum(c, h_v, p):
+    """sum_w w^(2-p) c_w^p / h(V)^p over the recurrence's coefficient list."""
+    if p <= 2:
+        return Fraction(sum(w ** (2 - p) * cw ** p for w, cw in enumerate(c)), h_v ** p)
+    return sum((Fraction(cw ** p, w ** (p - 2)) for w, cw in enumerate(c) if cw),
+               Fraction(0)) / h_v ** p
+
+
+def _oracle_segal_norm(c, h_v, p):
+    """The float p-norm over the coefficient list, summed over every label."""
+    c = np.array([float(x) for x in c])
+    w = np.arange(len(c), dtype=float)
+    w[0] = 1.0  # c[0] = 0
+    return float(np.sum(w * w * (c / (float(h_v) * w)) ** p) ** (1.0 / p))
+
+
+@pytest.fixture(scope="module")
+def default_chain():
+    """The terms of the D = 1.1, N = 5 interval witness, with their recurrence lists."""
+    w = build_witness(_SU2, [0], "11/10", 5, search="interval")
+    return [(t, su2num.linearized_interval_product(t.k2 + t.m2 + 1, t.m2 + 1))
+            for t in w.terms]
+
+
+class TestIntervalClosedForm:
+    def test_default_chain_matches_recurrence(self, default_chain):
+        assert [(t.k2, t.m2) for t, _ in default_chain] == [
+            (0, 1), (2, 29), (60, 914), (1888, 28779), (59446, 906157)]
+        for term, c in default_chain:
+            assert len(c) == term.k2 + 2 * term.m2 + 2
+            assert [term.numerator(w) for w in range(len(c) + 3)] == c + [0, 0, 0]
+
+    def test_default_chain_power_sums(self, default_chain):
+        for term, c in default_chain:
+            for p in (1, 2):
+                assert term.segal_power_sum(p) == _oracle_power_sum(c, term._h_v, p)
+        for term, c in default_chain[:3]:  # exact p = 3 sums slow down with the lcm of w
+            assert term.segal_power_sum(3) == _oracle_power_sum(c, term._h_v, 3)
+
+    def test_default_chain_float_norm(self, default_chain):
+        for term, c in default_chain:
+            expected = _oracle_segal_norm(c, term._h_v, 1.5)
+            assert term.segal_norm(1.5) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @given(k2=st.integers(0, 30), m2=st.integers(0, 30))
+    @example(k2=0, m2=0)
+    @example(k2=0, m2=17)
+    @example(k2=17, m2=0)
+    @example(k2=25, m2=3)
+    @settings(max_examples=80, deadline=None)
+    def test_small_pairs_match_recurrence(self, k2, m2):
+        b = Su2IntervalBump.build(_SU2, k2, m2)
+        c = su2num.linearized_interval_product(k2 + m2 + 1, m2 + 1)
+        assert [b.numerator(w) for w in range(len(c) + 3)] == c + [0, 0, 0]
+        for p in (1, 2, 3):
+            assert b.segal_power_sum(p) == _oracle_power_sum(c, b._h_v, p)
+        assert b.segal_norm(1.5) == pytest.approx(
+            _oracle_segal_norm(c, b._h_v, 1.5), rel=1e-12, abs=0)
+
+    def test_stage_seven_sizes_take_no_time(self):
+        # (58935666, 898378910): 1.86e9 labels, far past any list
+        start = time.perf_counter()
+        b = Su2IntervalBump.build(_SU2, 58_935_666, 898_378_910)
+        power = b.segal_power_sum(2)
+        assert time.perf_counter() - start < 1.0
+        # h(K) <= sum h u^2 <= sum h u = h(K*V), since 0 <= u <= 1
+        assert b.segal_power_sum(1) == su2num.interval_haar_n2(b.k2 + b.m2)
+        assert su2num.interval_haar_n2(b.k2) < power < b.segal_power_sum(1)
+        assert b.value(b.k2) == 1 and 0 < b.value(b.k2 + 1) < 1
+        assert b.value(b.k2 + 2 * b.m2) > 0 and b.value(b.k2 + 2 * b.m2 + 1) == 0
+
+    @pytest.mark.parametrize("k2,m2", [(0, 0), (0, 5), (5, 0), (3, 12), (12, 3), (60, 914)])
+    def test_recurrence_check_rejects_a_wrong_closed_form(self, k2, m2):
+        # the check proves a numerator that is piecewise polynomial of the
+        # stated degrees; it must reject such a one that is wrong anywhere
+        closed_form = Su2IntervalBump(_SU2, k2, m2).numerator
+        su2num.check_plateau_recurrence(k2, m2, closed_form)
+        top = k2 + 2 * m2 + 2
+        wrong = [lambda w, e=e: closed_form(w) + (k2 + 1 < w <= top) * (w - k2 - 1) ** e
+                 for e in range(5)]
+        wrong.append(lambda w: closed_form(w) + (0 < w <= k2 + 1))
+        # single dents where the check evaluates the numerator
+        wrong += [lambda w, dent=dent: closed_form(w) + (w == dent)
+                  for dent in (0, 1, k2 + 1, k2 + 2, k2 + 3) if dent <= top]
+        for numerator in wrong:
+            with pytest.raises(InternalInvariantError):
+                su2num.check_plateau_recurrence(k2, m2, numerator)

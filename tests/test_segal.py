@@ -1,6 +1,8 @@
 """Witness chains, blowup reports and the multiplier-boundedness check."""
 
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from hypergroups import (
     check_multiplier_bounded,
 )
 from hypergroups.fourier import BumpFunction, Su2IntervalBump
-from hypergroups.segal import absorption_witness
+from hypergroups.segal import MAX_INTERVAL_SUPPORT, absorption_witness
 
 half = Fraction(1, 2)
 D32 = Fraction(3, 2)
@@ -59,6 +61,24 @@ class TestBuildWitnessInterval:
     def test_interval_needs_su2(self, s3):
         with pytest.raises(UsageError):
             build_witness(s3, [0], D32, 2, search="interval")
+
+    def test_support_cap_admits_the_default_chain(self, su2):
+        w = build_witness(su2, [0], "11/10", 5, search="interval")
+        assert len(w.terms[-1].support) == 1_871_761 <= MAX_INTERVAL_SUPPORT
+
+    def test_stage_past_the_support_cap_is_refused_up_front(self, su2):
+        # at D = 1.1 stage 6 would have 58 935 667 labels
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(CapacityError, match="stage 6: .* 58935667 labels"):
+                build_witness(su2, [0], "11/10", 7, search="interval")
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
 
 
 class TestBuildWitnessGeneric:
@@ -242,13 +262,14 @@ class TestAbsorptionWitness:
                 assert absorption_witness(earlier, later) == \
                     self.product_oracle(earlier, later)
 
-    def test_dent_inside_later_plateau_is_named(self, su2):
+    def test_dent_inside_later_plateau_is_named(self, su2, monkeypatch):
         # a dent at or below the later term's own k2 is still a chain failure
         w = build_witness(su2, [0], D32, 3, search="interval")
         earlier, later = w.terms[1], w.terms[2]
         z = earlier.k2 + 1
         assert z in earlier.support and z <= later.k2
         assert z not in w.terms[0].support
-        later._c = list(later._c)
-        later._c[z + 1] += 1
+        closed_form = later.numerator
+        monkeypatch.setattr(later, "numerator", lambda n: closed_form(n) + (n == z + 1))
+        assert later.value(z) != 1
         assert w.chain_failures() == [(2, 3, su2.label_str(z))]

@@ -13,16 +13,20 @@ total order, which is used for all deterministic tie-breaking.
 
 from __future__ import annotations
 
-import threading
+import math
 from collections.abc import Callable, Collection, Hashable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+import numpy as np
+
 Label = Hashable
 
 EXACT = "exact"
 FLOAT = "float"
+
+INT64_LIMIT = 1 << 63
 
 
 class HypergroupError(Exception):
@@ -227,9 +231,13 @@ class Hypergroup:
     """A discrete hypergroup given by a point-fusion oracle.
 
     Instances are immutable after construction.  Fusion and Haar values are
-    memoised; the caches only ever grow and are guarded by a lock, so
-    concurrent readers are safe.
+    memoised in per-instance caches, except where a family's rule is cheaper
+    than a lookup (``_CACHES_FUSION``).  A family with a faster exact engine
+    overrides :meth:`haar_sum`, :meth:`_convolve_exact` and
+    :meth:`_support_product`; the defaults are the generic loops.
     """
+
+    _CACHES_FUSION = True
 
     def __init__(
         self,
@@ -253,7 +261,6 @@ class Hypergroup:
         self._labeler = labeler or str
         self._fusion_cache: dict[tuple[Label, Label], FiniteMeasure] = {}
         self._haar_cache: dict[Label, Fraction] = {}
-        self._lock = threading.Lock()
 
     @property
     def identity(self) -> Label:
@@ -288,7 +295,7 @@ class Hypergroup:
         self.check_label(x)
         self.check_label(y)
         result = FiniteMeasure(self._fuse_fn(x, y))
-        with self._lock:
+        if self._CACHES_FUSION:
             self._fusion_cache[key] = result
             if self._commutative:
                 self._fusion_cache[(y, x)] = result
@@ -310,12 +317,18 @@ class Hypergroup:
                 f"involute; {self.name} is not a hypergroup"
             )
         result = 1 / mass_at_identity
-        with self._lock:
-            self._haar_cache[x] = result
+        self._haar_cache[x] = result
         return result
 
     def haar_sum(self, labels: Iterable[Label]) -> Fraction:
         return sum((self.haar(x) for x in labels), Fraction(0))
+
+    def _convolve_exact(self, f: "FiniteFunction", g: "FiniteFunction") -> "FiniteFunction":
+        """Weighted convolution of two exact-lane functions."""
+        return _convolve_h_loops(self, f, g)
+
+    def _support_product(self, A: Collection[Label], B: Collection[Label]) -> frozenset[Label]:
+        return _support_product_loops(self, A, B)
 
     def __repr__(self) -> str:
         size = len(self._universe) if self._universe is not None else "infinite"
@@ -342,8 +355,17 @@ def convolve_h(H: Hypergroup, f: FiniteFunction, g: FiniteFunction) -> FiniteFun
 
     Bilinear extension of ``(d_x conv d_y)(z) = (d_x * d_y)(z) h(x) h(y) / h(z)``.
     Both inputs must live in the same arithmetic lane; the exact lane prunes
-    exact zeros from the result.
+    exact zeros from the result.  The exact lane runs the family's exact
+    engine, the float lane the generic loop.
     """
+    f._require_same_lane(g)
+    if f.lane == EXACT:
+        return H._convolve_exact(f, g)
+    return _convolve_h_loops(H, f, g)
+
+
+def _convolve_h_loops(H: Hypergroup, f: FiniteFunction, g: FiniteFunction) -> FiniteFunction:
+    """convolve_h by the defining triple loop over fusion masses, in either lane."""
     f._require_same_lane(g)
     exact = f.lane == EXACT
     acc: dict[Label, Any] = {}
@@ -366,6 +388,13 @@ def support_product(
     H: Hypergroup, A: Collection[Label], B: Collection[Label]
 ) -> frozenset[Label]:
     """Union of fusion supports over all pairs from A x B."""
+    return H._support_product(A, B)
+
+
+def _support_product_loops(
+    H: Hypergroup, A: Collection[Label], B: Collection[Label]
+) -> frozenset[Label]:
+    """support_product by fusing every pair."""
     out: set[Label] = set()
     for x in A:
         for y in B:
@@ -475,12 +504,97 @@ def _check_pairs(H: Hypergroup, sample: list[Label]) -> tuple[dict[str, int], li
     return counts, failures
 
 
-def _associativity_failures(H: Hypergroup, triples: list[tuple[Label, Label, Label]]) -> list[AxiomFailure]:
+def _associativity_failures_loops(
+    H: Hypergroup, triples: list[tuple[Label, Label, Label]]
+) -> list[AxiomFailure]:
+    """Associativity failures by extending each triple's fusions in Fractions."""
     failures = []
     for x, y, z in triples:
         left = _fuse_linear(H.fuse(x, y), lambda t: H.fuse(t, z))
         right = _fuse_linear(H.fuse(y, z), lambda t: H.fuse(x, t))
         if left != right:
+            failures.append(AxiomFailure(
+                "associativity",
+                (H.label_str(x), H.label_str(y), H.label_str(z)),
+                "bilinear extensions of (x*y)*z and x*(y*z) differ"))
+    return failures
+
+
+# Budget of the associativity contraction, in the units of associativity_cost:
+# 4M integers held (32 MB as int64) and 2^31 multiply-adds (seconds on the
+# int64 path, minutes on the object path).  The largest sample in use, 30
+# product labels, needs at most 4.9e7; su2-hat samples fit up to spin 43/2.
+MAX_ASSOCIATIVITY_ENTRIES = 1 << 22
+MAX_ASSOCIATIVITY_WORK = 1 << 31
+
+
+def associativity_cost(s: int, t: int, w: int) -> tuple[int, int]:
+    """(integers held at once, multiply-adds) of the associativity contraction.
+
+    For s = |S| sample labels, t = |T| labels in S*S and w = |W| labels in
+    T*S and S*T: the three fusion tensors hold s^2 t + 2 s t w integers and
+    one slab (both sides, one x) 2 s^2 w more; the s slabs do 2 s^3 t w
+    multiply-adds.
+    """
+    return s * s * t + 2 * s * t * w + 2 * s * s * w, 2 * s ** 3 * t * w
+
+
+def _scaled_tensor(rows: list[list[FiniteMeasure]], index: dict[Label, int],
+                   scale: int, dtype: Any) -> np.ndarray:
+    """out[i, j, index[w]] = scale * rows[i][j](w), an integer."""
+    out = np.zeros((len(rows), len(rows[0]), len(index)), dtype=dtype)
+    for i, row in enumerate(rows):
+        for j, mu in enumerate(row):
+            for label, mass in mu.items():
+                if label not in index:
+                    raise InternalInvariantError(
+                        f"fusion support label {label!r} missing from support_product")
+                out[i, j, index[label]] = mass.numerator * (scale // mass.denominator)
+    return out
+
+
+def _associativity_failures(H: Hypergroup, S: list[Label], T: list[Label],
+                            W: list[Label]) -> list[AxiomFailure]:
+    """Triples of S where (x*y)*z != x*(y*z), in (x, y, z) order.
+
+    T is the support of S*S and W that of T*S and S*T.  The oracle is
+    called once for each pair of S x S, T x S and S x T, and every mass is
+    scaled to an integer over their common denominator L:
+
+        P[x, y, t] = L (d_x * d_y)(t),  Q[t, z, w] = L (d_t * d_z)(w),
+        R[x, t, w] = L (d_x * d_t)(w),
+
+    so that, as one contraction over t,
+
+        sum_t P[x, y, t] Q[t, z, w] = L^2 ((x*y)*z)(w),
+        sum_t P[y, z, t] R[x, t, w] = L^2 (x*(y*z))(w),
+
+    and the two measures are equal exactly when these integers are.  Each
+    slab fixes x, so at most 2 |S|^2 |W| products are held at once.  Masses
+    are nonnegative, so every entry and partial sum lies in [0, |T| m^2],
+    with m the largest scaled mass: int64 when |T| m^2 < 2^63, Python-int
+    object arrays otherwise.
+    """
+    ss = [[H.fuse(x, y) for y in S] for x in S]
+    ts = [[H.fuse(t, z) for z in S] for t in T]
+    st = [[H.fuse(x, t) for t in T] for x in S]
+    masses = [m for rows in (ss, ts, st) for row in rows for mu in row for _, m in mu.items()]
+    scale = math.lcm(*(m.denominator for m in masses))
+    top = max((m.numerator * (scale // m.denominator) for m in masses), default=0)
+    dtype = np.int64 if len(T) * top * top < INT64_LIMIT else object
+    t_index = {t: i for i, t in enumerate(T)}
+    w_index = {w: i for i, w in enumerate(W)}
+    P = _scaled_tensor(ss, t_index, scale, dtype)
+    Q = _scaled_tensor(ts, w_index, scale, dtype).reshape(len(T), len(S) * len(W))
+    R = _scaled_tensor(st, w_index, scale, dtype)
+    pairs = P.reshape(len(S) * len(S), len(T))
+
+    failures = []
+    for i, x in enumerate(S):
+        left = (P[i] @ Q).reshape(len(S) * len(S), len(W))
+        right = pairs @ R[i]
+        for k in np.flatnonzero((left != right).any(axis=1)):
+            y, z = S[k // len(S)], S[k % len(S)]
             failures.append(AxiomFailure(
                 "associativity",
                 (H.label_str(x), H.label_str(y), H.label_str(z)),
@@ -495,17 +609,29 @@ def check_axioms(H: Hypergroup, sample: Collection[Label]) -> AxiomReport:
     (extended bilinearly) over all triples, the involution anti-homomorphism
     law, presence of the identity in ``~x * x``, and commutativity when the
     hypergroup is flagged commutative.  Every failure carries a witness.
+
+    The size of the associativity contraction is known from the supports
+    alone; when :func:`associativity_cost` exceeds MAX_ASSOCIATIVITY_ENTRIES
+    or MAX_ASSOCIATIVITY_WORK, CapacityError is raised before any fusion
+    table is built.
     """
     sample = sorted(set(sample))
     if not sample:
         raise UsageError("axiom check requires a nonempty sample")
     for x in sample:
         H.check_label(x)
+    T = sorted(support_product(H, sample, sample))
+    W = sorted(support_product(H, T, sample) | support_product(H, sample, T))
+    entries, work = associativity_cost(len(sample), len(T), len(W))
+    if entries > MAX_ASSOCIATIVITY_ENTRIES or work > MAX_ASSOCIATIVITY_WORK:
+        raise CapacityError(
+            f"associativity over {len(sample)} labels would hold {entries} integers "
+            f"and do {work} multiply-adds; the budget is {MAX_ASSOCIATIVITY_ENTRIES} "
+            f"and {MAX_ASSOCIATIVITY_WORK}")
 
     counts, failures = _check_pairs(H, sample)
-    triples = [(x, y, z) for x in sample for y in sample for z in sample]
-    counts["associativity"] = len(triples)
-    failures.extend(_associativity_failures(H, triples))
+    counts["associativity"] = len(sample) ** 3
+    failures.extend(_associativity_failures(H, sample, T, W))
 
     return AxiomReport(hypergroup=H.name, sample_size=len(sample),
                        checks=counts, failures=failures)

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial.legendre import leggauss
 
-from .core import InternalInvariantError
+from .core import INT64_LIMIT, InternalInvariantError
 
 
 def sum_squares(n: int) -> int:
@@ -447,6 +447,52 @@ def interval_product_l1(P: int, Q: int, breaks: np.ndarray,
         lambda theta: _abs_kernel_product(a_p, a_q, theta), breaks, split)
     scale = 0.5 / math.pi  # 2/pi for the normalisation, 1/4 for the integrand
     return scale * total, scale * residual
+
+
+# ---------------------------------------------------------------------------
+# Exact products of integer U-series
+# ---------------------------------------------------------------------------
+
+
+def u_product(a: list[int], b: list[int]) -> np.ndarray:
+    """c with (sum_n a[n] U_n)(sum_m b[m] U_m) = sum_z c[z] U_z, exact.
+
+    a and b are nonempty lists of ints.  With x = cos theta, multiply
+    both sides by 2 sin^2 theta and use U_n sin theta = sin((n+1) theta)
+    and 2 sin(p theta) sin(q theta) = cos((p-q) theta) - cos((p+q) theta):
+
+        sum_{n,m} a_n b_m (cos((n-m) theta) - cos((n+m+2) theta))
+            = sum_z c_z (cos(z theta) - cos((z+2) theta)).
+
+    Matching cos(k theta) coefficients gives e_k = c_k - c_{k-2}, where e_k
+    is the sine correlation sum_{|n-m| = k} a_n b_m minus the convolution
+    sum_{n+m = k-2} a_n b_m.  The two-term recurrence c_k = e_k + c_{k-2},
+    run on each parity from c_{-1} = c_{-2} = 0, is a cumulative sum.  The
+    product has degree N + M (N, M the top indices), so c_{N+M+1} and
+    c_{N+M+2} must vanish; that is asserted.
+
+    Arithmetic is int64 when 2 sum|a| sum|b| < 2^63 (each sum taken as at
+    least 1, so that a and b themselves fit), Python ints otherwise.
+    Every correlation or convolution entry, and every c_z (a sum over the
+    Clebsch-Gordan pairs of z), is at most sum|a| sum|b| in absolute value,
+    so e_k and every partial sum are at most twice that: no int64 overflow.
+    """
+    N, M = len(a) - 1, len(b) - 1
+    bound = 2 * max(sum(map(abs, a)), 1) * max(sum(map(abs, b)), 1)
+    dtype = np.int64 if bound < INT64_LIMIT else object
+    A = np.array(a, dtype=dtype)
+    B = np.array(b, dtype=dtype)
+    lags = np.convolve(A, B[::-1])  # lags[M + k] = sum_{n - m = k} a_n b_m
+    e = np.zeros(N + M + 3, dtype=dtype)
+    e[:N + 1] += lags[M:]
+    e[1:M + 1] += lags[:M][::-1]
+    e[2:] -= np.convolve(A, B)
+    c = np.empty_like(e)
+    c[0::2] = np.cumsum(e[0::2])
+    c[1::2] = np.cumsum(e[1::2])
+    if c[N + M + 1] or c[N + M + 2]:
+        raise InternalInvariantError("U-series product: the tail past degree N + M does not vanish")
+    return c[:N + M + 1]
 
 
 # ---------------------------------------------------------------------------

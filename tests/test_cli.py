@@ -130,6 +130,24 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["result"] == {"0": "4/1", "1": "4/3"}
 
+    def test_weighted_convolve_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "convolve", "--dual", "su2", "--x", "3",
+                               "--y", "5/2", "--weighted", "--format", "json",
+                               "--no-timestamp")
+        assert code == 0
+        assert out == (
+            '{\n  "command": "convolve",\n  "dual": "su2",\n  "result": {\n'
+            '    "1/2": "21/1",\n    "11/2": "7/2",\n    "3/2": "21/2",\n'
+            '    "5/2": "7/1",\n    "7/2": "21/4",\n    "9/2": "21/5"\n  },\n'
+            '  "weighted": true,\n  "x": "3",\n  "y": "5/2"\n}\n')
+
+    def test_axioms_over_budget_exits_4(self, capsys):
+        code, out, err = run_cli(capsys, "axioms", "--dual", "su2", "--max-ell", "25",
+                                 "--format", "json", "--no-timestamp")
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["error"] == "capacity"
+
     def test_axioms_exit_zero_with_failures_as_data(self, capsys):
         code, out, _ = run_cli(capsys, "axioms", "--dual", "q8", "--format", "json",
                                "--no-timestamp")

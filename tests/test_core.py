@@ -1,13 +1,17 @@
 """Exact measure/function plumbing and the axiom suite."""
 
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypergroups import (
     AxiomViolationError,
+    CapacityError,
     FiniteFunction,
     FiniteMeasure,
     Hypergroup,
@@ -19,6 +23,14 @@ from hypergroups import (
     haar,
     involute,
     support_product,
+)
+from hypergroups import core
+from hypergroups.core import (
+    _associativity_failures,
+    _associativity_failures_loops,
+    _convolve_h_loops,
+    _support_product_loops,
+    associativity_cost,
 )
 
 half = Fraction(1, 2)
@@ -278,3 +290,165 @@ class TestRandomizedLaws:
 from hypergroups import su2_dual as _su2_dual  # noqa: E402
 
 _SU2 = _su2_dual()
+
+
+# ---------------------------------------------------------------------------
+# The exact engines against the generic loops they replace
+# ---------------------------------------------------------------------------
+
+_small_rational = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+_huge_rational = st.builds(Fraction, st.integers(-10 ** 25, 10 ** 25),
+                           st.integers(1, 10 ** 20))
+_su2_function = st.dictionaries(
+    st.integers(min_value=0, max_value=14), _small_rational | _huge_rational, max_size=6,
+).map(FiniteFunction)
+_su2_set = st.sets(st.integers(min_value=0, max_value=20), max_size=6)
+
+
+class TestSu2ExactEngine:
+    @given(f=_su2_function, g=_su2_function)
+    @settings(max_examples=200, deadline=None)
+    def test_convolve_matches_loops(self, f, g):
+        assert convolve_h(_SU2, f, g) == _convolve_h_loops(_SU2, f, g)
+
+    @given(A=_su2_set, B=_su2_set)
+    @settings(max_examples=200, deadline=None)
+    def test_support_product_matches_loops(self, A, B):
+        assert support_product(_SU2, A, B) == _support_product_loops(_SU2, A, B)
+
+    @given(labels=st.lists(st.integers(min_value=0, max_value=500), max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_haar_sum_matches_loop(self, labels):
+        assert _SU2.haar_sum(labels) == Hypergroup.haar_sum(_SU2, labels)
+
+    def test_label_zero_and_empty(self):
+        d0 = FiniteFunction.point(0, Fraction(-3, 7))
+        assert convolve_h(_SU2, d0, d0) == FiniteFunction.point(0, Fraction(9, 49))
+        assert convolve_h(_SU2, d0, FiniteFunction({})) == FiniteFunction({})
+        assert support_product(_SU2, {0}, {0}) == frozenset({0})
+        assert _SU2.haar_sum([]) == 0
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, True, "1"])
+    def test_bad_labels_raise(self, bad):
+        with pytest.raises(LabelDomainError):
+            convolve_h(_SU2, FiniteFunction.point(bad), FiniteFunction.point(1))
+        with pytest.raises(LabelDomainError):
+            support_product(_SU2, {1}, {bad})
+        with pytest.raises(LabelDomainError):
+            _SU2.haar_sum([0, bad])
+
+    def test_axioms_leave_the_fusion_cache_empty(self):
+        H = _su2_dual()
+        assert check_axioms(H, range(15)).ok
+        assert H._fusion_cache == {}
+
+
+def _perturbed(base, corruptions, name):
+    """``base``'s fusion with extra mass ``delta`` at ``z`` in fuse(x, y)."""
+    extra = {}
+    for x, y, z, delta in corruptions:
+        extra.setdefault((x, y), []).append((z, delta))
+
+    def fuse(x, y):
+        masses = dict(base.fuse(x, y).items())
+        for z, delta in extra.get((x, y), []):
+            masses[z] = masses.get(z, 0) + delta
+        return masses
+
+    def valid(x):
+        try:
+            base.check_label(x)
+        except LabelDomainError:
+            return False
+        return True
+
+    return Hypergroup(name=name, fuse=fuse, involution=base.involution,
+                      identity=base.identity, commutative=False,
+                      validator=valid, labeler=base.label_str)
+
+
+def _engine_and_oracle(H, sample):
+    """Associativity failures of the contraction and of the loops, and the dtypes used."""
+    S = sorted(sample)
+    T = sorted(support_product(H, S, S))
+    W = sorted(support_product(H, T, S) | support_product(H, S, T))
+    dtypes = []
+    real = core._scaled_tensor
+
+    def spy(rows, index, scale, dtype):
+        dtypes.append(dtype)
+        return real(rows, index, scale, dtype)
+
+    with mock.patch.object(core, "_scaled_tensor", spy):
+        got = _associativity_failures(H, S, T, W)
+    want = _associativity_failures_loops(H, [(x, y, z) for x in S for y in S for z in S])
+    return got, want, set(dtypes)
+
+
+_su2_corruption = st.tuples(st.integers(0, 16), st.integers(0, 8), st.integers(0, 24),
+                            st.fractions(min_value=Fraction(1, 10 ** 12), max_value=1))
+
+
+class TestAssociativityEngine:
+    @given(corruptions=st.lists(_su2_corruption, max_size=3))
+    @settings(max_examples=15, deadline=None)
+    def test_su2_object_path_matches_loops(self, corruptions):
+        H = _perturbed(_SU2, corruptions, "corrupted-su2")
+        got, want, dtypes = _engine_and_oracle(H, range(9))
+        assert dtypes == {object}
+        assert got == want
+
+    def test_su2_object_path_catches_a_corruption(self):
+        H = _perturbed(_SU2, [(2, 3, 1, Fraction(1, 9))], "corrupted-su2")
+        got, want, dtypes = _engine_and_oracle(H, range(9))
+        assert dtypes == {object}
+        assert got and got == want
+
+    @given(corruptions=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                  st.fractions(min_value=Fraction(1, 10), max_value=1, max_denominator=10)),
+        min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_s3_int64_path_matches_loops(self, corruptions):
+        from hypergroups import builtin_table, finite_group_dual
+        s3 = finite_group_dual(builtin_table("s3"))
+        H = _perturbed(s3, corruptions, "corrupted-s3")
+        got, want, dtypes = _engine_and_oracle(H, range(3))
+        assert dtypes == {np.int64}
+        assert got == want
+
+    def test_corrupted_s3_through_check_axioms(self, s3):
+        report = check_axioms(_corrupted_s3(s3), range(3))
+        triples = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+        want = _associativity_failures_loops(_corrupted_s3(s3), triples)
+        assert want
+        assert [f for f in report.failures if f.check == "associativity"] == want
+
+
+class TestAssociativityBudget:
+    def test_cost_closed_form(self):
+        assert associativity_cost(15, 29, 43) == (63285, 8417250)
+
+    def test_guard_fires_before_allocating(self):
+        H = _su2_dual()
+        entries, _ = associativity_cost(50, 99, 148)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                check_axioms(H, range(50))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * entries // 100
+        assert H._fusion_cache == {}
+
+    def test_samples_in_use_fit(self, s3, q8, z2):
+        from hypergroups import product_dual
+        big = product_dual([s3, q8, z2])
+        for H, sample in [(_SU2, range(15)), (big, big.universe)]:
+            S = sorted(sample)
+            T = support_product(H, S, S)
+            W = support_product(H, T, S) | support_product(H, S, T)
+            entries, work = associativity_cost(len(S), len(T), len(W))
+            assert entries <= core.MAX_ASSOCIATIVITY_ENTRIES
+            assert work <= core.MAX_ASSOCIATIVITY_WORK

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergroups import NumericError, QuadratureConfig
 from hypergroups import su2num
@@ -167,3 +169,32 @@ class TestIntervalProductL1:
             Su2IntervalBump.build(su2, 2, 5).a_norm(QuadratureConfig(tolerance=1e-30))
         assert info.value.residual is not None and info.value.residual > 1e-30
         assert splits == [1, 2, 4, 8]
+
+
+def u_product_loops(a, b):
+    """Reference: U_n U_m = sum of U_z over the Clebsch-Gordan range of (n, m)."""
+    c = [0] * (len(a) + len(b) - 1)
+    for n, x in enumerate(a):
+        for m, y in enumerate(b):
+            for z in range(abs(n - m), n + m + 1, 2):
+                c[z] += x * y
+    return c
+
+
+_coefficients = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=12)
+
+
+class TestUProduct:
+    @given(a=_coefficients, b=_coefficients, shift=st.integers(0, 80))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_clebsch_gordan_loops(self, a, b, shift):
+        a = [x << shift for x in a]
+        assert su2num.u_product(a, b).tolist() == u_product_loops(a, b)
+
+    def test_int64_edge(self):
+        # 2 sum|a| sum|b| = 2^63 - 2^32 stays int64; one more unit of sum|a| reaches 2^63
+        a, b = [(1 << 31) - 1], [1 << 31]
+        assert su2num.u_product(a, b).dtype == np.int64
+        assert su2num.u_product(a + [1], b).dtype == object
+        for x, y in [(a, b), (a + [1], b), ([-(1 << 62)], [0, 0, 1])]:
+            assert su2num.u_product(x, y).tolist() == u_product_loops(x, y)

@@ -323,6 +323,16 @@ class Hypergroup:
     def haar_sum(self, labels: Iterable[Label]) -> Fraction:
         return sum((self.haar(x) for x in labels), Fraction(0))
 
+    def dimension(self, x: Label) -> int:
+        """A positive integer weight of x: 1 here, the representation's dimension on a dual.
+
+        On a dual, dim(x) dim(y) / dim(z) (d_x * d_y)(z) is the integer
+        multiplicity of z in x (x) y; the associativity contraction scales
+        every fusion mass by these weights (see :func:`_associativity_failures`).
+        """
+        self.check_label(x)
+        return 1
+
     def _convolve_exact(self, f: "FiniteFunction", g: "FiniteFunction") -> "FiniteFunction":
         """Weighted convolution of two exact-lane functions."""
         return _convolve_h_loops(self, f, g)
@@ -539,17 +549,18 @@ def associativity_cost(s: int, t: int, w: int) -> tuple[int, int]:
     return s * s * t + 2 * s * t * w + 2 * s * s * w, 2 * s ** 3 * t * w
 
 
-def _scaled_tensor(rows: list[list[FiniteMeasure]], index: dict[Label, int],
-                   scale: int, dtype: Any) -> np.ndarray:
-    """out[i, j, index[w]] = scale * rows[i][j](w), an integer."""
+def _scaled_tensor(rows: list[list[tuple[int, FiniteMeasure]]],
+                   index: dict[Label, tuple[int, int]], scale: int, dtype: Any) -> np.ndarray:
+    """out[i, j, k] = scale * c mu(w) / a, an integer, for rows[i][j] = (c, mu), index[w] = (k, a)."""
     out = np.zeros((len(rows), len(rows[0]), len(index)), dtype=dtype)
     for i, row in enumerate(rows):
-        for j, mu in enumerate(row):
+        for j, (c, mu) in enumerate(row):
             for label, mass in mu.items():
                 if label not in index:
                     raise InternalInvariantError(
                         f"fusion support label {label!r} missing from support_product")
-                out[i, j, index[label]] = mass.numerator * (scale // mass.denominator)
+                k, a = index[label]
+                out[i, j, k] = scale * c * mass.numerator // (mass.denominator * a)
     return out
 
 
@@ -558,32 +569,47 @@ def _associativity_failures(H: Hypergroup, S: list[Label], T: list[Label],
     """Triples of S where (x*y)*z != x*(y*z), in (x, y, z) order.
 
     T is the support of S*S and W that of T*S and S*T.  The oracle is
-    called once for each pair of S x S, T x S and S x T, and every mass is
-    scaled to an integer over their common denominator L:
+    called once for each pair of S x S, T x S and S x T.  Each mass is
+    scaled by the weights a = H.dimension, n_xy(w) = a_x a_y (d_x * d_y)(w) / a_w,
+    and then to an integer over the common denominator L of the scaled masses:
 
-        P[x, y, t] = L (d_x * d_y)(t),  Q[t, z, w] = L (d_t * d_z)(w),
-        R[x, t, w] = L (d_x * d_t)(w),
+        P[x, y, t] = L n_xy(t),  Q[t, z, w] = L n_tz(w),  R[x, t, w] = L n_xt(w),
 
-    so that, as one contraction over t,
+    so that, as one contraction over t (the a_t cancel),
 
-        sum_t P[x, y, t] Q[t, z, w] = L^2 ((x*y)*z)(w),
-        sum_t P[y, z, t] R[x, t, w] = L^2 (x*(y*z))(w),
+        sum_t P[x, y, t] Q[t, z, w] = L^2 (a_x a_y a_z / a_w) ((x*y)*z)(w),
+        sum_t P[y, z, t] R[x, t, w] = L^2 (a_x a_y a_z / a_w) (x*(y*z))(w),
 
-    and the two measures are equal exactly when these integers are.  Each
+    and the two measures are equal exactly when these integers are, as the
+    common factor is positive.  On a dual the scaled masses are the integer
+    tensor multiplicities and L = 1; with a = 1 they are the masses.  Each
     slab fixes x, so at most 2 |S|^2 |W| products are held at once.  Masses
     are nonnegative, so every entry and partial sum lies in [0, |T| m^2],
     with m the largest scaled mass: int64 when |T| m^2 < 2^63, Python-int
     object arrays otherwise.
     """
-    ss = [[H.fuse(x, y) for y in S] for x in S]
-    ts = [[H.fuse(t, z) for z in S] for t in T]
-    st = [[H.fuse(x, t) for t in T] for x in S]
-    masses = [m for rows in (ss, ts, st) for row in rows for mu in row for _, m in mu.items()]
+    weights: dict[Label, int] = {}
+
+    def weight(x: Label) -> int:
+        if x not in weights:
+            weights[x] = H.dimension(x)
+        return weights[x]
+
+    def scaled(c: int, m: Fraction, w: Label) -> int | Fraction:
+        # an int when the scaled mass is whole, as on every dual: no Fraction is built
+        num, den = m.numerator * c, m.denominator * weight(w)
+        return num // den if num % den == 0 else Fraction(num, den)
+
+    ss = [[(weight(x) * weight(y), H.fuse(x, y)) for y in S] for x in S]
+    ts = [[(weight(t) * weight(z), H.fuse(t, z)) for z in S] for t in T]
+    st = [[(weight(x) * weight(t), H.fuse(x, t)) for t in T] for x in S]
+    masses = [scaled(c, m, w) for rows in (ss, ts, st) for row in rows
+              for c, mu in row for w, m in mu.items()]
     scale = math.lcm(*(m.denominator for m in masses))
     top = max((m.numerator * (scale // m.denominator) for m in masses), default=0)
     dtype = np.int64 if len(T) * top * top < INT64_LIMIT else object
-    t_index = {t: i for i, t in enumerate(T)}
-    w_index = {w: i for i, w in enumerate(W)}
+    t_index = {t: (i, weight(t)) for i, t in enumerate(T)}
+    w_index = {w: (i, weight(w)) for i, w in enumerate(W)}
     P = _scaled_tensor(ss, t_index, scale, dtype)
     Q = _scaled_tensor(ts, w_index, scale, dtype).reshape(len(T), len(S) * len(W))
     R = _scaled_tensor(st, w_index, scale, dtype)

@@ -7,7 +7,7 @@ Three families are provided:
   Haar mass of label n is (n + 1)^2.
 * :func:`finite_group_dual` -- the dual of a finite group described by a
   :class:`CharacterTable`.  Labels are irrep indices; tensor multiplicities
-  come from exact character inner products.
+  are exact character inner products, one integer contraction per pair.
 * :func:`product_dual` -- finite products with componentwise fusion.
 
 Fusion coefficients are always exact rationals.  Character tables carry
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,7 @@ from . import su2num
 from .core import (
     EXACT,
     FLOAT,
+    INT64_LIMIT,
     FiniteFunction,
     Hypergroup,
     InvalidTableError,
@@ -114,6 +116,27 @@ class CharacterTable:
     consistency, and row orthogonality; it also locates the trivial irrep
     and the conjugate of every row.  Violations raise
     :class:`InvalidTableError` with the offending rows named.
+
+    Integer form.  Beside its :class:`Irrep` values an exact table keeps one
+    common denominator L (``scale``) of every real and imaginary part, the
+    integer matrices Re = L re and Im = L im (a row per irrep, a column per
+    class) and the class sizes s, so the character matrix is
+    X = (Re + i Im) / L.  Every check is a Gaussian-integer contraction over
+    the classes, computed as products of real integer matrices:
+
+        L^2 |G| <chi_i, chi_j>  = (Xs diag(s) Xs^H)[i, j],      Xs = L X,
+        L^3 |G| m(i, j, k)      = sum_c s_c Xs_ic Xs_jc conj(Xs_kc).
+
+    With M the largest |entry| of Re and Im, a term of the first sum has
+    real and imaginary parts of at most 2 s_c M^2 and one of the second at
+    most 4 s_c M^3, so every product, entry and partial sum is bounded by
+    4 |G| M^3 (M >= 1).  So are the targets |G| L^2 and |G| L^3, since the
+    identity column holds dim L >= L.  The arrays are int64 when
+    4 |G| M^3 < 2^63 and Python-int object arrays otherwise.  A float-lane
+    table keeps float64 matrices with L = 1 and runs the same products,
+    compared within MULTIPLICITY_TOLERANCE.  The defining loops stay as
+    :meth:`_inner_loops`, :meth:`_multiplicity_loops` and
+    :meth:`_validate_loops`, the oracles the tests compare against.
     """
 
     def __init__(
@@ -123,6 +146,7 @@ class CharacterTable:
         irreps: Sequence[tuple[int, Sequence[Any]] | tuple[int, Sequence[Any], str]],
         *,
         name: str = "table",
+        _form: tuple[np.ndarray, np.ndarray, int] | None = None,
     ):
         if group_order <= 0:
             raise InvalidTableError(f"{name}: group order must be positive")
@@ -156,11 +180,10 @@ class CharacterTable:
                     coerced.append(ExactComplex.coerce(value))
             rows.append(Irrep(int(dim), tuple(coerced), irrep_name))
         if lane == FLOAT:
-            rows = [
-                Irrep(r.dim, tuple(v.as_complex() if isinstance(v, ExactComplex) else v
-                                   for v in r.values), r.name)
-                for r in rows
-            ]
+            rows = [Irrep(r.dim, tuple(_complex_value(v.re, v.im, f"{name}: irreps[{i}]")
+                                       if isinstance(v, ExactComplex) else v
+                                       for v in r.values), r.name)
+                    for i, r in enumerate(rows)]
         self.lane = lane
         self.irreps = tuple(rows)
         if not self.irreps:
@@ -169,18 +192,81 @@ class CharacterTable:
             raise InvalidTableError(
                 f"{name}: sum of squared dimensions is "
                 f"{sum(r.dim * r.dim for r in self.irreps)}, expected {self.group_order}")
+        if lane == FLOAT and self.group_order > sys.float_info.max:
+            # class sizes and dimensions are smaller, so all of them convert
+            raise InvalidTableError(
+                f"{name}: group order {self.group_order} is out of float range, "
+                f"which a table with float values needs")
 
         self._check_first_column()
-        self._check_orthogonality()
-        self.trivial_index = self._find_trivial()
-        self._conjugate = tuple(self._find_conjugate(i) for i in range(len(self.irreps)))
+        self._re, self._im, self.scale = _form or self._integer_form()
+        self._dims = np.array(self.dims)
+        self._sizes = np.array(self.class_sizes, dtype=self._re.dtype)
+        self.trivial_index, self._conjugate = self._validate()
+
+    # -- the integer form -----------------------------------------------------
+
+    def _integer_form(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(Re, Im, L) of the class docstring; float64 matrices and L = 1 in the float lane."""
+        if self.lane == FLOAT:
+            return (np.array([[v.real for v in r.values] for r in self.irreps]),
+                    np.array([[v.imag for v in r.values] for r in self.irreps]), 1)
+        parts = [(v.re, v.im) for r in self.irreps for v in r.values]
+        scale = math.lcm(*(q.denominator for pair in parts for q in pair))
+        re = [q.numerator * (scale // q.denominator) for q, _ in parts]
+        im = [q.numerator * (scale // q.denominator) for _, q in parts]
+        shape = (self.n_irreps, len(self.class_sizes))
+        return (*_int_form(re, im, shape, self.group_order), scale)
+
+    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of L^2 |G| <chi_i, chi_j>, one Gram product."""
+        re, im = self._re, self._im
+        sre, sim = re * self._sizes, im * self._sizes
+        return sre @ re.T + sim @ im.T, sim @ re.T - sre @ im.T
+
+    def _rows_equal(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        """Mask of the rows equal to (re, im); within the tolerance in the float lane."""
+        if self.lane == EXACT:
+            return (self._re == re).all(axis=1) & (self._im == im).all(axis=1)
+        close = np.hypot(self._re - re, self._im - im) <= MULTIPLICITY_TOLERANCE
+        return close.all(axis=1)
+
+    def _validate(self) -> tuple[int, tuple[int, ...]]:
+        """Orthogonality, the trivial row and the conjugate rows; (trivial, conjugates)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram_re, gram_im = self._gram()
+            n, order = self.n_irreps, self.group_order
+            target = np.eye(n, dtype=gram_re.dtype) * (order * self.scale * self.scale)
+            if self.lane == EXACT:
+                bad = (gram_re != target) | (gram_im != 0)
+            else:
+                bad = ~(np.hypot(gram_re - target, gram_im)
+                        <= MULTIPLICITY_TOLERANCE * order)
+            failing = np.argwhere(np.triu(bad))
+            if len(failing):
+                i, j = failing[0].tolist()
+                self._orthogonality_error(i, j, self._complex(gram_re[i, j], gram_im[i, j], 2))
+
+            one = np.full(len(self.class_sizes), self.scale, dtype=self._re.dtype)
+            trivial = np.flatnonzero((self._dims == 1) & self._rows_equal(one, 0 * one))
+            if len(trivial) != 1:
+                raise InvalidTableError(
+                    f"{self.name}: expected exactly one trivial irrep, found {len(trivial)}")
+            conjugates = tuple(
+                self._conjugate_of(i, np.flatnonzero(
+                    (self._dims == self._dims[i]) & self._rows_equal(self._re[i], -self._im[i])
+                ).tolist())
+                for i in range(n))
+        return int(trivial[0]), conjugates
+
+    def _complex(self, re: Any, im: Any, power: int) -> Any:
+        """The value (re + i im) / L^power: exact, or a complex in the float lane."""
+        if self.lane == FLOAT:
+            return complex(re, im)
+        denom = self.scale ** power
+        return ExactComplex(Fraction(int(re), denom), Fraction(int(im), denom))
 
     # -- validation helpers -------------------------------------------------
-
-    def _value_eq(self, a: Any, b: Any) -> bool:
-        if self.lane == EXACT:
-            return a == b
-        return abs(a - b) <= MULTIPLICITY_TOLERANCE
 
     def _check_first_column(self) -> None:
         for i, row in enumerate(self.irreps):
@@ -191,63 +277,97 @@ class CharacterTable:
                     f"{self.name}: irreps[{i}] value at the identity class is "
                     f"{row.values[0]!r}, expected the dimension {row.dim}")
 
-    def _inner(self, i: int, j: int) -> Any:
-        """<chi_i, chi_j> * |G| as an exact complex or complex."""
+    def _orthogonality_error(self, i: int, j: int, value: Any) -> None:
+        raise InvalidTableError(
+            f"{self.name}: rows {i} ({self.irreps[i].name}) and {j} "
+            f"({self.irreps[j].name}) fail orthogonality: "
+            f"<chi_{i}, chi_{j}> * |G| = {value!r}")
+
+    def _conjugate_of(self, i: int, hits: list[int]) -> int:
+        if not hits:
+            raise InvalidTableError(
+                f"{self.name}: no conjugate row for irrep {i} ({self.irreps[i].name})")
+        if len(hits) > 1:
+            raise InvalidTableError(
+                f"{self.name}: conjugate row for irrep {i} ({self.irreps[i].name}) is "
+                f"ambiguous: rows {hits}")
+        return hits[0]
+
+    # -- the defining loops, kept as test oracles ---------------------------
+
+    def _value_eq(self, a: Any, b: Any) -> bool:
         if self.lane == EXACT:
-            total = _EC_ZERO
-            for size, a, b in zip(self.class_sizes, self.irreps[i].values,
-                                  self.irreps[j].values):
-                total = total + ExactComplex(Fraction(size)) * a * b.conjugate()
-            return total
-        total = 0j
-        for size, a, b in zip(self.class_sizes, self.irreps[i].values,
-                              self.irreps[j].values):
-            total += size * a * b.conjugate()
+            return a == b
+        return abs(a - b) <= MULTIPLICITY_TOLERANCE
+
+    def _class_sum(self, *rows: int) -> Any:
+        """sum_c |c| chi_r1(c) ... chi_r(n-1)(c) conj(chi_rn(c)), by the class loop."""
+        exact = self.lane == EXACT
+        total = _EC_ZERO if exact else 0j
+        for c, size in enumerate(self.class_sizes):
+            term = ExactComplex(Fraction(size)) if exact else size
+            for r in rows[:-1]:
+                term = term * self.irreps[r].values[c]
+            total = total + term * self.irreps[rows[-1]].values[c].conjugate()
         return total
 
-    def _check_orthogonality(self) -> None:
-        n = len(self.irreps)
-        order = self.group_order
+    def _inner_loops(self, i: int, j: int) -> Any:
+        """<chi_i, chi_j> * |G| as an exact complex or complex, by the class loop."""
+        return self._class_sum(i, j)
+
+    def _validate_loops(self) -> tuple[int, tuple[int, ...]]:
+        """:meth:`_validate` by pairwise loops over rows and values."""
+        n, order = self.n_irreps, self.group_order
         for i in range(n):
             for j in range(i, n):
-                value = self._inner(i, j)
+                value = self._inner_loops(i, j)
                 expected_re = Fraction(order if i == j else 0)
                 if self.lane == EXACT:
                     ok = value.re == expected_re and value.im == 0
                 else:
                     ok = abs(value - complex(expected_re)) <= MULTIPLICITY_TOLERANCE * order
                 if not ok:
-                    raise InvalidTableError(
-                        f"{self.name}: rows {i} ({self.irreps[i].name}) and {j} "
-                        f"({self.irreps[j].name}) fail orthogonality: "
-                        f"<chi_{i}, chi_{j}> * |G| = {value!r}")
-
-    def _find_trivial(self) -> int:
+                    self._orthogonality_error(i, j, value)
         one = _EC_ONE if self.lane == EXACT else 1 + 0j
-        hits = [i for i, row in enumerate(self.irreps)
-                if row.dim == 1 and all(self._value_eq(v, one) for v in row.values)]
-        if len(hits) != 1:
+        trivial = [i for i, row in enumerate(self.irreps)
+                   if row.dim == 1 and all(self._value_eq(v, one) for v in row.values)]
+        if len(trivial) != 1:
             raise InvalidTableError(
-                f"{self.name}: expected exactly one trivial irrep, found {len(hits)}")
-        return hits[0]
+                f"{self.name}: expected exactly one trivial irrep, found {len(trivial)}")
+        conjugates = tuple(
+            self._conjugate_of(i, [j for j, other in enumerate(self.irreps)
+                                   if other.dim == row.dim and all(
+                                       self._value_eq(a.conjugate(), b)
+                                       for a, b in zip(row.values, other.values))])
+            for i, row in enumerate(self.irreps))
+        return trivial[0], conjugates
 
-    def _find_conjugate(self, i: int) -> int:
-        row = self.irreps[i]
-        hits = []
-        for j, other in enumerate(self.irreps):
-            if other.dim != row.dim:
-                continue
-            if all(self._value_eq(a.conjugate(), b)
-                   for a, b in zip(row.values, other.values)):
-                hits.append(j)
-        if not hits:
+    def _multiplicity_loops(self, i: int, j: int, k: int) -> int:
+        """:meth:`multiplicity` by the class loop."""
+        return self._checked_multiplicity(i, j, k, self._class_sum(i, j, k))
+
+    def _checked_multiplicity(self, i: int, j: int, k: int, total: Any) -> int:
+        """total / |G| as a nonnegative integer, for total = |G| m(i, j, k)."""
+        if self.lane == EXACT:
+            if total.im != 0:
+                raise InvalidTableError(
+                    f"{self.name}: multiplicity ({i},{j},{k}) is not real: {total!r}")
+            m = total.re / self.group_order
+            if m.denominator != 1 or m < 0:
+                raise InvalidTableError(
+                    f"{self.name}: multiplicity ({i},{j},{k}) = {m} is not a "
+                    f"nonnegative integer")
+            return int(m)
+        m = total / self.group_order
+        rounded = round(m.real)
+        if abs(m.imag) > MULTIPLICITY_TOLERANCE or abs(m.real - rounded) > MULTIPLICITY_TOLERANCE:
             raise InvalidTableError(
-                f"{self.name}: no conjugate row for irrep {i} ({row.name})")
-        if len(hits) > 1:
+                f"{self.name}: multiplicity ({i},{j},{k}) = {m} does not round "
+                f"to an integer within {MULTIPLICITY_TOLERANCE}")
+        if rounded < 0:
             raise InvalidTableError(
-                f"{self.name}: conjugate row for irrep {i} ({row.name}) is ambiguous: "
-                f"rows {hits}")
-        return hits[0]
+                f"{self.name}: multiplicity ({i},{j},{k}) rounds to {rounded} < 0")
+        return int(rounded)
 
     # -- queries ------------------------------------------------------------
 
@@ -279,52 +399,78 @@ class CharacterTable:
             raise LabelDomainError(f"{self.name}: no irrep named {key!r}")
         raise LabelDomainError(f"{self.name}: cannot resolve irrep {key!r}")
 
+    def _tensor_inner(self, i: int, j: int, ks: list[int]) -> list[int]:
+        """[m(i, j, k) for k in ks]: one contraction, checked in the order of k.
+
+        The class-vector P = s X_i X_j against every row k: L^3 |G| m(i, j, k)
+        is sum_c P_c conj(X_kc), whose real and imaginary parts are the two
+        products of the class docstring.  The first k that is not a
+        nonnegative integer raises.
+        """
+        re, im, s = self._re, self._im, self._sizes
+        p_re = s * (re[i] * re[j] - im[i] * im[j])
+        p_im = s * (re[i] * im[j] + im[i] * re[j])
+        total_re = re[ks] @ p_re + im[ks] @ p_im
+        total_im = re[ks] @ p_im - im[ks] @ p_re
+        if self.lane == EXACT:
+            denom = self.group_order * self.scale ** 3
+            bad = np.flatnonzero((total_im != 0) | (total_re % denom != 0) | (total_re < 0))
+            if len(bad):
+                at = bad[0]
+                self._checked_multiplicity(
+                    i, j, ks[at], self._complex(total_re[at], total_im[at], 3))
+            return (total_re // denom).tolist()
+        return [self._checked_multiplicity(i, j, k, complex(a, b))
+                for k, a, b in zip(ks, total_re.tolist(), total_im.tolist())]
+
     def multiplicity(self, i: int, j: int, k: int) -> int:
         """Multiplicity of irrep k inside the tensor product of irreps i and j.
 
-        Computed as the character inner product (1/|G|) sum over classes of
-        |c| chi_i chi_j conj(chi_k); must come out a nonnegative integer.
+        The character inner product (1/|G|) sum over classes of
+        |c| chi_i chi_j conj(chi_k), one integer contraction; it must come
+        out a nonnegative integer.
         """
-        if self.lane == EXACT:
-            total = _EC_ZERO
-            for size, a, b, c in zip(self.class_sizes, self.irreps[i].values,
-                                     self.irreps[j].values, self.irreps[k].values):
-                total = total + ExactComplex(Fraction(size)) * a * b * c.conjugate()
-            if total.im != 0:
-                raise InvalidTableError(
-                    f"{self.name}: multiplicity ({i},{j},{k}) is not real: {total!r}")
-            m = total.re / self.group_order
-            if m.denominator != 1 or m < 0:
-                raise InvalidTableError(
-                    f"{self.name}: multiplicity ({i},{j},{k}) = {m} is not a "
-                    f"nonnegative integer")
-            return int(m)
-        total = 0j
-        for size, a, b, c in zip(self.class_sizes, self.irreps[i].values,
-                                 self.irreps[j].values, self.irreps[k].values):
-            total += size * a * b * c.conjugate()
-        m = total / self.group_order
-        rounded = round(m.real)
-        if abs(m.imag) > MULTIPLICITY_TOLERANCE or abs(m.real - rounded) > MULTIPLICITY_TOLERANCE:
-            raise InvalidTableError(
-                f"{self.name}: multiplicity ({i},{j},{k}) = {m} does not round "
-                f"to an integer within {MULTIPLICITY_TOLERANCE}")
-        if rounded < 0:
-            raise InvalidTableError(
-                f"{self.name}: multiplicity ({i},{j},{k}) rounds to {rounded} < 0")
-        return int(rounded)
+        return self._tensor_inner(i, j, [k])[0]
+
+    def multiplicities(self, i: int, j: int) -> list[int]:
+        """[multiplicity(i, j, k) for every k], as one contraction."""
+        return self._tensor_inner(i, j, list(range(self.n_irreps)))
 
     def tensor(self, other: "CharacterTable") -> "CharacterTable":
-        """Character table of the direct product of the two groups."""
+        """Character table of the direct product of the two groups.
+
+        Row (a, b) and class (c, d) of the product hold chi_a(c) chi_b(d), so
+        the product's integer form is the Kronecker product of the factors'
+        (Re + i Im, scale L_1 L_2).  An int64 factor has entries below 2^21
+        (4 M^3 < 2^63), so its products cannot overflow.  The result is
+        validated in full.
+        """
         sizes = [a * b for a in self.class_sizes for b in other.class_sizes]
-        irreps = []
-        for r1 in self.irreps:
-            for r2 in other.irreps:
-                values = [_mul_values(a, b) for a in r1.values for b in r2.values]
-                irreps.append((r1.dim * r2.dim, values, f"{r1.name}*{r2.name}"))
-        return CharacterTable(
-            self.group_order * other.group_order, sizes, irreps,
-            name=f"{self.name}x{other.name}")
+        heads = [(r1.dim * r2.dim, f"{r1.name}*{r2.name}")
+                 for r1 in self.irreps for r2 in other.irreps]
+        order, name = self.group_order * other.group_order, f"{self.name}x{other.name}"
+        if self.lane == EXACT and other.lane == EXACT:
+            kind = object if object in (self._re.dtype, other._re.dtype) else np.int64
+            a_re, a_im, b_re, b_im = (x.astype(kind) for x in
+                                      (self._re, self._im, other._re, other._im))
+            re = np.kron(a_re, b_re) - np.kron(a_im, b_im)
+            im = np.kron(a_re, b_im) + np.kron(a_im, b_re)
+            scale = self.scale * other.scale
+            form = (*_int_form(re.ravel().tolist(), im.ravel().tolist(), re.shape, order),
+                    scale)
+            values = [[ExactComplex(Fraction(a, scale), Fraction(b, scale))
+                       for a, b in zip(row_re, row_im)]
+                      for row_re, row_im in zip(re.tolist(), im.tolist())]
+            return CharacterTable(order, sizes, [(d, v, n) for (d, n), v in zip(heads, values)],
+                                  name=name, _form=form)
+        values = np.kron(self._complex_matrix(), other._complex_matrix()).tolist()
+        return CharacterTable(order, sizes, [(d, v, n) for (d, n), v in zip(heads, values)],
+                              name=name)
+
+    def _complex_matrix(self) -> np.ndarray:
+        return np.array([[_complex_value(v.re, v.im, f"{self.name}: irreps[{i}]")
+                          if isinstance(v, ExactComplex) else v for v in r.values]
+                         for i, r in enumerate(self.irreps)], dtype=complex)
 
     # -- serialization --------------------------------------------------------
 
@@ -345,12 +491,20 @@ class CharacterTable:
         }
 
 
-def _mul_values(a: Any, b: Any) -> Any:
-    if isinstance(a, ExactComplex) and isinstance(b, ExactComplex):
-        return a * b
-    aa = a.as_complex() if isinstance(a, ExactComplex) else a
-    bb = b.as_complex() if isinstance(b, ExactComplex) else b
-    return aa * bb
+def _int_form(re: list[int], im: list[int], shape: tuple[int, int],
+              group_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im as int64 matrices when 4 |G| M^3 < 2^63, object arrays otherwise."""
+    top = max(max(map(abs, re)), max(map(abs, im)))
+    kind = np.int64 if 4 * group_order * top ** 3 < INT64_LIMIT else object
+    return np.array(re, dtype=kind).reshape(shape), np.array(im, dtype=kind).reshape(shape)
+
+
+def _complex_value(re: Any, im: Any, where: str) -> complex:
+    """complex(re, im) from floats or rationals; a rational out of float range is invalid."""
+    try:
+        return complex(float(re), float(im))
+    except OverflowError as exc:
+        raise InvalidTableError(f"{where}: value ({re}, {im}) is out of float range") from exc
 
 
 def _fraction_str(q: Fraction) -> str:
@@ -377,27 +531,51 @@ def _parse_component(raw: Any, where: str) -> Any:
     raise InvalidTableError(f"{where}: expected int, 'p/q' string or float, got {raw!r}")
 
 
+_JSON_KINDS = {int: "an integer", list: "a list", str: "a string"}
+
+
+def _typed(raw: Any, kind: type, where: str) -> Any:
+    """raw when it is a JSON value of the given kind, else InvalidTableError naming where.
+
+    No table field is boolean, so a bool is rejected even where an int is expected.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, kind):
+        raise InvalidTableError(f"{where}: expected {_JSON_KINDS[kind]}, got {type(raw).__name__}")
+    return raw
+
+
 def parse_character_table(data: dict[str, Any], *, name: str | None = None) -> CharacterTable:
     """Build a table from its JSON dictionary form.
 
     Values are [re, im] pairs; integer and "p/q" components are exact,
-    float components put the whole table in the float lane.
+    float components put the whole table in the float lane.  The group
+    order, class sizes and dimensions must be JSON integers (not booleans),
+    ``classes``, ``irreps`` and ``values`` lists, and names strings; any
+    other input raises InvalidTableError naming its path, such as
+    ``irreps[2].dim``.
     """
     if not isinstance(data, dict):
         raise InvalidTableError("table document must be a JSON object")
+    if "name" in data:
+        _typed(data["name"], str, f"{name or 'table'}: name")
     table_name = name or data.get("name") or "table"
     for field_name in ("group_order", "classes", "irreps"):
         if field_name not in data:
             raise InvalidTableError(f"{table_name}: missing field {field_name!r}")
+    group_order = _typed(data["group_order"], int, f"{table_name}: group_order")
+    classes = [_typed(size, int, f"{table_name}: classes[{c}]")
+               for c, size in enumerate(_typed(data["classes"], list, f"{table_name}: classes"))]
     irreps = []
-    for idx, entry in enumerate(data["irreps"]):
+    for idx, entry in enumerate(_typed(data["irreps"], list, f"{table_name}: irreps")):
         where = f"{table_name}: irreps[{idx}]"
         if not isinstance(entry, dict) or "dim" not in entry or "values" not in entry:
             raise InvalidTableError(f"{where}: expected an object with dim and values")
+        dim = _typed(entry["dim"], int, f"{where}.dim")
+        irrep_name = _typed(entry.get("name", ""), str, f"{where}.name")
         values = []
         float_seen = False
         parsed = []
-        for v_idx, pair in enumerate(entry["values"]):
+        for v_idx, pair in enumerate(_typed(entry["values"], list, f"{where}.values")):
             v_where = f"{where}.values[{v_idx}]"
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise InvalidTableError(f"{v_where}: expected an [re, im] pair")
@@ -405,13 +583,11 @@ def parse_character_table(data: dict[str, Any], *, name: str | None = None) -> C
             im = _parse_component(pair[1], v_where)
             parsed.append((re, im))
             float_seen = float_seen or isinstance(re, float) or isinstance(im, float)
-        for re, im in parsed:
-            if float_seen:
-                values.append(complex(float(re), float(im)))
-            else:
-                values.append(ExactComplex(re, im))
-        irreps.append((entry["dim"], values, entry.get("name", "")))
-    return CharacterTable(data["group_order"], data["classes"], irreps, name=table_name)
+        for v_idx, (re, im) in enumerate(parsed):
+            values.append(_complex_value(re, im, f"{where}.values[{v_idx}]") if float_seen
+                          else ExactComplex(re, im))
+        irreps.append((dim, values, irrep_name))
+    return CharacterTable(group_order, classes, irreps, name=table_name)
 
 
 def load_character_table(path: str | Path) -> CharacterTable:
@@ -426,7 +602,7 @@ def load_character_table(path: str | Path) -> CharacterTable:
         raise InvalidTableError(
             f"{path}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_character_table(data, name=data.get("name") if isinstance(data, dict) else path.stem)
+    return parse_character_table(data)
 
 
 BUILTIN_TABLES = ("z2", "z4", "s3", "q8")
@@ -494,6 +670,10 @@ class Su2Dual(Hypergroup):
     def haar(self, x: int) -> Fraction:
         self.check_label(x)
         return Fraction((x + 1) * (x + 1))
+
+    def dimension(self, x: int) -> int:
+        self.check_label(x)
+        return x + 1
 
     def haar_sum(self, labels: Iterable[int]) -> Fraction:
         total = 0
@@ -567,12 +747,12 @@ class FiniteDual(Hypergroup):
     def _rule(self, i: int, j: int) -> dict[int, Fraction]:
         dims = self.table.dims
         denom = dims[i] * dims[j]
-        out = {}
-        for k in range(self.table.n_irreps):
-            m = self.table.multiplicity(i, j, k)
-            if m:
-                out[k] = Fraction(m * dims[k], denom)
-        return out
+        return {k: Fraction(m * dims[k], denom)
+                for k, m in enumerate(self.table.multiplicities(i, j)) if m}
+
+    def dimension(self, x: int) -> int:
+        self.check_label(x)
+        return self.table.dims[x]
 
 
 def finite_group_dual(table: CharacterTable) -> FiniteDual:
@@ -633,6 +813,10 @@ class ProductDual(Hypergroup):
                 mass *= entry[1]
             out[label] = mass
         return out
+
+    def dimension(self, x: tuple) -> int:
+        self.check_label(x)
+        return math.prod(f.dimension(p) for f, p in zip(self.factors, x))
 
     def character_table(self) -> CharacterTable | None:
         """Tensor table when every factor is table-backed, else None.

@@ -417,6 +417,41 @@ class TestAssociativityEngine:
         assert dtypes == {np.int64}
         assert got == want
 
+    def test_su2_runs_in_int64_with_dimension_weights(self):
+        dtypes = []
+        real = core._scaled_tensor
+
+        def spy(rows, index, scale, dtype):
+            dtypes.append(dtype)
+            return real(rows, index, scale, dtype)
+
+        with mock.patch.object(core, "_scaled_tensor", spy):
+            weighted = check_axioms(_SU2, range(15))
+            assert dtypes == [np.int64] * 3
+            with mock.patch.object(type(_SU2), "dimension", Hypergroup.dimension):
+                unweighted = check_axioms(_su2_dual(), range(15))
+            assert dtypes[3:] == [object] * 3
+        assert weighted.ok
+        assert weighted.to_json_dict() == unweighted.to_json_dict()
+
+    def test_dimensions(self, s3, q8):
+        from hypergroups import product_dual
+        assert [_SU2.dimension(n) for n in range(4)] == [1, 2, 3, 4]
+        assert [q8.dimension(i) for i in range(5)] == [1, 1, 1, 1, 2]
+        prod = product_dual([_SU2, s3])
+        assert prod.dimension((3, 2)) == 8
+        assert Hypergroup.dimension(s3, 2) == 1
+        with pytest.raises(LabelDomainError):
+            s3.dimension(3)
+
+    @given(corruptions=st.lists(_su2_corruption, min_size=1, max_size=3))
+    @settings(max_examples=6, deadline=None)
+    def test_weighted_corruptions_match_loops(self, corruptions):
+        H = _perturbed(_SU2, corruptions, "corrupted-su2")
+        H.dimension = _SU2.dimension
+        got, want, _ = _engine_and_oracle(H, range(9))
+        assert got == want
+
     def test_corrupted_s3_through_check_axioms(self, s3):
         report = check_axioms(_corrupted_s3(s3), range(3))
         triples = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]

@@ -1,0 +1,314 @@
+"""The integer character-table engine against the defining loops, and table parsing."""
+
+import json
+import math
+import random
+from fractions import Fraction
+from importlib import resources
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypergroups import (
+    CharacterTable,
+    ExactComplex,
+    InvalidTableError,
+    builtin_table,
+    parse_character_table,
+)
+from hypergroups.cli import run
+from hypergroups.duals import BUILTIN_TABLES
+
+BUNDLED = {name: builtin_table(name) for name in BUILTIN_TABLES}
+
+
+def tensor_of(*names: str) -> CharacterTable:
+    table = BUNDLED[names[0]]
+    for name in names[1:]:
+        table = table.tensor(BUNDLED[name])
+    return table
+
+
+PRODUCTS = [("z2", "z4"), ("s3", "z4"), ("s3", "q8"), ("q8", "z4"), ("z4", "z4"),
+            ("q8", "q8"), ("s3", "q8", "z2"), ("z2", "z2", "z4")]
+TABLES = [(name,) for name in BUILTIN_TABLES] + PRODUCTS
+
+
+def z5_float_table(corrupt: complex = 0j) -> tuple:
+    """Arguments of the order-5 cyclic table, in float values, one entry shifted."""
+    w = [complex(math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5))
+         for k in range(5)]
+    irreps = [(1, [w[(j * k) % 5] for k in range(5)], f"chi{j}") for j in range(5)]
+    irreps[2][1][3] += corrupt
+    return 5, [1] * 5, irreps
+
+
+def build_both(args, monkeypatch):
+    """(engine, loops): the table or the InvalidTableError message, from each validator."""
+    outcomes = []
+    for validate in (CharacterTable._validate, CharacterTable._validate_loops):
+        monkeypatch.setattr(CharacterTable, "_validate", validate)
+        try:
+            table = CharacterTable(*args, name="t")
+            outcomes.append((table.trivial_index, table._conjugate))
+        except InvalidTableError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+class TestEngineMatchesLoops:
+    @pytest.mark.parametrize("names", TABLES, ids="x".join)
+    def test_gram_trivial_and_conjugates(self, names):
+        table = tensor_of(*names)
+        gram_re, gram_im = table._gram()
+        denom = table.scale ** 2
+        for i in range(table.n_irreps):
+            for j in range(i, table.n_irreps):
+                assert ExactComplex(Fraction(int(gram_re[i, j]), denom),
+                                    Fraction(int(gram_im[i, j]), denom)) \
+                    == table._inner_loops(i, j)
+        assert table._validate() == table._validate_loops()
+        assert table._re.dtype == np.int64
+
+    @pytest.mark.parametrize("names", TABLES, ids="x".join)
+    def test_every_multiplicity(self, names):
+        """All n^3 against the factor loops, m((a,b),(c,d),(e,f)) = m(a,c,e) m(b,d,f),
+        and a sample of triples against the product's own loops."""
+        table = tensor_of(*names)
+        factors = [BUNDLED[name] for name in names]
+        loops = [{t: f._multiplicity_loops(*t) for t in product(range(f.n_irreps), repeat=3)}
+                 for f in factors]
+        shapes = [range(f.n_irreps) for f in factors]
+        flat = {parts: i for i, parts in enumerate(product(*shapes))}
+        for (i_parts, i), (j_parts, j) in product(flat.items(), repeat=2):
+            got = table.multiplicities(i, j)
+            want = [math.prod(loop[(a, b, c)] for loop, a, b, c in
+                              zip(loops, i_parts, j_parts, k_parts))
+                    for k_parts in flat]
+            assert got == want
+        rng = random.Random(7)
+        for _ in range(40):
+            i, j, k = (rng.randrange(table.n_irreps) for _ in range(3))
+            assert table.multiplicity(i, j, k) == table._multiplicity_loops(i, j, k)
+
+    def test_z4_has_gaussian_values_and_conjugate_rows(self):
+        z4 = BUNDLED["z4"]
+        assert z4._im.any()
+        assert z4._validate() == (0, (0, 3, 2, 1))
+
+    def test_product_table_is_validated_in_full(self, monkeypatch):
+        calls = []
+        validate = CharacterTable._validate
+        monkeypatch.setattr(CharacterTable, "_validate",
+                            lambda self: calls.append(self.name) or validate(self))
+        tensor_of("s3", "q8", "z2")
+        assert calls == ["s3xq8", "s3xq8xz2"]
+
+
+def s3_args(row: int, col: int, value) -> tuple:
+    values = [[1, 1, 1], [1, -1, 1], [2, 0, -1]]
+    values[row][col] = value
+    return 6, [1, 3, 2], [(1, values[0], "triv"), (1, values[1], "sgn"), (2, values[2], "rho")]
+
+
+_gaussian = st.builds(
+    lambda re, im: ExactComplex(re, im),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+class TestCorruptedTables:
+    @given(which=st.sampled_from(BUILTIN_TABLES), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_message_from_both_engines(self, which, data):
+        table = BUNDLED[which]
+        row = data.draw(st.integers(0, table.n_irreps - 1))
+        col = data.draw(st.integers(0, len(table.class_sizes) - 1))
+        value = data.draw(_gaussian)
+        irreps = [(r.dim, list(r.values), r.name) for r in table.irreps]
+        irreps[row][1][col] = value
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            engine, loops = build_both((table.group_order, table.class_sizes, irreps),
+                                       monkeypatch)
+        assert engine == loops
+
+    @pytest.mark.parametrize("row,col,value", [
+        (2, 2, 1), (1, 1, 1), (0, 2, -1), (2, 1, ExactComplex(Fraction(0), Fraction(1))),
+        (1, 2, ExactComplex(Fraction(1), Fraction(1, 3))),
+    ])
+    def test_named_failures(self, row, col, value, monkeypatch):
+        engine, loops = build_both(s3_args(row, col, value), monkeypatch)
+        assert isinstance(engine, str) and engine == loops
+
+    def test_huge_denominator_takes_the_object_path(self, monkeypatch):
+        dtypes = []
+        validate = CharacterTable._validate
+
+        def spy(self):
+            dtypes.append(self._re.dtype)
+            return validate(self)
+
+        monkeypatch.setattr(CharacterTable, "_validate", spy)
+        value = ExactComplex(Fraction(-1), Fraction(1, 2 ** 32 + 15))
+        with pytest.raises(InvalidTableError) as engine:
+            CharacterTable(*s3_args(2, 2, value))
+        assert dtypes == [object]
+        monkeypatch.setattr(CharacterTable, "_validate", CharacterTable._validate_loops)
+        with pytest.raises(InvalidTableError) as loops:
+            CharacterTable(*s3_args(2, 2, value))
+        assert str(engine.value) == str(loops.value)
+        assert "fail orthogonality" in str(engine.value)
+
+    def test_multiplicity_failure_names_the_same_triple(self, monkeypatch):
+        # a row whose products do not decompose into integer multiplicities,
+        # let through by a validator that checks nothing
+        monkeypatch.setattr(CharacterTable, "_validate", lambda self: (0, (0, 1, 2)))
+        bad = CharacterTable(*s3_args(2, 2, Fraction(-1, 3)))
+        for i, j in product(range(3), repeat=2):
+            try:
+                got = bad.multiplicities(i, j)
+            except InvalidTableError as exc:
+                got = str(exc)
+            try:
+                want = [bad._multiplicity_loops(i, j, k) for k in range(3)]
+            except InvalidTableError as exc:
+                want = str(exc)
+            assert got == want
+        with pytest.raises(InvalidTableError, match=r"multiplicity \(2,2,0\)"):
+            bad.multiplicities(2, 2)
+
+    def test_float_lane_accepts_and_rejects_alike(self, monkeypatch):
+        engine, loops = build_both(z5_float_table(), monkeypatch)
+        assert engine == loops == (0, (0, 4, 3, 2, 1))
+        for shift in (1e-3, 1e-3j, 0.5):
+            engine, loops = build_both(z5_float_table(shift), monkeypatch)
+            assert isinstance(engine, str) and isinstance(loops, str)
+            assert engine.split(" = ")[0] == loops.split(" = ")[0]
+
+    def test_float_lane_multiplicities(self):
+        z5 = CharacterTable(*z5_float_table(), name="z5")
+        for i, j in product(range(5), repeat=2):
+            assert z5.multiplicities(i, j) == [z5._multiplicity_loops(i, j, k)
+                                               for k in range(5)]
+
+
+# ---------------------------------------------------------------------------
+# Parsing: malformed JSON tables raise InvalidTableError naming the path
+# ---------------------------------------------------------------------------
+
+
+def bundled_doc(name: str) -> dict:
+    text = resources.files("hypergroups.tables").joinpath(f"{name}.json").read_text()
+    return json.loads(text)
+
+
+def s3_doc(**edits) -> dict:
+    doc = bundled_doc("s3")
+    for path, value in edits.items():
+        node = doc
+        *parents, last = path.split(".")
+        for part in parents:
+            node = node[int(part)] if part.isdigit() else node[part]
+        node[int(last) if last.isdigit() else last] = value
+    return doc
+
+
+class TestParseTypes:
+    @pytest.mark.parametrize("path,value,where", [
+        ("classes", 5, "classes"),
+        ("irreps", 5, "irreps"),
+        ("irreps.2.values", 3, "irreps[2].values"),
+        ("irreps.2.dim", "2", "irreps[2].dim"),
+        ("group_order", "6", "group_order"),
+        ("irreps.2.dim", 2.5, "irreps[2].dim"),
+        ("irreps.2.dim", 2.0, "irreps[2].dim"),
+        ("irreps.1.dim", True, "irreps[1].dim"),
+        ("group_order", 6.9, "group_order"),
+        ("classes.1", 3.7, "classes[1]"),
+        ("classes.1", "3", "classes[1]"),
+        ("irreps.0.name", 5, "irreps[0].name"),
+        ("irreps.0.name", None, "irreps[0].name"),
+        ("name", ["s3"], "name"),
+    ])
+    def test_wrong_type_names_its_path(self, path, value, where):
+        with pytest.raises(InvalidTableError, match=r": " + where.replace("[", r"\[")
+                           .replace("]", r"\]") + ": expected"):
+            parse_character_table(s3_doc(**{path: value}))
+
+    def test_out_of_float_range_rational_in_a_float_table(self):
+        doc = s3_doc(**{"irreps.2.values.1": [0.0, 0], "irreps.2.values.2": ["1e400", 0]})
+        with pytest.raises(InvalidTableError, match=r"irreps\[2\]\.values\[2\].*float range"):
+            parse_character_table(doc)
+
+    def test_float_table_of_an_order_past_float_range(self):
+        doc = {"group_order": 10 ** 400, "classes": [10 ** 400],
+               "irreps": [{"dim": 10 ** 200, "values": [[1e200, 0]]}]}
+        with pytest.raises(InvalidTableError, match="out of float range"):
+            parse_character_table(doc)
+
+    def test_cli_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(s3_doc(**{"irreps.2.dim": "2"})))
+        assert run(["axioms", "--dual", str(path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-table"
+        assert "irreps[2].dim" in err["message"]
+
+
+def _nodes(doc, path=()):
+    yield path, doc
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _nodes(value, path + (i,))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_table(draw):
+    doc = bundled_doc(draw(st.sampled_from(BUILTIN_TABLES)))
+    nodes = [(path, node) for path, node in _nodes(doc) if path]
+    kind = draw(st.sampled_from(["drop", "retype", "renumber", "truncate"]))
+    if kind == "drop":
+        nodes = [(p, n) for p, n in nodes if isinstance(p[-1], str)]
+    elif kind == "renumber":
+        nodes = [(p, n) for p, n in nodes
+                 if isinstance(n, (int, float)) and not isinstance(n, bool)]
+    elif kind == "truncate":
+        nodes = [(p, n) for p, n in nodes if isinstance(n, list) and n]
+    path, node = draw(st.sampled_from(nodes))
+    parent = doc
+    for part in path[:-1]:
+        parent = parent[part]
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "retype":
+        parent[path[-1]] = draw(_json_values.filter(lambda v: type(v) is not type(node)))
+    elif kind == "renumber":
+        parent[path[-1]] = draw(st.integers(-3, 12) | st.integers(-10 ** 30, 10 ** 30)
+                                | st.sampled_from([node + 1, node - 1, -node]))
+    else:
+        parent[path[-1]] = node[:draw(st.integers(0, len(node) - 1))]
+    return doc
+
+
+class TestParseProperty:
+    @given(doc=mutated_table())
+    @settings(max_examples=300, deadline=None)
+    def test_parses_or_raises_invalid_table(self, doc):
+        try:
+            parse_character_table(doc)
+        except InvalidTableError:
+            pass

@@ -39,6 +39,7 @@ from .fourier import (
     BumpFunction,
     QuadratureConfig,
     Su2IntervalBump,
+    a_norm,
     a_norm_exact_finite,
     a_norm_su2,
     bump,
@@ -73,7 +74,7 @@ __all__ = [
     "InvalidTableError", "LabelDomainError", "LeptinCertificate",
     "NumericError", "ProductDual", "QuadratureConfig", "Su2Dual",
     "Su2IntervalBump", "UsageError", "WitnessSequence",
-    "a_norm_exact_finite", "a_norm_su2", "blowup_report", "builtin_table",
+    "a_norm", "a_norm_exact_finite", "a_norm_su2", "blowup_report", "builtin_table",
     "bump", "build_witness", "central_function", "check_axioms",
     "check_multiplier_bounded", "convolve_h", "convolve_points",
     "finite_group_dual", "haar", "involute", "leptin_product", "leptin_ratio",

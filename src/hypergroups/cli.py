@@ -47,8 +47,7 @@ from .duals import (
 )
 from .fourier import (
     QuadratureConfig,
-    a_norm_exact_finite,
-    a_norm_su2,
+    a_norm,
     bump,
     lp_h_norm,
     segal_cp_norm_central,
@@ -132,14 +131,27 @@ def _exact_arg(text: str, flag: str) -> Fraction:
     return q
 
 
+def _product_parts(text: str) -> list[str]:
+    """Factor texts of a product label: "a|b", or "(a, b)" as label_str writes it."""
+    if not (text.startswith("(") and text.endswith(")")):
+        return text.split("|")
+    parts, depth, start = [], 0, 1
+    for i, ch in enumerate(text[1:-1], start=1):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:-1]]
+
+
 def parse_label(H: Hypergroup, text: str) -> Any:
     text = text.strip()
     if isinstance(H, ProductDual):
-        parts = text.split("|")
+        parts = _product_parts(text)
         if len(parts) != len(H.factors):
             raise UsageError(
                 f"label {text!r} has {len(parts)} components, expected "
-                f"{len(H.factors)} (separate with '|')")
+                f"{len(H.factors)} (write a|b or (a, b))")
         return tuple(parse_label(f, part) for f, part in zip(H.factors, parts))
     if isinstance(H, Su2Dual):
         return twice_spin(_exact_arg(text, "spin label"))
@@ -338,13 +350,10 @@ def _cmd_norms(args: argparse.Namespace) -> int:
     }
     if 1 <= p <= 2:
         doc["segal_cp"] = float(segal_cp_norm_central(H, f, p))
-    if isinstance(H, Su2Dual):
-        doc["a_norm"] = a_norm_su2(f, _quad_config(args))
-    else:
-        a = a_norm_exact_finite(H, f)
-        doc["a_norm"] = float(a)
-        if isinstance(a, Fraction):
-            doc["a_norm_exact"] = _fraction_json(a)
+    a = a_norm(H, f, _quad_config(args))
+    doc["a_norm"] = float(a)
+    if isinstance(a, Fraction):
+        doc["a_norm_exact"] = _fraction_json(a)
     _emit(args, {"command": "norms", "dual": args.dual, "norms": doc},
           pretty_text=json.dumps(doc, indent=2, sort_keys=True))
     return 0

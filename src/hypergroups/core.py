@@ -75,121 +75,52 @@ def _as_fraction(value: Any) -> Fraction:
     raise UsageError(f"exact rational expected, got {type(value).__name__}: {value!r}")
 
 
-class FiniteMeasure:
-    """A finitely supported measure with nonnegative rational masses.
+class FiniteFunction:
+    """A finitely supported function with exact rational values.
 
-    Zero masses are pruned at construction so that support equality is
-    well defined.  Point-fusion results additionally have total mass 1,
-    which callers can check with :meth:`total`.
+    Every value passes :func:`_as_fraction`, so a float is refused with
+    UsageError.  The support is exactly the set of labels with nonzero
+    value.
     """
 
-    __slots__ = ("_mass",)
+    __slots__ = ("_value",)
 
-    def __init__(self, masses: dict[Label, Any]):
+    def __init__(self, values: dict[Label, Any]):
         clean: dict[Label, Fraction] = {}
-        for label, value in masses.items():
+        for label, value in values.items():
             q = _as_fraction(value)
-            if q < 0:
-                raise UsageError(f"negative mass {q} at label {label!r}")
             if q:
                 clean[label] = q
-        self._mass = clean
-
-    @classmethod
-    def point(cls, x: Label) -> "FiniteMeasure":
-        return cls({x: Fraction(1)})
-
-    def mass(self, x: Label) -> Fraction:
-        return self._mass.get(x, Fraction(0))
-
-    @property
-    def support(self) -> tuple[Label, ...]:
-        return tuple(sorted(self._mass))
-
-    def items(self) -> list[tuple[Label, Fraction]]:
-        return sorted(self._mass.items())
-
-    def total(self) -> Fraction:
-        return sum(self._mass.values(), Fraction(0))
-
-    def map_labels(self, fn: Callable[[Label], Label]) -> "FiniteMeasure":
-        return FiniteMeasure({fn(x): v for x, v in self._mass.items()})
-
-    def __len__(self) -> int:
-        return len(self._mass)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiniteMeasure):
-            return NotImplemented
-        return self._mass == other._mass
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{x!r}: {v}" for x, v in self.items())
-        return f"FiniteMeasure({{{body}}})"
-
-
-class FiniteFunction:
-    """A finitely supported function, either exact-rational or floating point.
-
-    The ``lane`` tag records which arithmetic the values live in; mixing
-    lanes in one operation is a usage error.  The support is exactly the
-    set of labels with nonzero value.
-    """
-
-    __slots__ = ("_value", "_lane")
-
-    def __init__(self, values: dict[Label, Any], lane: str = EXACT):
-        if lane not in (EXACT, FLOAT):
-            raise UsageError(f"unknown lane {lane!r}")
-        clean: dict[Label, Any] = {}
-        if lane == EXACT:
-            for label, value in values.items():
-                q = _as_fraction(value)
-                if q:
-                    clean[label] = q
-        else:
-            for label, value in values.items():
-                f = float(value)
-                if f != 0.0:
-                    clean[label] = f
         self._value = clean
-        self._lane = lane
 
     @classmethod
-    def point(cls, x: Label, value: Any = 1, lane: str = EXACT) -> "FiniteFunction":
-        return cls({x: value}, lane)
+    def point(cls, x: Label, value: Any = 1) -> "FiniteFunction":
+        return cls({x: value})
 
     @classmethod
-    def indicator(cls, labels: Iterable[Label], lane: str = EXACT) -> "FiniteFunction":
-        return cls({x: 1 for x in labels}, lane)
+    def indicator(cls, labels: Iterable[Label]) -> "FiniteFunction":
+        return cls({x: 1 for x in labels})
 
-    @property
-    def lane(self) -> str:
-        return self._lane
-
-    def value(self, x: Label) -> Any:
-        zero = Fraction(0) if self._lane == EXACT else 0.0
-        return self._value.get(x, zero)
+    def value(self, x: Label) -> Fraction:
+        return self._value.get(x, Fraction(0))
 
     @property
     def support(self) -> tuple[Label, ...]:
         return tuple(sorted(self._value))
 
-    def items(self) -> list[tuple[Label, Any]]:
+    def items(self) -> list[tuple[Label, Fraction]]:
         return sorted(self._value.items())
 
-    def _require_same_lane(self, other: "FiniteFunction") -> None:
-        if self._lane != other._lane:
-            raise UsageError(f"lane mismatch: {self._lane} vs {other._lane}")
+    def __len__(self) -> int:
+        return len(self._value)
 
     def __add__(self, other: "FiniteFunction") -> "FiniteFunction":
         if not isinstance(other, FiniteFunction):
             return NotImplemented
-        self._require_same_lane(other)
         out = dict(self._value)
         for label, value in other._value.items():
             out[label] = out.get(label, 0) + value
-        return FiniteFunction(out, self._lane)
+        return FiniteFunction(out)
 
     def __sub__(self, other: "FiniteFunction") -> "FiniteFunction":
         if not isinstance(other, FiniteFunction):
@@ -200,31 +131,50 @@ class FiniteFunction:
         """Pointwise product."""
         if not isinstance(other, FiniteFunction):
             return NotImplemented
-        self._require_same_lane(other)
         out = {}
         for label, value in self._value.items():
             if label in other._value:
                 out[label] = value * other._value[label]
-        return FiniteFunction(out, self._lane)
+        return FiniteFunction(out)
 
     def scale(self, c: Any) -> "FiniteFunction":
-        if self._lane == EXACT:
-            c = _as_fraction(c)
-        else:
-            c = float(c)
-        return FiniteFunction({x: c * v for x, v in self._value.items()}, self._lane)
-
-    def __bool__(self) -> bool:
-        return bool(self._value)
+        c = _as_fraction(c)
+        return FiniteFunction({x: c * v for x, v in self._value.items()})
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiniteFunction):
+        # a measure never equals a plain function, even with the same values
+        if type(other) is not type(self):
             return NotImplemented
-        return self._lane == other._lane and self._value == other._value
+        return self._value == other._value
 
     def __repr__(self) -> str:
         body = ", ".join(f"{x!r}: {v}" for x, v in self.items())
-        return f"FiniteFunction({{{body}}}, lane={self._lane!r})"
+        return f"{type(self).__name__}({{{body}}})"
+
+
+class FiniteMeasure(FiniteFunction):
+    """A FiniteFunction with nonnegative values, its masses.
+
+    Point-fusion results additionally have total mass 1, which callers can
+    check with :meth:`total`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, masses: dict[Label, Any]):
+        super().__init__(masses)
+        for label, q in self._value.items():
+            if q < 0:
+                raise UsageError(f"negative mass {q} at label {label!r}")
+
+    def mass(self, x: Label) -> Fraction:
+        return self.value(x)
+
+    def total(self) -> Fraction:
+        return sum(self._value.values(), Fraction(0))
+
+    def map_labels(self, fn: Callable[[Label], Label]) -> "FiniteMeasure":
+        return FiniteMeasure({fn(x): v for x, v in self._value.items()})
 
 
 class Hypergroup:
@@ -334,7 +284,7 @@ class Hypergroup:
         return 1
 
     def _convolve_exact(self, f: "FiniteFunction", g: "FiniteFunction") -> "FiniteFunction":
-        """Weighted convolution of two exact-lane functions."""
+        """Weighted convolution of f and g."""
         return _convolve_h_loops(self, f, g)
 
     def _support_product(self, A: Collection[Label], B: Collection[Label]) -> frozenset[Label]:
@@ -361,37 +311,29 @@ def haar(H: Hypergroup, x: Label) -> Fraction:
 
 
 def convolve_h(H: Hypergroup, f: FiniteFunction, g: FiniteFunction) -> FiniteFunction:
-    """Convolution in the weighted algebra L1(H, h).
+    """Convolution in the weighted algebra L1(H, h), by the family's exact engine.
 
-    Bilinear extension of ``(d_x conv d_y)(z) = (d_x * d_y)(z) h(x) h(y) / h(z)``.
-    Both inputs must live in the same arithmetic lane; the exact lane prunes
-    exact zeros from the result.  The exact lane runs the family's exact
-    engine, the float lane the generic loop.
+    Bilinear extension of ``(d_x conv d_y)(z) = (d_x * d_y)(z) h(x) h(y) / h(z)``;
+    exact zeros are pruned from the result.
     """
-    f._require_same_lane(g)
-    if f.lane == EXACT:
-        return H._convolve_exact(f, g)
-    return _convolve_h_loops(H, f, g)
+    return H._convolve_exact(f, g)
 
 
 def _convolve_h_loops(H: Hypergroup, f: FiniteFunction, g: FiniteFunction) -> FiniteFunction:
-    """convolve_h by the defining triple loop over fusion masses, in either lane."""
-    f._require_same_lane(g)
-    exact = f.lane == EXACT
-    acc: dict[Label, Any] = {}
+    """convolve_h by the defining triple loop over fusion masses."""
+    acc: dict[Label, Fraction] = {}
     for x, fx in f.items():
         hx = H.haar(x)
         for y, gy in g.items():
-            weight = fx * gy * (hx * H.haar(y) if exact else float(hx * H.haar(y)))
+            weight = fx * gy * hx * H.haar(y)
             for z, mass in H.fuse(x, y).items():
-                term = weight * (mass / H.haar(z) if exact else float(mass / H.haar(z)))
-                acc[z] = acc.get(z, 0) + term
-    return FiniteFunction(acc, f.lane)
+                acc[z] = acc.get(z, 0) + weight * mass / H.haar(z)
+    return FiniteFunction(acc)
 
 
 def involute(H: Hypergroup, f: FiniteFunction) -> FiniteFunction:
     """The function x -> f(~x)."""
-    return FiniteFunction({H.involution(x): v for x, v in f.items()}, f.lane)
+    return FiniteFunction({H.involution(x): v for x, v in f.items()})
 
 
 def support_product(
@@ -536,6 +478,16 @@ def _associativity_failures_loops(
 # product labels, needs at most 4.9e7; su2-hat samples fit up to spin 43/2.
 MAX_ASSOCIATIVITY_ENTRIES = 1 << 22
 MAX_ASSOCIATIVITY_WORK = 1 << 31
+
+# Budgets of the su2-hat engines, checked from the top labels before any
+# array is built.  A U-series product up to labels N and M does (N+1)(M+1)
+# multiply-adds and holds arrays of N+M+1 integers: at 2^20, 0.14 s and
+# 46 MB when one side is a single label, 0.42 s with dense huge rationals
+# on the object path.  An A-norm's breakpoints are the eigenvalues of a
+# companion matrix as large as the series degree (its top label), cubic in
+# time: 1.5 s at 2^10, enough for bump(su2, range(3), range(500)).
+MAX_U_PRODUCT_WORK = 1 << 20
+MAX_U_SERIES_DEGREE = 1 << 10
 
 
 def associativity_cost(s: int, t: int, w: int) -> tuple[int, int]:

@@ -34,6 +34,9 @@ from .core import (
     EXACT,
     FLOAT,
     INT64_LIMIT,
+    MAX_U_PRODUCT_WORK,
+    MAX_U_SERIES_DEGREE,
+    CapacityError,
     FiniteFunction,
     Hypergroup,
     InvalidTableError,
@@ -148,11 +151,13 @@ class CharacterTable:
         name: str = "table",
         _form: tuple[np.ndarray, np.ndarray, int] | None = None,
     ):
+        _typed(group_order, int, f"{name}: group_order")
         if group_order <= 0:
             raise InvalidTableError(f"{name}: group order must be positive")
         self.name = name
-        self.group_order = int(group_order)
-        self.class_sizes = tuple(int(s) for s in class_sizes)
+        self.group_order = group_order
+        self.class_sizes = tuple(_typed(s, int, f"{name}: classes[{c}]")
+                                 for c, s in enumerate(class_sizes))
         if any(s <= 0 for s in self.class_sizes):
             raise InvalidTableError(f"{name}: class sizes must be positive")
         if sum(self.class_sizes) != self.group_order:
@@ -165,6 +170,7 @@ class CharacterTable:
         for idx, entry in enumerate(irreps):
             dim, values = entry[0], entry[1]
             irrep_name = entry[2] if len(entry) > 2 and entry[2] else f"pi{idx}"
+            _typed(dim, int, f"{name}: irreps[{idx}].dim")
             if dim <= 0:
                 raise InvalidTableError(f"{name}: irreps[{idx}] has dimension {dim}")
             if len(values) != len(self.class_sizes):
@@ -178,7 +184,7 @@ class CharacterTable:
                     coerced.append(complex(value))
                 else:
                     coerced.append(ExactComplex.coerce(value))
-            rows.append(Irrep(int(dim), tuple(coerced), irrep_name))
+            rows.append(Irrep(dim, tuple(coerced), irrep_name))
         if lane == FLOAT:
             rows = [Irrep(r.dim, tuple(_complex_value(v.re, v.im, f"{name}: irreps[{i}]")
                                        if isinstance(v, ExactComplex) else v
@@ -643,8 +649,9 @@ class Su2Dual(Hypergroup):
     convolution is one integer U-series product (:func:`su2num.u_product`)
     once the denominators of f and g are cleared, and the support of A*B is
     the nonzero set of the product of the 0/1 indicators of A and B (no
-    cancellation: every term is positive).  Fusion is not cached: the rule
-    costs less than a lookup would save.
+    cancellation: every term is positive).  Work over MAX_U_PRODUCT_WORK is
+    refused up front.  Fusion is not cached: the rule costs less than a
+    lookup would save.
     """
 
     _CACHES_FUSION = False
@@ -676,16 +683,30 @@ class Su2Dual(Hypergroup):
         return x + 1
 
     def haar_sum(self, labels: Iterable[int]) -> Fraction:
+        if isinstance(labels, range) and labels.step == 1 and labels.start >= 0:
+            # (x+1)^2 summed over start <= x < stop
+            stop = max(labels.start, labels.stop)
+            return Fraction(su2num.sum_squares(stop) - su2num.sum_squares(labels.start))
         total = 0
         for x in labels:
             self.check_label(x)
             total += (x + 1) * (x + 1)
         return Fraction(total)
 
-    def _u_coefficients(self, f: FiniteFunction) -> tuple[list[int], int]:
-        """Integers a and scale L with a[x] = L f(x) (x+1), label-checked."""
-        for x in f.support:
+    def _check_u_product(self, A: Collection[int], B: Collection[int]) -> None:
+        """Check every label, and the work of a product up to max A and max B."""
+        for x in (*A, *B):
             self.check_label(x)
+        if not (A and B):
+            return
+        work = (max(A) + 1) * (max(B) + 1)
+        if work > MAX_U_PRODUCT_WORK:
+            raise CapacityError(
+                f"a su2-hat U-series product up to labels {max(A)} and {max(B)} would do "
+                f"{work} multiply-adds; the budget is {MAX_U_PRODUCT_WORK}")
+
+    def _u_coefficients(self, f: FiniteFunction) -> tuple[list[int], int]:
+        """Integers a and scale L with a[x] = L f(x) (x+1)."""
         scale = math.lcm(*(v.denominator for _, v in f.items()))
         a = [0] * (max(f.support, default=0) + 1)
         for x, v in f.items():
@@ -693,10 +714,11 @@ class Su2Dual(Hypergroup):
         return a, scale
 
     def _convolve_exact(self, f: FiniteFunction, g: FiniteFunction) -> FiniteFunction:
-        a, scale_f = self._u_coefficients(f)
-        b, scale_g = self._u_coefficients(g)
+        self._check_u_product(f.support, g.support)
         if not f or not g:
             return FiniteFunction({})
+        a, scale_f = self._u_coefficients(f)
+        b, scale_g = self._u_coefficients(g)
         c = su2num.u_product(a, b)
         scale = scale_f * scale_g
         return FiniteFunction({z: Fraction(int(c[z]), (z + 1) * scale)
@@ -705,8 +727,7 @@ class Su2Dual(Hypergroup):
     def _support_product(self, A: Collection[int], B: Collection[int]) -> frozenset[int]:
         if not A or not B:
             return frozenset()
-        for x in (*A, *B):
-            self.check_label(x)
+        self._check_u_product(A, B)
 
         def indicator(labels: Collection[int]) -> list[int]:
             ones = [0] * (max(labels) + 1)
@@ -894,12 +915,17 @@ def su2_u_coefficients(v: FiniteFunction) -> np.ndarray:
     """The float array v(n) (n + 1) at index n, for v on su2-hat.
 
     These are the U_n(cos theta) coefficients of the central function behind
-    v.  A label outside su2-hat raises LabelDomainError, a UsageError.
+    v.  A label outside su2-hat raises LabelDomainError, a UsageError, and
+    one over MAX_U_SERIES_DEGREE CapacityError.
     """
     for n in v.support:
         if not _su2_valid(n):
             raise LabelDomainError(f"{n!r} is not a label of su2-hat")
-    coeffs = np.zeros(max(v.support, default=0) + 1)
+    degree = max(v.support, default=0)
+    if degree > MAX_U_SERIES_DEGREE:
+        raise CapacityError(
+            f"a su2-hat U-series of degree {degree} exceeds the budget {MAX_U_SERIES_DEGREE}")
+    coeffs = np.zeros(degree + 1)
     for n, value in v.items():
         coeffs[n] = float(value) * (n + 1)
     return coeffs
@@ -926,12 +952,11 @@ def central_function(dual: Any, v: FiniteFunction) -> ClassFunctionHandle:
     if isinstance(dual, ProductDual):
         for x in v.support:
             dual.check_label(x)
-        v = FiniteFunction({flat_irrep_index(dual, x): value for x, value in v.items()},
-                           v.lane)
+        v = FiniteFunction({flat_irrep_index(dual, x): value for x, value in v.items()})
     for i in v.support:
         if not (isinstance(i, int) and 0 <= i < table.n_irreps):
             raise LabelDomainError(f"{i!r} is not an irrep index of {table.name}")
-    exact = table.lane == EXACT and v.lane == EXACT
+    exact = table.lane == EXACT
     values = []
     for c in range(len(table.class_sizes)):
         if exact:

@@ -56,9 +56,7 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 def lp_h_power_sum(H: Hypergroup, f: FiniteFunction, p: int) -> Fraction:
-    """Exact sum of h(x) |f(x)|^p for integer p >= 1 on the exact lane."""
-    if f.lane != EXACT:
-        raise UsageError("exact power sums require the exact lane")
+    """Exact sum of h(x) |f(x)|^p for integer p >= 1."""
     if not (isinstance(p, int) and p >= 1):
         raise UsageError(f"integer exponent >= 1 required, got {p}")
     return sum((H.haar(x) * abs(v) ** p for x, v in f.items()), Fraction(0))
@@ -67,18 +65,18 @@ def lp_h_power_sum(H: Hypergroup, f: FiniteFunction, p: int) -> Fraction:
 def lp_h_norm(H: Hypergroup, f: FiniteFunction, p: Any) -> Any:
     """The norm of f in lp(H, h): (sum h(x) |f(x)|^p)^(1/p), sup norm at p = inf.
 
-    Exact Fraction for p = 1 (and p = inf) on the exact lane, float otherwise.
+    Exact Fraction for p = 1 and p = inf, float otherwise.
     """
     if p == math.inf:
         values = [abs(v) for _, v in f.items()]
         if not values:
-            return Fraction(0) if f.lane == EXACT else 0.0
+            return Fraction(0)
         return max(values)
     if p < 1:
         raise UsageError(f"p must be at least 1, got {p}")
-    if f.lane == EXACT and p == 1:
+    if p == 1:
         return lp_h_power_sum(H, f, 1)
-    if f.lane == EXACT and float(p).is_integer():
+    if float(p).is_integer():
         return float(lp_h_power_sum(H, f, int(p))) ** (1.0 / float(p))
     p = float(p)
     total = sum(float(H.haar(x)) * abs(float(v)) ** p for x, v in f.items())
@@ -124,7 +122,7 @@ def a_norm_exact_finite(table_or_dual: Any, v: FiniteFunction) -> Any:
     """A-norm of v over a finite dual: the L1 class sum of its central function.
 
     (1/|G|) sum over classes of |c| * |sum_pi v(pi) d_pi chi_pi(c)|; exact
-    whenever the table and v are exact and every class value has a rational
+    whenever the table is exact and every class value has a rational
     absolute value, otherwise a float.
     """
     handle = central_function(table_or_dual, v)
@@ -132,7 +130,7 @@ def a_norm_exact_finite(table_or_dual: Any, v: FiniteFunction) -> Any:
     if table is None:
         raise UsageError(f"no character table behind {table_or_dual!r}")
     values = handle.values()
-    if table.lane == EXACT and v.lane == EXACT:
+    if table.lane == EXACT:
         moduli = [_exact_abs(z) for z in values]
         if all(m is not None for m in moduli):
             total = sum((Fraction(size) * m for size, m in zip(table.class_sizes, moduli)),
@@ -179,6 +177,13 @@ def a_norm_su2(v: FiniteFunction, config: QuadratureConfig | None = None) -> flo
     breaks = np.unique(np.concatenate([[0.0, math.pi], roots]))
     return _refine_splits(lambda split: su2num.gauss_kronrod(integrand, breaks, split),
                           config.tolerance)
+
+
+def a_norm(H: Hypergroup, v: FiniteFunction, config: QuadratureConfig | None = None) -> Any:
+    """A-norm of v on the dual H: quadrature on su2-hat, the class sum on finite duals."""
+    if isinstance(H, Su2Dual):
+        return a_norm_su2(v, config)
+    return a_norm_exact_finite(H, v)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +268,7 @@ class BumpFunction(Plateau):
         return float(lp_h_norm(self.hypergroup, self.function, p))
 
     def a_norm(self, config: QuadratureConfig | None = None) -> Any:
-        if isinstance(self.hypergroup, Su2Dual):
-            return a_norm_su2(self.function, config)
-        return a_norm_exact_finite(self.hypergroup, self.function)
+        return a_norm(self.hypergroup, self.function, config)
 
 
 def bump(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> BumpFunction:

@@ -124,17 +124,26 @@ class LeptinCertificate:
 
 
 def certificate_from_json_dict(data: dict[str, Any], H: Hypergroup) -> LeptinCertificate:
-    """Rebuild a certificate emitted by :meth:`LeptinCertificate.to_json_dict`."""
+    """Rebuild a certificate emitted by :meth:`LeptinCertificate.to_json_dict`.
+
+    K and V must be lists, and the strategy, ratio and epsilon strings, as
+    that method writes them; anything else raises UsageError.
+    """
+    def field_of(key: str, kind: type) -> Any:
+        if not isinstance(data[key], kind):
+            raise TypeError(f"{key} must be a {kind.__name__}, got {type(data[key]).__name__}")
+        return data[key]
+
     try:
         return LeptinCertificate(
-            strategy=data["strategy"],
-            K=frozenset(_label_from_json(x) for x in data["K"]),
-            V=frozenset(_label_from_json(x) for x in data["V"]),
-            ratio=Fraction(data["ratio"]),
-            epsilon=Fraction(data["epsilon"]),
+            strategy=field_of("strategy", str),
+            K=frozenset(_label_from_json(x) for x in field_of("K", list)),
+            V=frozenset(_label_from_json(x) for x in field_of("V", list)),
+            ratio=Fraction(field_of("ratio", str)),
+            epsilon=Fraction(field_of("epsilon", str)),
             hypergroup=H,
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed certificate document: {exc}") from exc
 
 

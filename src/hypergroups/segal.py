@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from . import su2num
 from .core import (
     CapacityError,
     Hypergroup,
@@ -55,12 +54,6 @@ def _exact_cap(D: Any) -> Fraction:
     if cap <= 1:
         raise UsageError(f"D must exceed 1, got {cap}")
     return cap
-
-
-def _haar_sum(H: Hypergroup, labels: Collection[Label]) -> Fraction:
-    if isinstance(H, Su2Dual) and isinstance(labels, range) and labels.start == 0:
-        return Fraction(su2num.interval_haar_n2(labels.stop - 1))
-    return H.haar_sum(labels)
 
 
 @dataclass
@@ -326,7 +319,7 @@ def blowup_report(w: WitnessSequence, p: Any,
     rows = []
     power_sums: list[Fraction | None] = []
     for idx, term in enumerate(w.terms):
-        h_k = _haar_sum(w.hypergroup, term.K)
+        h_k = w.hypergroup.haar_sum(term.K)
         if integral_p:
             power = term.segal_power_sum(int(p))
             if power < h_k:

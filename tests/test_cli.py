@@ -81,6 +81,39 @@ class TestLabelParsing:
             parse_label(s3, "sigma")
 
 
+_PIECES = st.sampled_from(["0", "2", "3", "-1", "1/2", "3/2", "0.5", "1e1", "rho", "sgn",
+                           "triv", "chi1", "chi3", "chi4", " ", ""])
+_LABEL_TEXT = st.one_of(
+    st.text(max_size=10),
+    st.text(alphabet="0123456789/.-+e _|(),", max_size=8),
+    st.lists(_PIECES, min_size=1, max_size=3).map("|".join),
+    st.lists(_PIECES, min_size=1, max_size=3).map(lambda parts: f"({', '.join(parts)})"),
+)
+_SPECS = {spec: resolve_dual(spec) for spec in ("su2", "s3", "s3,z4")}
+
+
+class TestLabelText:
+    @given(spec=st.sampled_from(sorted(_SPECS)), text=_LABEL_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_round_trips_or_exits_2(self, spec, text):
+        H = _SPECS[spec]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["convolve", "--dual", spec, f"--x={text}",
+                        f"--y={H.label_str(H.identity)}"])
+        if code == 0:
+            x = parse_label(H, text)
+            assert parse_label(H, H.label_str(x)) == x
+        else:
+            assert code == 2, err.getvalue()
+            assert json.loads(err.getvalue())["error"] == "usage"
+
+    def test_printed_product_labels_parse(self, s3_x_z4):
+        for x in s3_x_z4.universe:
+            assert parse_label(s3_x_z4, s3_x_z4.label_str(x)) == x
+        assert parse_label(s3_x_z4, " ( rho ,chi1 ) ") == (2, 1)
+
+
 class TestIngestTable:
     def test_bundled_paths(self, tmp_path, q8):
         path = tmp_path / "q8.json"
@@ -144,6 +177,19 @@ class TestCommands:
     def test_axioms_over_budget_exits_4(self, capsys):
         code, out, err = run_cli(capsys, "axioms", "--dual", "su2", "--max-ell", "25",
                                  "--format", "json", "--no-timestamp")
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["error"] == "capacity"
+
+    @pytest.mark.parametrize("argv", [
+        ["norms", "--dual", "su2", "--values", "1e5=1"],
+        ["bump", "--dual", "su2", "--K", "0", "--V", "1e6"],
+    ])
+    def test_su2_engine_over_budget_exits_4(self, capsys, argv):
+        # a numpy memory error (exit 1) and a run of minutes before
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
         assert code == 4
         assert out == ""
         assert json.loads(err)["error"] == "capacity"

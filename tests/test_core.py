@@ -1,5 +1,6 @@
 """Exact measure/function plumbing and the axiom suite."""
 
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -17,6 +18,8 @@ from hypergroups import (
     Hypergroup,
     LabelDomainError,
     UsageError,
+    a_norm_su2,
+    bump,
     check_axioms,
     convolve_h,
     convolve_points,
@@ -24,7 +27,7 @@ from hypergroups import (
     involute,
     support_product,
 )
-from hypergroups import core
+from hypergroups import core, duals
 from hypergroups.core import (
     _associativity_failures,
     _associativity_failures_loops,
@@ -59,17 +62,27 @@ class TestFiniteMeasure:
         mu = FiniteMeasure({1: half, 2: half})
         assert mu.map_labels(lambda x: -x) == FiniteMeasure({-1: half, -2: half})
 
+    def test_is_a_nonnegative_finite_function(self):
+        mu = FiniteMeasure({2: half, 1: Fraction(1, 3), 0: 0})
+        assert isinstance(mu, FiniteFunction)
+        assert FiniteMeasure.__slots__ == ()
+        assert not hasattr(mu, "__dict__")
+        assert mu.items() == [(1, Fraction(1, 3)), (2, half)]
+        assert len(mu) == 2 and mu.value(1) == mu.mass(1)
+        assert repr(mu) == "FiniteMeasure({1: 1/3, 2: 1/2})"
+
+    def test_never_equals_a_plain_function(self):
+        mu = FiniteMeasure({1: half})
+        f = FiniteFunction({1: half})
+        assert mu != f and f != mu
+        assert not (mu == f) and not (f == mu)
+        assert mu == FiniteMeasure({1: half})
+
 
 class TestFiniteFunction:
     def test_support_is_nonzero_set(self):
         f = FiniteFunction({0: 1, 1: 0, 2: Fraction(3, 7)})
         assert f.support == (0, 2)
-
-    def test_lane_mismatch(self):
-        f = FiniteFunction({0: 1})
-        g = FiniteFunction({0: 1.0}, lane="float")
-        with pytest.raises(UsageError):
-            f + g
 
     def test_add_cancels(self):
         f = FiniteFunction({0: 1, 1: 2})
@@ -86,10 +99,13 @@ class TestFiniteFunction:
         assert f.scale(half) == FiniteFunction({0: 1})
         assert not f.scale(0)
 
-    def test_float_lane(self):
-        f = FiniteFunction({0: 0.5}, lane="float")
-        assert f.lane == "float"
-        assert f.value(0) == 0.5
+    def test_float_value_refused(self):
+        with pytest.raises(UsageError, match="exact rational expected, got float"):
+            FiniteFunction({0: 0.5})
+        with pytest.raises(UsageError):
+            FiniteFunction.point(0, 1.0)
+        with pytest.raises(UsageError):
+            FiniteFunction({0: 1}).scale(0.5)
 
 
 class TestConvolvePoints:
@@ -171,11 +187,6 @@ class TestConvolveH:
         f = FiniteFunction({0: Fraction(2, 3), 2: Fraction(-1, 5)})
         assert convolve_h(s3, f, FiniteFunction.point(s3.identity)) == f
         assert convolve_h(s3, FiniteFunction.point(s3.identity), f) == f
-
-    def test_lane_mismatch(self, su2):
-        with pytest.raises(UsageError):
-            convolve_h(su2, FiniteFunction.point(0),
-                       FiniteFunction({0: 1.0}, lane="float"))
 
     def test_support_containment(self, su2):
         f = FiniteFunction({0: 1, 2: 3})
@@ -316,10 +327,20 @@ class TestSu2ExactEngine:
     def test_support_product_matches_loops(self, A, B):
         assert support_product(_SU2, A, B) == _support_product_loops(_SU2, A, B)
 
-    @given(labels=st.lists(st.integers(min_value=0, max_value=500), max_size=20))
-    @settings(max_examples=50, deadline=None)
+    @given(labels=st.lists(st.integers(min_value=0, max_value=500), max_size=20)
+           | st.builds(range, st.integers(0, 500), st.integers(-5, 700)))
+    @settings(max_examples=100, deadline=None)
     def test_haar_sum_matches_loop(self, labels):
         assert _SU2.haar_sum(labels) == Hypergroup.haar_sum(_SU2, labels)
+
+    @pytest.mark.parametrize("labels", [range(0), range(0, 1), range(3, 8), range(9, 2),
+                                        range(0, 10, 2), range(5, -1, -1)])
+    def test_haar_sum_of_ranges(self, labels):
+        assert _SU2.haar_sum(labels) == sum((x + 1) ** 2 for x in labels)
+
+    def test_haar_sum_range_below_zero_raises(self):
+        with pytest.raises(LabelDomainError):
+            _SU2.haar_sum(range(-1, 3))
 
     def test_label_zero_and_empty(self):
         d0 = FiniteFunction.point(0, Fraction(-3, 7))
@@ -341,6 +362,53 @@ class TestSu2ExactEngine:
         H = _su2_dual()
         assert check_axioms(H, range(15)).ok
         assert H._fusion_cache == {}
+
+
+class TestSu2Budgets:
+    @pytest.mark.parametrize("call", [
+        lambda: convolve_h(_SU2, FiniteFunction.point(10 ** 6), FiniteFunction.point(10 ** 6)),
+        lambda: convolve_h(_SU2, FiniteFunction.point(0), FiniteFunction.point(2 * 10 ** 6)),
+        lambda: support_product(_SU2, [40000], [40000]),
+        lambda: support_product(_SU2, [0], [2 * 10 ** 6]),
+        lambda: a_norm_su2(FiniteFunction({0: 1, 200000: 1})),
+    ])
+    def test_guard_fires_before_allocating(self, call):
+        # each refused request would build a list or array of 10^5 to 10^6 entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_u_product_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(duals, "MAX_U_PRODUCT_WORK", 12)
+        f, g = FiniteFunction.point(2), FiniteFunction.point(3)
+        assert convolve_h(_SU2, f, g) == _convolve_h_loops(_SU2, f, g)
+        assert support_product(_SU2, [1, 2], [0, 3]) == frozenset({1, 2, 3, 4, 5})
+        with pytest.raises(CapacityError):
+            convolve_h(_SU2, g, g)
+        with pytest.raises(CapacityError):
+            support_product(_SU2, [3], [0, 3])
+        # labels are checked first, and empty products are not refused
+        with pytest.raises(LabelDomainError):
+            convolve_h(_SU2, FiniteFunction.point(-1), FiniteFunction.point(99))
+        assert convolve_h(_SU2, FiniteFunction.point(99), FiniteFunction({})) == FiniteFunction({})
+
+    def test_series_degree_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(duals, "MAX_U_SERIES_DEGREE", 4)
+        assert a_norm_su2(FiniteFunction.point(4)) > 0
+        with pytest.raises(CapacityError):
+            a_norm_su2(FiniteFunction.point(5))
+
+    def test_sizes_in_use_fit(self):
+        start = time.perf_counter()
+        u = bump(_SU2, range(3), range(500))
+        assert time.perf_counter() - start < 1.0
+        assert max(u.support) == 1000 <= core.MAX_U_SERIES_DEGREE
+        assert 502 * 500 <= core.MAX_U_PRODUCT_WORK
 
 
 def _perturbed(base, corruptions, name):

@@ -109,6 +109,21 @@ class TestCharacterTable:
             CharacterTable(6, [1, 3, 3], [
                 (1, [1, 1, 1]), (1, [1, -1, 1]), (2, [2, 0, -1])])
 
+    @pytest.mark.parametrize("order,sizes,dims,path", [
+        (6.9, [1, 3, 2], [1, 1, 2], "group_order: expected an integer, got float"),
+        ("6", [1, 3, 2], [1, 1, 2], "group_order: expected an integer, got str"),
+        (True, [1, 3, 2], [1, 1, 2], "group_order: expected an integer, got bool"),
+        (6, [1, 3.2, 2.9], [1, 1, 2], r"classes\[1\]: expected an integer, got float"),
+        (6, [1, 3, True], [1, 1, 2], r"classes\[2\]: expected an integer, got bool"),
+        (6, [1, 3, 2], [1, 1, 2.5], r"irreps\[2\].dim: expected an integer, got float"),
+        (6, [1, 3, 2], [True, 1, 2], r"irreps\[0\].dim: expected an integer, got bool"),
+    ])
+    def test_constructor_requires_integers(self, order, sizes, dims, path):
+        # these were truncated by int() before: 6.9 -> 6, 3.2 -> 3, 2.5 -> 2, True -> 1
+        rows = [[1, 1, 1], [1, -1, 1], [2, 0, -1]]
+        with pytest.raises(InvalidTableError, match="^s3: " + path):
+            CharacterTable(order, sizes, [(d, r) for d, r in zip(dims, rows)], name="s3")
+
     def test_missing_trivial_irrep(self):
         i = ExactComplex(Fraction(0), Fraction(1))
         with pytest.raises(InvalidTableError, match="trivial"):

@@ -16,6 +16,7 @@ from hypergroups import (
     NumericError,
     QuadratureConfig,
     UsageError,
+    a_norm,
     a_norm_exact_finite,
     a_norm_su2,
     build_witness,
@@ -74,10 +75,6 @@ class TestLpNorm:
         assert isinstance(value, Fraction)
         assert value == half + 4 * Fraction(1, 3)
 
-    def test_float_lane(self, su2):
-        f = FiniteFunction({0: 0.5}, lane="float")
-        assert lp_h_norm(su2, f, 1) == pytest.approx(0.5)
-
     def test_triangle_and_homogeneity_sampled(self, s3):
         rng = random.Random(7)
         for _ in range(20):
@@ -125,6 +122,16 @@ class TestANormFinite:
     def test_s3_two_dimensional_row(self, s3):
         assert a_norm_exact_finite(s3, FiniteFunction.point(2)) == Fraction(4, 3)
         assert a_norm_exact_finite(s3.table, FiniteFunction.point(2)) == Fraction(4, 3)
+
+    def test_one_dispatcher_per_family(self, s3, su2):
+        v = FiniteFunction({0: half, 2: 1})
+        assert a_norm(s3, v) == a_norm_exact_finite(s3, v)
+        u = bump(s3, [2], [0, 2])
+        assert u.a_norm() == a_norm_exact_finite(s3, u.function)
+        config = QuadratureConfig(tolerance=1e-7)
+        assert a_norm(su2, v, config) == a_norm_su2(v, config)
+        u = bump(su2, [1], [0, 1, 2])
+        assert u.a_norm(config) == a_norm_su2(u.function, config)
 
     def test_identity_point(self, s3, q8, z4):
         for H in (s3, q8, z4):

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergroups import (
     CapacityError,
@@ -16,6 +18,7 @@ from hypergroups import (
     leptin_search_greedy,
     leptin_search_interval,
     product_dual,
+    su2_dual,
     su2_interval_ratio,
 )
 from hypergroups.leptin import certificate_from_json_dict, twice_spin
@@ -201,6 +204,102 @@ class TestCertificates:
     def test_malformed_document(self, s3):
         with pytest.raises(UsageError):
             certificate_from_json_dict({"strategy": "greedy"}, s3)
+
+
+_FINITE = [finite_group_dual(builtin_table(name)) for name in ("z2", "z4", "s3", "q8")]
+_SU2 = su2_dual()
+_EPSILON = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=12)
+
+
+def _subset(data, H):
+    return data.draw(st.sets(st.sampled_from(H.universe), min_size=1, max_size=3))
+
+
+def _factor_certificate(data):
+    kind = data.draw(st.sampled_from(["greedy", "exhaustive", "interval"]))
+    epsilon = data.draw(_EPSILON)
+    if kind == "interval":
+        k = Fraction(data.draw(st.integers(0, 4)), 2)
+        return leptin_search_interval(k, epsilon, hypergroup=_SU2)
+    H = data.draw(st.sampled_from(_FINITE))
+    if kind == "greedy":
+        return leptin_search_greedy(H, _subset(data, H), epsilon)
+    return leptin_search_exhaustive(H, _subset(data, H), epsilon)
+
+
+def _certificate(data):
+    """A greedy, exhaustive, interval or product certificate."""
+    if data.draw(st.booleans()):
+        return _factor_certificate(data)
+    finite = lambda: data.draw(st.sampled_from(_FINITE))  # noqa: E731
+    factors = []
+    for H in (finite(), finite()):
+        maker = data.draw(st.sampled_from([leptin_search_greedy, leptin_search_exhaustive]))
+        factors.append(maker(H, _subset(data, H), data.draw(_EPSILON)))
+    return leptin_product(factors)
+
+
+def _replace(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+def _drop(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _shift_ratio(doc):
+    ratio = Fraction(doc["ratio"]) + Fraction(1, 7)
+    return {**doc, "ratio": f"{ratio.numerator}/{ratio.denominator}"}
+
+
+def _shrink_epsilon(doc):
+    # ratio < 1 + epsilon must now fail
+    epsilon = Fraction(doc["ratio"]) - 1
+    return {**doc, "epsilon": f"{epsilon.numerator}/{epsilon.denominator}"}
+
+
+def _add_label(key, label):
+    return lambda doc: {**doc, key: doc[key] + [label]}
+
+
+_MUTATIONS = (
+    [_shift_ratio, _shrink_epsilon, _replace("V", []), _replace("strategy", 7)]
+    + [_drop(key) for key in ("strategy", "K", "V", "ratio", "epsilon")]
+    + [_replace(key, value) for key in ("ratio", "epsilon")
+       for value in ("1/0", 1.5, 2, None, "abc", "", ["1/2"])]
+    + [_replace(key, value) for key in ("K", "V") for value in ("ab", None, 5, {"0": 1})]
+    + [_add_label(key, label) for key in ("K", "V") for label in (-1, "zz", {"x": 1}, 1.5)]
+)
+
+
+class TestCertificateDocuments:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_verifies_with_the_same_ratio(self, data):
+        cert = _certificate(data)
+        again = certificate_from_json_dict(cert.to_json_dict(), cert.hypergroup)
+        assert again.verify()
+        assert again.ratio == cert.ratio and again.epsilon == cert.epsilon
+        assert again.to_json_dict() == cert.to_json_dict()
+
+    @given(data=st.data(), mutate=st.sampled_from(_MUTATIONS))
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_document_fails_or_is_refused(self, data, mutate):
+        cert = _certificate(data)
+        doc = mutate(cert.to_json_dict())
+        try:
+            verified = certificate_from_json_dict(doc, cert.hypergroup).verify()
+        except UsageError:
+            return
+        assert not verified
+
+    @pytest.mark.parametrize("key,value", [
+        ("ratio", "1/0"), ("epsilon", "1/0"), ("ratio", 1.5), ("K", "ab")])
+    def test_malformed_fields_are_usage_errors(self, s3, key, value):
+        # a raw ZeroDivisionError, ratio 3/2 and labels "a", "b" before
+        doc = leptin_search_greedy(s3, {2}, half).to_json_dict()
+        with pytest.raises(UsageError, match="malformed certificate document"):
+            certificate_from_json_dict({**doc, key: value}, s3)
 
 
 class TestProductCertificates:

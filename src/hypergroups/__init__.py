@@ -16,13 +16,13 @@ from .core import (
     check_axioms,
     convolve_h,
     convolve_points,
+    exact,
     haar,
     involute,
     support_product,
 )
 from .duals import (
     CharacterTable,
-    ClassFunctionHandle,
     ExactComplex,
     FiniteDual,
     ProductDual,
@@ -68,7 +68,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomReport", "AxiomViolationError", "BlowupReport", "BumpFunction",
-    "CapacityError", "CharacterTable", "CheckReport", "ClassFunctionHandle",
+    "CapacityError", "CharacterTable", "CheckReport",
     "ExactComplex", "FiniteDual", "FiniteFunction", "FiniteMeasure",
     "Hypergroup", "HypergroupError", "InternalInvariantError",
     "InvalidTableError", "LabelDomainError", "LeptinCertificate",
@@ -77,7 +77,7 @@ __all__ = [
     "a_norm", "a_norm_exact_finite", "a_norm_su2", "blowup_report", "builtin_table",
     "bump", "build_witness", "central_function", "check_axioms",
     "check_multiplier_bounded", "convolve_h", "convolve_points",
-    "finite_group_dual", "haar", "involute", "leptin_product", "leptin_ratio",
+    "exact", "finite_group_dual", "haar", "involute", "leptin_product", "leptin_ratio",
     "leptin_search_exhaustive", "leptin_search_greedy",
     "leptin_search_interval", "load_character_table", "lp_h_norm",
     "parse_character_table", "product_dual", "segal_cp_norm_central",

@@ -27,12 +27,12 @@ from .core import (
     HypergroupError,
     InternalInvariantError,
     InvalidTableError,
-    LabelDomainError,
     NumericError,
     UsageError,
     check_axioms,
     convolve_h,
     convolve_points,
+    exact,
 )
 from .duals import (
     BUILTIN_TABLES,
@@ -61,8 +61,7 @@ from .leptin import (
 from .segal import blowup_report, build_witness, check_multiplier_bounded, check_tolerance
 
 _ERROR_CATEGORIES: list[tuple[type, str, int]] = [
-    (LabelDomainError, "usage", 2),
-    (UsageError, "usage", 2),
+    (UsageError, "usage", 2),  # LabelDomainError too
     (InvalidTableError, "invalid-table", 3),
     (CapacityError, "capacity", 4),
     (NumericError, "numeric", 5),
@@ -123,10 +122,10 @@ def resolve_dual(spec: str) -> Hypergroup:
 
 def _exact_arg(text: str, flag: str) -> Fraction:
     """User text as an exact rational within float range, else UsageError naming the flag."""
+    q = exact(text, flag)
     try:
-        q = Fraction(text)
         float(q)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except OverflowError as exc:
         raise UsageError(f"{flag}: {text!r} is not an exact number in float range") from exc
     return q
 
@@ -477,6 +476,9 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # argparse reads "--x=--" as an empty list
+                raise UsageError(f"--{name.replace('_', '-')}: expected a value, got {value!r}")
         return args.fn(args)
     except HypergroupError as exc:
         for err_type, category, code in _ERROR_CATEGORIES:

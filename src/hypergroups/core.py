@@ -13,7 +13,9 @@ total order, which is used for all deterministic tie-breaking.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from collections.abc import Callable, Collection, Hashable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,20 +67,42 @@ class AxiomViolationError(HypergroupError):
     """The supplied fusion data does not define a hypergroup."""
 
 
-def _as_fraction(value: Any) -> Fraction:
+# Python's own limit on the digits of an int read from text
+# (sys.int_info.default_max_str_digits).  Fraction expands a decimal exponent
+# into an exact integer, so "1e10000000" would build ten million digits; an
+# exponent past this bound is refused before that.
+MAX_EXACT_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def exact(value: Any, what: str) -> Fraction:
+    """Caller input as an exact rational, else UsageError naming ``what``.
+
+    Accepts an int (not a bool), a Fraction, or text that Fraction reads,
+    such as "3", "-7/2" or "1.1", with a decimal exponent of at most
+    MAX_EXACT_EXPONENT.  Floats are refused: they are not exact.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
-    raise UsageError(f"exact rational expected, got {type(value).__name__}: {value!r}")
+        try:
+            exponent = _EXPONENT.search(value)
+            if exponent and abs(int(exponent[1])) > MAX_EXACT_EXPONENT:
+                raise UsageError(f"{what}: {value!r} has a decimal exponent beyond "
+                                 f"{MAX_EXACT_EXPONENT}")
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"{what}: {value!r} is not an exact rational ({exc})") from exc
+    raise UsageError(f"{what}: exact rational expected, got {type(value).__name__}: {value!r}")
 
 
 class FiniteFunction:
     """A finitely supported function with exact rational values.
 
-    Every value passes :func:`_as_fraction`, so a float is refused with
+    Every value passes :func:`exact`, so a float is refused with
     UsageError.  The support is exactly the set of labels with nonzero
     value.
     """
@@ -88,7 +112,7 @@ class FiniteFunction:
     def __init__(self, values: dict[Label, Any]):
         clean: dict[Label, Fraction] = {}
         for label, value in values.items():
-            q = _as_fraction(value)
+            q = exact(value, "value")
             if q:
                 clean[label] = q
         self._value = clean
@@ -138,7 +162,7 @@ class FiniteFunction:
         return FiniteFunction(out)
 
     def scale(self, c: Any) -> "FiniteFunction":
-        c = _as_fraction(c)
+        c = exact(c, "scale factor")
         return FiniteFunction({x: c * v for x, v in self._value.items()})
 
     def __eq__(self, other: object) -> bool:
@@ -183,8 +207,11 @@ class Hypergroup:
     Instances are immutable after construction.  Fusion and Haar values are
     memoised in per-instance caches, except where a family's rule is cheaper
     than a lookup (``_CACHES_FUSION``).  A family with a faster exact engine
-    overrides :meth:`haar_sum`, :meth:`_convolve_exact` and
-    :meth:`_support_product`; the defaults are the generic loops.
+    overrides :meth:`_haar_sum`, :meth:`_convolve_exact` and
+    :meth:`_support_product`; the defaults are the generic loops.  Engines
+    trust their labels: the public functions check the labels their caller
+    passed, once, with :meth:`check_labels`, before any engine sees them;
+    :meth:`fuse` and :meth:`haar` check a label only on a cache miss.
     """
 
     _CACHES_FUSION = True
@@ -229,9 +256,22 @@ class Hypergroup:
     def is_finite(self) -> bool:
         return self._universe is not None
 
+    def _is_label(self, x: Label) -> bool:
+        """Whether x is a label here; an unhashable x never is."""
+        try:
+            # a validator refuses unhashable labels itself; without one, hash(x) raises
+            return self._validator(x) if self._validator else hash(x) is not None
+        except TypeError:
+            return False
+
     def check_label(self, x: Label) -> None:
-        if self._validator is not None and not self._validator(x):
-            raise LabelDomainError(f"{x!r} is not a label of {self.name}")
+        self.check_labels((x,))
+
+    def check_labels(self, labels: Iterable[Label]) -> None:
+        """Raise LabelDomainError at the first of ``labels`` that is not a label here."""
+        for x in labels:
+            if not self._is_label(x):
+                raise LabelDomainError(f"{x!r} is not a label of {self.name}")
 
     def label_str(self, x: Label) -> str:
         return self._labeler(x)
@@ -239,11 +279,13 @@ class Hypergroup:
     def fuse(self, x: Label, y: Label) -> FiniteMeasure:
         """The fusion measure d_x * d_y."""
         key = (x, y)
-        cached = self._fusion_cache.get(key)
+        try:
+            cached = self._fusion_cache.get(key)
+        except TypeError:  # an unhashable label, refused by the check below
+            cached = None
         if cached is not None:
             return cached
-        self.check_label(x)
-        self.check_label(y)
+        self.check_labels(key)
         result = FiniteMeasure(self._fuse_fn(x, y))
         if self._CACHES_FUSION:
             self._fusion_cache[key] = result
@@ -257,7 +299,10 @@ class Hypergroup:
 
     def haar(self, x: Label) -> Fraction:
         """Haar mass h(x) = 1 / (d_~x * d_x)(e), normalised so h(e) = 1."""
-        cached = self._haar_cache.get(x)
+        try:
+            cached = self._haar_cache.get(x)
+        except TypeError:  # an unhashable label, refused by involution below
+            cached = None
         if cached is not None:
             return cached
         mass_at_identity = self.fuse(self.involution(x), x).mass(self._identity)
@@ -270,7 +315,12 @@ class Hypergroup:
         self._haar_cache[x] = result
         return result
 
-    def haar_sum(self, labels: Iterable[Label]) -> Fraction:
+    def haar_sum(self, labels: Collection[Label]) -> Fraction:
+        """Sum of the Haar masses of ``labels``, each checked first."""
+        self.check_labels(labels)
+        return self._haar_sum(labels)
+
+    def _haar_sum(self, labels: Collection[Label]) -> Fraction:
         return sum((self.haar(x) for x in labels), Fraction(0))
 
     def dimension(self, x: Label) -> int:
@@ -316,6 +366,8 @@ def convolve_h(H: Hypergroup, f: FiniteFunction, g: FiniteFunction) -> FiniteFun
     Bilinear extension of ``(d_x conv d_y)(z) = (d_x * d_y)(z) h(x) h(y) / h(z)``;
     exact zeros are pruned from the result.
     """
+    H.check_labels(f.support)
+    H.check_labels(g.support)
     return H._convolve_exact(f, g)
 
 
@@ -340,6 +392,8 @@ def support_product(
     H: Hypergroup, A: Collection[Label], B: Collection[Label]
 ) -> frozenset[Label]:
     """Union of fusion supports over all pairs from A x B."""
+    H.check_labels(A)
+    H.check_labels(B)
     return H._support_product(A, B)
 
 
@@ -418,6 +472,7 @@ def _check_pairs(H: Hypergroup, sample: list[Label]) -> tuple[dict[str, int], li
         counts["commutativity"] = 0
     failures: list[AxiomFailure] = []
     e = H.identity
+    involution = functools.cache(H.involution)  # checks each label once, not per pair
 
     for x in sample:
         counts["identity"] += 2
@@ -428,7 +483,7 @@ def _check_pairs(H: Hypergroup, sample: list[Label]) -> tuple[dict[str, int], li
             failures.append(AxiomFailure("identity", (H.label_str(x),),
                                          "fusion with identity on the right is not a point mass"))
         counts["inverse_support"] += 1
-        if H.fuse(H.involution(x), x).mass(e) == 0:
+        if H.fuse(involution(x), x).mass(e) == 0:
             failures.append(AxiomFailure("inverse_support", (H.label_str(x),),
                                          "identity missing from fusion with the involute"))
 
@@ -442,8 +497,8 @@ def _check_pairs(H: Hypergroup, sample: list[Label]) -> tuple[dict[str, int], li
                     "normalization", (H.label_str(x), H.label_str(y)),
                     f"total mass {total} != 1"))
             counts["involution_antihom"] += 1
-            tilde = mu.map_labels(H.involution)
-            if tilde != H.fuse(H.involution(y), H.involution(x)):
+            tilde = mu.map_labels(involution)
+            if tilde != H.fuse(involution(y), involution(x)):
                 failures.append(AxiomFailure(
                     "involution_antihom", (H.label_str(x), H.label_str(y)),
                     "involute of the fusion differs from fusion of the swapped involutes"))
@@ -593,11 +648,10 @@ def check_axioms(H: Hypergroup, sample: Collection[Label]) -> AxiomReport:
     or MAX_ASSOCIATIVITY_WORK, CapacityError is raised before any fusion
     table is built.
     """
+    H.check_labels(sample)
     sample = sorted(set(sample))
     if not sample:
         raise UsageError("axiom check requires a nonempty sample")
-    for x in sample:
-        H.check_label(x)
     T = sorted(support_product(H, sample, sample))
     W = sorted(support_product(H, T, sample) | support_product(H, sample, T))
     entries, work = associativity_cost(len(sample), len(T), len(W))

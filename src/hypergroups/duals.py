@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .core import (
     Label,
     LabelDomainError,
     UsageError,
+    exact,
 )
 
 MULTIPLICITY_TOLERANCE = 1e-6
@@ -64,9 +65,7 @@ class ExactComplex:
     def coerce(cls, value: Any) -> "ExactComplex":
         if isinstance(value, ExactComplex):
             return value
-        if isinstance(value, (int, Fraction)):
-            return cls(Fraction(value))
-        raise UsageError(f"cannot coerce {value!r} to an exact complex number")
+        return cls(exact(value, "character value"))
 
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
         return ExactComplex(self.re + other.re, self.im + other.im)
@@ -186,9 +185,9 @@ class CharacterTable:
                     coerced.append(ExactComplex.coerce(value))
             rows.append(Irrep(dim, tuple(coerced), irrep_name))
         if lane == FLOAT:
-            rows = [Irrep(r.dim, tuple(_complex_value(v.re, v.im, f"{name}: irreps[{i}]")
-                                       if isinstance(v, ExactComplex) else v
-                                       for v in r.values), r.name)
+            rows = [Irrep(r.dim, tuple(
+                _complex_value(v.re, v.im, f"{name}: irreps[{i}].values[{c}]")
+                if isinstance(v, ExactComplex) else v for c, v in enumerate(r.values)), r.name)
                     for i, r in enumerate(rows)]
         self.lane = lane
         self.irreps = tuple(rows)
@@ -523,18 +522,13 @@ def _fraction_str(q: Fraction) -> str:
 
 
 def _parse_component(raw: Any, where: str) -> Any:
-    if isinstance(raw, bool):
-        raise InvalidTableError(f"{where}: boolean is not a number")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidTableError(f"{where}: bad rational {raw!r} ({exc})") from exc
+    """A float as it is, anything else read by :func:`exact`; InvalidTableError naming where."""
     if isinstance(raw, float):
         return raw
-    raise InvalidTableError(f"{where}: expected int, 'p/q' string or float, got {raw!r}")
+    try:
+        return exact(raw, f"{where}: bad rational")
+    except UsageError as exc:
+        raise InvalidTableError(str(exc)) from exc
 
 
 _JSON_KINDS = {int: "an integer", list: "a list", str: "a string"}
@@ -553,11 +547,12 @@ def _typed(raw: Any, kind: type, where: str) -> Any:
 def parse_character_table(data: dict[str, Any], *, name: str | None = None) -> CharacterTable:
     """Build a table from its JSON dictionary form.
 
-    Values are [re, im] pairs; integer and "p/q" components are exact,
-    float components put the whole table in the float lane.  The group
-    order, class sizes and dimensions must be JSON integers (not booleans),
-    ``classes``, ``irreps`` and ``values`` lists, and names strings; any
-    other input raises InvalidTableError naming its path, such as
+    Values are [re, im] pairs; integer and "p/q" components are read by
+    :func:`exact`, and a float component makes its pair a complex, which
+    puts the whole table in the float lane.  ``classes``, ``irreps`` and
+    ``values`` must be lists and names strings; the group order, class sizes
+    and dimensions are typed by the :class:`CharacterTable` constructor.
+    Any other input raises InvalidTableError naming its path, such as
     ``irreps[2].dim``.
     """
     if not isinstance(data, dict):
@@ -568,32 +563,24 @@ def parse_character_table(data: dict[str, Any], *, name: str | None = None) -> C
     for field_name in ("group_order", "classes", "irreps"):
         if field_name not in data:
             raise InvalidTableError(f"{table_name}: missing field {field_name!r}")
-    group_order = _typed(data["group_order"], int, f"{table_name}: group_order")
-    classes = [_typed(size, int, f"{table_name}: classes[{c}]")
-               for c, size in enumerate(_typed(data["classes"], list, f"{table_name}: classes"))]
+    classes = _typed(data["classes"], list, f"{table_name}: classes")
     irreps = []
     for idx, entry in enumerate(_typed(data["irreps"], list, f"{table_name}: irreps")):
         where = f"{table_name}: irreps[{idx}]"
         if not isinstance(entry, dict) or "dim" not in entry or "values" not in entry:
             raise InvalidTableError(f"{where}: expected an object with dim and values")
-        dim = _typed(entry["dim"], int, f"{where}.dim")
         irrep_name = _typed(entry.get("name", ""), str, f"{where}.name")
         values = []
-        float_seen = False
-        parsed = []
         for v_idx, pair in enumerate(_typed(entry["values"], list, f"{where}.values")):
             v_where = f"{where}.values[{v_idx}]"
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise InvalidTableError(f"{v_where}: expected an [re, im] pair")
-            re = _parse_component(pair[0], v_where)
-            im = _parse_component(pair[1], v_where)
-            parsed.append((re, im))
-            float_seen = float_seen or isinstance(re, float) or isinstance(im, float)
-        for v_idx, (re, im) in enumerate(parsed):
-            values.append(_complex_value(re, im, f"{where}.values[{v_idx}]") if float_seen
+            re, im = (_parse_component(part, v_where) for part in pair)
+            values.append(_complex_value(re, im, v_where)
+                          if isinstance(re, float) or isinstance(im, float)
                           else ExactComplex(re, im))
-        irreps.append((dim, values, irrep_name))
-    return CharacterTable(group_order, classes, irreps, name=table_name)
+        irreps.append((entry["dim"], values, irrep_name))
+    return CharacterTable(data["group_order"], classes, irreps, name=table_name)
 
 
 def load_character_table(path: str | Path) -> CharacterTable:
@@ -682,23 +669,21 @@ class Su2Dual(Hypergroup):
         self.check_label(x)
         return x + 1
 
-    def haar_sum(self, labels: Iterable[int]) -> Fraction:
+    def check_labels(self, labels: Iterable[Any]) -> None:
+        # a range of nonnegative integers is valid without a walk
+        if isinstance(labels, range) and (not labels or min(labels[0], labels[-1]) >= 0):
+            return
+        super().check_labels(labels)
+
+    def _haar_sum(self, labels: Collection[int]) -> Fraction:
         if isinstance(labels, range) and labels.step == 1 and labels.start >= 0:
             # (x+1)^2 summed over start <= x < stop
             stop = max(labels.start, labels.stop)
             return Fraction(su2num.sum_squares(stop) - su2num.sum_squares(labels.start))
-        total = 0
-        for x in labels:
-            self.check_label(x)
-            total += (x + 1) * (x + 1)
-        return Fraction(total)
+        return Fraction(sum((x + 1) * (x + 1) for x in labels))
 
     def _check_u_product(self, A: Collection[int], B: Collection[int]) -> None:
-        """Check every label, and the work of a product up to max A and max B."""
-        for x in (*A, *B):
-            self.check_label(x)
-        if not (A and B):
-            return
+        """Refuse a product up to max A and max B (both nonempty) past MAX_U_PRODUCT_WORK."""
         work = (max(A) + 1) * (max(B) + 1)
         if work > MAX_U_PRODUCT_WORK:
             raise CapacityError(
@@ -714,9 +699,9 @@ class Su2Dual(Hypergroup):
         return a, scale
 
     def _convolve_exact(self, f: FiniteFunction, g: FiniteFunction) -> FiniteFunction:
-        self._check_u_product(f.support, g.support)
         if not f or not g:
             return FiniteFunction({})
+        self._check_u_product(f.support, g.support)
         a, scale_f = self._u_coefficients(f)
         b, scale_g = self._u_coefficients(g)
         c = su2num.u_product(a, b)
@@ -803,14 +788,8 @@ class ProductDual(Hypergroup):
         arity = len(self.factors)
 
         def valid(x: Any) -> bool:
-            if not isinstance(x, tuple) or len(x) != arity:
-                return False
-            try:
-                for f, part in zip(self.factors, x):
-                    f.check_label(part)
-            except LabelDomainError:
-                return False
-            return True
+            return (isinstance(x, tuple) and len(x) == arity
+                    and all(map(Hypergroup._is_label, self.factors, x)))
 
         super().__init__(
             name=" x ".join(f.name for f in self.factors),
@@ -888,39 +867,15 @@ def flat_irrep_index(H: Hypergroup, label: Label) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClassFunctionHandle:
-    """Evaluates sum_pi v(pi) d_pi chi_pi, the central function behind v.
-
-    For finite duals the handle holds one value per conjugacy class of its
-    ``table``; for the dual of SU(2) it evaluates at a maximal-torus angle
-    via the Weyl character sin((n+1) theta) / sin(theta).
-    """
-
-    kind: str  # "classes" | "torus"
-    _evaluate: Callable[[Any], Any]
-    class_values: tuple[Any, ...] | None = None
-    table: CharacterTable | None = None
-
-    def __call__(self, arg: Any) -> Any:
-        return self._evaluate(arg)
-
-    def values(self) -> tuple[Any, ...]:
-        if self.class_values is None:
-            raise UsageError("a torus handle has no class-value list")
-        return self.class_values
-
-
 def su2_u_coefficients(v: FiniteFunction) -> np.ndarray:
     """The float array v(n) (n + 1) at index n, for v on su2-hat.
 
     These are the U_n(cos theta) coefficients of the central function behind
-    v.  A label outside su2-hat raises LabelDomainError, a UsageError, and
-    one over MAX_U_SERIES_DEGREE CapacityError.
+    v; :func:`su2num.u_series_eval` evaluates it at cos theta.  A label
+    outside su2-hat raises LabelDomainError, a UsageError, and one over
+    MAX_U_SERIES_DEGREE CapacityError.
     """
-    for n in v.support:
-        if not _su2_valid(n):
-            raise LabelDomainError(f"{n!r} is not a label of su2-hat")
+    Su2Dual().check_labels(v.support)
     degree = max(v.support, default=0)
     if degree > MAX_U_SERIES_DEGREE:
         raise CapacityError(
@@ -931,51 +886,32 @@ def su2_u_coefficients(v: FiniteFunction) -> np.ndarray:
     return coeffs
 
 
-def central_function(dual: Any, v: FiniteFunction) -> ClassFunctionHandle:
-    """Handle for the central function with Fourier coefficients v.
+def central_function(dual: Any, v: FiniteFunction) -> tuple[Any, ...]:
+    """The class values of sum_pi v(pi) d_pi chi_pi, the central function behind v.
 
-    ``dual`` may be a :class:`Su2Dual`, a :class:`FiniteDual`, a
-    :class:`CharacterTable`, or a table-backed :class:`ProductDual`.
+    ``dual`` may be a :class:`FiniteDual`, a table-backed
+    :class:`ProductDual` or a :class:`CharacterTable`, whose irrep indices
+    are then the labels.  The tuple holds one value per conjugacy class of
+    the table: an ExactComplex for an exact table, a complex otherwise.
     """
-    if isinstance(dual, Su2Dual):
-        coeffs = su2_u_coefficients(v)
-
-        def evaluate(theta: float) -> float:
-            x = np.array([np.cos(float(theta))])
-            return float(su2num.u_series_eval(coeffs, x)[0])
-
-        return ClassFunctionHandle(kind="torus", _evaluate=evaluate)
-
-    table = dual if isinstance(dual, CharacterTable) else dual_character_table(dual)
+    if isinstance(dual, CharacterTable):
+        dual = FiniteDual(dual)
+    table = dual_character_table(dual)
     if table is None:
         raise UsageError(f"no class-function evaluation for {dual!r}")
+    dual.check_labels(v.support)
     if isinstance(dual, ProductDual):
-        for x in v.support:
-            dual.check_label(x)
         v = FiniteFunction({flat_irrep_index(dual, x): value for x, value in v.items()})
-    for i in v.support:
-        if not (isinstance(i, int) and 0 <= i < table.n_irreps):
-            raise LabelDomainError(f"{i!r} is not an irrep index of {table.name}")
-    exact = table.lane == EXACT
+    exact_lane = table.lane == EXACT
     values = []
     for c in range(len(table.class_sizes)):
-        if exact:
+        if exact_lane:
             total = _EC_ZERO
             for i, coeff in v.items():
                 total = total + ExactComplex(coeff * table.dims[i]) * table.irreps[i].values[c]
         else:
-            total = 0j
+            total = 0j  # a float-lane table holds complex values only
             for i, coeff in v.items():
-                chi = table.irreps[i].values[c]
-                chi = chi.as_complex() if isinstance(chi, ExactComplex) else chi
-                total += float(coeff) * table.dims[i] * chi
+                total += float(coeff) * table.dims[i] * table.irreps[i].values[c]
         values.append(total)
-    values = tuple(values)
-
-    def evaluate_class(c: int) -> Any:
-        if not (isinstance(c, int) and 0 <= c < len(values)):
-            raise UsageError(f"class index {c!r} out of range")
-        return values[c]
-
-    return ClassFunctionHandle(kind="classes", _evaluate=evaluate_class,
-                               class_values=values, table=table)
+    return tuple(values)

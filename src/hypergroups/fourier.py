@@ -30,10 +30,15 @@ from .core import (
     NumericError,
     UsageError,
     convolve_h,
-    involute,
     support_product,
 )
-from .duals import ExactComplex, Su2Dual, central_function, su2_u_coefficients
+from .duals import (
+    CharacterTable,
+    Su2Dual,
+    central_function,
+    dual_character_table,
+    su2_u_coefficients,
+)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -110,14 +115,6 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _exact_abs(z: ExactComplex) -> Fraction | None:
-    if z.im == 0:
-        return abs(z.re)
-    if z.re == 0:
-        return abs(z.im)
-    return _rational_sqrt(z.abs_squared())
-
-
 def a_norm_exact_finite(table_or_dual: Any, v: FiniteFunction) -> Any:
     """A-norm of v over a finite dual: the L1 class sum of its central function.
 
@@ -125,13 +122,11 @@ def a_norm_exact_finite(table_or_dual: Any, v: FiniteFunction) -> Any:
     whenever the table is exact and every class value has a rational
     absolute value, otherwise a float.
     """
-    handle = central_function(table_or_dual, v)
-    table = handle.table
-    if table is None:
-        raise UsageError(f"no character table behind {table_or_dual!r}")
-    values = handle.values()
+    values = central_function(table_or_dual, v)
+    table = (table_or_dual if isinstance(table_or_dual, CharacterTable)
+             else dual_character_table(table_or_dual))
     if table.lane == EXACT:
-        moduli = [_exact_abs(z) for z in values]
+        moduli = [_rational_sqrt(z.abs_squared()) for z in values]
         if all(m is not None for m in moduli):
             total = sum((Fraction(size) * m for size, m in zip(table.class_sizes, moduli)),
                         Fraction(0))
@@ -275,16 +270,12 @@ def bump(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> BumpFunct
     """Construct and exactly verify the plateau function for (K, V)."""
     if not K or not V:
         raise UsageError("K and V must be nonempty")
-    for x in K:
-        H.check_label(x)
-    for x in V:
-        H.check_label(x)
-    h_v = H.haar_sum(V)
-    grown = support_product(H, K, V)
-    u = convolve_h(H, FiniteFunction.indicator(grown),
-                   involute(H, FiniteFunction.indicator(V)))
+    grown = support_product(H, K, V)  # checks every label of K and V
+    h_v = H._haar_sum(V)
+    tilde_v = frozenset(H.involution(x) for x in V)
+    u = convolve_h(H, FiniteFunction.indicator(grown), FiniteFunction.indicator(tilde_v))
     u = u.scale(Fraction(1, 1) / h_v)
-    ratio = H.haar_sum(grown) / h_v
+    ratio = H._haar_sum(grown) / h_v
 
     for x, value in u.items():
         if value < 0:
@@ -294,7 +285,6 @@ def bump(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> BumpFunct
         if u.value(x) != 1:
             raise InternalInvariantError(
                 f"plateau function is {u.value(x)} != 1 at {H.label_str(x)}")
-    tilde_v = frozenset(H.involution(x) for x in V)
     allowed = support_product(H, grown, tilde_v)
     stray = set(u.support) - set(allowed)
     if stray:
@@ -362,17 +352,11 @@ class Su2IntervalBump(Plateau):
         return FiniteFunction({z: self.value(z) for z in self.support})
 
     def segal_power_sum(self, p: int) -> Fraction:
-        if not (isinstance(p, int) and p >= 1):
-            raise UsageError(f"integer exponent >= 1 required, got {p}")
+        """The exact sum of h(z) u(z)^p, for p = 1 or 2, the exponents a Segal norm uses."""
+        if not (isinstance(p, int) and p in (1, 2)):
+            raise UsageError(f"exact power sums of an interval plateau need p = 1 or 2, got {p}")
         # sum_z h(z) u(z)^p = sum_w w^(2-p) c_w^p / h(V)^p over 1 <= w < T
         k2, top, h_p = self.k2, self.k2 + 2 * self.m2 + 2, self._h_v ** p
-        if p > 2:
-            total = Fraction(0)
-            for w in range(1, top):
-                cw = self.numerator(w)
-                if cw:
-                    total += Fraction(cw ** p, w ** (p - 2))
-            return total / h_p
         # c_w = h(V) w up to w = k2 + 1; past it w^(2-p) c_w^p is a
         # polynomial of degree 3p + 2 on each parity class of w
         total = Fraction(h_p * su2num.sum_squares(k2 + 1))

@@ -32,6 +32,7 @@ from .core import (
     InternalInvariantError,
     Label,
     UsageError,
+    exact,
     support_product,
 )
 from .duals import Su2Dual
@@ -45,15 +46,6 @@ from .leptin import (
 )
 
 WITNESS_STRATEGIES = ("interval", "greedy", "exhaustive")
-
-
-def _exact_cap(D: Any) -> Fraction:
-    if isinstance(D, float):
-        raise UsageError("D must be exact; pass a Fraction, int or string")
-    cap = Fraction(D)
-    if cap <= 1:
-        raise UsageError(f"D must exceed 1, got {cap}")
-    return cap
 
 
 @dataclass
@@ -221,13 +213,14 @@ def build_witness(H: Hypergroup, K0: Collection[Label], D: Any, N: int,
     the ratio is below D^2 and that each plateau is 1 on the support bound
     of the previous one.
     """
-    cap = _exact_cap(D)
+    cap = exact(D, "D")
+    if cap <= 1:
+        raise UsageError(f"D must exceed 1, got {cap}")
     if N < 1:
         raise UsageError(f"N must be at least 1, got {N}")
     if not K0:
         raise UsageError("K0 must be nonempty")
-    for x in K0:
-        H.check_label(x)
+    H.check_labels(K0)
     if search not in WITNESS_STRATEGIES:
         raise UsageError(f"unknown witness strategy {search!r}")
     if search == "interval":

@@ -5,6 +5,7 @@ import io
 import json
 import time
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -342,6 +343,45 @@ class TestMalformedNumbers:
         doc = json.loads(err)
         assert doc["error"] == "usage"
         assert doc["message"].startswith(flag + ":")
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["norms", "--dual", "s3", "--values", "rho=1", "--p", "1e10000000"], "--p"),
+        (["witness", "--dual", "su2", "--p", "1e10000000"], "--p"),
+        (["witness", "--dual", "su2", "--D", "1e10000000"], "--D"),
+        (["witness", "--dual", "su2", "--D", "1e-10000000"], "--D"),
+        (["leptin", "--dual", "s3", "--K", "0", "--epsilon", "1e10000000"], "--epsilon"),
+        (["norms", "--dual", "s3", "--values", "rho=1e10000000"], "--values"),
+    ])
+    def test_huge_exponent_exits_2_at_once(self, capsys, argv, flag):
+        # Fraction would expand each exponent into a ten-million-digit integer
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"].startswith(flag + ":")
+
+    def test_table_component_with_a_huge_exponent_exits_3_at_once(self, capsys, tmp_path):
+        doc = json.loads(resources.files("hypergroups.tables").joinpath("s3.json").read_text())
+        doc["irreps"][2]["values"][1] = ["1e10000000", 0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "axioms", "--dual", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "irreps[2].values[1]" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["convolve", "--dual", "s3", "--x=--", "--y", "triv"], "--x"),
+        (["norms", "--dual", "s3", "--values=--"], "--values"),
+        (["norms", "--dual", "s3", "--values", "rho=1", "--p=--"], "--p"),
+        (["bump", "--dual", "su2", "--K", "0", "--V=--"], "--V"),
+    ])
+    def test_double_dash_value_exits_2(self, capsys, argv, flag):
+        # argparse hands "--flag=--" over as an empty list, not as text
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"].startswith(flag + ":")
 
     @given(text=st.text(max_size=12).filter(_not_rational))
     @settings(max_examples=80, deadline=None)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypergroups import (
@@ -21,6 +22,7 @@ from hypergroups import (
     product_dual,
     su2_dual,
 )
+from hypergroups import su2num
 from hypergroups.duals import ell_str, flat_irrep_index, su2_u_coefficients
 from hypergroups.fourier import a_norm_su2
 
@@ -275,54 +277,57 @@ class TestProductDual:
 
 
 class TestCentralFunction:
-    def test_identity_coefficient_gives_constant_one(self, su2, s3):
-        torus = central_function(su2, FiniteFunction.point(0))
-        for theta in (0.1, 1.0, 2.5):
-            assert abs(torus(theta) - 1.0) < 1e-12
-        classes = central_function(s3, FiniteFunction.point(s3.identity))
-        assert classes.values() == (ExactComplex(Fraction(1)),) * 3
+    def test_identity_coefficient_gives_constant_one(self, s3):
+        coeffs = su2_u_coefficients(FiniteFunction.point(0))
+        theta = np.array([0.1, 1.0, 2.5])
+        assert np.allclose(su2num.u_series_eval(coeffs, np.cos(theta)), 1.0, rtol=0, atol=1e-12)
+        assert central_function(s3, FiniteFunction.point(s3.identity)) == (
+            (ExactComplex(Fraction(1)),) * 3)
 
-    def test_su2_spin_half_at_pi_thirds(self, su2):
-        handle = central_function(su2, FiniteFunction.point(1))
-        assert abs(handle(math.pi / 3) - 2.0) < 1e-12
+    def test_su2_spin_half_at_pi_thirds(self):
+        coeffs = su2_u_coefficients(FiniteFunction.point(1))
+        value = su2num.u_series_eval(coeffs, np.array([math.cos(math.pi / 3)]))[0]
+        assert abs(value - 2.0) < 1e-12
 
     def test_s3_rho_class_values(self, s3):
-        handle = central_function(s3, FiniteFunction.point(2))
-        assert handle.values() == tuple(
-            ExactComplex(Fraction(v)) for v in (4, 0, -2))
+        rho = tuple(ExactComplex(Fraction(v)) for v in (4, 0, -2))
+        assert central_function(s3, FiniteFunction.point(2)) == rho
+        assert central_function(s3.table, FiniteFunction.point(2)) == rho
 
     def test_linearity(self, s3):
         v1 = FiniteFunction({0: 1, 2: half})
         v2 = FiniteFunction({1: Fraction(2), 2: half})
-        lhs = central_function(s3, v1 + v2).values()
-        h1 = central_function(s3, v1).values()
-        h2 = central_function(s3, v2).values()
+        lhs = central_function(s3, v1 + v2)
+        h1 = central_function(s3, v1)
+        h2 = central_function(s3, v2)
         assert lhs == tuple(a + b for a, b in zip(h1, h2))
 
     def test_product_dual_central_values(self, s3_x_z4):
-        handle = central_function(s3_x_z4, FiniteFunction.point((2, 1)))
+        values = central_function(s3_x_z4, FiniteFunction.point((2, 1)))
         # at the identity class: d * chi(e) = 2 * 2
-        assert handle(0) == ExactComplex(Fraction(4))
+        assert values[0] == ExactComplex(Fraction(4))
 
-    def test_torus_handle_has_no_class_values(self, su2):
-        handle = central_function(su2, FiniteFunction.point(2))
-        with pytest.raises(UsageError):
-            handle.values()
+    def test_su2_has_no_class_values(self, su2):
+        with pytest.raises(UsageError, match="no class-function evaluation"):
+            central_function(su2, FiniteFunction.point(2))
 
     def test_label_domain_checked(self, s3):
         with pytest.raises(LabelDomainError):
             central_function(s3, FiniteFunction.point(7))
+        with pytest.raises(LabelDomainError):
+            central_function(s3.table, FiniteFunction.point(7))
 
     @pytest.mark.parametrize("label", [-1, True, 1.0, "1", (0,)])
-    def test_su2_labels_checked_once_for_both_users(self, su2, label):
+    def test_su2_labels_checked_once_for_both_users(self, label):
         v = FiniteFunction({label: 1})
-        for use in (su2_u_coefficients, lambda f: central_function(su2, f), a_norm_su2):
+        for use in (su2_u_coefficients, a_norm_su2):
             with pytest.raises(LabelDomainError, match="is not a label of su2-hat"):
                 use(v)
 
-    def test_su2_u_coefficients(self, su2):
+    def test_su2_u_coefficients(self):
         v = FiniteFunction({0: 1, 3: half})
-        assert su2_u_coefficients(v).tolist() == [1.0, 0.0, 0.0, 2.0]
-        handle = central_function(su2, v)
+        coeffs = su2_u_coefficients(v)
+        assert coeffs.tolist() == [1.0, 0.0, 0.0, 2.0]
         theta = 0.7
-        assert handle(theta) == pytest.approx(1 + 2 * math.sin(4 * theta) / math.sin(theta))
+        value = su2num.u_series_eval(coeffs, np.array([math.cos(theta)]))[0]
+        assert value == pytest.approx(1 + 2 * math.sin(4 * theta) / math.sin(theta))

@@ -303,7 +303,8 @@ class TestIntervalBump:
         assert fast.l1_h() == slow.l1_h()
         assert fast.segal_power_sum(1) == slow.segal_power_sum(1)
         assert fast.segal_power_sum(2) == slow.segal_power_sum(2)
-        assert fast.segal_power_sum(3) == slow.segal_power_sum(3)
+        with pytest.raises(UsageError, match="p = 1 or 2"):
+            fast.segal_power_sum(3)
 
     @pytest.mark.parametrize("k2,m2", [(0, 1), (1, 2), (2, 5)])
     def test_a_norm_matches_series_quadrature(self, su2, k2, m2):
@@ -341,11 +342,8 @@ class TestIntervalBump:
 
 
 def _oracle_power_sum(c, h_v, p):
-    """sum_w w^(2-p) c_w^p / h(V)^p over the recurrence's coefficient list."""
-    if p <= 2:
-        return Fraction(sum(w ** (2 - p) * cw ** p for w, cw in enumerate(c)), h_v ** p)
-    return sum((Fraction(cw ** p, w ** (p - 2)) for w, cw in enumerate(c) if cw),
-               Fraction(0)) / h_v ** p
+    """sum_w w^(2-p) c_w^p / h(V)^p over the recurrence's coefficient list, p <= 2."""
+    return Fraction(sum(w ** (2 - p) * cw ** p for w, cw in enumerate(c)), h_v ** p)
 
 
 def _oracle_segal_norm(c, h_v, p):
@@ -376,8 +374,6 @@ class TestIntervalClosedForm:
         for term, c in default_chain:
             for p in (1, 2):
                 assert term.segal_power_sum(p) == _oracle_power_sum(c, term._h_v, p)
-        for term, c in default_chain[:3]:  # exact p = 3 sums slow down with the lcm of w
-            assert term.segal_power_sum(3) == _oracle_power_sum(c, term._h_v, 3)
 
     def test_default_chain_float_norm(self, default_chain):
         for term, c in default_chain:
@@ -394,7 +390,7 @@ class TestIntervalClosedForm:
         b = Su2IntervalBump.build(_SU2, k2, m2)
         c = su2num.linearized_interval_product(k2 + m2 + 1, m2 + 1)
         assert [b.numerator(w) for w in range(len(c) + 3)] == c + [0, 0, 0]
-        for p in (1, 2, 3):
+        for p in (1, 2):
             assert b.segal_power_sum(p) == _oracle_power_sum(c, b._h_v, p)
         assert b.segal_norm(1.5) == pytest.approx(
             _oracle_segal_norm(c, b._h_v, 1.5), rel=1e-12, abs=0)

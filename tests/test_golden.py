@@ -33,6 +33,11 @@ CASES = [
       "--format", "json"],
      ["a_norm"]),
     ("norms_s3.json", ["norms", "--dual", "s3", "--values", "rho=1", "--format", "json"], []),
+    # the class-sum A-norm: exact 4/3 on a product, the float (2 + 2 sqrt 2)/4 on Z4
+    ("norms_s3_z4.json",
+     ["norms", "--dual", "s3,z4", "--values", "(rho, chi1)=1", "--format", "json"], []),
+    ("norms_z4.json",
+     ["norms", "--dual", "z4", "--values", "chi0=1;chi1=1", "--format", "json"], []),
 ]
 
 

@@ -1,0 +1,204 @@
+"""The input contract: every bad input to a public function is a typed error.
+
+Each public call below has one open slot, a label or an exact number.  Put
+a bad value in it, and the call must raise a HypergroupError subclass, never
+a raw ZeroDivisionError, ValueError or TypeError, on su2-hat, S3-hat and
+(S3 x Z4)-hat alike.  Numbers are read by one reader, ``core.exact``; label
+sets are checked once by the public function that receives them.
+"""
+
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hypergroups import (
+    FiniteFunction,
+    FiniteMeasure,
+    HypergroupError,
+    LabelDomainError,
+    UsageError,
+    a_norm,
+    build_witness,
+    builtin_table,
+    bump,
+    central_function,
+    check_axioms,
+    convolve_h,
+    exact,
+    finite_group_dual,
+    leptin_ratio,
+    leptin_search_exhaustive,
+    leptin_search_greedy,
+    leptin_search_interval,
+    product_dual,
+    su2_dual,
+    su2_interval_ratio,
+    support_product,
+)
+from hypergroups.core import MAX_EXACT_EXPONENT
+from hypergroups.duals import su2_u_coefficients
+from hypergroups.fourier import lp_h_power_sum
+from hypergroups.leptin import twice_spin
+
+FAMILIES = ("su2", "s3", "s3,z4")
+
+# stands for the out-of-range value of the slot it is put in
+OUT_OF_RANGE = object()
+
+BAD = [1.5, True, None, "abc", "1/0", "1e99999999", [1], OUT_OF_RANGE]
+BAD_IDS = ["float", "bool", "None", "abc", "1/0", "1e99999999", "unhashable", "out-of-range"]
+
+OUT_OF_RANGE_LABEL = {"su2": -1, "s3": 7, "s3,z4": (2, 9)}
+
+
+def _point(x):
+    return FiniteFunction({x: 1})
+
+
+# (name, call with the open slot x[, the families it applies to, if not all])
+LABEL_CALLS = [
+    ("fuse", lambda H, x: H.fuse(H.identity, x)),
+    ("haar", lambda H, x: H.haar(x)),
+    ("involution", lambda H, x: H.involution(x)),
+    ("dimension", lambda H, x: H.dimension(x)),
+    ("haar_sum", lambda H, x: H.haar_sum([H.identity, x])),
+    ("support_product", lambda H, x: support_product(H, [H.identity], [H.identity, x])),
+    ("convolve_h", lambda H, x: convolve_h(H, _point(H.identity), _point(x))),
+    ("check_axioms", lambda H, x: check_axioms(H, [H.identity, x])),
+    ("bump K", lambda H, x: bump(H, [H.identity, x], [H.identity])),
+    ("bump V", lambda H, x: bump(H, [H.identity], [x, H.identity])),
+    ("leptin_ratio K", lambda H, x: leptin_ratio(H, [x], [H.identity])),
+    ("leptin_ratio V", lambda H, x: leptin_ratio(H, [H.identity], [H.identity, x])),
+    ("greedy", lambda H, x: leptin_search_greedy(H, [H.identity, x], "1/4")),
+    ("exhaustive", lambda H, x: leptin_search_exhaustive(H, [x], "1/4")),
+    ("build_witness", lambda H, x: build_witness(H, [H.identity, x], "11/10", 2)),
+    ("central_function", lambda H, x: central_function(H, _point(x))),
+    ("a_norm", lambda H, x: a_norm(H, _point(x))),
+    ("lp_h_power_sum", lambda H, x: lp_h_power_sum(H, _point(x), 2)),
+    ("su2_u_coefficients", lambda H, x: su2_u_coefficients(_point(x)), ("su2",)),
+]
+
+# (name, call with the open slot q, the slot's out-of-range value or None)
+NUMBER_CALLS = [
+    ("FiniteFunction value", lambda H, q: FiniteFunction({H.identity: q}), None),
+    ("FiniteMeasure mass", lambda H, q: FiniteMeasure({H.identity: q}), -1),
+    ("scale", lambda H, q: _point(H.identity).scale(q), None),
+    ("greedy epsilon", lambda H, q: leptin_search_greedy(H, [H.identity], q), 0),
+    ("exhaustive epsilon", lambda H, q: leptin_search_exhaustive(H, [H.identity], q), -1),
+    ("interval k", lambda H, q: leptin_search_interval(q, "1/4"), Fraction(1, 3)),
+    ("interval epsilon", lambda H, q: leptin_search_interval(0, q), 0),
+    ("interval ratio m", lambda H, q: su2_interval_ratio(1, q), Fraction(1, 2)),
+    ("twice_spin", lambda H, q: twice_spin(q), -1),
+    ("build_witness D", lambda H, q: build_witness(H, [H.identity], q, 2), 1),
+]
+
+
+@pytest.fixture(scope="module")
+def duals():
+    # fresh duals: fuse and haar check a label only on a cache miss, and a
+    # warm cache would answer True or 1.0 as it answers 1 (every call below
+    # fails before it caches anything)
+    s3, z4 = (finite_group_dual(builtin_table(name)) for name in ("s3", "z4"))
+    return {"su2": su2_dual(), "s3": s3, "s3,z4": product_dual([s3, z4])}
+
+
+# the calls whose label sits in a FiniteFunction
+FUNCTION_CALLS = {"convolve_h", "central_function", "a_norm", "lp_h_power_sum",
+                  "su2_u_coefficients"}
+
+LABEL_CASES = [
+    pytest.param(family, name, call, id=f"{name}-{family}")
+    for name, call, *families in LABEL_CALLS
+    for family in (families[0] if families else FAMILIES)
+]
+
+
+# every (call, bad value) pair, the out-of-range one only where the slot has a range
+NUMBER_CASES = [
+    pytest.param(call, out_of_range if bad is OUT_OF_RANGE else bad, id=f"{name}-{bad_id}")
+    for name, call, out_of_range in NUMBER_CALLS
+    for bad, bad_id in zip(BAD, BAD_IDS)
+    if not (bad is OUT_OF_RANGE and out_of_range is None)
+]
+
+
+@pytest.mark.parametrize("family,name,call", LABEL_CASES)
+@given(bad=st.sampled_from(BAD) | st.floats() | st.lists(st.integers(), max_size=2))
+@example(bad=1.5)
+@example(bad=True)
+@example(bad=None)
+@example(bad="abc")
+@example(bad="1/0")
+@example(bad="1e99999999")
+@example(bad=[1])
+@example(bad=OUT_OF_RANGE)
+@settings(max_examples=20, deadline=None)
+def test_bad_label_is_a_typed_error(duals, family, name, call, bad):
+    H = duals[family]
+    label = OUT_OF_RANGE_LABEL[family] if bad is OUT_OF_RANGE else bad
+    if name in FUNCTION_CALLS:
+        try:
+            hash(label)
+        except TypeError:
+            return  # a FiniteFunction cannot hold an unhashable label at all
+    with pytest.raises(HypergroupError):
+        call(H, label)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("call,value", NUMBER_CASES)
+def test_bad_number_is_a_typed_error(duals, family, call, value):
+    start = time.perf_counter()
+    with pytest.raises(HypergroupError):
+        call(duals[family], value)
+    assert time.perf_counter() - start < 1.0
+
+
+class TestExact:
+    @pytest.mark.parametrize("value,expected", [
+        (3, Fraction(3)), (Fraction(-7, 2), Fraction(-7, 2)), ("-7/2", Fraction(-7, 2)),
+        ("1.1", Fraction(11, 10)), (" 2e3 ", Fraction(2000)), ("1e-2", Fraction(1, 100)),
+        (f"1e{MAX_EXACT_EXPONENT}", Fraction(10 ** MAX_EXACT_EXPONENT)),
+        (f"1e-{MAX_EXACT_EXPONENT}", Fraction(1, 10 ** MAX_EXACT_EXPONENT)),
+    ])
+    def test_reads_exact_numbers(self, value, expected):
+        assert exact(value, "x") == expected
+
+    @pytest.mark.parametrize("value", [
+        1.5, 2.0, True, None, [1], 1j, "abc", "1/0", "nan", "inf", "",
+        f"1e{MAX_EXACT_EXPONENT + 1}", f"1e-{MAX_EXACT_EXPONENT + 1}", "1e1_000_000",
+        "1e" + "9" * 5000, "1" * 5000,
+    ])
+    def test_refuses_at_once_naming_what(self, value):
+        start = time.perf_counter()
+        with pytest.raises(UsageError, match="^--flag: "):
+            exact(value, "--flag")
+        assert time.perf_counter() - start < 0.1
+
+    def test_float_message_keeps_its_wording(self):
+        with pytest.raises(UsageError, match="exact rational expected, got float"):
+            exact(0.5, "epsilon")
+
+    def test_spins_refuse_floats(self):
+        assert twice_spin("3/2") == 3 and twice_spin(Fraction(1, 2)) == 1
+        with pytest.raises(UsageError, match="exact rational expected, got float"):
+            twice_spin(0.5)
+
+
+class TestLabelChecks:
+    def test_nonnegative_range_is_checked_without_a_walk(self, su2):
+        start = time.perf_counter()
+        su2.check_labels(range(10 ** 12))
+        su2.check_labels(range(10 ** 12, -1, -1))
+        assert time.perf_counter() - start < 0.01
+        with pytest.raises(LabelDomainError, match="^-1 is not a label of su2-hat"):
+            su2.check_labels(range(-1, 10 ** 12))
+
+    def test_first_bad_label_is_named(self, s3):
+        with pytest.raises(LabelDomainError, match="^7 is not a label of s3-hat"):
+            s3.check_labels([0, 1, 7, [1]])
+        with pytest.raises(LabelDomainError, match=r"^\[1\] is not a label of s3-hat"):
+            s3.check_labels([0, [1], 7])

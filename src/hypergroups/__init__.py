@@ -15,9 +15,7 @@ from .core import (
     UsageError,
     check_axioms,
     convolve_h,
-    convolve_points,
     exact,
-    haar,
     involute,
     support_product,
 )
@@ -44,7 +42,6 @@ from .fourier import (
     a_norm_su2,
     bump,
     lp_h_norm,
-    segal_cp_norm_central,
 )
 from .leptin import (
     LeptinCertificate,
@@ -76,10 +73,10 @@ __all__ = [
     "Su2IntervalBump", "UsageError", "WitnessSequence",
     "a_norm", "a_norm_exact_finite", "a_norm_su2", "blowup_report", "builtin_table",
     "bump", "build_witness", "central_function", "check_axioms",
-    "check_multiplier_bounded", "convolve_h", "convolve_points",
-    "exact", "finite_group_dual", "haar", "involute", "leptin_product", "leptin_ratio",
+    "check_multiplier_bounded", "convolve_h",
+    "exact", "finite_group_dual", "involute", "leptin_product", "leptin_ratio",
     "leptin_search_exhaustive", "leptin_search_greedy",
     "leptin_search_interval", "load_character_table", "lp_h_norm",
-    "parse_character_table", "product_dual", "segal_cp_norm_central",
+    "parse_character_table", "product_dual",
     "su2_dual", "su2_interval_ratio", "support_product",
 ]

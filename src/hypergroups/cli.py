@@ -2,8 +2,8 @@
 
 Subcommands mirror the library: axioms, haar, convolve, leptin, bump,
 norms, witness.  Duals are specified as comma-separated component specs
-("su2", a bundled table name, or a path to a table / product-config JSON
-file); multiple components form a product dual.  Exact rationals are
+("su2", a bundled table name, or a path to a character-table JSON file);
+multiple components form a product dual.  Exact rationals are
 rendered as "p/q" strings so reports re-parse losslessly.
 """
 
@@ -31,7 +31,6 @@ from .core import (
     UsageError,
     check_axioms,
     convolve_h,
-    convolve_points,
     exact,
 )
 from .duals import (
@@ -50,7 +49,6 @@ from .fourier import (
     a_norm,
     bump,
     lp_h_norm,
-    segal_cp_norm_central,
 )
 from .leptin import (
     leptin_search_exhaustive,
@@ -70,44 +68,16 @@ _ERROR_CATEGORIES: list[tuple[type, str, int]] = [
 ]
 
 
-def _bundled_config(spec: str) -> dict[str, Any] | None:
-    if "/" in spec or "\\" in spec or "." in spec:
-        return None
-    from importlib import resources
-
-    candidate = resources.files("hypergroups.tables").joinpath(f"{spec}.json")
-    if not candidate.is_file():
-        return None
-    return json.loads(candidate.read_text())
-
-
-def _resolve_component(spec: str, base: Path | None = None) -> Hypergroup:
+def _resolve_component(spec: str) -> Hypergroup:
     if spec == "su2":
         return su2_dual()
     if spec in BUILTIN_TABLES:
         return finite_group_dual(builtin_table(spec))
-    bundled = _bundled_config(spec)
-    if bundled is not None and "product" in bundled:
-        factors = [_resolve_component(str(part)) for part in bundled["product"]]
-        return product_dual(factors)
-    path = Path(spec) if base is None else (base / spec if not Path(spec).is_absolute() else Path(spec))
-    if not path.exists() and base is None:
+    if not Path(spec).exists():
         raise UsageError(
             f"unknown dual component {spec!r}: not 'su2', not a bundled table "
             f"{BUILTIN_TABLES}, and no such file")
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise UsageError(f"cannot read dual spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidTableError(
-            f"{path}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    if isinstance(data, dict) and "product" in data:
-        factors = [_resolve_component(str(part), base=path.parent)
-                   for part in data["product"]]
-        return product_dual(factors)
-    return finite_group_dual(load_character_table(path))
+    return finite_group_dual(load_character_table(spec))
 
 
 def resolve_dual(spec: str) -> Hypergroup:
@@ -178,10 +148,6 @@ def _su2_sample(H: Hypergroup, max_ell: Fraction) -> list[Any]:
         factor_samples = [_su2_sample(f, max_ell) for f in H.factors]
         return [tuple(x) for x in iter_product(*factor_samples)]
     return list(H.universe)
-
-
-def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(tolerance=args.quad_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +237,7 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
         result = convolve_h(H, FiniteFunction.point(x), FiniteFunction.point(y))
         entries = result.items()
     else:
-        entries = convolve_points(H, x, y).items()
+        entries = H.fuse(x, y).items()
     payload = {H.label_str(z): _fraction_json(v) for z, v in entries}
     _emit(args, {"command": "convolve", "dual": args.dual,
                  "x": args.x, "y": args.y, "weighted": bool(args.weighted),
@@ -323,7 +289,7 @@ def _cmd_bump(args: argparse.Namespace) -> int:
         "verified": True,
     }
     if args.measure_a_norm:
-        doc["a_norm"] = float(plateau.a_norm(_quad_config(args)))
+        doc["a_norm"] = float(plateau.a_norm(QuadratureConfig(tolerance=args.quad_tol)))
     _emit(args, {"command": "bump", "dual": args.dual, "bump": doc},
           pretty_text=json.dumps(doc, indent=2, sort_keys=True))
     return 0
@@ -347,9 +313,9 @@ def _cmd_norms(args: argparse.Namespace) -> int:
         "lp_h": float(lp_h_norm(H, f, p)),
         "p": _fraction_json(p),
     }
-    if 1 <= p <= 2:
-        doc["segal_cp"] = float(segal_cp_norm_central(H, f, p))
-    a = a_norm(H, f, _quad_config(args))
+    if 1 <= p <= 2:  # where the lp(H, h) norm of a central function is a Segal norm
+        doc["segal_cp"] = doc["lp_h"]
+    a = a_norm(H, f, QuadratureConfig(tolerance=args.quad_tol))
     doc["a_norm"] = float(a)
     if isinstance(a, Fraction):
         doc["a_norm_exact"] = _fraction_json(a)
@@ -369,7 +335,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         k0 = [H.identity]
     D = _exact_arg(args.D, "--D")
     p = _exact_arg(args.p, "--p")
-    quad = _quad_config(args)
+    quad = QuadratureConfig(tolerance=args.quad_tol)
     check_tolerance(args.tolerance)
     w = build_witness(H, k0, D, args.N, search=strategy, max_size=args.max_size)
     report = blowup_report(w, p, config=quad)

@@ -99,6 +99,13 @@ def exact(value: Any, what: str) -> Fraction:
     raise UsageError(f"{what}: exact rational expected, got {type(value).__name__}: {value!r}")
 
 
+def count(value: Any, what: str) -> int:
+    """Caller input as a positive int (not a bool), else UsageError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise UsageError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 class FiniteFunction:
     """A finitely supported function with exact rational values.
 
@@ -119,7 +126,10 @@ class FiniteFunction:
 
     @classmethod
     def point(cls, x: Label, value: Any = 1) -> "FiniteFunction":
-        return cls({x: value})
+        try:
+            return cls({x: value})
+        except TypeError as exc:  # a dict cannot hold an unhashable label
+            raise UsageError(f"{x!r} is not a label: it is unhashable") from exc
 
     @classmethod
     def indicator(cls, labels: Iterable[Label]) -> "FiniteFunction":
@@ -204,17 +214,15 @@ class FiniteMeasure(FiniteFunction):
 class Hypergroup:
     """A discrete hypergroup given by a point-fusion oracle.
 
-    Instances are immutable after construction.  Fusion and Haar values are
-    memoised in per-instance caches, except where a family's rule is cheaper
-    than a lookup (``_CACHES_FUSION``).  A family with a faster exact engine
+    Instances are immutable after construction.  Haar values are memoised
+    per instance, and so is fusion when the universe is finite, so the
+    fusion memo holds at most |U|^2 measures.  A family with a faster exact engine
     overrides :meth:`_haar_sum`, :meth:`_convolve_exact` and
     :meth:`_support_product`; the defaults are the generic loops.  Engines
     trust their labels: the public functions check the labels their caller
     passed, once, with :meth:`check_labels`, before any engine sees them;
     :meth:`fuse` and :meth:`haar` check a label only on a cache miss.
     """
-
-    _CACHES_FUSION = True
 
     def __init__(
         self,
@@ -264,9 +272,6 @@ class Hypergroup:
         except TypeError:
             return False
 
-    def check_label(self, x: Label) -> None:
-        self.check_labels((x,))
-
     def check_labels(self, labels: Iterable[Label]) -> None:
         """Raise LabelDomainError at the first of ``labels`` that is not a label here."""
         for x in labels:
@@ -287,14 +292,14 @@ class Hypergroup:
             return cached
         self.check_labels(key)
         result = FiniteMeasure(self._fuse_fn(x, y))
-        if self._CACHES_FUSION:
+        if self.is_finite:
             self._fusion_cache[key] = result
             if self._commutative:
                 self._fusion_cache[(y, x)] = result
         return result
 
     def involution(self, x: Label) -> Label:
-        self.check_label(x)
+        self.check_labels((x,))
         return self._involution_fn(x)
 
     def haar(self, x: Label) -> Fraction:
@@ -330,7 +335,7 @@ class Hypergroup:
         multiplicity of z in x (x) y; the associativity contraction scales
         every fusion mass by these weights (see :func:`_associativity_failures`).
         """
-        self.check_label(x)
+        self.check_labels((x,))
         return 1
 
     def _convolve_exact(self, f: "FiniteFunction", g: "FiniteFunction") -> "FiniteFunction":
@@ -348,16 +353,6 @@ class Hypergroup:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def convolve_points(H: Hypergroup, x: Label, y: Label) -> FiniteMeasure:
-    """Fusion of two point masses; nonnegative rational masses summing to 1."""
-    return H.fuse(x, y)
-
-
-def haar(H: Hypergroup, x: Label) -> Fraction:
-    """Exact Haar mass of a point."""
-    return H.haar(x)
 
 
 def convolve_h(H: Hypergroup, f: FiniteFunction, g: FiniteFunction) -> FiniteFunction:
@@ -544,6 +539,12 @@ MAX_ASSOCIATIVITY_WORK = 1 << 31
 MAX_U_PRODUCT_WORK = 1 << 20
 MAX_U_SERIES_DEGREE = 1 << 10
 
+# Most terms a witness chain may have.  The chain law checks every pair of
+# stages, so the time grows with N^2 and a large N never finishes.  Nothing
+# is lost below 64: an interval chain's k2 at least triples per stage, so
+# segal.MAX_INTERVAL_SUPPORT refuses every stage past the 14th at any D.
+MAX_WITNESS_TERMS = 64
+
 
 def associativity_cost(s: int, t: int, w: int) -> tuple[int, int]:
     """(integers held at once, multiply-adds) of the associativity contraction.
@@ -554,6 +555,15 @@ def associativity_cost(s: int, t: int, w: int) -> tuple[int, int]:
     multiply-adds.
     """
     return s * s * t + 2 * s * t * w + 2 * s * s * w, 2 * s ** 3 * t * w
+
+
+def _check_associativity_budget(s: int, t: int, w: int, bound: str = "") -> None:
+    entries, work = associativity_cost(s, t, w)
+    if entries > MAX_ASSOCIATIVITY_ENTRIES or work > MAX_ASSOCIATIVITY_WORK:
+        raise CapacityError(
+            f"associativity over {s} labels would hold {bound}{entries} integers "
+            f"and do {bound}{work} multiply-adds; the budget is {MAX_ASSOCIATIVITY_ENTRIES} "
+            f"and {MAX_ASSOCIATIVITY_WORK}")
 
 
 def _scaled_tensor(rows: list[list[tuple[int, FiniteMeasure]]],
@@ -646,20 +656,19 @@ def check_axioms(H: Hypergroup, sample: Collection[Label]) -> AxiomReport:
     The size of the associativity contraction is known from the supports
     alone; when :func:`associativity_cost` exceeds MAX_ASSOCIATIVITY_ENTRIES
     or MAX_ASSOCIATIVITY_WORK, CapacityError is raised before any fusion
-    table is built.
+    table is built.  A sample that holds the identity is first priced with
+    T = W = S, a lower bound, and refused before any support product.
     """
     H.check_labels(sample)
     sample = sorted(set(sample))
     if not sample:
         raise UsageError("axiom check requires a nonempty sample")
+    if H.identity in sample:
+        # S*S and then T*S hold S, so |S| prices all three sizes from below
+        _check_associativity_budget(len(sample), len(sample), len(sample), "at least ")
     T = sorted(support_product(H, sample, sample))
     W = sorted(support_product(H, T, sample) | support_product(H, sample, T))
-    entries, work = associativity_cost(len(sample), len(T), len(W))
-    if entries > MAX_ASSOCIATIVITY_ENTRIES or work > MAX_ASSOCIATIVITY_WORK:
-        raise CapacityError(
-            f"associativity over {len(sample)} labels would hold {entries} integers "
-            f"and do {work} multiply-adds; the budget is {MAX_ASSOCIATIVITY_ENTRIES} "
-            f"and {MAX_ASSOCIATIVITY_WORK}")
+    _check_associativity_budget(len(sample), len(T), len(W))
 
     counts, failures = _check_pairs(H, sample)
     counts["associativity"] = len(sample) ** 3

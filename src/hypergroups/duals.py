@@ -148,7 +148,6 @@ class CharacterTable:
         irreps: Sequence[tuple[int, Sequence[Any]] | tuple[int, Sequence[Any], str]],
         *,
         name: str = "table",
-        _form: tuple[np.ndarray, np.ndarray, int] | None = None,
     ):
         _typed(group_order, int, f"{name}: group_order")
         if group_order <= 0:
@@ -204,7 +203,7 @@ class CharacterTable:
                 f"which a table with float values needs")
 
         self._check_first_column()
-        self._re, self._im, self.scale = _form or self._integer_form()
+        self._re, self._im, self.scale = self._integer_form()
         self._dims = np.array(self.dims)
         self._sizes = np.array(self.class_sizes, dtype=self._re.dtype)
         self.trivial_index, self._conjugate = self._validate()
@@ -220,8 +219,11 @@ class CharacterTable:
         scale = math.lcm(*(q.denominator for pair in parts for q in pair))
         re = [q.numerator * (scale // q.denominator) for q, _ in parts]
         im = [q.numerator * (scale // q.denominator) for _, q in parts]
+        top = max(map(abs, re + im))
+        kind = np.int64 if 4 * self.group_order * top ** 3 < INT64_LIMIT else object
         shape = (self.n_irreps, len(self.class_sizes))
-        return (*_int_form(re, im, shape, self.group_order), scale)
+        return (np.array(re, dtype=kind).reshape(shape),
+                np.array(im, dtype=kind).reshape(shape), scale)
 
     def _gram(self) -> tuple[np.ndarray, np.ndarray]:
         """Real and imaginary parts of L^2 |G| <chi_i, chi_j>, one Gram product."""
@@ -445,15 +447,14 @@ class CharacterTable:
         """Character table of the direct product of the two groups.
 
         Row (a, b) and class (c, d) of the product hold chi_a(c) chi_b(d), so
-        the product's integer form is the Kronecker product of the factors'
-        (Re + i Im, scale L_1 L_2).  An int64 factor has entries below 2^21
-        (4 M^3 < 2^63), so its products cannot overflow.  The result is
-        validated in full.
+        the product's values are the Kronecker product of the factors'
+        Re + i Im over the scale L_1 L_2.  An int64 factor has entries below
+        2^21 (4 M^3 < 2^63), so its products cannot overflow.  The result is
+        built from its values, as every table is, and validated in full.
         """
         sizes = [a * b for a in self.class_sizes for b in other.class_sizes]
         heads = [(r1.dim * r2.dim, f"{r1.name}*{r2.name}")
                  for r1 in self.irreps for r2 in other.irreps]
-        order, name = self.group_order * other.group_order, f"{self.name}x{other.name}"
         if self.lane == EXACT and other.lane == EXACT:
             kind = object if object in (self._re.dtype, other._re.dtype) else np.int64
             a_re, a_im, b_re, b_im = (x.astype(kind) for x in
@@ -461,16 +462,14 @@ class CharacterTable:
             re = np.kron(a_re, b_re) - np.kron(a_im, b_im)
             im = np.kron(a_re, b_im) + np.kron(a_im, b_re)
             scale = self.scale * other.scale
-            form = (*_int_form(re.ravel().tolist(), im.ravel().tolist(), re.shape, order),
-                    scale)
             values = [[ExactComplex(Fraction(a, scale), Fraction(b, scale))
                        for a, b in zip(row_re, row_im)]
                       for row_re, row_im in zip(re.tolist(), im.tolist())]
-            return CharacterTable(order, sizes, [(d, v, n) for (d, n), v in zip(heads, values)],
-                                  name=name, _form=form)
-        values = np.kron(self._complex_matrix(), other._complex_matrix()).tolist()
-        return CharacterTable(order, sizes, [(d, v, n) for (d, n), v in zip(heads, values)],
-                              name=name)
+        else:
+            values = np.kron(self._complex_matrix(), other._complex_matrix()).tolist()
+        return CharacterTable(self.group_order * other.group_order, sizes,
+                              [(d, v, n) for (d, n), v in zip(heads, values)],
+                              name=f"{self.name}x{other.name}")
 
     def _complex_matrix(self) -> np.ndarray:
         return np.array([[_complex_value(v.re, v.im, f"{self.name}: irreps[{i}]")
@@ -494,14 +493,6 @@ class CharacterTable:
                 for r in self.irreps
             ],
         }
-
-
-def _int_form(re: list[int], im: list[int], shape: tuple[int, int],
-              group_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Re and Im as int64 matrices when 4 |G| M^3 < 2^63, object arrays otherwise."""
-    top = max(max(map(abs, re)), max(map(abs, im)))
-    kind = np.int64 if 4 * group_order * top ** 3 < INT64_LIMIT else object
-    return np.array(re, dtype=kind).reshape(shape), np.array(im, dtype=kind).reshape(shape)
 
 
 def _complex_value(re: Any, im: Any, where: str) -> complex:
@@ -584,11 +575,12 @@ def parse_character_table(data: dict[str, Any], *, name: str | None = None) -> C
 
 
 def load_character_table(path: str | Path) -> CharacterTable:
+    """The table in a JSON file: UsageError if it cannot be read, InvalidTableError if bad."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
-        raise InvalidTableError(f"cannot read table file {path}: {exc}") from exc
+        raise UsageError(f"cannot read table file {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -637,11 +629,8 @@ class Su2Dual(Hypergroup):
     once the denominators of f and g are cleared, and the support of A*B is
     the nonzero set of the product of the 0/1 indicators of A and B (no
     cancellation: every term is positive).  Work over MAX_U_PRODUCT_WORK is
-    refused up front.  Fusion is not cached: the rule costs less than a
-    lookup would save.
+    refused up front.  Fusion is not memoised, as the universe is infinite.
     """
-
-    _CACHES_FUSION = False
 
     def __init__(self):
         super().__init__(
@@ -662,11 +651,11 @@ class Su2Dual(Hypergroup):
                 for r in range(abs(n1 - n2), n1 + n2 + 1, 2)}
 
     def haar(self, x: int) -> Fraction:
-        self.check_label(x)
+        self.check_labels((x,))
         return Fraction((x + 1) * (x + 1))
 
     def dimension(self, x: int) -> int:
-        self.check_label(x)
+        self.check_labels((x,))
         return x + 1
 
     def check_labels(self, labels: Iterable[Any]) -> None:
@@ -757,7 +746,7 @@ class FiniteDual(Hypergroup):
                 for k, m in enumerate(self.table.multiplicities(i, j)) if m}
 
     def dimension(self, x: int) -> int:
-        self.check_label(x)
+        self.check_labels((x,))
         return self.table.dims[x]
 
 
@@ -815,7 +804,7 @@ class ProductDual(Hypergroup):
         return out
 
     def dimension(self, x: tuple) -> int:
-        self.check_label(x)
+        self.check_labels((x,))
         return math.prod(f.dimension(p) for f, p in zip(self.factors, x))
 
     def character_table(self) -> CharacterTable | None:
@@ -886,16 +875,13 @@ def su2_u_coefficients(v: FiniteFunction) -> np.ndarray:
     return coeffs
 
 
-def central_function(dual: Any, v: FiniteFunction) -> tuple[Any, ...]:
+def central_function(dual: Hypergroup, v: FiniteFunction) -> tuple[Any, ...]:
     """The class values of sum_pi v(pi) d_pi chi_pi, the central function behind v.
 
-    ``dual`` may be a :class:`FiniteDual`, a table-backed
-    :class:`ProductDual` or a :class:`CharacterTable`, whose irrep indices
-    are then the labels.  The tuple holds one value per conjugacy class of
-    the table: an ExactComplex for an exact table, a complex otherwise.
+    ``dual`` is a :class:`FiniteDual` or a table-backed :class:`ProductDual`.
+    The tuple holds one value per conjugacy class of the table: an
+    ExactComplex for an exact table, a complex otherwise.
     """
-    if isinstance(dual, CharacterTable):
-        dual = FiniteDual(dual)
     table = dual_character_table(dual)
     if table is None:
         raise UsageError(f"no class-function evaluation for {dual!r}")

@@ -33,7 +33,6 @@ from .core import (
     support_product,
 )
 from .duals import (
-    CharacterTable,
     Su2Dual,
     central_function,
     dual_character_table,
@@ -70,7 +69,9 @@ def lp_h_power_sum(H: Hypergroup, f: FiniteFunction, p: int) -> Fraction:
 def lp_h_norm(H: Hypergroup, f: FiniteFunction, p: Any) -> Any:
     """The norm of f in lp(H, h): (sum h(x) |f(x)|^p)^(1/p), sup norm at p = inf.
 
-    Exact Fraction for p = 1 and p = inf, float otherwise.
+    Exact Fraction for p = 1 and p = inf, float otherwise.  On a dual, f
+    holds the Fourier coefficients of a central function, and for p in
+    [1, 2] this is its central Segal norm (sum_pi d_pi^2 |f(pi)|^p)^(1/p).
     """
     if p == math.inf:
         values = [abs(v) for _, v in f.items()]
@@ -88,18 +89,6 @@ def lp_h_norm(H: Hypergroup, f: FiniteFunction, p: Any) -> Any:
     return total ** (1.0 / p)
 
 
-def segal_cp_norm_central(H: Hypergroup, v: FiniteFunction, p: Any) -> Any:
-    """Central Schatten-type Segal norm: (sum_pi d_pi (|v(pi)|^p d_pi))^(1/p).
-
-    For a central function with Fourier coefficients v this is exactly the
-    lp(H, h) norm; the Segal property holds for p in [1, 2], so other
-    exponents are rejected.
-    """
-    if not (1 <= p <= 2):
-        raise UsageError(f"the central Segal norm requires p in [1, 2], got {p}")
-    return lp_h_norm(H, v, p)
-
-
 # ---------------------------------------------------------------------------
 # A-norms
 # ---------------------------------------------------------------------------
@@ -115,16 +104,15 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def a_norm_exact_finite(table_or_dual: Any, v: FiniteFunction) -> Any:
+def a_norm_exact_finite(dual: Hypergroup, v: FiniteFunction) -> Any:
     """A-norm of v over a finite dual: the L1 class sum of its central function.
 
     (1/|G|) sum over classes of |c| * |sum_pi v(pi) d_pi chi_pi(c)|; exact
     whenever the table is exact and every class value has a rational
     absolute value, otherwise a float.
     """
-    values = central_function(table_or_dual, v)
-    table = (table_or_dual if isinstance(table_or_dual, CharacterTable)
-             else dual_character_table(table_or_dual))
+    values = central_function(dual, v)
+    table = dual_character_table(dual)
     if table.lane == EXACT:
         moduli = [_rational_sqrt(z.abs_squared()) for z in values]
         if all(m is not None for m in moduli):

@@ -16,6 +16,7 @@ Three search engines:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .core import (
     InternalInvariantError,
     Label,
     UsageError,
+    count,
     exact,
     support_product,
 )
@@ -214,6 +216,7 @@ def leptin_search_greedy(
     pool dries up first.
     """
     eps = _epsilon(epsilon)
+    count(max_size, "max_size")
     if not K:
         raise UsageError("K must be nonempty")
     bound = 1 + eps
@@ -246,6 +249,7 @@ def leptin_search_exhaustive(
     Serves as the ground-truth oracle for the greedy engine.
     """
     eps = _epsilon(epsilon)
+    count(max_universe, "max_universe")
     if not K:
         raise UsageError("K must be nonempty")
     universe = H.universe
@@ -280,12 +284,18 @@ def leptin_product(
 ) -> LeptinCertificate:
     """Combine per-factor certificates into one for the product hypergroup.
 
-    V is the cartesian product of the factor sets; the exact product ratio
-    never exceeds the product of the factor ratios, and the certificate's
+    Each factor is re-verified by its own engine, the closed form for an
+    interval factor; one that fails raises UsageError naming its position.
+    V is the cartesian product of the factor sets.  Componentwise fusion
+    makes K*V the product of the factor K_i*V_i, so the ratio is exactly
+    the product of the verified factor ratios, and the certificate's
     epsilon is the corresponding compounded tolerance.
     """
     if not certs:
         raise UsageError("at least one factor certificate is required")
+    for position, c in enumerate(certs):
+        if not c.verify():
+            raise UsageError(f"factor certificate certs[{position}] fails verification")
     if len(certs) == 1 and hypergroup is None:
         return certs[0]
     if hypergroup is not None:
@@ -297,25 +307,12 @@ def leptin_product(
     else:
         H = product_dual([c.hypergroup for c in certs])
 
-    K = frozenset(iter_product(*[tuple(sorted(c.K)) for c in certs]))
-    V = frozenset(iter_product(*[tuple(sorted(c.V)) for c in certs]))
-    bound = Fraction(1)
-    for c in certs:
-        bound *= c.ratio
-    # componentwise fusion makes K*V the product of the factor K_i*V_i,
-    # so the ratio factorizes exactly
-    ratio = Fraction(1)
-    for c in certs:
-        ratio *= leptin_ratio(c.hypergroup, c.K, c.V)
-    if ratio > bound:
-        raise InternalInvariantError(
-            f"product ratio {ratio} exceeds the factor-ratio bound {bound}")
-    epsilon = Fraction(1)
-    for c in certs:
-        epsilon *= 1 + c.epsilon
-    epsilon -= 1
     cert = LeptinCertificate(
-        strategy="product", K=K, V=V, ratio=ratio, epsilon=epsilon,
+        strategy="product",
+        K=frozenset(iter_product(*[tuple(sorted(c.K)) for c in certs])),
+        V=frozenset(iter_product(*[tuple(sorted(c.V)) for c in certs])),
+        ratio=math.prod(c.ratio for c in certs),
+        epsilon=math.prod(1 + c.epsilon for c in certs) - 1,
         hypergroup=H, factors=tuple(certs))
     if not cert.verify():
         raise InternalInvariantError("product certificate failed self-verification")

@@ -27,11 +27,13 @@ from fractions import Fraction
 from typing import Any
 
 from .core import (
+    MAX_WITNESS_TERMS,
     CapacityError,
     Hypergroup,
     InternalInvariantError,
     Label,
     UsageError,
+    count,
     exact,
     support_product,
 )
@@ -216,8 +218,9 @@ def build_witness(H: Hypergroup, K0: Collection[Label], D: Any, N: int,
     cap = exact(D, "D")
     if cap <= 1:
         raise UsageError(f"D must exceed 1, got {cap}")
-    if N < 1:
-        raise UsageError(f"N must be at least 1, got {N}")
+    if count(N, "N") > MAX_WITNESS_TERMS:
+        raise CapacityError(f"N = {N} exceeds the budget of {MAX_WITNESS_TERMS} witness terms")
+    count(max_size, "max_size")
     if not K0:
         raise UsageError("K0 must be nonempty")
     H.check_labels(K0)

@@ -32,10 +32,11 @@ class TestDualSpecs:
             H = resolve_dual(name)
             assert len(H.universe) == size
 
-    def test_bundled_product_config(self):
-        H = resolve_dual("s3_x_z4")
-        assert isinstance(H, ProductDual)
-        assert len(H.universe) == 12
+    def test_bundled_product_config(self, capsys):
+        # a product is a comma list; there is no bundled product config
+        code, out, err = run_cli(capsys, "haar", "--dual", "s3_x_z4")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "usage"
 
     def test_comma_product(self):
         H = resolve_dual("s3,z4")
@@ -52,12 +53,18 @@ class TestDualSpecs:
         H = resolve_dual(str(path))
         assert len(H.universe) == 3
 
-    def test_product_config_file(self, tmp_path):
+    def test_product_config_file(self, tmp_path, capsys):
+        # a spec file is always a character table, so a product config fails as one
         path = tmp_path / "prod.json"
         path.write_text(json.dumps({"product": ["z2", "z2"]}))
-        H = resolve_dual(str(path))
-        assert isinstance(H, ProductDual)
-        assert len(H.universe) == 4
+        code, out, err = run_cli(capsys, "haar", "--dual", str(path))
+        assert code == 3 and out == ""
+        assert "missing field 'group_order'" in json.loads(err)["message"]
+
+    def test_unreadable_path_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "haar", "--dual", str(tmp_path))
+        assert code == 2
+        assert json.loads(err)["error"] == "usage"
 
 
 class TestLabelParsing:
@@ -194,6 +201,24 @@ class TestCommands:
         assert code == 4
         assert out == ""
         assert json.loads(err)["error"] == "capacity"
+
+    @pytest.mark.parametrize("argv", [
+        ["axioms", "--dual", "su2,s3", "--max-ell", "40"],
+        ["axioms", "--dual", "su2,s3", "--max-ell", "20"],
+        ["witness", "--dual", "s3", "--N", "65"],
+    ])
+    def test_refused_before_any_work(self, capsys, argv):
+        # the axioms ran 54 s and 8 s in the generic support loops before they
+        # were refused; a witness of many terms checks every pair of stages
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "capacity"
+        if argv[0] == "axioms":
+            assert "at least" in error["message"]
 
     def test_axioms_exit_zero_with_failures_as_data(self, capsys):
         code, out, _ = run_cli(capsys, "axioms", "--dual", "q8", "--format", "json",

@@ -22,8 +22,6 @@ from hypergroups import (
     bump,
     check_axioms,
     convolve_h,
-    convolve_points,
-    haar,
     involute,
     support_product,
 )
@@ -109,49 +107,51 @@ class TestFiniteFunction:
 
 
 class TestConvolvePoints:
+    """Fusion of two point masses, H.fuse."""
+
     def test_su2_spot_value(self, su2):
-        assert convolve_points(su2, 1, 1) == FiniteMeasure(
+        assert su2.fuse(1, 1) == FiniteMeasure(
             {0: Fraction(1, 4), 2: Fraction(3, 4)})
 
     def test_identity_left_right(self, su2, s3):
         for H, x in [(su2, 5), (s3, 2)]:
-            assert convolve_points(H, H.identity, x) == FiniteMeasure.point(x)
-            assert convolve_points(H, x, H.identity) == FiniteMeasure.point(x)
+            assert H.fuse(H.identity, x) == FiniteMeasure.point(x)
+            assert H.fuse(x, H.identity) == FiniteMeasure.point(x)
 
     def test_s3_rho_squared(self, s3):
         rho = 2
-        assert convolve_points(s3, rho, rho) == FiniteMeasure(
+        assert s3.fuse(rho, rho) == FiniteMeasure(
             {0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1, 2)})
 
     def test_bad_label(self, su2):
         with pytest.raises(LabelDomainError):
-            convolve_points(su2, -1, 0)
+            su2.fuse(-1, 0)
         with pytest.raises(LabelDomainError):
-            convolve_points(su2, half, 0)
+            su2.fuse(half, 0)
 
 
 class TestHaar:
     def test_su2_squares(self, su2):
         for n in range(0, 12):
-            assert haar(su2, n) == (n + 1) ** 2
+            assert su2.haar(n) == (n + 1) ** 2
 
     def test_identity_normalization(self, su2, s3, q8):
         for H in (su2, s3, q8):
-            assert haar(H, H.identity) == 1
+            assert H.haar(H.identity) == 1
 
     def test_s3_rho(self, s3):
-        assert haar(s3, 2) == 4
+        assert s3.haar(2) == 4
 
     def test_haar_times_identity_mass_is_one(self, s3, su2):
         for H, labels in [(s3, range(3)), (su2, range(7))]:
             for x in labels:
                 mass = H.fuse(H.involution(x), x).mass(H.identity)
-                assert haar(H, x) * mass == 1
+                assert H.haar(x) * mass == 1
 
     def test_haar_invariant_under_involution(self, z4, q8):
         for H in (z4, q8):
             for x in H.universe:
-                assert haar(H, x) == haar(H, H.involution(x))
+                assert H.haar(x) == H.haar(H.involution(x))
 
     def test_invalid_hypergroup_haar(self):
         # fusion that never reaches the identity
@@ -425,7 +425,7 @@ def _perturbed(base, corruptions, name):
 
     def valid(x):
         try:
-            base.check_label(x)
+            base.check_labels((x,))
         except LabelDomainError:
             return False
         return True

@@ -9,6 +9,7 @@ import pytest
 from hypergroups import (
     CharacterTable,
     ExactComplex,
+    FiniteDual,
     FiniteFunction,
     FiniteMeasure,
     InvalidTableError,
@@ -70,7 +71,7 @@ class TestSu2Dual:
     def test_label_validation(self, su2):
         for bad in (-1, half, "1", 1.5, True):
             with pytest.raises(LabelDomainError):
-                su2.check_label(bad)
+                su2.check_labels((bad,))
 
 
 class TestExactComplex:
@@ -292,7 +293,10 @@ class TestCentralFunction:
     def test_s3_rho_class_values(self, s3):
         rho = tuple(ExactComplex(Fraction(v)) for v in (4, 0, -2))
         assert central_function(s3, FiniteFunction.point(2)) == rho
-        assert central_function(s3.table, FiniteFunction.point(2)) == rho
+        # a table is not a dual: its caller writes FiniteDual(table)
+        assert central_function(FiniteDual(s3.table), FiniteFunction.point(2)) == rho
+        with pytest.raises(UsageError, match="no class-function evaluation"):
+            central_function(s3.table, FiniteFunction.point(2))
 
     def test_linearity(self, s3):
         v1 = FiniteFunction({0: 1, 2: half})
@@ -315,7 +319,7 @@ class TestCentralFunction:
         with pytest.raises(LabelDomainError):
             central_function(s3, FiniteFunction.point(7))
         with pytest.raises(LabelDomainError):
-            central_function(s3.table, FiniteFunction.point(7))
+            central_function(FiniteDual(s3.table), FiniteFunction.point(7))
 
     @pytest.mark.parametrize("label", [-1, True, 1.0, "1", (0,)])
     def test_su2_labels_checked_once_for_both_users(self, label):

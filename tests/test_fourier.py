@@ -1,5 +1,6 @@
 """Norm family and plateau functions."""
 
+import json
 import math
 import random
 import time
@@ -23,11 +24,11 @@ from hypergroups import (
     bump,
     leptin_ratio,
     lp_h_norm,
-    segal_cp_norm_central,
     su2_dual,
     support_product,
 )
 from hypergroups import su2num
+from hypergroups.cli import run
 from hypergroups.fourier import Plateau, Su2IntervalBump, lp_h_power_sum
 from hypergroups.segal import absorption_witness
 
@@ -91,37 +92,46 @@ class TestLpNorm:
 
 
 class TestSegalNorm:
+    """The central Segal norm is the lp(H, h) norm of the Fourier coefficients."""
+
     def test_identity_point(self, su2, s3):
         for H in (su2, s3):
             for p in (1, Fraction(3, 2), 2):
-                assert float(segal_cp_norm_central(H, FiniteFunction.point(H.identity), p)) == pytest.approx(1.0)
+                assert float(lp_h_norm(H, FiniteFunction.point(H.identity), p)) == pytest.approx(1.0)
 
     def test_su2_point_mass_p2(self, su2):
         for n in range(6):
-            value = segal_cp_norm_central(su2, FiniteFunction.point(n), 2)
+            value = lp_h_norm(su2, FiniteFunction.point(n), 2)
             assert value == pytest.approx(n + 1.0)
 
     def test_interval_indicator_p1(self, su2):
         for m2 in (0, 1, 3, 6):
             v = FiniteFunction.indicator(range(m2 + 1))
             expected = sum(j * j for j in range(1, m2 + 2))
-            assert segal_cp_norm_central(su2, v, 1) == expected
+            assert lp_h_norm(su2, v, 1) == expected
 
-    def test_p_range_enforced(self, su2):
-        v = FiniteFunction.point(0)
-        for p in (half, 3, Fraction(5, 2)):
-            with pytest.raises(UsageError):
-                segal_cp_norm_central(su2, v, p)
+    def test_p_range_enforced(self, capsys):
+        # norms reports segal_cp only where the norm is a Segal norm, p in [1, 2]
+        for p in ("3", "5/2"):
+            assert "segal_cp" not in _norms_report(capsys, "su2", "0=1", p)
 
-    def test_p1_equals_l1_exactly(self, s3):
+    def test_p1_equals_l1_exactly(self, capsys, s3):
         f = FiniteFunction({0: Fraction(2, 7), 2: Fraction(-1, 3)})
-        assert segal_cp_norm_central(s3, f, 1) == lp_h_norm(s3, f, 1)
+        for p in ("1", "3/2", "2"):
+            doc = _norms_report(capsys, "s3", "triv=2/7;rho=-1/3", p)
+            assert doc["segal_cp"] == doc["lp_h"] == float(lp_h_norm(s3, f, Fraction(p)))
+        assert doc["l1_h"] == "34/21"
+
+
+def _norms_report(capsys, dual, values, p):
+    assert run(["norms", "--dual", dual, "--values", values, "--p", p,
+                "--format", "json", "--no-timestamp"]) == 0
+    return json.loads(capsys.readouterr().out)["norms"]
 
 
 class TestANormFinite:
     def test_s3_two_dimensional_row(self, s3):
         assert a_norm_exact_finite(s3, FiniteFunction.point(2)) == Fraction(4, 3)
-        assert a_norm_exact_finite(s3.table, FiniteFunction.point(2)) == Fraction(4, 3)
 
     def test_one_dispatcher_per_family(self, s3, su2):
         v = FiniteFunction({0: half, 2: 1})

@@ -1,10 +1,11 @@
 """The input contract: every bad input to a public function is a typed error.
 
-Each public call below has one open slot, a label or an exact number.  Put
-a bad value in it, and the call must raise a HypergroupError subclass, never
-a raw ZeroDivisionError, ValueError or TypeError, on su2-hat, S3-hat and
-(S3 x Z4)-hat alike.  Numbers are read by one reader, ``core.exact``; label
-sets are checked once by the public function that receives them.
+Each public call below has one open slot, a label, an exact number or a
+count.  Put a bad value in it, and the call must raise a HypergroupError
+subclass, never a raw ZeroDivisionError, ValueError or TypeError, on
+su2-hat, S3-hat and (S3 x Z4)-hat alike.  Numbers are read by one reader,
+``core.exact``, and counts by ``core.count``; label sets are checked once
+by the public function that receives them.
 """
 
 import time
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypergroups import (
+    CapacityError,
     FiniteFunction,
     FiniteMeasure,
     HypergroupError,
@@ -38,7 +40,8 @@ from hypergroups import (
     su2_interval_ratio,
     support_product,
 )
-from hypergroups.core import MAX_EXACT_EXPONENT
+from hypergroups import segal
+from hypergroups.core import MAX_EXACT_EXPONENT, MAX_WITNESS_TERMS
 from hypergroups.duals import su2_u_coefficients
 from hypergroups.fourier import lp_h_power_sum
 from hypergroups.leptin import twice_spin
@@ -54,8 +57,7 @@ BAD_IDS = ["float", "bool", "None", "abc", "1/0", "1e99999999", "unhashable", "o
 OUT_OF_RANGE_LABEL = {"su2": -1, "s3": 7, "s3,z4": (2, 9)}
 
 
-def _point(x):
-    return FiniteFunction({x: 1})
+_point = FiniteFunction.point
 
 
 # (name, call with the open slot x[, the families it applies to, if not all])
@@ -96,6 +98,19 @@ NUMBER_CALLS = [
 ]
 
 
+# (name, call with the open slot n): counts and sizes are positive ints
+COUNT_CALLS = [
+    ("build_witness N", lambda H, n: build_witness(H, [H.identity], "11/10", n)),
+    ("build_witness max_size",
+     lambda H, n: build_witness(H, [H.identity], "11/10", 2, max_size=n)),
+    ("greedy max_size",
+     lambda H, n: leptin_search_greedy(H, [H.identity], "1/4", max_size=n)),
+    ("exhaustive max_universe",
+     lambda H, n: leptin_search_exhaustive(H, [H.identity], "1/4", max_universe=n)),
+]
+BAD_COUNTS = [None, True, False, 1.5, 2.0, "3", [1], Fraction(2), 0, -1]
+
+
 @pytest.fixture(scope="module")
 def duals():
     # fresh duals: fuse and haar check a label only on a cache miss, and a
@@ -104,10 +119,6 @@ def duals():
     s3, z4 = (finite_group_dual(builtin_table(name)) for name in ("s3", "z4"))
     return {"su2": su2_dual(), "s3": s3, "s3,z4": product_dual([s3, z4])}
 
-
-# the calls whose label sits in a FiniteFunction
-FUNCTION_CALLS = {"convolve_h", "central_function", "a_norm", "lp_h_power_sum",
-                  "su2_u_coefficients"}
 
 LABEL_CASES = [
     pytest.param(family, name, call, id=f"{name}-{family}")
@@ -139,11 +150,6 @@ NUMBER_CASES = [
 def test_bad_label_is_a_typed_error(duals, family, name, call, bad):
     H = duals[family]
     label = OUT_OF_RANGE_LABEL[family] if bad is OUT_OF_RANGE else bad
-    if name in FUNCTION_CALLS:
-        try:
-            hash(label)
-        except TypeError:
-            return  # a FiniteFunction cannot hold an unhashable label at all
     with pytest.raises(HypergroupError):
         call(H, label)
 
@@ -155,6 +161,41 @@ def test_bad_number_is_a_typed_error(duals, family, call, value):
     with pytest.raises(HypergroupError):
         call(duals[family], value)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name,call", COUNT_CALLS, ids=[name for name, _ in COUNT_CALLS])
+@pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+def test_bad_count_is_a_usage_error(duals, family, name, call, value):
+    with pytest.raises(UsageError, match="must be a positive integer"):
+        call(duals[family], value)
+
+
+class TestWitnessTermBudget:
+    def test_refused_before_any_stage(self, duals, monkeypatch):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage was built")
+
+        monkeypatch.setattr(segal, "_su2_interval_witness", no_stage)
+        monkeypatch.setattr(segal, "_generic_witness", no_stage)
+        for family, search in [("su2", "interval"), ("s3", "greedy"), ("s3,z4", "exhaustive")]:
+            with pytest.raises(CapacityError, match="witness terms"):
+                build_witness(duals[family], [duals[family].identity], "11/10",
+                              MAX_WITNESS_TERMS + 1, search=search)
+
+    def test_budget_loses_no_interval_stage(self, su2):
+        # a huge D lets every stage take the least m2, max(k2, 1), so k2
+        # grows slowest, tripling; even then stage 15 is over the support cap
+        with pytest.raises(CapacityError, match="^stage 15: the plateau support"):
+            build_witness(su2, [0], 10 ** 6, MAX_WITNESS_TERMS, search="interval")
+
+    def test_budget_is_reached(self, duals):
+        w = build_witness(duals["s3"], [0], "11/10", MAX_WITNESS_TERMS)
+        assert len(w) == MAX_WITNESS_TERMS
+
+    def test_unhashable_point_label(self):
+        with pytest.raises(UsageError, match="unhashable"):
+            FiniteFunction.point([1])
 
 
 class TestExact:

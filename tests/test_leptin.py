@@ -1,5 +1,6 @@
 """Leptin ratios, closed forms, searches and certificates."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from hypergroups import (
     su2_dual,
     su2_interval_ratio,
 )
+from hypergroups import su2num
 from hypergroups.leptin import certificate_from_json_dict, twice_spin
 
 half = Fraction(1, 2)
@@ -337,3 +339,35 @@ class TestProductCertificates:
         prod_h = product_dual([s3, finite_group_dual(builtin_table("z4"))])
         with pytest.raises(UsageError):
             leptin_product([cert], hypergroup=prod_h)
+
+    def test_witness_size_interval_factor(self, su2, s3):
+        # stage 4 of the D = 1.1 chain: the generic ratio's U-series product
+        # (1889 x 28780 multiply-adds) is over budget, the closed form is not
+        stage = leptin_search_interval(944, Fraction(21, 100), hypergroup=su2, min_m2=1888)
+        assert (stage.K, stage.V) == (range(1889), range(28780))
+        start = time.perf_counter()
+        prod = leptin_product([stage, leptin_search_greedy(s3, {2}, Fraction(1, 4))])
+        assert time.perf_counter() - start < 1.0
+        assert prod.verified
+        assert prod.ratio == stage.ratio * Fraction(6, 5)
+        assert prod.verify()
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_changed_factor_ratio_is_refused(self, su2, s3, position):
+        certs = [leptin_search_interval(half, 2, hypergroup=su2),
+                 leptin_search_greedy(s3, {2}, 2)]
+        certs[position].ratio -= Fraction(1, 100)
+        with pytest.raises(UsageError, match=rf"certs\[{position}\] fails verification"):
+            leptin_product(certs)
+
+    @given(k2=st.integers(0, 40), extra=st.integers(0, 40), data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_interval_factor_matches_the_product_dual(self, k2, extra, data):
+        m2 = min(k2 + extra, 40)
+        epsilon = su2num.interval_ratio_n2(k2, m2) - 1 + Fraction(1, 1000)
+        interval = leptin_search_interval(Fraction(k2, 2), epsilon, hypergroup=_SU2, min_m2=m2)
+        assert interval.V == range(m2 + 1)
+        H = data.draw(st.sampled_from(_FINITE[:3]))
+        finite = leptin_search_exhaustive(H, _subset(data, H), data.draw(_EPSILON))
+        prod = leptin_product([interval, finite])
+        assert leptin_ratio(prod.hypergroup, prod.K, prod.V) == prod.ratio

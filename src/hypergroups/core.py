@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from collections.abc import Callable, Collection, Hashable, Iterable
 from dataclasses import dataclass, field
@@ -221,7 +222,9 @@ class Hypergroup:
     :meth:`_support_product`; the defaults are the generic loops.  Engines
     trust their labels: the public functions check the labels their caller
     passed, once, with :meth:`check_labels`, before any engine sees them;
-    :meth:`fuse` and :meth:`haar` check a label only on a cache miss.
+    :meth:`fuse` and :meth:`haar` check a label on a cache miss, and on a
+    hit whose key differs from the cached one in type (True for 1, 1.0 or
+    (0, True) for (0, 1)), so a hit accepts exactly what a miss accepts.
     """
 
     def __init__(
@@ -289,13 +292,19 @@ class Hypergroup:
         except TypeError:  # an unhashable label, refused by the check below
             cached = None
         if cached is not None:
-            return cached
+            cached_x, cached_y, result = cached
+            if (x is cached_x or _same_kind(x, cached_x)) and (
+                    y is cached_y or _same_kind(y, cached_y)):
+                return result
+            # an equal label of another type (True for 1) is checked as on a miss
+            self.check_labels(key)
+            return result
         self.check_labels(key)
         result = FiniteMeasure(self._fuse_fn(x, y))
         if self.is_finite:
-            self._fusion_cache[key] = result
+            self._fusion_cache[key] = (x, y, result)
             if self._commutative:
-                self._fusion_cache[(y, x)] = result
+                self._fusion_cache[(y, x)] = (y, x, result)
         return result
 
     def involution(self, x: Label) -> Label:
@@ -309,7 +318,9 @@ class Hypergroup:
         except TypeError:  # an unhashable label, refused by involution below
             cached = None
         if cached is not None:
-            return cached
+            if not (x is cached[0] or _same_kind(x, cached[0])):
+                self.check_labels((x,))  # as in fuse
+            return cached[1]
         mass_at_identity = self.fuse(self.involution(x), x).mass(self._identity)
         if mass_at_identity == 0:
             raise AxiomViolationError(
@@ -317,7 +328,7 @@ class Hypergroup:
                 f"involute; {self.name} is not a hypergroup"
             )
         result = 1 / mass_at_identity
-        self._haar_cache[x] = result
+        self._haar_cache[x] = (x, result)
         return result
 
     def haar_sum(self, labels: Collection[Label]) -> Fraction:
@@ -348,6 +359,16 @@ class Hypergroup:
     def __repr__(self) -> str:
         size = len(self._universe) if self._universe is not None else "infinite"
         return f"<Hypergroup {self.name} ({size})>"
+
+
+def _same_kind(a: Any, b: Any) -> bool:
+    """Whether a and b, equal labels, also agree in type, tuple entries included."""
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is tuple and not all(map(operator.is_, a, b)):
+        return all(map(_same_kind, a, b))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +549,12 @@ def _associativity_failures_loops(
 # product labels, needs at most 4.9e7; su2-hat samples fit up to spin 43/2.
 MAX_ASSOCIATIVITY_ENTRIES = 1 << 22
 MAX_ASSOCIATIVITY_WORK = 1 << 31
+
+# Most subsets the exhaustive Leptin search may tabulate, checked from the
+# universe size before any array is built.  Its subset DP holds three int64
+# arrays over all 2^n subsets of an n-label universe, 24 bytes a subset,
+# plus a 1-byte mask: about 105 MB at 2^22 subsets (n = 22).
+MAX_LEPTIN_SUBSETS = 1 << 22
 
 # Budgets of the su2-hat engines, checked from the top labels before any
 # array is built.  A U-series product up to labels N and M does (N+1)(M+1)

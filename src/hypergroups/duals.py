@@ -17,13 +17,14 @@ multiplicities are rounded to integers within 1e-6 and re-verified.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import sys
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import accumulate, product as iter_product
 from pathlib import Path
 from typing import Any
 
@@ -43,6 +44,7 @@ from .core import (
     Label,
     LabelDomainError,
     UsageError,
+    _support_product_loops,
     exact,
 )
 
@@ -629,7 +631,9 @@ class Su2Dual(Hypergroup):
     once the denominators of f and g are cleared, and the support of A*B is
     the nonzero set of the product of the 0/1 indicators of A and B (no
     cancellation: every term is positive).  Work over MAX_U_PRODUCT_WORK is
-    refused up front.  Fusion is not memoised, as the universe is infinite.
+    refused up front, except that a support product whose pairwise fusion
+    loops emit at most that many labels (sparse high labels) takes the
+    loops.  Fusion is not memoised, as the universe is infinite.
     """
 
     def __init__(self):
@@ -701,6 +705,10 @@ class Su2Dual(Hypergroup):
     def _support_product(self, A: Collection[int], B: Collection[int]) -> frozenset[int]:
         if not A or not B:
             return frozenset()
+        if ((max(A) + 1) * (max(B) + 1) > MAX_U_PRODUCT_WORK
+                and _fusion_loop_work(A, B) <= MAX_U_PRODUCT_WORK):
+            # sparse high labels: fusing each pair emits far fewer labels
+            return _support_product_loops(self, A, B)
         self._check_u_product(A, B)
 
         def indicator(labels: Collection[int]) -> list[int]:
@@ -711,6 +719,24 @@ class Su2Dual(Hypergroup):
 
         c = su2num.u_product(indicator(A), indicator(B))
         return frozenset(np.flatnonzero(c).tolist())
+
+
+def _fusion_loop_work(A: Collection[int], B: Collection[int]) -> int:
+    """Labels the pairwise fusion loops emit for A x B on su2-hat: the sum of min(a, b) + 1.
+
+    Each pair emits at least one label, so |A| |B| over MAX_U_PRODUCT_WORK
+    is returned as it stands; below it, one sorted pass prices all pairs.
+    """
+    pairs = len(A) * len(B)
+    if pairs > MAX_U_PRODUCT_WORK:
+        return pairs
+    below = sorted(B)
+    prefix = [0, *accumulate(b + 1 for b in below)]
+    work = 0
+    for a in A:
+        k = bisect.bisect_right(below, a)  # b <= a emits b + 1 labels, b > a emits a + 1
+        work += prefix[k] + (a + 1) * (len(below) - k)
+    return work
 
 
 def su2_dual() -> Su2Dual:

@@ -9,9 +9,17 @@ Three search engines:
 * interval -- closed-form scan for the dual of SU(2), where K and V are
   spin intervals and the ratio is a quotient of square-pyramidal numbers;
 * greedy -- grows V from the identity, each step adding the candidate that
-  minimizes the resulting ratio (ties broken by label order);
+  minimizes the resulting ratio (ties broken by label order); K*V and its
+  Haar mass are carried from step to step, so a candidate c costs one
+  memoised K*c and the mass of K*c outside K*V;
 * exhaustive -- exact minimum over all nonempty subsets of a small finite
-  universe, used as ground truth for the greedy engine.
+  universe, used as ground truth for the greedy engine: one integer subset
+  DP over bitmasks, which holds 24 bytes for each of the 2^n subsets and
+  refuses a universe past MAX_LEPTIN_SUBSETS with CapacityError (exit 4)
+  before it allocates.
+
+Both searches rest on K*(V | {c}) = K*V | K*c; every certificate they
+return is re-verified from scratch by :func:`leptin_ratio`.
 """
 
 from __future__ import annotations
@@ -20,11 +28,15 @@ import math
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import product as iter_product
 from typing import Any
+
+import numpy as np
 
 from . import su2num
 from .core import (
+    INT64_LIMIT,
+    MAX_LEPTIN_SUBSETS,
     CapacityError,
     Hypergroup,
     InternalInvariantError,
@@ -214,15 +226,42 @@ def leptin_search_greedy(
     Candidates come from K*V and V*V.  Returns the first certificate with
     ratio < 1 + epsilon, or None if max_size is reached or the candidate
     pool dries up first.
+
+    Supports grow incrementally: K*(V | {c}) = K*V | K*c, so a candidate's
+    ratio is (h(K*V) + h(K*c - K*V)) / (h(V) + h(c)), with K*c fused once
+    per search, and the pool (K | V)*V gains (K | V)*c and c*V when c joins V.
     """
     eps = _epsilon(epsilon)
     count(max_size, "max_size")
     if not K:
         raise UsageError("K must be nonempty")
+    H.check_labels(K)
     bound = 1 + eps
-    V: set[Label] = {H.identity}
+    grown: dict[Label, frozenset[Label]] = {}  # K*c for each candidate c seen
+
+    def grow(c: Label) -> frozenset[Label]:
+        if c not in grown:
+            grown[c] = H._support_product(K, (c,))
+        return grown[c]
+
+    def add(c: Label) -> None:
+        nonlocal h_kv, h_v
+        new = grow(c) - KV
+        V.add(c)
+        KV.update(new)
+        h_kv += H._haar_sum(new)
+        h_v += H.haar(c)
+        pool.update(H._support_product(V.union(K), (c,)))
+        if not H.commutative:
+            pool.update(H._support_product((c,), V))
+
+    V: set[Label] = set()
+    KV: set[Label] = set()
+    pool: set[Label] = set()  # (K | V)*V, from which the candidates come
+    h_kv = h_v = Fraction(0)
+    add(H.identity)
+    ratio = h_kv / h_v
     while True:
-        ratio = leptin_ratio(H, K, V)
         if ratio < bound:
             cert = LeptinCertificate(
                 strategy="greedy", K=frozenset(K), V=frozenset(V),
@@ -232,12 +271,12 @@ def leptin_search_greedy(
             return cert
         if len(V) >= max_size:
             return None
-        # K*V | V*V, as one product: (K | V)*V
-        pool = sorted(support_product(H, V.union(K), V) - V)
-        if not pool:
+        candidates = sorted(pool - V)
+        if not candidates:
             return None
-        best = min(pool, key=lambda c: (leptin_ratio(H, K, V | {c}), c))
-        V.add(best)
+        ratio, best = min(((h_kv + H._haar_sum(grow(c) - KV)) / (h_v + H.haar(c)), c)
+                          for c in candidates)
+        add(best)
 
 
 def leptin_search_exhaustive(
@@ -246,7 +285,9 @@ def leptin_search_exhaustive(
     """Exact ratio minimum over all nonempty subsets of a finite universe.
 
     Among minimizers returns the smallest V (by size, then label order).
-    Serves as the ground-truth oracle for the greedy engine.
+    Serves as the ground-truth oracle for the greedy engine.  A universe of
+    n labels with 2^n over MAX_LEPTIN_SUBSETS raises CapacityError before
+    any table is built.
     """
     eps = _epsilon(epsilon)
     count(max_universe, "max_universe")
@@ -255,19 +296,17 @@ def leptin_search_exhaustive(
     universe = H.universe
     if universe is None:
         raise CapacityError(f"{H.name} has no finite universe to enumerate")
-    if len(universe) > max_universe:
+    n = len(universe)
+    if n > max_universe:
+        raise CapacityError(f"universe of size {n} exceeds the cap {max_universe}")
+    if 1 << n > MAX_LEPTIN_SUBSETS:
         raise CapacityError(
-            f"universe of size {len(universe)} exceeds the cap {max_universe}")
+            f"an exhaustive search over {n} labels tabulates {1 << n} subsets; "
+            f"the budget is {MAX_LEPTIN_SUBSETS}")
+    H.check_labels(K)
 
-    best_ratio: Fraction | None = None
-    best_v: tuple[Label, ...] | None = None
-    for size in range(1, len(universe) + 1):
-        for subset in combinations(sorted(universe), size):
-            ratio = leptin_ratio(H, K, subset)
-            if best_ratio is None or ratio < best_ratio:
-                best_ratio = ratio
-                best_v = subset
-    assert best_ratio is not None and best_v is not None
+    best_ratio, best_mask = _subset_minimum(H, K, universe)
+    best_v = tuple(x for i, x in enumerate(universe) if best_mask >> (n - 1 - i) & 1)
     if not best_ratio < 1 + eps:
         raise InternalInvariantError(
             f"exhaustive minimum {best_ratio} does not meet 1 + epsilon = {1 + eps}")
@@ -279,17 +318,63 @@ def leptin_search_exhaustive(
     return cert
 
 
+def _subset_minimum(
+    H: Hypergroup, K: Collection[Label], universe: Sequence[Label]
+) -> tuple[Fraction, int]:
+    """The least ratio h(K*V)/h(V) over nonempty V within a sorted universe, and V's mask.
+
+    Label i is bit n-1-i of a mask, so among masks of one size, descending
+    order is the lexicographic order of the subsets' sorted labels; the
+    minimizer is the one of least size, then largest mask.  Haar masses are
+    scaled to integers by a common denominator (1 on a dual).  Since
+    K*(V | {x}) = K*V | K*x, one doubling pass per bit fills the mask of
+    K*V and the scaled h(V) for all 2^n subsets, and h(K*V) is h at the
+    mask of K*V.  Each float ratio is the correctly rounded quotient of two
+    exact integers, so every exact minimizer has the least float; the float
+    only narrows the candidates, which are compared exactly.
+    """
+    n = len(universe)
+    masses = [H.haar(x) for x in universe]
+    scale = math.lcm(*(q.denominator for q in masses))
+    weights = [int(q * scale) for q in masses]
+    # then int64 holds each product of two sums below, and float64 each sum exactly
+    dtype = np.int64 if sum(weights) ** 2 < INT64_LIMIT else object
+    position = {x: i for i, x in enumerate(universe)}
+    grown = np.zeros(1 << n, dtype=np.int64)  # mask of K*V
+    h_v = np.zeros(1 << n, dtype=dtype)  # scaled h(V)
+    for b in range(n):
+        i = n - 1 - b
+        grown_x = sum(1 << (n - 1 - position[z])
+                      for z in H._support_product(K, (universe[i],)))
+        half = 1 << b
+        np.bitwise_or(grown[:half], grown_x, out=grown[half:2 * half])
+        np.add(h_v[:half], weights[i], out=h_v[half:2 * half])
+    h_kv = h_v[grown]  # scaled h(K*V)
+    ratio = grown.view(np.float64) if dtype is np.int64 else np.empty(1 << n)
+    ratio[0] = np.inf  # V must be nonempty
+    np.true_divide(h_kv[1:], h_v[1:], out=ratio[1:], casting="unsafe")
+
+    near = np.flatnonzero(ratio == ratio.min())
+    num, den = h_kv[near], h_v[near]
+    best = min(Fraction(a, b) for a, b in set(zip(num.tolist(), den.tolist())))
+    winners = near[num * best.denominator == den * best.numerator]
+    sizes = sum((winners >> b) & 1 for b in range(n))
+    return best, int(winners[sizes == sizes.min()].max())
+
+
 def leptin_product(
     certs: Sequence[LeptinCertificate], hypergroup: ProductDual | None = None
 ) -> LeptinCertificate:
     """Combine per-factor certificates into one for the product hypergroup.
 
-    Each factor is re-verified by its own engine, the closed form for an
-    interval factor; one that fails raises UsageError naming its position.
-    V is the cartesian product of the factor sets.  Componentwise fusion
-    makes K*V the product of the factor K_i*V_i, so the ratio is exactly
-    the product of the verified factor ratios, and the certificate's
-    epsilon is the corresponding compounded tolerance.
+    Each factor is re-verified once, by its own engine, the closed form for
+    an interval factor; one that fails raises UsageError naming its
+    position.  V is the cartesian product of the factor sets.  Componentwise
+    fusion makes K*V the product of the factor K_i*V_i, so the ratio is
+    exactly the product of the verified factor ratios, and the certificate's
+    epsilon is the corresponding compounded tolerance.  The product is
+    marked verified from that one pass; its :meth:`~LeptinCertificate.verify`
+    still recomputes every factor from scratch.
     """
     if not certs:
         raise UsageError("at least one factor certificate is required")
@@ -314,6 +399,8 @@ def leptin_product(
         ratio=math.prod(c.ratio for c in certs),
         epsilon=math.prod(1 + c.epsilon for c in certs) - 1,
         hypergroup=H, factors=tuple(certs))
-    if not cert.verify():
+    # each ratio_i < 1 + epsilon_i, so the product is below its compounded bound
+    cert.verified = cert.ratio < 1 + cert.epsilon
+    if not cert.verified:
         raise InternalInvariantError("product certificate failed self-verification")
     return cert

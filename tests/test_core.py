@@ -368,8 +368,8 @@ class TestSu2Budgets:
     @pytest.mark.parametrize("call", [
         lambda: convolve_h(_SU2, FiniteFunction.point(10 ** 6), FiniteFunction.point(10 ** 6)),
         lambda: convolve_h(_SU2, FiniteFunction.point(0), FiniteFunction.point(2 * 10 ** 6)),
-        lambda: support_product(_SU2, [40000], [40000]),
-        lambda: support_product(_SU2, [0], [2 * 10 ** 6]),
+        lambda: support_product(_SU2, range(50000), range(50000)),  # dense: both engines over
+        lambda: support_product(_SU2, [10 ** 6, 10 ** 6 + 2], [10 ** 6]),  # sparse: both over
         lambda: a_norm_su2(FiniteFunction({0: 1, 200000: 1})),
     ])
     def test_guard_fires_before_allocating(self, call):
@@ -390,12 +390,34 @@ class TestSu2Budgets:
         assert support_product(_SU2, [1, 2], [0, 3]) == frozenset({1, 2, 3, 4, 5})
         with pytest.raises(CapacityError):
             convolve_h(_SU2, g, g)
-        with pytest.raises(CapacityError):
-            support_product(_SU2, [3], [0, 3])
+        with pytest.raises(CapacityError):  # and the loops would emit 1 + 6 + 1 + 6 labels
+            support_product(_SU2, [5, 7], [0, 5])
         # labels are checked first, and empty products are not refused
         with pytest.raises(LabelDomainError):
             convolve_h(_SU2, FiniteFunction.point(-1), FiniteFunction.point(99))
         assert convolve_h(_SU2, FiniteFunction.point(99), FiniteFunction({})) == FiniteFunction({})
+
+    def test_sparse_high_labels_take_the_loops(self):
+        # the U-series would do 40001^2 multiply-adds; the loops emit 40001 labels
+        assert duals._fusion_loop_work([40000], [40000]) == 40001
+        got = support_product(_SU2, [40000], [40000])
+        assert got == _support_product_loops(_SU2, [40000], [40000])
+        assert got == frozenset(range(0, 80001, 2))
+        assert support_product(_SU2, [0], [2 * 10 ** 6]) == frozenset({2 * 10 ** 6})
+
+    def test_loop_work_is_the_sum_over_pairs(self):
+        A, B = [3, 7, 10, 10], [0, 5, 12]
+        assert duals._fusion_loop_work(A, B) == sum(min(a, b) + 1 for a in A for b in B)
+
+    def test_loop_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(duals, "MAX_U_PRODUCT_WORK", 12)
+        # U-series work 12 * 4 = 48 is over; the loops emit 4 + 4 labels, and 1 + 4 below
+        assert support_product(_SU2, [3, 11], [3]) == frozenset({0, 2, 4, 6, 8, 10, 12, 14})
+        assert support_product(_SU2, [3], [0, 3]) == frozenset({0, 2, 3, 4, 6})
+        # inputs the U-series takes keep it
+        with mock.patch.object(duals, "_support_product_loops") as loops:
+            assert support_product(_SU2, [1, 2], [0, 3]) == frozenset({1, 2, 3, 4, 5})
+        loops.assert_not_called()
 
     def test_series_degree_budget_boundary(self, monkeypatch):
         monkeypatch.setattr(duals, "MAX_U_SERIES_DEGREE", 4)

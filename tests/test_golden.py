@@ -38,6 +38,19 @@ CASES = [
      ["norms", "--dual", "s3,z4", "--values", "(rho, chi1)=1", "--format", "json"], []),
     ("norms_z4.json",
      ["norms", "--dual", "z4", "--values", "chi0=1;chi1=1", "--format", "json"], []),
+    # the searches: a proper subgroup's V and the whole universe, then both greedy engines
+    ("leptin_exhaustive_s3_z4_chi2.json",
+     ["leptin", "--dual", "s3,z4", "--strategy", "exhaustive", "--K", "triv|chi0,triv|chi2",
+      "--epsilon", "1/2", "--format", "json"], []),
+    ("leptin_exhaustive_s3_z4_rho.json",
+     ["leptin", "--dual", "s3,z4", "--strategy", "exhaustive", "--K", "triv|chi1,rho|chi0",
+      "--epsilon", "1/2", "--format", "json"], []),
+    ("leptin_greedy_s3_z4.json",
+     ["leptin", "--dual", "s3,z4", "--strategy", "greedy", "--K", "rho|chi1,sgn|chi2",
+      "--epsilon", "1/4", "--format", "json"], []),
+    ("leptin_greedy_su2.json",
+     ["leptin", "--dual", "su2", "--strategy", "greedy", "--K", "1,2", "--epsilon", "1/4",
+      "--format", "json"], []),
 ]
 
 

@@ -113,9 +113,8 @@ BAD_COUNTS = [None, True, False, 1.5, 2.0, "3", [1], Fraction(2), 0, -1]
 
 @pytest.fixture(scope="module")
 def duals():
-    # fresh duals: fuse and haar check a label only on a cache miss, and a
-    # warm cache would answer True or 1.0 as it answers 1 (every call below
-    # fails before it caches anything)
+    # every call below fails before it caches anything; TestWarmCache checks
+    # the same labels against caches that hold their equal valid labels
     s3, z4 = (finite_group_dual(builtin_table(name)) for name in ("s3", "z4"))
     return {"su2": su2_dual(), "s3": s3, "s3,z4": product_dual([s3, z4])}
 
@@ -196,6 +195,41 @@ class TestWitnessTermBudget:
     def test_unhashable_point_label(self):
         with pytest.raises(UsageError, match="unhashable"):
             FiniteFunction.point([1])
+
+
+def _warm(*factors):
+    """A fresh dual of the named tables whose fusion and Haar caches hold every label."""
+    tables = [finite_group_dual(builtin_table(name)) for name in factors]
+    H = tables[0] if len(tables) == 1 else product_dual(tables)
+    assert check_axioms(H, H.universe).ok
+    for x in H.universe:
+        H.haar(x)
+    return H
+
+
+class TestWarmCache:
+    """A cache hit accepts exactly what a miss accepts."""
+
+    @pytest.mark.parametrize("factors,label,equal", [
+        (("s3",), True, 1), (("s3",), Fraction(1), 1), (("s3",), 1.0, 1),
+        (("s3", "z4"), (0, True), (0, 1)), (("s3", "z4"), (True, 0), (1, 0)),
+        (("s3", "z4"), (Fraction(2), 3), (2, 3)), (("s3", "z4"), (0, 1.0), (0, 1)),
+        (("s3", "z4"), [0, 1], (0, 1)),
+    ], ids=repr)
+    def test_equal_label_of_another_type_is_refused(self, factors, label, equal):
+        H = _warm(*factors)
+        assert H.fuse(H.identity, equal) and H.haar(equal) and H.fuse(equal, equal)
+        for call in (lambda: H.haar(label), lambda: H.fuse(H.identity, label),
+                     lambda: H.fuse(label, H.identity), lambda: H.fuse(label, equal)):
+            with pytest.raises(LabelDomainError, match="is not a label of"):
+                call()
+
+    def test_an_equal_valid_label_still_hits(self):
+        H = _warm("s3", "z4")
+        x, y = (2, 3), (1, 2)
+        cached = H.fuse(x, y)
+        assert H.fuse(tuple([2, 3]), (1, int("2"))) is cached
+        assert H.haar(tuple([2, 3])) == H.haar(x) == 4
 
 
 class TestExact:

@@ -1,7 +1,12 @@
 """Leptin ratios, closed forms, searches and certificates."""
 
+import json
 import time
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +27,14 @@ from hypergroups import (
     su2_dual,
     su2_interval_ratio,
 )
-from hypergroups import su2num
+from hypergroups import leptin, su2num
+from hypergroups.cli import run
+from hypergroups.core import InternalInvariantError
 from hypergroups.leptin import certificate_from_json_dict, twice_spin
+from oracles import leptin_search_exhaustive_loops, leptin_search_greedy_loops
 
 half = Fraction(1, 2)
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 class TestLeptinRatio:
@@ -371,3 +380,144 @@ class TestProductCertificates:
         finite = leptin_search_exhaustive(H, _subset(data, H), data.draw(_EPSILON))
         prod = leptin_product([interval, finite])
         assert leptin_ratio(prod.hypergroup, prod.K, prod.V) == prod.ratio
+
+
+def _dual(*names):
+    tables = [finite_group_dual(builtin_table(name)) for name in names]
+    return tables[0] if len(tables) == 1 else product_dual(tables)
+
+
+# every bundled dual, and every product of bundled duals with at most 12 labels
+_SEARCH_DUALS = {
+    ",".join(names): _dual(*names)
+    for names in [("z2",), ("z4",), ("s3",), ("q8",),
+                  ("z2", "z2"), ("z2", "z4"), ("z4", "z2"), ("z2", "s3"), ("s3", "z2"),
+                  ("z2", "q8"), ("q8", "z2"), ("s3", "s3"), ("s3", "z4"), ("z4", "s3"),
+                  ("z2", "z2", "z2"), ("z2", "z2", "s3"), ("z2", "s3", "z2"), ("s3", "z2", "z2")]
+}
+_SEARCH_EPSILON = st.fractions(min_value=Fraction(1, 100), max_value=3, max_denominator=100)
+
+
+def _outcome(search, *args, **kwargs):
+    """A search's certificate document, None, or its error type and message."""
+    try:
+        cert = search(*args, **kwargs)
+    except (CapacityError, InternalInvariantError) as exc:
+        return type(exc).__name__, str(exc)
+    return cert if cert is None else cert.to_json_dict()
+
+
+class TestSearchesMatchTheirOracles:
+    """Each certificate equals the direct loops' one: ratio, V, strategy and all."""
+
+    @pytest.mark.parametrize("name", _SEARCH_DUALS)
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_exhaustive(self, name, data):
+        H = _SEARCH_DUALS[name]
+        assert len(H.universe) <= 12
+        K = data.draw(st.sets(st.sampled_from(H.universe), min_size=1, max_size=3))
+        epsilon = data.draw(_SEARCH_EPSILON)
+        got = _outcome(leptin_search_exhaustive, H, K, epsilon)
+        assert got == _outcome(leptin_search_exhaustive_loops, H, K, epsilon)
+
+    @pytest.mark.parametrize("name", _SEARCH_DUALS)
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_greedy(self, name, data):
+        H = _SEARCH_DUALS[name]
+        K = data.draw(st.sets(st.sampled_from(H.universe), min_size=1, max_size=3))
+        epsilon = data.draw(_SEARCH_EPSILON)
+        max_size = data.draw(st.integers(1, 12))
+        got = _outcome(leptin_search_greedy, H, K, epsilon, max_size=max_size)
+        assert got == _outcome(leptin_search_greedy_loops, H, K, epsilon, max_size=max_size)
+
+    @given(K=st.sets(st.integers(0, 6), min_size=1, max_size=3),
+           epsilon=st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=20),
+           max_size=st.integers(1, 24))
+    @settings(max_examples=20, deadline=None)
+    def test_greedy_on_su2(self, K, epsilon, max_size):
+        got = _outcome(leptin_search_greedy, _SU2, K, epsilon, max_size=max_size)
+        assert got == _outcome(leptin_search_greedy_loops, _SU2, K, epsilon, max_size=max_size)
+
+    def test_every_two_label_k_of_the_bench(self, s3_x_z4):
+        # the benchmark's reference holds the loops' certificate for each of them
+        reference = json.loads(REFERENCE.read_text())["finite-products"]["exhaustive"]
+        assert len(reference) == 66
+        for K in combinations(s3_x_z4.universe, 2):
+            cert = leptin_search_exhaustive(s3_x_z4, K, Fraction(1, 4))
+            want = reference[json.dumps([list(x) for x in K], separators=(",", ":"))]
+            assert sorted(cert.V) == [tuple(x) for x in want["V"]]
+            assert cert.ratio == Fraction(want["ratio"]) and cert.verified
+
+    @pytest.mark.parametrize("H,sizes", [(_dual("z4"), range(1, 5)), (_dual("z2", "z4"), (1, 2))],
+                             ids=["z4", "z2,z4"])
+    def test_ties_are_broken_alike(self, H, sizes):
+        # abelian duals: a single label K gives every V ratio 1, so all
+        # 2^n - 1 subsets tie and the tie-break alone picks V
+        for size in sizes:
+            for K in combinations(H.universe, size):
+                got = leptin_search_exhaustive(H, K, 1).to_json_dict()
+                assert got == leptin_search_exhaustive_loops(H, K, 1).to_json_dict()
+
+    def test_tie_break_examples(self, z4):
+        # ratio 1 for {0, 2}, {1, 3} and the whole group; the smallest, then the first
+        cert = leptin_search_exhaustive(z4, {2}, 1)
+        assert sorted(cert.V) == [0] and cert.ratio == 1
+        cert = leptin_search_exhaustive(z4, {0, 2}, 1)
+        assert sorted(cert.V) == [0, 2] and cert.ratio == 1
+        cert = leptin_search_exhaustive(z4, {1, 2}, 1)
+        assert sorted(cert.V) == [0, 1, 2, 3] and cert.ratio == 1
+
+    def test_object_arrays_when_int64_could_overflow(self, s3_x_z4, monkeypatch):
+        monkeypatch.setattr(leptin, "INT64_LIMIT", 0)
+        for K in list(combinations(s3_x_z4.universe, 2))[::22]:
+            got = leptin_search_exhaustive(s3_x_z4, K, 2).to_json_dict()
+            assert got == leptin_search_exhaustive_loops(s3_x_z4, K, 2).to_json_dict()
+
+    def test_certificates_are_verified_by_leptin_ratio(self, s3_x_z4):
+        K = [(2, 1), (1, 2)]
+        with mock.patch.object(leptin, "leptin_ratio", wraps=leptin.leptin_ratio) as ratio:
+            cert = leptin_search_exhaustive(s3_x_z4, K, 1)
+        ratio.assert_called_once_with(s3_x_z4, cert.K, cert.V)
+        with mock.patch.object(leptin, "leptin_ratio", wraps=leptin.leptin_ratio) as ratio:
+            cert = leptin_search_greedy(s3_x_z4, K, Fraction(1, 4))
+        ratio.assert_called_once_with(s3_x_z4, cert.K, cert.V)
+
+
+class TestSubsetBudget:
+    def test_refused_before_allocating(self):
+        H = _dual("s3", "q8", "z2")  # 30 labels, 2^30 subsets
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="tabulates 1073741824 subsets"):
+                leptin_search_exhaustive(H, [H.identity], 1, max_universe=30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_boundary(self, z4, monkeypatch):
+        monkeypatch.setattr(leptin, "MAX_LEPTIN_SUBSETS", 16)
+        assert leptin_search_exhaustive(z4, {1}, 1).ratio == 1
+        with pytest.raises(CapacityError, match="the budget is 16"):
+            leptin_search_exhaustive(_dual("z2", "s3"), [(0, 0)], 1)
+
+    def test_cli_exits_4_at_once(self, tmp_path):
+        start = time.perf_counter()
+        assert run(["leptin", "--dual", "s3,q8,z2", "--strategy", "exhaustive",
+                    "--K", "triv|triv|triv", "--epsilon", "1", "--max-universe", "25",
+                    "--out", str(tmp_path / "out.json")]) == 4
+        assert time.perf_counter() - start < 1.0
+
+
+class TestProductVerifiesOnce:
+    def test_two_finite_factors_cost_two_ratios(self, s3, z4):
+        certs = [leptin_search_greedy(s3, {2}, 2), leptin_search_greedy(z4, {1, 2}, 1)]
+        with mock.patch.object(leptin, "leptin_ratio", wraps=leptin.leptin_ratio) as ratio:
+            prod = leptin_product(certs)
+            assert ratio.call_count == 2
+            assert prod.verified
+            # verify() still recomputes every factor from scratch
+            assert prod.verify()
+            assert ratio.call_count == 4

@@ -262,8 +262,7 @@ def _cmd_leptin(args: argparse.Namespace) -> int:
                     f"greedy search found no witnessing set of size <= {args.max_size}")
             cert = maybe
         else:
-            cert = leptin_search_exhaustive(H, K, epsilon,
-                                            max_universe=args.max_universe)
+            cert = leptin_search_exhaustive(H, K, epsilon)
     doc = cert.to_json_dict()
     pretty = (f"strategy: {doc['strategy']}\nratio: {doc['ratio']} "
               f"(= {float(cert.ratio):.6f})\nepsilon: {doc['epsilon']}\n"
@@ -404,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("interval", "greedy", "exhaustive"),
                    default="greedy")
     p.add_argument("--max-size", type=int, default=64)
-    p.add_argument("--max-universe", type=int, default=20)
     p.set_defaults(fn=_cmd_leptin)
 
     p = sub.add_parser("bump", help="build and verify a plateau function")

@@ -2,9 +2,10 @@
 
 A discrete hypergroup is a set with an identity, an involution ``x -> ~x``
 and a "fusion" rule sending each pair of points to a finitely supported
-probability measure.  Everything here is computed with `fractions.Fraction`,
-so identities such as "fusion masses sum to one" and "h(x) * (d_~x * d_x)(e) = 1"
-are checked by exact equality, never by tolerance.
+probability measure.  Everything here is computed with `fractions.Fraction`
+or integers (cyclotomic fields are integer arrays), so identities such as
+"fusion masses sum to one" and "h(x) * (d_~x * d_x)(e) = 1" are checked by
+exact equality, never by tolerance.
 
 Labels are opaque: each concrete family chooses its own encoding (see
 :mod:`hypergroups.duals`).  The only requirements are hashability and a
@@ -25,9 +26,6 @@ from typing import Any
 import numpy as np
 
 Label = Hashable
-
-EXACT = "exact"
-FLOAT = "float"
 
 INT64_LIMIT = 1 << 63
 
@@ -566,11 +564,75 @@ MAX_LEPTIN_SUBSETS = 1 << 22
 MAX_U_PRODUCT_WORK = 1 << 20
 MAX_U_SERIES_DEGREE = 1 << 10
 
+# Largest degree phi(m) of the cyclotomic field Q(zeta_m) a character table
+# may use, checked before the field is built.  Its product tensor holds
+# phi^3 integers, 2 MB as int64 at 64; Z3 x Z5 x Z7 (m = 105) has degree 48.
+MAX_CYCLOTOMIC_DEGREE = 64
+
 # Most terms a witness chain may have.  The chain law checks every pair of
 # stages, so the time grows with N^2 and a large N never finishes.  Nothing
 # is lost below 64: an interval chain's k2 at least triples per stage, so
 # segal.MAX_INTERVAL_SUPPORT refuses every stage past the 14th at any D.
 MAX_WITNESS_TERMS = 64
+
+
+def cyclotomic_polynomial(m: int) -> list[int]:
+    """Coefficients of the cyclotomic polynomial Phi_m, lowest degree first.
+
+    Phi_m is the product of (x^(m/d) - 1)^mu(d) over the squarefree d | m.
+    Each division p / (x^k - 1) is exact: the power series -p (1 + x^k + ...).
+    """
+    primes = [p for p in range(2, m + 1)
+              if m % p == 0 and all(p % q for q in range(2, math.isqrt(p) + 1))]
+    poly, divisors = [1], []
+    for mask in range(1 << len(primes)):
+        chosen = [p for bit, p in enumerate(primes) if mask >> bit & 1]
+        k = m // math.prod(chosen)
+        if len(chosen) % 2:
+            divisors.append(k)
+        else:
+            poly = [a - b for a, b in zip([0] * k + poly, poly + [0] * k)]
+    for k in divisors:
+        poly = [-sum(poly[i::-k]) for i in range(len(poly) - k)]
+    return poly
+
+
+class CyclotomicField:
+    """Q(zeta_m) on the power basis 1, zeta, .., zeta^(degree-1), as integer arrays.
+
+    Row e of ``reduce`` is x^e mod Phi_m (e < m), so rows a m/d (a < phi(d))
+    carry Q(zeta_d) in by zeta_d = zeta_m^(m/d).  ``mult[a, b]`` = reduce[a + b]
+    multiplies and ``conj``, row a = reduce[-a], conjugates.  ``mu`` (largest
+    sum over a, b of |mult[a, b, k]|) and ``gamma`` (largest column sum of
+    |conj|) enter the overflow bounds.  A degree phi(m) >= sqrt(m / 2) over
+    MAX_CYCLOTOMIC_DEGREE raises CapacityError, for a large m before phi is counted.
+    """
+
+    def __init__(self, m: int):
+        if (m > 2 * MAX_CYCLOTOMIC_DEGREE ** 2
+                or sum(math.gcd(k, m) == 1 for k in range(m)) > MAX_CYCLOTOMIC_DEGREE):
+            raise CapacityError(f"the cyclotomic field of order {m} has degree over "
+                                f"{MAX_CYCLOTOMIC_DEGREE}, the budget")
+        phi_m = cyclotomic_polynomial(m)
+        self.m, self.degree = m, len(phi_m) - 1
+        rows = [[1] + [0] * (self.degree - 1)]
+        for _ in range(m - 1):  # x^(e+1) = x x^e, and x^degree = x^degree - Phi_m
+            rows.append([r - rows[-1][-1] * c for r, c in zip([0] + rows[-1][:-1], phi_m)])
+        self.reduce = np.array(rows, dtype=np.int64)
+        basis = np.arange(self.degree)
+        self.mult, self.conj = self.reduce[np.add.outer(basis, basis) % m], self.reduce[-basis % m]
+        self.mu = int(np.abs(self.mult).sum(axis=(0, 1)).max())
+        self.gamma = int(np.abs(self.conj).sum(axis=0).max())
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products of integer arrays of coefficient vectors (last axis), broadcast."""
+        outer = a[..., :, None] * b[..., None, :]
+        square = self.degree * self.degree
+        return (outer.reshape(*outer.shape[:-2], square)
+                @ self.mult.reshape(square, self.degree).astype(outer.dtype))
+
+
+cyclotomic_field = functools.lru_cache(maxsize=32)(CyclotomicField)
 
 
 def associativity_cost(s: int, t: int, w: int) -> tuple[int, int]:

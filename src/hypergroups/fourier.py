@@ -22,7 +22,6 @@ import numpy as np
 
 from . import su2num
 from .core import (
-    EXACT,
     FiniteFunction,
     Hypergroup,
     InternalInvariantError,
@@ -33,6 +32,7 @@ from .core import (
     support_product,
 )
 from .duals import (
+    ExactComplex,
     Su2Dual,
     central_function,
     dual_character_table,
@@ -94,34 +94,28 @@ def lp_h_norm(H: Hypergroup, f: FiniteFunction, p: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
+def _modulus(z: ExactComplex) -> Fraction | float:
+    """|z|: a Fraction when the exact |z|^2 is a rational square, else its float square root."""
+    square = z.abs_squared()
+    q = square.rational()
+    if q is None:
+        return math.sqrt(square.as_complex().real)
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(num, den) if q == Fraction(num * num, den * den) else math.sqrt(q)
 
 
 def a_norm_exact_finite(dual: Hypergroup, v: FiniteFunction) -> Any:
     """A-norm of v over a finite dual: the L1 class sum of its central function.
 
-    (1/|G|) sum over classes of |c| * |sum_pi v(pi) d_pi chi_pi(c)|; exact
-    whenever the table is exact and every class value has a rational
-    absolute value, otherwise a float.
+    (1/|G|) sum over classes of |c| * |sum_pi v(pi) d_pi chi_pi(c)|, exact
+    when every exact |z|^2 is a rational square, else a float sum whose
+    irrational moduli are the float square roots of the exact |z|^2.
     """
-    values = central_function(dual, v)
     table = dual_character_table(dual)
-    if table.lane == EXACT:
-        moduli = [_rational_sqrt(z.abs_squared()) for z in values]
-        if all(m is not None for m in moduli):
-            total = sum((Fraction(size) * m for size, m in zip(table.class_sizes, moduli)),
-                        Fraction(0))
-            return total / table.group_order
-        values = [z.as_complex() for z in values]
-    total = sum(size * abs(complex(z)) for size, z in zip(table.class_sizes, values))
-    return total / table.group_order
+    moduli = [_modulus(z) for z in central_function(dual, v)]
+    if not all(isinstance(m, Fraction) for m in moduli):
+        moduli = [float(m) for m in moduli]
+    return sum(size * m for size, m in zip(table.class_sizes, moduli)) / table.group_order
 
 
 def _refine_splits(quadrature, tolerance: float) -> float:

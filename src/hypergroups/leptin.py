@@ -280,7 +280,7 @@ def leptin_search_greedy(
 
 
 def leptin_search_exhaustive(
-    H: Hypergroup, K: Collection[Label], epsilon: Any, max_universe: int = 20
+    H: Hypergroup, K: Collection[Label], epsilon: Any
 ) -> LeptinCertificate:
     """Exact ratio minimum over all nonempty subsets of a finite universe.
 
@@ -290,15 +290,12 @@ def leptin_search_exhaustive(
     any table is built.
     """
     eps = _epsilon(epsilon)
-    count(max_universe, "max_universe")
     if not K:
         raise UsageError("K must be nonempty")
     universe = H.universe
     if universe is None:
         raise CapacityError(f"{H.name} has no finite universe to enumerate")
     n = len(universe)
-    if n > max_universe:
-        raise CapacityError(f"universe of size {n} exceeds the cap {max_universe}")
     if 1 << n > MAX_LEPTIN_SUBSETS:
         raise CapacityError(
             f"an exhaustive search over {n} labels tabulates {1 << n} subsets; "

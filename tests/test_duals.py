@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,23 +20,21 @@ from hypergroups import (
     central_function,
     check_axioms,
     finite_group_dual,
+    load_character_table,
     parse_character_table,
     product_dual,
     su2_dual,
 )
-from hypergroups import su2num
+from hypergroups import core, su2num
 from hypergroups.duals import ell_str, flat_irrep_index, su2_u_coefficients
 from hypergroups.fourier import a_norm_su2
 
 half = Fraction(1, 2)
 
 
-def z5_float_table() -> CharacterTable:
-    """Cyclic group of order 5; character values are true complex floats."""
-    w = [complex(math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5))
-         for k in range(5)]
-    irreps = [(1, [w[(j * k) % 5] for k in range(5)], f"chi{j}") for j in range(5)]
-    return CharacterTable(5, [1] * 5, irreps, name="z5")
+def z5_table() -> CharacterTable:
+    """Cyclic group of order 5; its values are the fifth roots of unity, exact in Q(zeta_5)."""
+    return load_character_table(Path(__file__).parent / "tables" / "z5.json")
 
 
 class TestSu2Dual:
@@ -141,9 +140,9 @@ class TestCharacterTable:
         assert z4.conjugate_index(1) == 3
         assert z4.conjugate_index(2) == 2
 
-    def test_float_lane_conjugates(self):
-        z5 = z5_float_table()
-        assert z5.lane == "float"
+    def test_z5_conjugates(self):
+        z5 = z5_table()
+        assert z5.cyclotomic == 5
         assert z5.conjugate_index(1) == 4
         assert z5.conjugate_index(2) == 3
 
@@ -202,14 +201,14 @@ class TestFiniteGroupDual:
         assert z4.involution(1) == 3
         assert z4.involution(3) == 1
 
-    def test_z5_float_dual_involution(self):
-        z5 = finite_group_dual(z5_float_table())
+    def test_z5_dual_involution(self):
+        z5 = finite_group_dual(z5_table())
         f = FiniteFunction.point(1)
         from hypergroups import involute
         assert involute(z5, f) == FiniteFunction.point(4)
 
-    def test_z5_fusion_exact_despite_float_table(self):
-        z5 = finite_group_dual(z5_float_table())
+    def test_z5_fusion_exact(self):
+        z5 = finite_group_dual(z5_table())
         assert z5.fuse(1, 4) == FiniteMeasure.point(0)
         assert check_axioms(z5, z5.universe).ok
 
@@ -270,6 +269,28 @@ class TestProductDual:
         first = prod.character_table()
         assert prod.character_table() is first
         assert calls == [z4.table]
+
+    def test_finite_product_memo_hits_by_identity(self, monkeypatch):
+        # fusion, involution and identity give the universe's own tuples, so no
+        # memo hit falls back to the entry-by-entry type check
+        calls = []
+        same_kind = core._same_kind
+        monkeypatch.setattr(core, "_same_kind",
+                            lambda a, b: calls.append((a, b)) or same_kind(a, b))
+        s3, q8, z2 = (finite_group_dual(builtin_table(name)) for name in ("s3", "q8", "z2"))
+        prod = product_dual([s3, q8, z2])
+        assert check_axioms(prod, prod.universe).ok
+        assert calls == []
+
+    def test_foreign_typed_label_refused_on_a_warm_product(self):
+        s3, z4 = (finite_group_dual(builtin_table(name)) for name in ("s3", "z4"))
+        prod = product_dual([s3, z4])
+        assert check_axioms(prod, prod.universe).ok
+        for bad in ((0, True), (Fraction(0), 1), (0.0, 1)):
+            with pytest.raises(LabelDomainError):
+                prod.fuse(bad, (0, 0))
+            with pytest.raises(LabelDomainError):
+                prod.haar(bad)
 
     def test_tableless_factor_has_no_table(self, s3):
         prod = product_dual([s3, su2_dual()])

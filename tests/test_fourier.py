@@ -152,7 +152,7 @@ class TestANormFinite:
         assert a_norm_exact_finite(s3, ones) == 1
 
     def test_float_fallback_for_irrational_modulus(self, z4):
-        # 1 + i has modulus sqrt(2): forces the float lane of the class sum
+        # 1 + i has modulus sqrt(2): the class sum falls back to floats
         v = FiniteFunction({0: 1, 1: 1})
         value = a_norm_exact_finite(z4, v)
         assert isinstance(value, float)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from hypergroups import (
     CapacityError,
+    ExactComplex,
     FiniteFunction,
     FiniteMeasure,
     HypergroupError,
@@ -105,8 +106,7 @@ COUNT_CALLS = [
      lambda H, n: build_witness(H, [H.identity], "11/10", 2, max_size=n)),
     ("greedy max_size",
      lambda H, n: leptin_search_greedy(H, [H.identity], "1/4", max_size=n)),
-    ("exhaustive max_universe",
-     lambda H, n: leptin_search_exhaustive(H, [H.identity], "1/4", max_universe=n)),
+    ("cyclotomic order", lambda H, n: ExactComplex.cyclotomic(n, [1])),
 ]
 BAD_COUNTS = [None, True, False, 1.5, 2.0, "3", [1], Fraction(2), 0, -1]
 

@@ -160,9 +160,11 @@ class TestExhaustiveSearch:
         with pytest.raises(CapacityError):
             leptin_search_exhaustive(su2, {1}, 1)
 
-    def test_cap_enforced(self, q8):
-        with pytest.raises(CapacityError):
-            leptin_search_exhaustive(q8, {4}, 1, max_universe=3)
+    def test_cap_enforced(self, q8, monkeypatch):
+        # 5 labels tabulate 32 subsets, over a budget of 8
+        monkeypatch.setattr(leptin, "MAX_LEPTIN_SUBSETS", 8)
+        with pytest.raises(CapacityError, match="tabulates 32 subsets; the budget is 8"):
+            leptin_search_exhaustive(q8, {4}, 1)
 
     def test_greedy_meets_epsilon_when_optimum_does(self, s3, q8, z2, z4):
         duals = [s3, q8, z2, z4, product_dual([z2, z4])]
@@ -491,7 +493,7 @@ class TestSubsetBudget:
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="tabulates 1073741824 subsets"):
-                leptin_search_exhaustive(H, [H.identity], 1, max_universe=30)
+                leptin_search_exhaustive(H, [H.identity], 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -506,7 +508,7 @@ class TestSubsetBudget:
     def test_cli_exits_4_at_once(self, tmp_path):
         start = time.perf_counter()
         assert run(["leptin", "--dual", "s3,q8,z2", "--strategy", "exhaustive",
-                    "--K", "triv|triv|triv", "--epsilon", "1", "--max-universe", "25",
+                    "--K", "triv|triv|triv", "--epsilon", "1",
                     "--out", str(tmp_path / "out.json")]) == 4
         assert time.perf_counter() - start < 1.0
 

@@ -1,13 +1,18 @@
-"""The README's library tour runs as written, in a fresh interpreter.
+"""The README's library tour runs as written, in a fresh interpreter, and its
+character-table examples parse and pass the axioms.
 
-A name the library no longer has, left in the tour, fails here.
+A name the library no longer has, left in the tour, fails here, and so does
+a table example the parser no longer reads.
 """
 
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from hypergroups import check_axioms, finite_group_dual, parse_character_table
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,3 +26,14 @@ def test_library_tour_runs():
     result = subprocess.run([sys.executable, "-c", blocks[0]], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_table_format_examples_parse_and_pass_the_axioms():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Character table file format", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```json\n(.*?)```", section, re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        table = parse_character_table(json.loads(block))
+        dual = finite_group_dual(table)
+        assert check_axioms(dual, dual.universe).ok, table.name

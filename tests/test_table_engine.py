@@ -3,9 +3,11 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from importlib import resources
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,27 +16,44 @@ from hypothesis import strategies as st
 
 from hypergroups import (
     CharacterTable,
+    CapacityError,
     ExactComplex,
     InvalidTableError,
     builtin_table,
+    check_axioms,
+    finite_group_dual,
+    load_character_table,
     parse_character_table,
 )
 from hypergroups.cli import run
+from hypergroups.core import cyclotomic_polynomial
 from hypergroups.duals import BUILTIN_TABLES
 
+FIXTURES = Path(__file__).parent / "tables"
 BUNDLED = {name: builtin_table(name) for name in BUILTIN_TABLES}
+# exact tables in Q(zeta_3) and Q(zeta_5), test fixtures rather than bundled tables
+CYCLOTOMIC = {name: load_character_table(FIXTURES / f"{name}.json") for name in ("z3", "z5", "a4")}
+ALL = {**BUNDLED, **CYCLOTOMIC}
 
 
 def tensor_of(*names: str) -> CharacterTable:
-    table = BUNDLED[names[0]]
+    table = ALL[names[0]]
     for name in names[1:]:
-        table = table.tensor(BUNDLED[name])
+        table = table.tensor(ALL[name])
     return table
 
 
 PRODUCTS = [("z2", "z4"), ("s3", "z4"), ("s3", "q8"), ("q8", "z4"), ("z4", "z4"),
-            ("q8", "q8"), ("s3", "q8", "z2"), ("z2", "z2", "z4")]
-TABLES = [(name,) for name in BUILTIN_TABLES] + PRODUCTS
+            ("q8", "q8"), ("s3", "q8", "z2"), ("z2", "z2", "z4"),
+            ("z3", "z5"), ("a4", "z4"), ("z5", "s3")]
+TABLES = [(name,) for name in ALL] + PRODUCTS
+
+
+def table_args(table: CharacterTable, row: int = 0, col: int = 0, shift=0) -> tuple:
+    """Constructor arguments of a table, with ``shift`` added to one entry."""
+    irreps = [(r.dim, list(r.values), r.name) for r in table.irreps]
+    irreps[row][1][col] = irreps[row][1][col] + shift
+    return table.group_order, table.class_sizes, irreps
 
 
 def z5_float_table(corrupt: complex = 0j) -> tuple:
@@ -63,22 +82,20 @@ class TestEngineMatchesLoops:
     @pytest.mark.parametrize("names", TABLES, ids="x".join)
     def test_gram_trivial_and_conjugates(self, names):
         table = tensor_of(*names)
-        gram_re, gram_im = table._gram()
-        denom = table.scale ** 2
+        gram = table._gram()
         for i in range(table.n_irreps):
             for j in range(i, table.n_irreps):
-                assert ExactComplex(Fraction(int(gram_re[i, j]), denom),
-                                    Fraction(int(gram_im[i, j]), denom)) \
+                assert ExactComplex._of(table.cyclotomic, gram[i, j], table.scale ** 2) \
                     == table._inner_loops(i, j)
         assert table._validate() == table._validate_loops()
-        assert table._re.dtype == np.int64
+        assert table._values.dtype == np.int64
 
     @pytest.mark.parametrize("names", TABLES, ids="x".join)
     def test_every_multiplicity(self, names):
         """All n^3 against the factor loops, m((a,b),(c,d),(e,f)) = m(a,c,e) m(b,d,f),
         and a sample of triples against the product's own loops."""
         table = tensor_of(*names)
-        factors = [BUNDLED[name] for name in names]
+        factors = [ALL[name] for name in names]
         loops = [{t: f._multiplicity_loops(*t) for t in product(range(f.n_irreps), repeat=3)}
                  for f in factors]
         shapes = [range(f.n_irreps) for f in factors]
@@ -96,8 +113,31 @@ class TestEngineMatchesLoops:
 
     def test_z4_has_gaussian_values_and_conjugate_rows(self):
         z4 = BUNDLED["z4"]
-        assert z4._im.any()
+        assert z4.cyclotomic == 4 and z4._values[..., 1].any()
         assert z4._validate() == (0, (0, 3, 2, 1))
+
+    def test_product_of_two_fields_lives_in_their_lcm(self):
+        z3xz5 = tensor_of("z3", "z5")
+        assert z3xz5.cyclotomic == 15 and z3xz5._values.shape == (15, 15, 8)
+        assert check_axioms(finite_group_dual(z3xz5), range(15)).ok
+
+    def test_product_past_the_field_budget_is_refused(self):
+        def cyclic(n: int) -> CharacterTable:
+            roots = [ExactComplex.cyclotomic(n, [0] * k + [1]) for k in range(n)]
+            return CharacterTable(n, [1] * n, [(1, [roots[j * k % n] for k in range(n)])
+                                               for j in range(n)], name=f"z{n}")
+
+        z5xz7 = cyclic(5).tensor(cyclic(7))
+        assert z5xz7.cyclotomic == 35 and z5xz7._values.shape[2] == 24
+        # Q(zeta_315) has degree 4 * 6 * 6 = 144, over the budget of 64
+        with pytest.raises(CapacityError, match="order 315 has degree over 64"):
+            z5xz7.tensor(cyclic(9))
+
+    @pytest.mark.parametrize("name", sorted(CYCLOTOMIC))
+    def test_cyclotomic_fixtures_pass_the_axioms(self, name):
+        table = CYCLOTOMIC[name]
+        assert table.cyclotomic == {"z3": 3, "z5": 5, "a4": 3}[name]
+        assert check_axioms(finite_group_dual(table), range(table.n_irreps)).ok
 
     def test_product_table_is_validated_in_full(self, monkeypatch):
         calls = []
@@ -148,7 +188,7 @@ class TestCorruptedTables:
         validate = CharacterTable._validate
 
         def spy(self):
-            dtypes.append(self._re.dtype)
+            dtypes.append(self._values.dtype)
             return validate(self)
 
         monkeypatch.setattr(CharacterTable, "_validate", spy)
@@ -180,19 +220,77 @@ class TestCorruptedTables:
         with pytest.raises(InvalidTableError, match=r"multiplicity \(2,2,0\)"):
             bad.multiplicities(2, 2)
 
-    def test_float_lane_accepts_and_rejects_alike(self, monkeypatch):
-        engine, loops = build_both(z5_float_table(), monkeypatch)
+    def test_z5_accepts_and_rejects_alike(self, monkeypatch):
+        z5 = CYCLOTOMIC["z5"]
+        engine, loops = build_both(table_args(z5), monkeypatch)
         assert engine == loops == (0, (0, 4, 3, 2, 1))
-        for shift in (1e-3, 1e-3j, 0.5):
-            engine, loops = build_both(z5_float_table(shift), monkeypatch)
-            assert isinstance(engine, str) and isinstance(loops, str)
-            assert engine.split(" = ")[0] == loops.split(" = ")[0]
+        for shift in (Fraction(1, 1000), ExactComplex(0, Fraction(1, 1000)), Fraction(1, 2),
+                      ExactComplex.cyclotomic(5, [0, 1])):
+            engine, loops = build_both(table_args(z5, 2, 3, shift), monkeypatch)
+            assert isinstance(engine, str) and engine == loops
 
-    def test_float_lane_multiplicities(self):
-        z5 = CharacterTable(*z5_float_table(), name="z5")
+    def test_z5_multiplicities(self):
+        z5 = CYCLOTOMIC["z5"]
         for i, j in product(range(5), repeat=2):
             assert z5.multiplicities(i, j) == [z5._multiplicity_loops(i, j, k)
                                                for k in range(5)]
+
+    @given(which=st.sampled_from(sorted(ALL)), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_one_coefficient_moved_by_one_over_l(self, which, data):
+        table = ALL[which]
+        row = data.draw(st.integers(0, table.n_irreps - 1))
+        col = data.draw(st.integers(0, len(table.class_sizes) - 1))
+        k = data.draw(st.integers(0, table._values.shape[2] - 1))
+        step = Fraction(data.draw(st.sampled_from([1, -1])), table.scale)
+        shift = ExactComplex.cyclotomic(table.cyclotomic, [0] * k + [step])
+        args = table_args(table, row, col, shift)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            engine, loops = build_both(args, monkeypatch)
+        assert engine == loops
+        if not isinstance(engine, str):
+            moved = CharacterTable(*args)
+            n = moved.n_irreps
+            for i, j in product(range(n), repeat=2):
+                assert moved.multiplicities(i, j) == [moved._multiplicity_loops(i, j, k)
+                                                      for k in range(n)]
+
+
+class TestFloatsRefused:
+    def test_z5_moved_by_1e_7_is_refused(self):
+        # the float values of Z5, one entry moved by 1e-7: exact tables take no floats
+        with pytest.raises(InvalidTableError, match=r"irreps\[0\]\.values\[0\]: .*got complex"):
+            CharacterTable(*z5_float_table(1e-7), name="z5")
+
+    def test_z5_moved_by_1e_7_exits_3(self, tmp_path, capsys):
+        _, classes, irreps = z5_float_table(1e-7)
+        doc = {"name": "z5", "group_order": 5, "classes": classes,
+               "irreps": [{"dim": d, "name": n, "values": [[v.real, v.imag] for v in values]}
+                          for d, values, n in irreps]}
+        path = tmp_path / "z5.json"
+        path.write_text(json.dumps(doc))
+        assert run(["axioms", "--dual", str(path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-table"
+        assert "irreps[0].values[0]: bad rational: exact rational expected, got float" \
+            in err["message"]
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
+    for m in range(1, 61):
+        total = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                total = _poly_mul(total, cyclotomic_polynomial(d))
+        assert total == [-1] + [0] * (m - 1) + [1]
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +337,52 @@ class TestParseTypes:
             parse_character_table(s3_doc(**{path: value}))
 
     def test_out_of_float_range_rational_in_a_float_table(self):
+        # the float component is refused, naming its path; the huge rational is exact
         doc = s3_doc(**{"irreps.2.values.1": [0.0, 0], "irreps.2.values.2": ["1e400", 0]})
-        with pytest.raises(InvalidTableError, match=r"irreps\[2\]\.values\[2\].*float range"):
+        with pytest.raises(InvalidTableError,
+                           match=r"irreps\[2\]\.values\[1\]: .*got float: 0\.0"):
             parse_character_table(doc)
 
     def test_float_table_of_an_order_past_float_range(self):
         doc = {"group_order": 10 ** 400, "classes": [10 ** 400],
                "irreps": [{"dim": 10 ** 200, "values": [[1e200, 0]]}]}
-        with pytest.raises(InvalidTableError, match="out of float range"):
+        with pytest.raises(InvalidTableError,
+                           match=r"irreps\[0\]\.values\[0\]: .*got float: 1e\+200"):
             parse_character_table(doc)
+
+    @pytest.mark.parametrize("edits,message", [
+        ({"cyclotomic": 5}, r"irreps\[0\]\.values\[0\]: expected a list of 5 components"),
+        ({"cyclotomic": 0}, "cyclotomic must be positive"),
+        ({"cyclotomic": True}, "cyclotomic: expected an integer, got bool"),
+        ({"cyclotomic": 2.0}, "cyclotomic: expected an integer, got float"),
+    ])
+    def test_cyclotomic_key_is_typed(self, edits, message):
+        with pytest.raises(InvalidTableError, match=message):
+            parse_character_table(s3_doc(**edits))
+
+    def test_cyclotomic_field_over_budget_is_refused_at_once(self):
+        # phi(127) = 126 is over the budget of 64
+        doc = {"group_order": 1, "classes": [1], "cyclotomic": 127,
+               "irreps": [{"dim": 1, "values": [[1] + [0] * 126]}]}
+        with pytest.raises(CapacityError, match="order 127 has degree over 64"):
+            parse_character_table(doc)
+        start = time.perf_counter()
+        doc["cyclotomic"] = 10 ** 12
+        with pytest.raises(InvalidTableError, match="expected a list of 1000000000000 components"):
+            parse_character_table(doc)
+        with pytest.raises(CapacityError, match="degree over 64"):
+            ExactComplex.cyclotomic(10 ** 12, [1])
+        assert time.perf_counter() - start < 1.0
+
+    def test_declared_field_matches_the_pair_form(self):
+        # [re, im] is c_0 + c_1 zeta_4; with "cyclotomic": 4 the same table has four components
+        doc = bundled_doc("z4")
+        doc["cyclotomic"] = 4
+        for row in doc["irreps"]:
+            row["values"] = [pair + [0, 0] for pair in row["values"]]
+        table = parse_character_table(doc)
+        assert table.irreps == BUNDLED["z4"].irreps
+        assert parse_character_table(table.to_json_dict()).irreps == table.irreps
 
     def test_cli_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
 from collections.abc import Callable, Collection, Hashable, Iterable
 from dataclasses import dataclass, field
@@ -213,16 +212,15 @@ class FiniteMeasure(FiniteFunction):
 class Hypergroup:
     """A discrete hypergroup given by a point-fusion oracle.
 
-    Instances are immutable after construction.  Haar values are memoised
-    per instance, and so is fusion when the universe is finite, so the
-    fusion memo holds at most |U|^2 measures.  A family with a faster exact engine
-    overrides :meth:`_haar_sum`, :meth:`_convolve_exact` and
-    :meth:`_support_product`; the defaults are the generic loops.  Engines
-    trust their labels: the public functions check the labels their caller
-    passed, once, with :meth:`check_labels`, before any engine sees them;
-    :meth:`fuse` and :meth:`haar` check a label on a cache miss, and on a
-    hit whose key differs from the cached one in type (True for 1, 1.0 or
-    (0, True) for (0, 1)), so a hit accepts exactly what a miss accepts.
+    Instances are immutable after construction.  Fusion and Haar values
+    are memoised per instance when the universe is finite, so the memos
+    hold at most |U|^2 measures and |U| masses.  The public functions
+    check the labels their caller passed, once, with :meth:`check_labels`,
+    and then call engines that trust them (:meth:`fuse` calls :meth:`_fuse`
+    and :meth:`haar` calls :meth:`_haar`).
+    A family with a faster exact engine overrides :meth:`_haar`,
+    :meth:`_haar_sum`, :meth:`_convolve_exact` and :meth:`_support_product`;
+    the defaults are the generic loops.
     """
 
     def __init__(
@@ -284,25 +282,17 @@ class Hypergroup:
 
     def fuse(self, x: Label, y: Label) -> FiniteMeasure:
         """The fusion measure d_x * d_y."""
-        key = (x, y)
-        try:
-            cached = self._fusion_cache.get(key)
-        except TypeError:  # an unhashable label, refused by the check below
-            cached = None
-        if cached is not None:
-            cached_x, cached_y, result = cached
-            if (x is cached_x or _same_kind(x, cached_x)) and (
-                    y is cached_y or _same_kind(y, cached_y)):
-                return result
-            # an equal label of another type (True for 1) is checked as on a miss
-            self.check_labels(key)
-            return result
-        self.check_labels(key)
-        result = FiniteMeasure(self._fuse_fn(x, y))
-        if self.is_finite:
-            self._fusion_cache[key] = (x, y, result)
-            if self._commutative:
-                self._fusion_cache[(y, x)] = (y, x, result)
+        self.check_labels((x, y))
+        return self._fuse(x, y)
+
+    def _fuse(self, x: Label, y: Label) -> FiniteMeasure:
+        result = self._fusion_cache.get((x, y))
+        if result is None:
+            result = FiniteMeasure(self._fuse_fn(x, y))
+            if self.is_finite:
+                self._fusion_cache[x, y] = result
+                if self._commutative:
+                    self._fusion_cache[y, x] = result
         return result
 
     def involution(self, x: Label) -> Label:
@@ -311,22 +301,21 @@ class Hypergroup:
 
     def haar(self, x: Label) -> Fraction:
         """Haar mass h(x) = 1 / (d_~x * d_x)(e), normalised so h(e) = 1."""
-        try:
-            cached = self._haar_cache.get(x)
-        except TypeError:  # an unhashable label, refused by involution below
-            cached = None
-        if cached is not None:
-            if not (x is cached[0] or _same_kind(x, cached[0])):
-                self.check_labels((x,))  # as in fuse
-            return cached[1]
-        mass_at_identity = self.fuse(self.involution(x), x).mass(self._identity)
-        if mass_at_identity == 0:
-            raise AxiomViolationError(
-                f"identity not in support of fusion of {self.label_str(x)} with its "
-                f"involute; {self.name} is not a hypergroup"
-            )
-        result = 1 / mass_at_identity
-        self._haar_cache[x] = (x, result)
+        self.check_labels((x,))
+        return self._haar(x)
+
+    def _haar(self, x: Label) -> Fraction:
+        result = self._haar_cache.get(x)
+        if result is None:
+            mass_at_identity = self._fuse(self._involution_fn(x), x).mass(self._identity)
+            if mass_at_identity == 0:
+                raise AxiomViolationError(
+                    f"identity not in support of fusion of {self.label_str(x)} with its "
+                    f"involute; {self.name} is not a hypergroup"
+                )
+            result = 1 / mass_at_identity
+            if self.is_finite:
+                self._haar_cache[x] = result
         return result
 
     def haar_sum(self, labels: Collection[Label]) -> Fraction:
@@ -335,7 +324,7 @@ class Hypergroup:
         return self._haar_sum(labels)
 
     def _haar_sum(self, labels: Collection[Label]) -> Fraction:
-        return sum((self.haar(x) for x in labels), Fraction(0))
+        return sum((self._haar(x) for x in labels), Fraction(0))
 
     def dimension(self, x: Label) -> int:
         """A positive integer weight of x: 1 here, the representation's dimension on a dual.
@@ -359,16 +348,6 @@ class Hypergroup:
         return f"<Hypergroup {self.name} ({size})>"
 
 
-def _same_kind(a: Any, b: Any) -> bool:
-    """Whether a and b, equal labels, also agree in type, tuple entries included."""
-    kind = type(a)
-    if kind is not type(b):
-        return False
-    if kind is tuple and not all(map(operator.is_, a, b)):
-        return all(map(_same_kind, a, b))
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -389,11 +368,11 @@ def _convolve_h_loops(H: Hypergroup, f: FiniteFunction, g: FiniteFunction) -> Fi
     """convolve_h by the defining triple loop over fusion masses."""
     acc: dict[Label, Fraction] = {}
     for x, fx in f.items():
-        hx = H.haar(x)
+        hx = H._haar(x)
         for y, gy in g.items():
-            weight = fx * gy * hx * H.haar(y)
-            for z, mass in H.fuse(x, y).items():
-                acc[z] = acc.get(z, 0) + weight * mass / H.haar(z)
+            weight = fx * gy * hx * H._haar(y)
+            for z, mass in H._fuse(x, y).items():
+                acc[z] = acc.get(z, 0) + weight * mass / H._haar(z)
     return FiniteFunction(acc)
 
 
@@ -418,7 +397,7 @@ def _support_product_loops(
     out: set[Label] = set()
     for x in A:
         for y in B:
-            out.update(H.fuse(x, y).support)
+            out.update(H._fuse(x, y)._value)  # the support, unsorted
     return frozenset(out)
 
 
@@ -490,20 +469,20 @@ def _check_pairs(H: Hypergroup, sample: list[Label]) -> tuple[dict[str, int], li
 
     for x in sample:
         counts["identity"] += 2
-        if H.fuse(e, x) != FiniteMeasure.point(x):
+        if H._fuse(e, x) != FiniteMeasure.point(x):
             failures.append(AxiomFailure("identity", (H.label_str(x),),
                                          "fusion with identity on the left is not a point mass"))
-        if H.fuse(x, e) != FiniteMeasure.point(x):
+        if H._fuse(x, e) != FiniteMeasure.point(x):
             failures.append(AxiomFailure("identity", (H.label_str(x),),
                                          "fusion with identity on the right is not a point mass"))
         counts["inverse_support"] += 1
-        if H.fuse(involution(x), x).mass(e) == 0:
+        if H._fuse(involution(x), x).mass(e) == 0:
             failures.append(AxiomFailure("inverse_support", (H.label_str(x),),
                                          "identity missing from fusion with the involute"))
 
     for x in sample:
         for y in sample:
-            mu = H.fuse(x, y)
+            mu = H._fuse(x, y)
             counts["normalization"] += 1
             total = mu.total()
             if total != 1:
@@ -512,13 +491,13 @@ def _check_pairs(H: Hypergroup, sample: list[Label]) -> tuple[dict[str, int], li
                     f"total mass {total} != 1"))
             counts["involution_antihom"] += 1
             tilde = mu.map_labels(involution)
-            if tilde != H.fuse(involution(y), involution(x)):
+            if tilde != H._fuse(involution(y), involution(x)):
                 failures.append(AxiomFailure(
                     "involution_antihom", (H.label_str(x), H.label_str(y)),
                     "involute of the fusion differs from fusion of the swapped involutes"))
             if H.commutative:
                 counts["commutativity"] += 1
-                if mu != H.fuse(y, x):
+                if mu != H._fuse(y, x):
                     failures.append(AxiomFailure(
                         "commutativity", (H.label_str(x), H.label_str(y)),
                         "fusion is not symmetric"))
@@ -531,8 +510,8 @@ def _associativity_failures_loops(
     """Associativity failures by extending each triple's fusions in Fractions."""
     failures = []
     for x, y, z in triples:
-        left = _fuse_linear(H.fuse(x, y), lambda t: H.fuse(t, z))
-        right = _fuse_linear(H.fuse(y, z), lambda t: H.fuse(x, t))
+        left = _fuse_linear(H._fuse(x, y), lambda t: H._fuse(t, z))
+        right = _fuse_linear(H._fuse(y, z), lambda t: H._fuse(x, t))
         if left != right:
             failures.append(AxiomFailure(
                 "associativity",
@@ -706,9 +685,9 @@ def _associativity_failures(H: Hypergroup, S: list[Label], T: list[Label],
         num, den = m.numerator * c, m.denominator * weight(w)
         return num // den if num % den == 0 else Fraction(num, den)
 
-    ss = [[(weight(x) * weight(y), H.fuse(x, y)) for y in S] for x in S]
-    ts = [[(weight(t) * weight(z), H.fuse(t, z)) for z in S] for t in T]
-    st = [[(weight(x) * weight(t), H.fuse(x, t)) for t in T] for x in S]
+    ss = [[(weight(x) * weight(y), H._fuse(x, y)) for y in S] for x in S]
+    ts = [[(weight(t) * weight(z), H._fuse(t, z)) for z in S] for t in T]
+    st = [[(weight(x) * weight(t), H._fuse(x, t)) for t in T] for x in S]
     masses = [scaled(c, m, w) for rows in (ss, ts, st) for row in rows
               for c, mu in row for w, m in mu.items()]
     scale = math.lcm(*(m.denominator for m in masses))

@@ -212,9 +212,14 @@ class CharacterTable:
                 f"expected group order {self.group_order}")
 
         rows: list[Irrep] = []
+        named: dict[str, int] = {}
         for idx, entry in enumerate(irreps):
             dim, values = entry[0], entry[1]
             irrep_name = entry[2] if len(entry) > 2 and entry[2] else f"pi{idx}"
+            if irrep_name in named:
+                raise InvalidTableError(f"{name}: irreps[{named[irrep_name]}] and irreps[{idx}] "
+                                        f"are both named {irrep_name!r}")
+            named[irrep_name] = idx
             _typed(dim, int, f"{name}: irreps[{idx}].dim")
             if dim <= 0:
                 raise InvalidTableError(f"{name}: irreps[{idx}] has dimension {dim}")
@@ -602,8 +607,7 @@ class Su2Dual(Hypergroup):
         return {r: Fraction(r + 1, denom)
                 for r in range(abs(n1 - n2), n1 + n2 + 1, 2)}
 
-    def haar(self, x: int) -> Fraction:
-        self.check_labels((x,))
+    def _haar(self, x: int) -> Fraction:
         return Fraction((x + 1) * (x + 1))
 
     def dimension(self, x: int) -> int:
@@ -748,7 +752,6 @@ class ProductDual(Hypergroup):
         if all(f.is_finite for f in self.factors):
             universe = [tuple(labels) for labels in
                         iter_product(*(f.universe for f in self.factors))]
-        self._own = {x: x for x in universe or ()}
         arity = len(self.factors)
 
         def valid(x: Any) -> bool:
@@ -758,9 +761,8 @@ class ProductDual(Hypergroup):
         super().__init__(
             name=" x ".join(f.name for f in self.factors),
             fuse=self._rule,
-            involution=lambda x: self._own_label(
-                tuple(f.involution(p) for f, p in zip(self.factors, x))),
-            identity=self._own_label(tuple(f.identity for f in self.factors)),
+            involution=lambda x: tuple(f.involution(p) for f, p in zip(self.factors, x)),
+            identity=tuple(f.identity for f in self.factors),
             commutative=all(f.commutative for f in self.factors),
             universe=universe,
             validator=valid,
@@ -769,19 +771,15 @@ class ProductDual(Hypergroup):
         )
 
     def _rule(self, x: tuple, y: tuple) -> dict[tuple, Fraction]:
-        parts = [f.fuse(a, b).items() for f, a, b in zip(self.factors, x, y)]
+        parts = [f._fuse(a, b).items() for f, a, b in zip(self.factors, x, y)]
         out = {}
         for combo in iter_product(*parts):
             label = tuple(entry[0] for entry in combo)
             mass = Fraction(1)
             for entry in combo:
                 mass *= entry[1]
-            out[self._own_label(label)] = mass
+            out[label] = mass
         return out
-
-    def _own_label(self, x: tuple) -> tuple:
-        """The finite universe's own tuple equal to x, so memo hits pass the identity test."""
-        return self._own.get(x, x)
 
     def dimension(self, x: tuple) -> int:
         self.check_labels((x,))

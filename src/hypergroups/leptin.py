@@ -250,7 +250,7 @@ def leptin_search_greedy(
         V.add(c)
         KV.update(new)
         h_kv += H._haar_sum(new)
-        h_v += H.haar(c)
+        h_v += H._haar(c)
         pool.update(H._support_product(V.union(K), (c,)))
         if not H.commutative:
             pool.update(H._support_product((c,), V))
@@ -274,7 +274,7 @@ def leptin_search_greedy(
         candidates = sorted(pool - V)
         if not candidates:
             return None
-        ratio, best = min(((h_kv + H._haar_sum(grow(c) - KV)) / (h_v + H.haar(c)), c)
+        ratio, best = min(((h_kv + H._haar_sum(grow(c) - KV)) / (h_v + H._haar(c)), c)
                           for c in candidates)
         add(best)
 
@@ -331,7 +331,7 @@ def _subset_minimum(
     only narrows the candidates, which are compared exactly.
     """
     n = len(universe)
-    masses = [H.haar(x) for x in universe]
+    masses = [H._haar(x) for x in universe]
     scale = math.lcm(*(q.denominator for q in masses))
     weights = [int(q * scale) for q in masses]
     # then int64 holds each product of two sums below, and float64 each sum exactly
@@ -366,12 +366,14 @@ def leptin_product(
 
     Each factor is re-verified once, by its own engine, the closed form for
     an interval factor; one that fails raises UsageError naming its
-    position.  V is the cartesian product of the factor sets.  Componentwise
-    fusion makes K*V the product of the factor K_i*V_i, so the ratio is
-    exactly the product of the verified factor ratios, and the certificate's
-    epsilon is the corresponding compounded tolerance.  The product is
-    marked verified from that one pass; its :meth:`~LeptinCertificate.verify`
-    still recomputes every factor from scratch.
+    position, as does, when ``hypergroup`` is given, one that is not on the
+    factor at its position.  V is the cartesian product of the factor
+    sets.  Componentwise fusion makes K*V the product of the factor
+    K_i*V_i, so the ratio is exactly the product of the verified factor
+    ratios, and the certificate's epsilon is the corresponding compounded
+    tolerance.  The product is marked verified from that one pass; its
+    :meth:`~LeptinCertificate.verify` still recomputes every factor from
+    scratch.
     """
     if not certs:
         raise UsageError("at least one factor certificate is required")
@@ -385,6 +387,10 @@ def leptin_product(
             raise UsageError(
                 f"arity mismatch: product has {len(hypergroup.factors)} factors, "
                 f"got {len(certs)} certificates")
+        for position, (c, factor) in enumerate(zip(certs, hypergroup.factors)):
+            if c.hypergroup is not factor:
+                raise UsageError(f"certs[{position}] is a certificate on {c.hypergroup.name}, "
+                                 f"not on factor {position} of {hypergroup.name}")
         H = hypergroup
     else:
         H = product_dual([c.hypergroup for c in certs])

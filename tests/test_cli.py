@@ -147,6 +147,21 @@ class TestIngestTable:
         assert code == 3
         assert json.loads(err)["error"] == "invalid-table"
 
+    def test_duplicate_irrep_names_exit_3(self, tmp_path, capsys):
+        # once loaded, the JSON masses would keep 2 of 3 rows and "a" name the first
+        dup = tmp_path / "dup.json"
+        dup.write_text(json.dumps({
+            "group_order": 6, "classes": [1, 3, 2],
+            "irreps": [{"dim": 1, "name": "a", "values": [[1, 0], [1, 0], [1, 0]]},
+                       {"dim": 1, "name": "a", "values": [[1, 0], [-1, 0], [1, 0]]},
+                       {"dim": 2, "name": "rho", "values": [[2, 0], [0, 0], [-1, 0]]}],
+        }))
+        code, out, err = run_cli(capsys, "haar", "--dual", str(dup), "--format", "json")
+        assert code == 3 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "invalid-table"
+        assert "irreps[0] and irreps[1] are both named 'a'" in error["message"]
+
 
 class TestCommands:
     def test_haar_su2(self, capsys):

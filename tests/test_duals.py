@@ -126,6 +126,18 @@ class TestCharacterTable:
         with pytest.raises(InvalidTableError, match="^s3: " + path):
             CharacterTable(order, sizes, [(d, r) for d, r in zip(dims, rows)], name="s3")
 
+    @pytest.mark.parametrize("names,message", [
+        (["a", "a", "rho"], r"irreps\[0\] and irreps\[1\] are both named 'a'"),
+        (["triv", "pi2", None], r"irreps\[1\] and irreps\[2\] are both named 'pi2'"),
+        ([None, "pi0", "rho"], r"irreps\[0\] and irreps\[1\] are both named 'pi0'"),
+    ], ids=["explicit", "explicit-then-default", "default-then-explicit"])
+    def test_duplicate_irrep_names_refused(self, names, message):
+        # a default name pi<idx> (None) collides with an explicit one as any name does
+        rows = [(1, [1, 1, 1]), (1, [1, -1, 1]), (2, [2, 0, -1])]
+        with pytest.raises(InvalidTableError, match="^s3: " + message):
+            CharacterTable(6, [1, 3, 2], [(d, r, n) for (d, r), n in zip(rows, names)],
+                           name="s3")
+
     def test_missing_trivial_irrep(self):
         i = ExactComplex(Fraction(0), Fraction(1))
         with pytest.raises(InvalidTableError, match="trivial"):
@@ -270,17 +282,16 @@ class TestProductDual:
         assert prod.character_table() is first
         assert calls == [z4.table]
 
-    def test_finite_product_memo_hits_by_identity(self, monkeypatch):
-        # fusion, involution and identity give the universe's own tuples, so no
-        # memo hit falls back to the entry-by-entry type check
+    def test_axioms_check_labels_per_label_not_per_pair(self, monkeypatch):
+        # the engines trust the checked sample: the 900 fused pairs add no checks
         calls = []
-        same_kind = core._same_kind
-        monkeypatch.setattr(core, "_same_kind",
-                            lambda a, b: calls.append((a, b)) or same_kind(a, b))
+        check = core.Hypergroup.check_labels
+        monkeypatch.setattr(core.Hypergroup, "check_labels",
+                            lambda self, labels: calls.append(self) or check(self, labels))
         s3, q8, z2 = (finite_group_dual(builtin_table(name)) for name in ("s3", "q8", "z2"))
         prod = product_dual([s3, q8, z2])
         assert check_axioms(prod, prod.universe).ok
-        assert calls == []
+        assert len(calls) <= 10 * len(prod.universe)
 
     def test_foreign_typed_label_refused_on_a_warm_product(self):
         s3, z4 = (finite_group_dual(builtin_table(name)) for name in ("s3", "z4"))

@@ -51,6 +51,14 @@ CASES = [
     ("leptin_greedy_su2.json",
      ["leptin", "--dual", "su2", "--strategy", "greedy", "--K", "1,2", "--epsilon", "1/4",
       "--format", "json"], []),
+    # the haar command, and convolve both weighted and by point fusion
+    ("haar_s3_z4.json", ["haar", "--dual", "s3,z4", "--format", "json"], []),
+    ("convolve_su2_weighted.json",
+     ["convolve", "--dual", "su2", "--x", "1", "--y", "3/2", "--weighted", "--format", "json"],
+     []),
+    ("convolve_s3_z4.json",
+     ["convolve", "--dual", "s3,z4", "--x", "rho|chi1", "--y", "rho|chi3", "--format", "json"],
+     []),
 ]
 
 

@@ -224,6 +224,22 @@ class TestWarmCache:
             with pytest.raises(LabelDomainError, match="is not a label of"):
                 call()
 
+    @pytest.mark.parametrize("make,one,bad", [
+        (su2_dual, 1, [True, Fraction(1), 1.0]),
+        (lambda: product_dual([su2_dual(), finite_group_dual(builtin_table("s3"))]),
+         (1, 0), [(True, 0), (1, 0.0), (Fraction(1), 0)]),
+    ], ids=["su2", "su2 x s3"])
+    def test_infinite_universe_refuses_and_keeps_no_memo(self, make, one, bad):
+        # su2-hat has its own Haar engine; both memos stay empty on an infinite universe
+        H = make()
+        assert H.haar(one) == 4 and H.fuse(one, one).total() == 1
+        for label in bad:
+            for call in (lambda: H.haar(label), lambda: H.fuse(label, H.identity),
+                         lambda: H.fuse(H.identity, label)):
+                with pytest.raises(LabelDomainError, match="is not a label of"):
+                    call()
+        assert H._fusion_cache == {} and H._haar_cache == {}
+
     def test_an_equal_valid_label_still_hits(self):
         H = _warm("s3", "z4")
         x, y = (2, 3), (1, 2)

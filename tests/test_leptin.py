@@ -351,6 +351,19 @@ class TestProductCertificates:
         with pytest.raises(UsageError):
             leptin_product([cert], hypergroup=prod_h)
 
+    def test_certificate_of_another_hypergroup_is_refused(self, s3, z4, q8, z2):
+        # the arities agree, but K = {(2, 3)} is not a set of labels of q8-hat x z2-hat
+        certs = [leptin_search_greedy(s3, {2}, 2), leptin_search_greedy(z4, {3}, 2)]
+        with pytest.raises(UsageError, match=r"^certs\[0\] is a certificate on s3-hat"):
+            leptin_product(certs, hypergroup=product_dual([q8, z2]))
+        with pytest.raises(UsageError, match=r"^certs\[1\] is a certificate on z4-hat"):
+            leptin_product(certs, hypergroup=product_dual([s3, z2]))
+        # an equal but distinct factor dual is another hypergroup
+        with pytest.raises(UsageError, match=r"^certs\[1\]"):
+            leptin_product(certs, hypergroup=product_dual([s3, finite_group_dual(z4.table)]))
+        prod = leptin_product(certs, hypergroup=product_dual([s3, z4]))
+        assert prod.verified and leptin_ratio(prod.hypergroup, prod.K, prod.V) == prod.ratio
+
     def test_witness_size_interval_factor(self, su2, s3):
         # stage 4 of the D = 1.1 chain: the generic ratio's U-series product
         # (1889 x 28780 multiply-adds) is over budget, the closed form is not

@@ -332,8 +332,12 @@ class Hypergroup:
         On a dual, dim(x) dim(y) / dim(z) (d_x * d_y)(z) is the integer
         multiplicity of z in x (x) y; the associativity contraction scales
         every fusion mass by these weights (see :func:`_associativity_failures`).
+        A family overrides the unchecked :meth:`_dimension`.
         """
         self.check_labels((x,))
+        return self._dimension(x)
+
+    def _dimension(self, x: Label) -> int:
         return 1
 
     def _convolve_exact(self, f: "FiniteFunction", g: "FiniteFunction") -> "FiniteFunction":
@@ -655,7 +659,7 @@ def _associativity_failures(H: Hypergroup, S: list[Label], T: list[Label],
 
     T is the support of S*S and W that of T*S and S*T.  The oracle is
     called once for each pair of S x S, T x S and S x T.  Each mass is
-    scaled by the weights a = H.dimension, n_xy(w) = a_x a_y (d_x * d_y)(w) / a_w,
+    scaled by the weights a = H._dimension, n_xy(w) = a_x a_y (d_x * d_y)(w) / a_w,
     and then to an integer over the common denominator L of the scaled masses:
 
         P[x, y, t] = L n_xy(t),  Q[t, z, w] = L n_tz(w),  R[x, t, w] = L n_xt(w),
@@ -677,7 +681,7 @@ def _associativity_failures(H: Hypergroup, S: list[Label], T: list[Label],
 
     def weight(x: Label) -> int:
         if x not in weights:
-            weights[x] = H.dimension(x)
+            weights[x] = H._dimension(x)
         return weights[x]
 
     def scaled(c: int, m: Fraction, w: Label) -> int | Fraction:

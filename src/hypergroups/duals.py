@@ -13,7 +13,10 @@ Three families are provided:
 Fusion coefficients are always exact rationals.  Character values are
 exact elements of a cyclotomic field Q(zeta_m), kept as integer
 coefficients over one common denominator, so tensor multiplicities are
-exact integers for every table.
+exact integers for every table.  :func:`central_function` takes the class
+values of a product of finite duals from the factor tables, one
+contraction per factor, with classes row-major over the factors; a finite
+dual is the product of one factor.
 """
 
 from __future__ import annotations
@@ -415,35 +418,6 @@ class CharacterTable:
         """[multiplicity(i, j, k) for every k], as one contraction."""
         return self._tensor_inner(i, j, list(range(self.n_irreps)))
 
-    def tensor(self, other: "CharacterTable") -> "CharacterTable":
-        """Character table of the direct product of the two groups.
-
-        Row (a, b) and class (c, d) hold chi_a(c) chi_b(d) in Q(zeta_m), m the
-        lcm of the factors' orders: each factor's array is carried there by
-        zeta_(m_i) = zeta_m^(m/m_i), an integer matrix E_i, and the two are
-        multiplied by M over the scale L_1 L_2.  With e_i the largest column
-        sum of |E_i| and A_i the largest |entry| of X_i, every entry and
-        partial sum is at most mu e_1 e_2 A_1 A_2, which picks int64 or
-        object arrays.  The result is built from its values, as every table
-        is, and validated in full.
-        """
-        field = cyclotomic_field(math.lcm(self.cyclotomic, other.cyclotomic))
-        parts = [(t._values, field.reduce[np.arange(t._field.degree) * (field.m // t.cyclotomic)])
-                 for t in (self, other)]
-        bound = field.mu * math.prod(int(np.abs(e).sum(axis=0).max()) * int(np.abs(x).max())
-                                     for x, e in parts)
-        kind = np.int64 if bound < INT64_LIMIT else object
-        a, b = (x.astype(kind) @ e.astype(kind) for x, e in parts)
-        products = field.product(a[:, None, :, None], b[None, :, None, :])
-        values = [[ExactComplex._of(field.m, v, self.scale * other.scale) for v in row] for row in
-                  products.reshape(self.n_irreps * other.n_irreps, -1, field.degree).tolist()]
-        sizes = [a * b for a in self.class_sizes for b in other.class_sizes]
-        heads = [(r1.dim * r2.dim, f"{r1.name}*{r2.name}")
-                 for r1 in self.irreps for r2 in other.irreps]
-        return CharacterTable(self.group_order * other.group_order, sizes,
-                              [(d, v, n) for (d, n), v in zip(heads, values)],
-                              name=f"{self.name}x{other.name}")
-
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -610,8 +584,7 @@ class Su2Dual(Hypergroup):
     def _haar(self, x: int) -> Fraction:
         return Fraction((x + 1) * (x + 1))
 
-    def dimension(self, x: int) -> int:
-        self.check_labels((x,))
+    def _dimension(self, x: int) -> int:
         return x + 1
 
     def check_labels(self, labels: Iterable[Any]) -> None:
@@ -723,8 +696,7 @@ class FiniteDual(Hypergroup):
         return {k: Fraction(m * dims[k], denom)
                 for k, m in enumerate(self.table.multiplicities(i, j)) if m}
 
-    def dimension(self, x: int) -> int:
-        self.check_labels((x,))
+    def _dimension(self, x: int) -> int:
         return self.table.dims[x]
 
 
@@ -761,7 +733,7 @@ class ProductDual(Hypergroup):
         super().__init__(
             name=" x ".join(f.name for f in self.factors),
             fuse=self._rule,
-            involution=lambda x: tuple(f.involution(p) for f, p in zip(self.factors, x)),
+            involution=lambda x: tuple(f._involution_fn(p) for f, p in zip(self.factors, x)),
             identity=tuple(f.identity for f in self.factors),
             commutative=all(f.commutative for f in self.factors),
             universe=universe,
@@ -781,52 +753,31 @@ class ProductDual(Hypergroup):
             out[label] = mass
         return out
 
-    def dimension(self, x: tuple) -> int:
-        self.check_labels((x,))
-        return math.prod(f.dimension(p) for f, p in zip(self.factors, x))
+    def _dimension(self, x: tuple) -> int:
+        return math.prod(f._dimension(p) for f, p in zip(self.factors, x))
 
     def character_table(self) -> CharacterTable | None:
-        """Tensor table when every factor is table-backed, else None.
+        """The product group's table when every factor is table-backed, else None.
 
-        Built on the first call and kept: later calls return the same object.
+        Row x holds :func:`central_function` of the point mass at x over
+        dim(x), classes row-major over the factors; the table is validated
+        in full like every other.  Built on the first call and kept: later
+        calls return the same object.
         """
         if self._table is _UNBUILT:
-            tables = [dual_character_table(f) for f in self.factors]
-            table = None
-            if all(t is not None for t in tables):
-                table = tables[0]
-                for t in tables[1:]:
-                    table = table.tensor(t)
-            self._table = table
+            tables = _factor_tables(self)
+            self._table = None if tables is None else CharacterTable(
+                math.prod(t.group_order for t in tables), _class_sizes(tables),
+                [(self._dimension(x), [ExactComplex._of(z.m, z.nums, z.den * self._dimension(x))
+                                       for z in central_function(self, FiniteFunction.point(x))],
+                  "*".join(t.irreps[i].name for t, i in zip(tables, _irreps(self, x))))
+                 for x in self.universe],
+                name="x".join(t.name for t in tables))
         return self._table
 
 
 def product_dual(factors: Sequence[Hypergroup]) -> ProductDual:
     return ProductDual(factors)
-
-
-def dual_character_table(H: Hypergroup) -> CharacterTable | None:
-    """The character table behind a dual, when there is one."""
-    if isinstance(H, FiniteDual):
-        return H.table
-    if isinstance(H, ProductDual):
-        return H.character_table()
-    return None
-
-
-def flat_irrep_index(H: Hypergroup, label: Label) -> int:
-    """Row index of a dual label in the dual's (tensor) character table."""
-    if isinstance(H, FiniteDual):
-        return label
-    if isinstance(H, ProductDual):
-        idx = 0
-        for factor, part in zip(H.factors, label):
-            table = dual_character_table(factor)
-            if table is None:
-                raise UsageError(f"{factor!r} has no character table")
-            idx = idx * table.n_irreps + flat_irrep_index(factor, part)
-        return idx
-    raise UsageError(f"{H!r} has no character table")
 
 
 # ---------------------------------------------------------------------------
@@ -853,23 +804,58 @@ def su2_u_coefficients(v: FiniteFunction) -> np.ndarray:
     return coeffs
 
 
+def _factor_tables(dual: Hypergroup) -> list[CharacterTable] | None:
+    """The tables behind a dual, one per finite factor of a (nested) product, else None."""
+    if isinstance(dual, FiniteDual):
+        return [dual.table]
+    if isinstance(dual, ProductDual):
+        tables = [_factor_tables(f) for f in dual.factors]
+        return None if None in tables else [t for ts in tables for t in ts]
+    return None
+
+
+def _irreps(dual: Hypergroup, x: Label) -> tuple[int, ...]:
+    """The irrep index of x in each of :func:`_factor_tables`."""
+    if isinstance(dual, ProductDual):
+        return tuple(i for f, p in zip(dual.factors, x) for i in _irreps(f, p))
+    return (x,)
+
+
+def _class_sizes(tables: Sequence[CharacterTable]) -> list[int]:
+    """The class sizes of the product group, classes row-major over the factors."""
+    return [math.prod(sizes) for sizes in iter_product(*(t.class_sizes for t in tables))]
+
+
 def central_function(dual: Hypergroup, v: FiniteFunction) -> tuple[ExactComplex, ...]:
     """The class values of sum_pi v(pi) d_pi chi_pi, the central function behind v.
 
-    ``dual`` is a :class:`FiniteDual` or a table-backed :class:`ProductDual`.
-    The tuple holds one exact value per conjugacy class, in the table's
-    field: the integer weights L' v(pi) d_pi, over their common denominator
-    L', contract with the table's integer array in one product.
+    ``dual`` is a :class:`FiniteDual` or a product of them, nested or not;
+    a finite dual is the product of one factor.  The tuple holds one exact
+    value per conjugacy class, classes row-major over the factors.  The
+    integer weights L' v(pi) d_pi, over their common denominator L', form
+    an array with one axis per factor table; each table's integer array,
+    carried into Q(zeta_m) (m the lcm of the tables' orders) by
+    zeta_(m_i) = zeta_m^(m/m_i), contracts away its irrep axis in turn, so
+    no product table is built.
     """
-    table = dual_character_table(dual)
-    if table is None:
+    tables = _factor_tables(dual)
+    if tables is None:
         raise UsageError(f"no class-function evaluation for {dual!r}")
     dual.check_labels(v.support)
-    if isinstance(dual, ProductDual):
-        v = FiniteFunction({flat_irrep_index(dual, x): value for x, value in v.items()})
+    field = cyclotomic_field(math.lcm(*(t.cyclotomic for t in tables)))
     den = math.lcm(*(q.denominator for _, q in v.items()))
-    weights = np.zeros(table.n_irreps, dtype=object)
-    for i, q in v.items():
-        weights[i] = q.numerator * (den // q.denominator) * table.dims[i]
-    sums = np.tensordot(weights, table._values.astype(object), axes=1)
-    return tuple(ExactComplex._of(table.cyclotomic, row, den * table.scale) for row in sums)
+    # axes: one per table's irreps, then the classes contracted so far, then Q(zeta_m)
+    sums = np.zeros([t.n_irreps for t in tables] + [1, field.degree], dtype=object)
+    for x, q in v.items():
+        parts = _irreps(dual, x)
+        sums[(*parts, 0, 0)] = q.numerator * (den // q.denominator) * math.prod(
+            t.dims[i] for t, i in zip(tables, parts))
+    square = field.mult.reshape(-1, field.degree).astype(object)
+    for t in tables:
+        lift = field.reduce[np.arange(t._field.degree) * (field.m // t.cyclotomic)]
+        values = t._values.astype(object) @ lift.astype(object)  # (irreps, classes, degree)
+        # the leading irrep axis against the table: one field product per pair of classes
+        outer = np.moveaxis(np.tensordot(sums, values, axes=(0, 0)), -3, -2)
+        sums = outer.reshape(*outer.shape[:-4], -1, field.degree ** 2) @ square
+    scale = den * math.prod(t.scale for t in tables)
+    return tuple(ExactComplex._of(field.m, row, scale) for row in sums)

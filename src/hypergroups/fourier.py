@@ -3,7 +3,9 @@
 The Fourier space A(H) of a dual hypergroup is isometric to the center of
 the group algebra, so its norm is computed as the L1 norm of the central
 function sum_pi v(pi) d_pi chi_pi: an exact conjugacy-class sum for finite
-duals, a Weyl-measure integral on the maximal torus for the dual of SU(2).
+duals and their products (class values from the factor tables, class sizes
+and group order the products of the factors'), a Weyl-measure integral on
+the maximal torus for the dual of SU(2).
 
 Plateau functions u = (1/h(V)) 1_{K*V} *_h ~1_V are nonnegative, equal 1 on
 K, are supported in K*V*~V, and carry the certified norm bound
@@ -34,8 +36,9 @@ from .core import (
 from .duals import (
     ExactComplex,
     Su2Dual,
+    _class_sizes,
+    _factor_tables,
     central_function,
-    dual_character_table,
     su2_u_coefficients,
 )
 
@@ -109,13 +112,16 @@ def a_norm_exact_finite(dual: Hypergroup, v: FiniteFunction) -> Any:
 
     (1/|G|) sum over classes of |c| * |sum_pi v(pi) d_pi chi_pi(c)|, exact
     when every exact |z|^2 is a rational square, else a float sum whose
-    irrational moduli are the float square roots of the exact |z|^2.
+    irrational moduli are the float square roots of the exact |z|^2.  On a
+    product, |c| and |G| are the products of the factors' class sizes and
+    group orders.
     """
-    table = dual_character_table(dual)
     moduli = [_modulus(z) for z in central_function(dual, v)]
     if not all(isinstance(m, Fraction) for m in moduli):
         moduli = [float(m) for m in moduli]
-    return sum(size * m for size, m in zip(table.class_sizes, moduli)) / table.group_order
+    tables = _factor_tables(dual)
+    return (sum(size * m for size, m in zip(_class_sizes(tables), moduli))
+            / math.prod(t.group_order for t in tables))
 
 
 def _refine_splits(quadrature, tolerance: float) -> float:

@@ -1,18 +1,28 @@
-"""Reference engines for the Leptin searches, kept as test oracles.
+"""Reference engines, kept as test oracles.
 
-These are the direct loops that `hypergroups.leptin` replaced: the greedy
-search re-derives each candidate's ratio with :func:`leptin_ratio`, and the
-exhaustive search calls it on every subset in ``combinations`` order.  The
-tests compare the library's engines with them certificate by certificate.
+The Leptin searches: these are the direct loops that `hypergroups.leptin`
+replaced.  The greedy search re-derives each candidate's ratio with
+:func:`leptin_ratio`, and the exhaustive search calls it on every subset in
+``combinations`` order.  The tests compare the library's engines with them
+certificate by certificate.
+
+Product tables: :func:`kronecker_table` builds the character table of a
+direct product value by value, as the Kronecker product of the factors'
+tables, so the class functions that the library contracts from the factor
+tables can be checked against one table of the whole group.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Collection
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
+from operator import mul
 from typing import Any
 
+from hypergroups import CharacterTable
 from hypergroups.core import (
     CapacityError,
     Hypergroup,
@@ -87,3 +97,19 @@ def leptin_search_exhaustive_loops(
     if not cert.verify():
         raise InternalInvariantError("exhaustive certificate failed self-verification")
     return cert
+
+
+def kronecker_table(*tables: CharacterTable) -> CharacterTable:
+    """The character table of the direct product of the tables' groups.
+
+    Row (a, b, ..) holds chi_a(c) chi_b(d) .. at class (c, d, ..), each a
+    product of ExactComplex values; rows and classes run row-major over the
+    factors.  The constructor validates the result like any table.
+    """
+    rows = []
+    for irreps in product(*(t.irreps for t in tables)):
+        values = [reduce(mul, parts) for parts in product(*(r.values for r in irreps))]
+        rows.append((math.prod(r.dim for r in irreps), values, "*".join(r.name for r in irreps)))
+    sizes = [math.prod(parts) for parts in product(*(t.class_sizes for t in tables))]
+    return CharacterTable(math.prod(t.group_order for t in tables), sizes, rows,
+                          name="x".join(t.name for t in tables))

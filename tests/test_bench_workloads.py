@@ -6,10 +6,16 @@ a benchmark pass refuses an operation whose observation differs from
 seed and compares them the same way, so a change that alters an output
 fails here, before any benchmark run.  The module is loaded read-only by
 its path, as ``test_bench_names.py`` loads ``tracing.py``.
+
+A traced pass wraps library functions for the whole process, so the traced
+check runs in a subprocess.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +46,49 @@ def test_workload_matches_reference(workload, tmp_path):
     for op_name, ref_path, op in ops_of(state):
         expected = workloads.reference_entry(REFERENCE, workload, ref_path)
         assert workloads.compare(op(hypergroups, state), expected) == [], op_name
+
+
+# Installs the tracer over the imported library, runs the finite-products
+# operations at one seed, and prints each operation's reference mismatches
+# and the traced layer metrics as one JSON object.
+TRACED_PASS = """
+import importlib.util, json, sys
+from pathlib import Path
+
+bench, seed, tmp = Path(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3])
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, bench / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing, workloads = load("tracing"), load("workloads")
+import hypergroups
+
+tracer = tracing.Tracer("traced-test")
+tracing.install(tracer)
+reference = json.loads((bench / "reference.json").read_text())
+setup, ops_of, _ = workloads.SPECS["finite-products"]
+state = setup(hypergroups, seed, tmp)
+problems = {name: workloads.compare(
+    op(hypergroups, state), workloads.reference_entry(reference, "finite-products", path))
+    for name, path, op in ops_of(state)}
+print(json.dumps({"problems": problems, "layers": tracer.layer_metrics()}))
+"""
+
+
+def test_traced_finite_products_matches_reference(tmp_path):
+    src = str(Path(hypergroups.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", TRACED_PASS, str(BENCH), str(SEED),
+                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["problems"] == {name: [] for name in result["problems"]}
+    assert len(result["problems"]) == 5
+    for layer in ("core.check_axioms_s", "leptin.search_s", "segal.build_witness_s"):
+        assert result["layers"][layer] > 0, layer

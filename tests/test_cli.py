@@ -285,6 +285,14 @@ class TestCommands:
         assert doc["l1_h"] == "4/1"
         assert doc["a_norm_exact"] == "4/3"
 
+    def test_norms_on_a_product_with_an_su2_factor_names_the_product(self, capsys):
+        code, out, err = run_cli(capsys, "norms", "--dual", "su2,s3",
+                                 "--values", "(1/2, rho)=1")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "usage",
+            "message": "no class-function evaluation for <Hypergroup su2-hat x s3-hat (infinite)>"}
+
     def test_norms_numeric_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "norms", "--dual", "su2",
                                "--values", "0.5=1", "--p", "2",

@@ -26,7 +26,7 @@ from hypergroups import (
     su2_dual,
 )
 from hypergroups import core, su2num
-from hypergroups.duals import ell_str, flat_irrep_index, su2_u_coefficients
+from hypergroups.duals import ell_str, su2_u_coefficients
 from hypergroups.fourier import a_norm_su2
 
 half = Fraction(1, 2)
@@ -266,24 +266,25 @@ class TestProductDual:
         assert table.group_order == 24
         assert sorted(table.dims) == sorted(
             d1 * d2 for d1 in s3.table.dims for d2 in z4.table.dims)
-        for label in s3_x_z4.universe:
-            flat = flat_irrep_index(s3_x_z4, label)
+        # row i of the table is the universe's label i: row-major over the factors
+        for flat, label in enumerate(s3_x_z4.universe):
             assert table.dims[flat] == s3.table.dims[label[0]] * z4.table.dims[label[1]]
             assert s3_x_z4.haar(label) == table.dims[flat] ** 2
 
     def test_character_table_built_once_on_first_use(self, s3, z4, monkeypatch):
         calls = []
-        tensor = CharacterTable.tensor
-        monkeypatch.setattr(CharacterTable, "tensor",
-                            lambda self, other: calls.append(other) or tensor(self, other))
+        init = CharacterTable.__init__
+        monkeypatch.setattr(CharacterTable, "__init__", lambda self, *args, **kwargs: (
+            calls.append(kwargs["name"]) or init(self, *args, **kwargs)))
         prod = product_dual([s3, z4])
         assert calls == []
         first = prod.character_table()
         assert prod.character_table() is first
-        assert calls == [z4.table]
+        assert calls == ["s3xz4"]
 
     def test_axioms_check_labels_per_label_not_per_pair(self, monkeypatch):
-        # the engines trust the checked sample: the 900 fused pairs add no checks
+        # the engines trust the checked sample: the 900 fused pairs add no checks, and
+        # the product's involution and dimension re-check no factor label
         calls = []
         check = core.Hypergroup.check_labels
         monkeypatch.setattr(core.Hypergroup, "check_labels",
@@ -291,7 +292,8 @@ class TestProductDual:
         s3, q8, z2 = (finite_group_dual(builtin_table(name)) for name in ("s3", "q8", "z2"))
         prod = product_dual([s3, q8, z2])
         assert check_axioms(prod, prod.universe).ok
-        assert len(calls) <= 10 * len(prod.universe)
+        assert set(calls) == {prod}
+        assert len(calls) <= 2 * len(prod.universe)
 
     def test_foreign_typed_label_refused_on_a_warm_product(self):
         s3, z4 = (finite_group_dual(builtin_table(name)) for name in ("s3", "z4"))

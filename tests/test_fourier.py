@@ -175,7 +175,7 @@ class TestANormFinite:
     def test_product_dual_dispatch(self, s3_x_z4):
         v = FiniteFunction.point(s3_x_z4.identity)
         assert a_norm_exact_finite(s3_x_z4, v) == 1
-        # a product label flattens to its tensor row: the two-dimensional row of S3
+        # a product label contracts each factor's row: the two-dimensional row of S3 with chi1
         assert a_norm_exact_finite(s3_x_z4, FiniteFunction.point((2, 1))) == Fraction(4, 3)
 
     def test_labels_outside_the_table_are_usage_errors(self, su2, s3, s3_x_z4):

@@ -38,6 +38,13 @@ CASES = [
      ["norms", "--dual", "s3,z4", "--values", "(rho, chi1)=1", "--format", "json"], []),
     ("norms_z4.json",
      ["norms", "--dual", "z4", "--values", "chi0=1;chi1=1", "--format", "json"], []),
+    # product class values from the factor tables: float moduli on Z4 x Z4, exact 7/6 on three
+    ("norms_z4_z4.json",
+     ["norms", "--dual", "z4,z4", "--values", "(chi0, chi0)=1;(chi1, chi1)=1",
+      "--format", "json"], []),
+    ("norms_s3_q8_z2.json",
+     ["norms", "--dual", "s3,q8,z2", "--values", "(rho, chi_k, sgn)=1/2;(sgn, chi_i, triv)=1",
+      "--format", "json"], []),
     # the searches: a proper subgroup's V and the whole universe, then both greedy engines
     ("leptin_exhaustive_s3_z4_chi2.json",
      ["leptin", "--dual", "s3,z4", "--strategy", "exhaustive", "--K", "triv|chi0,triv|chi2",

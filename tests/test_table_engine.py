@@ -1,5 +1,6 @@
 """The integer character-table engine against the defining loops, and table parsing."""
 
+import functools
 import json
 import math
 import random
@@ -18,16 +19,21 @@ from hypergroups import (
     CharacterTable,
     CapacityError,
     ExactComplex,
+    FiniteFunction,
     InvalidTableError,
+    a_norm_exact_finite,
     builtin_table,
+    central_function,
     check_axioms,
     finite_group_dual,
     load_character_table,
     parse_character_table,
+    product_dual,
 )
 from hypergroups.cli import run
 from hypergroups.core import cyclotomic_polynomial
 from hypergroups.duals import BUILTIN_TABLES
+from oracles import kronecker_table
 
 FIXTURES = Path(__file__).parent / "tables"
 BUNDLED = {name: builtin_table(name) for name in BUILTIN_TABLES}
@@ -37,10 +43,7 @@ ALL = {**BUNDLED, **CYCLOTOMIC}
 
 
 def tensor_of(*names: str) -> CharacterTable:
-    table = ALL[names[0]]
-    for name in names[1:]:
-        table = table.tensor(ALL[name])
-    return table
+    return kronecker_table(*(ALL[name] for name in names))
 
 
 PRODUCTS = [("z2", "z4"), ("s3", "z4"), ("s3", "q8"), ("q8", "z4"), ("z4", "z4"),
@@ -127,11 +130,15 @@ class TestEngineMatchesLoops:
             return CharacterTable(n, [1] * n, [(1, [roots[j * k % n] for k in range(n)])
                                                for j in range(n)], name=f"z{n}")
 
-        z5xz7 = cyclic(5).tensor(cyclic(7))
+        z5, z7, z9 = (cyclic(n) for n in (5, 7, 9))
+        z5xz7 = kronecker_table(z5, z7)
         assert z5xz7.cyclotomic == 35 and z5xz7._values.shape[2] == 24
         # Q(zeta_315) has degree 4 * 6 * 6 = 144, over the budget of 64
         with pytest.raises(CapacityError, match="order 315 has degree over 64"):
-            z5xz7.tensor(cyclic(9))
+            kronecker_table(z5xz7, z9)
+        prod = product_dual([finite_group_dual(t) for t in (z5, z7, z9)])
+        with pytest.raises(CapacityError, match="order 315 has degree over 64"):
+            central_function(prod, FiniteFunction.point(prod.identity))
 
     @pytest.mark.parametrize("name", sorted(CYCLOTOMIC))
     def test_cyclotomic_fixtures_pass_the_axioms(self, name):
@@ -140,12 +147,64 @@ class TestEngineMatchesLoops:
         assert check_axioms(finite_group_dual(table), range(table.n_irreps)).ok
 
     def test_product_table_is_validated_in_full(self, monkeypatch):
+        prod = product_dual([finite_group_dual(ALL[name]) for name in ("s3", "q8", "z2")])
         calls = []
         validate = CharacterTable._validate
         monkeypatch.setattr(CharacterTable, "_validate",
                             lambda self: calls.append(self.name) or validate(self))
-        tensor_of("s3", "q8", "z2")
-        assert calls == ["s3xq8", "s3xq8xz2"]
+        prod.character_table()
+        assert calls == ["s3xq8xz2"]
+
+
+def spec_names(spec) -> list[str]:
+    """The table names of a product spec: a name, or a tuple of specs (a nested product)."""
+    return [spec] if isinstance(spec, str) else [n for part in spec for n in spec_names(part)]
+
+
+def spec_dual(spec):
+    if isinstance(spec, str):
+        return finite_group_dual(ALL[spec])
+    return product_dual([spec_dual(part) for part in spec])
+
+
+@functools.cache
+def dual_and_oracle(spec) -> tuple:
+    """The product dual of a spec and the dual of its Kronecker table."""
+    return spec_dual(spec), finite_group_dual(kronecker_table(*map(ALL.get, spec_names(spec))))
+
+
+NESTED = (("s3", "z4"), "z2")
+CLASS_PRODUCTS = [("s3", "z4"), ("s3", "q8", "z2"), ("z3", "z5"), ("a4", "z4"), NESTED]
+
+
+def spec_id(spec: tuple) -> str:
+    return "x".join(part if isinstance(part, str) else f"({spec_id(part)})" for part in spec)
+
+
+class TestClassFunctionsFromFactorTables:
+    """Class values contracted from the factor tables against one Kronecker table."""
+
+    @given(spec=st.sampled_from(CLASS_PRODUCTS), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_contraction_matches_the_kronecker_table(self, spec, data):
+        prod, oracle = dual_and_oracle(spec)
+        # the universe runs row-major over the factors, as the oracle's rows do
+        values = data.draw(st.dictionaries(
+            st.integers(0, len(prod.universe) - 1),
+            st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=6))
+        v = FiniteFunction({prod.universe[i]: q for i, q in values.items()})
+        flat = FiniteFunction(values)
+        assert central_function(prod, v) == central_function(oracle, flat)
+        got, want = a_norm_exact_finite(prod, v), a_norm_exact_finite(oracle, flat)
+        assert type(got) is type(want) and got == want
+
+    @pytest.mark.parametrize("spec", PRODUCTS + [NESTED], ids=spec_id)
+    def test_character_table_is_the_kronecker_table(self, spec):
+        prod, oracle = dual_and_oracle(spec)
+        table = prod.character_table()
+        assert table.to_json_dict() == oracle.table.to_json_dict()
+        assert (table.trivial_index, table._conjugate) == (
+            oracle.table.trivial_index, oracle.table._conjugate)
 
 
 def s3_args(row: int, col: int, value) -> tuple:

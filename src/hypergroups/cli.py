@@ -32,6 +32,7 @@ from .core import (
     check_axioms,
     convolve_h,
     exact,
+    fraction_text,
 )
 from .duals import (
     BUILTIN_TABLES,
@@ -45,6 +46,7 @@ from .duals import (
     su2_dual,
 )
 from .fourier import (
+    DEFAULT_QUADRATURE,
     QuadratureConfig,
     a_norm,
     bump,
@@ -56,7 +58,13 @@ from .leptin import (
     leptin_search_interval,
     twice_spin,
 )
-from .segal import blowup_report, build_witness, check_multiplier_bounded, check_tolerance
+from .segal import (
+    WITNESS_STRATEGIES,
+    blowup_report,
+    build_witness,
+    check_multiplier_bounded,
+    check_tolerance,
+)
 
 _ERROR_CATEGORIES: list[tuple[type, str, int]] = [
     (UsageError, "usage", 2),  # LabelDomainError too
@@ -136,10 +144,6 @@ def parse_labels(H: Hypergroup, text: str) -> list[Any]:
     return [parse_label(H, part) for part in text.split(",") if part.strip()]
 
 
-def _fraction_json(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _su2_sample(H: Hypergroup, max_ell: Fraction) -> list[Any]:
     if isinstance(H, Su2Dual):
         return list(range(twice_spin(max_ell) + 1))
@@ -186,7 +190,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_quad(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--quad-tol", type=float, default=1e-9)
+    parser.add_argument("--quad-tol", type=float, default=DEFAULT_QUADRATURE.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +224,10 @@ def _cmd_haar(args: argparse.Namespace) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("label", "haar"))
     for name, mass in rows:
-        writer.writerow((name, _fraction_json(mass)))
+        writer.writerow((name, fraction_text(mass)))
     _emit(args,
           {"command": "haar", "dual": args.dual,
-           "masses": {name: _fraction_json(mass) for name, mass in rows}},
+           "masses": {name: fraction_text(mass) for name, mass in rows}},
           csv_text=buf.getvalue(),
           pretty_text="\n".join(f"h({name}) = {mass}" for name, mass in rows))
     return 0
@@ -238,7 +242,7 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
         entries = result.items()
     else:
         entries = H.fuse(x, y).items()
-    payload = {H.label_str(z): _fraction_json(v) for z, v in entries}
+    payload = {H.label_str(z): fraction_text(v) for z, v in entries}
     _emit(args, {"command": "convolve", "dual": args.dual,
                  "x": args.x, "y": args.y, "weighted": bool(args.weighted),
                  "result": payload},
@@ -281,9 +285,9 @@ def _cmd_bump(args: argparse.Namespace) -> int:
     doc: dict[str, Any] = {
         "K": sorted(H.label_str(x) for x in K),
         "V": sorted(H.label_str(x) for x in V),
-        "ratio": _fraction_json(plateau.ratio),
+        "ratio": fraction_text(plateau.ratio),
         "a_norm_bound": plateau.a_norm_bound,
-        "values": {H.label_str(x): _fraction_json(v)
+        "values": {H.label_str(x): fraction_text(v)
                    for x, v in plateau.function.items()},
         "verified": True,
     }
@@ -308,16 +312,16 @@ def _cmd_norms(args: argparse.Namespace) -> int:
     f = FiniteFunction(values)
     p = _exact_arg(args.p, "--p")
     doc: dict[str, Any] = {
-        "l1_h": _fraction_json(lp_h_norm(H, f, 1)),
+        "l1_h": fraction_text(lp_h_norm(H, f, 1)),
         "lp_h": float(lp_h_norm(H, f, p)),
-        "p": _fraction_json(p),
+        "p": fraction_text(p),
     }
     if 1 <= p <= 2:  # where the lp(H, h) norm of a central function is a Segal norm
         doc["segal_cp"] = doc["lp_h"]
     a = a_norm(H, f, QuadratureConfig(tolerance=args.quad_tol))
     doc["a_norm"] = float(a)
     if isinstance(a, Fraction):
-        doc["a_norm_exact"] = _fraction_json(a)
+        doc["a_norm_exact"] = fraction_text(a)
     _emit(args, {"command": "norms", "dual": args.dual, "norms": doc},
           pretty_text=json.dumps(doc, indent=2, sort_keys=True))
     return 0
@@ -400,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", required=True,
                    help="labels; for --strategy interval, the top spin")
     p.add_argument("--epsilon", required=True)
-    p.add_argument("--strategy", choices=("interval", "greedy", "exhaustive"),
-                   default="greedy")
+    p.add_argument("--strategy", choices=WITNESS_STRATEGIES, default="greedy")
     p.add_argument("--max-size", type=int, default=64)
     p.set_defaults(fn=_cmd_leptin)
 
@@ -427,8 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", default="1.1", help="A-norm cap, exact decimal")
     p.add_argument("--N", type=int, default=5)
     p.add_argument("--p", default="2")
-    p.add_argument("--strategy", choices=("auto", "interval", "greedy", "exhaustive"),
-                   default="auto")
+    p.add_argument("--strategy", choices=("auto",) + WITNESS_STRATEGIES, default="auto")
     p.add_argument("--max-size", type=int, default=64)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.set_defaults(fn=_cmd_witness)

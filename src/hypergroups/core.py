@@ -97,6 +97,11 @@ def exact(value: Any, what: str) -> Fraction:
     raise UsageError(f"{what}: exact rational expected, got {type(value).__name__}: {value!r}")
 
 
+def fraction_text(q: Fraction) -> str:
+    """q as "p/q" text, the form every report writes and :func:`exact` reads back."""
+    return f"{q.numerator}/{q.denominator}"
+
+
 def count(value: Any, what: str) -> int:
     """Caller input as a positive int (not a bool), else UsageError naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -552,10 +557,17 @@ MAX_U_SERIES_DEGREE = 1 << 10
 # phi^3 integers, 2 MB as int64 at 64; Z3 x Z5 x Z7 (m = 105) has degree 48.
 MAX_CYCLOTOMIC_DEGREE = 64
 
+# Largest interval-plateau support (k2 + 2 m2 + 1 labels) a witness stage, an
+# A-norm, a non-integer Segal norm or a label->value function may have.  The
+# plateau is O(1); that work is not: at the last stage of the D = 1.1, N = 5
+# chain (1 871 761 labels) the A-norm takes about 2.4 s and 65 MB, so 2^22
+# labels admit that stage and refuse the next (58 935 667).
+MAX_INTERVAL_SUPPORT = 1 << 22
+
 # Most terms a witness chain may have.  The chain law checks every pair of
 # stages, so the time grows with N^2 and a large N never finishes.  Nothing
 # is lost below 64: an interval chain's k2 at least triples per stage, so
-# segal.MAX_INTERVAL_SUPPORT refuses every stage past the 14th at any D.
+# MAX_INTERVAL_SUPPORT refuses every stage past the 14th at any D.
 MAX_WITNESS_TERMS = 64
 
 

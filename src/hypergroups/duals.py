@@ -789,7 +789,7 @@ def su2_u_coefficients(v: FiniteFunction) -> np.ndarray:
     """The float array v(n) (n + 1) at index n, for v on su2-hat.
 
     These are the U_n(cos theta) coefficients of the central function behind
-    v; :func:`su2num.u_series_eval` evaluates it at cos theta.  A label
+    v; chebval(cos theta, su2num.u_to_chebyshev_t(c)) evaluates it.  A label
     outside su2-hat raises LabelDomainError, a UsageError, and one over
     MAX_U_SERIES_DEGREE CapacityError.
     """

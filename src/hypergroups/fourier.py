@@ -21,9 +21,12 @@ from fractions import Fraction
 from typing import Any, Collection
 
 import numpy as np
+from numpy.polynomial import chebyshev as npcheb
 
 from . import su2num
 from .core import (
+    MAX_INTERVAL_SUPPORT,
+    CapacityError,
     FiniteFunction,
     Hypergroup,
     InternalInvariantError,
@@ -143,18 +146,19 @@ def a_norm_su2(v: FiniteFunction, config: QuadratureConfig | None = None) -> flo
     """A-norm of v over the dual of SU(2), by Weyl-measure quadrature.
 
     Integrates (2/pi) |sum_n v(n) (n+1) U_n(cos theta)| sin^2 theta over
-    (0, pi) with the Gauss-Kronrod pass.  The integrand is split at the
-    zeros of the series so each piece is smooth; the residual estimate must
-    meet the config tolerance.
+    (0, pi) with the Gauss-Kronrod pass, the series summed in the T basis.
+    The integrand is split at the zeros of the series so each piece is
+    smooth; the residual estimate must meet the config tolerance.
     """
     config = config or DEFAULT_QUADRATURE
     if not v:
         return 0.0
     coeffs = su2_u_coefficients(v)
+    t_coeffs = su2num.u_to_chebyshev_t(coeffs)
 
     def integrand(theta: np.ndarray) -> np.ndarray:
         s = np.sin(theta)
-        return (2.0 / math.pi) * np.abs(su2num.u_series_eval(coeffs, np.cos(theta))) * s * s
+        return (2.0 / math.pi) * np.abs(npcheb.chebval(np.cos(theta), t_coeffs)) * s * s
 
     roots = su2num.u_series_roots_theta(coeffs)
     breaks = np.unique(np.concatenate([[0.0, math.pi], roots]))
@@ -336,7 +340,14 @@ class Su2IntervalBump(Plateau):
                 return z
         return None
 
+    def _check_support_budget(self, work: str) -> None:
+        """CapacityError before ``work`` allocates one entry per support label."""
+        if len(self.support) > MAX_INTERVAL_SUPPORT:
+            raise CapacityError(f"the {work} of a plateau with {len(self.support)} labels "
+                                f"exceeds the budget of {MAX_INTERVAL_SUPPORT} labels")
+
     def as_finite_function(self) -> FiniteFunction:
+        self._check_support_budget("label->value function")
         return FiniteFunction({z: self.value(z) for z in self.support})
 
     def segal_power_sum(self, p: int) -> Fraction:
@@ -356,6 +367,7 @@ class Su2IntervalBump(Plateau):
 
     def _segal_norm_float(self, p: Any) -> float:
         # u = 1 up to w = k2 + 1, then the factored quartics per parity class
+        self._check_support_budget("float Segal norm")
         p = float(p)
         k2, top, h_v = self.k2, self.k2 + 2 * self.m2 + 2, float(self._h_v)
         total = float(su2num.sum_squares(k2 + 1))
@@ -372,6 +384,7 @@ class Su2IntervalBump(Plateau):
         misses the tolerance, every piece is split into 2, then 4, then 8.
         """
         config = config or DEFAULT_QUADRATURE
+        self._check_support_budget("A-norm quadrature")
         p_dim = self.k2 + self.m2 + 1
         q_dim = self.m2 + 1
         breaks = su2num.interval_product_breakpoints(p_dim, q_dim)

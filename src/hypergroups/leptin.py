@@ -44,6 +44,7 @@ from .core import (
     UsageError,
     count,
     exact,
+    fraction_text,
     support_product,
 )
 from .duals import ProductDual, Su2Dual, product_dual, su2_dual
@@ -129,8 +130,8 @@ class LeptinCertificate:
             "hypergroup": self.hypergroup.name,
             "K": [_label_to_json(x) for x in sorted(self.K)],
             "V": [_label_to_json(x) for x in sorted(self.V)],
-            "ratio": f"{self.ratio.numerator}/{self.ratio.denominator}",
-            "epsilon": f"{self.epsilon.numerator}/{self.epsilon.denominator}",
+            "ratio": fraction_text(self.ratio),
+            "epsilon": fraction_text(self.epsilon),
             "verified": self.verified,
         }
 

@@ -19,6 +19,7 @@ the full universe, which is the degenerate but valid outcome.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from collections.abc import Collection
@@ -27,6 +28,7 @@ from fractions import Fraction
 from typing import Any
 
 from .core import (
+    MAX_INTERVAL_SUPPORT,
     MAX_WITNESS_TERMS,
     CapacityError,
     Hypergroup,
@@ -35,10 +37,11 @@ from .core import (
     UsageError,
     count,
     exact,
+    fraction_text,
     support_product,
 )
 from .duals import Su2Dual
-from .fourier import Plateau, QuadratureConfig, Su2IntervalBump, bump
+from .fourier import DEFAULT_QUADRATURE, Plateau, QuadratureConfig, Su2IntervalBump, bump
 from .leptin import (
     LeptinCertificate,
     leptin_ratio,
@@ -64,7 +67,7 @@ class WitnessSequence:
     terms: list[Plateau]
     next_K: Collection[Label]
     certificates: list[LeptinCertificate] = field(default_factory=list)
-    _a_cache: dict[float | None, list[Any]] = field(default_factory=dict, repr=False)
+    _a_cache: dict[float, list[Any]] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -84,7 +87,7 @@ class WitnessSequence:
 
     def a_values(self, config: QuadratureConfig | None = None) -> list[Any]:
         """Measured A-norms per term (quadrature on su2-hat, exact on finite duals)."""
-        key = config.tolerance if config else None
+        key = (config or DEFAULT_QUADRATURE).tolerance
         cached = self._a_cache.get(key)
         if cached is None:
             cached = [term.a_norm(config) for term in self.terms]
@@ -116,34 +119,19 @@ def absorption_witness(earlier: Plateau, later: Plateau) -> Label | None:
 # ---------------------------------------------------------------------------
 
 
-# Largest interval-plateau support (k2 + 2 m2 + 1 labels) a witness stage may
-# have.  The plateau itself is O(1); its A-norm quadrature is not: on the last
-# stage of the D = 1.1, N = 5 chain (1 871 761 labels) it takes about 2.4 s and
-# 65 MB, so 2^22 labels admit that stage and refuse the next (58 935 667).
-MAX_INTERVAL_SUPPORT = 1 << 22
-
-
-def _su2_interval_witness(H: Su2Dual, K0: Collection[int], cap: Fraction,
-                          n_terms: int) -> WitnessSequence:
-    eps = cap * cap - 1
-    k2 = max(K0)
-    terms, certs = [], []
-    for stage in range(n_terms):
-        cert = leptin_search_interval(
-            Fraction(k2, 2), eps, hypergroup=H, min_m2=max(k2, 1))
-        m2 = cert.V[-1]  # V = range(m2 + 1); max() would walk it
-        size = k2 + 2 * m2 + 1
-        if size > MAX_INTERVAL_SUPPORT:
-            raise CapacityError(
-                f"stage {stage + 1}: the plateau support has {size} labels, "
-                f"more than the {MAX_INTERVAL_SUPPORT} an interval witness stage may have")
-        term = Su2IntervalBump.build(H, k2, m2)
-        if term.ratio != cert.ratio or not term.ratio < cap * cap:
-            raise InternalInvariantError(f"stage {stage + 1}: ratio bound violated")
-        terms.append(term)
-        certs.append(cert)
-        k2 = k2 + 2 * m2
-    return WitnessSequence(H, cap, "interval", terms, range(k2 + 1), certs)
+def _interval_stage(H: Su2Dual, K: range, cap: Fraction, stage: int,
+                    max_size: int) -> tuple[Plateau, LeptinCertificate, range]:
+    """One O(1) interval stage: the least m2 >= max(k2, 1) with ratio below cap^2."""
+    k2 = K[-1]
+    cert = leptin_search_interval(
+        Fraction(k2, 2), cap * cap - 1, hypergroup=H, min_m2=max(k2, 1))
+    m2 = cert.V[-1]  # V = range(m2 + 1); max() would walk it
+    size = k2 + 2 * m2 + 1
+    if size > MAX_INTERVAL_SUPPORT:
+        raise CapacityError(
+            f"stage {stage}: the plateau support has {size} labels, "
+            f"more than the {MAX_INTERVAL_SUPPORT} an interval witness stage may have")
+    return Su2IntervalBump.build(H, k2, m2), cert, range(size)
 
 
 def _expansion_pool(H: Hypergroup, K: Collection[Label], V: set[Label]) -> list[Label]:
@@ -155,54 +143,42 @@ def _expansion_pool(H: Hypergroup, K: Collection[Label], V: set[Label]) -> list[
     return sorted(pool - V)
 
 
-def _generic_witness(H: Hypergroup, K0: Collection[Label], cap: Fraction,
-                     n_terms: int, strategy: str, max_size: int) -> WitnessSequence:
-    eps = cap * cap - 1
+def _search_stage(H: Hypergroup, K: frozenset, cap: Fraction, stage: int, max_size: int,
+                  *, search: str) -> tuple[Plateau, LeptinCertificate, frozenset]:
+    """One greedy or exhaustive stage, with V expanded past a frozen chain."""
     bound = cap * cap
-    K = frozenset(K0)
-    terms, certs = [], []
-    for stage in range(n_terms):
-        if strategy == "greedy":
-            cert = leptin_search_greedy(H, K, eps, max_size=max_size)
-            if cert is None:
-                raise CapacityError(
-                    f"stage {stage + 1}: greedy search found no set of size "
-                    f"<= {max_size} with ratio below {bound}")
-        else:
-            cert = leptin_search_exhaustive(H, K, eps)
-        V = set(cert.V)
+    eps = bound - 1
+    if search == "greedy":
+        cert = leptin_search_greedy(H, K, eps, max_size=max_size)
+        if cert is None:
+            raise CapacityError(
+                f"stage {stage}: greedy search found no set of size "
+                f"<= {max_size} with ratio below {bound}")
+    else:
+        cert = leptin_search_exhaustive(H, K, eps)
+    V = set(cert.V)
 
-        def grown_support() -> frozenset:
-            kv = support_product(H, K, V)
-            return support_product(H, kv, frozenset(H.involution(x) for x in V))
+    def grown_support() -> frozenset:
+        kv = support_product(H, K, V)
+        return support_product(H, kv, frozenset(H.involution(x) for x in V))
 
+    next_k = grown_support()
+    # expand V past a frozen chain, one label at a time, while the ratio allows it
+    while next_k <= K and len(V) < max_size:
+        extra = next((c for c in _expansion_pool(H, K, V)
+                      if leptin_ratio(H, K, V | {c}) < bound), None)
+        if extra is None:
+            break
+        V = V | {extra}
         next_k = grown_support()
-        # expand V past a frozen chain while the ratio allows it
-        while next_k <= K:
-            progressed = False
-            for candidate in _expansion_pool(H, K, V):
-                if len(V) >= max_size:
-                    break
-                trial = V | {candidate}
-                if leptin_ratio(H, K, trial) < bound:
-                    V = trial
-                    progressed = True
-                    next_k = grown_support()
-                    break
-            if not progressed:
-                break
 
-        term = bump(H, K, V)
-        if not term.ratio < bound:
-            raise InternalInvariantError(f"stage {stage + 1}: expansion broke the ratio bound")
-        terms.append(term)
-        certs.append(LeptinCertificate(
-            strategy=cert.strategy, K=K, V=term.V, ratio=term.ratio,
-            epsilon=eps, hypergroup=H))
-        if not certs[-1].verify():
-            raise InternalInvariantError(f"stage {stage + 1}: certificate does not re-verify")
-        K = next_k
-    return WitnessSequence(H, cap, strategy, terms, K, certs)
+    term = bump(H, K, V)
+    verified = LeptinCertificate(
+        strategy=cert.strategy, K=K, V=term.V, ratio=term.ratio,
+        epsilon=eps, hypergroup=H)
+    if not verified.verify():
+        raise InternalInvariantError(f"stage {stage}: certificate does not re-verify")
+    return term, verified, next_k
 
 
 def build_witness(H: Hypergroup, K0: Collection[Label], D: Any, N: int,
@@ -229,9 +205,19 @@ def build_witness(H: Hypergroup, K0: Collection[Label], D: Any, N: int,
     if search == "interval":
         if not isinstance(H, Su2Dual):
             raise UsageError("the interval strategy needs the dual of SU(2)")
-        w = _su2_interval_witness(H, K0, cap, N)
+        K: Collection[Label] = range(max(K0) + 1)
+        next_stage = _interval_stage
     else:
-        w = _generic_witness(H, K0, cap, N, search, max_size)
+        K = frozenset(K0)
+        next_stage = functools.partial(_search_stage, search=search)
+    terms, certs = [], []
+    for stage in range(1, N + 1):
+        term, cert, K = next_stage(H, K, cap, stage, max_size)
+        if term.ratio != cert.ratio or not term.ratio < cap * cap:
+            raise InternalInvariantError(f"stage {stage}: ratio bound violated")
+        terms.append(term)
+        certs.append(cert)
+    w = WitnessSequence(H, cap, search, terms, K, certs)
     failures = w.chain_failures()
     if failures:
         raise InternalInvariantError(f"chain law failed at stages {failures[:3]}")
@@ -269,15 +255,12 @@ class BlowupReport:
 
     def to_json_dict(self) -> dict[str, Any]:
         def num(x: Any) -> Any:
-            if isinstance(x, Fraction):
-                return f"{x.numerator}/{x.denominator}"
-            return x
+            return fraction_text(x) if isinstance(x, Fraction) else x
 
         return {
             "p": num(self.p),
             "growth_factor": self.growth_factor,
-            "exact_growth_power": num(self.exact_growth_power)
-            if self.exact_growth_power is not None else None,
+            "exact_growth_power": num(self.exact_growth_power),
             "rows": [
                 {col: num(getattr(row, col)) for col in self.CSV_COLUMNS}
                 for row in self.rows
@@ -291,7 +274,7 @@ class BlowupReport:
         for row in self.rows:
             writer.writerow([
                 row.n, row.K_size, row.V_size,
-                f"{row.ratio.numerator}/{row.ratio.denominator}",
+                fraction_text(row.ratio),
                 f"{row.a_bound:.17g}",
                 f"{float(row.a_value):.17g}",
                 f"{row.segal_p:.17g}",

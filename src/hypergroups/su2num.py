@@ -496,38 +496,22 @@ def u_product(a: list[int], b: list[int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Generic Chebyshev-U series: evaluation, zeros, oscillatory quadrature
+# Generic Chebyshev-U series: conversion and zeros
 # ---------------------------------------------------------------------------
 
 
-def u_series_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_n coeffs[n] * U_n(x) by forward recurrence (stable for |x| <= 1)."""
-    result = np.zeros_like(x, dtype=float)
-    u_prev = np.ones_like(x, dtype=float)
-    u_curr = 2.0 * x
-    for n, c in enumerate(coeffs):
-        if n == 0:
-            result += c * u_prev
-            continue
-        if n == 1:
-            term = u_curr
-        else:
-            term = 2.0 * x * u_curr - u_prev
-            u_prev, u_curr = u_curr, term
-        result += c * term
-    return result
-
-
 def u_to_chebyshev_t(coeffs: np.ndarray) -> np.ndarray:
-    """Convert a U-basis coefficient vector to the Chebyshev T basis."""
-    n_max = len(coeffs) - 1
-    t = np.zeros(n_max + 1)
-    for n, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        t[n % 2:n + 1:2] += 2.0 * c
-        if n % 2 == 0:
-            t[0] -= c
+    """Convert a U-basis coefficient vector to the Chebyshev T basis.
+
+    U_n = 2 (T_n + T_{n-2} + ...), ending in 2 T_1 for odd n and in T_0
+    (once, not twice) for even n.  So t_k = 2 sum_{n >= k, n = k mod 2} c_n,
+    a reversed cumulative sum on each parity, and t_0 is half of that sum.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    t = np.empty_like(c)
+    for parity in (0, 1):
+        t[parity::2] = 2.0 * np.cumsum(c[parity::2][::-1])[::-1]
+    t[:1] *= 0.5
     return t
 
 

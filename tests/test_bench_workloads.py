@@ -48,14 +48,14 @@ def test_workload_matches_reference(workload, tmp_path):
         assert workloads.compare(op(hypergroups, state), expected) == [], op_name
 
 
-# Installs the tracer over the imported library, runs the finite-products
+# Installs the tracer over the imported library, runs one workload's
 # operations at one seed, and prints each operation's reference mismatches
 # and the traced layer metrics as one JSON object.
 TRACED_PASS = """
 import importlib.util, json, sys
 from pathlib import Path
 
-bench, seed, tmp = Path(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3])
+bench, seed, tmp, workload = Path(sys.argv[1]), int(sys.argv[2]), Path(sys.argv[3]), sys.argv[4]
 
 
 def load(name):
@@ -71,24 +71,36 @@ import hypergroups
 tracer = tracing.Tracer("traced-test")
 tracing.install(tracer)
 reference = json.loads((bench / "reference.json").read_text())
-setup, ops_of, _ = workloads.SPECS["finite-products"]
+setup, ops_of, _ = workloads.SPECS[workload]
 state = setup(hypergroups, seed, tmp)
 problems = {name: workloads.compare(
-    op(hypergroups, state), workloads.reference_entry(reference, "finite-products", path))
+    op(hypergroups, state), workloads.reference_entry(reference, workload, path))
     for name, path, op in ops_of(state)}
 print(json.dumps({"problems": problems, "layers": tracer.layer_metrics()}))
 """
 
 
-def test_traced_finite_products_matches_reference(tmp_path):
+# per workload: its operation count and the traced layers that must read above zero
+TRACED_LAYERS = {
+    "witness-su2": (1, ("fourier.interval_a_norm_s", "segal.build_witness_s")),
+    "generic-su2": (4, ("fourier.a_norm_su2_s", "core.check_axioms_s")),
+    "finite-products": (5, ("core.check_axioms_s", "leptin.search_s",
+                            "segal.build_witness_s")),
+}
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_traced_pass_matches_reference(workload, tmp_path):
     src = str(Path(hypergroups.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     done = subprocess.run([sys.executable, "-c", TRACED_PASS, str(BENCH), str(SEED),
-                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
+                           str(tmp_path), workload],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
+    n_ops, layers = TRACED_LAYERS[workload]
     assert result["problems"] == {name: [] for name in result["problems"]}
-    assert len(result["problems"]) == 5
-    for layer in ("core.check_axioms_s", "leptin.search_s", "segal.build_witness_s"):
+    assert len(result["problems"]) == n_ops
+    for layer in layers:
         assert result["layers"][layer] > 0, layer

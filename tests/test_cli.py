@@ -14,13 +14,27 @@ from hypothesis import strategies as st
 import hypergroups.cli
 from hypergroups.cli import parse_label, resolve_dual, run
 from hypergroups.duals import ProductDual, Su2Dual, load_character_table
+from hypergroups.fourier import DEFAULT_QUADRATURE
 from hypergroups.leptin import certificate_from_json_dict
+from hypergroups.segal import WITNESS_STRATEGIES
 
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestChoicesFromTheLibrary:
+    def test_strategies_and_quadrature_default(self):
+        parser = hypergroups.cli.build_parser()
+        args = parser.parse_args(["witness", "--dual", "su2"])
+        assert args.strategy == "auto"
+        assert args.quad_tol == DEFAULT_QUADRATURE.tolerance
+        for strategy in WITNESS_STRATEGIES:
+            for command in (["witness", "--dual", "su2"],
+                            ["leptin", "--dual", "su2", "--K", "1", "--epsilon", "1"]):
+                assert parser.parse_args(command + ["--strategy", strategy]).strategy == strategy
 
 
 class TestDualSpecs:

@@ -37,6 +37,16 @@ from hypergroups.core import (
 half = Fraction(1, 2)
 
 
+class TestFractionText:
+    @given(st.fractions())
+    def test_exact_reads_it_back(self, q):
+        assert core.exact(core.fraction_text(q), "q") == q
+
+    def test_integers_keep_their_denominator(self):
+        assert core.fraction_text(Fraction(3)) == "3/1"
+        assert core.fraction_text(Fraction(-7, 2)) == "-7/2"
+
+
 class TestFiniteMeasure:
     def test_zero_masses_pruned(self):
         mu = FiniteMeasure({0: Fraction(1), 1: Fraction(0)})

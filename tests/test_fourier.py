@@ -4,6 +4,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypergroups import (
+    CapacityError,
     FiniteFunction,
     InternalInvariantError,
     NumericError,
@@ -27,7 +29,7 @@ from hypergroups import (
     su2_dual,
     support_product,
 )
-from hypergroups import su2num
+from hypergroups import core, fourier, segal, su2num
 from hypergroups.cli import run
 from hypergroups.fourier import Plateau, Su2IntervalBump, lp_h_power_sum
 from hypergroups.segal import absorption_witness
@@ -349,6 +351,34 @@ class TestIntervalBump:
         # the plateau of an interval pair covers the whole lower interval
         b = Su2IntervalBump.build(su2, 2, 5)
         assert b.is_one_on(range(3))
+
+
+class TestIntervalSupportBudget:
+    @pytest.mark.parametrize("work", [
+        lambda b: b.a_norm(),
+        lambda b: b.segal_norm(Fraction(3, 2)),
+        lambda b: b.as_finite_function(),
+    ], ids=["a_norm", "segal_norm_3/2", "as_finite_function"])
+    def test_refused_before_allocating(self, su2, monkeypatch, work):
+        monkeypatch.setattr(fourier, "MAX_INTERVAL_SUPPORT", 100)
+        b = Su2IntervalBump.build(su2, 2, 60)  # support of 123 labels
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="123 labels"):
+                work(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_support_at_the_budget_is_admitted(self, su2, monkeypatch):
+        monkeypatch.setattr(fourier, "MAX_INTERVAL_SUPPORT", 123)
+        b = Su2IntervalBump.build(su2, 2, 60)
+        assert len(b.as_finite_function().support) == 123
+        assert b.segal_norm(Fraction(3, 2)) > 0
+
+    def test_one_budget_for_stage_and_plateau(self):
+        assert segal.MAX_INTERVAL_SUPPORT == core.MAX_INTERVAL_SUPPORT == 1 << 22
 
 
 def _oracle_power_sum(c, h_v, p):

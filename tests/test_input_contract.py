@@ -175,8 +175,8 @@ class TestWitnessTermBudget:
         def no_stage(*args, **kwargs):
             raise AssertionError("a stage was built")
 
-        monkeypatch.setattr(segal, "_su2_interval_witness", no_stage)
-        monkeypatch.setattr(segal, "_generic_witness", no_stage)
+        monkeypatch.setattr(segal, "_interval_stage", no_stage)
+        monkeypatch.setattr(segal, "_search_stage", no_stage)
         for family, search in [("su2", "interval"), ("s3", "greedy"), ("s3,z4", "exhaustive")]:
             with pytest.raises(CapacityError, match="witness terms"):
                 build_witness(duals[family], [duals[family].identity], "11/10",

@@ -209,6 +209,23 @@ class TestMultiplierBounded:
                    for _, _, label in report.product_failures)
         assert not report.ok
 
+    def test_one_a_norm_pass_per_tolerance(self, su2, monkeypatch):
+        # no config and the default config name the same quadrature
+        calls = []
+        a_norm = Su2IntervalBump.a_norm
+
+        def counted(self, config=None):
+            calls.append(self.k2)
+            return a_norm(self, config)
+
+        monkeypatch.setattr(Su2IntervalBump, "a_norm", counted)
+        w = build_witness(su2, [0], D32, 3, search="interval")
+        blowup_report(w, 2)
+        check_multiplier_bounded(w, config=QuadratureConfig())
+        assert len(calls) == len(w) == 3
+        check_multiplier_bounded(w, config=QUICK_QUAD)
+        assert len(calls) == 6
+
     def test_report_serializes(self, su2):
         w = build_witness(su2, [0], D32, 2, search="interval")
         doc = check_multiplier_bounded(w, config=QUICK_QUAD).to_json_dict()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as npcheb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -198,3 +199,23 @@ class TestUProduct:
         assert su2num.u_product(a + [1], b).dtype == object
         for x, y in [(a, b), (a + [1], b), ([-(1 << 62)], [0, 0, 1])]:
             assert su2num.u_product(x, y).tolist() == u_product_loops(x, y)
+
+
+class TestUToChebyshevT:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 163, 1024])
+    def test_chebval_matches_the_sine_closed_form(self, degree):
+        # U_n(cos theta) = sin((n+1) theta) / sin theta; odd and even top
+        # degrees end the per-parity cumulative sums at either parity
+        rng = np.random.default_rng(degree)
+        coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+        theta = rng.uniform(0.0, math.pi, 200)
+        n1 = np.arange(1, degree + 2)
+        closed = (np.sin(np.outer(theta, n1)) @ coeffs) / np.sin(theta)
+        values = npcheb.chebval(np.cos(theta), su2num.u_to_chebyshev_t(coeffs))
+        scale = float(np.sum(np.abs(coeffs) * n1))
+        assert np.max(np.abs(values - closed)) <= 1e-12 * scale
+
+    def test_t_coefficients_of_single_u_terms(self):
+        # U_2 = 2 T_2 + T_0 and U_3 = 2 T_3 + 2 T_1
+        assert su2num.u_to_chebyshev_t([0, 0, 1]).tolist() == [1.0, 0.0, 2.0]
+        assert su2num.u_to_chebyshev_t([0, 0, 0, 1]).tolist() == [0.0, 2.0, 0.0, 2.0]

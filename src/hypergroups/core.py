@@ -467,7 +467,9 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def _check_pairs(H: Hypergroup, sample: list[Label]) -> tuple[dict[str, int], list[AxiomFailure]]:
+def _check_pairs(
+    H: Hypergroup, sample: list[Label], fuse: Callable[[Label, Label], FiniteMeasure]
+) -> tuple[dict[str, int], list[AxiomFailure]]:
     counts = {"normalization": 0, "identity": 0, "involution_antihom": 0,
               "inverse_support": 0}
     if H.commutative:
@@ -478,20 +480,20 @@ def _check_pairs(H: Hypergroup, sample: list[Label]) -> tuple[dict[str, int], li
 
     for x in sample:
         counts["identity"] += 2
-        if H._fuse(e, x) != FiniteMeasure.point(x):
+        if fuse(e, x) != FiniteMeasure.point(x):
             failures.append(AxiomFailure("identity", (H.label_str(x),),
                                          "fusion with identity on the left is not a point mass"))
-        if H._fuse(x, e) != FiniteMeasure.point(x):
+        if fuse(x, e) != FiniteMeasure.point(x):
             failures.append(AxiomFailure("identity", (H.label_str(x),),
                                          "fusion with identity on the right is not a point mass"))
         counts["inverse_support"] += 1
-        if H._fuse(involution(x), x).mass(e) == 0:
+        if fuse(involution(x), x).mass(e) == 0:
             failures.append(AxiomFailure("inverse_support", (H.label_str(x),),
                                          "identity missing from fusion with the involute"))
 
     for x in sample:
         for y in sample:
-            mu = H._fuse(x, y)
+            mu = fuse(x, y)
             counts["normalization"] += 1
             total = mu.total()
             if total != 1:
@@ -500,13 +502,13 @@ def _check_pairs(H: Hypergroup, sample: list[Label]) -> tuple[dict[str, int], li
                     f"total mass {total} != 1"))
             counts["involution_antihom"] += 1
             tilde = mu.map_labels(involution)
-            if tilde != H._fuse(involution(y), involution(x)):
+            if tilde != fuse(involution(y), involution(x)):
                 failures.append(AxiomFailure(
                     "involution_antihom", (H.label_str(x), H.label_str(y)),
                     "involute of the fusion differs from fusion of the swapped involutes"))
             if H.commutative:
                 counts["commutativity"] += 1
-                if mu != H._fuse(y, x):
+                if mu != fuse(y, x):
                     failures.append(AxiomFailure(
                         "commutativity", (H.label_str(x), H.label_str(y)),
                         "fusion is not symmetric"))
@@ -665,12 +667,14 @@ def _scaled_tensor(rows: list[list[tuple[int, FiniteMeasure]]],
     return out
 
 
-def _associativity_failures(H: Hypergroup, S: list[Label], T: list[Label],
-                            W: list[Label]) -> list[AxiomFailure]:
+def _associativity_failures(H: Hypergroup, S: list[Label], T: list[Label], W: list[Label],
+                            fuse: Callable[[Label, Label], FiniteMeasure] | None = None,
+                            ) -> list[AxiomFailure]:
     """Triples of S where (x*y)*z != x*(y*z), in (x, y, z) order.
 
     T is the support of S*S and W that of T*S and S*T.  The oracle is
-    called once for each pair of S x S, T x S and S x T.  Each mass is
+    called once for each pair of S x S, T x S and S x T, through ``fuse``
+    (``H._fuse`` when None).  Each mass is
     scaled by the weights a = H._dimension, n_xy(w) = a_x a_y (d_x * d_y)(w) / a_w,
     and then to an integer over the common denominator L of the scaled masses:
 
@@ -701,9 +705,10 @@ def _associativity_failures(H: Hypergroup, S: list[Label], T: list[Label],
         num, den = m.numerator * c, m.denominator * weight(w)
         return num // den if num % den == 0 else Fraction(num, den)
 
-    ss = [[(weight(x) * weight(y), H._fuse(x, y)) for y in S] for x in S]
-    ts = [[(weight(t) * weight(z), H._fuse(t, z)) for z in S] for t in T]
-    st = [[(weight(x) * weight(t), H._fuse(x, t)) for t in T] for x in S]
+    fuse = fuse or H._fuse
+    ss = [[(weight(x) * weight(y), fuse(x, y)) for y in S] for x in S]
+    ts = [[(weight(t) * weight(z), fuse(t, z)) for z in S] for t in T]
+    st = [[(weight(x) * weight(t), fuse(x, t)) for t in T] for x in S]
     masses = [scaled(c, m, w) for rows in (ss, ts, st) for row in rows
               for c, mu in row for w, m in mu.items()]
     scale = math.lcm(*(m.denominator for m in masses))
@@ -754,9 +759,12 @@ def check_axioms(H: Hypergroup, sample: Collection[Label]) -> AxiomReport:
     W = sorted(support_product(H, T, sample) | support_product(H, sample, T))
     _check_associativity_budget(len(sample), len(T), len(W))
 
-    counts, failures = _check_pairs(H, sample)
+    # the pair checks and the contraction share one fusion dictionary, kept
+    # for this call only: su2-hat keeps none of its own
+    fuse = functools.cache(H._fuse)
+    counts, failures = _check_pairs(H, sample, fuse)
     counts["associativity"] = len(sample) ** 3
-    failures.extend(_associativity_failures(H, sample, T, W))
+    failures.extend(_associativity_failures(H, sample, T, W, fuse))
 
     return AxiomReport(hypergroup=H.name, sample_size=len(sample),
                        checks=counts, failures=failures)

@@ -60,6 +60,30 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
+class QuadratureValue(float):
+    """A quadrature A-norm, carrying the residual it was accepted with.
+
+    It is the float value wherever a float is used (arithmetic, comparison,
+    formatting and JSON), so the A-norm entry points keep their return type,
+    and :func:`a_norm_residual` reads the residual back.
+    """
+
+    __slots__ = ("residual",)
+
+    def __new__(cls, value: float, residual: float):
+        self = super().__new__(cls, value)
+        self.residual = residual
+        return self
+
+    def __reduce__(self):
+        return type(self), (float(self), self.residual)
+
+
+def a_norm_residual(value: Any) -> float:
+    """The quadrature residual of an A-norm value; 0 for an exact class sum."""
+    return value.residual if isinstance(value, QuadratureValue) else 0.0
+
+
 # ---------------------------------------------------------------------------
 # Weighted lp norms
 # ---------------------------------------------------------------------------
@@ -127,16 +151,27 @@ def a_norm_exact_finite(dual: Hypergroup, v: FiniteFunction) -> Any:
             / math.prod(t.group_order for t in tables))
 
 
-def _refine_splits(quadrature, tolerance: float) -> float:
-    """Value of the first quadrature(split), split = 1, 2, 4, 8, within tolerance.
+# (Kronrod order, split) of each quadrature pass, in the order they are tried
+QUADRATURE_LADDER = ((15, 1), (21, 1), (21, 2), (21, 4), (21, 8))
 
-    Each call returns (value, residual).  When the residual still exceeds
-    the tolerance at the 8x split, raises NumericError carrying it.
+
+def _refine_splits(quadrature, tolerance: float) -> QuadratureValue:
+    """The first pass on QUADRATURE_LADDER whose residual is within tolerance.
+
+    ``quadrature(order, split, budget)`` returns (value, residual) and may
+    stop once its running residual exceeds ``budget``: the residual is a sum
+    of nonnegative parts, so such a pass would miss the tolerance in full
+    too.  Every pass but the last gets the tolerance as its budget, which
+    bounds what a K15 pass that misses costs; the last runs in full, and
+    when its residual still exceeds the tolerance, raises NumericError
+    carrying it.
     """
-    for split in (1, 2, 4, 8):
-        value, residual = quadrature(split)
+    last = QUADRATURE_LADDER[-1]
+    for order, split in QUADRATURE_LADDER:
+        budget = math.inf if (order, split) == last else tolerance
+        value, residual = quadrature(order, split, budget)
         if residual <= tolerance:
-            return value
+            return QuadratureValue(value, residual)
     raise NumericError(
         f"quadrature residual {residual:.3e} exceeds tolerance {tolerance:.3e} "
         f"with every piece split {split}x", residual=residual)
@@ -146,9 +181,10 @@ def a_norm_su2(v: FiniteFunction, config: QuadratureConfig | None = None) -> flo
     """A-norm of v over the dual of SU(2), by Weyl-measure quadrature.
 
     Integrates (2/pi) |sum_n v(n) (n+1) U_n(cos theta)| sin^2 theta over
-    (0, pi) with the Gauss-Kronrod pass, the series summed in the T basis.
-    The integrand is split at the zeros of the series so each piece is
-    smooth; the residual estimate must meet the config tolerance.
+    (0, pi) with the Gauss-Kronrod passes of :func:`_refine_splits`, the
+    series summed in the T basis.  The integrand is split at the zeros of
+    the series so each piece is smooth; the residual estimate must meet the
+    config tolerance, and the value returned carries it.
     """
     config = config or DEFAULT_QUADRATURE
     if not v:
@@ -162,8 +198,9 @@ def a_norm_su2(v: FiniteFunction, config: QuadratureConfig | None = None) -> flo
 
     roots = su2num.u_series_roots_theta(coeffs)
     breaks = np.unique(np.concatenate([[0.0, math.pi], roots]))
-    return _refine_splits(lambda split: su2num.gauss_kronrod(integrand, breaks, split),
-                          config.tolerance)
+    return _refine_splits(
+        lambda order, split, budget: su2num.gauss_kronrod(integrand, breaks, split, order, budget),
+        config.tolerance)
 
 
 def a_norm(H: Hypergroup, v: FiniteFunction, config: QuadratureConfig | None = None) -> Any:
@@ -380,8 +417,10 @@ class Su2IntervalBump(Plateau):
     def a_norm(self, config: QuadratureConfig | None = None) -> float:
         """Quadrature A-norm via the closed-form product of sine kernels.
 
-        The kernel zeros are found once; when the Gauss-Kronrod residual
-        misses the tolerance, every piece is split into 2, then 4, then 8.
+        The kernel zeros are found once; the passes of :func:`_refine_splits`
+        run on them until one meets the tolerance: K15, then K21 with every
+        piece whole, split into 2, 4 and then 8.  The value returned carries
+        the accepted residual.
         """
         config = config or DEFAULT_QUADRATURE
         self._check_support_budget("A-norm quadrature")
@@ -390,8 +429,9 @@ class Su2IntervalBump(Plateau):
         breaks = su2num.interval_product_breakpoints(p_dim, q_dim)
         h_v = float(self._h_v)
 
-        def quadrature(split: int) -> tuple[float, float]:
-            raw, raw_residual = su2num.interval_product_l1(p_dim, q_dim, breaks, split)
+        def quadrature(order: int, split: int, budget: float) -> tuple[float, float]:
+            raw, raw_residual = su2num.interval_product_l1(
+                p_dim, q_dim, breaks, split, order=order, budget=budget * h_v)
             return raw / h_v, raw_residual / h_v
 
         return _refine_splits(quadrature, config.tolerance)

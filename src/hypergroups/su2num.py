@@ -278,11 +278,15 @@ def kernel_roots(M: int) -> np.ndarray:
     sin(a theta), so each bracket holds exactly one zero, and since
     g(0) = g(pi) = 0 there is none elsewhere in (0, pi).
 
-    The Newton step g/g' = (cot(theta/2) - 2a cot(a theta)) / (2a^2 - 1/2)
-    costs two tangents.  It starts one arctan step below the right end,
-    theta_0 = ((k + 1/2) pi - arctan(1 / (2a tan(hi/2)))) / a, which solves
-    tan(a theta) = 2a tan(theta/2) with the right side frozen at the end,
-    and stops once no step exceeds a few ulps of pi (3 to 4 sweeps).
+    Newton runs on the phase phi = a theta - k pi, which stays in [0, pi/2]
+    on the bracket, with theta = (k pi + phi) / a.  The step
+    a g/g' = (cot(theta/2) - 2a cot(phi)) / ((2a^2 - 1/2) / a) costs two
+    tangents, both of small arguments; a tangent of a theta itself, up to
+    3e6 rad, would cost five times as much.  It starts one arctan step below
+    the right end, phi_0 = pi/2 - arctan(1 / (2a tan(hi/2))), which solves
+    tan(phi) = 2a tan(theta/2) with the right side frozen at the end, and
+    stops once no step moves theta by more than a few ulps of pi (3 to 4
+    sweeps).
     Neither the convergence nor the rounding is proven, so the result is
     checked: exactly M - 1 strictly increasing roots, each in its bracket
     up to a few ulps (near pi a root can round past the right end).  A
@@ -291,21 +295,28 @@ def kernel_roots(M: int) -> np.ndarray:
     if M <= 1:
         return np.empty(0)
     a = M + 0.5
-    k = np.arange(1, M, dtype=float)
-    lo = k * (math.pi / a)
-    hi = (k + 0.5) * (math.pi / a)
-    theta = ((k + 0.5) * math.pi - np.arctan(1.0 / (2 * a * np.tan(0.5 * hi)))) / a
-    scale = 2 * a * a - 0.5
+    # bracket k is [k pi, k pi + pi/2] / a.  Only k_pi and phi live through
+    # the search, and the roots are formed in phi's place: each further
+    # array of M floats raised the peak RSS of the D = 1.1 witness by up to
+    # 16 MB (M = 965 604), through the allocator rather than the arrays'
+    # own peak
+    k_pi = np.arange(1, M) * math.pi
+    phi = 0.5 * math.pi - np.arctan(1.0 / (2 * a * np.tan((0.5 / a) * (k_pi + 0.5 * math.pi))))
+    scale = (2 * a * a - 0.5) / a
     for _ in range(_NEWTON_SWEEPS):
-        step = 1.0 / np.tan(0.5 * theta)
-        step -= 2 * a / np.tan(a * theta)
+        step = 1.0 / np.tan((0.5 / a) * (k_pi + phi))
+        step -= 2 * a / np.tan(phi)
         step /= scale
-        theta -= step
-        if np.max(np.abs(step)) <= _ROOT_SLACK:
+        phi -= step
+        if np.max(np.abs(step)) <= a * _ROOT_SLACK:
             break
     else:
         raise InternalInvariantError(f"kernel_roots({M}): Newton did not converge")
-    inside = (theta >= lo - _ROOT_SLACK) & (theta <= hi + _ROOT_SLACK)
+    phi += k_pi
+    phi /= a
+    theta = phi
+    inside = ((theta >= k_pi / a - _ROOT_SLACK)
+              & (theta <= (k_pi + 0.5 * math.pi) / a + _ROOT_SLACK))
     if not (inside.all() and np.all(np.diff(theta) > 0)):
         raise InternalInvariantError(
             f"kernel_roots({M}): roots are not one per bracket in increasing order")
@@ -326,9 +337,20 @@ def piecewise_gauss(fn, breakpoints: np.ndarray, order: int) -> float:
     return float(np.sum(half * (vals @ weights)))
 
 
-# Embedded Gauss 10 / Kronrod 21 pair on [-1, 1], the QUADPACK qk21 constants
-# (Piessens et al., 1983): the Kronrod abscissae of the right half with the
-# Gauss abscissae at odd positions, the Kronrod weights, and the Gauss weights.
+# Embedded Gauss / Kronrod pairs on [-1, 1], the QUADPACK qk15 and qk21
+# constants (Piessens et al., 1983): the Kronrod abscissae of the right half
+# from the outside in, ending at the centre, with the Gauss abscissae at odd
+# positions; the Kronrod weights; and the Gauss weights.
+_XGK15 = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+          0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+          0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+          0.207784955007898467600689403773245, 0.0)
+_WGK15 = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+          0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+          0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+          0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG7 = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+        0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 _XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
         0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
         0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
@@ -346,36 +368,53 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.295524224714752870173892994651338)
 
 
-def _kronrod21() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 21 nodes in increasing order, their K21 weights and G10 weights."""
-    nodes = np.concatenate([-np.array(_XGK[:-1]), _XGK[::-1]])
-    kronrod = np.concatenate([_WGK[:-1], _WGK[::-1]])
-    gauss = np.zeros(21)
-    gauss[1:10:2] = _WG
-    gauss[11:20:2] = _WG[::-1]
-    return nodes, kronrod, gauss
+def _kronrod_rule(xgk, wgk, wg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes in increasing order, their Kronrod weights and Gauss weights.
+
+    The Gauss weights fill the odd positions of the half, so the centre is a
+    Gauss node of G7 (its half holds 7 nodes besides the centre) and not of
+    G10 (10 besides it).
+    """
+    nodes = np.concatenate([-np.array(xgk[:-1]), xgk[::-1]])
+    kronrod = np.concatenate([wgk[:-1], wgk[::-1]])
+    half = np.zeros(len(xgk))
+    half[1::2] = wg
+    return nodes, kronrod, np.concatenate([half[:-1], half[::-1]])
 
 
-_KRONROD21 = _kronrod21()
+_KRONROD15 = _kronrod_rule(_XGK15, _WGK15, _WG7)
+_KRONROD21 = _kronrod_rule(_XGK, _WGK, _WG)
+_KRONROD = {15: _KRONROD15, 21: _KRONROD21}
 
 # nodes per chunk in gauss_kronrod: the working arrays stay in cache
 _CHUNK_NODES = 1 << 16
 
 
-def gauss_kronrod(fn, breaks: np.ndarray, split: int) -> tuple[float, float]:
+def gauss_kronrod(fn, breaks: np.ndarray, split: int, order: int = 21,
+                  budget: float = math.inf, *, by_piece: bool = False) -> tuple[float, float]:
     """Integral of fn over [breaks[0], breaks[-1]], with residual, in one pass.
 
     ``fn`` maps an array of abscissae to the integrand's values, elementwise
-    and in the same shape.  Each piece between consecutive ``breaks`` is cut
-    into ``split`` equal parts and integrated with the Gauss 10 / Kronrod 21
-    pair, so ``breaks`` should hold every kink of the integrand.  The value
-    is the K21 sum.  The residual is the sum over all parts of |K21 - G10|,
-    added without cancellation: per part it estimates the G10 error, and
-    since K21 is exact to degree 31 where G10 is exact only to 19, it
-    normally overstates the error of the K21 value.  Raises no error itself;
-    the caller compares the residual with its budget and refines ``split``.
+    and in the same shape.  With ``by_piece`` it is called as fn(left,
+    offset) instead: ``left`` is a column of the pieces' left ends and
+    ``offset`` holds each node's distance from its piece's left end, so an
+    integrand can reduce a large argument once per piece.  Each piece
+    between consecutive ``breaks`` is cut into ``split`` equal parts and
+    integrated with the Gauss 7 / Kronrod 15 (``order`` 15) or Gauss 10 /
+    Kronrod 21 (``order`` 21) pair, so ``breaks`` should hold every kink of
+    the integrand.  The value is the Kronrod sum.  The residual is the sum
+    over all parts of |K - G|, added without cancellation: per part it
+    estimates the Gauss error, and since K15 and K21 are exact to degrees
+    22 and 31 where G7 and G10 are exact only to 13 and 19, it normally
+    overstates the error of the Kronrod value.
+
+    The pieces are integrated in chunks of about 65 536 nodes, left to
+    right.  The pass stops after the first chunk that takes the running
+    residual above ``budget``; the residual of a full pass could only be
+    larger, so the caller, which compares it with the same budget, refuses
+    the pass either way.  Raises no error itself.
     """
-    nodes, kronrod, gauss = _KRONROD21
+    nodes, kronrod, gauss = _KRONROD[order]
     weights = np.stack([kronrod, kronrod - gauss], axis=1)
     offsets = ((np.arange(split)[:, None] + 0.5 * (nodes + 1.0)) / split).ravel()
     per_chunk = max(1, _CHUNK_NODES // offsets.size)
@@ -383,13 +422,16 @@ def gauss_kronrod(fn, breaks: np.ndarray, split: int) -> tuple[float, float]:
     n_pieces = len(breaks) - 1
     for start in range(0, n_pieces, per_chunk):
         stop = min(start + per_chunk, n_pieces)
-        left = breaks[start:stop]
-        width = breaks[start + 1:stop + 1] - left
-        pts = left[:, None] + width[:, None] * offsets
-        sums = fn(pts).reshape(-1, split, 21) @ weights
-        half = (0.5 / split) * width
+        left = breaks[start:stop, None]
+        width = breaks[start + 1:stop + 1, None] - left
+        offset = width * offsets
+        values = fn(left, offset) if by_piece else fn(left + offset)
+        sums = (values.reshape(-1, nodes.size) @ weights).reshape(-1, split, 2)
+        half = (0.5 / split) * width[:, 0]
         total += float(half @ sums[:, :, 0].sum(axis=1))
         residual += float(half @ np.abs(sums[:, :, 1]).sum(axis=1))
+        if residual > budget:
+            break
     return total, residual
 
 
@@ -399,53 +441,95 @@ def interval_product_breakpoints(P: int, Q: int) -> np.ndarray:
     return np.unique(np.concatenate(pieces))
 
 
-def _abs_kernel_product(a_p: float, a_q: float, theta: np.ndarray) -> np.ndarray:
-    """4 |S_P(theta) S_Q(theta)| for a = M + 1/2, from three tangents.
+# pi in three parts for the reduction in _half_phase_tangent: _PI_HI has 30
+# significant bits and _PI_MID the next 23, so k * _PI_HI and k * _PI_MID are
+# exact for every integer k < 2^23, and _PI_LO is pi - float(pi)
+_PI_HI = math.ldexp(math.floor(math.ldexp(math.pi, 28)), -28)
+_PI_MID = math.pi - _PI_HI
+_PI_LO = 1.2246467991473532e-16
+
+
+def _half_phase_tangent(a: float, left: np.ndarray, offset: Any) -> np.ndarray:
+    """tan(a (left + offset) / 2), with the phase reduced once per left end.
+
+    x = (a/2) left loses nothing to the reduction x - k pi, k = rint(x/pi):
+    the parts of pi make k * _PI_HI exact, x - k * _PI_HI exact (the two
+    are within a factor of two), and the rest rounds only at the size of
+    the reduced phase.  So the argument carries the rounding of (a/2) left
+    and of the small (a/2) offset, as the unreduced (a/2)(left + offset)
+    carries its own, and the tangent is taken of a phase in [-pi/2, pi/2]
+    plus (a/2) offset, where numpy's tangent is fast.  The exactness needs
+    |k| < 2^23, which holds for a < 2^24 and left <= pi; the interval
+    plateaus' support budget, MAX_INTERVAL_SUPPORT, keeps a below 2^22 + 1.
+    """
+    x = (0.5 * a) * left
+    k = np.rint(x * (1.0 / math.pi))
+    x -= k * _PI_HI
+    x -= k * _PI_MID
+    x -= k * _PI_LO
+    phase = np.multiply(offset, 0.5 * a)
+    phase += x
+    return np.tan(phase, out=phase)
+
+
+def _abs_kernel_product(a_p: float, a_q: float, left: np.ndarray,
+                        offset: Any = 0.0) -> np.ndarray:
+    """4 |S_P(theta) S_Q(theta)| at theta = left + offset, for a = M + 1/2.
 
     With t = tan(theta/2) and u = tan(a theta/2) the half-angle formulas give
     4 sin^2(theta/2) S_M = cos(theta/2) (sin(a theta) - 2a t cos(a theta))
     = 2 cos(theta/2) h, h = (u - a t (1 - u^2)) / (1 + u^2), so
-    4 |S_P S_Q| = |h_P h_Q| (1 + t^2) / t^4.  The angle theta/2 is shared by
-    both kernels.  Three tangents replace six sines and cosines, and numpy's
-    float64 tangent is SIMD-vectorized on x86 where its sine and cosine are
-    not: 6 ns against 29 ns per value with numpy 2.4 on an AVX-512 core.
+    4 |S_P S_Q| = |h_P h_Q| (1 + t^2) / t^4, taken as one fraction with one
+    division.  The angle theta/2 is shared by both kernels.  Three tangents
+    replace six sines and cosines, and numpy's float64 tangent is
+    SIMD-vectorized on x86 where its sine and cosine are not.  The phases
+    a theta / 2 reach about 1.6e6 rad at the D = 1.1 stage 5 (a = 965 604.5),
+    where a tangent costs 7.9 ns against 1.5 ns on [0, 3] (numpy 2.4 on a
+    Xeon core); :func:`_half_phase_tangent` reduces them once per ``left``,
+    so every tangent here takes a small argument.  ``left`` may be a column
+    of piece ends with one ``offset`` row per end, or any array with
+    ``offset`` 0.
     """
-    t = np.tan(0.5 * theta)
-    out = _tangent_numerator(a_p, t, np.tan((0.5 * a_p) * theta))
-    out *= _tangent_numerator(a_q, t, np.tan((0.5 * a_q) * theta))
-    np.abs(out, out=out)
+    t = np.tan(0.5 * (left + offset))
+    num, den = _tangent_fraction(a_p, t, _half_phase_tangent(a_p, left, offset))
+    num_q, den_q = _tangent_fraction(a_q, t, _half_phase_tangent(a_q, left, offset))
+    num *= num_q
+    den *= den_q
     t *= t
-    out /= t
-    out /= t
+    den *= t
+    den *= t
     t += 1.0
-    out *= t
-    return out
+    num *= t
+    num /= den
+    return np.abs(num, out=num)
 
 
-def _tangent_numerator(a: float, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(u - a t (1 - u^2)) / (1 + u^2), elementwise."""
-    u2 = u * u
-    out = u2 - 1.0
-    out *= a * t
-    out += u
-    u2 += 1.0
-    out /= u2
-    return out
+def _tangent_fraction(a: float, t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h as the pair (u - a t (1 - u^2), 1 + u^2), elementwise; ``u`` becomes the second."""
+    num = u * u
+    num -= 1.0
+    num *= a * t
+    num += u
+    u *= u
+    u += 1.0
+    return num, u
 
 
-def interval_product_l1(P: int, Q: int, breaks: np.ndarray,
-                        split: int) -> tuple[float, float]:
+def interval_product_l1(P: int, Q: int, breaks: np.ndarray, split: int, order: int = 21,
+                        budget: float = math.inf) -> tuple[float, float]:
     """(2/pi) * integral of |S_P(theta) S_Q(theta)| over (0, pi), with residual.
 
     ``breaks`` come from :func:`interval_product_breakpoints`, so |S_P S_Q|
     is smooth on each piece between them.  :func:`gauss_kronrod` integrates
-    the fused 4 |S_P S_Q| with ``split`` parts per piece, and its value and
-    residual are both scaled by 1/(2 pi).
+    the fused 4 |S_P S_Q| by piece with ``split`` parts per piece and the
+    rule of ``order``, and its value and residual are both scaled by
+    1/(2 pi); the pass stops once the scaled residual exceeds ``budget``.
     """
     a_p, a_q = P + 0.5, Q + 0.5
-    total, residual = gauss_kronrod(
-        lambda theta: _abs_kernel_product(a_p, a_q, theta), breaks, split)
     scale = 0.5 / math.pi  # 2/pi for the normalisation, 1/4 for the integrand
+    total, residual = gauss_kronrod(
+        lambda left, offset: _abs_kernel_product(a_p, a_q, left, offset),
+        breaks, split, order, budget / scale, by_piece=True)
     return scale * total, scale * residual
 
 

@@ -10,6 +10,10 @@ Product tables: :func:`kronecker_table` builds the character table of a
 direct product value by value, as the Kronecker product of the factors'
 tables, so the class functions that the library contracts from the factor
 tables can be checked against one table of the whole group.
+
+A-norms on su2-hat: :func:`interval_product_l1_antiderivative` and
+:func:`a_norm_su2_antiderivative` integrate by antiderivatives between
+sign changes, so the quadrature has an oracle that shares none of it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from functools import reduce
 from itertools import combinations, product
 from operator import mul
 from typing import Any
+
+import numpy as np
 
 from hypergroups import CharacterTable
 from hypergroups.core import (
@@ -113,3 +119,98 @@ def kronecker_table(*tables: CharacterTable) -> CharacterTable:
     sizes = [math.prod(parts) for parts in product(*(t.class_sizes for t in tables))]
     return CharacterTable(math.prod(t.group_order for t in tables), sizes, rows,
                           name="x".join(t.name for t in tables))
+
+
+# ---------------------------------------------------------------------------
+# A-norms on su2-hat by antiderivatives, with no quadrature
+# ---------------------------------------------------------------------------
+#
+# On each piece between consecutive sign changes of a cosine series g, the
+# integral of |g| is |G(b) - G(a)| for an antiderivative G.  The zeros come
+# from bisection on the sine forms, so neither oracle shares the library's
+# quadrature, kernel Newton iteration or Chebyshev root finder.
+
+
+def _bisect(fn, lo: np.ndarray, hi: np.ndarray, iterations: int = 60) -> np.ndarray:
+    """One zero of fn in each bracket [lo, hi] where fn changes sign."""
+    lo_sign = np.sign(fn(lo))
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        same = np.sign(fn(mid)) == lo_sign
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _antiderivative_l1(constant: float, cosines: np.ndarray, breaks: np.ndarray) -> float:
+    """(2/pi) sum_i |G(b_{i+1}) - G(b_i)| for g = constant + sum_j cosines[j-1] cos(j theta).
+
+    G(theta) = constant theta + sum_j cosines[j-1] sin(j theta) / j, summed
+    directly in O(len(breaks) len(cosines)), 256 breaks at a time.
+    """
+    j = np.arange(1, len(cosines) + 1)
+    weights = cosines / j
+    G = np.concatenate([np.sin(np.outer(chunk, j)) @ weights
+                        for chunk in np.array_split(breaks, max(1, len(breaks) // 256))])
+    G += constant * breaks
+    return (2.0 / math.pi) * float(np.sum(np.abs(np.diff(G))))
+
+
+def interval_product_l1_antiderivative(P: int, Q: int) -> float:
+    """(2/pi) integral of |S_P S_Q| over (0, pi) as sum_i |G(r_{i+1}) - G(r_i)|.
+
+    With S_M = sum_{k <= M} k sin(k theta), S_P S_Q = A(0)/2 + (1/2) sum_j
+    (A(j) - B(j)) cos(j theta), where A(j) = sum_{|p-q| = j} p q and
+    B(j) = sum_{p+q = j} p q over p <= P, q <= Q, so
+    G(theta) = A(0) theta / 2 + (1/2) sum_j (A(j) - B(j)) sin(j theta) / j.
+    The r_i are 0, pi and the zeros of S_P and S_Q, one in each bracket
+    [k pi/a, (k + 1/2) pi/a], k = 1 .. M-1, a = M + 1/2, found by bisection on
+    4 sin^2(theta/2) S_M = cos(theta/2) sin(a theta) - 2a sin(theta/2) cos(a theta).
+    """
+    p, q = np.arange(P + 1), np.arange(Q + 1)
+    lags = np.convolve(p, q[::-1])  # lags[Q + m] = sum_{p - q = m} p q, exact in int64
+    A = np.zeros(P + Q + 1, dtype=np.int64)
+    A[:P + 1] += lags[Q:]
+    A[1:Q + 1] += lags[:Q][::-1]
+    B = np.convolve(p, q)
+    cosines = 0.5 * (A[1:] - B[1:]).astype(float)
+
+    def zeros(M: int) -> np.ndarray:
+        a = M + 0.5
+        k = np.arange(1, M, dtype=float)
+
+        def g(theta: np.ndarray) -> np.ndarray:
+            return (np.cos(0.5 * theta) * np.sin(a * theta)
+                    - 2 * a * np.sin(0.5 * theta) * np.cos(a * theta))
+
+        return _bisect(g, k * math.pi / a, (k + 0.5) * math.pi / a)
+
+    breaks = np.unique(np.concatenate([[0.0, math.pi], zeros(P), zeros(Q)]))
+    return _antiderivative_l1(0.5 * A[0], cosines, breaks)
+
+
+def a_norm_su2_antiderivative(v: dict[int, float], grid_factor: int = 64) -> float:
+    """A-norm of v on su2-hat as sum_i |G(r_{i+1}) - G(r_i)|.
+
+    With c_n = v(n) (n + 1), the integrand (2/pi) |sum_n c_n U_n(cos theta)|
+    sin^2 theta is (2/pi) |g|, g = sum_n c_n sin((n+1) theta) sin theta
+    = sum_k e_k cos(k theta), e_k = (c_k - c_{k-2}) / 2.  Its sign changes
+    in (0, pi) are those of s = sum_n c_n sin((n+1) theta): sign changes on
+    a grid of grid_factor (N + 2) points, then bisection.
+    """
+    N = max(v)
+    c = np.zeros(N + 3)
+    for n, value in v.items():
+        c[n] = value * (n + 1)
+    e = 0.5 * (c - np.concatenate([[0.0, 0.0], c[:-2]]))
+    freqs = np.arange(1, N + 2)
+
+    def s(theta: np.ndarray) -> np.ndarray:
+        return np.sin(np.outer(theta, freqs)) @ c[:N + 1]
+
+    grid = np.linspace(0.0, math.pi, grid_factor * (N + 2) + 1)[1:-1]
+    sign = np.sign(s(grid))
+    flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    zeros = _bisect(s, grid[flips], grid[flips + 1])
+    breaks = np.concatenate([[0.0], zeros, [math.pi]])
+    return _antiderivative_l1(e[0], e[1:], breaks)

@@ -277,6 +277,23 @@ class TestCheckAxioms:
         assert doc["ok"] is True
         assert doc["failures"] == []
 
+    def test_each_ordered_pair_is_fused_once_per_call(self, su2, monkeypatch):
+        # su2-hat keeps no fusion cache; check_axioms keeps one for the call
+        pairs = []
+        fuse = Hypergroup._fuse
+
+        def counted(self, x, y):
+            pairs.append((x, y))
+            return fuse(self, x, y)
+
+        monkeypatch.setattr(Hypergroup, "_fuse", counted)
+        first = check_axioms(su2, range(15))
+        assert len(pairs) == len(set(pairs)) == 645
+        assert su2._fusion_cache == {}
+        pairs.clear()
+        monkeypatch.undo()
+        assert check_axioms(su2, range(15)) == first
+
 
 @st.composite
 def su2_labels(draw):

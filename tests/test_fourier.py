@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -33,9 +34,14 @@ from hypergroups import core, fourier, segal, su2num
 from hypergroups.cli import run
 from hypergroups.fourier import Plateau, Su2IntervalBump, lp_h_power_sum
 from hypergroups.segal import absorption_witness
+from oracles import a_norm_su2_antiderivative
 
 half = Fraction(1, 2)
 _SU2 = su2_dual()
+
+
+def a_norm_antiderivative(v: FiniteFunction) -> float:
+    return a_norm_su2_antiderivative({n: float(x) for n, x in v.items()})
 
 
 class TestQuadratureConfig:
@@ -218,6 +224,33 @@ class TestANormSu2:
 
             reference = su2num.piecewise_gauss(integrand, breaks, 64)
             assert a_norm_su2(v) == pytest.approx(reference, abs=1e-12), top
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_antiderivative_oracle(self, seed):
+        # random functions of degree <= 200; the oracle finds its own sign
+        # changes, so a zero the Chebyshev root finder missed would show
+        rng = random.Random(seed)
+        top = rng.randint(0, 200)
+        labels = rng.sample(range(top), rng.randint(0, top)) + [top]
+        v = FiniteFunction({n: Fraction(rng.randint(-1000, 1000), 997) or 1 for n in labels})
+        reference = a_norm_antiderivative(v)
+        for tolerance in (1e-9, 1e-7):
+            value = a_norm_su2(v, QuadratureConfig(tolerance=tolerance))
+            residual = fourier.a_norm_residual(value)
+            assert 0 < residual <= tolerance
+            # the residual bounds the quadrature error; 1e-12 covers rounding
+            assert abs(value - reference) <= residual + 1e-12 * reference, top
+
+    def test_value_carries_its_residual(self):
+        value = a_norm_su2(FiniteFunction({1: 1, 4: Fraction(-2, 3)}))
+        assert isinstance(value, float)
+        assert 0 < fourier.a_norm_residual(value) <= 1e-9
+        assert json.dumps(value) == repr(float(value))
+        assert f"{value:.17g}" == f"{float(value):.17g}"
+        copied = pickle.loads(pickle.dumps(value))
+        assert copied == value and copied.residual == value.residual
+        assert fourier.a_norm_residual(Fraction(4, 3)) == 0.0
+        assert fourier.a_norm_residual(1.25) == 0.0
 
     def test_absolute_homogeneity(self):
         v = FiniteFunction({1: 1, 4: Fraction(-2, 3)})

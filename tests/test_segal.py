@@ -1,5 +1,6 @@
 """Witness chains, blowup reports and the multiplier-boundedness check."""
 
+import json
 import math
 import time
 import tracemalloc
@@ -17,8 +18,14 @@ from hypergroups import (
     bump,
     check_multiplier_bounded,
 )
+from hypergroups.cli import run
 from hypergroups.fourier import BumpFunction, Su2IntervalBump
-from hypergroups.segal import MAX_INTERVAL_SUPPORT, absorption_witness
+from hypergroups.segal import (
+    MAX_INTERVAL_SUPPORT,
+    CheckReport,
+    WitnessSequence,
+    absorption_witness,
+)
 
 half = Fraction(1, 2)
 D32 = Fraction(3, 2)
@@ -231,6 +238,47 @@ class TestMultiplierBounded:
         doc = check_multiplier_bounded(w, config=QUICK_QUAD).to_json_dict()
         assert doc["ok"] is True
         assert doc["cap"] == 1.5
+
+    def test_residuals_reach_the_reports(self, su2, s3):
+        w = build_witness(su2, [0], D32, 3, search="interval")
+        report = blowup_report(w, 2, config=QUICK_QUAD)
+        check = check_multiplier_bounded(w, config=QUICK_QUAD)
+        residuals = [row.a_residual for row in report.rows]
+        assert residuals == check.a_residuals == w.a_residuals(QUICK_QUAD)
+        assert all(0 < r <= QUICK_QUAD.tolerance for r in residuals)
+        assert [row["a_residual"] for row in report.to_json_dict()["rows"]] == residuals
+        assert check.to_json_dict()["a_residuals"] == residuals
+        # the CSV keeps its columns
+        assert report.to_csv_text().split("\n")[0] == ",".join(report.CSV_COLUMNS)
+        # an exact class sum has no residual
+        finite = build_witness(s3, [0], Fraction(2), 2, search="greedy")
+        assert check_multiplier_bounded(finite).a_residuals == [0.0, 0.0]
+
+    def test_bound_counts_each_residual(self):
+        def report(a_values, a_residuals):
+            return CheckReport(product_ok=True, product_failures=[], a_values=a_values,
+                               max_a_value=max(a_values), cap=1.5, tolerance=1e-6,
+                               a_residuals=a_residuals)
+
+        assert report([1.5, 1.0], [1e-6, 0.0]).bound_ok
+        assert not report([1.5, 1.0], [2e-6, 0.0]).bound_ok
+        # the value with the largest sum decides, not the largest value
+        assert not report([1.5, 1.5 - 1e-7], [0.0, 2e-6]).bound_ok
+
+    def test_cli_witness_checks_the_chain_once(self, monkeypatch, tmp_path):
+        calls = []
+        chain_failures = WitnessSequence.chain_failures
+
+        def counted(self):
+            calls.append(len(self))
+            return chain_failures(self)
+
+        monkeypatch.setattr(WitnessSequence, "chain_failures", counted)
+        out = tmp_path / "witness.json"
+        assert run(["witness", "--dual", "su2", "--D", "1.1", "--N", "3", "--format", "json",
+                    "--no-timestamp", "--out", str(out)]) == 0
+        assert calls == [3]
+        assert json.loads(out.read_text())["multiplier_check"]["product_ok"] is True
 
 
 class TestAbsorptionWitness:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypergroups import NumericError, QuadratureConfig
 from hypergroups import su2num
 from hypergroups.fourier import Su2IntervalBump
+from oracles import interval_product_l1_antiderivative
 
 
 def bisection_kernel_roots(M, grid_factor=4, iterations=40):
@@ -108,6 +109,32 @@ class TestKronrodRule:
         np.testing.assert_allclose(gauss[used], w, rtol=0, atol=1e-15)
 
 
+class TestKronrod15Rule:
+    def test_weights_sum_to_two(self):
+        _, kronrod, gauss = su2num._KRONROD15
+        assert math.isclose(kronrod.sum(), 2.0, abs_tol=1e-15)
+        assert math.isclose(gauss.sum(), 2.0, abs_tol=1e-15)
+
+    def test_polynomial_exactness(self):
+        nodes, kronrod, gauss = su2num._KRONROD15
+        for d in range(23):
+            exact = 0.0 if d % 2 else 2.0 / (d + 1)
+            assert abs(kronrod @ nodes**d - exact) <= 1e-14, d
+            if d <= 13:
+                assert abs(gauss @ nodes**d - exact) <= 1e-14, d
+        # neither rule is exact one degree past its own
+        assert abs(kronrod @ nodes**24 - 2.0 / 25) > 1e-12
+        assert abs(gauss @ nodes**14 - 2.0 / 15) > 1e-12
+
+    def test_gauss_part_is_legendre_7_with_the_centre(self):
+        nodes, _, gauss = su2num._KRONROD15
+        x, w = np.polynomial.legendre.leggauss(7)
+        used = gauss > 0
+        assert used.sum() == 7 and used[7] and nodes[7] == 0.0
+        np.testing.assert_allclose(nodes[used], x, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gauss[used], w, rtol=0, atol=1e-15)
+
+
 class TestGaussKronrod:
     def test_chunked_pieces_sum_to_the_integral(self):
         breaks = np.linspace(0.0, math.pi, 10_001)  # more pieces than one chunk holds
@@ -127,6 +154,40 @@ class TestGaussKronrod:
         assert residuals[0] > 1e-4
         # with two parts the kink at 0 sits inside the first part only
         assert 0 < residuals[1] < residuals[0]
+
+    @pytest.mark.parametrize("order", [15, 21])
+    def test_pass_stops_after_the_chunk_that_exceeds_the_budget(self, order):
+        # 20 000 pieces in chunks of 65536 // order nodes; the kink at 0 lies
+        # inside piece 5333, in the second chunk of either rule
+        breaks = np.linspace(-0.8, 2.2, 20_001)
+        chunks = []
+
+        def counted(theta):
+            chunks.append(theta.shape[0])
+            return np.abs(theta)
+
+        _, full = su2num.gauss_kronrod(counted, breaks, 1, order)
+        assert su2num._CHUNK_NODES == 65_536
+        assert len(chunks) == -(-20_000 // (su2num._CHUNK_NODES // order))
+        chunks.clear()
+        _, stopped = su2num.gauss_kronrod(counted, breaks, 1, order, budget=1e-12)
+        assert len(chunks) == 2
+        assert 1e-12 < stopped <= full
+
+    def test_by_piece_hands_left_ends_and_offsets(self):
+        breaks = np.array([0.0, 0.5, 2.0])
+        seen = []
+
+        def by_piece(left, offset):
+            seen.append((left.copy(), offset.copy()))
+            return np.sin(left + offset)
+
+        value, _ = su2num.gauss_kronrod(by_piece, breaks, 2, 15, by_piece=True)
+        assert value == pytest.approx(1.0 - math.cos(2.0), abs=1e-14)
+        (left, offset), = seen
+        assert left.tolist() == [[0.0], [0.5]]
+        assert offset.shape == (2, 30)
+        assert 0.0 < offset.min() and np.all(offset[1] <= 1.5) and offset[1].max() > 1.49
 
 
 class TestIntervalProductL1:
@@ -157,19 +218,90 @@ class TestIntervalProductL1:
         assert residuals[1] < residuals[0] / 100
         assert max(residuals[1:]) <= 1e-14 * base
 
+    @pytest.mark.parametrize("order", [15, 21])
+    @pytest.mark.parametrize("k2,m2", [(0, 1), (2, 29), (60, 914), (1, 5), (7, 3)])
+    def test_matches_the_antiderivative_oracle(self, k2, m2, order):
+        # stages 1-3 of the D = 1.1 witness, and two small pairs; the oracle
+        # shares no quadrature and finds its own zeros
+        P, Q = k2 + m2 + 1, m2 + 1
+        breaks = su2num.interval_product_breakpoints(P, Q)
+        value, residual = su2num.interval_product_l1(P, Q, breaks, 1, order)
+        reference = interval_product_l1_antiderivative(P, Q)
+        assert value == pytest.approx(reference, rel=1e-12)
+        assert 0 < residual <= 1e-7 * value
+
+    @staticmethod
+    def _count_nodes(monkeypatch):
+        nodes = []
+        original = su2num._abs_kernel_product
+
+        def counted(a_p, a_q, left, offset=0.0):
+            nodes.append(np.broadcast(left, offset).size)
+            return original(a_p, a_q, left, offset)
+
+        monkeypatch.setattr(su2num, "_abs_kernel_product", counted)
+        return nodes
+
+    def test_bench_tolerance_takes_15_nodes_a_piece(self, su2, monkeypatch):
+        plateau = Su2IntervalBump.build(su2, 60, 914)  # stage 3 of the D = 1.1 chain
+        pieces = len(su2num.interval_product_breakpoints(975, 915)) - 1
+        nodes = self._count_nodes(monkeypatch)
+        plateau.a_norm(QuadratureConfig(tolerance=1e-7))
+        assert sum(nodes) == 15 * pieces
+
+    @pytest.mark.parametrize("k2,m2", [(60, 914), (1888, 28_779)])
+    def test_default_tolerance_takes_21_nodes_a_piece_after_one_probe_chunk(
+            self, su2, monkeypatch, k2, m2):
+        # stages 3 and 4: at 1e-9 the K15 pass stops after its first chunk,
+        # which at stage 3 holds every piece
+        plateau = Su2IntervalBump.build(su2, k2, m2)
+        pieces = len(su2num.interval_product_breakpoints(k2 + m2 + 1, m2 + 1)) - 1
+        nodes = self._count_nodes(monkeypatch)
+        plateau.a_norm()
+        probe, *rest = nodes
+        assert probe == 15 * min(pieces, su2num._CHUNK_NODES // 15)
+        assert sum(rest) == 21 * pieces
+
+    def test_reduced_integrand_matches_the_unreduced_at_stage_5_phases(self):
+        # stage 5 of the D = 1.1 chain: (a/2) theta reaches 1.6e6 rad.  Left
+        # ends and offsets on a 2^-28 grid make theta = left + offset and
+        # (a/2) theta exact, so the unreduced formula takes numpy's tangent of
+        # the exact phase.  Near a kernel zero the value is ill-conditioned in
+        # the phase, so the difference is measured against the integrand's
+        # envelope (1 + t^2) / t^4 (1 + a_P t)(1 + a_Q t), which bounds it
+        # since |h| <= 1/2 + a t.
+        a_p, a_q = 965_604.5, 906_158.5
+        rng = np.random.default_rng(16)
+        grid = 2.0 ** -28
+        left = np.round(rng.uniform(0.0, math.pi, (2000, 1)) / grid) * grid
+        offset = np.round(rng.uniform(0.0, math.pi / a_p, (2000, 15)) / grid) * grid
+        theta = left + offset
+        assert np.all(theta - left == offset)
+        t = np.tan(0.5 * theta)
+
+        def h(a):
+            u = np.tan((0.5 * a) * theta)
+            return (u - a * t * (1.0 - u * u)) / (1.0 + u * u)
+
+        unreduced = np.abs(h(a_p) * h(a_q)) * (1.0 + t * t) / t**4
+        envelope = (1.0 + t * t) / t**4 * (1.0 + a_p * t) * (1.0 + a_q * t)
+        reduced = su2num._abs_kernel_product(a_p, a_q, left, offset)
+        assert np.max(np.abs(reduced - unreduced) / envelope) <= 1e-14
+
     def test_unreachable_tolerance_raises_after_the_8x_split(self, su2, monkeypatch):
-        splits = []
+        passes = []
         original = su2num.interval_product_l1
 
-        def recording(P, Q, breaks, split):
-            splits.append(split)
-            return original(P, Q, breaks, split)
+        def recording(P, Q, breaks, split, order, budget):
+            passes.append((order, split))
+            return original(P, Q, breaks, split, order=order, budget=budget)
 
         monkeypatch.setattr(su2num, "interval_product_l1", recording)
         with pytest.raises(NumericError) as info:
             Su2IntervalBump.build(su2, 2, 5).a_norm(QuadratureConfig(tolerance=1e-30))
         assert info.value.residual is not None and info.value.residual > 1e-30
-        assert splits == [1, 2, 4, 8]
+        # K15 first, then K21 with every piece whole and split 2, 4 and 8 ways
+        assert passes == [(15, 1), (21, 1), (21, 2), (21, 4), (21, 8)]
 
 
 def u_product_loops(a, b):

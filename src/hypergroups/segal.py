@@ -74,7 +74,8 @@ class WitnessSequence:
     terms: list[Plateau]
     next_K: Collection[Label]
     certificates: list[LeptinCertificate] = field(default_factory=list)
-    _a_cache: dict[float, list[Any]] = field(default_factory=dict, repr=False)
+    _a_cache: dict[float, tuple[tuple[Plateau, ...], list[Any]]] = field(
+        default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -96,13 +97,16 @@ class WitnessSequence:
         """Measured A-norms per term (quadrature on su2-hat, exact on finite duals).
 
         A quadrature value carries its residual; :meth:`a_residuals` reads them.
+        The values are kept per tolerance together with the terms they were
+        measured on, and measured again once any term is replaced.
         """
         key = (config or DEFAULT_QUADRATURE).tolerance
+        terms = tuple(self.terms)
         cached = self._a_cache.get(key)
-        if cached is None:
-            cached = [term.a_norm(config) for term in self.terms]
-            self._a_cache[key] = cached
-        return cached
+        if (cached is None or len(cached[0]) != len(terms)
+                or any(a is not b for a, b in zip(cached[0], terms))):
+            cached = self._a_cache[key] = terms, [term.a_norm(config) for term in terms]
+        return cached[1]
 
     def a_residuals(self, config: QuadratureConfig | None = None) -> list[float]:
         """The quadrature residual of each measured A-norm; 0 where it is exact."""

@@ -337,20 +337,18 @@ def piecewise_gauss(fn, breakpoints: np.ndarray, order: int) -> float:
     return float(np.sum(half * (vals @ weights)))
 
 
-# Embedded Gauss / Kronrod pairs on [-1, 1], the QUADPACK qk15 and qk21
-# constants (Piessens et al., 1983): the Kronrod abscissae of the right half
-# from the outside in, ending at the centre, with the Gauss abscissae at odd
-# positions; the Kronrod weights; and the Gauss weights.
-_XGK15 = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-          0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-          0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-          0.207784955007898467600689403773245, 0.0)
-_WGK15 = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-          0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-          0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-          0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
-_WG7 = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-        0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# Embedded Gauss / Kronrod pairs on [-1, 1]: the Kronrod abscissae of the
+# right half from the outside in, ending at the centre, with the Gauss
+# abscissae at odd positions; the Kronrod weights; and the Gauss weights.
+# The 4/9 pair was computed to 25 digits from the Stieltjes polynomial (the
+# same computation reproduces QUADPACK's qk15); the 10/21 pair is QUADPACK's
+# qk21 (Piessens et al., 1983).
+_XGK9 = (0.9765602507375731115345054, 0.8611363115940525752239465,
+         0.640286217496309982404689, 0.3399810435848562648026658, 0.0)
+_WGK9 = (0.06297737366547301476549249, 0.1700536053357227268027389,
+         0.2667983404522844480327706, 0.3269491896014516295584595,
+         0.3464429818901363616810771)
+_WG4 = (0.3478548451374538573730639, 0.6521451548625461426269361)
 _XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
         0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
         0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
@@ -371,9 +369,8 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
 def _kronrod_rule(xgk, wgk, wg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nodes in increasing order, their Kronrod weights and Gauss weights.
 
-    The Gauss weights fill the odd positions of the half, so the centre is a
-    Gauss node of G7 (its half holds 7 nodes besides the centre) and not of
-    G10 (10 besides it).
+    The Gauss weights fill the odd positions of the half; the centre, at
+    an even position of both halves, is a node of neither G4 nor G10.
     """
     nodes = np.concatenate([-np.array(xgk[:-1]), xgk[::-1]])
     kronrod = np.concatenate([wgk[:-1], wgk[::-1]])
@@ -382,16 +379,16 @@ def _kronrod_rule(xgk, wgk, wg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, kronrod, np.concatenate([half[:-1], half[::-1]])
 
 
-_KRONROD15 = _kronrod_rule(_XGK15, _WGK15, _WG7)
+_KRONROD9 = _kronrod_rule(_XGK9, _WGK9, _WG4)
 _KRONROD21 = _kronrod_rule(_XGK, _WGK, _WG)
-_KRONROD = {15: _KRONROD15, 21: _KRONROD21}
+_KRONROD = {9: _KRONROD9, 21: _KRONROD21}
 
-# nodes per chunk in gauss_kronrod: the working arrays stay in cache
+# nodes per batch in gauss_kronrod: the working arrays stay in cache
 _CHUNK_NODES = 1 << 16
 
 
-def gauss_kronrod(fn, breaks: np.ndarray, split: int, order: int = 21,
-                  budget: float = math.inf, *, by_piece: bool = False) -> tuple[float, float]:
+def gauss_kronrod(fn, breaks: np.ndarray, split: int, order: int = 21, *,
+                  by_piece: bool = False) -> tuple[float, float]:
     """Integral of fn over [breaks[0], breaks[-1]], with residual, in one pass.
 
     ``fn`` maps an array of abscissae to the integrand's values, elementwise
@@ -400,28 +397,25 @@ def gauss_kronrod(fn, breaks: np.ndarray, split: int, order: int = 21,
     ``offset`` holds each node's distance from its piece's left end, so an
     integrand can reduce a large argument once per piece.  Each piece
     between consecutive ``breaks`` is cut into ``split`` equal parts and
-    integrated with the Gauss 7 / Kronrod 15 (``order`` 15) or Gauss 10 /
+    integrated with the Gauss 4 / Kronrod 9 (``order`` 9) or Gauss 10 /
     Kronrod 21 (``order`` 21) pair, so ``breaks`` should hold every kink of
     the integrand.  The value is the Kronrod sum.  The residual is the sum
     over all parts of |K - G|, added without cancellation: per part it
-    estimates the Gauss error, and since K15 and K21 are exact to degrees
-    22 and 31 where G7 and G10 are exact only to 13 and 19, it normally
+    estimates the Gauss error, and since K9 and K21 are exact to degrees
+    13 and 31 where G4 and G10 are exact only to 7 and 19, it normally
     overstates the error of the Kronrod value.
 
-    The pieces are integrated in chunks of about 65 536 nodes, left to
-    right.  The pass stops after the first chunk that takes the running
-    residual above ``budget``; the residual of a full pass could only be
-    larger, so the caller, which compares it with the same budget, refuses
-    the pass either way.  Raises no error itself.
+    The pieces are integrated left to right in batches of at most about
+    65 536 nodes.  Raises no error itself.
     """
     nodes, kronrod, gauss = _KRONROD[order]
     weights = np.stack([kronrod, kronrod - gauss], axis=1)
     offsets = ((np.arange(split)[:, None] + 0.5 * (nodes + 1.0)) / split).ravel()
-    per_chunk = max(1, _CHUNK_NODES // offsets.size)
+    per_batch = max(1, _CHUNK_NODES // offsets.size)
     total = residual = 0.0
     n_pieces = len(breaks) - 1
-    for start in range(0, n_pieces, per_chunk):
-        stop = min(start + per_chunk, n_pieces)
+    for start in range(0, n_pieces, per_batch):
+        stop = min(start + per_batch, n_pieces)
         left = breaks[start:stop, None]
         width = breaks[start + 1:stop + 1, None] - left
         offset = width * offsets
@@ -430,15 +424,19 @@ def gauss_kronrod(fn, breaks: np.ndarray, split: int, order: int = 21,
         half = (0.5 / split) * width[:, 0]
         total += float(half @ sums[:, :, 0].sum(axis=1))
         residual += float(half @ np.abs(sums[:, :, 1]).sum(axis=1))
-        if residual > budget:
-            break
     return total, residual
 
 
 def interval_product_breakpoints(P: int, Q: int) -> np.ndarray:
-    """0, pi and the interior zeros of S_P and S_Q, sorted, without repeats."""
-    pieces = [np.array([0.0, math.pi]), kernel_roots(P), kernel_roots(Q)]
-    return np.unique(np.concatenate(pieces))
+    """0, pi and the interior zeros of S_P and S_Q, sorted, without repeats.
+
+    The three inputs are each sorted, so a stable sort, which finds and
+    merges runs, orders their concatenation in linear time; dropping
+    adjacent repeats then gives the array np.unique would.
+    """
+    merged = np.concatenate([[0.0, math.pi], kernel_roots(P), kernel_roots(Q)])
+    merged.sort(kind="stable")
+    return merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
 
 
 # pi in three parts for the reduction in _half_phase_tangent: _PI_HI has 30
@@ -515,21 +513,21 @@ def _tangent_fraction(a: float, t: np.ndarray, u: np.ndarray) -> tuple[np.ndarra
     return num, u
 
 
-def interval_product_l1(P: int, Q: int, breaks: np.ndarray, split: int, order: int = 21,
-                        budget: float = math.inf) -> tuple[float, float]:
-    """(2/pi) * integral of |S_P(theta) S_Q(theta)| over (0, pi), with residual.
+def interval_product_l1(P: int, Q: int, breaks: np.ndarray, split: int,
+                        order: int = 21) -> tuple[float, float]:
+    """(2/pi) * integral of |S_P(theta) S_Q(theta)| over ``breaks``, with residual.
 
-    ``breaks`` come from :func:`interval_product_breakpoints`, so |S_P S_Q|
-    is smooth on each piece between them.  :func:`gauss_kronrod` integrates
-    the fused 4 |S_P S_Q| by piece with ``split`` parts per piece and the
-    rule of ``order``, and its value and residual are both scaled by
-    1/(2 pi); the pass stops once the scaled residual exceeds ``budget``.
+    ``breaks`` come from :func:`interval_product_breakpoints`, whole or a
+    run of them, so |S_P S_Q| is smooth on each piece between them.
+    :func:`gauss_kronrod` integrates the fused 4 |S_P S_Q| by piece with
+    ``split`` parts per piece and the rule of ``order``, and its value and
+    residual are both scaled by 1/(2 pi).
     """
     a_p, a_q = P + 0.5, Q + 0.5
     scale = 0.5 / math.pi  # 2/pi for the normalisation, 1/4 for the integrand
     total, residual = gauss_kronrod(
         lambda left, offset: _abs_kernel_product(a_p, a_q, left, offset),
-        breaks, split, order, budget / scale, by_piece=True)
+        breaks, split, order, by_piece=True)
     return scale * total, scale * residual
 
 

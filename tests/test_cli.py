@@ -3,9 +3,13 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,16 @@ def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(hypergroups.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "hypergroups", "witness", "--help"],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: hypergroups witness")
 
 
 class TestChoicesFromTheLibrary:

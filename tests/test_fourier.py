@@ -276,6 +276,65 @@ class TestANormSu2:
         assert float(u.a_norm()) <= cap + 1e-6
 
 
+
+class TestRefineChunks:
+    """The per-chunk ladder on a fake quadrature that reads a table of residuals."""
+
+    @staticmethod
+    def _ladder(residuals_by_chunk):
+        """A quadrature whose chunk i has residual residuals_by_chunk[i][rung] and value i + 1."""
+        calls = []
+
+        def quadrature(order, split, chunk):
+            index = int(chunk[0]) // fourier.CHUNK_PIECES
+            rung = fourier.QUADRATURE_LADDER.index((order, split))
+            calls.append((index, rung, len(chunk)))
+            return float(index + 1), residuals_by_chunk[index][rung]
+
+        return quadrature, calls
+
+    def test_chunks_are_runs_of_chunk_pieces_that_share_their_ends(self):
+        breaks = np.arange(2 * fourier.CHUNK_PIECES + 12, dtype=float)
+        quadrature, calls = self._ladder([[0.0] * 5] * 3)
+        value = fourier._refine_chunks(quadrature, breaks, 1e-9)
+        assert fourier.CHUNK_PIECES == 7_281
+        # every chunk once on K9; the value is the sum of the chunk values
+        assert calls == [(0, 0, fourier.CHUNK_PIECES + 1), (1, 0, fourier.CHUNK_PIECES + 1),
+                         (2, 0, 12)]
+        assert value == 6.0 and value.residual == 0.0
+
+    def test_the_largest_residual_climbs_first(self):
+        breaks = np.arange(3 * fourier.CHUNK_PIECES + 1, dtype=float)
+        quadrature, calls = self._ladder([[0.2, 0.1, 0, 0, 0], [0.5, 0.05, 0, 0, 0],
+                                          [0.4, 0.3, 0.25, 0, 0]])
+        value = fourier._refine_chunks(quadrature, breaks, 0.5)
+        # 1.1 -> chunk 1 climbs (0.65) -> chunk 2 climbs (0.55) -> chunk 2 again (0.5)
+        assert [(i, rung) for i, rung, _ in calls[3:]] == [(1, 1), (2, 1), (2, 2)]
+        assert value.residual == pytest.approx(0.5)
+
+    def test_a_chunk_on_the_last_rung_leaves_the_climb_to_the_others(self):
+        # chunk 0 ends on the 8x split at 0.6 of the tolerance, chunk 1 sits
+        # on K9 at 0.5: chunk 1 climbs, and the sum, 0.7, is accepted
+        tolerance = 1e-6
+        breaks = np.arange(2 * fourier.CHUNK_PIECES + 1, dtype=float)
+        table = [[10 * tolerance, 5 * tolerance, 2 * tolerance, tolerance, 0.6 * tolerance],
+                 [0.5 * tolerance, 0.1 * tolerance, 0, 0, 0]]
+        quadrature, calls = self._ladder(table)
+        value = fourier._refine_chunks(quadrature, breaks, tolerance)
+        assert [(i, rung) for i, rung, _ in calls] == [
+            (0, 0), (1, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 1)]
+        assert value == 3.0 and value.residual == pytest.approx(0.7 * tolerance)
+
+    def test_raises_only_once_every_chunk_is_on_the_last_rung(self):
+        breaks = np.arange(2 * fourier.CHUNK_PIECES + 1, dtype=float)
+        quadrature, calls = self._ladder([[1.0] * 5, [0.5] * 5])
+        with pytest.raises(NumericError) as info:
+            fourier._refine_chunks(quadrature, breaks, 0.1)
+        assert info.value.residual == 1.5
+        assert sorted((i, rung) for i, rung, _ in calls) == [
+            (i, rung) for i in range(2) for rung in range(5)]
+
+
 class TestBump:
     def test_identity_plateau(self, su2):
         u = bump(su2, [0], [0])

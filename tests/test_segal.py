@@ -209,12 +209,22 @@ class TestMultiplierBounded:
         dented[dent_at] = half
         w.terms[-1] = BumpFunction(last.hypergroup, last.K, last.V, last.ratio,
                                    FiniteFunction(dented))
-        w._a_cache.clear()
         report = check_multiplier_bounded(w)
         assert not report.product_ok
         assert any(label == s3.label_str(dent_at)
                    for _, _, label in report.product_failures)
         assert not report.ok
+
+    def test_replaced_term_is_measured_again(self, su2):
+        w = build_witness(su2, [0], D32, 3, search="interval")
+        assert check_multiplier_bounded(w, config=QUICK_QUAD).bound_ok
+        last = w.terms[2]
+        # a quarter of the V: ratio 69/7 and an A-norm of about 2.358
+        w.terms[2] = Su2IntervalBump.build(su2, last.k2, last.m2 // 4)
+        report = check_multiplier_bounded(w, config=QUICK_QUAD)
+        assert report.a_values[2] == pytest.approx(2.358, abs=1e-3)
+        assert report.max_a_value == report.a_values[2]
+        assert not report.bound_ok and not report.ok
 
     def test_one_a_norm_pass_per_tolerance(self, su2, monkeypatch):
         # no config and the default config name the same quadrature

@@ -151,8 +151,8 @@ def a_norm_exact_finite(dual: Hypergroup, v: FiniteFunction) -> Any:
             / math.prod(t.group_order for t in tables))
 
 
-# (Kronrod order, split) of each rung a chunk of pieces climbs, in order
-QUADRATURE_LADDER = ((9, 1), (21, 1), (21, 2), (21, 4), (21, 8))
+# (nodes a part, split) of each rung a chunk of pieces climbs, in order
+QUADRATURE_LADDER = ((7, 1), (21, 1), (21, 2), (21, 4), (21, 8))
 # pieces per chunk, the unit that climbs: on the first rung one numpy batch
 # of su2num.gauss_kronrod
 CHUNK_PIECES = su2num._CHUNK_NODES // QUADRATURE_LADDER[0][0]
@@ -162,8 +162,10 @@ def _refine_chunks(quadrature, breaks: np.ndarray, tolerance: float) -> Quadratu
     """Climb QUADRATURE_LADDER chunk by chunk until the residuals fit the tolerance.
 
     ``quadrature(order, split, chunk)`` returns (value, residual) over the
-    pieces between the breaks ``chunk``.  ``breaks`` is cut into runs of
-    CHUNK_PIECES pieces, and every chunk is integrated on the first rung.
+    pieces between the breaks ``chunk``; the integrand must vanish at every
+    break, which the first rung does not evaluate.  ``breaks`` is cut into
+    runs of CHUNK_PIECES pieces, and every chunk is integrated on the first
+    rung.
     While the residuals sum to more than the tolerance, the chunk with the
     largest residual among those below the last rung climbs one rung and
     is integrated again over its own pieces: QUADPACK's globally adaptive
@@ -201,8 +203,9 @@ def a_norm_su2(v: FiniteFunction, config: QuadratureConfig | None = None) -> flo
     Integrates (2/pi) |sum_n v(n) (n+1) U_n(cos theta)| sin^2 theta over
     (0, pi) on the Gauss-Kronrod ladder of :func:`_refine_chunks`, the
     series summed in the T basis.  The integrand is split at the zeros of
-    the series so each piece is smooth; the residual estimate must meet the
-    config tolerance, and the value returned carries it.
+    the series so each piece is smooth and vanishes at the ends (sin^2 at
+    0 and pi); the residual estimate must meet the config tolerance, and
+    the value returned carries it.
     """
     config = config or DEFAULT_QUADRATURE
     if not v:
@@ -435,8 +438,9 @@ class Su2IntervalBump(Plateau):
     def a_norm(self, config: QuadratureConfig | None = None) -> float:
         """Quadrature A-norm via the closed-form product of sine kernels.
 
-        The kernel zeros are found once.  Every chunk of pieces between
-        them starts on K9, and :func:`_refine_chunks` climbs the chunks
+        The kernel zeros are found once, and the integrand vanishes at
+        them and at 0 and pi.  Every chunk of pieces between them starts on
+        the Lobatto-Kronrod rule, and :func:`_refine_chunks` climbs the chunks
         that hold the error to K21 with every piece whole, split into 2, 4
         and then 8, until the summed residual meets the tolerance.  The
         value returned carries that residual.

@@ -337,18 +337,18 @@ def piecewise_gauss(fn, breakpoints: np.ndarray, order: int) -> float:
     return float(np.sum(half * (vals @ weights)))
 
 
-# Embedded Gauss / Kronrod pairs on [-1, 1]: the Kronrod abscissae of the
-# right half from the outside in, ending at the centre, with the Gauss
-# abscissae at odd positions; the Kronrod weights; and the Gauss weights.
-# The 4/9 pair was computed to 25 digits from the Stieltjes polynomial (the
-# same computation reproduces QUADPACK's qk15); the 10/21 pair is QUADPACK's
-# qk21 (Piessens et al., 1983).
-_XGK9 = (0.9765602507375731115345054, 0.8611363115940525752239465,
-         0.640286217496309982404689, 0.3399810435848562648026658, 0.0)
-_WGK9 = (0.06297737366547301476549249, 0.1700536053357227268027389,
-         0.2667983404522844480327706, 0.3269491896014516295584595,
-         0.3464429818901363616810771)
-_WG4 = (0.3478548451374538573730639, 0.6521451548625461426269361)
+# Embedded lower / Kronrod pairs on [-1, 1]: the Kronrod abscissae of the
+# right half from the outside in, ending at the centre, with the lower rule's
+# abscissae at odd positions; the Kronrod weights; and the lower rule's
+# weights.  The Lobatto 5 / Kronrod 9 pair (Gander & Gautschi, 2000) leaves
+# out its end nodes +-1; its Kronrod nodes are the zeros of x^4 - (10/11) x^2
+# + 145/1573, with weights from the moment equations, to 25 digits.  The
+# 10/21 pair is QUADPACK's qk21 (Piessens et al., 1983).
+_XLK9 = (0.8904055275126687865702907, 0.6546536707079771437982925,
+         0.3409822659109929715130682, 0.0)
+_WLK9 = (0.179262699553207355980284, 0.2839787780481211138145445,
+         0.3342337398164176835835088, 0.3437620872103630724320379)
+_WL5 = (49 / 90, 32 / 45)
 _XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
         0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
         0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
@@ -367,10 +367,10 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
 
 
 def _kronrod_rule(xgk, wgk, wg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nodes in increasing order, their Kronrod weights and Gauss weights.
+    """The nodes in increasing order, their Kronrod weights and lower-rule weights.
 
-    The Gauss weights fill the odd positions of the half; the centre, at
-    an even position of both halves, is a node of neither G4 nor G10.
+    The lower rule's weights fill the odd positions of the half; the centre
+    is a node of L5 (at position 3) but not of G10 (at position 10).
     """
     nodes = np.concatenate([-np.array(xgk[:-1]), xgk[::-1]])
     kronrod = np.concatenate([wgk[:-1], wgk[::-1]])
@@ -379,9 +379,10 @@ def _kronrod_rule(xgk, wgk, wg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, kronrod, np.concatenate([half[:-1], half[::-1]])
 
 
-_KRONROD9 = _kronrod_rule(_XGK9, _WGK9, _WG4)
+_LOBATTO_KRONROD9 = _kronrod_rule(_XLK9, _WLK9, _WL5)
 _KRONROD21 = _kronrod_rule(_XGK, _WGK, _WG)
-_KRONROD = {9: _KRONROD9, 21: _KRONROD21}
+# keyed by the nodes a part evaluates
+_KRONROD = {7: _LOBATTO_KRONROD9, 21: _KRONROD21}
 
 # nodes per batch in gauss_kronrod: the working arrays stay in cache
 _CHUNK_NODES = 1 << 16
@@ -397,17 +398,21 @@ def gauss_kronrod(fn, breaks: np.ndarray, split: int, order: int = 21, *,
     ``offset`` holds each node's distance from its piece's left end, so an
     integrand can reduce a large argument once per piece.  Each piece
     between consecutive ``breaks`` is cut into ``split`` equal parts and
-    integrated with the Gauss 4 / Kronrod 9 (``order`` 9) or Gauss 10 /
-    Kronrod 21 (``order`` 21) pair, so ``breaks`` should hold every kink of
-    the integrand.  The value is the Kronrod sum.  The residual is the sum
-    over all parts of |K - G|, added without cancellation: per part it
-    estimates the Gauss error, and since K9 and K21 are exact to degrees
-    13 and 31 where G4 and G10 are exact only to 7 and 19, it normally
-    overstates the error of the Kronrod value.
+    integrated with the Gauss 10 / Kronrod 21 pair (``order`` 21) or, with
+    ``split`` 1 only, the Lobatto 5 / Kronrod 9 pair without its end nodes
+    (``order`` 7), which needs the integrand to vanish at every break; any
+    other ``order`` or ``split`` raises ValueError.  ``breaks`` should hold
+    every kink of the integrand.  The value is the Kronrod sum.  The
+    residual is the sum over all parts of |K - G| or |K - L|, added without
+    cancellation: per part it estimates the lower rule's error, and since
+    K9 and K21 are exact to degrees 13 and 31 where L5 and G10 are exact
+    only to 7 and 19, it normally overstates the error of the Kronrod value.
 
     The pieces are integrated left to right in batches of at most about
-    65 536 nodes.  Raises no error itself.
+    65 536 nodes.
     """
+    if order not in _KRONROD or (order == 7 and split != 1):
+        raise ValueError(f"no Gauss-Kronrod rule of {order} nodes with split {split}")
     nodes, kronrod, gauss = _KRONROD[order]
     weights = np.stack([kronrod, kronrod - gauss], axis=1)
     offsets = ((np.arange(split)[:, None] + 0.5 * (nodes + 1.0)) / split).ravel()
@@ -518,7 +523,7 @@ def interval_product_l1(P: int, Q: int, breaks: np.ndarray, split: int,
     """(2/pi) * integral of |S_P(theta) S_Q(theta)| over ``breaks``, with residual.
 
     ``breaks`` come from :func:`interval_product_breakpoints`, whole or a
-    run of them, so |S_P S_Q| is smooth on each piece between them.
+    run of them, so |S_P S_Q| is smooth on each piece and zero at each break.
     :func:`gauss_kronrod` integrates the fused 4 |S_P S_Q| by piece with
     ``split`` parts per piece and the rule of ``order``, and its value and
     residual are both scaled by 1/(2 pi).

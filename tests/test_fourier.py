@@ -195,6 +195,14 @@ class TestANormFinite:
             a_norm_exact_finite(su2, FiniteFunction.point(0))
 
 
+def _random_su2_function(seed):
+    """A function of degree <= 200 on su2-hat with random rational values."""
+    rng = random.Random(seed)
+    top = rng.randint(0, 200)
+    labels = rng.sample(range(top), rng.randint(0, top)) + [top]
+    return FiniteFunction({n: Fraction(rng.randint(-1000, 1000), 997) or 1 for n in labels})
+
+
 class TestANormSu2:
     def test_identity_coefficient(self):
         assert a_norm_su2(FiniteFunction.point(0)) == pytest.approx(1.0, abs=1e-9)
@@ -229,10 +237,7 @@ class TestANormSu2:
     def test_matches_the_antiderivative_oracle(self, seed):
         # random functions of degree <= 200; the oracle finds its own sign
         # changes, so a zero the Chebyshev root finder missed would show
-        rng = random.Random(seed)
-        top = rng.randint(0, 200)
-        labels = rng.sample(range(top), rng.randint(0, top)) + [top]
-        v = FiniteFunction({n: Fraction(rng.randint(-1000, 1000), 997) or 1 for n in labels})
+        v = _random_su2_function(seed)
         reference = a_norm_antiderivative(v)
         for tolerance in (1e-9, 1e-7):
             value = a_norm_su2(v, QuadratureConfig(tolerance=tolerance))
@@ -297,8 +302,8 @@ class TestRefineChunks:
         breaks = np.arange(2 * fourier.CHUNK_PIECES + 12, dtype=float)
         quadrature, calls = self._ladder([[0.0] * 5] * 3)
         value = fourier._refine_chunks(quadrature, breaks, 1e-9)
-        assert fourier.CHUNK_PIECES == 7_281
-        # every chunk once on K9; the value is the sum of the chunk values
+        assert fourier.CHUNK_PIECES == 9_362
+        # every chunk once on the first rung; the value is the sum of the chunk values
         assert calls == [(0, 0, fourier.CHUNK_PIECES + 1), (1, 0, fourier.CHUNK_PIECES + 1),
                          (2, 0, 12)]
         assert value == 6.0 and value.residual == 0.0
@@ -314,7 +319,7 @@ class TestRefineChunks:
 
     def test_a_chunk_on_the_last_rung_leaves_the_climb_to_the_others(self):
         # chunk 0 ends on the 8x split at 0.6 of the tolerance, chunk 1 sits
-        # on K9 at 0.5: chunk 1 climbs, and the sum, 0.7, is accepted
+        # on the first rung at 0.5: chunk 1 climbs, and the sum, 0.7, is accepted
         tolerance = 1e-6
         breaks = np.arange(2 * fourier.CHUNK_PIECES + 1, dtype=float)
         table = [[10 * tolerance, 5 * tolerance, 2 * tolerance, tolerance, 0.6 * tolerance],
@@ -333,6 +338,70 @@ class TestRefineChunks:
         assert info.value.residual == 1.5
         assert sorted((i, rung) for i, rung, _ in calls) == [
             (i, rung) for i in range(2) for rung in range(5)]
+
+
+class TestFirstRungEnds:
+    """The first rung leaves out the ends of every piece, which must be zeros."""
+
+    @staticmethod
+    def _dropped_end_share(monkeypatch, a_norm_call):
+        """The end-node mass the first rung leaves out, over the value it finds.
+
+        The mass is sum w_end (h_i / 2) (|f(r_i)| + |f(r_{i+1})|) over every
+        piece of every first-rung pass, w_end the Kronrod 9 end weight: what
+        the end nodes would add to the Kronrod value.  The value is the sum
+        of those passes' values, so the share is free of the A-norm's
+        scaling.  0 and pi are zeros in closed form (S_M(0) = S_M(pi) = 0,
+        and sin^2 vanishes there), where the interval formula reads 0/0 or
+        rounds, so only the breaks inside (0, pi) are evaluated.
+        """
+        passes = []
+        original = su2num.gauss_kronrod
+
+        def recording(fn, breaks, split, order=21, *, by_piece=False):
+            value, residual = original(fn, breaks, split, order, by_piece=by_piece)
+            if order == fourier.QUADRATURE_LADDER[0][0]:
+                passes.append((fn, breaks, by_piece, value))
+            return value, residual
+
+        monkeypatch.setattr(su2num, "gauss_kronrod", recording)
+        a_norm_call()
+        assert passes
+        w_end = 1.0 - 0.5 * su2num._LOBATTO_KRONROD9[1].sum()
+        mass = total = 0.0
+        for fn, breaks, by_piece, value in passes:
+            inside = (breaks > 0) & (breaks < math.pi)
+            r = breaks[inside]
+            ends = np.zeros(len(breaks))
+            ends[inside] = np.abs(fn(r[:, None], np.zeros((r.size, 1)))[:, 0]
+                                  if by_piece else fn(r))
+            mass += w_end * float(0.5 * np.diff(breaks) @ (ends[:-1] + ends[1:]))
+            total += value
+        return mass / total
+
+    @pytest.mark.parametrize("k2,m2", [(0, 1), (2, 29), (60, 914), (1888, 28_779),
+                                       (59_446, 906_157)])
+    def test_interval_stages(self, su2, monkeypatch, k2, m2):
+        # stages 1-5 of the D = 1.1 witness, at the benchmark's tolerance
+        plateau = Su2IntervalBump.build(su2, k2, m2)
+        share = self._dropped_end_share(
+            monkeypatch, lambda: plateau.a_norm(QuadratureConfig(tolerance=1e-7)))
+        assert share <= 1e-12
+
+    @pytest.mark.parametrize("K", [[0, 1, 4], [0, 3, 4], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
+    def test_generic_bumps(self, su2, monkeypatch, K):
+        # the five plateaus of the generic su2-hat benchmark, V = {0..79}
+        u = bump(su2, K, range(80))
+        share = self._dropped_end_share(
+            monkeypatch, lambda: u.a_norm(QuadratureConfig(tolerance=1e-8)))
+        assert share <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_functions(self, monkeypatch, seed):
+        # the functions of TestANormSu2.test_matches_the_antiderivative_oracle
+        v = _random_su2_function(seed)
+        share = self._dropped_end_share(monkeypatch, lambda: a_norm_su2(v))
+        assert share <= 1e-12
 
 
 class TestBump:

@@ -2,7 +2,8 @@
 character-table examples parse and pass the axioms.
 
 A name the library no longer has, left in the tour, fails here, and so does
-a table example the parser no longer reads.
+a table example the parser no longer reads, or a quadrature figure that the
+library no longer has.
 """
 
 import json
@@ -12,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hypergroups import check_axioms, finite_group_dual, parse_character_table
+from hypergroups import check_axioms, finite_group_dual, fourier, parse_character_table
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +38,12 @@ def test_table_format_examples_parse_and_pass_the_axioms():
         table = parse_character_table(json.loads(block))
         dual = finite_group_dual(table)
         assert check_axioms(dual, dual.universe).ok, table.name
+
+
+def test_quadrature_figures_match_the_library():
+    # wrapped lines joined, so a figure may break across them
+    text = " ".join((ROOT / "README.md").read_text().split())
+    chunks = re.findall(r"`fourier\.CHUNK_PIECES` \(([\d ]+)\)", text)
+    assert chunks and {int(c.replace(" ", "")) for c in chunks} == {fourier.CHUNK_PIECES}
+    nodes = re.findall(r"(\d+) nodes a piece", text)
+    assert nodes and {int(n) for n in nodes} == {fourier.QUADRATURE_LADDER[0][0]}

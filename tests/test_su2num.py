@@ -110,29 +110,44 @@ class TestKronrodRule:
 
 
 class TestKronrod9Rule:
+    """The Lobatto 5 / Kronrod 9 pair without its end nodes, the first rung."""
+
+    @staticmethod
+    def _moment(d):
+        """The integral of (1 - x^2) x^d over [-1, 1]."""
+        return 0.0 if d % 2 else 2.0 / (d + 1) - 2.0 / (d + 3)
+
     def test_weights_sum_to_two(self):
-        _, kronrod, gauss = su2num._KRONROD9
-        assert math.isclose(kronrod.sum(), 2.0, abs_tol=1e-15)
-        assert math.isclose(gauss.sum(), 2.0, abs_tol=1e-15)
+        # with the end weights left out, 139/4536 for Kronrod and 1/10 for
+        # Lobatto, each rule's weights sum to two
+        _, kronrod, lobatto = su2num._LOBATTO_KRONROD9
+        assert math.isclose(kronrod.sum() + 2 * 139 / 4536, 2.0, abs_tol=1e-15)
+        assert math.isclose(lobatto.sum() + 2 * 1 / 10, 2.0, abs_tol=1e-15)
 
     def test_polynomial_exactness(self):
-        nodes, kronrod, gauss = su2num._KRONROD9
-        for d in range(14):
-            exact = 0.0 if d % 2 else 2.0 / (d + 1)
-            assert abs(kronrod @ nodes**d - exact) <= 1e-15, d
-            if d <= 7:
-                assert abs(gauss @ nodes**d - exact) <= 1e-15, d
+        nodes, kronrod, lobatto = su2num._LOBATTO_KRONROD9
+        for d in range(12):
+            values = (1 - nodes**2) * nodes**d
+            assert abs(kronrod @ values - self._moment(d)) <= 1e-15, d
+            if d <= 5:
+                assert abs(lobatto @ values - self._moment(d)) <= 1e-15, d
         # neither rule is exact one degree past its own
-        assert abs(kronrod @ nodes**14 - 2.0 / 15) > 1e-6
-        assert abs(gauss @ nodes**8 - 2.0 / 9) > 1e-3
+        assert abs(kronrod @ ((1 - nodes**2) * nodes**12) - self._moment(12)) > 1e-6
+        assert abs(lobatto @ ((1 - nodes**2) * nodes**6) - self._moment(6)) > 1e-3
 
-    def test_gauss_part_is_legendre_4_at_the_odd_positions(self):
-        nodes, _, gauss = su2num._KRONROD9
-        x, w = np.polynomial.legendre.leggauss(4)
-        used = gauss > 0
-        assert np.flatnonzero(used).tolist() == [1, 3, 5, 7] and nodes[4] == 0.0
-        np.testing.assert_allclose(nodes[used], x, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(gauss[used], w, rtol=0, atol=1e-15)
+    def test_nodes_and_lobatto_weights_match_the_closed_forms(self):
+        nodes, kronrod, lobatto = su2num._LOBATTO_KRONROD9
+        root = math.sqrt(5.0 / 13.0)
+        outer, inner = math.sqrt((5 + 6 * root) / 11), math.sqrt((5 - 6 * root) / 11)
+        lobatto_node = math.sqrt(3.0 / 7.0)
+        expected = [-outer, -lobatto_node, -inner, 0.0, inner, lobatto_node, outer]
+        np.testing.assert_allclose(nodes, expected, rtol=0, atol=1e-15)
+        # the Kronrod nodes are the zeros of x^4 - (10/11) x^2 + 145/1573
+        quartic = nodes[[0, 2]] ** 4 - (10 / 11) * nodes[[0, 2]] ** 2 + 145 / 1573
+        np.testing.assert_allclose(quartic, 0.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(lobatto, [0, 49 / 90, 0, 32 / 45, 0, 49 / 90, 0],
+                                   rtol=0, atol=1e-15)
+        assert np.all(kronrod > 0)
 
 
 class TestGaussKronrod:
@@ -155,24 +170,41 @@ class TestGaussKronrod:
         # with two parts the kink at 0 sits inside the first part only
         assert 0 < residuals[1] < residuals[0]
 
-    @pytest.mark.parametrize("order,split", [(9, 1), (21, 1), (21, 8)])
+    @pytest.mark.parametrize("order,split", [(7, 1), (21, 1), (21, 8)])
     def test_batches_stay_within_the_chunk_nodes(self, order, split):
-        # 20 000 pieces, more than one batch of either rule holds; the kink
-        # at 0 lies inside piece 5333
-        breaks = np.linspace(-0.8, 2.2, 20_001)
+        # 20 000 pieces of width h = 2^-13, more than one batch of either
+        # rule holds.  The integrand |theta| 4 s (h - s) / h^2, s the offset
+        # in the piece, vanishes at every break, as the first rung needs; its
+        # kink at 0 lies 7h/16 into piece 6554, inside a part of every split
+        h = 2.0 ** -13
+        breaks = (16 * np.arange(20_001) - 104_871) * (h / 16)
         batches = []
 
-        def counted(theta):
-            batches.append(theta.size)
-            return np.abs(theta)
+        def counted(left, offset):
+            batches.append(offset.size)
+            return np.abs(left + offset) * offset * (h - offset) * (4 / (h * h))
 
-        value, residual = su2num.gauss_kronrod(counted, breaks, split, order)
+        value, residual = su2num.gauss_kronrod(counted, breaks, split, order, by_piece=True)
         assert su2num._CHUNK_NODES == 65_536
         assert len(batches) == -(-20_000 // (su2num._CHUNK_NODES // (order * split)))
         assert max(batches) <= su2num._CHUNK_NODES
         assert sum(batches) == 20_000 * order * split
         assert residual > 1e-13
-        assert abs(value - 0.5 * (2.2**2 + 0.8**2)) <= residual + 1e-14
+        # a piece with midpoint m holds (2h/3) |m|, and the kink's piece,
+        # with its kink c = 7h/16 from its left end, 2 c^3 (2h - c) / (3 h^2)
+        # more; the midpoints are integers in units of h/16
+        mids = 16 * np.arange(20_000) - 104_863
+        c = 7 * h / 16
+        exact = h * h / 24 * int(np.abs(mids).sum()) + 2 * c**3 / (3 * h * h) * (2 * h - c)
+        assert abs(value - exact) <= residual + 1e-14
+
+    def test_refuses_a_split_lobatto_rule_and_an_unknown_order(self):
+        breaks = np.array([0.0, math.pi])
+        assert su2num.gauss_kronrod(np.sin, breaks, 1, 7)[0] == pytest.approx(2.0, abs=1e-6)
+        # a split point is no zero of the integrand, so order 7 takes split 1 only
+        for order, split in [(7, 2), (7, 8), (9, 1), (15, 1), (0, 1)]:
+            with pytest.raises(ValueError, match=f"of {order} nodes with split {split}"):
+                su2num.gauss_kronrod(np.sin, breaks, split, order)
 
     def test_by_piece_hands_left_ends_and_offsets(self):
         breaks = np.array([0.0, 0.5, 2.0])
@@ -182,11 +214,12 @@ class TestGaussKronrod:
             seen.append((left.copy(), offset.copy()))
             return np.sin(left + offset)
 
-        value, _ = su2num.gauss_kronrod(by_piece, breaks, 2, 9, by_piece=True)
+        # sin is not zero at 0.5 and 2.0, so this runs on K21 split 2
+        value, _ = su2num.gauss_kronrod(by_piece, breaks, 2, 21, by_piece=True)
         assert value == pytest.approx(1.0 - math.cos(2.0), abs=1e-14)
         (left, offset), = seen
         assert left.tolist() == [[0.0], [0.5]]
-        assert offset.shape == (2, 18)
+        assert offset.shape == (2, 42)
         assert 0.0 < offset.min() and np.all(offset[1] <= 1.5) and offset[1].max() > 1.49
 
 
@@ -218,7 +251,7 @@ class TestIntervalProductL1:
         assert residuals[1] < residuals[0] / 100
         assert max(residuals[1:]) <= 1e-14 * base
 
-    @pytest.mark.parametrize("order", [9, 21])
+    @pytest.mark.parametrize("order", [7, 21])
     @pytest.mark.parametrize("k2,m2", [(0, 1), (2, 29), (60, 914), (1, 5), (7, 3)])
     def test_matches_the_antiderivative_oracle(self, k2, m2, order):
         # stages 1-3 of the D = 1.1 witness, and two small pairs; the oracle
@@ -232,8 +265,8 @@ class TestIntervalProductL1:
             assert value == pytest.approx(reference, rel=1e-12)
             assert residual <= 1e-7 * value
         else:
-            # K9 on whole pieces is within 1.4e-9 of the oracle here; |K9 - G4|
-            # is far from any tolerance, but it still bounds the error
+            # the Lobatto-Kronrod rule is within 7.9e-9 of the oracle here;
+            # |K9 - L5| is far from any tolerance, but it still bounds the error
             assert value == pytest.approx(reference, rel=1e-8)
             assert abs(value - reference) <= residual + 1e-12 * reference
 
@@ -268,7 +301,7 @@ class TestIntervalProductL1:
         return {n: np.concatenate([left for left, m in calls if m == n]) for n in nodes}
 
     def test_bench_tolerance_climbs_only_the_first_chunk(self, su2, monkeypatch):
-        # stage 4 of the D = 1.1 chain: 59 447 pieces in 9 chunks; at 1e-7
+        # stage 4 of the D = 1.1 chain: 59 447 pieces in 7 chunks; at 1e-7
         # only the chunk at theta = 0 climbs to K21
         k2, m2 = 1888, 28_779
         breaks = su2num.interval_product_breakpoints(k2 + m2 + 1, m2 + 1)
@@ -276,8 +309,8 @@ class TestIntervalProductL1:
         value = Su2IntervalBump.build(su2, k2, m2).a_norm(QuadratureConfig(tolerance=1e-7))
         assert value.residual <= 1e-7
         by_nodes = self._pieces_by_nodes(calls)
-        assert sorted(by_nodes) == [9, 21]
-        assert np.array_equal(by_nodes[9], breaks[:-1])
+        assert sorted(by_nodes) == [7, 21]
+        assert np.array_equal(by_nodes[7], breaks[:-1])
         assert np.array_equal(by_nodes[21], breaks[:fourier.CHUNK_PIECES])
 
     @pytest.mark.parametrize("k2,m2", [(60, 914), (1888, 28_779)])
@@ -289,8 +322,8 @@ class TestIntervalProductL1:
         value = Su2IntervalBump.build(su2, k2, m2).a_norm()
         assert value.residual <= 1e-9
         by_nodes = self._pieces_by_nodes(calls)
-        assert sorted(by_nodes) == [9, 21]
-        assert np.array_equal(by_nodes[9], breaks[:-1])
+        assert sorted(by_nodes) == [7, 21]
+        assert np.array_equal(by_nodes[7], breaks[:-1])
         climbed = by_nodes[21]
         assert climbed.size % fourier.CHUNK_PIECES == 0 or climbed.size == len(breaks) - 1
         assert np.array_equal(np.sort(climbed), breaks[:climbed.size])
@@ -353,9 +386,9 @@ class TestIntervalProductL1:
         with pytest.raises(NumericError) as info:
             Su2IntervalBump.build(su2, 2, 5).a_norm(QuadratureConfig(tolerance=1e-30))
         assert info.value.residual is not None and info.value.residual > 1e-30
-        # the one chunk, at theta = 0: K9, then K21 with every piece whole
-        # and split 2, 4 and 8 ways
-        assert passes == [(9, 1, 0.0), (21, 1, 0.0), (21, 2, 0.0), (21, 4, 0.0), (21, 8, 0.0)]
+        # the one chunk, at theta = 0: Lobatto-Kronrod, then K21 with every
+        # piece whole and split 2, 4 and 8 ways
+        assert passes == [(7, 1, 0.0), (21, 1, 0.0), (21, 2, 0.0), (21, 4, 0.0), (21, 8, 0.0)]
 
 
 def u_product_loops(a, b):

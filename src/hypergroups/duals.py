@@ -188,8 +188,8 @@ class CharacterTable:
     the targets |G| L^2 and |G| L^3 (the identity column holds dim L >= L).
     The arrays are int64 when that bound is below 2^63, else Python-int
     object arrays; for m = 4 (mu = 2, gamma = 1) it is 4 |G| A^3.  The
-    defining loops stay as :meth:`_inner_loops`, :meth:`_multiplicity_loops`
-    and :meth:`_validate_loops`, the oracles the tests compare against.
+    defining class loops are the oracles the tests compare against, in the
+    tests' ``oracles`` module.
     """
 
     def __init__(
@@ -309,47 +309,6 @@ class CharacterTable:
                 f"{self.name}: conjugate row for irrep {i} ({self.irreps[i].name}) is "
                 f"ambiguous: rows {hits}")
         return hits[0]
-
-    # -- the defining loops, kept as test oracles ---------------------------
-
-    def _class_sum(self, *rows: int) -> ExactComplex:
-        """sum_c |c| chi_r1(c) ... chi_r(n-1)(c) conj(chi_rn(c)), by the class loop."""
-        total = ExactComplex.coerce(0)
-        for c, size in enumerate(self.class_sizes):
-            term = ExactComplex.coerce(size)
-            for r in rows[:-1]:
-                term = term * self.irreps[r].values[c]
-            total = total + term * self.irreps[rows[-1]].values[c].conjugate()
-        return total
-
-    def _inner_loops(self, i: int, j: int) -> ExactComplex:
-        """<chi_i, chi_j> * |G| by the class loop."""
-        return self._class_sum(i, j)
-
-    def _validate_loops(self) -> tuple[int, tuple[int, ...]]:
-        """:meth:`_validate` by pairwise loops over rows and values."""
-        n, order = self.n_irreps, self.group_order
-        for i in range(n):
-            for j in range(i, n):
-                value = self._inner_loops(i, j)
-                if value != (order if i == j else 0):
-                    self._orthogonality_error(i, j, value)
-        trivial = [i for i, row in enumerate(self.irreps)
-                   if row.dim == 1 and all(v == 1 for v in row.values)]
-        if len(trivial) != 1:
-            raise InvalidTableError(
-                f"{self.name}: expected exactly one trivial irrep, found {len(trivial)}")
-        conjugates = tuple(
-            self._conjugate_of(i, [j for j, other in enumerate(self.irreps)
-                                   if other.dim == row.dim and all(
-                                       a.conjugate() == b
-                                       for a, b in zip(row.values, other.values))])
-            for i, row in enumerate(self.irreps))
-        return trivial[0], conjugates
-
-    def _multiplicity_loops(self, i: int, j: int, k: int) -> int:
-        """:meth:`multiplicity` by the class loop."""
-        return self._checked_multiplicity(i, j, k, self._class_sum(i, j, k))
 
     def _checked_multiplicity(self, i: int, j: int, k: int, total: ExactComplex) -> int:
         """total / |G| as a nonnegative integer, for total = |G| m(i, j, k)."""

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Any, Collection
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 
 from . import su2num
 from .core import (
@@ -31,7 +30,6 @@ from .core import (
     Hypergroup,
     InternalInvariantError,
     Label,
-    NumericError,
     UsageError,
     convolve_h,
     support_product,
@@ -151,77 +149,16 @@ def a_norm_exact_finite(dual: Hypergroup, v: FiniteFunction) -> Any:
             / math.prod(t.group_order for t in tables))
 
 
-# (nodes a part, split) of each rung a chunk of pieces climbs, in order
-QUADRATURE_LADDER = ((7, 1), (21, 1), (21, 2), (21, 4), (21, 8))
-# pieces per chunk, the unit that climbs: on the first rung one numpy batch
-# of su2num.gauss_kronrod
-CHUNK_PIECES = su2num._CHUNK_NODES // QUADRATURE_LADDER[0][0]
-
-
-def _refine_chunks(quadrature, breaks: np.ndarray, tolerance: float) -> QuadratureValue:
-    """Climb QUADRATURE_LADDER chunk by chunk until the residuals fit the tolerance.
-
-    ``quadrature(order, split, chunk)`` returns (value, residual) over the
-    pieces between the breaks ``chunk``; the integrand must vanish at every
-    break, which the first rung does not evaluate.  ``breaks`` is cut into
-    runs of CHUNK_PIECES pieces, and every chunk is integrated on the first
-    rung.
-    While the residuals sum to more than the tolerance, the chunk with the
-    largest residual among those below the last rung climbs one rung and
-    is integrated again over its own pieces: QUADPACK's globally adaptive
-    scheme, with chunks in place of single intervals, so only the chunks
-    where the error lies (for the interval plateaus, the few next to
-    theta = 0) pay for the finer rules.  The value is the sum of the chunk
-    values in chunk order, and it carries the summed residual.  Once every
-    chunk is on the last rung and the sum still misses, raises NumericError
-    carrying it.
-    """
-    chunks = [breaks[start:start + CHUNK_PIECES + 1]
-              for start in range(0, len(breaks) - 1, CHUNK_PIECES)]
-    # the bookkeeping is in plain lists: numpy's argmax alone, first called
-    # here, raised the peak RSS of a generic su2-hat A-norm by 0.3 MB
-    values, residuals = map(list, zip(*(quadrature(*QUADRATURE_LADDER[0], chunk)
-                                        for chunk in chunks)))
-    rungs = [0] * len(chunks)
-    last = len(QUADRATURE_LADDER) - 1
-    while (residual := sum(residuals)) > tolerance:
-        climbable = [i for i, rung in enumerate(rungs) if rung < last]
-        if not climbable:
-            raise NumericError(
-                f"quadrature residual {residual:.3e} exceeds tolerance {tolerance:.3e} "
-                f"with every piece split {QUADRATURE_LADDER[-1][1]}x", residual=residual)
-        chunk = max(climbable, key=residuals.__getitem__)
-        rungs[chunk] += 1
-        values[chunk], residuals[chunk] = quadrature(*QUADRATURE_LADDER[rungs[chunk]],
-                                                     chunks[chunk])
-    return QuadratureValue(sum(values), residual)
-
-
 def a_norm_su2(v: FiniteFunction, config: QuadratureConfig | None = None) -> float:
-    """A-norm of v over the dual of SU(2), by Weyl-measure quadrature.
+    """A-norm of v over the dual of SU(2), one :func:`su2num.u_series_l1` call.
 
-    Integrates (2/pi) |sum_n v(n) (n+1) U_n(cos theta)| sin^2 theta over
-    (0, pi) on the Gauss-Kronrod ladder of :func:`_refine_chunks`, the
-    series summed in the T basis.  The integrand is split at the zeros of
-    the series so each piece is smooth and vanishes at the ends (sin^2 at
-    0 and pi); the residual estimate must meet the config tolerance, and
-    the value returned carries it.
+    The series is v's central function sum_n v(n) (n+1) U_n; the value
+    returned carries the residual the config tolerance accepted.
     """
     config = config or DEFAULT_QUADRATURE
     if not v:
         return 0.0
-    coeffs = su2_u_coefficients(v)
-    t_coeffs = su2num.u_to_chebyshev_t(coeffs)
-
-    def integrand(theta: np.ndarray) -> np.ndarray:
-        s = np.sin(theta)
-        return (2.0 / math.pi) * np.abs(npcheb.chebval(np.cos(theta), t_coeffs)) * s * s
-
-    roots = su2num.u_series_roots_theta(coeffs)
-    breaks = np.unique(np.concatenate([[0.0, math.pi], roots]))
-    return _refine_chunks(
-        lambda order, split, chunk: su2num.gauss_kronrod(integrand, chunk, split, order),
-        breaks, config.tolerance)
+    return QuadratureValue(*su2num.u_series_l1(su2_u_coefficients(v), config.tolerance))
 
 
 def a_norm(H: Hypergroup, v: FiniteFunction, config: QuadratureConfig | None = None) -> Any:
@@ -436,24 +373,8 @@ class Su2IntervalBump(Plateau):
         return total ** (1.0 / p)
 
     def a_norm(self, config: QuadratureConfig | None = None) -> float:
-        """Quadrature A-norm via the closed-form product of sine kernels.
-
-        The kernel zeros are found once, and the integrand vanishes at
-        them and at 0 and pi.  Every chunk of pieces between them starts on
-        the Lobatto-Kronrod rule, and :func:`_refine_chunks` climbs the chunks
-        that hold the error to K21 with every piece whole, split into 2, 4
-        and then 8, until the summed residual meets the tolerance.  The
-        value returned carries that residual.
-        """
+        """The A-norm, one :func:`su2num.interval_product_l1` call, carrying its residual."""
         config = config or DEFAULT_QUADRATURE
         self._check_support_budget("A-norm quadrature")
-        p_dim = self.k2 + self.m2 + 1
-        q_dim = self.m2 + 1
-        breaks = su2num.interval_product_breakpoints(p_dim, q_dim)
-        h_v = float(self._h_v)
-
-        def quadrature(order: int, split: int, chunk: np.ndarray) -> tuple[float, float]:
-            raw, raw_residual = su2num.interval_product_l1(p_dim, q_dim, chunk, split, order)
-            return raw / h_v, raw_residual / h_v
-
-        return _refine_chunks(quadrature, breaks, config.tolerance)
+        return QuadratureValue(*su2num.interval_product_l1(
+            self.k2 + self.m2 + 1, self.m2 + 1, config.tolerance))

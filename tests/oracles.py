@@ -14,12 +14,19 @@ tables can be checked against one table of the whole group.
 A-norms on su2-hat: :func:`interval_product_l1_antiderivative` and
 :func:`a_norm_su2_antiderivative` integrate by antiderivatives between
 sign changes, so the quadrature has an oracle that shares none of it.
+:func:`kernel_sum` is S_M in closed form, for the kernel-zero checks.
+
+The defining loops the library's contractions replaced: associativity by
+extending each triple's fusions in Fractions
+(:func:`associativity_failures_loops`), and a character table's inner
+products, validation and multiplicities by its class loop
+(:func:`inner_loops`, :func:`validate_loops`, :func:`multiplicity_loops`).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -28,11 +35,14 @@ from typing import Any
 
 import numpy as np
 
-from hypergroups import CharacterTable
+from hypergroups import CharacterTable, ExactComplex
 from hypergroups.core import (
+    AxiomFailure,
     CapacityError,
+    FiniteMeasure,
     Hypergroup,
     InternalInvariantError,
+    InvalidTableError,
     Label,
     UsageError,
     count,
@@ -122,6 +132,85 @@ def kronecker_table(*tables: CharacterTable) -> CharacterTable:
 
 
 # ---------------------------------------------------------------------------
+# Associativity by bilinear extension
+# ---------------------------------------------------------------------------
+
+
+def fuse_linear(mu: FiniteMeasure,
+                fuse_with: Callable[[Label], FiniteMeasure]) -> FiniteMeasure:
+    """sum_t mu(t) fuse_with(t): a point fusion extended linearly over mu."""
+    acc: dict[Label, Fraction] = {}
+    for t, mass in mu.items():
+        for w, m2 in fuse_with(t).items():
+            acc[w] = acc.get(w, Fraction(0)) + mass * m2
+    return FiniteMeasure(acc)
+
+
+def associativity_failures_loops(
+    H: Hypergroup, triples: list[tuple[Label, Label, Label]]
+) -> list[AxiomFailure]:
+    """Associativity failures by extending each triple's fusions in Fractions."""
+    failures = []
+    for x, y, z in triples:
+        left = fuse_linear(H._fuse(x, y), lambda t: H._fuse(t, z))
+        right = fuse_linear(H._fuse(y, z), lambda t: H._fuse(x, t))
+        if left != right:
+            failures.append(AxiomFailure(
+                "associativity",
+                (H.label_str(x), H.label_str(y), H.label_str(z)),
+                "bilinear extensions of (x*y)*z and x*(y*z) differ"))
+    return failures
+
+
+# ---------------------------------------------------------------------------
+# Character tables by the class loop
+# ---------------------------------------------------------------------------
+
+
+def class_sum(table: CharacterTable, *rows: int) -> ExactComplex:
+    """sum_c |c| chi_r1(c) ... chi_r(n-1)(c) conj(chi_rn(c)), by the class loop."""
+    total = ExactComplex.coerce(0)
+    for c, size in enumerate(table.class_sizes):
+        term = ExactComplex.coerce(size)
+        for r in rows[:-1]:
+            term = term * table.irreps[r].values[c]
+        total = total + term * table.irreps[rows[-1]].values[c].conjugate()
+    return total
+
+
+def inner_loops(table: CharacterTable, i: int, j: int) -> ExactComplex:
+    """<chi_i, chi_j> * |G| by the class loop."""
+    return class_sum(table, i, j)
+
+
+def validate_loops(table: CharacterTable) -> tuple[int, tuple[int, ...]]:
+    """``CharacterTable._validate`` by pairwise loops over rows and values."""
+    n, order = table.n_irreps, table.group_order
+    for i in range(n):
+        for j in range(i, n):
+            value = inner_loops(table, i, j)
+            if value != (order if i == j else 0):
+                table._orthogonality_error(i, j, value)
+    trivial = [i for i, row in enumerate(table.irreps)
+               if row.dim == 1 and all(v == 1 for v in row.values)]
+    if len(trivial) != 1:
+        raise InvalidTableError(
+            f"{table.name}: expected exactly one trivial irrep, found {len(trivial)}")
+    conjugates = tuple(
+        table._conjugate_of(i, [j for j, other in enumerate(table.irreps)
+                                if other.dim == row.dim and all(
+                                    a.conjugate() == b
+                                    for a, b in zip(row.values, other.values))])
+        for i, row in enumerate(table.irreps))
+    return trivial[0], conjugates
+
+
+def multiplicity_loops(table: CharacterTable, i: int, j: int, k: int) -> int:
+    """``CharacterTable.multiplicity`` by the class loop."""
+    return table._checked_multiplicity(i, j, k, class_sum(table, i, j, k))
+
+
+# ---------------------------------------------------------------------------
 # A-norms on su2-hat by antiderivatives, with no quadrature
 # ---------------------------------------------------------------------------
 #
@@ -129,6 +218,15 @@ def kronecker_table(*tables: CharacterTable) -> CharacterTable:
 # integral of |g| is |G(b) - G(a)| for an antiderivative G.  The zeros come
 # from bisection on the sine forms, so neither oracle shares the library's
 # quadrature, kernel Newton iteration or Chebyshev root finder.
+
+
+def kernel_sum(M: int, theta: np.ndarray) -> np.ndarray:
+    """S_M(theta) = sum_{k=1}^{M} k sin(k theta) in closed form, valid on (0, pi)."""
+    a = M + 0.5
+    half = 0.5 * theta
+    s = np.sin(half)
+    c = np.cos(half)
+    return (c * np.sin(a * theta) - (2 * M + 1) * s * np.cos(a * theta)) / (4 * s * s)
 
 
 def _bisect(fn, lo: np.ndarray, hi: np.ndarray, iterations: int = 60) -> np.ndarray:

@@ -104,3 +104,7 @@ def test_traced_pass_matches_reference(workload, tmp_path):
     assert len(result["problems"]) == n_ops
     for layer in layers:
         assert result["layers"][layer] > 0, layer
+    if workload == "witness-su2":
+        # one interval_product_l1 call per A-norm of the five stages, each accepted
+        assert result["layers"]["su2num.quad_passes"] == 5
+        assert result["layers"]["fourier.quad_accept_ratio"] == 1.0

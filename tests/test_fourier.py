@@ -283,7 +283,7 @@ class TestANormSu2:
 
 
 class TestRefineChunks:
-    """The per-chunk ladder on a fake quadrature that reads a table of residuals."""
+    """su2num's per-chunk ladder on a fake quadrature that reads a table of residuals."""
 
     @staticmethod
     def _ladder(residuals_by_chunk):
@@ -291,50 +291,50 @@ class TestRefineChunks:
         calls = []
 
         def quadrature(order, split, chunk):
-            index = int(chunk[0]) // fourier.CHUNK_PIECES
-            rung = fourier.QUADRATURE_LADDER.index((order, split))
+            index = int(chunk[0]) // su2num.CHUNK_PIECES
+            rung = su2num.QUADRATURE_LADDER.index((order, split))
             calls.append((index, rung, len(chunk)))
             return float(index + 1), residuals_by_chunk[index][rung]
 
         return quadrature, calls
 
     def test_chunks_are_runs_of_chunk_pieces_that_share_their_ends(self):
-        breaks = np.arange(2 * fourier.CHUNK_PIECES + 12, dtype=float)
+        breaks = np.arange(2 * su2num.CHUNK_PIECES + 12, dtype=float)
         quadrature, calls = self._ladder([[0.0] * 5] * 3)
-        value = fourier._refine_chunks(quadrature, breaks, 1e-9)
-        assert fourier.CHUNK_PIECES == 9_362
+        value, residual = su2num._refine_chunks(quadrature, breaks, 1e-9)
+        assert su2num.CHUNK_PIECES == 9_362
         # every chunk once on the first rung; the value is the sum of the chunk values
-        assert calls == [(0, 0, fourier.CHUNK_PIECES + 1), (1, 0, fourier.CHUNK_PIECES + 1),
+        assert calls == [(0, 0, su2num.CHUNK_PIECES + 1), (1, 0, su2num.CHUNK_PIECES + 1),
                          (2, 0, 12)]
-        assert value == 6.0 and value.residual == 0.0
+        assert value == 6.0 and residual == 0.0
 
     def test_the_largest_residual_climbs_first(self):
-        breaks = np.arange(3 * fourier.CHUNK_PIECES + 1, dtype=float)
+        breaks = np.arange(3 * su2num.CHUNK_PIECES + 1, dtype=float)
         quadrature, calls = self._ladder([[0.2, 0.1, 0, 0, 0], [0.5, 0.05, 0, 0, 0],
                                           [0.4, 0.3, 0.25, 0, 0]])
-        value = fourier._refine_chunks(quadrature, breaks, 0.5)
+        _, residual = su2num._refine_chunks(quadrature, breaks, 0.5)
         # 1.1 -> chunk 1 climbs (0.65) -> chunk 2 climbs (0.55) -> chunk 2 again (0.5)
         assert [(i, rung) for i, rung, _ in calls[3:]] == [(1, 1), (2, 1), (2, 2)]
-        assert value.residual == pytest.approx(0.5)
+        assert residual == pytest.approx(0.5)
 
     def test_a_chunk_on_the_last_rung_leaves_the_climb_to_the_others(self):
         # chunk 0 ends on the 8x split at 0.6 of the tolerance, chunk 1 sits
         # on the first rung at 0.5: chunk 1 climbs, and the sum, 0.7, is accepted
         tolerance = 1e-6
-        breaks = np.arange(2 * fourier.CHUNK_PIECES + 1, dtype=float)
+        breaks = np.arange(2 * su2num.CHUNK_PIECES + 1, dtype=float)
         table = [[10 * tolerance, 5 * tolerance, 2 * tolerance, tolerance, 0.6 * tolerance],
                  [0.5 * tolerance, 0.1 * tolerance, 0, 0, 0]]
         quadrature, calls = self._ladder(table)
-        value = fourier._refine_chunks(quadrature, breaks, tolerance)
+        value, residual = su2num._refine_chunks(quadrature, breaks, tolerance)
         assert [(i, rung) for i, rung, _ in calls] == [
             (0, 0), (1, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 1)]
-        assert value == 3.0 and value.residual == pytest.approx(0.7 * tolerance)
+        assert value == 3.0 and residual == pytest.approx(0.7 * tolerance)
 
     def test_raises_only_once_every_chunk_is_on_the_last_rung(self):
-        breaks = np.arange(2 * fourier.CHUNK_PIECES + 1, dtype=float)
+        breaks = np.arange(2 * su2num.CHUNK_PIECES + 1, dtype=float)
         quadrature, calls = self._ladder([[1.0] * 5, [0.5] * 5])
         with pytest.raises(NumericError) as info:
-            fourier._refine_chunks(quadrature, breaks, 0.1)
+            su2num._refine_chunks(quadrature, breaks, 0.1)
         assert info.value.residual == 1.5
         assert sorted((i, rung) for i, rung, _ in calls) == [
             (i, rung) for i in range(2) for rung in range(5)]
@@ -358,10 +358,10 @@ class TestFirstRungEnds:
         passes = []
         original = su2num.gauss_kronrod
 
-        def recording(fn, breaks, split, order=21, *, by_piece=False):
-            value, residual = original(fn, breaks, split, order, by_piece=by_piece)
-            if order == fourier.QUADRATURE_LADDER[0][0]:
-                passes.append((fn, breaks, by_piece, value))
+        def recording(fn, breaks, split, order=21):
+            value, residual = original(fn, breaks, split, order)
+            if order == su2num.QUADRATURE_LADDER[0][0]:
+                passes.append((fn, breaks, value))
             return value, residual
 
         monkeypatch.setattr(su2num, "gauss_kronrod", recording)
@@ -369,12 +369,11 @@ class TestFirstRungEnds:
         assert passes
         w_end = 1.0 - 0.5 * su2num._LOBATTO_KRONROD9[1].sum()
         mass = total = 0.0
-        for fn, breaks, by_piece, value in passes:
+        for fn, breaks, value in passes:
             inside = (breaks > 0) & (breaks < math.pi)
             r = breaks[inside]
             ends = np.zeros(len(breaks))
-            ends[inside] = np.abs(fn(r[:, None], np.zeros((r.size, 1)))[:, 0]
-                                  if by_piece else fn(r))
+            ends[inside] = np.abs(fn(r[:, None], np.zeros((r.size, 1)))[:, 0])
             mass += w_end * float(0.5 * np.diff(breaks) @ (ends[:-1] + ends[1:]))
             total += value
         return mass / total

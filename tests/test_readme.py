@@ -13,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hypergroups import check_axioms, finite_group_dual, fourier, parse_character_table
+from hypergroups import check_axioms, finite_group_dual, parse_character_table, su2num
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,7 +43,7 @@ def test_table_format_examples_parse_and_pass_the_axioms():
 def test_quadrature_figures_match_the_library():
     # wrapped lines joined, so a figure may break across them
     text = " ".join((ROOT / "README.md").read_text().split())
-    chunks = re.findall(r"`fourier\.CHUNK_PIECES` \(([\d ]+)\)", text)
-    assert chunks and {int(c.replace(" ", "")) for c in chunks} == {fourier.CHUNK_PIECES}
+    chunks = re.findall(r"`su2num\.CHUNK_PIECES` \(([\d ]+)\)", text)
+    assert chunks and {int(c.replace(" ", "")) for c in chunks} == {su2num.CHUNK_PIECES}
     nodes = re.findall(r"(\d+) nodes a piece", text)
-    assert nodes and {int(n) for n in nodes} == {fourier.QUADRATURE_LADDER[0][0]}
+    assert nodes and {int(n) for n in nodes} == {su2num.QUADRATURE_LADDER[0][0]}

@@ -18,6 +18,7 @@ from hypergroups import (
     bump,
     check_multiplier_bounded,
 )
+from hypergroups import su2num
 from hypergroups.cli import run
 from hypergroups.fourier import BumpFunction, Su2IntervalBump
 from hypergroups.segal import (
@@ -242,6 +243,20 @@ class TestMultiplierBounded:
         assert len(calls) == len(w) == 3
         check_multiplier_bounded(w, config=QUICK_QUAD)
         assert len(calls) == 6
+
+    def test_one_interval_product_l1_call_per_a_norm(self, su2, monkeypatch):
+        calls = []
+        original = su2num.interval_product_l1
+
+        def counted(P, Q, tolerance):
+            calls.append((P, Q))
+            return original(P, Q, tolerance)
+
+        monkeypatch.setattr(su2num, "interval_product_l1", counted)
+        w = build_witness(su2, [0], Fraction("1.1"), 4, search="interval")
+        w.a_values(QUICK_QUAD)
+        assert calls == [(t.k2 + t.m2 + 1, t.m2 + 1) for t in w.terms]
+        assert len(calls) == 4
 
     def test_report_serializes(self, su2):
         w = build_witness(su2, [0], D32, 2, search="interval")

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypergroups import NumericError, QuadratureConfig
-from hypergroups import fourier, su2num
+from hypergroups import su2num
 from hypergroups.fourier import Su2IntervalBump
-from oracles import interval_product_l1_antiderivative
+from oracles import interval_product_l1_antiderivative, kernel_sum
 
 
 def bisection_kernel_roots(M, grid_factor=4, iterations=40):
@@ -20,7 +20,7 @@ def bisection_kernel_roots(M, grid_factor=4, iterations=40):
         return np.empty(0)
     count = grid_factor * (M + 1) + 1
     theta = np.linspace(0.0, math.pi, count)[1:-1]
-    values = su2num.kernel_sum(M, theta)
+    values = kernel_sum(M, theta)
     sign = np.sign(values)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     lo = theta[flips].copy()
@@ -28,7 +28,7 @@ def bisection_kernel_roots(M, grid_factor=4, iterations=40):
     lo_sign = sign[flips]
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        same = np.sign(su2num.kernel_sum(M, mid)) == lo_sign
+        same = np.sign(kernel_sum(M, mid)) == lo_sign
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     roots = 0.5 * (lo + hi)
@@ -44,7 +44,7 @@ def legendre16_interval_l1(P, Q):
         [[0.0, math.pi], bisection_kernel_roots(P), bisection_kernel_roots(Q)]))
 
     def integrand(theta):
-        return np.abs(su2num.kernel_sum(P, theta) * su2num.kernel_sum(Q, theta))
+        return np.abs(kernel_sum(P, theta) * kernel_sum(Q, theta))
 
     return (2.0 / math.pi) * su2num.piecewise_gauss(integrand, breaks, 16)
 
@@ -83,7 +83,7 @@ class TestKernelRoots:
         M = 975
         roots = su2num.kernel_roots(M)
         # |S_M'| <= sum k^2 < M^3, so a root off by a few ulps leaves |S_M| < 1e-14 M^3
-        assert np.max(np.abs(su2num.kernel_sum(M, roots))) <= 1e-14 * M**3
+        assert np.max(np.abs(kernel_sum(M, roots))) <= 1e-14 * M**3
 
 
 class TestKronrodRule:
@@ -150,22 +150,44 @@ class TestKronrod9Rule:
         assert np.all(kronrod > 0)
 
 
+def _pointwise(f):
+    """The gauss_kronrod integrand of a function of the angle alone."""
+    return lambda left, offset: f(left + offset)
+
+
+def chunk_pass(P, Q, breaks, split, order=21):
+    """One pass of a ladder rung over ``breaks``, before the division by S(Q).
+
+    (2/pi) * integral of |S_P S_Q|, with residual, as
+    :func:`su2num.interval_product_l1` integrates each chunk: the fused
+    4 |S_P S_Q| on the rule of ``order`` with ``split`` parts a piece, both
+    sums scaled by 1/(2 pi).
+    """
+    a_p, a_q = P + 0.5, Q + 0.5
+    total, residual = su2num.gauss_kronrod(
+        lambda left, offset: su2num._abs_kernel_product(a_p, a_q, left, offset),
+        breaks, split, order)
+    scale = 0.5 / math.pi
+    return scale * total, scale * residual
+
+
 class TestGaussKronrod:
     def test_chunked_pieces_sum_to_the_integral(self):
         breaks = np.linspace(0.0, math.pi, 10_001)  # more pieces than one chunk holds
         for split in (1, 8):
-            value, residual = su2num.gauss_kronrod(np.sin, breaks, split)
+            value, residual = su2num.gauss_kronrod(_pointwise(np.sin), breaks, split)
             assert value == pytest.approx(2.0, abs=1e-13)
             assert 0 <= residual <= 1e-13
 
     def test_kink_at_a_breakpoint_is_integrated_exactly(self):
-        value, residual = su2num.gauss_kronrod(np.abs, np.array([-1.0, 0.0, 2.0]), 1)
+        value, residual = su2num.gauss_kronrod(_pointwise(np.abs), np.array([-1.0, 0.0, 2.0]), 1)
         assert value == pytest.approx(2.5, abs=1e-15)
         assert residual <= 1e-15
 
     def test_kink_inside_a_piece_shows_in_the_residual(self):
         breaks = np.array([-1.0, 2.0])
-        residuals = [su2num.gauss_kronrod(np.abs, breaks, split)[1] for split in (1, 2)]
+        residuals = [su2num.gauss_kronrod(_pointwise(np.abs), breaks, split)[1]
+                     for split in (1, 2)]
         assert residuals[0] > 1e-4
         # with two parts the kink at 0 sits inside the first part only
         assert 0 < residuals[1] < residuals[0]
@@ -184,7 +206,7 @@ class TestGaussKronrod:
             batches.append(offset.size)
             return np.abs(left + offset) * offset * (h - offset) * (4 / (h * h))
 
-        value, residual = su2num.gauss_kronrod(counted, breaks, split, order, by_piece=True)
+        value, residual = su2num.gauss_kronrod(counted, breaks, split, order)
         assert su2num._CHUNK_NODES == 65_536
         assert len(batches) == -(-20_000 // (su2num._CHUNK_NODES // (order * split)))
         assert max(batches) <= su2num._CHUNK_NODES
@@ -200,22 +222,23 @@ class TestGaussKronrod:
 
     def test_refuses_a_split_lobatto_rule_and_an_unknown_order(self):
         breaks = np.array([0.0, math.pi])
-        assert su2num.gauss_kronrod(np.sin, breaks, 1, 7)[0] == pytest.approx(2.0, abs=1e-6)
+        assert su2num.gauss_kronrod(_pointwise(np.sin), breaks, 1, 7)[0] == pytest.approx(
+            2.0, abs=1e-6)
         # a split point is no zero of the integrand, so order 7 takes split 1 only
         for order, split in [(7, 2), (7, 8), (9, 1), (15, 1), (0, 1)]:
             with pytest.raises(ValueError, match=f"of {order} nodes with split {split}"):
-                su2num.gauss_kronrod(np.sin, breaks, split, order)
+                su2num.gauss_kronrod(_pointwise(np.sin), breaks, split, order)
 
     def test_by_piece_hands_left_ends_and_offsets(self):
         breaks = np.array([0.0, 0.5, 2.0])
         seen = []
 
-        def by_piece(left, offset):
+        def recorded(left, offset):
             seen.append((left.copy(), offset.copy()))
             return np.sin(left + offset)
 
         # sin is not zero at 0.5 and 2.0, so this runs on K21 split 2
-        value, _ = su2num.gauss_kronrod(by_piece, breaks, 2, 21, by_piece=True)
+        value, _ = su2num.gauss_kronrod(recorded, breaks, 2, 21)
         assert value == pytest.approx(1.0 - math.cos(2.0), abs=1e-14)
         (left, offset), = seen
         assert left.tolist() == [[0.0], [0.5]]
@@ -228,13 +251,13 @@ class TestIntervalProductL1:
         P, Q = 975, 915
         theta = np.linspace(0.0, math.pi, 20_001)[1:-1]
         fused = su2num._abs_kernel_product(P + 0.5, Q + 0.5, theta)
-        direct = 4 * np.abs(su2num.kernel_sum(P, theta) * su2num.kernel_sum(Q, theta))
+        direct = 4 * np.abs(kernel_sum(P, theta) * kernel_sum(Q, theta))
         assert np.max(np.abs(fused - direct)) <= 1e-12 * np.max(direct)
 
     @pytest.mark.parametrize("P,Q", [(1, 1), (2, 2), (3, 1), (32, 30), (100, 37), (975, 915)])
     def test_matches_legendre_16(self, P, Q):
         breaks = su2num.interval_product_breakpoints(P, Q)
-        value, residual = su2num.interval_product_l1(P, Q, breaks, 1)
+        value, residual = chunk_pass(P, Q, breaks, 1)
         reference = legendre16_interval_l1(P, Q)
         assert value == pytest.approx(reference, rel=1e-12)
         assert 0 <= residual <= 1e-9 * value
@@ -242,7 +265,7 @@ class TestIntervalProductL1:
     def test_splitting_keeps_the_value_and_meets_the_rounding_floor(self):
         P, Q = 975, 915
         breaks = su2num.interval_product_breakpoints(P, Q)
-        passes = [su2num.interval_product_l1(P, Q, breaks, split) for split in (1, 2, 4, 8)]
+        passes = [chunk_pass(P, Q, breaks, split) for split in (1, 2, 4, 8)]
         base = passes[0][0]
         for value, _ in passes:
             assert value == pytest.approx(base, rel=1e-13)
@@ -258,7 +281,7 @@ class TestIntervalProductL1:
         # shares no quadrature and finds its own zeros
         P, Q = k2 + m2 + 1, m2 + 1
         breaks = su2num.interval_product_breakpoints(P, Q)
-        value, residual = su2num.interval_product_l1(P, Q, breaks, 1, order)
+        value, residual = chunk_pass(P, Q, breaks, 1, order)
         reference = interval_product_l1_antiderivative(P, Q)
         assert residual > 0
         if order == 21:
@@ -278,54 +301,58 @@ class TestIntervalProductL1:
         value = Su2IntervalBump.build(su2, k2, m2).a_norm(QuadratureConfig(tolerance))
         reference = (interval_product_l1_antiderivative(k2 + m2 + 1, m2 + 1)
                      / su2num.interval_haar_n2(m2))
+        # the A-norm is the one interval_product_l1 call, value and residual
+        assert (value, value.residual) == su2num.interval_product_l1(k2 + m2 + 1, m2 + 1,
+                                                                     tolerance)
         assert 0 < value.residual <= tolerance
         assert abs(value - reference) <= value.residual + 1e-12 * reference
 
     @staticmethod
-    def _record_pieces(monkeypatch):
-        """(left ends, nodes per piece) of every call of the fused integrand."""
+    def _record_passes(monkeypatch):
+        """(order, split, breaks) of every gauss_kronrod call."""
         calls = []
-        original = su2num._abs_kernel_product
+        original = su2num.gauss_kronrod
 
-        def recorded(a_p, a_q, left, offset=0.0):
-            calls.append((left[:, 0].copy(), offset.shape[1]))
-            return original(a_p, a_q, left, offset)
+        def recording(fn, breaks, split, order=21):
+            calls.append((order, split, breaks))
+            return original(fn, breaks, split, order)
 
-        monkeypatch.setattr(su2num, "_abs_kernel_product", recorded)
+        monkeypatch.setattr(su2num, "gauss_kronrod", recording)
         return calls
 
     @staticmethod
     def _pieces_by_nodes(calls):
-        """The left ends integrated with each node count, in call order."""
-        nodes = sorted({n for _, n in calls})
-        return {n: np.concatenate([left for left, m in calls if m == n]) for n in nodes}
+        """The left ends integrated with each node count a piece, in call order."""
+        nodes = sorted({order * split for order, split, _ in calls})
+        return {n: np.concatenate([breaks[:-1] for order, split, breaks in calls
+                                   if order * split == n]) for n in nodes}
 
     def test_bench_tolerance_climbs_only_the_first_chunk(self, su2, monkeypatch):
         # stage 4 of the D = 1.1 chain: 59 447 pieces in 7 chunks; at 1e-7
         # only the chunk at theta = 0 climbs to K21
         k2, m2 = 1888, 28_779
         breaks = su2num.interval_product_breakpoints(k2 + m2 + 1, m2 + 1)
-        calls = self._record_pieces(monkeypatch)
+        calls = self._record_passes(monkeypatch)
         value = Su2IntervalBump.build(su2, k2, m2).a_norm(QuadratureConfig(tolerance=1e-7))
         assert value.residual <= 1e-7
         by_nodes = self._pieces_by_nodes(calls)
         assert sorted(by_nodes) == [7, 21]
         assert np.array_equal(by_nodes[7], breaks[:-1])
-        assert np.array_equal(by_nodes[21], breaks[:fourier.CHUNK_PIECES])
+        assert np.array_equal(by_nodes[21], breaks[:su2num.CHUNK_PIECES])
 
     @pytest.mark.parametrize("k2,m2", [(60, 914), (1888, 28_779)])
     def test_default_tolerance_climbs_a_chunk_prefix(self, su2, monkeypatch, k2, m2):
         # stages 3 and 4: at 1e-9 the chunks that climb to K21 are the
         # first ones, from theta = 0 on, each once and whole
         breaks = su2num.interval_product_breakpoints(k2 + m2 + 1, m2 + 1)
-        calls = self._record_pieces(monkeypatch)
+        calls = self._record_passes(monkeypatch)
         value = Su2IntervalBump.build(su2, k2, m2).a_norm()
         assert value.residual <= 1e-9
         by_nodes = self._pieces_by_nodes(calls)
         assert sorted(by_nodes) == [7, 21]
         assert np.array_equal(by_nodes[7], breaks[:-1])
         climbed = by_nodes[21]
-        assert climbed.size % fourier.CHUNK_PIECES == 0 or climbed.size == len(breaks) - 1
+        assert climbed.size % su2num.CHUNK_PIECES == 0 or climbed.size == len(breaks) - 1
         assert np.array_equal(np.sort(climbed), breaks[:climbed.size])
 
     @pytest.mark.parametrize("k2,m2", [(0, 1), (2, 29), (60, 914), (1888, 28_779),
@@ -375,20 +402,14 @@ class TestIntervalProductL1:
         assert np.max(np.abs(reduced - unreduced) / envelope) <= 1e-14
 
     def test_unreachable_tolerance_raises_after_the_8x_split(self, su2, monkeypatch):
-        passes = []
-        original = su2num.interval_product_l1
-
-        def recording(P, Q, breaks, split, order):
-            passes.append((order, split, breaks[0]))
-            return original(P, Q, breaks, split, order)
-
-        monkeypatch.setattr(su2num, "interval_product_l1", recording)
+        calls = self._record_passes(monkeypatch)
         with pytest.raises(NumericError) as info:
             Su2IntervalBump.build(su2, 2, 5).a_norm(QuadratureConfig(tolerance=1e-30))
         assert info.value.residual is not None and info.value.residual > 1e-30
         # the one chunk, at theta = 0: Lobatto-Kronrod, then K21 with every
         # piece whole and split 2, 4 and 8 ways
-        assert passes == [(7, 1, 0.0), (21, 1, 0.0), (21, 2, 0.0), (21, 4, 0.0), (21, 8, 0.0)]
+        assert [(order, split, breaks[0]) for order, split, breaks in calls] == [
+            (7, 1, 0.0), (21, 1, 0.0), (21, 2, 0.0), (21, 4, 0.0), (21, 8, 0.0)]
 
 
 def u_product_loops(a, b):

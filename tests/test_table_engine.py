@@ -33,7 +33,7 @@ from hypergroups import (
 from hypergroups.cli import run
 from hypergroups.core import cyclotomic_polynomial
 from hypergroups.duals import BUILTIN_TABLES
-from oracles import kronecker_table
+from oracles import inner_loops, kronecker_table, multiplicity_loops, validate_loops
 
 FIXTURES = Path(__file__).parent / "tables"
 BUNDLED = {name: builtin_table(name) for name in BUILTIN_TABLES}
@@ -71,7 +71,7 @@ def z5_float_table(corrupt: complex = 0j) -> tuple:
 def build_both(args, monkeypatch):
     """(engine, loops): the table or the InvalidTableError message, from each validator."""
     outcomes = []
-    for validate in (CharacterTable._validate, CharacterTable._validate_loops):
+    for validate in (CharacterTable._validate, validate_loops):
         monkeypatch.setattr(CharacterTable, "_validate", validate)
         try:
             table = CharacterTable(*args, name="t")
@@ -89,8 +89,8 @@ class TestEngineMatchesLoops:
         for i in range(table.n_irreps):
             for j in range(i, table.n_irreps):
                 assert ExactComplex._of(table.cyclotomic, gram[i, j], table.scale ** 2) \
-                    == table._inner_loops(i, j)
-        assert table._validate() == table._validate_loops()
+                    == inner_loops(table, i, j)
+        assert table._validate() == validate_loops(table)
         assert table._values.dtype == np.int64
 
     @pytest.mark.parametrize("names", TABLES, ids="x".join)
@@ -99,7 +99,7 @@ class TestEngineMatchesLoops:
         and a sample of triples against the product's own loops."""
         table = tensor_of(*names)
         factors = [ALL[name] for name in names]
-        loops = [{t: f._multiplicity_loops(*t) for t in product(range(f.n_irreps), repeat=3)}
+        loops = [{t: multiplicity_loops(f, *t) for t in product(range(f.n_irreps), repeat=3)}
                  for f in factors]
         shapes = [range(f.n_irreps) for f in factors]
         flat = {parts: i for i, parts in enumerate(product(*shapes))}
@@ -112,7 +112,7 @@ class TestEngineMatchesLoops:
         rng = random.Random(7)
         for _ in range(40):
             i, j, k = (rng.randrange(table.n_irreps) for _ in range(3))
-            assert table.multiplicity(i, j, k) == table._multiplicity_loops(i, j, k)
+            assert table.multiplicity(i, j, k) == multiplicity_loops(table, i, j, k)
 
     def test_z4_has_gaussian_values_and_conjugate_rows(self):
         z4 = BUNDLED["z4"]
@@ -255,7 +255,7 @@ class TestCorruptedTables:
         with pytest.raises(InvalidTableError) as engine:
             CharacterTable(*s3_args(2, 2, value))
         assert dtypes == [object]
-        monkeypatch.setattr(CharacterTable, "_validate", CharacterTable._validate_loops)
+        monkeypatch.setattr(CharacterTable, "_validate", validate_loops)
         with pytest.raises(InvalidTableError) as loops:
             CharacterTable(*s3_args(2, 2, value))
         assert str(engine.value) == str(loops.value)
@@ -272,7 +272,7 @@ class TestCorruptedTables:
             except InvalidTableError as exc:
                 got = str(exc)
             try:
-                want = [bad._multiplicity_loops(i, j, k) for k in range(3)]
+                want = [multiplicity_loops(bad, i, j, k) for k in range(3)]
             except InvalidTableError as exc:
                 want = str(exc)
             assert got == want
@@ -291,7 +291,7 @@ class TestCorruptedTables:
     def test_z5_multiplicities(self):
         z5 = CYCLOTOMIC["z5"]
         for i, j in product(range(5), repeat=2):
-            assert z5.multiplicities(i, j) == [z5._multiplicity_loops(i, j, k)
+            assert z5.multiplicities(i, j) == [multiplicity_loops(z5, i, j, k)
                                                for k in range(5)]
 
     @given(which=st.sampled_from(sorted(ALL)), data=st.data())
@@ -311,7 +311,7 @@ class TestCorruptedTables:
             moved = CharacterTable(*args)
             n = moved.n_irreps
             for i, j in product(range(n), repeat=2):
-                assert moved.multiplicities(i, j) == [moved._multiplicity_loops(i, j, k)
+                assert moved.multiplicities(i, j) == [multiplicity_loops(moved, i, j, k)
                                                       for k in range(n)]
 
 

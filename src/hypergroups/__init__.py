@@ -47,10 +47,10 @@ from .leptin import (
     LeptinCertificate,
     leptin_product,
     leptin_ratio,
+    leptin_search,
     leptin_search_exhaustive,
     leptin_search_greedy,
     leptin_search_interval,
-    su2_interval_ratio,
 )
 from .segal import (
     BlowupReport,
@@ -75,8 +75,8 @@ __all__ = [
     "bump", "build_witness", "central_function", "check_axioms",
     "check_multiplier_bounded", "convolve_h",
     "exact", "finite_group_dual", "involute", "leptin_product", "leptin_ratio",
-    "leptin_search_exhaustive", "leptin_search_greedy",
+    "leptin_search", "leptin_search_exhaustive", "leptin_search_greedy",
     "leptin_search_interval", "load_character_table", "lp_h_norm",
     "parse_character_table", "product_dual",
-    "su2_dual", "su2_interval_ratio", "support_product",
+    "su2_dual", "support_product",
 ]

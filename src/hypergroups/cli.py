@@ -13,9 +13,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from collections.abc import Collection, Iterator, Set
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import product as iter_product
 from pathlib import Path
 from typing import Any
 
@@ -44,6 +47,7 @@ from .duals import (
     load_character_table,
     product_dual,
     su2_dual,
+    twice_spin,
 )
 from .fourier import (
     DEFAULT_QUADRATURE,
@@ -52,14 +56,8 @@ from .fourier import (
     bump,
     lp_h_norm,
 )
-from .leptin import (
-    leptin_search_exhaustive,
-    leptin_search_greedy,
-    leptin_search_interval,
-    twice_spin,
-)
+from .leptin import STRATEGIES, leptin_search
 from .segal import (
-    WITNESS_STRATEGIES,
     blowup_report,
     build_witness,
     check_multiplier_bounded,
@@ -121,37 +119,59 @@ def _product_parts(text: str) -> list[str]:
     return parts + [text[start:-1]]
 
 
-def parse_label(H: Hypergroup, text: str) -> Any:
+def parse_label(H: Hypergroup, text: str, flag: str = "label") -> Any:
+    """A label of H from its text, else UsageError naming ``flag``."""
     text = text.strip()
     if isinstance(H, ProductDual):
         parts = _product_parts(text)
         if len(parts) != len(H.factors):
             raise UsageError(
-                f"label {text!r} has {len(parts)} components, expected "
+                f"{flag}: label {text!r} has {len(parts)} components, expected "
                 f"{len(H.factors)} (write a|b or (a, b))")
-        return tuple(parse_label(f, part) for f, part in zip(H.factors, parts))
+        return tuple(parse_label(f, part, flag) for f, part in zip(H.factors, parts))
     if isinstance(H, Su2Dual):
-        return twice_spin(_exact_arg(text, "spin label"))
+        return twice_spin(_exact_arg(text, flag), flag)
     if isinstance(H, FiniteDual):
         try:
-            return H.table.irrep_index(int(text))
+            key: Any = int(text)
         except ValueError:
-            return H.table.irrep_index(text)
+            key = text
+        try:
+            return H.table.irrep_index(key)
+        except UsageError as exc:
+            exc.args = (f"{flag}: {exc}",)
+            raise
     raise UsageError(f"cannot parse labels for {H!r}")
 
 
-def parse_labels(H: Hypergroup, text: str) -> list[Any]:
-    return [parse_label(H, part) for part in text.split(",") if part.strip()]
+def parse_labels(H: Hypergroup, text: str, flag: str) -> list[Any]:
+    return [parse_label(H, part, flag) for part in text.split(",") if part.strip()]
 
 
-def _su2_sample(H: Hypergroup, max_ell: Fraction) -> list[Any]:
+class _ProductSample(Set):
+    """The cartesian product of factor samples, sized and searched without being built."""
+
+    def __init__(self, factors: list[Collection[Any]]):
+        self.factors = factors
+
+    def __len__(self) -> int:
+        return math.prod(len(f) for f in self.factors)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter_product(*self.factors)
+
+    def __contains__(self, x: object) -> bool:
+        return (isinstance(x, tuple) and len(x) == len(self.factors)
+                and all(c in f for c, f in zip(x, self.factors)))
+
+
+def _su2_sample(H: Hypergroup, max_ell: Fraction) -> Collection[Any]:
+    """The labels up to spin max_ell on each su2-hat factor: a range, or a lazy product."""
     if isinstance(H, Su2Dual):
-        return list(range(twice_spin(max_ell) + 1))
+        return range(twice_spin(max_ell, "--max-ell") + 1)
     if isinstance(H, ProductDual):
-        from itertools import product as iter_product
-        factor_samples = [_su2_sample(f, max_ell) for f in H.factors]
-        return [tuple(x) for x in iter_product(*factor_samples)]
-    return list(H.universe)
+        return _ProductSample([_su2_sample(f, max_ell) for f in H.factors])
+    return H.universe
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +221,7 @@ def _add_quad(parser: argparse.ArgumentParser) -> None:
 def _cmd_axioms(args: argparse.Namespace) -> int:
     H = resolve_dual(args.dual)
     if args.sample:
-        sample = parse_labels(H, args.sample)
+        sample = parse_labels(H, args.sample, "--sample")
     else:
         sample = _su2_sample(H, _exact_arg(args.max_ell, "--max-ell"))
     report = check_axioms(H, sample)
@@ -214,7 +234,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
 def _cmd_haar(args: argparse.Namespace) -> int:
     H = resolve_dual(args.dual)
     if args.labels:
-        labels = parse_labels(H, args.labels)
+        labels = parse_labels(H, args.labels, "--labels")
     elif H.universe is not None:
         labels = list(H.universe)
     else:
@@ -235,8 +255,8 @@ def _cmd_haar(args: argparse.Namespace) -> int:
 
 def _cmd_convolve(args: argparse.Namespace) -> int:
     H = resolve_dual(args.dual)
-    x = parse_label(H, args.x)
-    y = parse_label(H, args.y)
+    x = parse_label(H, args.x, "--x")
+    y = parse_label(H, args.y, "--y")
     if args.weighted:
         result = convolve_h(H, FiniteFunction.point(x), FiniteFunction.point(y))
         entries = result.items()
@@ -252,21 +272,9 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
 
 def _cmd_leptin(args: argparse.Namespace) -> int:
     H = resolve_dual(args.dual)
-    epsilon = _exact_arg(args.epsilon, "--epsilon")
-    if args.strategy == "interval":
-        if not isinstance(H, Su2Dual):
-            raise UsageError("the interval strategy requires --dual su2")
-        cert = leptin_search_interval(_exact_arg(args.K, "--K"), epsilon, hypergroup=H)
-    else:
-        K = parse_labels(H, args.K)
-        if args.strategy == "greedy":
-            maybe = leptin_search_greedy(H, K, epsilon, max_size=args.max_size)
-            if maybe is None:
-                raise CapacityError(
-                    f"greedy search found no witnessing set of size <= {args.max_size}")
-            cert = maybe
-        else:
-            cert = leptin_search_exhaustive(H, K, epsilon)
+    cert = leptin_search(H, parse_labels(H, args.K, "--K"),
+                         _exact_arg(args.epsilon, "--epsilon"), args.strategy,
+                         max_size=args.max_size)
     doc = cert.to_json_dict()
     pretty = (f"strategy: {doc['strategy']}\nratio: {doc['ratio']} "
               f"(= {float(cert.ratio):.6f})\nepsilon: {doc['epsilon']}\n"
@@ -279,8 +287,8 @@ def _cmd_leptin(args: argparse.Namespace) -> int:
 
 def _cmd_bump(args: argparse.Namespace) -> int:
     H = resolve_dual(args.dual)
-    K = parse_labels(H, args.K)
-    V = parse_labels(H, args.V)
+    K = parse_labels(H, args.K, "--K")
+    V = parse_labels(H, args.V, "--V")
     plateau = bump(H, K, V)
     doc: dict[str, Any] = {
         "K": sorted(H.label_str(x) for x in K),
@@ -308,7 +316,7 @@ def _cmd_norms(args: argparse.Namespace) -> int:
         if "=" not in assignment:
             raise UsageError(f"bad assignment {assignment!r}; use label=value")
         label_text, _, value_text = assignment.partition("=")
-        values[parse_label(H, label_text)] = _exact_arg(value_text, "--values")
+        values[parse_label(H, label_text, "--values")] = _exact_arg(value_text, "--values")
     f = FiniteFunction(values)
     p = _exact_arg(args.p, "--p")
     doc: dict[str, Any] = {
@@ -333,7 +341,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if strategy == "auto":
         strategy = "interval" if isinstance(H, Su2Dual) else "greedy"
     if args.K0:
-        k0 = parse_labels(H, args.K0)
+        k0 = parse_labels(H, args.K0, "--K0")
     else:
         k0 = [H.identity]
     D = _exact_arg(args.D, "--D")
@@ -402,9 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("leptin", help="search for a Leptin witnessing set")
     _add_common(p)
     p.add_argument("--K", required=True,
-                   help="labels; for --strategy interval, the top spin")
+                   help="labels; the interval strategy widens them to the interval "
+                        "below the top one")
     p.add_argument("--epsilon", required=True)
-    p.add_argument("--strategy", choices=WITNESS_STRATEGIES, default="greedy")
+    p.add_argument("--strategy", choices=STRATEGIES, default="greedy")
     p.add_argument("--max-size", type=int, default=64)
     p.set_defaults(fn=_cmd_leptin)
 
@@ -430,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", default="1.1", help="A-norm cap, exact decimal")
     p.add_argument("--N", type=int, default=5)
     p.add_argument("--p", default="2")
-    p.add_argument("--strategy", choices=("auto",) + WITNESS_STRATEGIES, default="auto")
+    p.add_argument("--strategy", choices=("auto",) + STRATEGIES, default="auto")
     p.add_argument("--max-size", type=int, default=64)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.set_defaults(fn=_cmd_witness)

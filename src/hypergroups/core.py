@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from collections.abc import Callable, Collection, Hashable, Iterable
+from collections.abc import Callable, Collection, Hashable, Iterable, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -721,15 +721,20 @@ def check_axioms(H: Hypergroup, sample: Collection[Label]) -> AxiomReport:
     alone; when :func:`associativity_cost` exceeds MAX_ASSOCIATIVITY_ENTRIES
     or MAX_ASSOCIATIVITY_WORK, CapacityError is raised before any fusion
     table is built.  A sample that holds the identity is first priced with
-    T = W = S, a lower bound, and refused before any support product.
+    T = W = S, a lower bound, and refused before any support product.  A
+    range or a set holds each label once, so it is priced before it is
+    walked or copied.
     """
-    H.check_labels(sample)
-    sample = sorted(set(sample))
+    if not isinstance(sample, (range, Set)):
+        H.check_labels(sample)
+        sample = set(sample)
     if not sample:
         raise UsageError("axiom check requires a nonempty sample")
     if H.identity in sample:
         # S*S and then T*S hold S, so |S| prices all three sizes from below
         _check_associativity_budget(len(sample), len(sample), len(sample), "at least ")
+    H.check_labels(sample)
+    sample = sorted(sample)
     T = sorted(support_product(H, sample, sample))
     W = sorted(support_product(H, T, sample) | support_product(H, sample, T))
     _check_associativity_budget(len(sample), len(T), len(W))

@@ -501,6 +501,14 @@ def ell_str(n: int) -> str:
     return str(n // 2) if n % 2 == 0 else f"{n}/2"
 
 
+def twice_spin(value: Any, what: str = "spin") -> int:
+    """Exact half-integer -> its doubled integer encoding, else UsageError naming ``what``."""
+    doubled = exact(value, what) * 2
+    if doubled.denominator != 1 or doubled < 0:
+        raise UsageError(f"{what}: expected a nonnegative half-integer, got {value}")
+    return int(doubled)
+
+
 def _su2_valid(n: Any) -> bool:
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 

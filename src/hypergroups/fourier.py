@@ -94,27 +94,43 @@ def lp_h_power_sum(H: Hypergroup, f: FiniteFunction, p: int) -> Fraction:
     return sum((H.haar(x) * abs(v) ** p for x, v in f.items()), Fraction(0))
 
 
+# terms |f(x)|^p within 2^(+-_UNSCALED_LOG2) leave room in float range for h and the sum
+_UNSCALED_LOG2 = 900
+# the exact power sum holds integers of about p times a value's bits; past this, floats
+_EXACT_POWER_BITS = 1 << 20
+
+
 def lp_h_norm(H: Hypergroup, f: FiniteFunction, p: Any) -> Any:
     """The norm of f in lp(H, h): (sum h(x) |f(x)|^p)^(1/p), sup norm at p = inf.
 
     Exact Fraction for p = 1 and p = inf, float otherwise.  On a dual, f
     holds the Fourier coefficients of a central function, and for p in
     [1, 2] this is its central Segal norm (sum_pi d_pi^2 |f(pi)|^p)^(1/p).
+    For integer p the power sum is exact, then rounded, unless its integers
+    would pass _EXACT_POWER_BITS.  Where some |f(x)|^p would leave float
+    range, the float sum is scaled: M (sum h(x) (|f(x)|/M)^p)^(1/p),
+    M = max |f|, whose terms are at most h(x).
     """
+    values = [abs(v) for _, v in f.items()]
     if p == math.inf:
-        values = [abs(v) for _, v in f.items()]
-        if not values:
-            return Fraction(0)
-        return max(values)
+        return max(values, default=Fraction(0))
     if p < 1:
         raise UsageError(f"p must be at least 1, got {p}")
     if p == 1:
         return lp_h_power_sum(H, f, 1)
-    if float(p).is_integer():
-        return float(lp_h_power_sum(H, f, int(p))) ** (1.0 / float(p))
+    if not values:
+        return 0.0
+    scale = max(values)
+    spread = max(abs(math.log2(q.numerator) - math.log2(q.denominator))
+                 for q in (min(values), scale))
+    if float(p) * spread <= _UNSCALED_LOG2:
+        bits = max(q.numerator.bit_length() + q.denominator.bit_length() for q in values)
+        if float(p).is_integer() and p * bits <= _EXACT_POWER_BITS:
+            return float(lp_h_power_sum(H, f, int(p))) ** (1.0 / float(p))
+        scale = Fraction(1)
     p = float(p)
-    total = sum(float(H.haar(x)) * abs(float(v)) ** p for x, v in f.items())
-    return total ** (1.0 / p)
+    total = sum(float(H.haar(x)) * float(abs(v) / scale) ** p for x, v in f.items())
+    return float(scale) * total ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

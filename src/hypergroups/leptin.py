@@ -4,10 +4,11 @@ A certificate pins down a finite set V whose weighted growth under
 convolution with K stays below 1 + epsilon.  Ratios are exact rationals;
 every certificate can re-verify itself from scratch against its hypergroup.
 
-Three search engines:
+Three search engines, each called as (H, K, epsilon) and by name through
+:func:`leptin_search`:
 
-* interval -- closed-form scan for the dual of SU(2), where K and V are
-  spin intervals and the ratio is a quotient of square-pyramidal numbers;
+* interval -- closed-form scan on the dual of SU(2): K widened to a spin
+  interval, V a spin interval, the ratio a quotient of square-pyramidal numbers;
 * greedy -- grows V from the identity, each step adding the candidate that
   minimizes the resulting ratio (ties broken by label order); K*V and its
   Haar mass are carried from step to step, so a candidate c costs one
@@ -47,7 +48,9 @@ from .core import (
     fraction_text,
     support_product,
 )
-from .duals import ProductDual, Su2Dual, product_dual, su2_dual
+from .duals import ProductDual, Su2Dual, product_dual
+
+STRATEGIES = ("interval", "greedy", "exhaustive")
 
 
 def _epsilon(value: Any) -> Fraction:
@@ -55,14 +58,6 @@ def _epsilon(value: Any) -> Fraction:
     if eps <= 0:
         raise UsageError(f"epsilon must be positive, got {eps}")
     return eps
-
-
-def twice_spin(value: Any) -> int:
-    """Exact half-integer -> its doubled integer encoding; a float is refused."""
-    doubled = exact(value, "spin") * 2
-    if doubled.denominator != 1 or doubled < 0:
-        raise UsageError(f"expected a nonnegative half-integer, got {value}")
-    return int(doubled)
 
 
 def _as_interval(labels: Collection[int]) -> int | None:
@@ -175,37 +170,51 @@ def leptin_ratio(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> F
     return H._haar_sum(grown) / H._haar_sum(V)
 
 
-def su2_interval_ratio(k: Any, m: Any) -> Fraction:
-    """Closed-form interval ratio for the dual of SU(2).
-
-    For K the spin interval up to k and V the spin interval up to m >= k,
-    equals (sum of the first 2m+2k+1 squares) / (sum of the first 2m+1
-    squares); agrees with :func:`leptin_ratio` by direct enumeration.
-    """
-    k2 = twice_spin(k)
-    m2 = twice_spin(m)
-    if m2 < k2:
-        raise UsageError(f"m = {m} must be at least k = {k}")
-    return su2num.interval_ratio_n2(k2, m2)
-
-
 # ---------------------------------------------------------------------------
 # Searches
 # ---------------------------------------------------------------------------
 
 
-def leptin_search_interval(
-    k: Any, epsilon: Any, *, hypergroup: Su2Dual | None = None, min_m2: int | None = None
-) -> LeptinCertificate:
-    """Smallest spin interval V (half-integer steps) with ratio < 1 + epsilon.
+def leptin_search(H: Hypergroup, K: Collection[Label], epsilon: Any, strategy: str, *,
+                  max_size: int = 64, min_m2: int = 0) -> LeptinCertificate:
+    """The certificate of the engine named ``strategy``, one of STRATEGIES.
 
-    Always terminates: for fixed k the interval ratio decreases strictly to 1.
+    ``max_size`` bounds a greedy V, and a greedy search that finds none
+    raises CapacityError; ``min_m2`` floors the top label of an interval V.
+    Each engine is looked up by name at the call, so a wrapper rebound to
+    that name sees every search.
     """
-    k2 = twice_spin(k)
+    if strategy == "interval":
+        return leptin_search_interval(H, K, epsilon, min_m2=min_m2)
+    if strategy == "exhaustive":
+        return leptin_search_exhaustive(H, K, epsilon)
+    if strategy != "greedy":
+        raise UsageError(f"unknown Leptin strategy {strategy!r}")
+    cert = leptin_search_greedy(H, K, epsilon, max_size=max_size)
+    if cert is None:
+        raise CapacityError(f"greedy search found no set of size <= {max_size} "
+                            f"with ratio below {1 + _epsilon(epsilon)}")
+    return cert
+
+
+def leptin_search_interval(
+    H: Hypergroup, K: Collection[Label], epsilon: Any, *, min_m2: int = 0
+) -> LeptinCertificate:
+    """Least interval V = {0, ..., m2}, m2 >= max K, min_m2, with ratio < 1 + epsilon.
+
+    Only on the dual of SU(2), where K is widened to the interval
+    {0, ..., max K}.  Always terminates: for fixed K the interval ratio
+    decreases strictly to 1.
+    """
+    if not isinstance(H, Su2Dual):
+        raise UsageError("the interval strategy needs the dual of SU(2)")
     eps = _epsilon(epsilon)
-    H = hypergroup if hypergroup is not None else su2_dual()
-    floor = k2 if min_m2 is None else max(k2, min_m2)
-    m2 = su2num.min_m2_for_ratio(k2, 1 + eps, m2_floor=floor)
+    if not K:
+        raise UsageError("K must be nonempty")
+    H.check_labels(K)
+    H.check_labels((min_m2,))  # a floor on the top label of V
+    k2 = max(K[0], K[-1]) if isinstance(K, range) else max(K)  # max() would walk a range
+    m2 = su2num.min_m2_for_ratio(k2, 1 + eps, m2_floor=max(k2, min_m2))
     cert = LeptinCertificate(
         strategy="interval",
         K=range(k2 + 1),

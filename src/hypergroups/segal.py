@@ -11,15 +11,18 @@ The construction chains plateau functions u_1, u_2, ... so that
 Stages are inherently sequential: K_{n+1} = K_n * V_n * ~V_n is the support
 of u_n, which forces the next plateau to be 1 there.  A search that returns
 a V with no growth (always possible at the identity, where the ratio is 1)
-would freeze the chain, so stages expand V minimally past that point while
-keeping the ratio below D^2; on finite duals the chain then stabilizes at
-the full universe, which is the degenerate but valid outcome.
+would freeze the chain, so stages expand V, one label at a time, past that
+point while the ratio stays below D^2.  On a finite dual the chain still
+stops growing: it repeats one K once no single added label keeps the ratio
+below D^2.  That K need not be the universe.  With greedy stages at D = 1.1
+it is all of S3-hat, Z4-hat and Q8-hat, but 2 of the 30 labels of the dual
+of S3 x Q8 x Z2, where any one added label raises the ratio to at least
+4/3 > 1.21.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from collections.abc import Collection
@@ -32,6 +35,7 @@ from .core import (
     MAX_WITNESS_TERMS,
     CapacityError,
     Hypergroup,
+    HypergroupError,
     InternalInvariantError,
     Label,
     UsageError,
@@ -49,15 +53,7 @@ from .fourier import (
     a_norm_residual,
     bump,
 )
-from .leptin import (
-    LeptinCertificate,
-    leptin_ratio,
-    leptin_search_exhaustive,
-    leptin_search_greedy,
-    leptin_search_interval,
-)
-
-WITNESS_STRATEGIES = ("interval", "greedy", "exhaustive")
+from .leptin import LeptinCertificate, leptin_ratio, leptin_search
 
 
 @dataclass
@@ -137,17 +133,15 @@ def absorption_witness(earlier: Plateau, later: Plateau) -> Label | None:
 # ---------------------------------------------------------------------------
 
 
-def _interval_stage(H: Su2Dual, K: range, cap: Fraction, stage: int,
+def _interval_stage(H: Hypergroup, K: Collection[Label], cap: Fraction, search: str,
                     max_size: int) -> tuple[Plateau, LeptinCertificate, range]:
     """One O(1) interval stage: the least m2 >= max(k2, 1) with ratio below cap^2."""
-    k2 = K[-1]
-    cert = leptin_search_interval(
-        Fraction(k2, 2), cap * cap - 1, hypergroup=H, min_m2=max(k2, 1))
-    m2 = cert.V[-1]  # V = range(m2 + 1); max() would walk it
+    cert = leptin_search(H, K, cap * cap - 1, search, min_m2=1)
+    k2, m2 = cert.K[-1], cert.V[-1]  # K, V are ranges; max() would walk them
     size = k2 + 2 * m2 + 1
     if size > MAX_INTERVAL_SUPPORT:
         raise CapacityError(
-            f"stage {stage}: the plateau support has {size} labels, "
+            f"the plateau support has {size} labels, "
             f"more than the {MAX_INTERVAL_SUPPORT} an interval witness stage may have")
     return Su2IntervalBump.build(H, k2, m2), cert, range(size)
 
@@ -161,19 +155,13 @@ def _expansion_pool(H: Hypergroup, K: Collection[Label], V: set[Label]) -> list[
     return sorted(pool - V)
 
 
-def _search_stage(H: Hypergroup, K: frozenset, cap: Fraction, stage: int, max_size: int,
-                  *, search: str) -> tuple[Plateau, LeptinCertificate, frozenset]:
+def _search_stage(H: Hypergroup, K: Collection[Label], cap: Fraction, search: str,
+                  max_size: int) -> tuple[Plateau, LeptinCertificate, frozenset]:
     """One greedy or exhaustive stage, with V expanded past a frozen chain."""
+    K = frozenset(K)
     bound = cap * cap
     eps = bound - 1
-    if search == "greedy":
-        cert = leptin_search_greedy(H, K, eps, max_size=max_size)
-        if cert is None:
-            raise CapacityError(
-                f"stage {stage}: greedy search found no set of size "
-                f"<= {max_size} with ratio below {bound}")
-    else:
-        cert = leptin_search_exhaustive(H, K, eps)
+    cert = leptin_search(H, K, eps, search, max_size=max_size)
     V = set(cert.V)
 
     def grown_support() -> frozenset:
@@ -195,7 +183,7 @@ def _search_stage(H: Hypergroup, K: frozenset, cap: Fraction, stage: int, max_si
         strategy=cert.strategy, K=K, V=term.V, ratio=term.ratio,
         epsilon=eps, hypergroup=H)
     if not verified.verify():
-        raise InternalInvariantError(f"stage {stage}: certificate does not re-verify")
+        raise InternalInvariantError("certificate does not re-verify")
     return term, verified, next_k
 
 
@@ -203,9 +191,10 @@ def build_witness(H: Hypergroup, K0: Collection[Label], D: Any, N: int,
                   search: str = "greedy", *, max_size: int = 64) -> WitnessSequence:
     """Build the N-term witness chain with per-stage ratio below D^2.
 
-    ``search`` picks the per-stage Leptin engine: "interval" (dual of SU(2)
-    only; K0 is widened to the spin interval below its top label), "greedy",
-    or "exhaustive" (finite duals).  Verifies exactly, at every stage, that
+    ``search`` names the per-stage engine of :func:`leptin_search`:
+    "interval" (dual of SU(2) only; K0 is widened to the spin interval below
+    its top label), "greedy", or "exhaustive" (finite duals).  An error a
+    stage raises names the stage.  Verifies exactly, at every stage, that
     the ratio is below D^2 and that each plateau is 1 on the support bound
     of the previous one: :func:`bump` checks u = 1 on K label by label, and
     the interval plateau's closed form, proved against its recurrence, is 1
@@ -223,21 +212,16 @@ def build_witness(H: Hypergroup, K0: Collection[Label], D: Any, N: int,
     if not K0:
         raise UsageError("K0 must be nonempty")
     H.check_labels(K0)
-    if search not in WITNESS_STRATEGIES:
-        raise UsageError(f"unknown witness strategy {search!r}")
-    if search == "interval":
-        if not isinstance(H, Su2Dual):
-            raise UsageError("the interval strategy needs the dual of SU(2)")
-        K: Collection[Label] = range(max(K0) + 1)
-        next_stage = _interval_stage
-    else:
-        K = frozenset(K0)
-        next_stage = functools.partial(_search_stage, search=search)
-    terms, certs = [], []
+    next_stage = _interval_stage if search == "interval" else _search_stage
+    K, terms, certs = K0, [], []
     for stage in range(1, N + 1):
-        term, cert, K = next_stage(H, K, cap, stage, max_size)
-        if term.ratio != cert.ratio or not term.ratio < cap * cap:
-            raise InternalInvariantError(f"stage {stage}: ratio bound violated")
+        try:
+            term, cert, K = next_stage(H, K, cap, search, max_size)
+            if term.ratio != cert.ratio or not term.ratio < cap * cap:
+                raise InternalInvariantError("ratio bound violated")
+        except HypergroupError as exc:
+            exc.args = (f"stage {stage}: {exc}",)
+            raise
         terms.append(term)
         certs.append(cert)
     return WitnessSequence(H, cap, search, terms, K, certs)

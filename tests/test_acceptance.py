@@ -32,9 +32,9 @@ from hypergroups import (
     leptin_search_greedy,
     leptin_search_interval,
     product_dual,
-    su2_interval_ratio,
     support_product,
 )
+from hypergroups import su2num
 
 half = Fraction(1, 2)
 
@@ -95,13 +95,13 @@ def test_criterion_04_leptin_closed_form(su2):
         checked = 0
         for k2 in range(0, 17):  # half-integers k <= m <= 8
             for m2 in range(k2, 17):
-                closed = su2_interval_ratio(Fraction(k2, 2), Fraction(m2, 2))
+                closed = su2num.interval_ratio_n2(k2, m2)
                 assert closed == leptin_ratio(su2, range(k2 + 1), range(m2 + 1))
                 checked += 1
         certs = 0
         for k2 in range(0, 7):  # k <= 3
             for eps in (Fraction(2), Fraction(1), half, Fraction(1, 10)):
-                cert = leptin_search_interval(Fraction(k2, 2), eps, hypergroup=su2)
+                cert = leptin_search_interval(su2, [k2], eps)
                 assert cert.ratio < 1 + eps
                 assert cert.verify()
                 assert cert.ratio == leptin_ratio(su2, cert.K, cert.V)
@@ -187,7 +187,7 @@ def test_criterion_08_witness_blowup(su2):
 
 def test_criterion_09_product_leptin(su2):
     with criterion(9, "product certificate respects the factor-ratio bound"):
-        factor = leptin_search_interval(half, 2, hypergroup=su2)
+        factor = leptin_search_interval(su2, [1], 2)
         prod = leptin_product([factor, factor])
         direct = leptin_ratio(prod.hypergroup, prod.K, prod.V)
         assert direct == prod.ratio

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -19,8 +20,7 @@ import hypergroups.cli
 from hypergroups.cli import parse_label, resolve_dual, run
 from hypergroups.duals import ProductDual, Su2Dual, load_character_table
 from hypergroups.fourier import DEFAULT_QUADRATURE
-from hypergroups.leptin import certificate_from_json_dict
-from hypergroups.segal import WITNESS_STRATEGIES
+from hypergroups.leptin import STRATEGIES, certificate_from_json_dict
 
 
 def run_cli(capsys, *argv):
@@ -45,7 +45,7 @@ class TestChoicesFromTheLibrary:
         args = parser.parse_args(["witness", "--dual", "su2"])
         assert args.strategy == "auto"
         assert args.quad_tol == DEFAULT_QUADRATURE.tolerance
-        for strategy in WITNESS_STRATEGIES:
+        for strategy in STRATEGIES:
             for command in (["witness", "--dual", "su2"],
                             ["leptin", "--dual", "su2", "--K", "1", "--epsilon", "1"]):
                 assert parser.parse_args(command + ["--strategy", strategy]).strategy == strategy
@@ -263,6 +263,23 @@ class TestCommands:
         if argv[0] == "axioms":
             assert "at least" in error["message"]
 
+    @pytest.mark.parametrize("dual,max_ell,size", [
+        ("su2", "500000", 1000001), ("su2,s3", "50000", 300003),
+    ])
+    def test_axioms_sample_is_priced_before_it_is_built(self, capsys, dual, max_ell, size):
+        # the sample and its copies took about 80 bytes a label (117 MB and 68 MB)
+        resolve_dual(dual)  # load the tables first: only the sample is measured
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "axioms", "--dual", dual, "--max-ell", max_ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, "")
+        assert json.loads(err)["message"].startswith(
+            f"associativity over {size} labels would hold at least ")
+        assert peak < 1 << 20
+
     def test_axioms_exit_zero_with_failures_as_data(self, capsys):
         code, out, _ = run_cli(capsys, "axioms", "--dual", "q8", "--format", "json",
                                "--no-timestamp")
@@ -411,6 +428,15 @@ class TestMalformedNumbers:
           "--strategy", "interval"], "--K"),
         (["norms", "--dual", "s3", "--values", "rho=1", "--p", "1e400"], "--p"),
         (["norms", "--dual", "s3", "--values", "rho=1e400"], "--values"),
+        (["bump", "--dual", "su2", "--K", "x", "--V", "0"], "--K"),
+        (["bump", "--dual", "su2", "--K", "0", "--V", "-1"], "--V"),
+        (["leptin", "--dual", "s3", "--K", "sigma", "--epsilon", "1"], "--K"),
+        (["witness", "--dual", "su2", "--K0", "1/3"], "--K0"),
+        (["axioms", "--dual", "s3,z4", "--sample", "rho"], "--sample"),
+        (["haar", "--dual", "s3", "--labels", "9"], "--labels"),
+        (["convolve", "--dual", "s3", "--x", "sigma", "--y", "triv"], "--x"),
+        (["convolve", "--dual", "su2", "--x", "0", "--y", "1/3"], "--y"),
+        (["norms", "--dual", "s3", "--values", "sigma=1"], "--values"),
     ])
     def test_usage_error_names_the_flag(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)

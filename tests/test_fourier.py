@@ -123,6 +123,34 @@ class TestSegalNorm:
         for p in ("3", "5/2"):
             assert "segal_cp" not in _norms_report(capsys, "su2", "0=1", p)
 
+    @pytest.mark.parametrize("c,p", [
+        (2, 2000), (2, Fraction(4001, 2)), (Fraction(10) ** 300, Fraction(3, 2)),
+        (Fraction(1, 3), 3000), (Fraction(-5, 7), 10 ** 6), (Fraction(3, 2), 3),
+    ])
+    def test_point_masses_far_out_of_float_range(self, s3, c, p):
+        # h(sgn) = 1 and h(rho) = 4, so the norms are |c| and |c| 4^(1/p)
+        sgn, rho = s3.table.irrep_index("sgn"), s3.table.irrep_index("rho")
+        assert lp_h_norm(s3, FiniteFunction({sgn: c}), p) == pytest.approx(abs(c), rel=1e-12)
+        assert lp_h_norm(s3, FiniteFunction({rho: 2}), p) == pytest.approx(
+            2 * 4 ** (1 / p), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [half, Fraction(1000001, 1000000)])
+    def test_huge_integer_p_takes_no_exact_power(self, s3, r):
+        # r^p exactly at p = 5 * 10^8 is an integer of 60 MB and more; the floats take no time
+        f = FiniteFunction({s3.identity: 1, s3.table.irrep_index("rho"): r})
+        p = 5 * 10 ** 8
+        start = time.perf_counter()
+        expected = max(1.0, float(r) * 4 ** (1 / p))  # the larger term dominates
+        assert lp_h_norm(s3, f, p) == pytest.approx(expected, rel=1e-12)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("values,p,lp_h", [
+        ("sgn=2", "2000", 2.0), ("sgn=2", "4001/2", 2.0),
+        ("sgn=1e300", "3/2", 1e300), ("sgn=1/3", "3000", 1 / 3),
+    ])
+    def test_norms_report_far_out_of_float_range(self, capsys, values, p, lp_h):
+        assert _norms_report(capsys, "s3", values, p)["lp_h"] == pytest.approx(lp_h, rel=1e-12)
+
     def test_p1_equals_l1_exactly(self, capsys, s3):
         f = FiniteFunction({0: Fraction(2, 7), 2: Fraction(-1, 3)})
         for p in ("1", "3/2", "2"):

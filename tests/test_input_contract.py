@@ -38,14 +38,12 @@ from hypergroups import (
     leptin_search_interval,
     product_dual,
     su2_dual,
-    su2_interval_ratio,
     support_product,
 )
 from hypergroups import segal
 from hypergroups.core import MAX_EXACT_EXPONENT, MAX_WITNESS_TERMS
-from hypergroups.duals import su2_u_coefficients
+from hypergroups.duals import su2_u_coefficients, twice_spin
 from hypergroups.fourier import lp_h_power_sum
-from hypergroups.leptin import twice_spin
 
 FAMILIES = ("su2", "s3", "s3,z4")
 
@@ -77,6 +75,7 @@ LABEL_CALLS = [
     ("leptin_ratio V", lambda H, x: leptin_ratio(H, [H.identity], [H.identity, x])),
     ("greedy", lambda H, x: leptin_search_greedy(H, [H.identity, x], "1/4")),
     ("exhaustive", lambda H, x: leptin_search_exhaustive(H, [x], "1/4")),
+    ("interval", lambda H, x: leptin_search_interval(H, [H.identity, x], "1/4"), ("su2",)),
     ("build_witness", lambda H, x: build_witness(H, [H.identity, x], "11/10", 2)),
     ("central_function", lambda H, x: central_function(H, _point(x))),
     ("a_norm", lambda H, x: a_norm(H, _point(x))),
@@ -91,9 +90,10 @@ NUMBER_CALLS = [
     ("scale", lambda H, q: _point(H.identity).scale(q), None),
     ("greedy epsilon", lambda H, q: leptin_search_greedy(H, [H.identity], q), 0),
     ("exhaustive epsilon", lambda H, q: leptin_search_exhaustive(H, [H.identity], q), -1),
-    ("interval k", lambda H, q: leptin_search_interval(q, "1/4"), Fraction(1, 3)),
-    ("interval epsilon", lambda H, q: leptin_search_interval(0, q), 0),
-    ("interval ratio m", lambda H, q: su2_interval_ratio(1, q), Fraction(1, 2)),
+    ("interval k", lambda H, q: leptin_search_interval(su2_dual(), [q], "1/4"), Fraction(1, 3)),
+    ("interval epsilon", lambda H, q: leptin_search_interval(su2_dual(), [0], q), 0),
+    ("interval ratio m",
+     lambda H, q: leptin_search_interval(su2_dual(), [2], "1/4", min_m2=q), -1),
     ("twice_spin", lambda H, q: twice_spin(q), -1),
     ("build_witness D", lambda H, q: build_witness(H, [H.identity], q, 2), 1),
 ]

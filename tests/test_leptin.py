@@ -16,6 +16,7 @@ from hypergroups import (
     CapacityError,
     LabelDomainError,
     UsageError,
+    build_witness,
     builtin_table,
     finite_group_dual,
     leptin_product,
@@ -25,12 +26,12 @@ from hypergroups import (
     leptin_search_interval,
     product_dual,
     su2_dual,
-    su2_interval_ratio,
 )
 from hypergroups import leptin, su2num
 from hypergroups.cli import run
 from hypergroups.core import InternalInvariantError
-from hypergroups.leptin import certificate_from_json_dict, twice_spin
+from hypergroups.duals import twice_spin
+from hypergroups.leptin import certificate_from_json_dict
 from oracles import leptin_search_exhaustive_loops, leptin_search_greedy_loops
 
 half = Fraction(1, 2)
@@ -58,17 +59,13 @@ class TestLeptinRatio:
 
 class TestIntervalClosedForm:
     def test_spot_values(self):
-        assert su2_interval_ratio(half, 1) == Fraction(30, 14)
-        assert su2_interval_ratio(0, 7) == 1
-        assert su2_interval_ratio(1, 10) == Fraction(4324, 3311)
+        assert su2num.interval_ratio_n2(1, 2) == Fraction(30, 14)
+        assert su2num.interval_ratio_n2(0, 14) == 1
+        assert su2num.interval_ratio_n2(2, 20) == Fraction(4324, 3311)
 
-    def test_m_below_k_rejected(self):
+    def test_non_half_integer_rejected(self, su2):
         with pytest.raises(UsageError):
-            su2_interval_ratio(2, 1)
-
-    def test_non_half_integer_rejected(self):
-        with pytest.raises(UsageError):
-            su2_interval_ratio(Fraction(1, 3), 1)
+            leptin_search_interval(su2, [Fraction(1, 3)], 1)
         with pytest.raises(UsageError):
             twice_spin(-1)
 
@@ -76,7 +73,7 @@ class TestIntervalClosedForm:
         # cross-validation of the closed form against the direct oracle
         for k2 in range(0, 9):
             for m2 in range(k2, 9):
-                closed = su2_interval_ratio(Fraction(k2, 2), Fraction(m2, 2))
+                closed = su2num.interval_ratio_n2(k2, m2)
                 direct = leptin_ratio(su2, range(k2 + 1), range(m2 + 1))
                 assert closed == direct
 
@@ -84,38 +81,38 @@ class TestIntervalClosedForm:
         for k2 in (1, 2, 6):
             previous = None
             for m2 in range(k2, 101):  # m up to 50 in spin units
-                value = su2_interval_ratio(Fraction(k2, 2), Fraction(m2, 2))
+                value = su2num.interval_ratio_n2(k2, m2)
                 if previous is not None:
                     assert value <= previous
                 previous = value
-            far_out = su2_interval_ratio(Fraction(k2, 2), Fraction(2000, 2))
+            far_out = su2num.interval_ratio_n2(k2, 2000)
             assert far_out < previous and far_out < Fraction(101, 100)
 
 
 class TestIntervalSearch:
-    def test_minimal_interval_for_eps_two(self):
-        cert = leptin_search_interval(half, 2)
+    def test_minimal_interval_for_eps_two(self, su2):
+        cert = leptin_search_interval(su2, [1], 2)
         # scan over m = 1/2, 1, ...: already m = 1/2 meets the bound
         assert max(cert.V) == 1
         assert cert.ratio == Fraction(14, 5)
         assert cert.verified
 
-    def test_identity_k(self):
-        cert = leptin_search_interval(0, Fraction(1, 100))
+    def test_identity_k(self, su2):
+        cert = leptin_search_interval(su2, [0], Fraction(1, 100))
         assert list(cert.V) == [0]
         assert cert.ratio == 1
 
-    def test_minimality(self):
-        cert = leptin_search_interval(1, Fraction(1, 10))
+    def test_minimality(self, su2):
+        cert = leptin_search_interval(su2, [2], Fraction(1, 10))
         m2 = max(cert.V)
         assert cert.ratio < Fraction(11, 10)
-        assert su2_interval_ratio(1, Fraction(m2 - 1, 2)) >= Fraction(11, 10)
+        assert su2num.interval_ratio_n2(2, m2 - 1) >= Fraction(11, 10)
 
-    def test_epsilon_must_be_exact_and_positive(self):
+    def test_epsilon_must_be_exact_and_positive(self, su2):
         with pytest.raises(UsageError):
-            leptin_search_interval(1, 0.1)
+            leptin_search_interval(su2, [2], 0.1)
         with pytest.raises(UsageError):
-            leptin_search_interval(1, 0)
+            leptin_search_interval(su2, [2], 0)
 
 
 class TestGreedySearch:
@@ -139,6 +136,46 @@ class TestGreedySearch:
 
     def test_budget_exhaustion_returns_none(self, su2):
         assert leptin_search_greedy(su2, {4}, Fraction(1, 1000), max_size=3) is None
+
+
+class TestOneRoute:
+    """The CLI and the witness stages reach every engine through leptin_search."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for strategy in leptin.STRATEGIES:
+            name = f"leptin_search_{strategy}"
+
+            def counted(*args, engine=getattr(leptin, name), strategy=strategy, **kwargs):
+                calls.append(strategy)
+                return engine(*args, **kwargs)
+
+            monkeypatch.setattr(leptin, name, counted)
+        return calls
+
+    CASES = [("interval", "su2"), ("greedy", "s3"), ("exhaustive", "s3")]
+
+    @pytest.mark.parametrize("strategy,dual", CASES)
+    def test_witness_stages(self, request, calls, strategy, dual):
+        H = request.getfixturevalue(dual)
+        build_witness(H, [H.identity], "11/10", 2, search=strategy)
+        assert calls == [strategy, strategy]
+
+    @pytest.mark.parametrize("strategy,dual", CASES)
+    def test_cli(self, capsys, calls, strategy, dual):
+        assert run(["leptin", "--dual", dual, "--K", "1", "--epsilon", "1",
+                    "--strategy", strategy]) == 0
+        assert calls == [strategy]
+
+    def test_dispatch_names_its_refusals(self, s3, su2):
+        with pytest.raises(UsageError, match="^the interval strategy needs the dual of SU"):
+            leptin.leptin_search(s3, [1], 1, "interval")
+        with pytest.raises(UsageError, match="^unknown Leptin strategy 'random'"):
+            leptin.leptin_search(s3, [1], 1, "random")
+        with pytest.raises(CapacityError, match=r"^greedy search found no set of size <= 3 "
+                                                r"with ratio below 1001/1000$"):
+            leptin.leptin_search(su2, [4], Fraction(1, 1000), "greedy", max_size=3)
 
 
 class TestExhaustiveSearch:
@@ -199,14 +236,14 @@ class TestCertificates:
         assert again.ratio == cert.ratio
 
     def test_interval_json_round_trip(self, su2):
-        cert = leptin_search_interval(1, half, hypergroup=su2)
+        cert = leptin_search_interval(su2, [2], half)
         again = certificate_from_json_dict(cert.to_json_dict(), su2)
         assert again.verify()
 
     @pytest.mark.parametrize("K", [[-1, 0, 2], [True, 0, 2]])
     def test_forged_interval_labels_fail_verification(self, su2, K):
         # three labels with maximum 2 that are not the interval {0, 1, 2}
-        cert = leptin_search_interval(1, half, hypergroup=su2)
+        cert = leptin_search_interval(su2, [2], half)
         doc = cert.to_json_dict()
         assert doc["K"] == [0, 1, 2]
         doc["K"] = K
@@ -232,8 +269,7 @@ def _factor_certificate(data):
     kind = data.draw(st.sampled_from(["greedy", "exhaustive", "interval"]))
     epsilon = data.draw(_EPSILON)
     if kind == "interval":
-        k = Fraction(data.draw(st.integers(0, 4)), 2)
-        return leptin_search_interval(k, epsilon, hypergroup=_SU2)
+        return leptin_search_interval(_SU2, [data.draw(st.integers(0, 4))], epsilon)
     H = data.draw(st.sampled_from(_FINITE))
     if kind == "greedy":
         return leptin_search_greedy(H, _subset(data, H), epsilon)
@@ -323,7 +359,7 @@ class TestProductCertificates:
         assert prod.verified
 
     def test_su2_squared_bound(self, su2):
-        factor = leptin_search_interval(half, 2, hypergroup=su2)
+        factor = leptin_search_interval(su2, [1], 2)
         prod = leptin_product([factor, factor])
         assert prod.ratio <= factor.ratio * factor.ratio
         # direct enumeration agrees with the stored ratio
@@ -367,7 +403,7 @@ class TestProductCertificates:
     def test_witness_size_interval_factor(self, su2, s3):
         # stage 4 of the D = 1.1 chain: the generic ratio's U-series product
         # (1889 x 28780 multiply-adds) is over budget, the closed form is not
-        stage = leptin_search_interval(944, Fraction(21, 100), hypergroup=su2, min_m2=1888)
+        stage = leptin_search_interval(su2, [1888], Fraction(21, 100), min_m2=1888)
         assert (stage.K, stage.V) == (range(1889), range(28780))
         start = time.perf_counter()
         prod = leptin_product([stage, leptin_search_greedy(s3, {2}, Fraction(1, 4))])
@@ -378,7 +414,7 @@ class TestProductCertificates:
 
     @pytest.mark.parametrize("position", [0, 1])
     def test_changed_factor_ratio_is_refused(self, su2, s3, position):
-        certs = [leptin_search_interval(half, 2, hypergroup=su2),
+        certs = [leptin_search_interval(su2, [1], 2),
                  leptin_search_greedy(s3, {2}, 2)]
         certs[position].ratio -= Fraction(1, 100)
         with pytest.raises(UsageError, match=rf"certs\[{position}\] fails verification"):
@@ -389,7 +425,7 @@ class TestProductCertificates:
     def test_interval_factor_matches_the_product_dual(self, k2, extra, data):
         m2 = min(k2 + extra, 40)
         epsilon = su2num.interval_ratio_n2(k2, m2) - 1 + Fraction(1, 1000)
-        interval = leptin_search_interval(Fraction(k2, 2), epsilon, hypergroup=_SU2, min_m2=m2)
+        interval = leptin_search_interval(_SU2, [k2], epsilon, min_m2=m2)
         assert interval.V == range(m2 + 1)
         H = data.draw(st.sampled_from(_FINITE[:3]))
         finite = leptin_search_exhaustive(H, _subset(data, H), data.draw(_EPSILON))

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Any
 
 from .core import (
+    MAX_HAAR_ROWS,
     AxiomViolationError,
     CapacityError,
     FiniteFunction,
@@ -165,6 +166,15 @@ class _ProductSample(Set):
                 and all(c in f for c, f in zip(x, self.factors)))
 
 
+def _sample_size(labels: Collection[Any]) -> int:
+    """The number of labels, also past the C ssize_t that len() is limited to."""
+    if isinstance(labels, range):  # the step-1 range of _su2_sample
+        return max(0, labels.stop - labels.start)
+    if isinstance(labels, _ProductSample):
+        return math.prod(_sample_size(f) for f in labels.factors)
+    return len(labels)
+
+
 def _su2_sample(H: Hypergroup, max_ell: Fraction) -> Collection[Any]:
     """The labels up to spin max_ell on each su2-hat factor: a range, or a lazy product."""
     if isinstance(H, Su2Dual):
@@ -239,6 +249,10 @@ def _cmd_haar(args: argparse.Namespace) -> int:
         labels = list(H.universe)
     else:
         labels = _su2_sample(H, _exact_arg(args.max_ell, "--max-ell"))
+    size = _sample_size(labels)
+    if size > MAX_HAAR_ROWS:
+        raise CapacityError(f"the haar listing has {size} labels, "
+                            f"more than the {MAX_HAAR_ROWS} it may print")
     rows = [(H.label_str(x), H.haar(x)) for x in labels]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

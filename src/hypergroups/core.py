@@ -528,6 +528,12 @@ MAX_LEPTIN_SUBSETS = 1 << 22
 MAX_U_PRODUCT_WORK = 1 << 20
 MAX_U_SERIES_DEGREE = 1 << 10
 
+# Most rows the CLI's haar listing may print, checked from the label count
+# before any row is built.  A row peaks at 430-590 bytes (117 MB as text and
+# 148 MB as JSON for the 200 001 su2-hat labels up to spin 100 000), so the
+# listing stays near 200 MB.
+MAX_HAAR_ROWS = 1 << 18
+
 # Largest degree phi(m) of the cyclotomic field Q(zeta_m) a character table
 # may use, checked before the field is built.  Its product tensor holds
 # phi^3 integers, 2 MB as int64 at 64; Z3 x Z5 x Z7 (m = 105) has degree 48.

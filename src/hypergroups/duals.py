@@ -720,6 +720,12 @@ class ProductDual(Hypergroup):
             out[label] = mass
         return out
 
+    def _haar(self, x: tuple) -> Fraction:
+        # a finite product keeps the memo: a hit is cheaper than this product
+        if self.is_finite:
+            return super()._haar(x)
+        return math.prod(f._haar(p) for f, p in zip(self.factors, x))
+
     def _dimension(self, x: tuple) -> int:
         return math.prod(f._dimension(p) for f, p in zip(self.factors, x))
 

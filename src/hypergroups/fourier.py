@@ -216,9 +216,6 @@ class Plateau:
     def is_one_on(self, labels: Collection[Label]) -> bool:
         return self.first_not_one(labels) is None
 
-    def l1_h(self) -> Fraction:
-        return self.segal_power_sum(1)
-
     def segal_norm(self, p: Any) -> float:
         """The lp(H, h) norm of u; exact power sum for p = 1 and p = 2."""
         if p == 1:
@@ -301,26 +298,21 @@ class Su2IntervalBump(Plateau):
 
     u(z) = c_{z+1} / (h(V) (z+1)), with the integer numerators c_w given in
     closed form by :func:`su2num.plateau_numerator`, so the state is
-    (k2, m2) whatever the stage size.  Same exact guarantees as
-    :func:`bump`: u >= 0, u = 1 on the interval K (c_w = h(V) w there),
-    support exactly the interval K*V*~V.
+    (k2, m2) whatever the stage size.  The constructor re-proves the closed
+    form against its recurrence at O(1) cost, so every instance has the
+    exact guarantees of :func:`bump`: u >= 0, u = 1 on the interval K
+    (c_w = h(V) w there), support exactly the interval K*V*~V.
     """
 
     def __init__(self, hypergroup: Su2Dual, k2: int, m2: int):
+        if k2 < 0 or m2 < 0:
+            raise UsageError("interval endpoints must be nonnegative")
         self.hypergroup = hypergroup
         self.k2 = k2
         self.m2 = m2
-        self._h_v = su2num.interval_haar_n2(m2)
+        self._h_v = su2num.sum_squares(m2 + 1)
         self.ratio = su2num.interval_ratio_n2(k2, m2)
-
-    @classmethod
-    def build(cls, H: Su2Dual, k2: int, m2: int) -> "Su2IntervalBump":
-        """The plateau, with its closed form re-proved against the recurrence."""
-        if k2 < 0 or m2 < 0:
-            raise UsageError("interval endpoints must be nonnegative")
-        plateau = cls(H, k2, m2)
-        su2num.check_plateau_recurrence(k2, m2, plateau.numerator)
-        return plateau
+        su2num.check_plateau_recurrence(k2, m2, self.numerator)
 
     def numerator(self, w: int) -> int:
         """c_w, the U_{w-1} coefficient of h(V) u."""
@@ -351,14 +343,15 @@ class Su2IntervalBump(Plateau):
                 return z
         return None
 
-    def _check_support_budget(self, work: str) -> None:
+    def check_support_budget(self, work: str) -> None:
         """CapacityError before ``work`` allocates one entry per support label."""
-        if len(self.support) > MAX_INTERVAL_SUPPORT:
-            raise CapacityError(f"the {work} of a plateau with {len(self.support)} labels "
-                                f"exceeds the budget of {MAX_INTERVAL_SUPPORT} labels")
+        size = self.k2 + 2 * self.m2 + 1
+        if size > MAX_INTERVAL_SUPPORT:
+            raise CapacityError(f"the plateau support has {size} labels, more than the "
+                                f"{MAX_INTERVAL_SUPPORT} an interval {work} may have")
 
     def as_finite_function(self) -> FiniteFunction:
-        self._check_support_budget("label->value function")
+        self.check_support_budget("label->value function")
         return FiniteFunction({z: self.value(z) for z in self.support})
 
     def segal_power_sum(self, p: int) -> Fraction:
@@ -373,12 +366,12 @@ class Su2IntervalBump(Plateau):
         for first in (k2 + 2, k2 + 3):
             total += su2num.poly_sum(
                 lambda i: (first + 2 * i) ** (2 - p) * self.numerator(first + 2 * i) ** p,
-                len(range(first, top, 2)), 3 * p + 2)
+                max(0, (top - first + 1) // 2), 3 * p + 2)
         return total / h_p
 
     def _segal_norm_float(self, p: Any) -> float:
         # u = 1 up to w = k2 + 1, then the factored quartics per parity class
-        self._check_support_budget("float Segal norm")
+        self.check_support_budget("float Segal norm")
         p = float(p)
         k2, top, h_v = self.k2, self.k2 + 2 * self.m2 + 2, float(self._h_v)
         total = float(su2num.sum_squares(k2 + 1))
@@ -391,6 +384,6 @@ class Su2IntervalBump(Plateau):
     def a_norm(self, config: QuadratureConfig | None = None) -> float:
         """The A-norm, one :func:`su2num.interval_product_l1` call, carrying its residual."""
         config = config or DEFAULT_QUADRATURE
-        self._check_support_budget("A-norm quadrature")
+        self.check_support_budget("A-norm quadrature")
         return QuadratureValue(*su2num.interval_product_l1(
             self.k2 + self.m2 + 1, self.m2 + 1, config.tolerance))

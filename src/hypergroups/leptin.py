@@ -179,11 +179,13 @@ def leptin_search(H: Hypergroup, K: Collection[Label], epsilon: Any, strategy: s
                   max_size: int = 64, min_m2: int = 0) -> LeptinCertificate:
     """The certificate of the engine named ``strategy``, one of STRATEGIES.
 
-    ``max_size`` bounds a greedy V, and a greedy search that finds none
-    raises CapacityError; ``min_m2`` floors the top label of an interval V.
+    ``max_size``, a positive count under every strategy, bounds a greedy V,
+    and a greedy search that finds none raises CapacityError; ``min_m2``
+    floors the top label of an interval V.
     Each engine is looked up by name at the call, so a wrapper rebound to
     that name sees every search.
     """
+    count(max_size, "max_size")
     if strategy == "interval":
         return leptin_search_interval(H, K, epsilon, min_m2=min_m2)
     if strategy == "exhaustive":

@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import Any
 
 from .core import (
-    MAX_INTERVAL_SUPPORT,
     MAX_WITNESS_TERMS,
     CapacityError,
     Hypergroup,
@@ -92,7 +91,7 @@ class WitnessSequence:
     def a_values(self, config: QuadratureConfig | None = None) -> list[Any]:
         """Measured A-norms per term (quadrature on su2-hat, exact on finite duals).
 
-        A quadrature value carries its residual; :meth:`a_residuals` reads them.
+        A quadrature value carries its residual; :func:`a_norm_residual` reads it.
         The values are kept per tolerance together with the terms they were
         measured on, and measured again once any term is replaced.
         """
@@ -103,10 +102,6 @@ class WitnessSequence:
                 or any(a is not b for a, b in zip(cached[0], terms))):
             cached = self._a_cache[key] = terms, [term.a_norm(config) for term in terms]
         return cached[1]
-
-    def a_residuals(self, config: QuadratureConfig | None = None) -> list[float]:
-        """The quadrature residual of each measured A-norm; 0 where it is exact."""
-        return [a_norm_residual(a) for a in self.a_values(config)]
 
     def chain_failures(self) -> list[tuple[int, int, str]]:
         """Exact check of u_n u_m = u_n for all n < m; witnesses on failure."""
@@ -137,13 +132,9 @@ def _interval_stage(H: Hypergroup, K: Collection[Label], cap: Fraction, search: 
                     max_size: int) -> tuple[Plateau, LeptinCertificate, range]:
     """One O(1) interval stage: the least m2 >= max(k2, 1) with ratio below cap^2."""
     cert = leptin_search(H, K, cap * cap - 1, search, min_m2=1)
-    k2, m2 = cert.K[-1], cert.V[-1]  # K, V are ranges; max() would walk them
-    size = k2 + 2 * m2 + 1
-    if size > MAX_INTERVAL_SUPPORT:
-        raise CapacityError(
-            f"the plateau support has {size} labels, "
-            f"more than the {MAX_INTERVAL_SUPPORT} an interval witness stage may have")
-    return Su2IntervalBump.build(H, k2, m2), cert, range(size)
+    term = Su2IntervalBump(H, cert.K[-1], cert.V[-1])  # K, V are ranges; max() would walk them
+    term.check_support_budget("witness stage")
+    return term, cert, term.support
 
 
 def _expansion_pool(H: Hypergroup, K: Collection[Label], V: set[Label]) -> list[Label]:
@@ -300,7 +291,6 @@ def blowup_report(w: WitnessSequence, p: Any,
         raise UsageError(f"the central Segal norm requires p in [1, 2], got {p}")
     integral_p = float(p).is_integer()
     a_values = w.a_values(config)
-    a_residuals = w.a_residuals(config)
     rows = []
     power_sums: list[Fraction | None] = []
     for idx, term in enumerate(w.terms):
@@ -328,7 +318,7 @@ def blowup_report(w: WitnessSequence, p: Any,
             a_value=a_values[idx],
             segal_p=segal_value,
             lower_bound=float(h_k) ** (1.0 / float(p)),
-            a_residual=a_residuals[idx],
+            a_residual=a_norm_residual(a_values[idx]),
         ))
     growth = rows[-1].segal_p / rows[0].segal_p
     exact_growth = None
@@ -407,5 +397,5 @@ def check_multiplier_bounded(w: WitnessSequence,
         max_a_value=max_a,
         cap=float(w.D),
         tolerance=tolerance,
-        a_residuals=w.a_residuals(config),
+        a_residuals=[a_norm_residual(a) for a in a_values],
     )

@@ -39,11 +39,6 @@ def sum_first(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def interval_haar_n2(n2: int) -> int:
-    """Haar mass of the interval of labels {0, 1, ..., n2}."""
-    return sum_squares(n2 + 1)
-
-
 def interval_ratio_n2(k2: int, m2: int) -> Fraction:
     """h(interval(k) * interval(m)) / h(interval(m)) for labels 2k, 2m."""
     return Fraction(sum_squares(m2 + k2 + 1), sum_squares(m2 + 1))

@@ -173,8 +173,8 @@ def test_criterion_08_witness_blowup(su2):
         assert checks.max_a_value <= 1.1 + 1e-6
         report = blowup_report(w, 2, config=quad)
         # exact growth certificate: h(K_5) >= 100 * (Segal-2 power of u_1)
-        from hypergroups.su2num import interval_haar_n2
-        h_last = Fraction(interval_haar_n2(max(w.K_chain[4])))
+        from hypergroups.su2num import sum_squares
+        h_last = Fraction(sum_squares(max(w.K_chain[4]) + 1))
         first_power = w.terms[0].segal_power_sum(2)
         assert h_last >= 100 * first_power
         assert report.exact_growth_power >= 100

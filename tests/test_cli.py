@@ -280,6 +280,42 @@ class TestCommands:
             f"associativity over {size} labels would hold at least ")
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("dual,max_ell,size", [
+        ("su2", "10000000", 20000001), ("su2,s3", "1000000", 6000003),
+        ("su2,s3", "1e21", 6 * 10 ** 21 + 3),
+    ])
+    def test_haar_listing_is_priced_before_it_is_built(self, capsys, dual, max_ell, size):
+        # a row took 430-590 bytes: 117 MB for the 200 001 rows of --max-ell 100000
+        resolve_dual(dual)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "haar", "--dual", dual, "--max-ell", max_ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, "")
+        assert json.loads(err)["message"] == (
+            f"the haar listing has {size} labels, more than the 262144 it may print")
+        assert peak < 1 << 20
+
+    def test_haar_listing_budget_bites(self, capsys, monkeypatch):
+        monkeypatch.setattr(hypergroups.cli, "MAX_HAAR_ROWS", 10)
+        code, _, err = run_cli(capsys, "haar", "--dual", "su2", "--max-ell", "5")
+        assert code == 4
+        assert json.loads(err)["message"].startswith("the haar listing has 11 labels")
+        assert run_cli(capsys, "haar", "--dual", "su2", "--max-ell", "9/2")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["leptin", "--dual", "s3", "--K", "0", "--epsilon", "1", "--strategy", "exhaustive",
+         "--max-size", "0"],
+        ["leptin", "--dual", "su2", "--K", "0", "--epsilon", "1", "--strategy", "interval",
+         "--max-size", "-5"],
+    ])
+    def test_max_size_is_checked_under_every_strategy(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"].startswith("max_size must be a positive integer")
+
     def test_axioms_exit_zero_with_failures_as_data(self, capsys):
         code, out, _ = run_cli(capsys, "axioms", "--dual", "q8", "--format", "json",
                                "--no-timestamp")

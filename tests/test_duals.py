@@ -1,5 +1,6 @@
 """Constructors for concrete duals: SU(2), finite groups, products."""
 
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +28,7 @@ from hypergroups import (
     su2_dual,
 )
 from hypergroups import core, su2num
-from hypergroups.duals import ell_str, su2_u_coefficients
+from hypergroups.duals import ProductDual, ell_str, su2_u_coefficients
 from hypergroups.fourier import a_norm_su2
 
 half = Fraction(1, 2)
@@ -244,6 +245,27 @@ class TestProductDual:
     def test_haar_multiplies(self, s3):
         prod = product_dual([s3, s3])
         assert prod.haar((2, 2)) == 16
+
+    def test_haar_is_the_product_of_factor_masses(self, su2, s3, q8, z2, z4):
+        # the override against the generic route: fuse x with ~x, read the identity
+        finite, s3_z4 = product_dual([s3, q8, z2]), product_dual([s3, z4])
+        cases = [(finite, finite.universe),
+                 (product_dual([su2, s3]), list(itertools.product(range(12), s3.universe))),
+                 (product_dual([s3_z4, su2]),
+                  list(itertools.product(s3_z4.universe, range(12))))]
+        for prod, labels in cases:
+            assert [prod._haar(x) for x in labels] == [
+                core.Hypergroup._haar(prod, x) for x in labels]
+        assert [len(labels) for _, labels in cases] == [30, 36, 144]
+
+    def test_infinite_product_haar_makes_no_fusion(self, su2, s3, monkeypatch):
+        def refuse(self, x, y):
+            raise AssertionError("the Haar mass of a product fused labels")
+
+        monkeypatch.setattr(ProductDual, "_rule", refuse)
+        prod = product_dual([su2, s3])
+        assert prod.haar((4, 2)) == 25 * 4
+        assert prod.haar_sum([(0, 0), (1, 1), (2, 2)]) == 1 + 4 + 36
 
     def test_mixed_su2_finite(self, su2, s3):
         prod = product_dual([su2, s3])

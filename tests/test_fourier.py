@@ -30,7 +30,7 @@ from hypergroups import (
     su2_dual,
     support_product,
 )
-from hypergroups import core, fourier, segal, su2num
+from hypergroups import fourier, su2num
 from hypergroups.cli import run
 from hypergroups.fourier import Plateau, Su2IntervalBump, lp_h_power_sum
 from hypergroups.segal import absorption_witness
@@ -410,7 +410,7 @@ class TestFirstRungEnds:
                                        (59_446, 906_157)])
     def test_interval_stages(self, su2, monkeypatch, k2, m2):
         # stages 1-5 of the D = 1.1 witness, at the benchmark's tolerance
-        plateau = Su2IntervalBump.build(su2, k2, m2)
+        plateau = Su2IntervalBump(su2, k2, m2)
         share = self._dropped_end_share(
             monkeypatch, lambda: plateau.a_norm(QuadratureConfig(tolerance=1e-7)))
         assert share <= 1e-12
@@ -496,11 +496,10 @@ class TestBumpProperties:
 class TestIntervalBump:
     @pytest.mark.parametrize("k2,m2", [(0, 0), (0, 2), (1, 1), (2, 4), (3, 7)])
     def test_matches_generic_construction(self, su2, k2, m2):
-        fast = Su2IntervalBump.build(su2, k2, m2)
+        fast = Su2IntervalBump(su2, k2, m2)
         slow = bump(su2, range(k2 + 1), range(m2 + 1))
         assert fast.as_finite_function() == slow.function
         assert fast.ratio == slow.ratio
-        assert fast.l1_h() == slow.l1_h()
         assert fast.segal_power_sum(1) == slow.segal_power_sum(1)
         assert fast.segal_power_sum(2) == slow.segal_power_sum(2)
         with pytest.raises(UsageError, match="p = 1 or 2"):
@@ -508,20 +507,20 @@ class TestIntervalBump:
 
     @pytest.mark.parametrize("k2,m2", [(0, 1), (1, 2), (2, 5)])
     def test_a_norm_matches_series_quadrature(self, su2, k2, m2):
-        fast = Su2IntervalBump.build(su2, k2, m2)
+        fast = Su2IntervalBump(su2, k2, m2)
         generic = a_norm_su2(fast.as_finite_function())
         assert fast.a_norm() == pytest.approx(generic, abs=1e-8)
 
     def test_segal_norm_float_paths(self, su2):
-        b = Su2IntervalBump.build(su2, 1, 3)
+        b = Su2IntervalBump(su2, 1, 3)
         assert b.segal_norm(2) == pytest.approx(math.sqrt(float(b.segal_power_sum(2))))
-        assert b.segal_norm(1) == pytest.approx(float(b.l1_h()))
+        assert b.segal_norm(1) == pytest.approx(float(b.segal_power_sum(1)))
         mid = b.segal_norm(1.5)
         assert float(b.segal_norm(2)) <= mid <= float(b.segal_norm(1))
 
     def test_absorption_structure(self, su2):
-        inner = Su2IntervalBump.build(su2, 0, 1)   # support up to n = 2
-        outer = Su2IntervalBump.build(su2, 2, 3)   # plateau covers n <= 2
+        inner = Su2IntervalBump(su2, 0, 1)   # support up to n = 2
+        outer = Su2IntervalBump(su2, 2, 3)   # plateau covers n <= 2
         assert absorption_witness(inner, outer) is None
         assert absorption_witness(outer, inner) is not None
 
@@ -531,13 +530,22 @@ class TestIntervalBump:
     def test_first_not_one_matches_value_scan(self, labels, km):
         # the integer comparison agrees with the base scan over value(),
         # also for labels past the support (k2 + 2 m2 <= 17 < 40)
-        b = Su2IntervalBump.build(_SU2, *km)
+        b = Su2IntervalBump(_SU2, *km)
         assert b.first_not_one(labels) == Plateau.first_not_one(b, labels)
         assert b.first_not_one(list(b.K) + labels) == Plateau.first_not_one(b, list(b.K) + labels)
 
+    def test_every_instance_is_proven(self, su2, monkeypatch):
+        with pytest.raises(UsageError, match="nonnegative"):
+            Su2IntervalBump(su2, -1, 2)
+        closed_form = su2num.plateau_numerator
+        monkeypatch.setattr(su2num, "plateau_numerator",
+                            lambda k2, m2, w: closed_form(k2, m2, w) + (w == k2 + 2))
+        with pytest.raises(InternalInvariantError, match="breaks the recurrence"):
+            Su2IntervalBump(su2, 2, 5)
+
     def test_plateau_extends_to_interval(self, su2):
         # the plateau of an interval pair covers the whole lower interval
-        b = Su2IntervalBump.build(su2, 2, 5)
+        b = Su2IntervalBump(su2, 2, 5)
         assert b.is_one_on(range(3))
 
 
@@ -549,7 +557,7 @@ class TestIntervalSupportBudget:
     ], ids=["a_norm", "segal_norm_3/2", "as_finite_function"])
     def test_refused_before_allocating(self, su2, monkeypatch, work):
         monkeypatch.setattr(fourier, "MAX_INTERVAL_SUPPORT", 100)
-        b = Su2IntervalBump.build(su2, 2, 60)  # support of 123 labels
+        b = Su2IntervalBump(su2, 2, 60)  # support of 123 labels
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="123 labels"):
@@ -561,12 +569,27 @@ class TestIntervalSupportBudget:
 
     def test_support_at_the_budget_is_admitted(self, su2, monkeypatch):
         monkeypatch.setattr(fourier, "MAX_INTERVAL_SUPPORT", 123)
-        b = Su2IntervalBump.build(su2, 2, 60)
+        b = Su2IntervalBump(su2, 2, 60)
         assert len(b.as_finite_function().support) == 123
         assert b.segal_norm(Fraction(3, 2)) > 0
 
-    def test_one_budget_for_stage_and_plateau(self):
-        assert segal.MAX_INTERVAL_SUPPORT == core.MAX_INTERVAL_SUPPORT == 1 << 22
+    @pytest.mark.parametrize("work", [
+        lambda b: b.a_norm(),
+        lambda b: b.segal_norm(Fraction(3, 2)),
+        lambda b: b.as_finite_function(),
+    ], ids=["a_norm", "segal_norm_3/2", "as_finite_function"])
+    def test_support_past_ssize_is_refused(self, su2, work):
+        # 2^65 + 2 labels: a C ssize_t cannot hold len() of this support
+        b = Su2IntervalBump(su2, 1, 2 ** 64)
+        with pytest.raises(CapacityError, match="36893488147419103234 labels"):
+            work(b)
+
+    def test_one_budget_for_stage_and_plateau(self, su2, monkeypatch):
+        # the witness stage asks its plateau, so one patched budget refuses both
+        monkeypatch.setattr(fourier, "MAX_INTERVAL_SUPPORT", 100)
+        with pytest.raises(CapacityError, match="stage 4: the plateau support has 655 labels, "
+                                                "more than the 100 an interval witness stage"):
+            build_witness(su2, [0], Fraction(3, 2), 4, "interval")
 
 
 def _oracle_power_sum(c, h_v, p):
@@ -615,7 +638,7 @@ class TestIntervalClosedForm:
     @example(k2=25, m2=3)
     @settings(max_examples=80, deadline=None)
     def test_small_pairs_match_recurrence(self, k2, m2):
-        b = Su2IntervalBump.build(_SU2, k2, m2)
+        b = Su2IntervalBump(_SU2, k2, m2)
         c = su2num.linearized_interval_product(k2 + m2 + 1, m2 + 1)
         assert [b.numerator(w) for w in range(len(c) + 3)] == c + [0, 0, 0]
         for p in (1, 2):
@@ -626,14 +649,20 @@ class TestIntervalClosedForm:
     def test_stage_seven_sizes_take_no_time(self):
         # (58935666, 898378910): 1.86e9 labels, far past any list
         start = time.perf_counter()
-        b = Su2IntervalBump.build(_SU2, 58_935_666, 898_378_910)
+        b = Su2IntervalBump(_SU2, 58_935_666, 898_378_910)
         power = b.segal_power_sum(2)
         assert time.perf_counter() - start < 1.0
         # h(K) <= sum h u^2 <= sum h u = h(K*V), since 0 <= u <= 1
-        assert b.segal_power_sum(1) == su2num.interval_haar_n2(b.k2 + b.m2)
-        assert su2num.interval_haar_n2(b.k2) < power < b.segal_power_sum(1)
+        assert b.segal_power_sum(1) == su2num.sum_squares(b.k2 + b.m2 + 1)
+        assert su2num.sum_squares(b.k2 + 1) < power < b.segal_power_sum(1)
         assert b.value(b.k2) == 1 and 0 < b.value(b.k2 + 1) < 1
         assert b.value(b.k2 + 2 * b.m2) > 0 and b.value(b.k2 + 2 * b.m2 + 1) == 0
+
+    def test_power_sums_past_ssize(self):
+        # the parity classes are counted by integer arithmetic, not len(range)
+        b = Su2IntervalBump(_SU2, 1, 2 ** 64)
+        assert b.segal_power_sum(1) == su2num.sum_squares(b.k2 + b.m2 + 1)
+        assert su2num.sum_squares(b.k2 + 1) < b.segal_power_sum(2) < b.segal_power_sum(1)
 
     @pytest.mark.parametrize("k2,m2", [(0, 0), (0, 5), (5, 0), (3, 12), (12, 3), (60, 914)])
     def test_recurrence_check_rejects_a_wrong_closed_form(self, k2, m2):

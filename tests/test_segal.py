@@ -21,8 +21,8 @@ from hypergroups import (
 from hypergroups import su2num
 from hypergroups.cli import run
 from hypergroups.fourier import BumpFunction, Su2IntervalBump
+from hypergroups.core import MAX_INTERVAL_SUPPORT
 from hypergroups.segal import (
-    MAX_INTERVAL_SUPPORT,
     CheckReport,
     WitnessSequence,
     absorption_witness,
@@ -221,7 +221,7 @@ class TestMultiplierBounded:
         assert check_multiplier_bounded(w, config=QUICK_QUAD).bound_ok
         last = w.terms[2]
         # a quarter of the V: ratio 69/7 and an A-norm of about 2.358
-        w.terms[2] = Su2IntervalBump.build(su2, last.k2, last.m2 // 4)
+        w.terms[2] = Su2IntervalBump(su2, last.k2, last.m2 // 4)
         report = check_multiplier_bounded(w, config=QUICK_QUAD)
         assert report.a_values[2] == pytest.approx(2.358, abs=1e-3)
         assert report.max_a_value == report.a_values[2]
@@ -269,7 +269,7 @@ class TestMultiplierBounded:
         report = blowup_report(w, 2, config=QUICK_QUAD)
         check = check_multiplier_bounded(w, config=QUICK_QUAD)
         residuals = [row.a_residual for row in report.rows]
-        assert residuals == check.a_residuals == w.a_residuals(QUICK_QUAD)
+        assert residuals == check.a_residuals == [a.residual for a in w.a_values(QUICK_QUAD)]
         assert all(0 < r <= QUICK_QUAD.tolerance for r in residuals)
         assert [row["a_residual"] for row in report.to_json_dict()["rows"]] == residuals
         assert check.to_json_dict()["a_residuals"] == residuals
@@ -308,8 +308,8 @@ class TestMultiplierBounded:
 
 class TestAbsorptionWitness:
     def test_interval_pair(self, su2):
-        inner = Su2IntervalBump.build(su2, 0, 1)
-        outer = Su2IntervalBump.build(su2, 2, 2)
+        inner = Su2IntervalBump(su2, 0, 1)
+        outer = Su2IntervalBump(su2, 2, 2)
         assert absorption_witness(inner, outer) is None
         # the reverse direction must produce a concrete witness label
         label = absorption_witness(outer, inner)
@@ -332,7 +332,7 @@ class TestAbsorptionWitness:
 
     def test_su2_pairs_match_product_oracle(self, su2):
         # interval terms and generic bumps, every ordered pair: both mixed orders
-        plateaus = [Su2IntervalBump.build(su2, k2, m2)
+        plateaus = [Su2IntervalBump(su2, k2, m2)
                     for k2, m2 in ((0, 0), (0, 1), (1, 2), (2, 3), (6, 4))]
         plateaus += [bump(su2, [0], [0, 1]), bump(su2, [1], [0, 2]),
                      bump(su2, [0, 1, 2], [0, 1, 2, 3]), bump(su2, [0, 2], [1])]

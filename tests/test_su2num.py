@@ -298,9 +298,9 @@ class TestIntervalProductL1:
     def test_ladder_matches_the_antiderivative_oracle(self, su2, k2, m2, tolerance):
         # stages 1-3 of the D = 1.1 witness; the residual bounds the error,
         # and 1e-12 of the value covers rounding
-        value = Su2IntervalBump.build(su2, k2, m2).a_norm(QuadratureConfig(tolerance))
+        value = Su2IntervalBump(su2, k2, m2).a_norm(QuadratureConfig(tolerance))
         reference = (interval_product_l1_antiderivative(k2 + m2 + 1, m2 + 1)
-                     / su2num.interval_haar_n2(m2))
+                     / su2num.sum_squares(m2 + 1))
         # the A-norm is the one interval_product_l1 call, value and residual
         assert (value, value.residual) == su2num.interval_product_l1(k2 + m2 + 1, m2 + 1,
                                                                      tolerance)
@@ -333,7 +333,7 @@ class TestIntervalProductL1:
         k2, m2 = 1888, 28_779
         breaks = su2num.interval_product_breakpoints(k2 + m2 + 1, m2 + 1)
         calls = self._record_passes(monkeypatch)
-        value = Su2IntervalBump.build(su2, k2, m2).a_norm(QuadratureConfig(tolerance=1e-7))
+        value = Su2IntervalBump(su2, k2, m2).a_norm(QuadratureConfig(tolerance=1e-7))
         assert value.residual <= 1e-7
         by_nodes = self._pieces_by_nodes(calls)
         assert sorted(by_nodes) == [7, 21]
@@ -346,7 +346,7 @@ class TestIntervalProductL1:
         # first ones, from theta = 0 on, each once and whole
         breaks = su2num.interval_product_breakpoints(k2 + m2 + 1, m2 + 1)
         calls = self._record_passes(monkeypatch)
-        value = Su2IntervalBump.build(su2, k2, m2).a_norm()
+        value = Su2IntervalBump(su2, k2, m2).a_norm()
         assert value.residual <= 1e-9
         by_nodes = self._pieces_by_nodes(calls)
         assert sorted(by_nodes) == [7, 21]
@@ -404,7 +404,7 @@ class TestIntervalProductL1:
     def test_unreachable_tolerance_raises_after_the_8x_split(self, su2, monkeypatch):
         calls = self._record_passes(monkeypatch)
         with pytest.raises(NumericError) as info:
-            Su2IntervalBump.build(su2, 2, 5).a_norm(QuadratureConfig(tolerance=1e-30))
+            Su2IntervalBump(su2, 2, 5).a_norm(QuadratureConfig(tolerance=1e-30))
         assert info.value.residual is not None and info.value.residual > 1e-30
         # the one chunk, at theta = 0: Lobatto-Kronrod, then K21 with every
         # piece whole and split 2, 4 and 8 ways

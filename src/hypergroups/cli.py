@@ -13,30 +13,29 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
-from collections.abc import Collection, Iterator, Set
+from collections.abc import Collection
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import product as iter_product
 from pathlib import Path
 from typing import Any
 
 from .core import (
     MAX_HAAR_ROWS,
-    AxiomViolationError,
     CapacityError,
     FiniteFunction,
     Hypergroup,
     HypergroupError,
-    InternalInvariantError,
     InvalidTableError,
     NumericError,
+    ProductSample,
     UsageError,
     check_axioms,
+    count,
     convolve_h,
     exact,
     fraction_text,
+    label_count,
 )
 from .duals import (
     BUILTIN_TABLES,
@@ -70,8 +69,6 @@ _ERROR_CATEGORIES: list[tuple[type, str, int]] = [
     (InvalidTableError, "invalid-table", 3),
     (CapacityError, "capacity", 4),
     (NumericError, "numeric", 5),
-    (AxiomViolationError, "internal-invariant", 6),
-    (InternalInvariantError, "internal-invariant", 6),
 ]
 
 
@@ -107,17 +104,22 @@ def _exact_arg(text: str, flag: str) -> Fraction:
     return q
 
 
-def _product_parts(text: str) -> list[str]:
-    """Factor texts of a product label: "a|b", or "(a, b)" as label_str writes it."""
-    if not (text.startswith("(") and text.endswith(")")):
-        return text.split("|")
-    parts, depth, start = [], 0, 1
-    for i, ch in enumerate(text[1:-1], start=1):
+def _split_outside_parentheses(text: str) -> list[str]:
+    """text cut at each comma that no parenthesis encloses."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
         depth += (ch == "(") - (ch == ")")
         if ch == "," and depth == 0:
             parts.append(text[start:i])
             start = i + 1
-    return parts + [text[start:-1]]
+    return parts + [text[start:]]
+
+
+def _product_parts(text: str) -> list[str]:
+    """Factor texts of a product label: "a|b", or "(a, b)" as label_str writes it."""
+    if not (text.startswith("(") and text.endswith(")")):
+        return text.split("|")
+    return _split_outside_parentheses(text[1:-1])
 
 
 def parse_label(H: Hypergroup, text: str, flag: str = "label") -> Any:
@@ -146,33 +148,8 @@ def parse_label(H: Hypergroup, text: str, flag: str = "label") -> Any:
 
 
 def parse_labels(H: Hypergroup, text: str, flag: str) -> list[Any]:
-    return [parse_label(H, part, flag) for part in text.split(",") if part.strip()]
-
-
-class _ProductSample(Set):
-    """The cartesian product of factor samples, sized and searched without being built."""
-
-    def __init__(self, factors: list[Collection[Any]]):
-        self.factors = factors
-
-    def __len__(self) -> int:
-        return math.prod(len(f) for f in self.factors)
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter_product(*self.factors)
-
-    def __contains__(self, x: object) -> bool:
-        return (isinstance(x, tuple) and len(x) == len(self.factors)
-                and all(c in f for c, f in zip(x, self.factors)))
-
-
-def _sample_size(labels: Collection[Any]) -> int:
-    """The number of labels, also past the C ssize_t that len() is limited to."""
-    if isinstance(labels, range):  # the step-1 range of _su2_sample
-        return max(0, labels.stop - labels.start)
-    if isinstance(labels, _ProductSample):
-        return math.prod(_sample_size(f) for f in labels.factors)
-    return len(labels)
+    return [parse_label(H, part, flag)
+            for part in _split_outside_parentheses(text) if part.strip()]
 
 
 def _su2_sample(H: Hypergroup, max_ell: Fraction) -> Collection[Any]:
@@ -180,7 +157,7 @@ def _su2_sample(H: Hypergroup, max_ell: Fraction) -> Collection[Any]:
     if isinstance(H, Su2Dual):
         return range(twice_spin(max_ell, "--max-ell") + 1)
     if isinstance(H, ProductDual):
-        return _ProductSample([_su2_sample(f, max_ell) for f in H.factors])
+        return ProductSample([_su2_sample(f, max_ell) for f in H.factors])
     return H.universe
 
 
@@ -191,8 +168,8 @@ def _su2_sample(H: Hypergroup, max_ell: Fraction) -> Collection[Any]:
 
 def _emit(args: argparse.Namespace, payload: dict[str, Any],
           csv_text: str | None = None, pretty_text: str | None = None) -> None:
+    payload = {"command": args.command, "dual": args.dual, **payload}
     if not args.no_timestamp:
-        payload = dict(payload)
         payload["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -228,28 +205,23 @@ def _add_quad(parser: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_axioms(args: argparse.Namespace) -> int:
-    H = resolve_dual(args.dual)
+def _cmd_axioms(args: argparse.Namespace, H: Hypergroup) -> None:
     if args.sample:
         sample = parse_labels(H, args.sample, "--sample")
     else:
         sample = _su2_sample(H, _exact_arg(args.max_ell, "--max-ell"))
     report = check_axioms(H, sample)
-    _emit(args, {"command": "axioms", "dual": args.dual,
-                 "report": report.to_json_dict()},
-          pretty_text=report.summary())
-    return 0
+    _emit(args, {"report": report.to_json_dict()}, pretty_text=report.summary())
 
 
-def _cmd_haar(args: argparse.Namespace) -> int:
-    H = resolve_dual(args.dual)
+def _cmd_haar(args: argparse.Namespace, H: Hypergroup) -> None:
     if args.labels:
         labels = parse_labels(H, args.labels, "--labels")
     elif H.universe is not None:
         labels = list(H.universe)
     else:
         labels = _su2_sample(H, _exact_arg(args.max_ell, "--max-ell"))
-    size = _sample_size(labels)
+    size = label_count(labels)
     if size > MAX_HAAR_ROWS:
         raise CapacityError(f"the haar listing has {size} labels, "
                             f"more than the {MAX_HAAR_ROWS} it may print")
@@ -260,15 +232,12 @@ def _cmd_haar(args: argparse.Namespace) -> int:
     for name, mass in rows:
         writer.writerow((name, fraction_text(mass)))
     _emit(args,
-          {"command": "haar", "dual": args.dual,
-           "masses": {name: fraction_text(mass) for name, mass in rows}},
+          {"masses": {name: fraction_text(mass) for name, mass in rows}},
           csv_text=buf.getvalue(),
           pretty_text="\n".join(f"h({name}) = {mass}" for name, mass in rows))
-    return 0
 
 
-def _cmd_convolve(args: argparse.Namespace) -> int:
-    H = resolve_dual(args.dual)
+def _cmd_convolve(args: argparse.Namespace, H: Hypergroup) -> None:
     x = parse_label(H, args.x, "--x")
     y = parse_label(H, args.y, "--y")
     if args.weighted:
@@ -277,30 +246,23 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
     else:
         entries = H.fuse(x, y).items()
     payload = {H.label_str(z): fraction_text(v) for z, v in entries}
-    _emit(args, {"command": "convolve", "dual": args.dual,
-                 "x": args.x, "y": args.y, "weighted": bool(args.weighted),
+    _emit(args, {"x": args.x, "y": args.y, "weighted": bool(args.weighted),
                  "result": payload},
           pretty_text="\n".join(f"{k}: {v}" for k, v in payload.items()))
-    return 0
 
 
-def _cmd_leptin(args: argparse.Namespace) -> int:
-    H = resolve_dual(args.dual)
-    cert = leptin_search(H, parse_labels(H, args.K, "--K"),
-                         _exact_arg(args.epsilon, "--epsilon"), args.strategy,
-                         max_size=args.max_size)
+def _cmd_leptin(args: argparse.Namespace, H: Hypergroup) -> None:
+    K, eps = parse_labels(H, args.K, "--K"), _exact_arg(args.epsilon, "--epsilon")
+    cert = leptin_search(H, K, eps, args.strategy, max_size=count(args.max_size, "--max-size"))
     doc = cert.to_json_dict()
     pretty = (f"strategy: {doc['strategy']}\nratio: {doc['ratio']} "
               f"(= {float(cert.ratio):.6f})\nepsilon: {doc['epsilon']}\n"
               f"|K| = {len(doc['K'])}, |V| = {len(doc['V'])}\n"
               f"verified: {doc['verified']}")
-    _emit(args, {"command": "leptin", "dual": args.dual, "certificate": doc},
-          pretty_text=pretty)
-    return 0
+    _emit(args, {"certificate": doc}, pretty_text=pretty)
 
 
-def _cmd_bump(args: argparse.Namespace) -> int:
-    H = resolve_dual(args.dual)
+def _cmd_bump(args: argparse.Namespace, H: Hypergroup) -> None:
     K = parse_labels(H, args.K, "--K")
     V = parse_labels(H, args.V, "--V")
     plateau = bump(H, K, V)
@@ -315,13 +277,10 @@ def _cmd_bump(args: argparse.Namespace) -> int:
     }
     if args.measure_a_norm:
         doc["a_norm"] = float(plateau.a_norm(QuadratureConfig(tolerance=args.quad_tol)))
-    _emit(args, {"command": "bump", "dual": args.dual, "bump": doc},
-          pretty_text=json.dumps(doc, indent=2, sort_keys=True))
-    return 0
+    _emit(args, {"bump": doc}, pretty_text=json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _cmd_norms(args: argparse.Namespace) -> int:
-    H = resolve_dual(args.dual)
+def _cmd_norms(args: argparse.Namespace, H: Hypergroup) -> None:
     values: dict[Any, Fraction] = {}
     for assignment in args.values.split(";"):
         assignment = assignment.strip()
@@ -344,13 +303,10 @@ def _cmd_norms(args: argparse.Namespace) -> int:
     doc["a_norm"] = float(a)
     if isinstance(a, Fraction):
         doc["a_norm_exact"] = fraction_text(a)
-    _emit(args, {"command": "norms", "dual": args.dual, "norms": doc},
-          pretty_text=json.dumps(doc, indent=2, sort_keys=True))
-    return 0
+    _emit(args, {"norms": doc}, pretty_text=json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
-    H = resolve_dual(args.dual)
+def _cmd_witness(args: argparse.Namespace, H: Hypergroup) -> None:
     strategy = args.strategy
     if strategy == "auto":
         strategy = "interval" if isinstance(H, Su2Dual) else "greedy"
@@ -362,12 +318,11 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     p = _exact_arg(args.p, "--p")
     quad = QuadratureConfig(tolerance=args.quad_tol)
     check_tolerance(args.tolerance)
-    w = build_witness(H, k0, D, args.N, search=strategy, max_size=args.max_size)
+    w = build_witness(H, k0, D, count(args.N, "--N"), search=strategy,
+                      max_size=count(args.max_size, "--max-size"))
     report = blowup_report(w, p, config=quad)
     checks = check_multiplier_bounded(w, config=quad, tolerance=args.tolerance)
     payload = {
-        "command": "witness",
-        "dual": args.dual,
         "D": args.D,
         "N": args.N,
         "strategy": strategy,
@@ -385,7 +340,6 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     # like the axiom suite, check outcomes are data: the report carries ok
     _emit(args, payload, csv_text=report.to_csv_text(),
           pretty_text="\n".join(pretty_lines))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +422,8 @@ def run(argv: list[str] | None = None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, list):  # argparse reads "--x=--" as an empty list
                 raise UsageError(f"--{name.replace('_', '-')}: expected a value, got {value!r}")
-        return args.fn(args)
+        args.fn(args, resolve_dual(args.dual))
+        return 0
     except HypergroupError as exc:
         for err_type, category, code in _ERROR_CATEGORIES:
             if isinstance(exc, err_type):

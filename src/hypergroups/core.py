@@ -17,9 +17,10 @@ from __future__ import annotations
 import functools
 import math
 import re
-from collections.abc import Callable, Collection, Hashable, Iterable, Set
+from collections.abc import Callable, Collection, Hashable, Iterable, Iterator, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product as iter_product
 from typing import Any
 
 import numpy as np
@@ -105,8 +106,34 @@ def fraction_text(q: Fraction) -> str:
 def count(value: Any, what: str) -> int:
     """Caller input as a positive int (not a bool), else UsageError naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise UsageError(f"{what} must be a positive integer, got {value!r}")
+        raise UsageError(f"{what}: must be a positive integer, got {value!r}")
     return value
+
+
+class ProductSample(Set):
+    """The cartesian product of factor samples, sized and searched without being built."""
+
+    def __init__(self, factors: list[Collection[Any]]):
+        self.factors = factors
+
+    def __len__(self) -> int:
+        return math.prod(len(f) for f in self.factors)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter_product(*self.factors)
+
+    def __contains__(self, x: object) -> bool:
+        return (isinstance(x, tuple) and len(x) == len(self.factors)
+                and all(c in f for c, f in zip(x, self.factors)))
+
+
+def label_count(labels: Collection[Any]) -> int:
+    """The number of labels, also past the C ssize_t that len() is limited to."""
+    if isinstance(labels, range):
+        return max(0, -((labels.start - labels.stop) // labels.step))  # ceil(span / step)
+    if isinstance(labels, ProductSample):
+        return math.prod(label_count(f) for f in labels.factors)
+    return len(labels)
 
 
 class FiniteFunction:
@@ -528,10 +555,11 @@ MAX_LEPTIN_SUBSETS = 1 << 22
 MAX_U_PRODUCT_WORK = 1 << 20
 MAX_U_SERIES_DEGREE = 1 << 10
 
-# Most rows the CLI's haar listing may print, checked from the label count
-# before any row is built.  A row peaks at 430-590 bytes (117 MB as text and
-# 148 MB as JSON for the 200 001 su2-hat labels up to spin 100 000), so the
-# listing stays near 200 MB.
+# Most labels a listing may print, checked from the label count before any
+# label is listed: the rows of the CLI's haar listing, and the K and V of a
+# Leptin certificate's JSON.  A haar row peaks at 430-590 bytes (117 MB as
+# text and 148 MB as JSON for the 200 001 su2-hat labels up to spin 100 000),
+# so that listing stays near 200 MB; a certificate label costs less.
 MAX_HAAR_ROWS = 1 << 18
 
 # Largest degree phi(m) of the cyclotomic field Q(zeta_m) a character table
@@ -729,16 +757,17 @@ def check_axioms(H: Hypergroup, sample: Collection[Label]) -> AxiomReport:
     table is built.  A sample that holds the identity is first priced with
     T = W = S, a lower bound, and refused before any support product.  A
     range or a set holds each label once, so it is priced before it is
-    walked or copied.
+    walked or copied, counted by :func:`label_count` also past 2^63.
     """
     if not isinstance(sample, (range, Set)):
         H.check_labels(sample)
         sample = set(sample)
-    if not sample:
+    size = label_count(sample)
+    if not size:
         raise UsageError("axiom check requires a nonempty sample")
     if H.identity in sample:
         # S*S and then T*S hold S, so |S| prices all three sizes from below
-        _check_associativity_budget(len(sample), len(sample), len(sample), "at least ")
+        _check_associativity_budget(size, size, size, "at least ")
     H.check_labels(sample)
     sample = sorted(sample)
     T = sorted(support_product(H, sample, sample))

@@ -527,7 +527,8 @@ class Su2Dual(Hypergroup):
     cancellation: every term is positive).  Work over MAX_U_PRODUCT_WORK is
     refused up front, except that a support product whose pairwise fusion
     loops emit at most that many labels (sparse high labels) takes the
-    loops.  Fusion is not memoised, as the universe is infinite.
+    loops.  A point fusion of more labels than that is refused too.  Fusion
+    is not memoised, as the universe is infinite.
     """
 
     def __init__(self):
@@ -542,8 +543,8 @@ class Su2Dual(Hypergroup):
             labeler=ell_str,
         )
 
-    @staticmethod
-    def _rule(n1: int, n2: int) -> dict[int, Fraction]:
+    def _rule(self, n1: int, n2: int) -> dict[int, Fraction]:
+        _check_fusion_size(self, n1, n2, min(n1, n2) + 1)
         denom = (n1 + 1) * (n2 + 1)
         return {r: Fraction(r + 1, denom)
                 for r in range(abs(n1 - n2), n1 + n2 + 1, 2)}
@@ -631,6 +632,13 @@ def _fusion_loop_work(A: Collection[int], B: Collection[int]) -> int:
     return work
 
 
+def _check_fusion_size(H: Hypergroup, x: Any, y: Any, size: int) -> None:
+    """Refuse a fusion of x and y of ``size`` labels past MAX_U_PRODUCT_WORK before building it."""
+    if size > MAX_U_PRODUCT_WORK:
+        raise CapacityError(f"the fusion of {H.label_str(x)} and {H.label_str(y)} has {size} "
+                            f"labels; the budget is {MAX_U_PRODUCT_WORK}")
+
+
 def su2_dual() -> Su2Dual:
     return Su2Dual()
 
@@ -680,7 +688,11 @@ _UNBUILT = object()
 
 
 class ProductDual(Hypergroup):
-    """Product hypergroup with componentwise fusion and multiplied Haar mass."""
+    """Product hypergroup with componentwise fusion and multiplied Haar mass.
+
+    A point fusion is refused past MAX_U_PRODUCT_WORK labels, counted from
+    the factor fusions before their product is built.
+    """
 
     def __init__(self, factors: Sequence[Hypergroup]):
         if not factors:
@@ -711,6 +723,7 @@ class ProductDual(Hypergroup):
 
     def _rule(self, x: tuple, y: tuple) -> dict[tuple, Fraction]:
         parts = [f._fuse(a, b).items() for f, a, b in zip(self.factors, x, y)]
+        _check_fusion_size(self, x, y, math.prod(map(len, parts)))
         out = {}
         for combo in iter_product(*parts):
             label = tuple(entry[0] for entry in combo)

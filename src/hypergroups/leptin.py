@@ -19,8 +19,8 @@ Three search engines, each called as (H, K, epsilon) and by name through
   refuses a universe past MAX_LEPTIN_SUBSETS with CapacityError (exit 4)
   before it allocates.
 
-Both searches rest on K*(V | {c}) = K*V | K*c; every certificate they
-return is re-verified from scratch by :func:`leptin_ratio`.
+Both searches rest on K*(V | {c}) = K*V | K*c.  Every engine returns its
+certificate through :meth:`LeptinCertificate.proven`, which re-verifies it.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 from . import su2num
 from .core import (
     INT64_LIMIT,
+    MAX_HAAR_ROWS,
     MAX_LEPTIN_SUBSETS,
     CapacityError,
     Hypergroup,
@@ -46,6 +47,7 @@ from .core import (
     count,
     exact,
     fraction_text,
+    label_count,
     support_product,
 )
 from .duals import ProductDual, Su2Dual, product_dual
@@ -63,7 +65,7 @@ def _epsilon(value: Any) -> Fraction:
 def _as_interval(labels: Collection[int]) -> int | None:
     """Largest label when the collection is exactly {0, 1, ..., n}, else None."""
     if isinstance(labels, range):
-        if labels.start == 0 and labels.step == 1 and len(labels) > 0:
+        if labels.start == 0 and labels.step == 1 and labels.stop > 0:  # len() stops at 2^63
             return labels.stop - 1
         return None
     if not labels or not all(isinstance(x, int) and not isinstance(x, bool) for x in labels):
@@ -99,6 +101,15 @@ class LeptinCertificate:
     factors: tuple["LeptinCertificate", ...] | None = field(default=None, repr=False)
     verified: bool = False
 
+    @classmethod
+    def proven(cls, strategy: str, H: Hypergroup, K: Collection[Label], V: Collection[Label],
+               ratio: Fraction, epsilon: Fraction) -> "LeptinCertificate":
+        """The certificate, once it re-verifies from scratch, else InternalInvariantError."""
+        cert = cls(strategy, K, V, ratio, epsilon, H)
+        if not cert.verify():
+            raise InternalInvariantError(f"{strategy} certificate failed self-verification")
+        return cert
+
     def recompute_ratio(self) -> Fraction:
         """Re-derive the ratio from the hypergroup, by the strategy's engine."""
         if self.strategy == "interval" and isinstance(self.hypergroup, Su2Dual):
@@ -120,6 +131,11 @@ class LeptinCertificate:
         return ok
 
     def to_json_dict(self) -> dict[str, Any]:
+        """The certificate as JSON, refused past MAX_HAAR_ROWS labels before K or V is listed."""
+        size = label_count(self.K) + label_count(self.V)
+        if size > MAX_HAAR_ROWS:
+            raise CapacityError(f"the certificate listing has {size} labels, "
+                                f"more than the {MAX_HAAR_ROWS} it may print")
         return {
             "strategy": self.strategy,
             "hypergroup": self.hypergroup.name,
@@ -217,17 +233,8 @@ def leptin_search_interval(
     H.check_labels((min_m2,))  # a floor on the top label of V
     k2 = max(K[0], K[-1]) if isinstance(K, range) else max(K)  # max() would walk a range
     m2 = su2num.min_m2_for_ratio(k2, 1 + eps, m2_floor=max(k2, min_m2))
-    cert = LeptinCertificate(
-        strategy="interval",
-        K=range(k2 + 1),
-        V=range(m2 + 1),
-        ratio=su2num.interval_ratio_n2(k2, m2),
-        epsilon=eps,
-        hypergroup=H,
-    )
-    if not cert.verify():
-        raise InternalInvariantError("interval certificate failed self-verification")
-    return cert
+    return LeptinCertificate.proven("interval", H, range(k2 + 1), range(m2 + 1),
+                                    su2num.interval_ratio_n2(k2, m2), eps)
 
 
 def leptin_search_greedy(
@@ -275,12 +282,7 @@ def leptin_search_greedy(
     ratio = h_kv / h_v
     while True:
         if ratio < bound:
-            cert = LeptinCertificate(
-                strategy="greedy", K=frozenset(K), V=frozenset(V),
-                ratio=ratio, epsilon=eps, hypergroup=H)
-            if not cert.verify():
-                raise InternalInvariantError("greedy certificate failed self-verification")
-            return cert
+            return LeptinCertificate.proven("greedy", H, frozenset(K), frozenset(V), ratio, eps)
         if len(V) >= max_size:
             return None
         candidates = sorted(pool - V)
@@ -319,12 +321,8 @@ def leptin_search_exhaustive(
     if not best_ratio < 1 + eps:
         raise InternalInvariantError(
             f"exhaustive minimum {best_ratio} does not meet 1 + epsilon = {1 + eps}")
-    cert = LeptinCertificate(
-        strategy="exhaustive", K=frozenset(K), V=frozenset(best_v),
-        ratio=best_ratio, epsilon=eps, hypergroup=H)
-    if not cert.verify():
-        raise InternalInvariantError("exhaustive certificate failed self-verification")
-    return cert
+    return LeptinCertificate.proven("exhaustive", H, frozenset(K), frozenset(best_v),
+                                    best_ratio, eps)
 
 
 def _subset_minimum(

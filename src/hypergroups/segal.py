@@ -170,12 +170,7 @@ def _search_stage(H: Hypergroup, K: Collection[Label], cap: Fraction, search: st
         next_k = grown_support()
 
     term = bump(H, K, V)
-    verified = LeptinCertificate(
-        strategy=cert.strategy, K=K, V=term.V, ratio=term.ratio,
-        epsilon=eps, hypergroup=H)
-    if not verified.verify():
-        raise InternalInvariantError("certificate does not re-verify")
-    return term, verified, next_k
+    return term, LeptinCertificate.proven(cert.strategy, H, K, term.V, term.ratio, eps), next_k
 
 
 def build_witness(H: Hypergroup, K0: Collection[Label], D: Any, N: int,

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,15 +19,27 @@ from hypothesis import strategies as st
 
 import hypergroups.cli
 from hypergroups.cli import parse_label, resolve_dual, run
+from hypergroups.core import UsageError
 from hypergroups.duals import ProductDual, Su2Dual, load_character_table
 from hypergroups.fourier import DEFAULT_QUADRATURE
-from hypergroups.leptin import STRATEGIES, certificate_from_json_dict
+from hypergroups.leptin import STRATEGIES, certificate_from_json_dict, leptin_search
 
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_traced(capsys, *argv):
+    """run_cli, and the tracemalloc peak of the run in bytes."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, err, peak
 
 
 def test_python_dash_m_runs_the_cli():
@@ -108,6 +121,19 @@ class TestLabelParsing:
 
     def test_product_labels(self, s3_x_z4):
         assert parse_label(s3_x_z4, "rho|chi1") == (2, 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["haar", "--dual", "s3,z4", "--labels"],
+        ["leptin", "--dual", "s3,z4", "--epsilon", "1/4", "--K"],
+    ])
+    def test_printed_product_labels_in_a_list(self, capsys, argv):
+        # the form reports print: a comma inside parentheses does not end a label
+        printed = run_cli(capsys, *argv, "(rho, chi1),(sgn, chi2)", "--format", "json",
+                          "--no-timestamp")
+        piped = run_cli(capsys, *argv, "rho|chi1,sgn|chi2", "--format", "json",
+                        "--no-timestamp")
+        assert printed == piped
+        assert printed[0] == 0
 
     def test_bad_labels(self, su2, s3):
         from hypergroups import UsageError, LabelDomainError
@@ -265,16 +291,14 @@ class TestCommands:
 
     @pytest.mark.parametrize("dual,max_ell,size", [
         ("su2", "500000", 1000001), ("su2,s3", "50000", 300003),
+        ("su2", "1e21", 2 * 10 ** 21 + 1), ("su2,s3", "1e21", 6 * 10 ** 21 + 3),
     ])
     def test_axioms_sample_is_priced_before_it_is_built(self, capsys, dual, max_ell, size):
-        # the sample and its copies took about 80 bytes a label (117 MB and 68 MB)
+        # the sample and its copies took about 80 bytes a label (117 MB and 68 MB);
+        # past 2^63 labels len() raised OverflowError
         resolve_dual(dual)  # load the tables first: only the sample is measured
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, "axioms", "--dual", dual, "--max-ell", max_ell)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, out, err, peak = run_cli_traced(capsys, "axioms", "--dual", dual,
+                                              "--max-ell", max_ell)
         assert (code, out) == (4, "")
         assert json.loads(err)["message"].startswith(
             f"associativity over {size} labels would hold at least ")
@@ -287,12 +311,8 @@ class TestCommands:
     def test_haar_listing_is_priced_before_it_is_built(self, capsys, dual, max_ell, size):
         # a row took 430-590 bytes: 117 MB for the 200 001 rows of --max-ell 100000
         resolve_dual(dual)
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, "haar", "--dual", dual, "--max-ell", max_ell)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, out, err, peak = run_cli_traced(capsys, "haar", "--dual", dual,
+                                              "--max-ell", max_ell)
         assert (code, out) == (4, "")
         assert json.loads(err)["message"] == (
             f"the haar listing has {size} labels, more than the 262144 it may print")
@@ -305,6 +325,48 @@ class TestCommands:
         assert json.loads(err)["message"].startswith("the haar listing has 11 labels")
         assert run_cli(capsys, "haar", "--dual", "su2", "--max-ell", "9/2")[0] == 0
 
+    @pytest.mark.parametrize("epsilon", ["1/1000000", "1e-400"])
+    def test_certificate_listing_is_priced_before_it_is_built(self, capsys, epsilon):
+        # listing the 6 000 002 labels of V took 759 MB; at 1e-400 len() raised OverflowError
+        code, out, err, peak = run_cli_traced(capsys, "leptin", "--dual", "su2", "--K", "1",
+                                              "--strategy", "interval", "--epsilon", epsilon)
+        assert (code, out) == (4, "")
+        assert re.fullmatch(r"the certificate listing has \d+ labels, "
+                            r"more than the 262144 it may print", json.loads(err)["message"])
+        assert peak < 1 << 20
+
+    def test_certificate_listing_budget_bites(self, capsys, monkeypatch):
+        monkeypatch.setattr(hypergroups.leptin, "MAX_HAAR_ROWS", 8)
+        argv = ["leptin", "--dual", "su2", "--K", "1", "--strategy", "interval", "--epsilon"]
+        code, _, err = run_cli(capsys, *argv, "1")  # |K| = 3, |V| = 8
+        assert code == 4
+        assert json.loads(err)["message"] == (
+            "the certificate listing has 11 labels, more than the 8 it may print")
+        assert run_cli(capsys, *argv, "2")[0] == 0  # |K| = 3, |V| = 5
+
+    def test_interval_certificate_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "leptin", "--dual", "su2", "--K", "3", "--epsilon", "1/10",
+                               "--strategy", "interval", "--format", "json", "--no-timestamp")
+        assert code == 0
+        doc = {"command": "leptin", "dual": "su2", "certificate": {
+            "strategy": "interval", "hypergroup": "su2-hat", "K": list(range(7)),
+            "V": list(range(186)), "ratio": "216160/196571", "epsilon": "1/10",
+            "verified": True}}
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("argv,size", [
+        (["--dual", "su2", "--x", "1e7", "--y", "1e7"], 20000001),
+        (["--dual", "su2,su2,su2", "--x", "100|100|100", "--y", "100|100|100"], 201 ** 3),
+    ])
+    def test_fusion_is_priced_before_it_is_built(self, capsys, argv, size):
+        # a fusion label cost about 275 bytes: 5.5 GB for the first
+        resolve_dual(argv[1])
+        code, out, err, peak = run_cli_traced(capsys, "convolve", *argv)
+        assert (code, out) == (4, "")
+        assert json.loads(err)["message"].endswith(
+            f"has {size} labels; the budget is 1048576")
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("argv", [
         ["leptin", "--dual", "s3", "--K", "0", "--epsilon", "1", "--strategy", "exhaustive",
          "--max-size", "0"],
@@ -314,7 +376,10 @@ class TestCommands:
     def test_max_size_is_checked_under_every_strategy(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert json.loads(err)["message"].startswith("max_size must be a positive integer")
+        assert json.loads(err)["message"].startswith("--max-size: must be a positive integer")
+        H, strategy = resolve_dual(argv[2]), argv[argv.index("--strategy") + 1]
+        with pytest.raises(UsageError, match="^max_size: must be a positive integer"):
+            leptin_search(H, [H.identity], 1, strategy, max_size=int(argv[-1]))
 
     def test_axioms_exit_zero_with_failures_as_data(self, capsys):
         code, out, _ = run_cli(capsys, "axioms", "--dual", "q8", "--format", "json",
@@ -473,6 +538,10 @@ class TestMalformedNumbers:
         (["convolve", "--dual", "s3", "--x", "sigma", "--y", "triv"], "--x"),
         (["convolve", "--dual", "su2", "--x", "0", "--y", "1/3"], "--y"),
         (["norms", "--dual", "s3", "--values", "sigma=1"], "--values"),
+        (["witness", "--dual", "z4", "--N", "0"], "--N"),
+        (["witness", "--dual", "z4", "--max-size", "0"], "--max-size"),
+        (["leptin", "--dual", "z4", "--K", "0", "--epsilon", "1", "--max-size", "0"],
+         "--max-size"),
     ])
     def test_usage_error_names_the_flag(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)

@@ -10,6 +10,7 @@ import pytest
 from numpy.polynomial.chebyshev import chebval
 
 from hypergroups import (
+    CapacityError,
     CharacterTable,
     ExactComplex,
     FiniteDual,
@@ -27,7 +28,7 @@ from hypergroups import (
     product_dual,
     su2_dual,
 )
-from hypergroups import core, su2num
+from hypergroups import core, duals, su2num
 from hypergroups.duals import ProductDual, ell_str, su2_u_coefficients
 from hypergroups.fourier import a_norm_su2
 
@@ -73,6 +74,13 @@ class TestSu2Dual:
         for bad in (-1, half, "1", 1.5, True):
             with pytest.raises(LabelDomainError):
                 su2.check_labels((bad,))
+
+    def test_fusion_budget_boundary(self, su2, monkeypatch):
+        monkeypatch.setattr(duals, "MAX_U_PRODUCT_WORK", 5)
+        assert len(su2.fuse(4, 9)) == 5
+        with pytest.raises(CapacityError) as info:
+            su2.fuse(9, 5)
+        assert str(info.value) == "the fusion of 9/2 and 5/2 has 6 labels; the budget is 5"
 
 
 class TestExactComplex:
@@ -266,6 +274,16 @@ class TestProductDual:
         prod = product_dual([su2, s3])
         assert prod.haar((4, 2)) == 25 * 4
         assert prod.haar_sum([(0, 0), (1, 1), (2, 2)]) == 1 + 4 + 36
+
+    def test_fusion_budget_boundary(self, su2, monkeypatch):
+        prod = product_dual([su2, su2])
+        monkeypatch.setattr(duals, "MAX_U_PRODUCT_WORK", 9)
+        assert len(prod.fuse((2, 2), (2, 3))) == 9
+        monkeypatch.setattr(duals, "MAX_U_PRODUCT_WORK", 8)  # each factor's 3 labels fit
+        with pytest.raises(CapacityError) as info:
+            prod.fuse((2, 2), (2, 3))
+        assert str(info.value) == (
+            "the fusion of (1, 1) and (1, 3/2) has 9 labels; the budget is 8")
 
     def test_mixed_su2_finite(self, su2, s3):
         prod = product_dual([su2, s3])

@@ -11,6 +11,7 @@ import pytest
 from hypergroups import (
     CapacityError,
     FiniteFunction,
+    InternalInvariantError,
     QuadratureConfig,
     UsageError,
     blowup_report,
@@ -18,7 +19,7 @@ from hypergroups import (
     bump,
     check_multiplier_bounded,
 )
-from hypergroups import su2num
+from hypergroups import segal, su2num
 from hypergroups.cli import run
 from hypergroups.fourier import BumpFunction, Su2IntervalBump
 from hypergroups.core import MAX_INTERVAL_SUPPORT
@@ -102,6 +103,18 @@ class TestBuildWitnessGeneric:
         w = build_witness(q8, [q8.identity], D32, 3, search="exhaustive")
         assert w.chain_failures() == []
         assert all(r < D32 * D32 for r in w.ratios)
+
+    def test_stage_certificate_is_proven(self, s3, monkeypatch):
+        # the engine's certificate verifies; the stage's, on a dented plateau, must not
+        def dented_bump(H, K, V):
+            term = bump(H, K, V)
+            term.ratio += 1
+            return term
+
+        monkeypatch.setattr(segal, "bump", dented_bump)
+        with pytest.raises(InternalInvariantError) as info:
+            build_witness(s3, [s3.identity], Fraction("1.1"), 2, search="greedy")
+        assert str(info.value) == "stage 1: greedy certificate failed self-verification"
 
     def test_greedy_budget_failure_names_stage(self, su2):
         with pytest.raises(CapacityError, match="stage 1"):

@@ -181,7 +181,7 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any],
         text = (pretty_text if pretty_text is not None
                 else json.dumps(payload, indent=2, sort_keys=True)) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 

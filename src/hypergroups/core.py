@@ -250,31 +250,18 @@ class Hypergroup:
     check the labels their caller passed, once, with :meth:`check_labels`,
     and then call engines that trust them (:meth:`fuse` calls :meth:`_fuse`
     and :meth:`haar` calls :meth:`_haar`).
-    A family with a faster exact engine overrides :meth:`_haar`,
-    :meth:`_haar_sum`, :meth:`_convolve_exact` and :meth:`_support_product`;
-    the defaults are the generic loops.
+    A family subclasses this with the oracles :meth:`_rule`, :meth:`_involution` and,
+    where its labels need them, :meth:`_is_label` and :meth:`label_str`; a faster exact
+    engine overrides :meth:`_haar`, :meth:`_haar_sum`, :meth:`_convolve_exact` and
+    :meth:`_support_product`, whose defaults are the generic loops.
     """
 
-    def __init__(
-        self,
-        *,
-        name: str,
-        fuse: Callable[[Label, Label], dict[Label, Fraction]],
-        involution: Callable[[Label], Label],
-        identity: Label,
-        commutative: bool,
-        universe: Iterable[Label] | None = None,
-        validator: Callable[[Label], bool] | None = None,
-        labeler: Callable[[Label], str] | None = None,
-    ):
+    def __init__(self, *, name: str, identity: Label, commutative: bool,
+                 universe: Iterable[Label] | None = None):
         self.name = name
-        self._fuse_fn = fuse
-        self._involution_fn = involution
         self._identity = identity
         self._commutative = bool(commutative)
         self._universe = tuple(sorted(universe)) if universe is not None else None
-        self._validator = validator
-        self._labeler = labeler or str
         self._fusion_cache: dict[tuple[Label, Label], FiniteMeasure] = {}
         self._haar_cache: dict[Label, Fraction] = {}
 
@@ -295,11 +282,16 @@ class Hypergroup:
     def is_finite(self) -> bool:
         return self._universe is not None
 
+    def _rule(self, x: Label, y: Label) -> dict[Label, Fraction]:  # the masses of d_x * d_y
+        raise NotImplementedError
+
+    def _involution(self, x: Label) -> Label:
+        raise NotImplementedError
+
     def _is_label(self, x: Label) -> bool:
         """Whether x is a label here; an unhashable x never is."""
         try:
-            # a validator refuses unhashable labels itself; without one, hash(x) raises
-            return self._validator(x) if self._validator else hash(x) is not None
+            return hash(x) is not None
         except TypeError:
             return False
 
@@ -310,7 +302,7 @@ class Hypergroup:
                 raise LabelDomainError(f"{x!r} is not a label of {self.name}")
 
     def label_str(self, x: Label) -> str:
-        return self._labeler(x)
+        return str(x)
 
     def fuse(self, x: Label, y: Label) -> FiniteMeasure:
         """The fusion measure d_x * d_y."""
@@ -320,7 +312,7 @@ class Hypergroup:
     def _fuse(self, x: Label, y: Label) -> FiniteMeasure:
         result = self._fusion_cache.get((x, y))
         if result is None:
-            result = FiniteMeasure(self._fuse_fn(x, y))
+            result = FiniteMeasure(self._rule(x, y))
             if self.is_finite:
                 self._fusion_cache[x, y] = result
                 if self._commutative:
@@ -329,7 +321,7 @@ class Hypergroup:
 
     def involution(self, x: Label) -> Label:
         self.check_labels((x,))
-        return self._involution_fn(x)
+        return self._involution(x)
 
     def haar(self, x: Label) -> Fraction:
         """Haar mass h(x) = 1 / (d_~x * d_x)(e), normalised so h(e) = 1."""
@@ -339,7 +331,7 @@ class Hypergroup:
     def _haar(self, x: Label) -> Fraction:
         result = self._haar_cache.get(x)
         if result is None:
-            mass_at_identity = self._fuse(self._involution_fn(x), x).mass(self._identity)
+            mass_at_identity = self._fuse(self._involution(x), x).mass(self._identity)
             if mass_at_identity == 0:
                 raise AxiomViolationError(
                     f"identity not in support of fusion of {self.label_str(x)} with its "

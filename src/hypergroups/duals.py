@@ -463,12 +463,14 @@ def parse_character_table(data: dict[str, Any], *, name: str | None = None) -> C
 
 
 def load_character_table(path: str | Path) -> CharacterTable:
-    """The table in a JSON file: UsageError if it cannot be read, InvalidTableError if bad."""
+    """The table in a UTF-8 JSON file: UsageError if unreadable, InvalidTableError if bad."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read table file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidTableError(f"{path}: not UTF-8: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -487,8 +489,8 @@ def builtin_table(name: str) -> CharacterTable:
 
     if name not in BUILTIN_TABLES:
         raise UsageError(f"no bundled table {name!r}; choose from {BUILTIN_TABLES}")
-    with resources.files("hypergroups.tables").joinpath(f"{name}.json").open() as fh:
-        return parse_character_table(json.load(fh), name=name)
+    table_file = resources.files("hypergroups.tables").joinpath(f"{name}.json")
+    return parse_character_table(json.loads(table_file.read_text(encoding="utf-8")), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +509,6 @@ def twice_spin(value: Any, what: str = "spin") -> int:
     if doubled.denominator != 1 or doubled < 0:
         raise UsageError(f"{what}: expected a nonnegative half-integer, got {value}")
     return int(doubled)
-
-
-def _su2_valid(n: Any) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
 class Su2Dual(Hypergroup):
@@ -532,16 +530,15 @@ class Su2Dual(Hypergroup):
     """
 
     def __init__(self):
-        super().__init__(
-            name="su2-hat",
-            fuse=self._rule,
-            involution=lambda n: n,
-            identity=0,
-            commutative=True,
-            universe=None,
-            validator=_su2_valid,
-            labeler=ell_str,
-        )
+        super().__init__(name="su2-hat", identity=0, commutative=True)
+
+    def _is_label(self, n: Any) -> bool:
+        return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+    def _involution(self, n: int) -> int:
+        return n
+
+    label_str = staticmethod(ell_str)
 
     def _rule(self, n1: int, n2: int) -> dict[int, Fraction]:
         _check_fusion_size(self, n1, n2, min(n1, n2) + 1)
@@ -653,17 +650,18 @@ class FiniteDual(Hypergroup):
 
     def __init__(self, table: CharacterTable):
         self.table = table
-        n = table.n_irreps
-        super().__init__(
-            name=f"{table.name}-hat",
-            fuse=self._rule,
-            involution=table.conjugate_index,
-            identity=table.trivial_index,
-            commutative=True,
-            universe=range(n),
-            validator=lambda i: isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n,
-            labeler=lambda i: table.irreps[i].name,
-        )
+        self._n_irreps = table.n_irreps
+        super().__init__(name=f"{table.name}-hat", identity=table.trivial_index,
+                         commutative=True, universe=range(self._n_irreps))
+
+    def _is_label(self, i: Any) -> bool:
+        return isinstance(i, int) and not isinstance(i, bool) and 0 <= i < self._n_irreps
+
+    def _involution(self, i: int) -> int:
+        return self.table.conjugate_index(i)
+
+    def label_str(self, i: int) -> str:
+        return self.table.irreps[i].name
 
     def _rule(self, i: int, j: int) -> dict[int, Fraction]:
         dims = self.table.dims
@@ -690,8 +688,9 @@ _UNBUILT = object()
 class ProductDual(Hypergroup):
     """Product hypergroup with componentwise fusion and multiplied Haar mass.
 
-    A point fusion is refused past MAX_U_PRODUCT_WORK labels, counted from
-    the factor fusions before their product is built.
+    A finite product past MAX_U_PRODUCT_WORK labels is refused before they
+    are listed, and so is a point fusion past that many, counted from the
+    factor fusions before their product is built.
     """
 
     def __init__(self, factors: Sequence[Hypergroup]):
@@ -699,38 +698,38 @@ class ProductDual(Hypergroup):
             raise UsageError("product requires at least one factor")
         self.factors = tuple(factors)
         self._table = _UNBUILT
+        name = " x ".join(f.name for f in self.factors)
         universe = None
         if all(f.is_finite for f in self.factors):
-            universe = [tuple(labels) for labels in
-                        iter_product(*(f.universe for f in self.factors))]
-        arity = len(self.factors)
+            size = math.prod(len(f.universe) for f in self.factors)
+            if size > MAX_U_PRODUCT_WORK:
+                raise CapacityError(f"the product {name} has {size} labels; "
+                                    f"the budget is {MAX_U_PRODUCT_WORK}")
+            universe = iter_product(*(f.universe for f in self.factors))
+        super().__init__(name=name, identity=tuple(f.identity for f in self.factors),
+                         commutative=all(f.commutative for f in self.factors),
+                         universe=universe)
 
-        def valid(x: Any) -> bool:
-            return (isinstance(x, tuple) and len(x) == arity
-                    and all(map(Hypergroup._is_label, self.factors, x)))
+    def _is_label(self, x: Any) -> bool:
+        return (isinstance(x, tuple) and len(x) == len(self.factors)
+                and all([f._is_label(p) for f, p in zip(self.factors, x)]))
 
-        super().__init__(
-            name=" x ".join(f.name for f in self.factors),
-            fuse=self._rule,
-            involution=lambda x: tuple(f._involution_fn(p) for f, p in zip(self.factors, x)),
-            identity=tuple(f.identity for f in self.factors),
-            commutative=all(f.commutative for f in self.factors),
-            universe=universe,
-            validator=valid,
-            labeler=lambda x: "(" + ", ".join(
-                f.label_str(p) for f, p in zip(self.factors, x)) + ")",
-        )
+    def _involution(self, x: tuple) -> tuple:
+        return tuple(f._involution(p) for f, p in zip(self.factors, x))
+
+    def label_str(self, x: tuple) -> str:
+        return "(" + ", ".join(f.label_str(p) for f, p in zip(self.factors, x)) + ")"
 
     def _rule(self, x: tuple, y: tuple) -> dict[tuple, Fraction]:
         parts = [f._fuse(a, b).items() for f, a, b in zip(self.factors, x, y)]
         _check_fusion_size(self, x, y, math.prod(map(len, parts)))
         out = {}
         for combo in iter_product(*parts):
-            label = tuple(entry[0] for entry in combo)
-            mass = Fraction(1)
-            for entry in combo:
-                mass *= entry[1]
-            out[label] = mass
+            label, masses = zip(*combo)
+            num = den = 1
+            for q in masses:  # one Fraction per label: its gcd is taken once
+                num, den = num * q.numerator, den * q.denominator
+            out[label] = Fraction(num, den)
         return out
 
     def _haar(self, x: tuple) -> Fraction:

@@ -461,16 +461,20 @@ def _refine_chunks(quadrature, breaks: np.ndarray, tolerance: float) -> tuple[fl
     return sum(values), residual
 
 
-def interval_product_breakpoints(P: int, Q: int) -> np.ndarray:
-    """0, pi and the interior zeros of S_P and S_Q, sorted, without repeats.
+def _breaks(merged: np.ndarray) -> np.ndarray:
+    """``merged``, a concatenation of sorted arrays, sorted in place and without repeats.
 
-    The three inputs are each sorted, so a stable sort, which finds and
-    merges runs, orders their concatenation in linear time; dropping
-    adjacent repeats then gives the array np.unique would.
+    A stable sort finds and merges the sorted runs in linear time; dropping
+    adjacent repeats then gives the array np.unique would, without the
+    import of numpy.ma that np.unique's first call makes.
     """
-    merged = np.concatenate([[0.0, math.pi], kernel_roots(P), kernel_roots(Q)])
     merged.sort(kind="stable")
     return merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
+
+
+def interval_product_breakpoints(P: int, Q: int) -> np.ndarray:
+    """0, pi and the interior zeros of S_P and S_Q, sorted, without repeats."""
+    return _breaks(np.concatenate([[0.0, math.pi], kernel_roots(P), kernel_roots(Q)]))
 
 
 # pi in three parts for the reduction in _half_phase_tangent: _PI_HI has 30
@@ -660,7 +664,7 @@ def u_series_l1(coeffs: np.ndarray, tolerance: float) -> tuple[float, float]:
         s = np.sin(theta)
         return (2.0 / math.pi) * np.abs(npcheb.chebval(np.cos(theta), t_coeffs)) * s * s
 
-    breaks = np.unique(np.concatenate([[0.0, math.pi], u_series_roots_theta(coeffs)]))
+    breaks = _breaks(np.concatenate([[0.0, math.pi], u_series_roots_theta(coeffs)]))
     return _refine_chunks(
         lambda order, split, chunk: gauss_kronrod(integrand, chunk, split, order),
         breaks, tolerance)

@@ -42,12 +42,17 @@ def run_cli_traced(capsys, *argv):
     return code, out, err, peak
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(*argv, **env_overrides):
+    """``python -m hypergroups argv`` in a subprocess, with ``env_overrides`` set."""
     src = str(Path(hypergroups.cli.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = {**os.environ, **env_overrides}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-m", "hypergroups", "witness", "--help"],
-                            env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "hypergroups", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    result = run_module("witness", "--help")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: hypergroups witness")
 
@@ -217,6 +222,28 @@ class TestIngestTable:
         assert "irreps[0] and irreps[1] are both named 'a'" in error["message"]
 
 
+    def test_table_that_is_not_utf8_exits_3(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(resources.files("hypergroups.tables").joinpath("z2.json")
+                        .read_bytes().replace(b'"sgn"', b'"\xffsgn"'))
+        result = run_module("haar", "--dual", str(bad))
+        assert (result.returncode, result.stdout) == (3, "")
+        error = json.loads(result.stderr)
+        assert error["error"] == "invalid-table"
+        assert "not UTF-8" in error["message"]
+
+    def test_utf8_table_under_a_non_utf8_locale(self, tmp_path):
+        # the table is read, and --out written, as UTF-8 whatever the locale says
+        table = tmp_path / "chi.json"
+        table.write_bytes(resources.files("hypergroups.tables").joinpath("z2.json")
+                          .read_bytes().replace(b'"sgn"', '"χ"'.encode()))
+        out = tmp_path / "out.txt"
+        result = run_module("haar", "--dual", str(table), "--out", str(out),
+                            LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert out.read_bytes() == b"h(triv) = 1\nh(\xcf\x87) = 1\n"
+
+
 class TestCommands:
     def test_haar_su2(self, capsys):
         code, out, _ = run_cli(capsys, "haar", "--dual", "su2", "--max-ell", "3",
@@ -316,6 +343,15 @@ class TestCommands:
         assert (code, out) == (4, "")
         assert json.loads(err)["message"] == (
             f"the haar listing has {size} labels, more than the 262144 it may print")
+        assert peak < 1 << 20
+
+    def test_finite_product_is_priced_before_its_labels_are_listed(self, capsys):
+        # 16 copies of s3 would list 43 046 721 labels, about 7 GB
+        resolve_dual("s3")
+        code, out, err, peak = run_cli_traced(capsys, "haar", "--dual", ",".join(["s3"] * 16))
+        assert (code, out) == (4, "")
+        assert json.loads(err)["message"].endswith(
+            "has 43046721 labels; the budget is 1048576")
         assert peak < 1 << 20
 
     def test_haar_listing_budget_bites(self, capsys, monkeypatch):

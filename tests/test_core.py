@@ -165,14 +165,14 @@ class TestHaar:
 
     def test_invalid_hypergroup_haar(self):
         # fusion that never reaches the identity
-        broken = Hypergroup(
-            name="broken",
-            fuse=lambda x, y: {1: Fraction(1)},
-            involution=lambda x: x,
-            identity=0,
-            commutative=True,
-            universe=[0, 1],
-        )
+        class Broken(Hypergroup):
+            def _rule(self, x, y):
+                return {1: Fraction(1)}
+
+            def _involution(self, x):
+                return x
+
+        broken = Broken(name="broken", identity=0, commutative=True, universe=[0, 1])
         with pytest.raises(AxiomViolationError):
             broken.haar(1)
 
@@ -235,22 +235,25 @@ class TestSupportProduct:
         assert support_product(su2, set(), {1}) == frozenset()
 
 
-def _corrupted_s3(s3):
-    def bad_fuse(x, y):
-        masses = dict(s3.fuse(x, y).items())
+class _CorruptedS3(Hypergroup):
+    """s3's fusion with extra mass 1/10 at the identity in fuse(2, 2), and dimension 1."""
+
+    def __init__(self, s3):
+        self.s3 = s3
+        super().__init__(name="corrupted-s3", identity=s3.identity, commutative=True,
+                         universe=range(3))
+
+    def _rule(self, x, y):
+        masses = dict(self.s3.fuse(x, y).items())
         if (x, y) == (2, 2):
             masses[0] = masses[0] + Fraction(1, 10)
         return masses
 
-    return Hypergroup(
-        name="corrupted-s3",
-        fuse=bad_fuse,
-        involution=s3.involution,
-        identity=s3.identity,
-        commutative=True,
-        universe=range(3),
-        labeler=s3.label_str,
-    )
+    def _involution(self, x):
+        return self.s3.involution(x)
+
+    def label_str(self, x):
+        return self.s3.label_str(x)
 
 
 class TestCheckAxioms:
@@ -263,7 +266,7 @@ class TestCheckAxioms:
         assert check_axioms(s3, s3.universe).ok
 
     def test_corrupted_fusion_reports_witness(self, s3):
-        report = check_axioms(_corrupted_s3(s3), range(3))
+        report = check_axioms(_CorruptedS3(s3), range(3))
         assert not report.ok
         norm_failures = [f for f in report.failures if f.check == "normalization"]
         assert norm_failures and norm_failures[0].labels == ("rho", "rho")
@@ -460,28 +463,30 @@ class TestSu2Budgets:
         assert 502 * 500 <= core.MAX_U_PRODUCT_WORK
 
 
-def _perturbed(base, corruptions, name):
-    """``base``'s fusion with extra mass ``delta`` at ``z`` in fuse(x, y)."""
-    extra = {}
-    for x, y, z, delta in corruptions:
-        extra.setdefault((x, y), []).append((z, delta))
+class _Perturbed(Hypergroup):
+    """``base``'s fusion with extra mass ``delta`` at ``z`` in fuse(x, y), never memoised."""
 
-    def fuse(x, y):
-        masses = dict(base.fuse(x, y).items())
-        for z, delta in extra.get((x, y), []):
+    def __init__(self, base, corruptions, name):
+        self.base = base
+        self.extra = {}
+        for x, y, z, delta in corruptions:
+            self.extra.setdefault((x, y), []).append((z, delta))
+        super().__init__(name=name, identity=base.identity, commutative=False)
+
+    def _rule(self, x, y):
+        masses = dict(self.base.fuse(x, y).items())
+        for z, delta in self.extra.get((x, y), []):
             masses[z] = masses.get(z, 0) + delta
         return masses
 
-    def valid(x):
-        try:
-            base.check_labels((x,))
-        except LabelDomainError:
-            return False
-        return True
+    def _involution(self, x):
+        return self.base.involution(x)
 
-    return Hypergroup(name=name, fuse=fuse, involution=base.involution,
-                      identity=base.identity, commutative=False,
-                      validator=valid, labeler=base.label_str)
+    def _is_label(self, x):
+        return self.base._is_label(x)
+
+    def label_str(self, x):
+        return self.base.label_str(x)
 
 
 def _engine_and_oracle(H, sample):
@@ -510,13 +515,13 @@ class TestAssociativityEngine:
     @given(corruptions=st.lists(_su2_corruption, max_size=3))
     @settings(max_examples=15, deadline=None)
     def test_su2_object_path_matches_loops(self, corruptions):
-        H = _perturbed(_SU2, corruptions, "corrupted-su2")
+        H = _Perturbed(_SU2, corruptions, "corrupted-su2")
         got, want, dtypes = _engine_and_oracle(H, range(9))
         assert dtypes == {object}
         assert got == want
 
     def test_su2_object_path_catches_a_corruption(self):
-        H = _perturbed(_SU2, [(2, 3, 1, Fraction(1, 9))], "corrupted-su2")
+        H = _Perturbed(_SU2, [(2, 3, 1, Fraction(1, 9))], "corrupted-su2")
         got, want, dtypes = _engine_and_oracle(H, range(9))
         assert dtypes == {object}
         assert got and got == want
@@ -529,7 +534,7 @@ class TestAssociativityEngine:
     def test_s3_int64_path_matches_loops(self, corruptions):
         from hypergroups import builtin_table, finite_group_dual
         s3 = finite_group_dual(builtin_table("s3"))
-        H = _perturbed(s3, corruptions, "corrupted-s3")
+        H = _Perturbed(s3, corruptions, "corrupted-s3")
         got, want, dtypes = _engine_and_oracle(H, range(3))
         assert dtypes == {np.int64}
         assert got == want
@@ -564,15 +569,15 @@ class TestAssociativityEngine:
     @given(corruptions=st.lists(_su2_corruption, min_size=1, max_size=3))
     @settings(max_examples=6, deadline=None)
     def test_weighted_corruptions_match_loops(self, corruptions):
-        H = _perturbed(_SU2, corruptions, "corrupted-su2")
+        H = _Perturbed(_SU2, corruptions, "corrupted-su2")
         H._dimension = _SU2._dimension
         got, want, _ = _engine_and_oracle(H, range(9))
         assert got == want
 
     def test_corrupted_s3_through_check_axioms(self, s3):
-        report = check_axioms(_corrupted_s3(s3), range(3))
+        report = check_axioms(_CorruptedS3(s3), range(3))
         triples = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
-        want = associativity_failures_loops(_corrupted_s3(s3), triples)
+        want = associativity_failures_loops(_CorruptedS3(s3), triples)
         assert want
         assert [f for f in report.failures if f.check == "associativity"] == want
 

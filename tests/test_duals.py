@@ -285,6 +285,50 @@ class TestProductDual:
         assert str(info.value) == (
             "the fusion of (1, 1) and (1, 3/2) has 9 labels; the budget is 8")
 
+    def test_fusion_masses_are_products_of_integers(self, su2, s3, z4, monkeypatch):
+        # each label's mass is one Fraction of the products of the factor numerators
+        # and denominators, equal to the factor-by-factor product of the masses
+        s3_z4 = product_dual([s3, z4])
+        cases = [(product_dual([su2, s3]), (3, 2), (4, 2)),
+                 (product_dual([s3_z4, su2]), ((2, 1), 3), ((2, 3), 2))]
+        expected = []
+        for prod, x, y in cases:
+            parts = [f.fuse(a, b).items() for f, a, b in zip(prod.factors, x, y)]
+            expected.append({tuple(z for z, _ in combo): math.prod(m for _, m in combo)
+                             for combo in itertools.product(*parts)})
+
+        def refuse(self, other):
+            raise AssertionError("a product fusion multiplied Fractions")
+
+        monkeypatch.setattr(Fraction, "__mul__", refuse)
+        got = [dict(prod.fuse(x, y).items()) for prod, x, y in cases]
+        monkeypatch.undo()
+        assert got == expected
+        assert [len(masses) for masses in got] == [12, 9]
+
+    def test_finite_product_is_priced_before_its_labels_are_listed(self, su2, s3):
+        # 16 copies of s3 would list 43 046 721 labels, about 7 GB
+        assert 3 ** 12 <= core.MAX_U_PRODUCT_WORK < 3 ** 13
+        for factors in ([s3] * 13, [s3] * 16,
+                        [product_dual([s3] * 7), product_dual([s3] * 6)]):
+            with pytest.raises(CapacityError) as info:
+                product_dual(factors)
+            assert str(info.value).endswith(
+                f"labels; the budget is {core.MAX_U_PRODUCT_WORK}")
+        assert "has 1594323 labels" in str(info.value)
+        assert product_dual([su2] + [s3] * 13).universe is None  # an infinite product
+
+    def test_product_label_budget_boundary(self, s3, z2, monkeypatch):
+        monkeypatch.setattr(duals, "MAX_U_PRODUCT_WORK", 9)
+        assert len(product_dual([s3, s3]).universe) == 9
+        with pytest.raises(CapacityError) as info:
+            product_dual([s3, s3, z2])
+        assert str(info.value) == (
+            "the product s3-hat x s3-hat x z2-hat has 18 labels; the budget is 9")
+        monkeypatch.setattr(duals, "MAX_U_PRODUCT_WORK", 8)
+        with pytest.raises(CapacityError):
+            product_dual([s3, s3])
+
     def test_mixed_su2_finite(self, su2, s3):
         prod = product_dual([su2, s3])
         mu = prod.fuse((1, 2), (1, 2))

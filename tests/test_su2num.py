@@ -1,6 +1,10 @@
 """Kernel zeros and the Gauss-Kronrod interval quadrature of su2num."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from numpy.polynomial import chebyshev as npcheb
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hypergroups
 from hypergroups import NumericError, QuadratureConfig
 from hypergroups import su2num
 from hypergroups.fourier import Su2IntervalBump
@@ -459,3 +464,27 @@ class TestUToChebyshevT:
         # U_2 = 2 T_2 + T_0 and U_3 = 2 T_3 + 2 T_1
         assert su2num.u_to_chebyshev_t([0, 0, 1]).tolist() == [1.0, 0.0, 2.0]
         assert su2num.u_to_chebyshev_t([0, 0, 0, 1]).tolist() == [0.0, 2.0, 0.0, 2.0]
+
+
+class TestUSeriesL1:
+    @pytest.mark.parametrize("degree", [2, 41, 162])
+    def test_breaks_equal_np_unique(self, degree):
+        # 0, pi and the zeros of the series, bit for bit as np.unique sorts them
+        coeffs = np.random.default_rng(degree).uniform(-1.0, 1.0, degree + 1)
+        merged = np.concatenate([[0.0, math.pi], su2num.u_series_roots_theta(coeffs)])
+        reference = np.unique(merged)
+        assert su2num._breaks(merged).tobytes() == reference.tobytes()
+
+    def test_leaves_numpy_ma_unimported(self):
+        # np.unique's first call imports numpy.ma, which a cold run pays about 19 ms for
+        code = ("import sys\n"
+                "from hypergroups import FiniteFunction\n"
+                "from hypergroups.fourier import a_norm_su2\n"
+                "assert a_norm_su2(FiniteFunction({0: 1, 3: 2, 7: -1})) > 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(hypergroups.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr

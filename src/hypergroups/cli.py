@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Collection
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -24,30 +23,25 @@ from .core import (
     MAX_HAAR_ROWS,
     CapacityError,
     FiniteFunction,
-    Hypergroup,
     HypergroupError,
-    InvalidTableError,
-    NumericError,
-    ProductSample,
     UsageError,
     check_axioms,
     count,
     convolve_h,
-    exact,
+    exact_in_float_range,
     fraction_text,
     label_count,
 )
 from .duals import (
     BUILTIN_TABLES,
-    FiniteDual,
-    ProductDual,
+    Dual,
     Su2Dual,
+    _split_outside_parentheses,
     builtin_table,
     finite_group_dual,
     load_character_table,
     product_dual,
     su2_dual,
-    twice_spin,
 )
 from .fourier import (
     DEFAULT_QUADRATURE,
@@ -64,15 +58,7 @@ from .segal import (
     check_tolerance,
 )
 
-_ERROR_CATEGORIES: list[tuple[type, str, int]] = [
-    (UsageError, "usage", 2),  # LabelDomainError too
-    (InvalidTableError, "invalid-table", 3),
-    (CapacityError, "capacity", 4),
-    (NumericError, "numeric", 5),
-]
-
-
-def _resolve_component(spec: str) -> Hypergroup:
+def _resolve_component(spec: str) -> Dual:
     if spec == "su2":
         return su2_dual()
     if spec in BUILTIN_TABLES:
@@ -84,7 +70,7 @@ def _resolve_component(spec: str) -> Hypergroup:
     return finite_group_dual(load_character_table(spec))
 
 
-def resolve_dual(spec: str) -> Hypergroup:
+def resolve_dual(spec: str) -> Dual:
     parts = [part.strip() for part in spec.split(",") if part.strip()]
     if not parts:
         raise UsageError("empty dual spec")
@@ -94,71 +80,8 @@ def resolve_dual(spec: str) -> Hypergroup:
     return product_dual(duals)
 
 
-def _exact_arg(text: str, flag: str) -> Fraction:
-    """User text as an exact rational within float range, else UsageError naming the flag."""
-    q = exact(text, flag)
-    try:
-        float(q)
-    except OverflowError as exc:
-        raise UsageError(f"{flag}: {text!r} is not an exact number in float range") from exc
-    return q
-
-
-def _split_outside_parentheses(text: str) -> list[str]:
-    """text cut at each comma that no parenthesis encloses."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        depth += (ch == "(") - (ch == ")")
-        if ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    return parts + [text[start:]]
-
-
-def _product_parts(text: str) -> list[str]:
-    """Factor texts of a product label: "a|b", or "(a, b)" as label_str writes it."""
-    if not (text.startswith("(") and text.endswith(")")):
-        return text.split("|")
-    return _split_outside_parentheses(text[1:-1])
-
-
-def parse_label(H: Hypergroup, text: str, flag: str = "label") -> Any:
-    """A label of H from its text, else UsageError naming ``flag``."""
-    text = text.strip()
-    if isinstance(H, ProductDual):
-        parts = _product_parts(text)
-        if len(parts) != len(H.factors):
-            raise UsageError(
-                f"{flag}: label {text!r} has {len(parts)} components, expected "
-                f"{len(H.factors)} (write a|b or (a, b))")
-        return tuple(parse_label(f, part, flag) for f, part in zip(H.factors, parts))
-    if isinstance(H, Su2Dual):
-        return twice_spin(_exact_arg(text, flag), flag)
-    if isinstance(H, FiniteDual):
-        try:
-            key: Any = int(text)
-        except ValueError:
-            key = text
-        try:
-            return H.table.irrep_index(key)
-        except UsageError as exc:
-            exc.args = (f"{flag}: {exc}",)
-            raise
-    raise UsageError(f"cannot parse labels for {H!r}")
-
-
-def parse_labels(H: Hypergroup, text: str, flag: str) -> list[Any]:
-    return [parse_label(H, part, flag)
-            for part in _split_outside_parentheses(text) if part.strip()]
-
-
-def _su2_sample(H: Hypergroup, max_ell: Fraction) -> Collection[Any]:
-    """The labels up to spin max_ell on each su2-hat factor: a range, or a lazy product."""
-    if isinstance(H, Su2Dual):
-        return range(twice_spin(max_ell, "--max-ell") + 1)
-    if isinstance(H, ProductDual):
-        return ProductSample([_su2_sample(f, max_ell) for f in H.factors])
-    return H.universe
+def parse_labels(H: Dual, text: str, flag: str) -> list[Any]:
+    return [H.parse_label(part, flag) for part in _split_outside_parentheses(text) if part.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +128,22 @@ def _add_quad(parser: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_axioms(args: argparse.Namespace, H: Hypergroup) -> None:
+def _cmd_axioms(args: argparse.Namespace, H: Dual) -> None:
     if args.sample:
         sample = parse_labels(H, args.sample, "--sample")
     else:
-        sample = _su2_sample(H, _exact_arg(args.max_ell, "--max-ell"))
+        sample = H.spin_sample(exact_in_float_range(args.max_ell, "--max-ell"), "--max-ell")
     report = check_axioms(H, sample)
     _emit(args, {"report": report.to_json_dict()}, pretty_text=report.summary())
 
 
-def _cmd_haar(args: argparse.Namespace, H: Hypergroup) -> None:
+def _cmd_haar(args: argparse.Namespace, H: Dual) -> None:
     if args.labels:
         labels = parse_labels(H, args.labels, "--labels")
     elif H.universe is not None:
         labels = list(H.universe)
     else:
-        labels = _su2_sample(H, _exact_arg(args.max_ell, "--max-ell"))
+        labels = H.spin_sample(exact_in_float_range(args.max_ell, "--max-ell"), "--max-ell")
     size = label_count(labels)
     if size > MAX_HAAR_ROWS:
         raise CapacityError(f"the haar listing has {size} labels, "
@@ -237,9 +160,9 @@ def _cmd_haar(args: argparse.Namespace, H: Hypergroup) -> None:
           pretty_text="\n".join(f"h({name}) = {mass}" for name, mass in rows))
 
 
-def _cmd_convolve(args: argparse.Namespace, H: Hypergroup) -> None:
-    x = parse_label(H, args.x, "--x")
-    y = parse_label(H, args.y, "--y")
+def _cmd_convolve(args: argparse.Namespace, H: Dual) -> None:
+    x = H.parse_label(args.x, "--x")
+    y = H.parse_label(args.y, "--y")
     if args.weighted:
         result = convolve_h(H, FiniteFunction.point(x), FiniteFunction.point(y))
         entries = result.items()
@@ -251,8 +174,8 @@ def _cmd_convolve(args: argparse.Namespace, H: Hypergroup) -> None:
           pretty_text="\n".join(f"{k}: {v}" for k, v in payload.items()))
 
 
-def _cmd_leptin(args: argparse.Namespace, H: Hypergroup) -> None:
-    K, eps = parse_labels(H, args.K, "--K"), _exact_arg(args.epsilon, "--epsilon")
+def _cmd_leptin(args: argparse.Namespace, H: Dual) -> None:
+    K, eps = parse_labels(H, args.K, "--K"), exact_in_float_range(args.epsilon, "--epsilon")
     cert = leptin_search(H, K, eps, args.strategy, max_size=count(args.max_size, "--max-size"))
     doc = cert.to_json_dict()
     pretty = (f"strategy: {doc['strategy']}\nratio: {doc['ratio']} "
@@ -262,7 +185,7 @@ def _cmd_leptin(args: argparse.Namespace, H: Hypergroup) -> None:
     _emit(args, {"certificate": doc}, pretty_text=pretty)
 
 
-def _cmd_bump(args: argparse.Namespace, H: Hypergroup) -> None:
+def _cmd_bump(args: argparse.Namespace, H: Dual) -> None:
     K = parse_labels(H, args.K, "--K")
     V = parse_labels(H, args.V, "--V")
     plateau = bump(H, K, V)
@@ -280,7 +203,7 @@ def _cmd_bump(args: argparse.Namespace, H: Hypergroup) -> None:
     _emit(args, {"bump": doc}, pretty_text=json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _cmd_norms(args: argparse.Namespace, H: Hypergroup) -> None:
+def _cmd_norms(args: argparse.Namespace, H: Dual) -> None:
     values: dict[Any, Fraction] = {}
     for assignment in args.values.split(";"):
         assignment = assignment.strip()
@@ -289,9 +212,10 @@ def _cmd_norms(args: argparse.Namespace, H: Hypergroup) -> None:
         if "=" not in assignment:
             raise UsageError(f"bad assignment {assignment!r}; use label=value")
         label_text, _, value_text = assignment.partition("=")
-        values[parse_label(H, label_text, "--values")] = _exact_arg(value_text, "--values")
+        value = exact_in_float_range(value_text, "--values")
+        values[H.parse_label(label_text, "--values")] = value
     f = FiniteFunction(values)
-    p = _exact_arg(args.p, "--p")
+    p = exact_in_float_range(args.p, "--p")
     doc: dict[str, Any] = {
         "l1_h": fraction_text(lp_h_norm(H, f, 1)),
         "lp_h": float(lp_h_norm(H, f, p)),
@@ -306,7 +230,7 @@ def _cmd_norms(args: argparse.Namespace, H: Hypergroup) -> None:
     _emit(args, {"norms": doc}, pretty_text=json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _cmd_witness(args: argparse.Namespace, H: Hypergroup) -> None:
+def _cmd_witness(args: argparse.Namespace, H: Dual) -> None:
     strategy = args.strategy
     if strategy == "auto":
         strategy = "interval" if isinstance(H, Su2Dual) else "greedy"
@@ -314,8 +238,8 @@ def _cmd_witness(args: argparse.Namespace, H: Hypergroup) -> None:
         k0 = parse_labels(H, args.K0, "--K0")
     else:
         k0 = [H.identity]
-    D = _exact_arg(args.D, "--D")
-    p = _exact_arg(args.p, "--p")
+    D = exact_in_float_range(args.D, "--D")
+    p = exact_in_float_range(args.p, "--p")
     quad = QuadratureConfig(tolerance=args.quad_tol)
     check_tolerance(args.tolerance)
     w = build_witness(H, k0, D, count(args.N, "--N"), search=strategy,
@@ -425,14 +349,8 @@ def run(argv: list[str] | None = None) -> int:
         args.fn(args, resolve_dual(args.dual))
         return 0
     except HypergroupError as exc:
-        for err_type, category, code in _ERROR_CATEGORIES:
-            if isinstance(exc, err_type):
-                sys.stderr.write(json.dumps(
-                    {"error": category, "message": str(exc)}) + "\n")
-                return code
-        sys.stderr.write(json.dumps(
-            {"error": "internal-invariant", "message": str(exc)}) + "\n")
-        return 6
+        sys.stderr.write(json.dumps({"error": exc.category, "message": str(exc)}) + "\n")
+        return exc.exit_code
 
 
 def main() -> None:

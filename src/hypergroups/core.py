@@ -31,11 +31,18 @@ INT64_LIMIT = 1 << 63
 
 
 class HypergroupError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``category`` and ``exit_code`` are what the CLI reports; a subclass inherits its parent's.
+    """
+
+    category, exit_code = "internal-invariant", 6
 
 
 class UsageError(HypergroupError):
     """A caller violated an operation's precondition."""
+
+    category, exit_code = "usage", 2
 
 
 class LabelDomainError(UsageError):
@@ -45,13 +52,19 @@ class LabelDomainError(UsageError):
 class InvalidTableError(HypergroupError):
     """A character table violates its structural invariants."""
 
+    category, exit_code = "invalid-table", 3
+
 
 class CapacityError(HypergroupError):
     """A bounded search or enumeration exceeded its configured budget."""
 
+    category, exit_code = "capacity", 4
+
 
 class NumericError(HypergroupError):
     """A numerical routine failed to reach its accuracy target."""
+
+    category, exit_code = "numeric", 5
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
@@ -96,6 +109,16 @@ def exact(value: Any, what: str) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"{what}: {value!r} is not an exact rational ({exc})") from exc
     raise UsageError(f"{what}: exact rational expected, got {type(value).__name__}: {value!r}")
+
+
+def exact_in_float_range(value: Any, what: str) -> Fraction:
+    """:func:`exact`, and UsageError naming ``what`` for a value past float range."""
+    q = exact(value, what)
+    try:
+        float(q)
+    except OverflowError as exc:
+        raise UsageError(f"{what}: {value!r} is not an exact number in float range") from exc
+    return q
 
 
 def fraction_text(q: Fraction) -> str:
@@ -244,12 +267,12 @@ class FiniteMeasure(FiniteFunction):
 class Hypergroup:
     """A discrete hypergroup given by a point-fusion oracle.
 
-    Instances are immutable after construction.  Fusion and Haar values
-    are memoised per instance when the universe is finite, so the memos
-    hold at most |U|^2 measures and |U| masses.  The public functions
-    check the labels their caller passed, once, with :meth:`check_labels`,
-    and then call engines that trust them (:meth:`fuse` calls :meth:`_fuse`
-    and :meth:`haar` calls :meth:`_haar`).
+    Instances are immutable after construction.  Fusion measures are
+    memoised per instance when the universe is finite, so the memo holds
+    at most |U|^2 of them.  The public functions check the labels their
+    caller passed, once, with :meth:`check_labels`, and then call engines
+    that trust them (:meth:`fuse` calls :meth:`_fuse` and :meth:`haar`
+    calls :meth:`_haar`).
     A family subclasses this with the oracles :meth:`_rule`, :meth:`_involution` and,
     where its labels need them, :meth:`_is_label` and :meth:`label_str`; a faster exact
     engine overrides :meth:`_haar`, :meth:`_haar_sum`, :meth:`_convolve_exact` and
@@ -263,7 +286,6 @@ class Hypergroup:
         self._commutative = bool(commutative)
         self._universe = tuple(sorted(universe)) if universe is not None else None
         self._fusion_cache: dict[tuple[Label, Label], FiniteMeasure] = {}
-        self._haar_cache: dict[Label, Fraction] = {}
 
     @property
     def identity(self) -> Label:
@@ -329,18 +351,13 @@ class Hypergroup:
         return self._haar(x)
 
     def _haar(self, x: Label) -> Fraction:
-        result = self._haar_cache.get(x)
-        if result is None:
-            mass_at_identity = self._fuse(self._involution(x), x).mass(self._identity)
-            if mass_at_identity == 0:
-                raise AxiomViolationError(
-                    f"identity not in support of fusion of {self.label_str(x)} with its "
-                    f"involute; {self.name} is not a hypergroup"
-                )
-            result = 1 / mass_at_identity
-            if self.is_finite:
-                self._haar_cache[x] = result
-        return result
+        mass_at_identity = self._fuse(self._involution(x), x).mass(self._identity)
+        if mass_at_identity == 0:
+            raise AxiomViolationError(
+                f"identity not in support of fusion of {self.label_str(x)} with its "
+                f"involute; {self.name} is not a hypergroup"
+            )
+        return 1 / mass_at_identity
 
     def haar_sum(self, labels: Collection[Label]) -> Fraction:
         """Sum of the Haar masses of ``labels``, each checked first."""

@@ -1,6 +1,6 @@
 """Concrete duals of compact groups as commutative discrete hypergroups.
 
-Three families are provided:
+Three families are provided, each a :class:`Dual` (Haar mass dim(x)^2):
 
 * :func:`su2_dual` -- the dual of SU(2).  Labels are nonnegative integers
   n = 2 * spin, fusion follows the Clebsch-Gordan decomposition, and the
@@ -44,11 +44,13 @@ from .core import (
     InvalidTableError,
     Label,
     LabelDomainError,
+    ProductSample,
     UsageError,
     _support_product_loops,
     count,
     cyclotomic_field,
     exact,
+    exact_in_float_range,
 )
 
 
@@ -245,10 +247,13 @@ class CharacterTable:
         self.irreps = tuple(Irrep(r.dim, tuple(v if v.m == self.cyclotomic else ExactComplex._of(
             self.cyclotomic, v.lift(self.cyclotomic), v.den) for v in r.values), r.name)
             for r in rows)
-        if sum(r.dim * r.dim for r in self.irreps) != self.group_order:
+        self.n_irreps = len(self.irreps)
+        self.dims = tuple(r.dim for r in self.irreps)
+        self.names = tuple(r.name for r in self.irreps)
+        if sum(d * d for d in self.dims) != self.group_order:
             raise InvalidTableError(
                 f"{name}: sum of squared dimensions is "
-                f"{sum(r.dim * r.dim for r in self.irreps)}, expected {self.group_order}")
+                f"{sum(d * d for d in self.dims)}, expected {self.group_order}")
 
         values = [v for r in self.irreps for v in r.values]
         self.scale = math.lcm(*(v.den for v in values))
@@ -320,18 +325,6 @@ class CharacterTable:
         return int(m)
 
     # -- queries ------------------------------------------------------------
-
-    @property
-    def n_irreps(self) -> int:
-        return len(self.irreps)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(r.dim for r in self.irreps)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.irreps)
 
     def conjugate_index(self, i: int) -> int:
         return self._conjugate[i]
@@ -494,8 +487,29 @@ def builtin_table(name: str) -> CharacterTable:
 
 
 # ---------------------------------------------------------------------------
-# The dual of SU(2)
+# The dual of a compact group, and of SU(2)
 # ---------------------------------------------------------------------------
+
+
+class Dual(Hypergroup):
+    """The dual of a compact group: commutative, with Haar mass h(x) = dim(x)^2."""
+
+    def __init__(self, *, name: str, identity: Label, universe: Iterable[Label] | None = None):
+        super().__init__(name=name, identity=identity, commutative=True, universe=universe)
+
+    def _haar(self, x: Label) -> Fraction:
+        return Fraction(self._dimension(x) ** 2)
+
+    def _haar_sum(self, labels: Collection[Label]) -> Fraction:
+        return Fraction(sum(d * d for d in map(self._dimension, labels)))
+
+    def parse_label(self, text: str, what: str = "label") -> Label:
+        """The label :meth:`label_str` writes as ``text``, else UsageError naming ``what``."""
+        raise NotImplementedError
+
+    def spin_sample(self, max_ell: Fraction, what: str) -> Collection[Label]:
+        """The labels up to spin max_ell on each su2-hat factor: here, the whole universe."""
+        return self.universe
 
 
 def ell_str(n: int) -> str:
@@ -511,7 +525,7 @@ def twice_spin(value: Any, what: str = "spin") -> int:
     return int(doubled)
 
 
-class Su2Dual(Hypergroup):
+class Su2Dual(Dual):
     """Dual of SU(2); labels n = 2*spin, Clebsch-Gordan fusion, h(n) = (n+1)^2.
 
     The exact engine works with U-series.  Write F = sum_x f(x) (x+1) U_x for
@@ -530,7 +544,7 @@ class Su2Dual(Hypergroup):
     """
 
     def __init__(self):
-        super().__init__(name="su2-hat", identity=0, commutative=True)
+        super().__init__(name="su2-hat", identity=0)
 
     def _is_label(self, n: Any) -> bool:
         return isinstance(n, int) and not isinstance(n, bool) and n >= 0
@@ -540,14 +554,17 @@ class Su2Dual(Hypergroup):
 
     label_str = staticmethod(ell_str)
 
+    def parse_label(self, text: str, what: str = "label") -> int:
+        return twice_spin(exact_in_float_range(text.strip(), what), what)
+
+    def spin_sample(self, max_ell: Fraction, what: str) -> range:
+        return range(twice_spin(max_ell, what) + 1)
+
     def _rule(self, n1: int, n2: int) -> dict[int, Fraction]:
         _check_fusion_size(self, n1, n2, min(n1, n2) + 1)
         denom = (n1 + 1) * (n2 + 1)
         return {r: Fraction(r + 1, denom)
                 for r in range(abs(n1 - n2), n1 + n2 + 1, 2)}
-
-    def _haar(self, x: int) -> Fraction:
-        return Fraction((x + 1) * (x + 1))
 
     def _dimension(self, x: int) -> int:
         return x + 1
@@ -645,23 +662,34 @@ def su2_dual() -> Su2Dual:
 # ---------------------------------------------------------------------------
 
 
-class FiniteDual(Hypergroup):
+class FiniteDual(Dual):
     """Dual of a finite group; labels are irrep indices into the table."""
 
     def __init__(self, table: CharacterTable):
         self.table = table
-        self._n_irreps = table.n_irreps
         super().__init__(name=f"{table.name}-hat", identity=table.trivial_index,
-                         commutative=True, universe=range(self._n_irreps))
+                         universe=range(table.n_irreps))
 
     def _is_label(self, i: Any) -> bool:
-        return isinstance(i, int) and not isinstance(i, bool) and 0 <= i < self._n_irreps
+        return isinstance(i, int) and not isinstance(i, bool) and 0 <= i < self.table.n_irreps
 
     def _involution(self, i: int) -> int:
         return self.table.conjugate_index(i)
 
     def label_str(self, i: int) -> str:
         return self.table.irreps[i].name
+
+    def parse_label(self, text: str, what: str = "label") -> int:
+        text = text.strip()
+        try:
+            key: Any = int(text)
+        except ValueError:
+            key = text
+        try:
+            return self.table.irrep_index(key)
+        except UsageError as exc:
+            exc.args = (f"{what}: {exc}",)
+            raise
 
     def _rule(self, i: int, j: int) -> dict[int, Fraction]:
         dims = self.table.dims
@@ -685,17 +713,20 @@ def finite_group_dual(table: CharacterTable) -> FiniteDual:
 _UNBUILT = object()
 
 
-class ProductDual(Hypergroup):
-    """Product hypergroup with componentwise fusion and multiplied Haar mass.
+class ProductDual(Dual):
+    """The dual of a product group: componentwise fusion over factors that are each a Dual.
 
     A finite product past MAX_U_PRODUCT_WORK labels is refused before they
     are listed, and so is a point fusion past that many, counted from the
     factor fusions before their product is built.
     """
 
-    def __init__(self, factors: Sequence[Hypergroup]):
+    def __init__(self, factors: Sequence[Dual]):
         if not factors:
             raise UsageError("product requires at least one factor")
+        for f in factors:
+            if not isinstance(f, Dual):
+                raise UsageError(f"product factor {f!r} is not a Dual, the dual of a compact group")
         self.factors = tuple(factors)
         self._table = _UNBUILT
         name = " x ".join(f.name for f in self.factors)
@@ -707,7 +738,6 @@ class ProductDual(Hypergroup):
                                     f"the budget is {MAX_U_PRODUCT_WORK}")
             universe = iter_product(*(f.universe for f in self.factors))
         super().__init__(name=name, identity=tuple(f.identity for f in self.factors),
-                         commutative=all(f.commutative for f in self.factors),
                          universe=universe)
 
     def _is_label(self, x: Any) -> bool:
@@ -720,6 +750,21 @@ class ProductDual(Hypergroup):
     def label_str(self, x: tuple) -> str:
         return "(" + ", ".join(f.label_str(p) for f, p in zip(self.factors, x)) + ")"
 
+    def parse_label(self, text: str, what: str = "label") -> tuple:
+        """A label from its factor texts: "a|b", or "(a, b)" as :meth:`label_str` writes it."""
+        text = text.strip()
+        written = text.startswith("(") and text.endswith(")")
+        parts = _split_outside_parentheses(text[1:-1]) if written else text.split("|")
+        if len(parts) != len(self.factors):
+            raise UsageError(
+                f"{what}: label {text!r} has {len(parts)} components, expected "
+                f"{len(self.factors)} (write a|b or (a, b))")
+        return tuple(f.parse_label(part, what) for f, part in zip(self.factors, parts))
+
+    def spin_sample(self, max_ell: Fraction, what: str) -> ProductSample:
+        # lazy also on a finite product, so a caller prices it before walking it
+        return ProductSample([f.spin_sample(max_ell, what) for f in self.factors])
+
     def _rule(self, x: tuple, y: tuple) -> dict[tuple, Fraction]:
         parts = [f._fuse(a, b).items() for f, a, b in zip(self.factors, x, y)]
         _check_fusion_size(self, x, y, math.prod(map(len, parts)))
@@ -731,12 +776,6 @@ class ProductDual(Hypergroup):
                 num, den = num * q.numerator, den * q.denominator
             out[label] = Fraction(num, den)
         return out
-
-    def _haar(self, x: tuple) -> Fraction:
-        # a finite product keeps the memo: a hit is cheaper than this product
-        if self.is_finite:
-            return super()._haar(x)
-        return math.prod(f._haar(p) for f, p in zip(self.factors, x))
 
     def _dimension(self, x: tuple) -> int:
         return math.prod(f._dimension(p) for f, p in zip(self.factors, x))
@@ -761,8 +800,19 @@ class ProductDual(Hypergroup):
         return self._table
 
 
-def product_dual(factors: Sequence[Hypergroup]) -> ProductDual:
+def product_dual(factors: Sequence[Dual]) -> ProductDual:
     return ProductDual(factors)
+
+
+def _split_outside_parentheses(text: str) -> list[str]:
+    """text cut at each comma that no parenthesis encloses."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
 
 
 # ---------------------------------------------------------------------------

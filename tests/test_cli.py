@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypergroups.cli
-from hypergroups.cli import parse_label, resolve_dual, run
-from hypergroups.core import UsageError
+from hypergroups.cli import resolve_dual, run
+from hypergroups.core import AxiomViolationError, InternalInvariantError, UsageError
 from hypergroups.duals import ProductDual, Su2Dual, load_character_table
 from hypergroups.fourier import DEFAULT_QUADRATURE
 from hypergroups.leptin import STRATEGIES, certificate_from_json_dict, leptin_search
@@ -115,17 +115,17 @@ class TestDualSpecs:
 
 class TestLabelParsing:
     def test_su2_labels(self, su2):
-        assert parse_label(su2, "0") == 0
-        assert parse_label(su2, "1/2") == 1
-        assert parse_label(su2, "0.5") == 1
-        assert parse_label(su2, "3") == 6
+        assert su2.parse_label("0") == 0
+        assert su2.parse_label("1/2") == 1
+        assert su2.parse_label("0.5") == 1
+        assert su2.parse_label("3") == 6
 
     def test_finite_labels(self, s3):
-        assert parse_label(s3, "rho") == 2
-        assert parse_label(s3, "0") == 0
+        assert s3.parse_label("rho") == 2
+        assert s3.parse_label("0") == 0
 
     def test_product_labels(self, s3_x_z4):
-        assert parse_label(s3_x_z4, "rho|chi1") == (2, 1)
+        assert s3_x_z4.parse_label("rho|chi1") == (2, 1)
 
     @pytest.mark.parametrize("argv", [
         ["haar", "--dual", "s3,z4", "--labels"],
@@ -143,9 +143,9 @@ class TestLabelParsing:
     def test_bad_labels(self, su2, s3):
         from hypergroups import UsageError, LabelDomainError
         with pytest.raises(UsageError):
-            parse_label(su2, "1/3")
+            su2.parse_label("1/3")
         with pytest.raises(LabelDomainError):
-            parse_label(s3, "sigma")
+            s3.parse_label("sigma")
 
 
 _PIECES = st.sampled_from(["0", "2", "3", "-1", "1/2", "3/2", "0.5", "1e1", "rho", "sgn",
@@ -169,16 +169,16 @@ class TestLabelText:
             code = run(["convolve", "--dual", spec, f"--x={text}",
                         f"--y={H.label_str(H.identity)}"])
         if code == 0:
-            x = parse_label(H, text)
-            assert parse_label(H, H.label_str(x)) == x
+            x = H.parse_label(text)
+            assert H.parse_label(H.label_str(x)) == x
         else:
             assert code == 2, err.getvalue()
             assert json.loads(err.getvalue())["error"] == "usage"
 
     def test_printed_product_labels_parse(self, s3_x_z4):
         for x in s3_x_z4.universe:
-            assert parse_label(s3_x_z4, s3_x_z4.label_str(x)) == x
-        assert parse_label(s3_x_z4, " ( rho ,chi1 ) ") == (2, 1)
+            assert s3_x_z4.parse_label(s3_x_z4.label_str(x)) == x
+        assert s3_x_z4.parse_label(" ( rho ,chi1 ) ") == (2, 1)
 
 
 class TestIngestTable:
@@ -354,6 +354,16 @@ class TestCommands:
             "has 43046721 labels; the budget is 1048576")
         assert peak < 1 << 20
 
+    def test_haar_of_a_finite_product_makes_no_fusion(self, capsys, monkeypatch):
+        def refuse(self, x, y):
+            raise AssertionError("the Haar mass of a product fused labels")
+
+        monkeypatch.setattr(ProductDual, "_rule", refuse)
+        code, out, err = run_cli(capsys, "haar", "--dual", ",".join(["s3"] * 12),
+                                 "--labels", "|".join(["rho"] * 12))
+        assert (code, err) == (0, "")
+        assert out == f"h(({', '.join(['rho'] * 12)})) = 16777216\n"
+
     def test_haar_listing_budget_bites(self, capsys, monkeypatch):
         monkeypatch.setattr(hypergroups.cli, "MAX_HAAR_ROWS", 10)
         code, _, err = run_cli(capsys, "haar", "--dual", "su2", "--max-ell", "5")
@@ -481,6 +491,16 @@ class TestCommands:
                                "--quad-tol", "1e-30")
         assert code == 5
         assert json.loads(err)["error"] == "numeric"
+
+    @pytest.mark.parametrize("error", [InternalInvariantError, AxiomViolationError])
+    def test_library_faults_exit_6(self, capsys, monkeypatch, error):
+        def handler(args, H):
+            raise error("a fault")
+
+        monkeypatch.setattr(hypergroups.cli, "_cmd_haar", handler)
+        code, out, err = run_cli(capsys, "haar", "--dual", "s3")
+        assert (code, out) == (6, "")
+        assert json.loads(err) == {"error": "internal-invariant", "message": "a fault"}
 
     def test_norms_nan_quadrature_tolerance_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "norms", "--dual", "su2",

@@ -266,6 +266,25 @@ class TestProductDual:
                 core.Hypergroup._haar(prod, x) for x in labels]
         assert [len(labels) for _, labels in cases] == [30, 36, 144]
 
+    def test_every_dual_haar_is_the_fusion_route(self, su2, s3, q8, z2, z4):
+        # dim^2 against the definition 1 / (d_~x * d_x)(e), called on the base class,
+        # and the sum of the masses against the Haar sum
+        s3_z4 = product_dual([s3, z4])
+        cases = [(H, list(H.universe)) for H in (z2, z4, s3, q8, product_dual([s3, q8, z2]))]
+        cases += [(product_dual([s3_z4, su2]), list(itertools.product(s3_z4.universe, range(11)))),
+                  (su2, list(range(31)))]
+        for H, labels in cases:
+            masses = [H._haar(x) for x in labels]
+            assert masses == [core.Hypergroup._haar(H, x) for x in labels], H.name
+            assert H._haar_sum(labels) == sum(masses)
+        assert su2._haar_sum(range(31)) == su2._haar_sum(list(range(31)))
+        assert [len(labels) for _, labels in cases] == [2, 4, 3, 5, 30, 132, 31]
+
+    def test_factor_that_is_not_a_dual_is_refused(self, s3):
+        generic = core.Hypergroup(name="generic", identity=0, commutative=True, universe=[0])
+        with pytest.raises(UsageError, match="is not a Dual"):
+            product_dual([s3, generic])
+
     def test_infinite_product_haar_makes_no_fusion(self, su2, s3, monkeypatch):
         def refuse(self, x, y):
             raise AssertionError("the Haar mass of a product fused labels")

@@ -2,8 +2,9 @@
 character-table examples parse and pass the axioms.
 
 A name the library no longer has, left in the tour, fails here, and so does
-a table example the parser no longer reads, or a quadrature figure that the
-library no longer has.
+a table example the parser no longer reads, a quadrature figure that the
+library no longer has, or an error category and exit code that the error
+types no longer carry.
 """
 
 import json
@@ -13,13 +14,24 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hypergroups import check_axioms, finite_group_dual, parse_character_table, su2num
+from hypergroups import (
+    CapacityError,
+    HypergroupError,
+    InvalidTableError,
+    NumericError,
+    UsageError,
+    check_axioms,
+    finite_group_dual,
+    parse_character_table,
+    su2num,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_library_tour_runs():
-    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
     assert len(blocks) == 1
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
@@ -30,7 +42,7 @@ def test_library_tour_runs():
 
 
 def test_table_format_examples_parse_and_pass_the_axioms():
-    text = (ROOT / "README.md").read_text()
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("## Character table file format", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(r"```json\n(.*?)```", section, re.S)
     assert len(blocks) >= 2
@@ -42,8 +54,15 @@ def test_table_format_examples_parse_and_pass_the_axioms():
 
 def test_quadrature_figures_match_the_library():
     # wrapped lines joined, so a figure may break across them
-    text = " ".join((ROOT / "README.md").read_text().split())
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
     chunks = re.findall(r"`su2num\.CHUNK_PIECES` \(([\d ]+)\)", text)
     assert chunks and {int(c.replace(" ", "")) for c in chunks} == {su2num.CHUNK_PIECES}
     nodes = re.findall(r"(\d+) nodes a piece", text)
     assert nodes and {int(n) for n in nodes} == {su2num.QUADRATURE_LADDER[0][0]}
+
+
+def test_error_categories_match_the_error_types():
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    listed = re.findall(r"`([a-z-]+)` \((\d)\)", text)
+    types = (UsageError, InvalidTableError, CapacityError, NumericError, HypergroupError)
+    assert listed == [(t.category, str(t.exit_code)) for t in types]

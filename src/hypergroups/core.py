@@ -284,7 +284,10 @@ class Hypergroup:
         self.name = name
         self._identity = identity
         self._commutative = bool(commutative)
-        self._universe = tuple(sorted(universe)) if universe is not None else None
+        self.is_finite = universe is not None
+        # the labels as given, sorted on the first read of universe
+        self._labels = universe
+        self._universe: tuple[Label, ...] | None = None
         self._fusion_cache: dict[tuple[Label, Label], FiniteMeasure] = {}
 
     @property
@@ -297,12 +300,11 @@ class Hypergroup:
 
     @property
     def universe(self) -> tuple[Label, ...] | None:
-        """All labels for finite hypergroups, None for infinite ones."""
+        """All labels for finite hypergroups, sorted on the first read; None for infinite ones."""
+        if self._universe is None and self.is_finite:
+            self._universe = tuple(sorted(self._labels))
+            self._labels = None
         return self._universe
-
-    @property
-    def is_finite(self) -> bool:
-        return self._universe is not None
 
     def _rule(self, x: Label, y: Label) -> dict[Label, Fraction]:  # the masses of d_x * d_y
         raise NotImplementedError
@@ -389,7 +391,7 @@ class Hypergroup:
         return _support_product_loops(self, A, B)
 
     def __repr__(self) -> str:
-        size = len(self._universe) if self._universe is not None else "infinite"
+        size = len(self.universe) if self.is_finite else "infinite"
         return f"<Hypergroup {self.name} ({size})>"
 
 

@@ -246,6 +246,8 @@ def poly_sum(f: Callable[[int], Any], n: int, deg: int) -> Fraction:
 
 _NEWTON_SWEEPS = 8
 _ROOT_SLACK = 4 * float(np.spacing(math.pi))
+# brackets per block of kernel_roots: the block's working arrays stay in cache
+_ROOT_BLOCK = 1 << 15
 
 
 def kernel_roots(M: int) -> np.ndarray:
@@ -270,40 +272,48 @@ def kernel_roots(M: int) -> np.ndarray:
     tangents, both of small arguments; a tangent of a theta itself, up to
     3e6 rad, would cost five times as much.  It starts one arctan step below
     the right end, phi_0 = pi/2 - arctan(1 / (2a tan(hi/2))), which solves
-    tan(phi) = 2a tan(theta/2) with the right side frozen at the end, and
-    stops once no step moves theta by more than a few ulps of pi (3 to 4
-    sweeps).
+    tan(phi) = 2a tan(theta/2) with the right side frozen at the end.  Each
+    root stops on its own, once its step moves theta by at most a few ulps
+    of pi, and later sweeps run only on the roots still moving: at
+    M = 965 604, 265 of them after the first sweep.  The brackets are
+    solved in blocks of _ROOT_BLOCK, each written into the one result
+    array, so beside the M - 1 roots a call holds a few arrays of one block.
     Neither the convergence nor the rounding is proven, so the result is
-    checked: exactly M - 1 strictly increasing roots, each in its bracket
-    up to a few ulps (near pi a root can round past the right end).  A
-    violation raises InternalInvariantError.
+    checked: a root still moving after _NEWTON_SWEEPS sweeps, or anything
+    but M - 1 strictly increasing roots each in its bracket up to a few
+    ulps (near pi a root can round past the right end), raises
+    InternalInvariantError.
     """
     if M <= 1:
         return np.empty(0)
     a = M + 0.5
-    # bracket k is [k pi, k pi + pi/2] / a.  Only k_pi and phi live through
-    # the search, and the roots are formed in phi's place: each further
-    # array of M floats raised the peak RSS of the D = 1.1 witness by up to
-    # 16 MB (M = 965 604), through the allocator rather than the arrays'
-    # own peak
-    k_pi = np.arange(1, M) * math.pi
-    phi = 0.5 * math.pi - np.arctan(1.0 / (2 * a * np.tan((0.5 / a) * (k_pi + 0.5 * math.pi))))
     scale = (2 * a * a - 0.5) / a
-    for _ in range(_NEWTON_SWEEPS):
-        step = 1.0 / np.tan((0.5 / a) * (k_pi + phi))
-        step -= 2 * a / np.tan(phi)
-        step /= scale
-        phi -= step
-        if np.max(np.abs(step)) <= a * _ROOT_SLACK:
-            break
-    else:
-        raise InternalInvariantError(f"kernel_roots({M}): Newton did not converge")
-    phi += k_pi
-    phi /= a
-    theta = phi
-    inside = ((theta >= k_pi / a - _ROOT_SLACK)
-              & (theta <= (k_pi + 0.5 * math.pi) / a + _ROOT_SLACK))
-    if not (inside.all() and np.all(np.diff(theta) > 0)):
+    theta = np.empty(M - 1)
+    inside = True
+    for start in range(1, M, _ROOT_BLOCK):
+        # bracket k is [k pi, k pi + pi/2] / a
+        k_pi = np.arange(start, min(start + _ROOT_BLOCK, M)) * math.pi
+        phi = 0.5 * math.pi - np.arctan(1.0 / (2 * a * np.tan((0.5 / a) * (k_pi + 0.5 * math.pi))))
+        # the whole block, then the indices of the roots still moving
+        moving = slice(None)
+        for _ in range(_NEWTON_SWEEPS):
+            step = 1.0 / np.tan((0.5 / a) * (k_pi[moving] + phi[moving]))
+            step -= 2 * a / np.tan(phi[moving])
+            step /= scale
+            phi[moving] -= step
+            still = np.abs(step) > a * _ROOT_SLACK
+            moving = np.flatnonzero(still) if isinstance(moving, slice) else moving[still]
+            if not moving.size:
+                break
+        else:
+            raise InternalInvariantError(f"kernel_roots({M}): Newton did not converge")
+        block = theta[start - 1:start - 1 + k_pi.size]
+        np.add(phi, k_pi, out=block)
+        block /= a
+        inside &= bool(np.all((block >= k_pi / a - _ROOT_SLACK)
+                              & (block <= (k_pi + 0.5 * math.pi) / a + _ROOT_SLACK)))
+    # the order check runs over the whole array, so it covers the block seams
+    if not (inside and np.all(np.diff(theta) > 0)):
         raise InternalInvariantError(
             f"kernel_roots({M}): roots are not one per bracket in increasing order")
     return theta
@@ -485,7 +495,8 @@ _PI_MID = math.pi - _PI_HI
 _PI_LO = 1.2246467991473532e-16
 
 
-def _half_phase_tangent(a: float, left: np.ndarray, offset: Any) -> np.ndarray:
+def _half_phase_tangent(a: float, left: np.ndarray, offset: Any,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """tan(a (left + offset) / 2), with the phase reduced once per left end.
 
     x = (a/2) left loses nothing to the reduction x - k pi, k = rint(x/pi):
@@ -497,19 +508,20 @@ def _half_phase_tangent(a: float, left: np.ndarray, offset: Any) -> np.ndarray:
     plus (a/2) offset, where numpy's tangent is fast.  The exactness needs
     |k| < 2^23, which holds for a < 2^24 and left <= pi; the interval
     plateaus' support budget, MAX_INTERVAL_SUPPORT, keeps a below 2^22 + 1.
+    The tangents are written into ``out`` when it is given.
     """
     x = (0.5 * a) * left
     k = np.rint(x * (1.0 / math.pi))
     x -= k * _PI_HI
     x -= k * _PI_MID
     x -= k * _PI_LO
-    phase = np.multiply(offset, 0.5 * a)
+    phase = np.multiply(offset, 0.5 * a, out=out)
     phase += x
     return np.tan(phase, out=phase)
 
 
-def _abs_kernel_product(a_p: float, a_q: float, left: np.ndarray,
-                        offset: Any = 0.0) -> np.ndarray:
+def _abs_kernel_product(a_p: float, a_q: float, left: np.ndarray, offset: Any = 0.0,
+                        out: np.ndarray | None = None, work: Any = (None,) * 5) -> np.ndarray:
     """4 |S_P(theta) S_Q(theta)| at theta = left + offset, for a = M + 1/2.
 
     With t = tan(theta/2) and u = tan(a theta/2) the half-angle formulas give
@@ -525,10 +537,18 @@ def _abs_kernel_product(a_p: float, a_q: float, left: np.ndarray,
     so every tangent here takes a small argument.  ``left`` may be a column
     of piece ends with one ``offset`` row per end, or any array with
     ``offset`` 0.
+
+    The values go into ``out`` and the five intermediates (t, the two u,
+    the second numerator and a t) into the arrays of ``work``, each of the
+    shape of left + offset; any not given is allocated, to the same bits.
     """
-    t = np.tan(0.5 * (left + offset))
-    num, den = _tangent_fraction(a_p, t, _half_phase_tangent(a_p, left, offset))
-    num_q, den_q = _tangent_fraction(a_q, t, _half_phase_tangent(a_q, left, offset))
+    t, u_p, u_q, num_q, at = work
+    t = np.add(left, offset, out=t)
+    t *= 0.5
+    np.tan(t, out=t)
+    num, den = _tangent_fraction(a_p, t, _half_phase_tangent(a_p, left, offset, u_p), out, at)
+    num_q, den_q = _tangent_fraction(a_q, t, _half_phase_tangent(a_q, left, offset, u_q),
+                                     num_q, at)
     num *= num_q
     den *= den_q
     t *= t
@@ -540,15 +560,23 @@ def _abs_kernel_product(a_p: float, a_q: float, left: np.ndarray,
     return np.abs(num, out=num)
 
 
-def _tangent_fraction(a: float, t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """h as the pair (u - a t (1 - u^2), 1 + u^2), elementwise; ``u`` becomes the second."""
-    num = u * u
+def _tangent_fraction(a: float, t: np.ndarray, u: np.ndarray, num: np.ndarray | None = None,
+                      at: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """h as the pair (u - a t (1 - u^2), 1 + u^2), elementwise; ``u`` becomes the second.
+
+    The first is written into ``num``, and a t into ``at``, when they are given.
+    """
+    num = np.multiply(u, u, out=num)
     num -= 1.0
-    num *= a * t
+    num *= np.multiply(a, t, out=at)
     num += u
     u *= u
     u += 1.0
     return num, u
+
+
+# pieces per block of the interval integrand: one block's workspace stays in cache
+_INTEGRAND_BLOCK = 2048
 
 
 def interval_product_l1(P: int, Q: int, tolerance: float) -> tuple[float, float]:
@@ -558,16 +586,28 @@ def interval_product_l1(P: int, Q: int, tolerance: float) -> tuple[float, float]
     plateau K = {0..k2}, V = {0..m2}, as h(V) = S(Q).  The ladder of
     :func:`_refine_chunks` integrates the fused 4 |S_P S_Q| between the
     breaks of :func:`interval_product_breakpoints`, where it vanishes, and
-    scales each chunk's value and residual by 1/(2 pi S(Q)).
+    scales each chunk's value and residual by 1/(2 pi S(Q)).  The integrand
+    runs over each gauss_kronrod batch in blocks of _INTEGRAND_BLOCK pieces,
+    writing the values into the batch's array and the intermediates into
+    one workspace allocated once per call, so a batch allocates only its
+    values.
     """
     a_p, a_q = P + 0.5, Q + 0.5
     scale = 0.5 / math.pi  # 2/pi for the normalisation, 1/4 for the integrand
     h = float(sum_squares(Q))
+    workspace = np.empty((5, _CHUNK_NODES))
+
+    def integrand(left: np.ndarray, offset: np.ndarray) -> np.ndarray:
+        values = np.empty(offset.shape)
+        for start in range(0, len(left), _INTEGRAND_BLOCK):
+            rows = slice(start, start + _INTEGRAND_BLOCK)
+            block = values[rows]
+            _abs_kernel_product(a_p, a_q, left[rows], offset[rows], block,
+                                [w[:block.size].reshape(block.shape) for w in workspace])
+        return values
 
     def quadrature(order: int, split: int, chunk: np.ndarray) -> tuple[float, float]:
-        total, residual = gauss_kronrod(
-            lambda left, offset: _abs_kernel_product(a_p, a_q, left, offset),
-            chunk, split, order)
+        total, residual = gauss_kronrod(integrand, chunk, split, order)
         return scale * total / h, scale * residual / h
 
     return _refine_chunks(quadrature, interval_product_breakpoints(P, Q), tolerance)

@@ -14,7 +14,9 @@ tables can be checked against one table of the whole group.
 A-norms on su2-hat: :func:`interval_product_l1_antiderivative` and
 :func:`a_norm_su2_antiderivative` integrate by antiderivatives between
 sign changes, so the quadrature has an oracle that shares none of it.
-:func:`kernel_sum` is S_M in closed form, for the kernel-zero checks.
+:func:`kernel_sum` is S_M in closed form, for the kernel-zero checks, and
+:func:`kernel_roots_every_sweep` is the Newton iteration for the zeros that
+sweeps every root until all have stopped.
 
 The defining loops the library's contractions replaced: associativity by
 extending each triple's fusions in Fractions
@@ -49,6 +51,7 @@ from hypergroups.core import (
     support_product,
 )
 from hypergroups.leptin import LeptinCertificate, _epsilon, leptin_ratio
+from hypergroups.su2num import _NEWTON_SWEEPS, _ROOT_SLACK
 
 
 def leptin_search_greedy_loops(
@@ -312,3 +315,35 @@ def a_norm_su2_antiderivative(v: dict[int, float], grid_factor: int = 64) -> flo
     zeros = _bisect(s, grid[flips], grid[flips + 1])
     breaks = np.concatenate([[0.0], zeros, [math.pi]])
     return _antiderivative_l1(e[0], e[1:], breaks)
+
+
+# ---------------------------------------------------------------------------
+# Kernel zeros with no per-root stopping and no blocks
+# ---------------------------------------------------------------------------
+
+
+def kernel_roots_every_sweep(M: int) -> np.ndarray:
+    """The zeros of S_M by su2num.kernel_roots' Newton iteration, every root every sweep.
+
+    One array of all M - 1 brackets, swept until the largest step of any
+    root is within the slack; the library stops each root on its own and
+    works block by block, and must return the same bits.
+    """
+    if M <= 1:
+        return np.empty(0)
+    a = M + 0.5
+    k_pi = np.arange(1, M) * math.pi
+    phi = 0.5 * math.pi - np.arctan(1.0 / (2 * a * np.tan((0.5 / a) * (k_pi + 0.5 * math.pi))))
+    scale = (2 * a * a - 0.5) / a
+    for _ in range(_NEWTON_SWEEPS):
+        step = 1.0 / np.tan((0.5 / a) * (k_pi + phi))
+        step -= 2 * a / np.tan(phi)
+        step /= scale
+        phi -= step
+        if np.max(np.abs(step)) <= a * _ROOT_SLACK:
+            break
+    else:
+        raise InternalInvariantError(f"kernel_roots_every_sweep({M}): Newton did not converge")
+    phi += k_pi
+    phi /= a
+    return phi

@@ -364,6 +364,21 @@ class TestCommands:
         assert (code, err) == (0, "")
         assert out == f"h(({', '.join(['rho'] * 12)})) = 16777216\n"
 
+    def test_haar_of_a_finite_product_with_labels_sorts_no_universe(self, capsys, monkeypatch):
+        # the 531 441 labels of 12 copies of s3 are sorted only when read;
+        # the product reads each factor's universe of 3 labels to price itself
+        def refuse(self):
+            raise AssertionError("the haar of one label read the product's universe")
+
+        monkeypatch.setattr(ProductDual, "universe", property(refuse))
+        resolve_dual("s3")  # load the table first: only the product is measured
+        code, out, err, peak = run_cli_traced(capsys, "haar", "--dual", ",".join(["s3"] * 12),
+                                              "--labels", "|".join(["rho"] * 12))
+        assert (code, err) == (0, "")
+        assert out == f"h(({', '.join(['rho'] * 12)})) = 16777216\n"
+        # sorted when built, the label tuples alone took about 80 MB
+        assert peak < 1 << 20
+
     def test_haar_listing_budget_bites(self, capsys, monkeypatch):
         monkeypatch.setattr(hypergroups.cli, "MAX_HAAR_ROWS", 10)
         code, _, err = run_cli(capsys, "haar", "--dual", "su2", "--max-ell", "5")

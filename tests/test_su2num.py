@@ -13,10 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypergroups
-from hypergroups import NumericError, QuadratureConfig
+from hypergroups import InternalInvariantError, NumericError, QuadratureConfig
 from hypergroups import su2num
 from hypergroups.fourier import Su2IntervalBump
-from oracles import interval_product_l1_antiderivative, kernel_sum
+from oracles import interval_product_l1_antiderivative, kernel_roots_every_sweep, kernel_sum
+
+# brackets per block of kernel_roots
+B = su2num._ROOT_BLOCK
 
 
 def bisection_kernel_roots(M, grid_factor=4, iterations=40):
@@ -83,6 +86,19 @@ class TestKernelRoots:
         assert np.all(np.diff(roots) > 0)
         assert np.all(roots >= k * math.pi / a - slack)
         assert np.all(roots <= (k + 0.5) * math.pi / a + slack)
+
+    @pytest.mark.parametrize("M", [2, 3, 7, B - 1, B, B + 1, B + 2, 2 * B + 1, 28_780, 30_668,
+                                   906_158, 965_604])
+    def test_equals_sweeping_every_root_bit_for_bit(self, M):
+        # per-root stopping and the blocks change no bit: M = B + 1 fills
+        # one block, B + 2 leaves one root for a second, 2B + 1 fills two
+        assert su2num.kernel_roots(M).tobytes() == kernel_roots_every_sweep(M).tobytes()
+
+    def test_a_root_still_moving_after_the_last_sweep_raises(self, monkeypatch):
+        # at M = 965 604, 265 roots still move after the first sweep
+        monkeypatch.setattr(su2num, "_NEWTON_SWEEPS", 1)
+        with pytest.raises(InternalInvariantError, match=r"kernel_roots\(965604\): Newton did not"):
+            su2num.kernel_roots(965_604)
 
     def test_kernel_vanishes_at_roots(self):
         M = 975
@@ -405,6 +421,32 @@ class TestIntervalProductL1:
         envelope = (1.0 + t * t) / t**4 * (1.0 + a_p * t) * (1.0 + a_q * t)
         reduced = su2num._abs_kernel_product(a_p, a_q, left, offset)
         assert np.max(np.abs(reduced - unreduced) / envelope) <= 1e-14
+
+    def test_blocked_integrand_equals_one_unblocked_call(self, monkeypatch):
+        # stage 4 at 1e-7: every chunk on the Lobatto-Kronrod rung, chunk 0
+        # on K21 too.  Each batch's values, block by block over one
+        # workspace, are the bits of one _abs_kernel_product call over it
+        k2, m2 = 1888, 28_779
+        P, Q = k2 + m2 + 1, m2 + 1
+        batches = []
+        original = su2num.gauss_kronrod
+
+        def comparing(fn, breaks, split, order=21):
+            def integrand(left, offset):
+                values = fn(left, offset)
+                whole = su2num._abs_kernel_product(P + 0.5, Q + 0.5, left, offset)
+                batches.append((order, split, len(left), values.tobytes() == whole.tobytes()))
+                return values
+
+            return original(integrand, breaks, split, order)
+
+        monkeypatch.setattr(su2num, "gauss_kronrod", comparing)
+        su2num.interval_product_l1(P, Q, 1e-7)
+        assert {(order, split) for order, split, _, _ in batches} == {(7, 1), (21, 1)}
+        assert all(same for *_, same in batches)
+        # batches of several blocks, each ending in a partial block
+        assert max(pieces for _, _, pieces, _ in batches) > 4 * su2num._INTEGRAND_BLOCK
+        assert all(pieces % su2num._INTEGRAND_BLOCK for _, _, pieces, _ in batches)
 
     def test_unreachable_tolerance_raises_after_the_8x_split(self, su2, monkeypatch):
         calls = self._record_passes(monkeypatch)

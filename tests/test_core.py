@@ -1,7 +1,9 @@
 """Exact measure/function plumbing and the axiom suite."""
 
+import math
 import time
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -494,17 +496,40 @@ def _engine_and_oracle(H, sample):
     S = sorted(sample)
     T = sorted(support_product(H, S, S))
     W = sorted(support_product(H, T, S) | support_product(H, S, T))
-    dtypes = []
-    real = core._scaled_tensor
-
-    def spy(rows, index, scale, dtype):
-        dtypes.append(dtype)
-        return real(rows, index, scale, dtype)
-
-    with mock.patch.object(core, "_scaled_tensor", spy):
+    with _observed_paths() as calls:
         got = _associativity_failures(H, S, T, W)
     want = associativity_failures_loops(H, [(x, y, z) for x in S for y in S for z in S])
-    return got, want, set(dtypes)
+    return got, want, {dtype for _, _, dtype in calls}
+
+
+@contextmanager
+def _observed_paths():
+    """The (|T|, m, dtype) of each _contraction_dtype call inside the block, in order."""
+    calls = []
+    real = core._contraction_dtype
+
+    def spy(t, m):
+        calls.append((t, m, real(t, m)))
+        return calls[-1][2]
+
+    with mock.patch.object(core, "_contraction_dtype", spy):
+        yield calls
+
+
+def _int64_path():
+    """The float64 band closed, so every contraction under 2^63 runs in int64."""
+    return mock.patch.object(core, "FLOAT64_LIMIT", 0)
+
+
+_s3_corruptions = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+              st.fractions(min_value=Fraction(1, 10), max_value=1, max_denominator=10)),
+    min_size=1, max_size=3)
+
+
+def _s3():
+    from hypergroups import builtin_table, finite_group_dual
+    return finite_group_dual(builtin_table("s3"))
 
 
 _su2_corruption = st.tuples(st.integers(0, 16), st.integers(0, 8), st.integers(0, 24),
@@ -526,35 +551,69 @@ class TestAssociativityEngine:
         assert dtypes == {object}
         assert got and got == want
 
-    @given(corruptions=st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
-                  st.fractions(min_value=Fraction(1, 10), max_value=1, max_denominator=10)),
-        min_size=1, max_size=3))
+    @given(corruptions=_s3_corruptions)
     @settings(max_examples=40, deadline=None)
     def test_s3_int64_path_matches_loops(self, corruptions):
-        from hypergroups import builtin_table, finite_group_dual
-        s3 = finite_group_dual(builtin_table("s3"))
-        H = _Perturbed(s3, corruptions, "corrupted-s3")
-        got, want, dtypes = _engine_and_oracle(H, range(3))
+        H = _Perturbed(_s3(), corruptions, "corrupted-s3")
+        with _int64_path():
+            got, want, dtypes = _engine_and_oracle(H, range(3))
         assert dtypes == {np.int64}
         assert got == want
 
-    def test_su2_runs_in_int64_with_dimension_weights(self):
-        dtypes = []
-        real = core._scaled_tensor
+    @given(corruptions=_s3_corruptions)
+    @settings(max_examples=40, deadline=None)
+    def test_s3_float64_path_matches_loops(self, corruptions):
+        H = _Perturbed(_s3(), corruptions, "corrupted-s3")
+        got, want, dtypes = _engine_and_oracle(H, range(3))
+        assert dtypes == {np.float64}
+        assert got == want
 
-        def spy(rows, index, scale, dtype):
-            dtypes.append(dtype)
-            return real(rows, index, scale, dtype)
-
-        with mock.patch.object(core, "_scaled_tensor", spy):
+    def _su2_paths(self):
+        """(weighted report, unweighted report, their paths) of check_axioms(su2, range(15))."""
+        with _observed_paths() as calls:
             weighted = check_axioms(_SU2, range(15))
-            assert dtypes == [np.int64] * 3
             with mock.patch.object(type(_SU2), "_dimension", Hypergroup._dimension):
                 unweighted = check_axioms(_su2_dual(), range(15))
-            assert dtypes[3:] == [object] * 3
         assert weighted.ok
         assert weighted.to_json_dict() == unweighted.to_json_dict()
+        return [dtype for _, _, dtype in calls]
+
+    def test_su2_runs_in_int64_with_dimension_weights(self):
+        with _int64_path():
+            assert self._su2_paths() == [np.int64, object]
+
+    def test_su2_runs_in_float64_with_dimension_weights(self):
+        assert self._su2_paths() == [np.float64, object]
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_float64_band_ends_at_2_53(self, above):
+        # on S3 weighted by dimension, |T| = 3, L = 1 and the scaled masses are the
+        # multiplicities; the corruption makes the one of 0 in fuse(0, 0) m
+        m = math.isqrt((2 ** 53 - 1) // 3) + above
+        assert (3 * m * m < 2 ** 53) is not above
+        s3 = _s3()
+        H = _Perturbed(s3, [(0, 0, 0, Fraction(m - 1))], "corrupted-s3")
+        H._dimension = s3._dimension
+        with _observed_paths() as calls:
+            got, want, _ = _engine_and_oracle(H, range(3))
+        assert calls == [(3, m, np.int64 if above else np.float64)]
+        assert got and got == want
+
+    def test_every_path_names_the_same_failures_in_order(self):
+        H = _Perturbed(_SU2, [(2, 3, 1, Fraction(1, 9)), (4, 4, 2, Fraction(2, 7)),
+                              (6, 1, 7, Fraction(1, 3))], "corrupted-su2")
+        H._dimension = _SU2._dimension
+        got, want, dtypes = _engine_and_oracle(H, range(9))
+        assert dtypes == {np.float64}
+        assert len(want) > 3 and got == want
+        for dtype in (np.int64, object):
+            with mock.patch.object(core, "_contraction_dtype", lambda t, m: dtype):
+                assert _engine_and_oracle(H, range(9)) == (want, want, {dtype})
+
+    def test_a_support_label_missing_from_t_is_an_invariant_error(self, s3):
+        # fuse(rho, rho) holds rho, which this T leaves out
+        with pytest.raises(core.InternalInvariantError, match="missing from support_product"):
+            _associativity_failures(s3, [0, 1, 2], [0, 1], [0, 1, 2])
 
     def test_dimensions(self, s3, q8):
         from hypergroups import product_dual

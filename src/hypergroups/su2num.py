@@ -15,7 +15,8 @@ exact is plain `int`/`Fraction`, the quadrature is numpy float64.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import functools
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from typing import Any
 
@@ -250,9 +251,11 @@ _ROOT_SLACK = 4 * float(np.spacing(math.pi))
 _ROOT_BLOCK = 1 << 15
 
 
-def kernel_roots(M: int) -> np.ndarray:
-    """Interior zeros of S_M on (0, pi), in increasing order, by Newton's method.
+def kernel_roots(M: int, lo: int = 1, hi: int | None = None) -> np.ndarray:
+    """Zeros k = lo .. hi-1 of S_M in (0, pi), in increasing order, by Newton's method.
 
+    Zero k is the one in bracket k below; by default (lo = 1, hi = M) these
+    are all M - 1 interior zeros.  A range outside 1 .. M raises ValueError.
     With a = M + 1/2, S_M(theta) = g(theta) / (4 sin^2(theta/2)), where
 
         g(theta)  = cos(theta/2) sin(a theta) - 2a sin(theta/2) cos(a theta),
@@ -275,24 +278,27 @@ def kernel_roots(M: int) -> np.ndarray:
     tan(phi) = 2a tan(theta/2) with the right side frozen at the end.  Each
     root stops on its own, once its step moves theta by at most a few ulps
     of pi, and later sweeps run only on the roots still moving: at
-    M = 965 604, 265 of them after the first sweep.  The brackets are
-    solved in blocks of _ROOT_BLOCK, each written into the one result
-    array, so beside the M - 1 roots a call holds a few arrays of one block.
-    Neither the convergence nor the rounding is proven, so the result is
-    checked: a root still moving after _NEWTON_SWEEPS sweeps, or anything
-    but M - 1 strictly increasing roots each in its bracket up to a few
-    ulps (near pi a root can round past the right end), raises
-    InternalInvariantError.
+    M = 965 604, 265 of them after the first sweep.  So every root's bits
+    depend on its k alone, and a range holds the bits of the same roots of
+    the whole array.  The brackets are solved in blocks of _ROOT_BLOCK,
+    each written into the one result array, so beside the hi - lo roots a
+    call holds a few arrays of one block.  Neither the convergence nor the
+    rounding is proven, so the result is checked: a root still moving after
+    _NEWTON_SWEEPS sweeps, or anything but strictly increasing roots each
+    in its bracket up to a few ulps (near pi a root can round past the
+    right end), raises InternalInvariantError.  The order check covers the
+    seams between blocks; a caller that joins ranges checks its own seams.
     """
-    if M <= 1:
-        return np.empty(0)
+    hi = max(M, 1) if hi is None else hi
+    if not 1 <= lo <= hi <= max(M, 1):
+        raise ValueError(f"kernel_roots({M}): no bracket range {lo} .. {hi - 1}")
     a = M + 0.5
     scale = (2 * a * a - 0.5) / a
-    theta = np.empty(M - 1)
+    theta = np.empty(hi - lo)
     inside = True
-    for start in range(1, M, _ROOT_BLOCK):
+    for start in range(lo, hi, _ROOT_BLOCK):
         # bracket k is [k pi, k pi + pi/2] / a
-        k_pi = np.arange(start, min(start + _ROOT_BLOCK, M)) * math.pi
+        k_pi = np.arange(start, min(start + _ROOT_BLOCK, hi)) * math.pi
         phi = 0.5 * math.pi - np.arctan(1.0 / (2 * a * np.tan((0.5 / a) * (k_pi + 0.5 * math.pi))))
         # the whole block, then the indices of the roots still moving
         moving = slice(None)
@@ -307,7 +313,7 @@ def kernel_roots(M: int) -> np.ndarray:
                 break
         else:
             raise InternalInvariantError(f"kernel_roots({M}): Newton did not converge")
-        block = theta[start - 1:start - 1 + k_pi.size]
+        block = theta[start - lo:start - lo + k_pi.size]
         np.add(phi, k_pi, out=block)
         block /= a
         inside &= bool(np.all((block >= k_pi / a - _ROOT_SLACK)
@@ -432,31 +438,36 @@ QUADRATURE_LADDER = ((7, 1), (21, 1), (21, 2), (21, 4), (21, 8))
 CHUNK_PIECES = _CHUNK_NODES // QUADRATURE_LADDER[0][0]
 
 
-def _refine_chunks(quadrature, breaks: np.ndarray, tolerance: float) -> tuple[float, float]:
+def _refine_chunks(quadrature, chunks: Iterable[tuple[np.ndarray, Callable[[], np.ndarray]]],
+                   tolerance: float) -> tuple[float, float]:
     """Climb QUADRATURE_LADDER chunk by chunk until the residuals fit the tolerance.
 
-    ``quadrature(order, split, chunk)`` returns (value, residual) over the
-    pieces between the breaks ``chunk``; the integrand must vanish at every
-    break, which the first rung does not evaluate.  ``breaks`` is cut into
-    runs of CHUNK_PIECES pieces, and every chunk is integrated on the first
-    rung.
+    ``quadrature(order, split, breaks)`` returns (value, residual) over the
+    pieces between ``breaks``; the integrand must vanish at every break,
+    which the first rung does not evaluate.  ``chunks`` yields each chunk
+    once, in order, as its breaks and a callable that makes the same breaks
+    again; consecutive chunks share their end breaks.  Every chunk is
+    integrated on the first rung as it comes, and only its callable is
+    kept, so the breaks of one chunk at a time are alive.
     While the residuals sum to more than the tolerance, the chunk with the
     largest residual among those below the last rung climbs one rung and
-    is integrated again over its own pieces: QUADPACK's globally adaptive
-    scheme, with chunks in place of single intervals, so only the chunks
-    where the error lies (for the interval plateaus, the few next to
-    theta = 0) pay for the finer rules.  Returns (value, residual): the sum
-    of the chunk values in chunk order and the summed residual.  Once every
-    chunk is on the last rung and the sum still misses, raises NumericError
-    carrying it.
+    is integrated again over its own pieces, made again: QUADPACK's
+    globally adaptive scheme, with chunks in place of single intervals, so
+    only the chunks where the error lies (for the interval plateaus, the
+    few next to theta = 0) pay for the finer rules.  Returns (value,
+    residual): the sum of the chunk values in chunk order and the summed
+    residual.  Once every chunk is on the last rung and the sum still
+    misses, raises NumericError carrying it.
     """
-    chunks = [breaks[start:start + CHUNK_PIECES + 1]
-              for start in range(0, len(breaks) - 1, CHUNK_PIECES)]
     # the bookkeeping is in plain lists: numpy's argmax alone, first called
     # here, raised the peak RSS of a generic su2-hat A-norm by 0.3 MB
-    values, residuals = map(list, zip(*(quadrature(*QUADRATURE_LADDER[0], chunk)
-                                        for chunk in chunks)))
-    rungs = [0] * len(chunks)
+    values, residuals, remake = [], [], []
+    for breaks, again in chunks:
+        value, residual = quadrature(*QUADRATURE_LADDER[0], breaks)
+        values.append(value)
+        residuals.append(residual)
+        remake.append(again)
+    rungs = [0] * len(values)
     last = len(QUADRATURE_LADDER) - 1
     while (residual := sum(residuals)) > tolerance:
         climbable = [i for i, rung in enumerate(rungs) if rung < last]
@@ -467,8 +478,15 @@ def _refine_chunks(quadrature, breaks: np.ndarray, tolerance: float) -> tuple[fl
         chunk = max(climbable, key=residuals.__getitem__)
         rungs[chunk] += 1
         values[chunk], residuals[chunk] = quadrature(*QUADRATURE_LADDER[rungs[chunk]],
-                                                     chunks[chunk])
+                                                     remake[chunk]())
     return sum(values), residual
+
+
+def _array_chunks(breaks: np.ndarray) -> Iterator[tuple[np.ndarray, Callable[[], np.ndarray]]]:
+    """The chunks of a whole break array for :func:`_refine_chunks`: runs of CHUNK_PIECES."""
+    for start in range(0, len(breaks) - 1, CHUNK_PIECES):
+        chunk = breaks[start:start + CHUNK_PIECES + 1]
+        yield chunk, lambda chunk=chunk: chunk
 
 
 def _breaks(merged: np.ndarray) -> np.ndarray:
@@ -482,9 +500,69 @@ def _breaks(merged: np.ndarray) -> np.ndarray:
     return merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
 
 
-def interval_product_breakpoints(P: int, Q: int) -> np.ndarray:
-    """0, pi and the interior zeros of S_P and S_Q, sorted, without repeats."""
-    return _breaks(np.concatenate([[0.0, math.pi], kernel_roots(P), kernel_roots(Q)]))
+def _chunk_breaks(first: float, *roots: np.ndarray) -> np.ndarray:
+    """The first CHUNK_PIECES + 1 of ``first``, pi and ``roots``, merged by :func:`_breaks`.
+
+    Each array of ``roots`` is sorted and lies above ``first``.  No break of
+    the chunk is missing when each holds CHUNK_PIECES zeros of its kernel or
+    every zero left, or at least every zero up to the chunk's last break.
+    """
+    return _breaks(np.concatenate([[first, math.pi], *roots]))[:CHUNK_PIECES + 1]
+
+
+def _zero_blocks(M: int) -> Iterator[np.ndarray]:
+    """The zeros of S_M in blocks of _ROOT_BLOCK from bracket 1 on, each solved when drawn."""
+    return (kernel_roots(M, start, min(start + _ROOT_BLOCK, M))
+            for start in range(1, M, _ROOT_BLOCK))
+
+
+def _interval_chunks(P: int, Q: int) -> Iterator[tuple[np.ndarray, Callable[[], np.ndarray]]]:
+    """The chunks of 0, pi and the zeros of S_P and S_Q, made one at a time.
+
+    One cursor per kernel solves its zeros once, in blocks of _ROOT_BLOCK
+    from bracket 1 on, and holds those not yet below a chunk's first break.
+    kernel_roots checks the order inside a block; a block whose first zero
+    is not above every zero held before it raises InternalInvariantError.
+    Each chunk holds the breaks of the sorted, deduplicated array of every
+    break cut into runs of CHUNK_PIECES pieces.  It is kept as three
+    numbers, its first break and the index of the first zero of S_P and of
+    S_Q above it, and is made again from those with the range form of
+    :func:`kernel_roots`, to the same bits.
+    """
+    kernels = (P, Q)
+    cursors = [_zero_blocks(M) for M in kernels]
+    held, first_zero = [np.empty(0), np.empty(0)], [0, 0]
+    first = 0.0
+    while first < math.pi:
+        for j, cursor in enumerate(cursors):
+            while held[j].size < CHUNK_PIECES and first_zero[j] + held[j].size < kernels[j] - 1:
+                seam = held[j].size
+                held[j] = np.concatenate([held[j], next(cursor)])
+                if not held[j][seam] > (held[j][seam - 1] if seam else first):
+                    raise InternalInvariantError(
+                        f"kernel_roots({kernels[j]}): zero {first_zero[j] + seam + 1} "
+                        "is not above the zeros before it")
+        # S_M has about a share M / (P + Q) of the chunk's zeros: merge that
+        # share and 64 more, or CHUNK_PIECES if a zero past the share may be missing
+        roots = [zeros[:CHUNK_PIECES * M // (P + Q) + 64] for zeros, M in zip(held, kernels)]
+        chunk = _chunk_breaks(first, *roots)
+        if any(share.size < min(zeros.size, CHUNK_PIECES) and chunk[-1] > share[-1]
+               for share, zeros in zip(roots, held)):
+            roots = [zeros[:CHUNK_PIECES] for zeros in held]
+            chunk = _chunk_breaks(first, *roots)
+        yield chunk, functools.partial(_interval_chunk, kernels, first, tuple(first_zero))
+        first = chunk[-1]
+        for j, zeros in enumerate(roots):
+            used = int(np.searchsorted(zeros, first, side="right"))
+            held[j] = held[j][used:]
+            first_zero[j] += used
+
+
+def _interval_chunk(kernels: tuple[int, int], first: float,
+                    first_zero: tuple[int, int]) -> np.ndarray:
+    """The chunk of :func:`_interval_chunks` that starts at ``first``, made again."""
+    return _chunk_breaks(first, *(kernel_roots(M, i + 1, min(i + 1 + CHUNK_PIECES, M))
+                                  for M, i in zip(kernels, first_zero)))
 
 
 # pi in three parts for the reduction in _half_phase_tangent: _PI_HI has 30
@@ -584,13 +662,17 @@ def interval_product_l1(P: int, Q: int, tolerance: float) -> tuple[float, float]
 
     For P = k2 + m2 + 1 and Q = m2 + 1 this is the A-norm of the interval
     plateau K = {0..k2}, V = {0..m2}, as h(V) = S(Q).  The ladder of
-    :func:`_refine_chunks` integrates the fused 4 |S_P S_Q| between the
-    breaks of :func:`interval_product_breakpoints`, where it vanishes, and
-    scales each chunk's value and residual by 1/(2 pi S(Q)).  The integrand
-    runs over each gauss_kronrod batch in blocks of _INTEGRAND_BLOCK pieces,
-    writing the values into the batch's array and the intermediates into
-    one workspace allocated once per call, so a batch allocates only its
-    values.
+    :func:`_refine_chunks` integrates the fused 4 |S_P S_Q| between 0, pi
+    and the zeros of S_P and S_Q, where it vanishes, and scales each
+    chunk's value and residual by 1/(2 pi S(Q)).  The breaks come from
+    :func:`_interval_chunks` one chunk at a time, so the call holds one
+    chunk and a block of zeros of each kernel, never every break.  The
+    integrand runs over each gauss_kronrod batch in blocks of
+    _INTEGRAND_BLOCK pieces, writing the values into the batch's array and
+    the intermediates into one workspace allocated once per call, so a
+    batch allocates only its values.  The memory is the same at every
+    stage: at the D = 1.1 stage 5 (1 871 762 breaks) the call's tracemalloc
+    peak is about 5 MiB, half of it that workspace.
     """
     a_p, a_q = P + 0.5, Q + 0.5
     scale = 0.5 / math.pi  # 2/pi for the normalisation, 1/4 for the integrand
@@ -610,7 +692,7 @@ def interval_product_l1(P: int, Q: int, tolerance: float) -> tuple[float, float]
         total, residual = gauss_kronrod(integrand, chunk, split, order)
         return scale * total / h, scale * residual / h
 
-    return _refine_chunks(quadrature, interval_product_breakpoints(P, Q), tolerance)
+    return _refine_chunks(quadrature, _interval_chunks(P, Q), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -707,4 +789,4 @@ def u_series_l1(coeffs: np.ndarray, tolerance: float) -> tuple[float, float]:
     breaks = _breaks(np.concatenate([[0.0, math.pi], u_series_roots_theta(coeffs)]))
     return _refine_chunks(
         lambda order, split, chunk: gauss_kronrod(integrand, chunk, split, order),
-        breaks, tolerance)
+        _array_chunks(breaks), tolerance)

@@ -16,9 +16,13 @@ A-norms on su2-hat: :func:`interval_product_l1_antiderivative` and
 sign changes, so the quadrature has an oracle that shares none of it.
 :func:`kernel_sum` is S_M in closed form, for the kernel-zero checks, and
 :func:`kernel_roots_every_sweep` is the Newton iteration for the zeros that
-sweeps every root until all have stopped.
+sweeps every root until all have stopped.  :func:`interval_product_breakpoints`
+makes every break of the interval integrand at once, and
+:func:`interval_product_l1_whole` climbs the ladder over that whole array, as
+the library did before it made its breaks chunk by chunk.
 
-The defining loops the library's contractions replaced: associativity by
+The defining loops the library's engines replaced: every ordered pair of a
+support product (:func:`support_product_ordered_loops`), associativity by
 extending each triple's fusions in Fractions
 (:func:`associativity_failures_loops`), and a character table's inner
 products, validation and multiplicities by its class loop
@@ -46,11 +50,13 @@ from hypergroups.core import (
     InternalInvariantError,
     InvalidTableError,
     Label,
+    NumericError,
     UsageError,
     count,
     support_product,
 )
 from hypergroups.leptin import LeptinCertificate, _epsilon, leptin_ratio
+from hypergroups import su2num
 from hypergroups.su2num import _NEWTON_SWEEPS, _ROOT_SLACK
 
 
@@ -132,6 +138,13 @@ def kronecker_table(*tables: CharacterTable) -> CharacterTable:
     sizes = [math.prod(parts) for parts in product(*(t.class_sizes for t in tables))]
     return CharacterTable(math.prod(t.group_order for t in tables), sizes, rows,
                           name="x".join(t.name for t in tables))
+
+
+def support_product_ordered_loops(
+    H: Hypergroup, A: Collection[Label], B: Collection[Label]
+) -> frozenset[Label]:
+    """The union of the fusion supports of every ordered pair of A x B."""
+    return frozenset(z for x in A for y in B for z in H._fuse(x, y).support)
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +360,51 @@ def kernel_roots_every_sweep(M: int) -> np.ndarray:
     phi += k_pi
     phi /= a
     return phi
+
+
+# ---------------------------------------------------------------------------
+# The interval A-norm over every break at once
+# ---------------------------------------------------------------------------
+
+
+def interval_product_breakpoints(P: int, Q: int) -> np.ndarray:
+    """0, pi and the interior zeros of S_P and S_Q, sorted, without repeats."""
+    return su2num._breaks(np.concatenate(
+        [[0.0, math.pi], su2num.kernel_roots(P), su2num.kernel_roots(Q)]))
+
+
+def interval_product_l1_whole(P: int, Q: int, tolerance: float) -> tuple[float, float]:
+    """su2num.interval_product_l1 with every break made before the first is integrated.
+
+    The whole array of :func:`interval_product_breakpoints` is cut into runs
+    of CHUNK_PIECES pieces, and the chunks climb QUADRATURE_LADDER by the
+    same rule, integrated by one unblocked integrand call per batch.  The
+    library must return the same bits.
+    """
+    a_p, a_q = P + 0.5, Q + 0.5
+    scale = 0.5 / math.pi
+    h = float(su2num.sum_squares(Q))
+
+    def integrand(left: np.ndarray, offset: np.ndarray) -> np.ndarray:
+        return su2num._abs_kernel_product(a_p, a_q, left, offset)
+
+    def quadrature(rung: int, chunk: np.ndarray) -> tuple[float, float]:
+        order, split = su2num.QUADRATURE_LADDER[rung]
+        total, residual = su2num.gauss_kronrod(integrand, chunk, split, order)
+        return scale * total / h, scale * residual / h
+
+    breaks = interval_product_breakpoints(P, Q)
+    pieces = su2num.CHUNK_PIECES
+    chunks = [breaks[start:start + pieces + 1] for start in range(0, len(breaks) - 1, pieces)]
+    values, residuals = map(list, zip(*(quadrature(0, chunk) for chunk in chunks)))
+    rungs = [0] * len(chunks)
+    last = len(su2num.QUADRATURE_LADDER) - 1
+    while (residual := sum(residuals)) > tolerance:
+        climbable = [i for i, rung in enumerate(rungs) if rung < last]
+        if not climbable:
+            raise NumericError(f"residual {residual:.3e} exceeds {tolerance:.3e}",
+                               residual=residual)
+        chunk = max(climbable, key=residuals.__getitem__)
+        rungs[chunk] += 1
+        values[chunk], residuals[chunk] = quadrature(rungs[chunk], chunks[chunk])
+    return sum(values), residual

@@ -21,10 +21,14 @@ from hypergroups import (
     LabelDomainError,
     UsageError,
     a_norm_su2,
+    builtin_table,
     bump,
     check_axioms,
     convolve_h,
+    finite_group_dual,
     involute,
+    product_dual,
+    su2_dual,
     support_product,
 )
 from hypergroups import core, duals
@@ -34,7 +38,7 @@ from hypergroups.core import (
     _support_product_loops,
     associativity_cost,
 )
-from oracles import associativity_failures_loops
+from oracles import associativity_failures_loops, support_product_ordered_loops
 
 half = Fraction(1, 2)
 
@@ -235,6 +239,53 @@ class TestSupportProduct:
     def test_empty(self, su2):
         assert support_product(su2, {1, 2}, set()) == frozenset()
         assert support_product(su2, set(), {1}) == frozenset()
+
+
+_S3 = finite_group_dual(builtin_table("s3"))
+_SU2_X_S3 = product_dual([su2_dual(), _S3])
+_MIRROR_DUALS = {
+    "s3": (_S3, st.sampled_from(sorted(_S3.universe))),
+    "s3xz4": (product_dual([_S3, finite_group_dual(builtin_table("z4"))]), None),
+    "su2xs3": (_SU2_X_S3, st.tuples(st.integers(0, 12), st.sampled_from(sorted(_S3.universe)))),
+}
+
+
+class TestMirrorPairs:
+    """Each unordered pair fused once when H is commutative and A = B."""
+
+    @pytest.mark.parametrize("name", sorted(_MIRROR_DUALS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_ordered_loops(self, name, data):
+        H, labels = _MIRROR_DUALS[name]
+        if labels is None:
+            labels = st.sampled_from(sorted(H.universe))
+        A = data.draw(st.lists(labels, max_size=8))
+        # the same set in another order and with repeats, and any other set
+        B = data.draw(st.permutations(A + A[:2]) | st.lists(labels, max_size=8))
+        for left, right in [(A, B), (A, A), (B, A)]:
+            assert (_support_product_loops(H, left, right)
+                    == support_product_ordered_loops(H, left, right))
+
+    @pytest.mark.parametrize("n", [1, 2, 12])
+    def test_su2_x_s3_fuses_each_unordered_pair_once(self, monkeypatch, n):
+        # an infinite product keeps no fusion memo, so every fusion is a rule call
+        calls = []
+        original = duals.ProductDual._rule
+
+        def counted(self, x, y):
+            calls.append((x, y))
+            return original(self, x, y)
+
+        A = [(k, i) for k in range(4) for i in range(3)][:n]
+        expected = support_product_ordered_loops(_SU2_X_S3, A, A)
+        monkeypatch.setattr(duals.ProductDual, "_rule", counted)
+        assert support_product(_SU2_X_S3, A, list(reversed(A))) == expected
+        assert len(calls) == len({frozenset(pair) for pair in calls}) == n * (n + 1) // 2
+        # two different sets still fuse every ordered pair
+        calls.clear()
+        support_product(_SU2_X_S3, A, A[1:])
+        assert len(calls) == n * (n - 1)
 
 
 class _CorruptedS3(Hypergroup):

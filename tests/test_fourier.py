@@ -329,7 +329,7 @@ class TestRefineChunks:
     def test_chunks_are_runs_of_chunk_pieces_that_share_their_ends(self):
         breaks = np.arange(2 * su2num.CHUNK_PIECES + 12, dtype=float)
         quadrature, calls = self._ladder([[0.0] * 5] * 3)
-        value, residual = su2num._refine_chunks(quadrature, breaks, 1e-9)
+        value, residual = su2num._refine_chunks(quadrature, su2num._array_chunks(breaks), 1e-9)
         assert su2num.CHUNK_PIECES == 9_362
         # every chunk once on the first rung; the value is the sum of the chunk values
         assert calls == [(0, 0, su2num.CHUNK_PIECES + 1), (1, 0, su2num.CHUNK_PIECES + 1),
@@ -340,7 +340,7 @@ class TestRefineChunks:
         breaks = np.arange(3 * su2num.CHUNK_PIECES + 1, dtype=float)
         quadrature, calls = self._ladder([[0.2, 0.1, 0, 0, 0], [0.5, 0.05, 0, 0, 0],
                                           [0.4, 0.3, 0.25, 0, 0]])
-        _, residual = su2num._refine_chunks(quadrature, breaks, 0.5)
+        _, residual = su2num._refine_chunks(quadrature, su2num._array_chunks(breaks), 0.5)
         # 1.1 -> chunk 1 climbs (0.65) -> chunk 2 climbs (0.55) -> chunk 2 again (0.5)
         assert [(i, rung) for i, rung, _ in calls[3:]] == [(1, 1), (2, 1), (2, 2)]
         assert residual == pytest.approx(0.5)
@@ -353,7 +353,7 @@ class TestRefineChunks:
         table = [[10 * tolerance, 5 * tolerance, 2 * tolerance, tolerance, 0.6 * tolerance],
                  [0.5 * tolerance, 0.1 * tolerance, 0, 0, 0]]
         quadrature, calls = self._ladder(table)
-        value, residual = su2num._refine_chunks(quadrature, breaks, tolerance)
+        value, residual = su2num._refine_chunks(quadrature, su2num._array_chunks(breaks), tolerance)
         assert [(i, rung) for i, rung, _ in calls] == [
             (0, 0), (1, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 1)]
         assert value == 3.0 and residual == pytest.approx(0.7 * tolerance)
@@ -362,7 +362,7 @@ class TestRefineChunks:
         breaks = np.arange(2 * su2num.CHUNK_PIECES + 1, dtype=float)
         quadrature, calls = self._ladder([[1.0] * 5, [0.5] * 5])
         with pytest.raises(NumericError) as info:
-            su2num._refine_chunks(quadrature, breaks, 0.1)
+            su2num._refine_chunks(quadrature, su2num._array_chunks(breaks), 0.1)
         assert info.value.residual == 1.5
         assert sorted((i, rung) for i, rung, _ in calls) == [
             (i, rung) for i in range(2) for rung in range(5)]

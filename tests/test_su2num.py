@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,13 @@ import hypergroups
 from hypergroups import InternalInvariantError, NumericError, QuadratureConfig
 from hypergroups import su2num
 from hypergroups.fourier import Su2IntervalBump
-from oracles import interval_product_l1_antiderivative, kernel_roots_every_sweep, kernel_sum
+from oracles import (
+    interval_product_breakpoints,
+    interval_product_l1_antiderivative,
+    interval_product_l1_whole,
+    kernel_roots_every_sweep,
+    kernel_sum,
+)
 
 # brackets per block of kernel_roots
 B = su2num._ROOT_BLOCK
@@ -99,6 +107,22 @@ class TestKernelRoots:
         monkeypatch.setattr(su2num, "_NEWTON_SWEEPS", 1)
         with pytest.raises(InternalInvariantError, match=r"kernel_roots\(965604\): Newton did not"):
             su2num.kernel_roots(965_604)
+
+    @pytest.mark.parametrize("M", [2, 3, 7, 915, 975, B - 1, B, B + 1, B + 2, 2 * B + 1, 28_780,
+                                   30_668, 906_158, 965_604])
+    def test_a_bracket_range_holds_the_bits_of_the_whole_array(self, M):
+        # ranges that start off the block grid and cross the block seams
+        whole = su2num.kernel_roots(M)
+        ranges = [(1, M), (1, 2), (M - 1, M), (M, M), (2, M), (B - 3, B + 5), (B, 2 * B + 2),
+                  (B + 2, 3 * B), (M // 3, M - 7), (M - B - 9, M - 1)]
+        for lo, hi in ranges:
+            if 1 <= lo <= hi <= M:
+                assert su2num.kernel_roots(M, lo, hi).tobytes() == whole[lo - 1:hi - 1].tobytes()
+
+    @pytest.mark.parametrize("lo,hi", [(0, 3), (2, 1), (1, 9), (5, 10)])
+    def test_a_range_outside_the_brackets_is_refused(self, lo, hi):
+        with pytest.raises(ValueError, match=r"kernel_roots\(8\): no bracket range"):
+            su2num.kernel_roots(8, lo, hi)
 
     def test_kernel_vanishes_at_roots(self):
         M = 975
@@ -277,7 +301,7 @@ class TestIntervalProductL1:
 
     @pytest.mark.parametrize("P,Q", [(1, 1), (2, 2), (3, 1), (32, 30), (100, 37), (975, 915)])
     def test_matches_legendre_16(self, P, Q):
-        breaks = su2num.interval_product_breakpoints(P, Q)
+        breaks = interval_product_breakpoints(P, Q)
         value, residual = chunk_pass(P, Q, breaks, 1)
         reference = legendre16_interval_l1(P, Q)
         assert value == pytest.approx(reference, rel=1e-12)
@@ -285,7 +309,7 @@ class TestIntervalProductL1:
 
     def test_splitting_keeps_the_value_and_meets_the_rounding_floor(self):
         P, Q = 975, 915
-        breaks = su2num.interval_product_breakpoints(P, Q)
+        breaks = interval_product_breakpoints(P, Q)
         passes = [chunk_pass(P, Q, breaks, split) for split in (1, 2, 4, 8)]
         base = passes[0][0]
         for value, _ in passes:
@@ -301,7 +325,7 @@ class TestIntervalProductL1:
         # stages 1-3 of the D = 1.1 witness, and two small pairs; the oracle
         # shares no quadrature and finds its own zeros
         P, Q = k2 + m2 + 1, m2 + 1
-        breaks = su2num.interval_product_breakpoints(P, Q)
+        breaks = interval_product_breakpoints(P, Q)
         value, residual = chunk_pass(P, Q, breaks, 1, order)
         reference = interval_product_l1_antiderivative(P, Q)
         assert residual > 0
@@ -352,7 +376,7 @@ class TestIntervalProductL1:
         # stage 4 of the D = 1.1 chain: 59 447 pieces in 7 chunks; at 1e-7
         # only the chunk at theta = 0 climbs to K21
         k2, m2 = 1888, 28_779
-        breaks = su2num.interval_product_breakpoints(k2 + m2 + 1, m2 + 1)
+        breaks = interval_product_breakpoints(k2 + m2 + 1, m2 + 1)
         calls = self._record_passes(monkeypatch)
         value = Su2IntervalBump(su2, k2, m2).a_norm(QuadratureConfig(tolerance=1e-7))
         assert value.residual <= 1e-7
@@ -365,7 +389,7 @@ class TestIntervalProductL1:
     def test_default_tolerance_climbs_a_chunk_prefix(self, su2, monkeypatch, k2, m2):
         # stages 3 and 4: at 1e-9 the chunks that climb to K21 are the
         # first ones, from theta = 0 on, each once and whole
-        breaks = su2num.interval_product_breakpoints(k2 + m2 + 1, m2 + 1)
+        breaks = interval_product_breakpoints(k2 + m2 + 1, m2 + 1)
         calls = self._record_passes(monkeypatch)
         value = Su2IntervalBump(su2, k2, m2).a_norm()
         assert value.residual <= 1e-9
@@ -392,7 +416,7 @@ class TestIntervalProductL1:
     def _check_breakpoints(P, Q):
         roots = [su2num.kernel_roots(P), su2num.kernel_roots(Q)]
         reference = np.unique(np.concatenate([[0.0, math.pi], *roots]))
-        merged = su2num.interval_product_breakpoints(P, Q)
+        merged = interval_product_breakpoints(P, Q)
         assert merged.dtype == reference.dtype
         assert merged.tobytes() == reference.tobytes()
 
@@ -457,6 +481,105 @@ class TestIntervalProductL1:
         # piece whole and split 2, 4 and 8 ways
         assert [(order, split, breaks[0]) for order, split, breaks in calls] == [
             (7, 1, 0.0), (21, 1, 0.0), (21, 2, 0.0), (21, 4, 0.0), (21, 8, 0.0)]
+
+
+def cut_into_chunks(breaks):
+    """The oracle's whole break array cut into runs of CHUNK_PIECES pieces."""
+    pieces = su2num.CHUNK_PIECES
+    return [breaks[start:start + pieces + 1] for start in range(0, len(breaks) - 1, pieces)]
+
+
+class TestIntervalChunks:
+    """The breaks of interval_product_l1, made chunk by chunk from one root cursor per kernel."""
+
+    @pytest.mark.parametrize("P,Q", [(1, 1), (2, 2), (3, 1), (975, 915), (30_668, 28_780),
+                                     (2 * B + 5, B + 3), (B + 2, B + 2), (965_604, 906_158)])
+    def test_chunks_are_the_whole_array_cut_into_runs(self, P, Q):
+        # stages 4 and 5 of the D = 1.1 chain, kernels past one and two root
+        # blocks, and equal kernels, whose zeros all coincide
+        self._check_chunks(P, Q)
+
+    @given(P=st.integers(1, 400), Q=st.integers(1, 400), pieces=st.integers(1, 300),
+           block=st.integers(1, 50))
+    @example(P=60, Q=60, pieces=3, block=7)
+    @example(P=1, Q=37, pieces=1, block=1)
+    @example(P=400, Q=390, pieces=300, block=50)
+    @example(P=400, Q=400, pieces=300, block=50)
+    @settings(max_examples=150, deadline=None)
+    def test_chunk_and_block_seams_anywhere(self, P, Q, pieces, block):
+        # small chunks and root blocks put seams everywhere, including a
+        # chunk seam on a zero that S_P and S_Q share; past 128 pieces a
+        # chunk merges only each kernel's share of zeros, or all of them
+        # when a zero past the share may be missing (P = Q)
+        with mock.patch.object(su2num, "CHUNK_PIECES", pieces), \
+                mock.patch.object(su2num, "_ROOT_BLOCK", block):
+            self._check_chunks(P, Q)
+
+    @staticmethod
+    def _check_chunks(P, Q):
+        chunks = list(su2num._interval_chunks(P, Q))
+        expected = cut_into_chunks(interval_product_breakpoints(P, Q))
+        assert len(chunks) == len(expected)
+        for (chunk, again), want in zip(chunks, expected):
+            assert chunk.tobytes() == want.tobytes()
+            # a chunk that climbs is made again, to the same bits
+            assert again().tobytes() == want.tobytes()
+
+    def test_each_cursor_solves_each_block_once(self, monkeypatch):
+        # stage 5: the first pass calls kernel_roots once per block of each
+        # kernel, on the block grid, and makes no zero twice
+        calls = []
+        original = su2num.kernel_roots
+
+        def recording(M, lo=1, hi=None):
+            calls.append((M, lo, hi))
+            return original(M, lo, hi)
+
+        monkeypatch.setattr(su2num, "kernel_roots", recording)
+        P, Q = 965_604, 906_158
+        for _ in su2num._interval_chunks(P, Q):
+            pass
+        for M in (P, Q):
+            starts = list(range(1, M, B))
+            assert [(lo, hi) for m, lo, hi in calls if m == M] == [
+                (start, min(start + B, M)) for start in starts]
+
+    def test_an_out_of_order_seam_between_cursor_blocks_raises(self, monkeypatch):
+        # the second block of S_P starts on the last zero of the first
+        original = su2num.kernel_roots
+
+        def repeating(M, lo=1, hi=None):
+            roots = original(M, lo, hi)
+            if M == B + 10 and lo > 1:
+                roots[0] = original(M, lo - 1, lo)[0]
+            return roots
+
+        monkeypatch.setattr(su2num, "kernel_roots", repeating)
+        seam = rf"kernel_roots\({B + 10}\): zero {B + 1} is not above the zeros before it"
+        with pytest.raises(InternalInvariantError, match=seam):
+            su2num.interval_product_l1(B + 10, 2, 1e-7)
+
+
+class TestIntervalProductBits:
+    @pytest.mark.parametrize("tolerance", [1e-7, 1e-9])
+    @pytest.mark.parametrize("k2,m2", [(0, 1), (2, 29), (60, 914), (1888, 28_779),
+                                       (59_446, 906_157)])
+    def test_streamed_breaks_give_the_bits_of_the_whole_array(self, k2, m2, tolerance):
+        # all five stages of the D = 1.1 chain
+        P, Q = k2 + m2 + 1, m2 + 1
+        assert su2num.interval_product_l1(P, Q, tolerance) == interval_product_l1_whole(
+            P, Q, tolerance)
+
+    def test_stage_5_holds_one_chunk_not_every_break(self):
+        # the whole array of 1 871 762 breaks peaked at 32.85 MiB; the
+        # integrand's workspace alone is 2.5 MiB
+        tracemalloc.start()
+        try:
+            su2num.interval_product_l1(965_604, 906_158, 1e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 def u_product_loops(a, b):

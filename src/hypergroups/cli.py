@@ -46,6 +46,7 @@ from .duals import (
 from .fourier import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
+    QuadratureValue,
     a_norm,
     bump,
     lp_h_norm,
@@ -185,6 +186,13 @@ def _cmd_leptin(args: argparse.Namespace, H: Dual) -> None:
     _emit(args, {"certificate": doc}, pretty_text=pretty)
 
 
+def _put_a_norm(doc: dict[str, Any], a: Any) -> None:
+    """``a_norm`` as a float, and beside a quadrature value its ``a_residual``."""
+    doc["a_norm"] = float(a)
+    if isinstance(a, QuadratureValue):
+        doc["a_residual"] = a.residual
+
+
 def _cmd_bump(args: argparse.Namespace, H: Dual) -> None:
     K = parse_labels(H, args.K, "--K")
     V = parse_labels(H, args.V, "--V")
@@ -199,7 +207,7 @@ def _cmd_bump(args: argparse.Namespace, H: Dual) -> None:
         "verified": True,
     }
     if args.measure_a_norm:
-        doc["a_norm"] = float(plateau.a_norm(QuadratureConfig(tolerance=args.quad_tol)))
+        _put_a_norm(doc, plateau.a_norm(QuadratureConfig(tolerance=args.quad_tol)))
     _emit(args, {"bump": doc}, pretty_text=json.dumps(doc, indent=2, sort_keys=True))
 
 
@@ -224,7 +232,7 @@ def _cmd_norms(args: argparse.Namespace, H: Dual) -> None:
     if 1 <= p <= 2:  # where the lp(H, h) norm of a central function is a Segal norm
         doc["segal_cp"] = doc["lp_h"]
     a = a_norm(H, f, QuadratureConfig(tolerance=args.quad_tol))
-    doc["a_norm"] = float(a)
+    _put_a_norm(doc, a)
     if isinstance(a, Fraction):
         doc["a_norm_exact"] = fraction_text(a)
     _emit(args, {"norms": doc}, pretty_text=json.dumps(doc, indent=2, sort_keys=True))

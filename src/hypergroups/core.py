@@ -574,9 +574,14 @@ MAX_LEPTIN_SUBSETS = 1 << 22
 # array is built.  A U-series product up to labels N and M does (N+1)(M+1)
 # multiply-adds and holds arrays of N+M+1 integers: at 2^20, 0.14 s and
 # 46 MB when one side is a single label, 0.42 s with dense huge rationals
-# on the object path.  An A-norm's breakpoints are the eigenvalues of a
-# companion matrix as large as the series degree (its top label), cubic in
-# time: 1.5 s at 2^10, enough for bump(su2, range(3), range(500)).
+# on the object path.  A finite function's A-norm takes its breakpoints
+# from the eigenvalues of a companion matrix as large as the series degree
+# (its top label), cubic in time: 0.86-0.96 s at 2^10 (numpy 2.4 on one
+# Xeon core).  A plateau's series is the product of its factors' F_{K*V}
+# and F_V, and its breakpoints are theirs: kernel zeros for an interval,
+# else a companion matrix of the factor's degree.  So the A-norm of
+# bump(su2, range(3), range(500)), degree 1000, takes 43 ms, and a
+# plateau of two non-interval factors at degree 1017 takes 0.45 s.
 MAX_U_PRODUCT_WORK = 1 << 20
 MAX_U_SERIES_DEGREE = 1 << 10
 

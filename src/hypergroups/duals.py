@@ -820,6 +820,13 @@ def _split_outside_parentheses(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def check_u_series_degree(degree: int) -> None:
+    """CapacityError for a su2-hat U-series of degree over MAX_U_SERIES_DEGREE."""
+    if degree > MAX_U_SERIES_DEGREE:
+        raise CapacityError(
+            f"a su2-hat U-series of degree {degree} exceeds the budget {MAX_U_SERIES_DEGREE}")
+
+
 def su2_u_coefficients(v: FiniteFunction) -> np.ndarray:
     """The float array v(n) (n + 1) at index n, for v on su2-hat.
 
@@ -830,9 +837,7 @@ def su2_u_coefficients(v: FiniteFunction) -> np.ndarray:
     """
     Su2Dual().check_labels(v.support)
     degree = max(v.support, default=0)
-    if degree > MAX_U_SERIES_DEGREE:
-        raise CapacityError(
-            f"a su2-hat U-series of degree {degree} exceeds the budget {MAX_U_SERIES_DEGREE}")
+    check_u_series_degree(degree)
     coeffs = np.zeros(degree + 1)
     for n, value in v.items():
         coeffs[n] = float(value) * (n + 1)

@@ -40,6 +40,7 @@ from .duals import (
     _class_sizes,
     _factor_tables,
     central_function,
+    check_u_series_degree,
     su2_u_coefficients,
 )
 
@@ -165,16 +166,19 @@ def a_norm_exact_finite(dual: Hypergroup, v: FiniteFunction) -> Any:
             / math.prod(t.group_order for t in tables))
 
 
-def a_norm_su2(v: FiniteFunction, config: QuadratureConfig | None = None) -> float:
+def a_norm_su2(v: FiniteFunction, config: QuadratureConfig | None = None,
+               zeros: np.ndarray | None = None) -> float:
     """A-norm of v over the dual of SU(2), one :func:`su2num.u_series_l1` call.
 
-    The series is v's central function sum_n v(n) (n+1) U_n; the value
-    returned carries the residual the config tolerance accepted.
+    The series is v's central function sum_n v(n) (n+1) U_n; ``zeros``, if
+    given, are its zeros in (0, pi), else the companion matrix of the whole
+    series finds them.  The value returned carries the residual the config
+    tolerance accepted.
     """
     config = config or DEFAULT_QUADRATURE
     if not v:
         return 0.0
-    return QuadratureValue(*su2num.u_series_l1(su2_u_coefficients(v), config.tolerance))
+    return QuadratureValue(*su2num.u_series_l1(su2_u_coefficients(v), config.tolerance, zeros))
 
 
 def a_norm(H: Hypergroup, v: FiniteFunction, config: QuadratureConfig | None = None) -> Any:
@@ -235,16 +239,22 @@ class BumpFunction(Plateau):
     Exactly verified by :func:`bump`: u >= 0 everywhere, u = 1 on K, the
     support sits inside K*V*~V, and the stored ratio is h(K*V)/h(V).  The
     A-norm bound is sqrt(ratio); measured A-norms are checked against it in
-    the test suite, since quadrature values are floats.
+    the test suite, since quadrature values are floats.  ``grown`` is K*V,
+    found again when not given.  On su2-hat, u's U-series is
+    F_{K*V} F_V / h(V) with F_A = sum_{n in A} (n+1) U_n, the factoring
+    behind the bound, and the A-norm takes its breaks from the two factors'
+    zeros (:func:`su2num.indicator_series_zeros`) once
+    :meth:`_su2_series_zeros` has proven that factoring exactly.
     """
 
     def __init__(self, hypergroup: Hypergroup, K: frozenset, V: frozenset,
-                 ratio: Fraction, function: FiniteFunction):
+                 ratio: Fraction, function: FiniteFunction, grown: frozenset | None = None):
         self.hypergroup = hypergroup
         self.K = K
         self.V = V
         self.ratio = ratio
         self.function = function
+        self.grown = support_product(hypergroup, K, V) if grown is None else grown
 
     @property
     def support(self) -> tuple[Label, ...]:
@@ -263,7 +273,30 @@ class BumpFunction(Plateau):
         return float(lp_h_norm(self.hypergroup, self.function, p))
 
     def a_norm(self, config: QuadratureConfig | None = None) -> Any:
-        return a_norm(self.hypergroup, self.function, config)
+        if not isinstance(self.hypergroup, Su2Dual):
+            return a_norm(self.hypergroup, self.function, config)
+        return a_norm_su2(self.function, config, self._su2_series_zeros())
+
+    def _su2_series_zeros(self) -> np.ndarray:
+        """The zeros in (0, pi) of u's U-series on su2-hat, from its two factors.
+
+        First proves h(V) u(n) (n+1) = c_n at every n, where c is the exact
+        integer product of F_{K*V} and F_V (~V = V on su2-hat), so that
+        every zero of a factor is a zero of u's series and no other zero
+        exists; a mismatch raises InternalInvariantError.  The degree
+        budget is checked before any of this.
+        """
+        u, factors = self.function, (self.grown, self.V)
+        check_u_series_degree(max(u.support, default=0))
+        c = su2num.u_product(*map(su2num.indicator_series, factors)).tolist()
+        h_v = int(self.hypergroup._haar_sum(self.V))
+        items = u.items()
+        if (len(items) != len(c) - c.count(0)
+                or any(not 0 <= n < len(c) or q.numerator * h_v * (n + 1) != c[n] * q.denominator
+                       for n, q in items)):
+            raise InternalInvariantError(
+                "plateau: h(V) u is not the U-series product of F_{K*V} and F_V")
+        return np.concatenate([su2num.indicator_series_zeros(A) for A in factors])
 
 
 def bump(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> BumpFunction:
@@ -290,7 +323,7 @@ def bump(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> BumpFunct
     if stray:
         raise InternalInvariantError(
             f"plateau support leaks outside K*V*~V at {sorted(stray)[:3]}")
-    return BumpFunction(H, frozenset(K), frozenset(V), ratio, u)
+    return BumpFunction(H, frozenset(K), frozenset(V), ratio, u, grown)
 
 
 class Su2IntervalBump(Plateau):

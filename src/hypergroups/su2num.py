@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import functools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from fractions import Fraction
 from typing import Any
 
@@ -410,7 +410,8 @@ def gauss_kronrod(fn, breaks: np.ndarray, split: int, order: int = 21) -> tuple[
     the error of the Kronrod value.
 
     The pieces are integrated left to right in batches of at most about
-    65 536 nodes.
+    65 536 nodes.  A batch's values are used up before ``fn`` is called
+    again, so ``fn`` may return them in one array it writes over.
     """
     if order not in _KRONROD or (order == 7 and split != 1):
         raise ValueError(f"no Gauss-Kronrod rule of {order} nodes with split {split}")
@@ -668,19 +669,22 @@ def interval_product_l1(P: int, Q: int, tolerance: float) -> tuple[float, float]
     :func:`_interval_chunks` one chunk at a time, so the call holds one
     chunk and a block of zeros of each kernel, never every break.  The
     integrand runs over each gauss_kronrod batch in blocks of
-    _INTEGRAND_BLOCK pieces, writing the values into the batch's array and
-    the intermediates into one workspace allocated once per call, so a
-    batch allocates only its values.  The memory is the same at every
-    stage: at the D = 1.1 stage 5 (1 871 762 breaks) the call's tracemalloc
-    peak is about 5 MiB, half of it that workspace.
+    _INTEGRAND_BLOCK pieces, writing the values and the intermediates into
+    arrays allocated once per call: a batch allocating its own 512 KB of
+    values took 38 000-46 000 minor page faults in a fresh process's
+    first call at the D = 1.1 stage 5, against about 13 700 without.  The
+    memory is the same at every stage: at the D = 1.1 stage 5 (1 871 762
+    breaks) the call's tracemalloc peak is about 5.5 MiB, half of it the
+    intermediates' workspace.
     """
     a_p, a_q = P + 0.5, Q + 0.5
     scale = 0.5 / math.pi  # 2/pi for the normalisation, 1/4 for the integrand
     h = float(sum_squares(Q))
     workspace = np.empty((5, _CHUNK_NODES))
+    batch_values = np.empty(_CHUNK_NODES)
 
     def integrand(left: np.ndarray, offset: np.ndarray) -> np.ndarray:
-        values = np.empty(offset.shape)
+        values = batch_values[:offset.size].reshape(offset.shape)
         for start in range(0, len(left), _INTEGRAND_BLOCK):
             rows = slice(start, start + _INTEGRAND_BLOCK)
             block = values[rows]
@@ -773,11 +777,36 @@ def u_series_roots_theta(coeffs: np.ndarray) -> np.ndarray:
     return np.sort(np.arccos(np.clip(inside, -1.0, 1.0)))
 
 
-def u_series_l1(coeffs: np.ndarray, tolerance: float) -> tuple[float, float]:
+def indicator_series(labels: Collection[int]) -> list[int]:
+    """F_A = sum_{n in A} (n + 1) U_n, the U-series of the indicator of A = ``labels``.
+
+    ``labels`` is a nonempty set of su2-hat labels; the coefficients run up to max A.
+    """
+    return [(n + 1) * (n in labels) for n in range(max(labels) + 1)]
+
+
+def indicator_series_zeros(labels: Collection[int]) -> np.ndarray:
+    """The zeros in (0, pi) of :func:`indicator_series` (``labels``), F_A.
+
+    For A = {0..M-1}, F_A = S_M / sin theta, whose zeros are
+    :func:`kernel_roots` (M), solved and checked bracket by bracket; any
+    other A takes the companion zeros of F_A alone.
+    """
+    if len(labels) == max(labels) + 1:
+        return kernel_roots(len(labels))
+    return u_series_roots_theta(indicator_series(labels))
+
+
+def u_series_l1(coeffs: np.ndarray, tolerance: float,
+                zeros: np.ndarray | None = None) -> tuple[float, float]:
     """(2/pi) int_0^pi |sum_n coeffs[n] U_n(cos theta)| sin^2 theta, with its residual.
 
     The ladder of :func:`_refine_chunks` runs between 0, pi and the zeros of
-    the series, where the integrand vanishes; the series is summed in the T basis.
+    the series, where the integrand vanishes; the series is summed in the T
+    basis.  ``zeros`` must hold every zero of the series in (0, pi) and
+    only zeros of it, in any order and with repeats; by default they are
+    the eigenvalues of the companion matrix of the whole series
+    (:func:`u_series_roots_theta`).
     """
     t_coeffs = u_to_chebyshev_t(coeffs)
 
@@ -786,7 +815,9 @@ def u_series_l1(coeffs: np.ndarray, tolerance: float) -> tuple[float, float]:
         s = np.sin(theta)
         return (2.0 / math.pi) * np.abs(npcheb.chebval(np.cos(theta), t_coeffs)) * s * s
 
-    breaks = _breaks(np.concatenate([[0.0, math.pi], u_series_roots_theta(coeffs)]))
+    if zeros is None:
+        zeros = u_series_roots_theta(coeffs)
+    breaks = _breaks(np.concatenate([[0.0, math.pi], zeros]))
     return _refine_chunks(
         lambda order, split, chunk: gauss_kronrod(integrand, chunk, split, order),
         _array_chunks(breaks), tolerance)

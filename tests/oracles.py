@@ -310,7 +310,8 @@ def a_norm_su2_antiderivative(v: dict[int, float], grid_factor: int = 64) -> flo
     sin^2 theta is (2/pi) |g|, g = sum_n c_n sin((n+1) theta) sin theta
     = sum_k e_k cos(k theta), e_k = (c_k - c_{k-2}) / 2.  Its sign changes
     in (0, pi) are those of s = sum_n c_n sin((n+1) theta): sign changes on
-    a grid of grid_factor (N + 2) points, then bisection.
+    a grid of grid_factor (N + 2) points, then bisection, and the grid
+    points where s is exactly 0.
     """
     N = max(v)
     c = np.zeros(N + 3)
@@ -323,10 +324,13 @@ def a_norm_su2_antiderivative(v: dict[int, float], grid_factor: int = 64) -> flo
         return np.sin(np.outer(theta, freqs)) @ c[:N + 1]
 
     grid = np.linspace(0.0, math.pi, grid_factor * (N + 2) + 1)[1:-1]
-    sign = np.sign(s(grid))
+    values = s(grid)
+    # a grid point where s is exactly 0 is a zero itself, and brackets none
+    nonzero = values != 0
+    sign = np.sign(values[nonzero])
     flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-    zeros = _bisect(s, grid[flips], grid[flips + 1])
-    breaks = np.concatenate([[0.0], zeros, [math.pi]])
+    zeros = _bisect(s, grid[nonzero][flips], grid[nonzero][flips + 1])
+    breaks = np.sort(np.concatenate([[0.0], zeros, grid[~nonzero], [math.pi]]))
     return _antiderivative_l1(e[0], e[1:], breaks)
 
 

@@ -482,6 +482,14 @@ class TestCommands:
         assert doc["ratio"] == "15/7"
         assert doc["values"]["1/2"] == "1/1"
         assert doc["a_norm"] <= doc["a_norm_bound"] + 1e-6
+        assert 0 < doc["a_residual"] <= 1e-9
+
+    def test_bump_report_on_a_finite_dual_has_no_residual(self, capsys):
+        code, out, _ = run_cli(capsys, "bump", "--dual", "s3", "--K", "triv",
+                               "--V", "triv,sgn", "--measure-a-norm", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)["bump"]
+        assert "a_norm" in doc and "a_residual" not in doc
 
     def test_norms_report(self, capsys):
         code, out, _ = run_cli(capsys, "norms", "--dual", "s3",
@@ -491,6 +499,15 @@ class TestCommands:
         doc = json.loads(out)["norms"]
         assert doc["l1_h"] == "4/1"
         assert doc["a_norm_exact"] == "4/3"
+        assert "a_residual" not in doc
+
+    def test_norms_report_on_su2_carries_the_residual(self, capsys):
+        code, out, _ = run_cli(capsys, "norms", "--dual", "su2", "--values", "0=1;1/2=2",
+                               "--quad-tol", "1e-7", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)["norms"]
+        assert 0 < doc["a_residual"] <= 1e-7
+        assert "a_norm_exact" not in doc
 
     def test_norms_on_a_product_with_an_su2_factor_names_the_product(self, capsys):
         code, out, err = run_cli(capsys, "norms", "--dual", "su2,s3",

@@ -30,9 +30,10 @@ from hypergroups import (
     su2_dual,
     support_product,
 )
-from hypergroups import fourier, su2num
+from hypergroups import duals, fourier, su2num
 from hypergroups.cli import run
-from hypergroups.fourier import Plateau, Su2IntervalBump, lp_h_power_sum
+from hypergroups.duals import su2_u_coefficients
+from hypergroups.fourier import BumpFunction, Plateau, Su2IntervalBump, lp_h_power_sum
 from hypergroups.segal import absorption_witness
 from oracles import a_norm_su2_antiderivative
 
@@ -491,6 +492,93 @@ class TestBumpProperties:
         allowed = support_product(_SU2, support_product(_SU2, K, V), tilde)
         assert set(u.support) <= set(allowed)
         assert u.ratio == leptin_ratio(_SU2, K, V)
+
+
+@st.composite
+def factored_plateau_sets(draw):
+    """K in {0..6} and V in {0..40}, each a nonempty set or an interval {0..M-1}."""
+    def labels(top):
+        if draw(st.booleans()):
+            return range(draw(st.integers(1, top + 1)))
+        return draw(st.sets(st.integers(0, top), min_size=1, max_size=12))
+    return labels(6), labels(40)
+
+
+class TestFactoredSeriesZeros:
+    """A su2-hat plateau's A-norm breaks: the zeros of F_{K*V} and F_V."""
+
+    @given(kv=factored_plateau_sets())
+    @settings(max_examples=40, deadline=None)
+    @example(kv=(range(5), range(80)))
+    @example(kv=([0], [3]))
+    def test_factor_zeros_are_series_zeros(self, kv):
+        u = bump(_SU2, *kv)
+        zeros = u._su2_series_zeros()
+        # the series times sin theta, in sine form: sum_n c_n sin((n+1) theta)
+        c = su2_u_coefficients(u.function)
+        n1 = np.arange(1, c.size + 1)
+        assert np.all(np.abs(np.sin(np.outer(zeros, n1)) @ c) <= 1e-9 * np.sum(np.abs(c) * n1))
+        # and every zero of the product's companion matrix is one of them
+        for z in su2num.u_series_roots_theta(c):
+            assert np.min(np.abs(zeros - z)) <= 1e-6
+        for A in (u.grown, u.V):
+            if len(A) == max(A) + 1:
+                want = su2num.kernel_roots(max(A) + 1)
+            else:
+                want = su2num.u_series_roots_theta(su2num.indicator_series(A))
+            assert su2num.indicator_series_zeros(A).tobytes() == want.tobytes()
+
+    @given(kv=factored_plateau_sets())
+    @settings(max_examples=25, deadline=None)
+    @example(kv=(range(7), range(25)))
+    @example(kv=([0, 1, 2, 3], [2]))  # s is exactly 0 at a point of the oracle's grid
+    def test_factored_a_norm_matches_the_product_zeros_and_the_oracle(self, kv):
+        u = bump(_SU2, *kv)
+        tolerance = 1e-9
+        config = QuadratureConfig(tolerance=tolerance)
+        factored, product = u.a_norm(config), a_norm_su2(u.function, config)
+        r_factored, r_product = (fourier.a_norm_residual(a) for a in (factored, product))
+        assert 0 < r_factored <= tolerance
+        assert abs(factored - product) <= tolerance + r_factored + r_product
+        # the oracle finds sign changes on a grid, and a zero of each factor
+        # can fall in one cell (4.6e-4 apart at K = {0..6}, V = {0..24}): on
+        # 64 points a degree it was off by up to 3e-7, on 1024 by 1e-13 over
+        # every interval pair here and 150 random sets
+        reference = a_norm_su2_antiderivative({n: float(x) for n, x in u.function.items()},
+                                              grid_factor=1024)
+        assert abs(factored - reference) <= tolerance + r_factored
+
+    @given(kv=factored_plateau_sets(), where=st.integers(0, 1 << 20), by=st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_one_corrupted_value_fails_the_factorization(self, kv, where, by):
+        u = bump(_SU2, *kv)
+        # any label of the series, or the one just past its degree
+        n = where % (max(u.support) + 2)
+        values = dict(u.function.items())
+        values[n] = values.get(n, 0) + Fraction(by, 7)
+        broken = BumpFunction(_SU2, u.K, u.V, u.ratio, FiniteFunction(values), u.grown)
+        with pytest.raises(InternalInvariantError, match="U-series product"):
+            broken.a_norm()
+
+    def test_grown_is_found_again_when_not_given(self):
+        u = bump(_SU2, [1, 3], [0, 2, 5])
+        again = BumpFunction(_SU2, u.K, u.V, u.ratio, u.function)
+        assert again.grown == u.grown == support_product(_SU2, [1, 3], [0, 2, 5])
+        assert again.a_norm() == u.a_norm()
+
+    def test_degree_budget_comes_before_any_zero(self, monkeypatch):
+        u = bump(_SU2, [0, 2], range(3))
+        monkeypatch.setattr(duals, "MAX_U_SERIES_DEGREE", max(u.support) - 1)
+        monkeypatch.setattr(su2num, "indicator_series_zeros", None)
+        with pytest.raises(CapacityError):
+            u.a_norm()
+
+    def test_largest_plateau_in_budget_matches_the_interval_integral(self):
+        # degree 1000: the product's companion zeros are off by up to 3.5e-8 rad
+        u = bump(_SU2, range(3), range(500))
+        value = u.a_norm(QuadratureConfig(tolerance=1e-9))
+        reference, residual = su2num.interval_product_l1(502, 500, 1e-9)
+        assert abs(value - reference) <= fourier.a_norm_residual(value) + residual
 
 
 class TestIntervalBump:

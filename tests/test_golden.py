@@ -31,7 +31,7 @@ CASES = [
     ("bump_su2.json",
      ["bump", "--dual", "su2", "--K", "1/2", "--V", "0,1/2,1", "--measure-a-norm",
       "--format", "json"],
-     ["a_norm"]),
+     ["a_norm", "a_residual"]),
     ("norms_s3.json", ["norms", "--dual", "s3", "--values", "rho=1", "--format", "json"], []),
     # the class-sum A-norm: exact 4/3 on a product, the float (2 + 2 sqrt 2)/4 on Z4
     ("norms_s3_z4.json",

@@ -631,7 +631,38 @@ class TestUToChebyshevT:
         assert su2num.u_to_chebyshev_t([0, 0, 0, 1]).tolist() == [0.0, 2.0, 0.0, 2.0]
 
 
+class TestIndicatorSeriesZeros:
+    @pytest.mark.parametrize("M", [1, 2, 7, 84, 502])
+    def test_an_interval_takes_the_kernel_zeros(self, M):
+        want = su2num.kernel_roots(M).tobytes()
+        assert su2num.indicator_series_zeros(range(M)).tobytes() == want
+        assert su2num.indicator_series_zeros(frozenset(range(M))).tobytes() == want
+
+    @pytest.mark.parametrize("labels", [{3}, {1, 2}, {0, 2, 5, 9}, set(range(1, 30))])
+    def test_any_other_set_takes_its_own_companion_zeros(self, labels):
+        coeffs = [(n + 1) * (n in labels) for n in range(max(labels) + 1)]
+        assert su2num.indicator_series(labels) == coeffs
+        got = su2num.indicator_series_zeros(labels)
+        assert got.tobytes() == su2num.u_series_roots_theta(coeffs).tobytes()
+        # F_A sin theta = sum_{n in A} (n + 1) sin((n + 1) theta) vanishes at each
+        n1 = np.array(sorted(labels)) + 1
+        assert np.all(np.abs(np.sin(np.outer(got, n1)) @ n1) <= 1e-10 * np.sum(n1 * n1))
+
+    def test_a_point_has_the_zeros_of_its_chebyshev_u(self):
+        # U_n(cos theta) = sin((n + 1) theta) / sin theta: zeros k pi / (n + 1)
+        got = su2num.indicator_series_zeros({6})
+        assert got == pytest.approx(np.arange(1, 7) * math.pi / 7, abs=1e-12)
+
+
 class TestUSeriesL1:
+    def test_given_zeros_replace_the_companion_matrix(self):
+        coeffs = np.random.default_rng(5).uniform(-1.0, 1.0, 41)
+        zeros = su2num.u_series_roots_theta(coeffs)
+        assert su2num.u_series_l1(coeffs, 1e-9) == su2num.u_series_l1(coeffs, 1e-9, zeros)
+        with mock.patch.object(su2num, "u_series_roots_theta") as companion:
+            su2num.u_series_l1(coeffs, 1e-9, zeros)
+        companion.assert_not_called()
+
     @pytest.mark.parametrize("degree", [2, 41, 162])
     def test_breaks_equal_np_unique(self, degree):
         # 0, pi and the zeros of the series, bit for bit as np.unique sorts them

@@ -239,8 +239,8 @@ class BumpFunction(Plateau):
     Exactly verified by :func:`bump`: u >= 0 everywhere, u = 1 on K, the
     support sits inside K*V*~V, and the stored ratio is h(K*V)/h(V).  The
     A-norm bound is sqrt(ratio); measured A-norms are checked against it in
-    the test suite, since quadrature values are floats.  ``grown`` is K*V,
-    found again when not given.  On su2-hat, u's U-series is
+    the test suite, since quadrature values are floats.  ``grown`` is K*V.
+    On su2-hat, u's U-series is
     F_{K*V} F_V / h(V) with F_A = sum_{n in A} (n+1) U_n, the factoring
     behind the bound, and the A-norm takes its breaks from the two factors'
     zeros (:func:`su2num.indicator_series_zeros`) once
@@ -248,13 +248,13 @@ class BumpFunction(Plateau):
     """
 
     def __init__(self, hypergroup: Hypergroup, K: frozenset, V: frozenset,
-                 ratio: Fraction, function: FiniteFunction, grown: frozenset | None = None):
+                 ratio: Fraction, function: FiniteFunction, grown: frozenset):
         self.hypergroup = hypergroup
         self.K = K
         self.V = V
         self.ratio = ratio
         self.function = function
-        self.grown = support_product(hypergroup, K, V) if grown is None else grown
+        self.grown = grown
 
     @property
     def support(self) -> tuple[Label, ...]:

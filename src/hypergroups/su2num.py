@@ -410,8 +410,7 @@ def gauss_kronrod(fn, breaks: np.ndarray, split: int, order: int = 21) -> tuple[
     the error of the Kronrod value.
 
     The pieces are integrated left to right in batches of at most about
-    65 536 nodes.  A batch's values are used up before ``fn`` is called
-    again, so ``fn`` may return them in one array it writes over.
+    65 536 nodes.
     """
     if order not in _KRONROD or (order == 7 and split != 1):
         raise ValueError(f"no Gauss-Kronrod rule of {order} nodes with split {split}")
@@ -669,22 +668,19 @@ def interval_product_l1(P: int, Q: int, tolerance: float) -> tuple[float, float]
     :func:`_interval_chunks` one chunk at a time, so the call holds one
     chunk and a block of zeros of each kernel, never every break.  The
     integrand runs over each gauss_kronrod batch in blocks of
-    _INTEGRAND_BLOCK pieces, writing the values and the intermediates into
-    arrays allocated once per call: a batch allocating its own 512 KB of
-    values took 38 000-46 000 minor page faults in a fresh process's
-    first call at the D = 1.1 stage 5, against about 13 700 without.  The
-    memory is the same at every stage: at the D = 1.1 stage 5 (1 871 762
-    breaks) the call's tracemalloc peak is about 5.5 MiB, half of it the
-    intermediates' workspace.
+    _INTEGRAND_BLOCK pieces, writing the values into the batch's array and
+    the intermediates into one workspace allocated once per call, so a
+    batch allocates only its values.  The memory is the same at every
+    stage: at the D = 1.1 stage 5 (1 871 762 breaks) the call's tracemalloc
+    peak is about 5 MiB, half of it that workspace.
     """
     a_p, a_q = P + 0.5, Q + 0.5
     scale = 0.5 / math.pi  # 2/pi for the normalisation, 1/4 for the integrand
     h = float(sum_squares(Q))
     workspace = np.empty((5, _CHUNK_NODES))
-    batch_values = np.empty(_CHUNK_NODES)
 
     def integrand(left: np.ndarray, offset: np.ndarray) -> np.ndarray:
-        values = batch_values[:offset.size].reshape(offset.shape)
+        values = np.empty(offset.shape)
         for start in range(0, len(left), _INTEGRAND_BLOCK):
             rows = slice(start, start + _INTEGRAND_BLOCK)
             block = values[rows]

@@ -560,12 +560,6 @@ class TestFactoredSeriesZeros:
         with pytest.raises(InternalInvariantError, match="U-series product"):
             broken.a_norm()
 
-    def test_grown_is_found_again_when_not_given(self):
-        u = bump(_SU2, [1, 3], [0, 2, 5])
-        again = BumpFunction(_SU2, u.K, u.V, u.ratio, u.function)
-        assert again.grown == u.grown == support_product(_SU2, [1, 3], [0, 2, 5])
-        assert again.a_norm() == u.a_norm()
-
     def test_degree_budget_comes_before_any_zero(self, monkeypatch):
         u = bump(_SU2, [0, 2], range(3))
         monkeypatch.setattr(duals, "MAX_U_SERIES_DEGREE", max(u.support) - 1)

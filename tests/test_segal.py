@@ -222,7 +222,7 @@ class TestMultiplierBounded:
         dent_at = sorted(dented)[-1]
         dented[dent_at] = half
         w.terms[-1] = BumpFunction(last.hypergroup, last.K, last.V, last.ratio,
-                                   FiniteFunction(dented))
+                                   FiniteFunction(dented), last.grown)
         report = check_multiplier_bounded(w)
         assert not report.product_ok
         assert any(label == s3.label_str(dent_at)

@@ -386,56 +386,59 @@ _KRONROD21 = _kronrod_rule(_XGK, _WGK, _WG)
 # keyed by the nodes a part evaluates
 _KRONROD = {7: _LOBATTO_KRONROD9, 21: _KRONROD21}
 
-# nodes per batch in gauss_kronrod: the working arrays stay in cache
-_CHUNK_NODES = 1 << 16
+# nodes per batch in gauss_kronrod, 4 096 pieces of the first rung: a batch
+# touches every page of its working arrays, so their size sets the peak RSS
+_BATCH_NODES = 7 << 12
 
 
 def gauss_kronrod(fn, breaks: np.ndarray, split: int, order: int = 21) -> tuple[float, float]:
     """Integral of fn over [breaks[0], breaks[-1]], with residual, in one pass.
 
-    ``fn`` is called as fn(left, offset): ``left`` is a column of the
-    pieces' left ends and ``offset`` holds each node's distance from its
-    piece's left end, one row per piece, so an integrand can reduce a large
-    argument once per piece; it returns the values at left + offset, in the
-    shape of ``offset``.  Each piece between consecutive ``breaks`` is cut
-    into ``split`` equal parts and integrated with the Gauss 10 / Kronrod 21
-    pair (``order`` 21) or, with ``split`` 1 only, the Lobatto 5 / Kronrod 9
-    pair without its end nodes (``order`` 7), which needs the integrand to
-    vanish at every break; any other ``order`` or ``split`` raises
-    ValueError.  ``breaks`` should hold every kink of the integrand.  The
-    value is the Kronrod sum.  The residual is the sum over all parts of
-    |K - G| or |K - L|, added without cancellation: per part it estimates
-    the lower rule's error, and since K9 and K21 are exact to degrees 13 and
-    31 where L5 and G10 are exact only to 7 and 19, it normally overstates
-    the error of the Kronrod value.
+    ``fn`` is called as fn(left, offset), node-major: ``left`` is a row of
+    the pieces' left ends and ``offset`` holds each node's distance from its
+    piece's left end, one row per node and one column per piece, so an
+    integrand can reduce a large argument once per piece; it returns the
+    values at left + offset, in the shape of ``offset``.  Each piece between
+    consecutive ``breaks`` is cut into ``split`` equal parts and integrated
+    with the Gauss 10 / Kronrod 21 pair (``order`` 21) or, with ``split`` 1
+    only, the Lobatto 5 / Kronrod 9 pair without its end nodes (``order``
+    7), which needs the integrand to vanish at every break; any other
+    ``order`` or ``split`` raises ValueError.  ``breaks`` should hold every
+    kink of the integrand.  The value is the Kronrod sum.  The residual is
+    the sum over all parts of |K - G| or |K - L|, added without
+    cancellation: per part it estimates the lower rule's error, and since
+    K9 and K21 are exact to degrees 13 and 31 where L5 and G10 are exact
+    only to 7 and 19, it normally overstates the error of the Kronrod value.
 
-    The pieces are integrated left to right in batches of at most about
-    65 536 nodes.
+    The pieces are integrated left to right in batches of at most
+    _BATCH_NODES nodes.  Row i * split + p of ``offset`` is node i of part
+    p, so one (2, nodes) @ (nodes, split * pieces) product weights every
+    part of a batch.
     """
     if order not in _KRONROD or (order == 7 and split != 1):
         raise ValueError(f"no Gauss-Kronrod rule of {order} nodes with split {split}")
     nodes, kronrod, gauss = _KRONROD[order]
-    weights = np.stack([kronrod, kronrod - gauss], axis=1)
-    offsets = ((np.arange(split)[:, None] + 0.5 * (nodes + 1.0)) / split).ravel()
-    per_batch = max(1, _CHUNK_NODES // offsets.size)
+    weights = np.stack([kronrod, kronrod - gauss])
+    offsets = ((np.arange(split) + 0.5 * (nodes[:, None] + 1.0)) / split).reshape(-1, 1)
+    per_batch = max(1, _BATCH_NODES // offsets.size)
     total = residual = 0.0
     n_pieces = len(breaks) - 1
     for start in range(0, n_pieces, per_batch):
         stop = min(start + per_batch, n_pieces)
-        left = breaks[start:stop, None]
-        width = breaks[start + 1:stop + 1, None] - left
-        values = fn(left, width * offsets)
-        sums = (values.reshape(-1, nodes.size) @ weights).reshape(-1, split, 2)
-        half = (0.5 / split) * width[:, 0]
-        total += float(half @ sums[:, :, 0].sum(axis=1))
-        residual += float(half @ np.abs(sums[:, :, 1]).sum(axis=1))
+        left = breaks[None, start:stop]
+        width = breaks[None, start + 1:stop + 1] - left
+        values = fn(left, offsets * width)
+        sums = (weights @ values.reshape(nodes.size, -1)).reshape(2, split, -1)
+        half = (0.5 / split) * width[0]
+        total += float(half @ sums[0].sum(axis=0))
+        residual += float(half @ np.abs(sums[1]).sum(axis=0))
     return total, residual
 
 
 # (nodes a part, split) of each rung a chunk of pieces climbs, in order
 QUADRATURE_LADDER = ((7, 1), (21, 1), (21, 2), (21, 4), (21, 8))
-# pieces per chunk, the unit that climbs: one gauss_kronrod batch on the first rung
-CHUNK_PIECES = _CHUNK_NODES // QUADRATURE_LADDER[0][0]
+# pieces per chunk, the unit that climbs: 65 536 nodes on the first rung
+CHUNK_PIECES = (1 << 16) // QUADRATURE_LADDER[0][0]
 
 
 def _refine_chunks(quadrature, chunks: Iterable[tuple[np.ndarray, Callable[[], np.ndarray]]],
@@ -612,9 +615,9 @@ def _abs_kernel_product(a_p: float, a_q: float, left: np.ndarray, offset: Any = 
     a theta / 2 reach about 1.6e6 rad at the D = 1.1 stage 5 (a = 965 604.5),
     where a tangent costs 7.9 ns against 1.5 ns on [0, 3] (numpy 2.4 on a
     Xeon core); :func:`_half_phase_tangent` reduces them once per ``left``,
-    so every tangent here takes a small argument.  ``left`` may be a column
-    of piece ends with one ``offset`` row per end, or any array with
-    ``offset`` 0.
+    so every tangent here takes a small argument.  ``left`` may be a row of
+    piece ends with one ``offset`` column per end, as gauss_kronrod hands
+    them, or any array with ``offset`` 0.
 
     The values go into ``out`` and the five intermediates (t, the two u,
     the second numerator and a t) into the arrays of ``work``, each of the
@@ -653,10 +656,6 @@ def _tangent_fraction(a: float, t: np.ndarray, u: np.ndarray, num: np.ndarray | 
     return num, u
 
 
-# pieces per block of the interval integrand: one block's workspace stays in cache
-_INTEGRAND_BLOCK = 2048
-
-
 def interval_product_l1(P: int, Q: int, tolerance: float) -> tuple[float, float]:
     """(2/pi) int_0^pi |S_P(theta) S_Q(theta)| / S(Q), with its residual.
 
@@ -667,26 +666,20 @@ def interval_product_l1(P: int, Q: int, tolerance: float) -> tuple[float, float]
     chunk's value and residual by 1/(2 pi S(Q)).  The breaks come from
     :func:`_interval_chunks` one chunk at a time, so the call holds one
     chunk and a block of zeros of each kernel, never every break.  The
-    integrand runs over each gauss_kronrod batch in blocks of
-    _INTEGRAND_BLOCK pieces, writing the values into the batch's array and
-    the intermediates into one workspace allocated once per call, so a
-    batch allocates only its values.  The memory is the same at every
-    stage: at the D = 1.1 stage 5 (1 871 762 breaks) the call's tracemalloc
-    peak is about 5 MiB, half of it that workspace.
+    integrand writes each gauss_kronrod batch's values and intermediates
+    into one workspace of six rows of _BATCH_NODES, allocated once per
+    call.  The memory is the same at every stage: at the D = 1.1 stage 5
+    (1 871 762 breaks) the call's tracemalloc peak is about 3.8 MiB, a
+    third of it that workspace.
     """
     a_p, a_q = P + 0.5, Q + 0.5
     scale = 0.5 / math.pi  # 2/pi for the normalisation, 1/4 for the integrand
     h = float(sum_squares(Q))
-    workspace = np.empty((5, _CHUNK_NODES))
+    workspace = np.empty((6, _BATCH_NODES))
 
     def integrand(left: np.ndarray, offset: np.ndarray) -> np.ndarray:
-        values = np.empty(offset.shape)
-        for start in range(0, len(left), _INTEGRAND_BLOCK):
-            rows = slice(start, start + _INTEGRAND_BLOCK)
-            block = values[rows]
-            _abs_kernel_product(a_p, a_q, left[rows], offset[rows], block,
-                                [w[:block.size].reshape(block.shape) for w in workspace])
-        return values
+        out, *work = (w[:offset.size].reshape(offset.shape) for w in workspace)
+        return _abs_kernel_product(a_p, a_q, left, offset, out, work)
 
     def quadrature(order: int, split: int, chunk: np.ndarray) -> tuple[float, float]:
         total, residual = gauss_kronrod(integrand, chunk, split, order)

@@ -19,7 +19,10 @@ sign changes, so the quadrature has an oracle that shares none of it.
 sweeps every root until all have stopped.  :func:`interval_product_breakpoints`
 makes every break of the interval integrand at once, and
 :func:`interval_product_l1_whole` climbs the ladder over that whole array, as
-the library did before it made its breaks chunk by chunk.
+the library did before it made its breaks chunk by chunk;
+:func:`interval_product_l1_gauss` integrates over the same breaks with a
+Gauss-Legendre rule and :func:`kernel_sum`, sharing no Kronrod rule and no
+fused integrand with the library.
 
 The defining loops the library's engines replaced: every ordered pair of a
 support product (:func:`support_product_ordered_loops`), associativity by
@@ -311,7 +314,9 @@ def a_norm_su2_antiderivative(v: dict[int, float], grid_factor: int = 64) -> flo
     = sum_k e_k cos(k theta), e_k = (c_k - c_{k-2}) / 2.  Its sign changes
     in (0, pi) are those of s = sum_n c_n sin((n+1) theta): sign changes on
     a grid of grid_factor (N + 2) points, then bisection, and the grid
-    points where s is exactly 0.
+    points where s is exactly 0.  Two sign changes in one cell hide each
+    other, so the grid is doubled until the count of sign changes and zero
+    points stops growing.
     """
     N = max(v)
     c = np.zeros(N + 3)
@@ -321,14 +326,24 @@ def a_norm_su2_antiderivative(v: dict[int, float], grid_factor: int = 64) -> flo
     freqs = np.arange(1, N + 2)
 
     def s(theta: np.ndarray) -> np.ndarray:
-        return np.sin(np.outer(theta, freqs)) @ c[:N + 1]
+        return np.concatenate([np.sin(np.outer(part, freqs)) @ c[:N + 1]
+                               for part in np.array_split(theta, max(1, len(theta) // 4096))])
 
-    grid = np.linspace(0.0, math.pi, grid_factor * (N + 2) + 1)[1:-1]
-    values = s(grid)
-    # a grid point where s is exactly 0 is a zero itself, and brackets none
-    nonzero = values != 0
-    sign = np.sign(values[nonzero])
-    flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    def sign_changes(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The grid, its points where s is not 0, the flips between them, and their count."""
+        grid = np.linspace(0.0, math.pi, points + 1)[1:-1]
+        values = s(grid)
+        # a grid point where s is exactly 0 is a zero itself, and brackets none
+        nonzero = values != 0
+        sign = np.sign(values[nonzero])
+        flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        return grid, nonzero, flips, flips.size + int(np.count_nonzero(~nonzero))
+
+    points = grid_factor * (N + 2)
+    found = sign_changes(points)
+    while (finer := sign_changes(2 * points))[3] > found[3]:
+        found, points = finer, 2 * points
+    grid, nonzero, flips, _ = found
     zeros = _bisect(s, grid[nonzero][flips], grid[nonzero][flips + 1])
     breaks = np.sort(np.concatenate([[0.0], zeros, grid[~nonzero], [math.pi]]))
     return _antiderivative_l1(e[0], e[1:], breaks)
@@ -375,6 +390,26 @@ def interval_product_breakpoints(P: int, Q: int) -> np.ndarray:
     """0, pi and the interior zeros of S_P and S_Q, sorted, without repeats."""
     return su2num._breaks(np.concatenate(
         [[0.0, math.pi], su2num.kernel_roots(P), su2num.kernel_roots(Q)]))
+
+
+def interval_product_l1_gauss(P: int, Q: int, order: int) -> float:
+    """(2/pi) int_0^pi |S_P S_Q| / S(Q) by Gauss-Legendre of ``order`` on every piece.
+
+    su2num.piecewise_gauss over the pieces between the breaks of
+    :func:`interval_product_breakpoints`, with S_M from :func:`kernel_sum`,
+    so it shares neither gauss_kronrod nor _abs_kernel_product.  It runs
+    over 2^14 pieces at a time, so its arrays stay a few tens of MB at
+    every stage.
+    """
+    breaks = interval_product_breakpoints(P, Q)
+
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        return np.abs(kernel_sum(P, theta) * kernel_sum(Q, theta))
+
+    pieces = 1 << 14
+    total = math.fsum(su2num.piecewise_gauss(integrand, breaks[start:start + pieces + 1], order)
+                      for start in range(0, len(breaks) - 1, pieces))
+    return (2.0 / math.pi) * total / su2num.sum_squares(Q)
 
 
 def interval_product_l1_whole(P: int, Q: int, tolerance: float) -> tuple[float, float]:

@@ -59,8 +59,9 @@ def test_quadrature_figures_match_the_library():
     assert chunks and {int(c.replace(" ", "")) for c in chunks} == {su2num.CHUNK_PIECES}
     nodes = re.findall(r"(\d+) nodes a piece", text)
     assert nodes and {int(n) for n in nodes} == {su2num.QUADRATURE_LADDER[0][0]}
-    for unit, size in [("pieces", su2num._INTEGRAND_BLOCK), ("brackets", su2num._ROOT_BLOCK)]:
-        blocks = re.findall(rf"blocks of ([\d ]+) {unit}", text)
+    for kind, unit, size in [("batches", "nodes", su2num._BATCH_NODES),
+                             ("blocks", "brackets", su2num._ROOT_BLOCK)]:
+        blocks = re.findall(rf"{kind} of ([\d ]+) {unit}", text)
         assert blocks and {int(b.replace(" ", "")) for b in blocks} == {size}, unit
 
 

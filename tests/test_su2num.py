@@ -21,6 +21,7 @@ from hypergroups.fourier import Su2IntervalBump
 from oracles import (
     interval_product_breakpoints,
     interval_product_l1_antiderivative,
+    interval_product_l1_gauss,
     interval_product_l1_whole,
     kernel_roots_every_sweep,
     kernel_sum,
@@ -248,14 +249,20 @@ class TestGaussKronrod:
         batches = []
 
         def counted(left, offset):
-            batches.append(offset.size)
+            batches.append((left.shape, offset.shape))
             return np.abs(left + offset) * offset * (h - offset) * (4 / (h * h))
 
         value, residual = su2num.gauss_kronrod(counted, breaks, split, order)
-        assert su2num._CHUNK_NODES == 65_536
-        assert len(batches) == -(-20_000 // (su2num._CHUNK_NODES // (order * split)))
-        assert max(batches) <= su2num._CHUNK_NODES
-        assert sum(batches) == 20_000 * order * split
+        assert su2num._BATCH_NODES == 28_672
+        # a batch is at most 4 096 pieces of the first rung, under half a chunk
+        assert 2 * su2num._BATCH_NODES < su2num.CHUNK_PIECES * 7
+        per_batch = su2num._BATCH_NODES // (order * split)
+        assert len(batches) == -(-20_000 // per_batch)
+        # node-major: a row of left ends, one offset row per node, one column per piece
+        assert all(left == (1, pieces) and rows == order * split
+                   for left, (rows, pieces) in batches)
+        assert max(pieces for _, (_, pieces) in batches) == per_batch
+        assert sum(pieces for _, (_, pieces) in batches) == 20_000
         assert residual > 1e-13
         # a piece with midpoint m holds (2h/3) |m|, and the kink's piece,
         # with its kink c = 7h/16 from its left end, 2 c^3 (2h - c) / (3 h^2)
@@ -274,7 +281,7 @@ class TestGaussKronrod:
             with pytest.raises(ValueError, match=f"of {order} nodes with split {split}"):
                 su2num.gauss_kronrod(_pointwise(np.sin), breaks, split, order)
 
-    def test_by_piece_hands_left_ends_and_offsets(self):
+    def test_node_major_hands_left_ends_and_offsets(self):
         breaks = np.array([0.0, 0.5, 2.0])
         seen = []
 
@@ -286,9 +293,14 @@ class TestGaussKronrod:
         value, _ = su2num.gauss_kronrod(recorded, breaks, 2, 21)
         assert value == pytest.approx(1.0 - math.cos(2.0), abs=1e-14)
         (left, offset), = seen
-        assert left.tolist() == [[0.0], [0.5]]
-        assert offset.shape == (2, 42)
-        assert 0.0 < offset.min() and np.all(offset[1] <= 1.5) and offset[1].max() > 1.49
+        assert left.tolist() == [[0.0, 0.5]]
+        assert offset.shape == (42, 2)
+        assert 0.0 < offset.min() and np.all(offset[:, 1] <= 1.5) and offset[:, 1].max() > 1.49
+        # row i * split + p is node i of part p: the second piece's parts
+        # are [0, 0.75] and [0.75, 1.5], each with its nodes in increasing order
+        parts = offset[:, 1].reshape(21, 2)
+        assert parts[:, 0].max() < 0.75 < parts[:, 1].min()
+        assert np.all(np.diff(parts, axis=0) > 0)
 
 
 class TestIntervalProductL1:
@@ -351,6 +363,17 @@ class TestIntervalProductL1:
                                                                      tolerance)
         assert 0 < value.residual <= tolerance
         assert abs(value - reference) <= value.residual + 1e-12 * reference
+
+    @pytest.mark.parametrize("k2,m2", [(60, 914), (1888, 28_779)])
+    def test_ladder_matches_the_gauss_legendre_oracle(self, k2, m2):
+        # stages 3 and 4 of the D = 1.1 chain; the oracle shares neither
+        # gauss_kronrod nor the fused integrand, and the gap between its two
+        # orders stands for its own error
+        P, Q = k2 + m2 + 1, m2 + 1
+        coarse, fine = (interval_product_l1_gauss(P, Q, order) for order in (12, 20))
+        for tolerance in (1e-7, 1e-9):
+            value, residual = su2num.interval_product_l1(P, Q, tolerance)
+            assert abs(value - fine) <= residual + abs(fine - coarse) + 1e-12 * value
 
     @staticmethod
     def _record_passes(monkeypatch):
@@ -446,9 +469,9 @@ class TestIntervalProductL1:
         reduced = su2num._abs_kernel_product(a_p, a_q, left, offset)
         assert np.max(np.abs(reduced - unreduced) / envelope) <= 1e-14
 
-    def test_blocked_integrand_equals_one_unblocked_call(self, monkeypatch):
+    def test_workspace_integrand_equals_one_call_without_it(self, monkeypatch):
         # stage 4 at 1e-7: every chunk on the Lobatto-Kronrod rung, chunk 0
-        # on K21 too.  Each batch's values, block by block over one
+        # on K21 too.  Each batch's values, written into the call's one
         # workspace, are the bits of one _abs_kernel_product call over it
         k2, m2 = 1888, 28_779
         P, Q = k2 + m2 + 1, m2 + 1
@@ -459,18 +482,22 @@ class TestIntervalProductL1:
             def integrand(left, offset):
                 values = fn(left, offset)
                 whole = su2num._abs_kernel_product(P + 0.5, Q + 0.5, left, offset)
-                batches.append((order, split, len(left), values.tobytes() == whole.tobytes()))
+                batches.append((order, split, left.size, values.tobytes() == whole.tobytes(),
+                                values.__array_interface__["data"][0]))
                 return values
 
             return original(integrand, breaks, split, order)
 
         monkeypatch.setattr(su2num, "gauss_kronrod", comparing)
         su2num.interval_product_l1(P, Q, 1e-7)
-        assert {(order, split) for order, split, _, _ in batches} == {(7, 1), (21, 1)}
-        assert all(same for *_, same in batches)
-        # batches of several blocks, each ending in a partial block
-        assert max(pieces for _, _, pieces, _ in batches) > 4 * su2num._INTEGRAND_BLOCK
-        assert all(pieces % su2num._INTEGRAND_BLOCK for _, _, pieces, _ in batches)
+        assert {(order, split) for order, split, *_ in batches} == {(7, 1), (21, 1)}
+        assert all(same for *_, same, _ in batches)
+        # one workspace for the call, filled by whole batches and by the
+        # partial batch that ends each chunk
+        assert len({address for *_, address in batches}) == 1
+        for rule in (7, 21):
+            pieces = {n for order, _, n, *_ in batches if order == rule}
+            assert max(pieces) == su2num._BATCH_NODES // rule and min(pieces) < max(pieces)
 
     def test_unreachable_tolerance_raises_after_the_8x_split(self, su2, monkeypatch):
         calls = self._record_passes(monkeypatch)
@@ -572,7 +599,7 @@ class TestIntervalProductBits:
 
     def test_stage_5_holds_one_chunk_not_every_break(self):
         # the whole array of 1 871 762 breaks peaked at 32.85 MiB; the
-        # integrand's workspace alone is 2.5 MiB
+        # integrand's workspace alone is 1.3 MiB
         tracemalloc.start()
         try:
             su2num.interval_product_l1(965_604, 906_158, 1e-7)

@@ -600,8 +600,8 @@ MAX_CYCLOTOMIC_DEGREE = 64
 # Largest interval-plateau support (k2 + 2 m2 + 1 labels) a witness stage, an
 # A-norm, a non-integer Segal norm or a label->value function may have.  The
 # plateau is O(1); that work is not: at the last stage of the D = 1.1, N = 5
-# chain (1 871 761 labels) the A-norm at tolerance 1e-7 takes 0.35-0.45 s
-# (numpy 2.4 on one Xeon core).  Its peak RSS, 5.2 MB above the import
+# chain (1 871 761 labels) the A-norm at tolerance 1e-7 takes 0.32-0.35 s
+# (numpy 2.4 on one Xeon core).  Its peak RSS, 2.5 MB above the import
 # baseline, is the same at every stage, but its time grows with the support,
 # so 2^22 labels admit that stage and refuse the next (58 935 667).
 MAX_INTERVAL_SUPPORT = 1 << 22

@@ -15,8 +15,7 @@ exact is plain `int`/`Fraction`, the quadrature is numpy float64.
 from __future__ import annotations
 
 import math
-import functools
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Callable, Collection
 from fractions import Fraction
 from typing import Any
 
@@ -247,8 +246,6 @@ def poly_sum(f: Callable[[int], Any], n: int, deg: int) -> Fraction:
 
 _NEWTON_SWEEPS = 8
 _ROOT_SLACK = 4 * float(np.spacing(math.pi))
-# brackets per block of kernel_roots: the block's working arrays stay in cache
-_ROOT_BLOCK = 1 << 15
 
 
 def kernel_roots(M: int, lo: int = 1, hi: int | None = None) -> np.ndarray:
@@ -280,46 +277,39 @@ def kernel_roots(M: int, lo: int = 1, hi: int | None = None) -> np.ndarray:
     of pi, and later sweeps run only on the roots still moving: at
     M = 965 604, 265 of them after the first sweep.  So every root's bits
     depend on its k alone, and a range holds the bits of the same roots of
-    the whole array.  The brackets are solved in blocks of _ROOT_BLOCK,
-    each written into the one result array, so beside the hi - lo roots a
-    call holds a few arrays of one block.  Neither the convergence nor the
-    rounding is proven, so the result is checked: a root still moving after
-    _NEWTON_SWEEPS sweeps, or anything but strictly increasing roots each
-    in its bracket up to a few ulps (near pi a root can round past the
-    right end), raises InternalInvariantError.  The order check covers the
-    seams between blocks; a caller that joins ranges checks its own seams.
+    the whole array.  The library asks for at most CHUNK_PIECES // 2 + 4
+    roots at once, so the call's arrays stay in cache.  Neither the
+    convergence nor the rounding is proven, so the result is checked: a
+    root still moving after _NEWTON_SWEEPS sweeps, or anything but strictly
+    increasing roots each in its bracket up to a few ulps (near pi a root
+    can round past the right end), raises InternalInvariantError.
     """
     hi = max(M, 1) if hi is None else hi
     if not 1 <= lo <= hi <= max(M, 1):
         raise ValueError(f"kernel_roots({M}): no bracket range {lo} .. {hi - 1}")
     a = M + 0.5
     scale = (2 * a * a - 0.5) / a
-    theta = np.empty(hi - lo)
-    inside = True
-    for start in range(lo, hi, _ROOT_BLOCK):
-        # bracket k is [k pi, k pi + pi/2] / a
-        k_pi = np.arange(start, min(start + _ROOT_BLOCK, hi)) * math.pi
-        phi = 0.5 * math.pi - np.arctan(1.0 / (2 * a * np.tan((0.5 / a) * (k_pi + 0.5 * math.pi))))
-        # the whole block, then the indices of the roots still moving
-        moving = slice(None)
-        for _ in range(_NEWTON_SWEEPS):
-            step = 1.0 / np.tan((0.5 / a) * (k_pi[moving] + phi[moving]))
-            step -= 2 * a / np.tan(phi[moving])
-            step /= scale
-            phi[moving] -= step
-            still = np.abs(step) > a * _ROOT_SLACK
-            moving = np.flatnonzero(still) if isinstance(moving, slice) else moving[still]
-            if not moving.size:
-                break
-        else:
-            raise InternalInvariantError(f"kernel_roots({M}): Newton did not converge")
-        block = theta[start - lo:start - lo + k_pi.size]
-        np.add(phi, k_pi, out=block)
-        block /= a
-        inside &= bool(np.all((block >= k_pi / a - _ROOT_SLACK)
-                              & (block <= (k_pi + 0.5 * math.pi) / a + _ROOT_SLACK)))
-    # the order check runs over the whole array, so it covers the block seams
-    if not (inside and np.all(np.diff(theta) > 0)):
+    # bracket k is [k pi, k pi + pi/2] / a
+    k_pi = np.arange(lo, hi) * math.pi
+    phi = 0.5 * math.pi - np.arctan(1.0 / (2 * a * np.tan((0.5 / a) * (k_pi + 0.5 * math.pi))))
+    # every root, then the indices of the roots still moving
+    moving = slice(None)
+    for _ in range(_NEWTON_SWEEPS):
+        step = 1.0 / np.tan((0.5 / a) * (k_pi[moving] + phi[moving]))
+        step -= 2 * a / np.tan(phi[moving])
+        step /= scale
+        phi[moving] -= step
+        still = np.abs(step) > a * _ROOT_SLACK
+        moving = np.flatnonzero(still) if isinstance(moving, slice) else moving[still]
+        if not moving.size:
+            break
+    else:
+        raise InternalInvariantError(f"kernel_roots({M}): Newton did not converge")
+    theta = np.add(phi, k_pi, out=phi)
+    theta /= a
+    if not (np.all((theta >= k_pi / a - _ROOT_SLACK)
+                   & (theta <= (k_pi + 0.5 * math.pi) / a + _ROOT_SLACK))
+            and np.all(np.diff(theta) > 0)):
         raise InternalInvariantError(
             f"kernel_roots({M}): roots are not one per bracket in increasing order")
     return theta
@@ -441,17 +431,17 @@ QUADRATURE_LADDER = ((7, 1), (21, 1), (21, 2), (21, 4), (21, 8))
 CHUNK_PIECES = (1 << 16) // QUADRATURE_LADDER[0][0]
 
 
-def _refine_chunks(quadrature, chunks: Iterable[tuple[np.ndarray, Callable[[], np.ndarray]]],
+def _refine_chunks(quadrature, chunk: Callable[[int], np.ndarray], n_chunks: int,
                    tolerance: float) -> tuple[float, float]:
     """Climb QUADRATURE_LADDER chunk by chunk until the residuals fit the tolerance.
 
     ``quadrature(order, split, breaks)`` returns (value, residual) over the
     pieces between ``breaks``; the integrand must vanish at every break,
-    which the first rung does not evaluate.  ``chunks`` yields each chunk
-    once, in order, as its breaks and a callable that makes the same breaks
-    again; consecutive chunks share their end breaks.  Every chunk is
-    integrated on the first rung as it comes, and only its callable is
-    kept, so the breaks of one chunk at a time are alive.
+    which the first rung does not evaluate.  ``chunk(i)`` returns the breaks
+    of chunk i, for i in range(n_chunks), the same each time it is called;
+    consecutive chunks share their end breaks.  Every chunk is integrated
+    on the first rung in order, and none is kept, so the breaks of one
+    chunk at a time are alive.
     While the residuals sum to more than the tolerance, the chunk with the
     largest residual among those below the last rung climbs one rung and
     is integrated again over its own pieces, made again: QUADPACK's
@@ -464,13 +454,9 @@ def _refine_chunks(quadrature, chunks: Iterable[tuple[np.ndarray, Callable[[], n
     """
     # the bookkeeping is in plain lists: numpy's argmax alone, first called
     # here, raised the peak RSS of a generic su2-hat A-norm by 0.3 MB
-    values, residuals, remake = [], [], []
-    for breaks, again in chunks:
-        value, residual = quadrature(*QUADRATURE_LADDER[0], breaks)
-        values.append(value)
-        residuals.append(residual)
-        remake.append(again)
-    rungs = [0] * len(values)
+    values, residuals = map(list, zip(*(quadrature(*QUADRATURE_LADDER[0], chunk(i))
+                                        for i in range(n_chunks))))
+    rungs = [0] * n_chunks
     last = len(QUADRATURE_LADDER) - 1
     while (residual := sum(residuals)) > tolerance:
         climbable = [i for i, rung in enumerate(rungs) if rung < last]
@@ -478,18 +464,10 @@ def _refine_chunks(quadrature, chunks: Iterable[tuple[np.ndarray, Callable[[], n
             raise NumericError(
                 f"quadrature residual {residual:.3e} exceeds tolerance {tolerance:.3e} "
                 f"with every piece split {QUADRATURE_LADDER[-1][1]}x", residual=residual)
-        chunk = max(climbable, key=residuals.__getitem__)
-        rungs[chunk] += 1
-        values[chunk], residuals[chunk] = quadrature(*QUADRATURE_LADDER[rungs[chunk]],
-                                                     remake[chunk]())
+        i = max(climbable, key=residuals.__getitem__)
+        rungs[i] += 1
+        values[i], residuals[i] = quadrature(*QUADRATURE_LADDER[rungs[i]], chunk(i))
     return sum(values), residual
-
-
-def _array_chunks(breaks: np.ndarray) -> Iterator[tuple[np.ndarray, Callable[[], np.ndarray]]]:
-    """The chunks of a whole break array for :func:`_refine_chunks`: runs of CHUNK_PIECES."""
-    for start in range(0, len(breaks) - 1, CHUNK_PIECES):
-        chunk = breaks[start:start + CHUNK_PIECES + 1]
-        yield chunk, lambda chunk=chunk: chunk
 
 
 def _breaks(merged: np.ndarray) -> np.ndarray:
@@ -503,69 +481,38 @@ def _breaks(merged: np.ndarray) -> np.ndarray:
     return merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
 
 
-def _chunk_breaks(first: float, *roots: np.ndarray) -> np.ndarray:
-    """The first CHUNK_PIECES + 1 of ``first``, pi and ``roots``, merged by :func:`_breaks`.
+def _bracket_chunk(P: int, Q: int, i: int) -> np.ndarray:
+    """Chunk i of the breaks of :func:`interval_product_l1`: 0, pi and the zeros of S_P, S_Q.
 
-    Each array of ``roots`` is sorted and lies above ``first``.  No break of
-    the chunk is missing when each holds CHUNK_PIECES zeros of its kernel or
-    every zero left, or at least every zero up to the chunk's last break.
+    With n = CHUNK_PIECES // 2 and S_M the larger kernel, the chunk holds
+    the zeros of S_M in brackets i n + 1 .. (i + 1) n, its ends 0 or zero
+    i n of S_M and pi or the chunk's last zero of S_M, and every zero of
+    the other kernel S_m strictly between the ends, merged by
+    :func:`_breaks`.  Zero k of S_m lies in [k, k + 1/2] pi/b, b = m + 1/2,
+    so kernel_roots solves S_m over brackets floor(z_first) - 1 ..
+    floor(z_last + 1/2) + 1, z = b theta / pi at the ends, whose zeros
+    reach half a bracket past each end: far more than the rounding of z.
+    The proof that no zero between the ends is missed: the solved range
+    must start at bracket 1 or at a zero at or below the first break, and
+    end at bracket m - 1 or at a zero at or above the last break, since
+    kernel_roots proves its zeros one per bracket; otherwise the chunk
+    raises InternalInvariantError.  There are (M - 1) // n + 1 chunks,
+    each of at most CHUNK_PIECES + 2 pieces, and joined they are the
+    sorted, deduplicated array of every break, bit for bit.
     """
-    return _breaks(np.concatenate([[first, math.pi], *roots]))[:CHUNK_PIECES + 1]
-
-
-def _zero_blocks(M: int) -> Iterator[np.ndarray]:
-    """The zeros of S_M in blocks of _ROOT_BLOCK from bracket 1 on, each solved when drawn."""
-    return (kernel_roots(M, start, min(start + _ROOT_BLOCK, M))
-            for start in range(1, M, _ROOT_BLOCK))
-
-
-def _interval_chunks(P: int, Q: int) -> Iterator[tuple[np.ndarray, Callable[[], np.ndarray]]]:
-    """The chunks of 0, pi and the zeros of S_P and S_Q, made one at a time.
-
-    One cursor per kernel solves its zeros once, in blocks of _ROOT_BLOCK
-    from bracket 1 on, and holds those not yet below a chunk's first break.
-    kernel_roots checks the order inside a block; a block whose first zero
-    is not above every zero held before it raises InternalInvariantError.
-    Each chunk holds the breaks of the sorted, deduplicated array of every
-    break cut into runs of CHUNK_PIECES pieces.  It is kept as three
-    numbers, its first break and the index of the first zero of S_P and of
-    S_Q above it, and is made again from those with the range form of
-    :func:`kernel_roots`, to the same bits.
-    """
-    kernels = (P, Q)
-    cursors = [_zero_blocks(M) for M in kernels]
-    held, first_zero = [np.empty(0), np.empty(0)], [0, 0]
-    first = 0.0
-    while first < math.pi:
-        for j, cursor in enumerate(cursors):
-            while held[j].size < CHUNK_PIECES and first_zero[j] + held[j].size < kernels[j] - 1:
-                seam = held[j].size
-                held[j] = np.concatenate([held[j], next(cursor)])
-                if not held[j][seam] > (held[j][seam - 1] if seam else first):
-                    raise InternalInvariantError(
-                        f"kernel_roots({kernels[j]}): zero {first_zero[j] + seam + 1} "
-                        "is not above the zeros before it")
-        # S_M has about a share M / (P + Q) of the chunk's zeros: merge that
-        # share and 64 more, or CHUNK_PIECES if a zero past the share may be missing
-        roots = [zeros[:CHUNK_PIECES * M // (P + Q) + 64] for zeros, M in zip(held, kernels)]
-        chunk = _chunk_breaks(first, *roots)
-        if any(share.size < min(zeros.size, CHUNK_PIECES) and chunk[-1] > share[-1]
-               for share, zeros in zip(roots, held)):
-            roots = [zeros[:CHUNK_PIECES] for zeros in held]
-            chunk = _chunk_breaks(first, *roots)
-        yield chunk, functools.partial(_interval_chunk, kernels, first, tuple(first_zero))
-        first = chunk[-1]
-        for j, zeros in enumerate(roots):
-            used = int(np.searchsorted(zeros, first, side="right"))
-            held[j] = held[j][used:]
-            first_zero[j] += used
-
-
-def _interval_chunk(kernels: tuple[int, int], first: float,
-                    first_zero: tuple[int, int]) -> np.ndarray:
-    """The chunk of :func:`_interval_chunks` that starts at ``first``, made again."""
-    return _chunk_breaks(first, *(kernel_roots(M, i + 1, min(i + 1 + CHUNK_PIECES, M))
-                                  for M, i in zip(kernels, first_zero)))
+    M, m = max(P, Q), min(P, Q)
+    n = CHUNK_PIECES // 2
+    zeros = kernel_roots(M, max(i * n, 1), min((i + 1) * n + 1, M))
+    own = np.concatenate([[0.0] if i == 0 else [], zeros, [math.pi] if (i + 1) * n >= M else []])
+    first, last = own[0], own[-1]
+    lo = max(math.floor((m + 0.5) / math.pi * first) - 1, 1)
+    hi = min(math.floor((m + 0.5) / math.pi * last + 0.5) + 2, m)
+    other = kernel_roots(m, lo, hi)
+    if not ((lo == 1 or other[0] <= first) and (hi == m or other[-1] >= last)):
+        raise InternalInvariantError(
+            f"kernel_roots({m}): brackets {lo} .. {hi - 1} do not cover the chunk "
+            f"[{first!r}, {last!r}] of S_{M}")
+    return _breaks(np.concatenate([own, other[(other > first) & (other < last)]]))
 
 
 # pi in three parts for the reduction in _half_phase_tangent: _PI_HI has 30
@@ -587,8 +534,8 @@ def _half_phase_tangent(a: float, left: np.ndarray, offset: Any,
     and of the small (a/2) offset, as the unreduced (a/2)(left + offset)
     carries its own, and the tangent is taken of a phase in [-pi/2, pi/2]
     plus (a/2) offset, where numpy's tangent is fast.  The exactness needs
-    |k| < 2^23, which holds for a < 2^24 and left <= pi; the interval
-    plateaus' support budget, MAX_INTERVAL_SUPPORT, keeps a below 2^22 + 1.
+    |k| < 2^23, which holds for a < 2^24 and left <= pi;
+    :func:`interval_product_l1` refuses every larger a.
     The tangents are written into ``out`` when it is given.
     """
     x = (0.5 * a) * left
@@ -663,15 +610,20 @@ def interval_product_l1(P: int, Q: int, tolerance: float) -> tuple[float, float]
     plateau K = {0..k2}, V = {0..m2}, as h(V) = S(Q).  The ladder of
     :func:`_refine_chunks` integrates the fused 4 |S_P S_Q| between 0, pi
     and the zeros of S_P and S_Q, where it vanishes, and scales each
-    chunk's value and residual by 1/(2 pi S(Q)).  The breaks come from
-    :func:`_interval_chunks` one chunk at a time, so the call holds one
-    chunk and a block of zeros of each kernel, never every break.  The
-    integrand writes each gauss_kronrod batch's values and intermediates
-    into one workspace of six rows of _BATCH_NODES, allocated once per
-    call.  The memory is the same at every stage: at the D = 1.1 stage 5
-    (1 871 762 breaks) the call's tracemalloc peak is about 3.8 MiB, a
-    third of it that workspace.
+    chunk's value and residual by 1/(2 pi S(Q)).  Chunk i is a function of
+    (P, Q, i) alone, :func:`_bracket_chunk`, made when it is integrated and
+    again if it climbs, so the call holds one chunk's zeros, never every
+    break.  The integrand writes each gauss_kronrod batch's values and
+    intermediates into one workspace of six rows of _BATCH_NODES,
+    allocated once per call.  The memory is the same at every stage: at
+    the D = 1.1 stage 5 (1 871 762 breaks) the call's tracemalloc peak is
+    about 1.9 MiB, two thirds of it that workspace, and its peak RSS grows
+    2.5 MB over the import baseline.  P or Q below 1, or a kernel with
+    max(P, Q) + 1/2 >= 2^24, past which :func:`_half_phase_tangent` does not
+    prove its reduction exact, raises ValueError.
     """
+    if min(P, Q) < 1 or max(P, Q) >= 1 << 24:
+        raise ValueError(f"interval_product_l1({P}, {Q}): kernels must lie in 1 .. 2^24 - 1")
     a_p, a_q = P + 0.5, Q + 0.5
     scale = 0.5 / math.pi  # 2/pi for the normalisation, 1/4 for the integrand
     h = float(sum_squares(Q))
@@ -685,7 +637,8 @@ def interval_product_l1(P: int, Q: int, tolerance: float) -> tuple[float, float]
         total, residual = gauss_kronrod(integrand, chunk, split, order)
         return scale * total / h, scale * residual / h
 
-    return _refine_chunks(quadrature, _interval_chunks(P, Q), tolerance)
+    chunks = (max(P, Q) - 1) // (CHUNK_PIECES // 2) + 1
+    return _refine_chunks(quadrature, lambda i: _bracket_chunk(P, Q, i), chunks, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -809,4 +762,5 @@ def u_series_l1(coeffs: np.ndarray, tolerance: float,
     breaks = _breaks(np.concatenate([[0.0, math.pi], zeros]))
     return _refine_chunks(
         lambda order, split, chunk: gauss_kronrod(integrand, chunk, split, order),
-        _array_chunks(breaks), tolerance)
+        lambda i: breaks[i * CHUNK_PIECES:(i + 1) * CHUNK_PIECES + 1],
+        (len(breaks) - 2) // CHUNK_PIECES + 1, tolerance)

@@ -17,9 +17,10 @@ sign changes, so the quadrature has an oracle that shares none of it.
 :func:`kernel_sum` is S_M in closed form, for the kernel-zero checks, and
 :func:`kernel_roots_every_sweep` is the Newton iteration for the zeros that
 sweeps every root until all have stopped.  :func:`interval_product_breakpoints`
-makes every break of the interval integrand at once, and
-:func:`interval_product_l1_whole` climbs the ladder over that whole array, as
-the library did before it made its breaks chunk by chunk;
+makes every break of the interval integrand at once,
+:func:`interval_product_chunks` cuts it where the library's chunks end, and
+:func:`interval_product_l1_whole` climbs the ladder over those cuts of the
+whole array, as the library did before it made its breaks chunk by chunk;
 :func:`interval_product_l1_gauss` integrates over the same breaks with a
 Gauss-Legendre rule and :func:`kernel_sum`, sharing no Kronrod rule and no
 fused integrand with the library.
@@ -412,13 +413,26 @@ def interval_product_l1_gauss(P: int, Q: int, order: int) -> float:
     return (2.0 / math.pi) * total / su2num.sum_squares(Q)
 
 
+def interval_product_chunks(P: int, Q: int) -> list[np.ndarray]:
+    """The array of :func:`interval_product_breakpoints` cut at the library's chunk ends.
+
+    With n = CHUNK_PIECES // 2 and S_M the larger kernel, the cuts are the
+    zeros n, 2n, ... of S_M; neighbouring chunks share their cut.
+    """
+    breaks = interval_product_breakpoints(P, Q)
+    n = su2num.CHUNK_PIECES // 2
+    cuts = np.searchsorted(breaks, su2num.kernel_roots(max(P, Q))[n - 1::n]).tolist()
+    ends = [0, *cuts, len(breaks) - 1]
+    return [breaks[start:stop + 1] for start, stop in zip(ends, ends[1:])]
+
+
 def interval_product_l1_whole(P: int, Q: int, tolerance: float) -> tuple[float, float]:
     """su2num.interval_product_l1 with every break made before the first is integrated.
 
-    The whole array of :func:`interval_product_breakpoints` is cut into runs
-    of CHUNK_PIECES pieces, and the chunks climb QUADRATURE_LADDER by the
-    same rule, integrated by one unblocked integrand call per batch.  The
-    library must return the same bits.
+    The whole array of :func:`interval_product_breakpoints` is cut by
+    :func:`interval_product_chunks`, and the chunks climb QUADRATURE_LADDER
+    by the same rule, integrated by one unblocked integrand call per batch.
+    The library must return the same bits.
     """
     a_p, a_q = P + 0.5, Q + 0.5
     scale = 0.5 / math.pi
@@ -432,9 +446,7 @@ def interval_product_l1_whole(P: int, Q: int, tolerance: float) -> tuple[float, 
         total, residual = su2num.gauss_kronrod(integrand, chunk, split, order)
         return scale * total / h, scale * residual / h
 
-    breaks = interval_product_breakpoints(P, Q)
-    pieces = su2num.CHUNK_PIECES
-    chunks = [breaks[start:start + pieces + 1] for start in range(0, len(breaks) - 1, pieces)]
+    chunks = interval_product_chunks(P, Q)
     values, residuals = map(list, zip(*(quadrature(0, chunk) for chunk in chunks)))
     rungs = [0] * len(chunks)
     last = len(su2num.QUADRATURE_LADDER) - 1

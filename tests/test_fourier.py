@@ -322,57 +322,73 @@ class TestRefineChunks:
 
     @staticmethod
     def _ladder(residuals_by_chunk):
-        """A quadrature whose chunk i has residual residuals_by_chunk[i][rung] and value i + 1."""
+        """Chunk i has residual residuals_by_chunk[i][rung] and value i + 1.
+
+        Returns the quadrature, the chunk function, the chunk count and the
+        list of (chunk, rung) that the quadrature is called with.
+        """
         calls = []
 
         def quadrature(order, split, chunk):
-            index = int(chunk[0]) // su2num.CHUNK_PIECES
+            index = int(chunk[0])
             rung = su2num.QUADRATURE_LADDER.index((order, split))
-            calls.append((index, rung, len(chunk)))
+            calls.append((index, rung))
             return float(index + 1), residuals_by_chunk[index][rung]
 
-        return quadrature, calls
+        def chunk(i):
+            return np.array([i, i + 1.0])
 
-    def test_chunks_are_runs_of_chunk_pieces_that_share_their_ends(self):
-        breaks = np.arange(2 * su2num.CHUNK_PIECES + 12, dtype=float)
-        quadrature, calls = self._ladder([[0.0] * 5] * 3)
-        value, residual = su2num._refine_chunks(quadrature, su2num._array_chunks(breaks), 1e-9)
-        assert su2num.CHUNK_PIECES == 9_362
-        # every chunk once on the first rung; the value is the sum of the chunk values
-        assert calls == [(0, 0, su2num.CHUNK_PIECES + 1), (1, 0, su2num.CHUNK_PIECES + 1),
-                         (2, 0, 12)]
+        return quadrature, chunk, len(residuals_by_chunk), calls
+
+    def test_chunks_are_runs_of_chunk_pieces_that_share_their_ends(self, monkeypatch):
+        # u_series_l1 cuts its one array of breaks into runs of CHUNK_PIECES
+        pieces = su2num.CHUNK_PIECES
+        assert pieces == 9_362
+        zeros = np.arange(1, 2 * pieces + 11) * (math.pi / (2 * pieces + 11))
+        made = []
+
+        def making(quadrature, chunk, n, tolerance):
+            made.extend(chunk(i) for i in range(n))
+            return 0.0, 0.0
+
+        with monkeypatch.context() as patch:
+            patch.setattr(su2num, "_refine_chunks", making)
+            su2num.u_series_l1(np.array([1.0]), 1e-9, zeros)
+        assert [len(chunk) for chunk in made] == [pieces + 1, pieces + 1, 12]
+        assert all(left[-1] == right[0] for left, right in zip(made, made[1:]))
+        assert np.array_equal(np.concatenate([made[0], *(c[1:] for c in made[1:])]),
+                              np.concatenate([[0.0], zeros, [math.pi]]))
+        # every chunk once on the first rung, in order; the value is the sum of the chunk values
+        quadrature, chunk, n, calls = self._ladder([[0.0] * 5] * 3)
+        value, residual = su2num._refine_chunks(quadrature, chunk, n, 1e-9)
+        assert calls == [(0, 0), (1, 0), (2, 0)]
         assert value == 6.0 and residual == 0.0
 
     def test_the_largest_residual_climbs_first(self):
-        breaks = np.arange(3 * su2num.CHUNK_PIECES + 1, dtype=float)
-        quadrature, calls = self._ladder([[0.2, 0.1, 0, 0, 0], [0.5, 0.05, 0, 0, 0],
-                                          [0.4, 0.3, 0.25, 0, 0]])
-        _, residual = su2num._refine_chunks(quadrature, su2num._array_chunks(breaks), 0.5)
+        quadrature, chunk, n, calls = self._ladder([[0.2, 0.1, 0, 0, 0], [0.5, 0.05, 0, 0, 0],
+                                                    [0.4, 0.3, 0.25, 0, 0]])
+        _, residual = su2num._refine_chunks(quadrature, chunk, n, 0.5)
         # 1.1 -> chunk 1 climbs (0.65) -> chunk 2 climbs (0.55) -> chunk 2 again (0.5)
-        assert [(i, rung) for i, rung, _ in calls[3:]] == [(1, 1), (2, 1), (2, 2)]
+        assert calls[3:] == [(1, 1), (2, 1), (2, 2)]
         assert residual == pytest.approx(0.5)
 
     def test_a_chunk_on_the_last_rung_leaves_the_climb_to_the_others(self):
         # chunk 0 ends on the 8x split at 0.6 of the tolerance, chunk 1 sits
         # on the first rung at 0.5: chunk 1 climbs, and the sum, 0.7, is accepted
         tolerance = 1e-6
-        breaks = np.arange(2 * su2num.CHUNK_PIECES + 1, dtype=float)
         table = [[10 * tolerance, 5 * tolerance, 2 * tolerance, tolerance, 0.6 * tolerance],
                  [0.5 * tolerance, 0.1 * tolerance, 0, 0, 0]]
-        quadrature, calls = self._ladder(table)
-        value, residual = su2num._refine_chunks(quadrature, su2num._array_chunks(breaks), tolerance)
-        assert [(i, rung) for i, rung, _ in calls] == [
-            (0, 0), (1, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 1)]
+        quadrature, chunk, n, calls = self._ladder(table)
+        value, residual = su2num._refine_chunks(quadrature, chunk, n, tolerance)
+        assert calls == [(0, 0), (1, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 1)]
         assert value == 3.0 and residual == pytest.approx(0.7 * tolerance)
 
     def test_raises_only_once_every_chunk_is_on_the_last_rung(self):
-        breaks = np.arange(2 * su2num.CHUNK_PIECES + 1, dtype=float)
-        quadrature, calls = self._ladder([[1.0] * 5, [0.5] * 5])
+        quadrature, chunk, n, calls = self._ladder([[1.0] * 5, [0.5] * 5])
         with pytest.raises(NumericError) as info:
-            su2num._refine_chunks(quadrature, su2num._array_chunks(breaks), 0.1)
+            su2num._refine_chunks(quadrature, chunk, n, 0.1)
         assert info.value.residual == 1.5
-        assert sorted((i, rung) for i, rung, _ in calls) == [
-            (i, rung) for i in range(2) for rung in range(5)]
+        assert sorted(calls) == [(i, rung) for i in range(2) for rung in range(5)]
 
 
 class TestFirstRungEnds:

@@ -60,7 +60,7 @@ def test_quadrature_figures_match_the_library():
     nodes = re.findall(r"(\d+) nodes a piece", text)
     assert nodes and {int(n) for n in nodes} == {su2num.QUADRATURE_LADDER[0][0]}
     for kind, unit, size in [("batches", "nodes", su2num._BATCH_NODES),
-                             ("blocks", "brackets", su2num._ROOT_BLOCK)]:
+                             ("runs", "brackets", su2num.CHUNK_PIECES // 2)]:
         blocks = re.findall(rf"{kind} of ([\d ]+) {unit}", text)
         assert blocks and {int(b.replace(" ", "")) for b in blocks} == {size}, unit
 

@@ -20,6 +20,7 @@ from hypergroups import su2num
 from hypergroups.fourier import Su2IntervalBump
 from oracles import (
     interval_product_breakpoints,
+    interval_product_chunks,
     interval_product_l1_antiderivative,
     interval_product_l1_gauss,
     interval_product_l1_whole,
@@ -27,8 +28,8 @@ from oracles import (
     kernel_sum,
 )
 
-# brackets per block of kernel_roots
-B = su2num._ROOT_BLOCK
+# a power of two, for kernel sizes and ranges on either side of it
+B = 1 << 15
 
 
 def bisection_kernel_roots(M, grid_factor=4, iterations=40):
@@ -99,8 +100,7 @@ class TestKernelRoots:
     @pytest.mark.parametrize("M", [2, 3, 7, B - 1, B, B + 1, B + 2, 2 * B + 1, 28_780, 30_668,
                                    906_158, 965_604])
     def test_equals_sweeping_every_root_bit_for_bit(self, M):
-        # per-root stopping and the blocks change no bit: M = B + 1 fills
-        # one block, B + 2 leaves one root for a second, 2B + 1 fills two
+        # per-root stopping changes no bit, for few roots or a million
         assert su2num.kernel_roots(M).tobytes() == kernel_roots_every_sweep(M).tobytes()
 
     def test_a_root_still_moving_after_the_last_sweep_raises(self, monkeypatch):
@@ -112,7 +112,7 @@ class TestKernelRoots:
     @pytest.mark.parametrize("M", [2, 3, 7, 915, 975, B - 1, B, B + 1, B + 2, 2 * B + 1, 28_780,
                                    30_668, 906_158, 965_604])
     def test_a_bracket_range_holds_the_bits_of_the_whole_array(self, M):
-        # ranges that start off the block grid and cross the block seams
+        # ranges of one root, of none and of most, at both ends and inside
         whole = su2num.kernel_roots(M)
         ranges = [(1, M), (1, 2), (M - 1, M), (M, M), (2, M), (B - 3, B + 5), (B, 2 * B + 2),
                   (B + 2, 3 * B), (M // 3, M - 7), (M - B - 9, M - 1)]
@@ -399,29 +399,31 @@ class TestIntervalProductL1:
         # stage 4 of the D = 1.1 chain: 59 447 pieces in 7 chunks; at 1e-7
         # only the chunk at theta = 0 climbs to K21
         k2, m2 = 1888, 28_779
-        breaks = interval_product_breakpoints(k2 + m2 + 1, m2 + 1)
+        P, Q = k2 + m2 + 1, m2 + 1
+        breaks = interval_product_breakpoints(P, Q)
         calls = self._record_passes(monkeypatch)
         value = Su2IntervalBump(su2, k2, m2).a_norm(QuadratureConfig(tolerance=1e-7))
         assert value.residual <= 1e-7
         by_nodes = self._pieces_by_nodes(calls)
         assert sorted(by_nodes) == [7, 21]
         assert np.array_equal(by_nodes[7], breaks[:-1])
-        assert np.array_equal(by_nodes[21], breaks[:su2num.CHUNK_PIECES])
+        assert np.array_equal(by_nodes[21], interval_product_chunks(P, Q)[0][:-1])
 
     @pytest.mark.parametrize("k2,m2", [(60, 914), (1888, 28_779)])
     def test_default_tolerance_climbs_a_chunk_prefix(self, su2, monkeypatch, k2, m2):
         # stages 3 and 4: at 1e-9 the chunks that climb to K21 are the
         # first ones, from theta = 0 on, each once and whole
-        breaks = interval_product_breakpoints(k2 + m2 + 1, m2 + 1)
+        P, Q = k2 + m2 + 1, m2 + 1
+        breaks = interval_product_breakpoints(P, Q)
         calls = self._record_passes(monkeypatch)
         value = Su2IntervalBump(su2, k2, m2).a_norm()
         assert value.residual <= 1e-9
         by_nodes = self._pieces_by_nodes(calls)
         assert sorted(by_nodes) == [7, 21]
         assert np.array_equal(by_nodes[7], breaks[:-1])
-        climbed = by_nodes[21]
-        assert climbed.size % su2num.CHUNK_PIECES == 0 or climbed.size == len(breaks) - 1
-        assert np.array_equal(np.sort(climbed), breaks[:climbed.size])
+        climbed = sorted((chunk for order, _, chunk in calls if order == 21), key=lambda c: c[0])
+        prefix = interval_product_chunks(P, Q)[:len(climbed)]
+        assert [c.tobytes() for c in climbed] == [c.tobytes() for c in prefix]
 
     @pytest.mark.parametrize("k2,m2", [(0, 1), (2, 29), (60, 914), (1888, 28_779),
                                        (59_446, 906_157)])
@@ -509,52 +511,70 @@ class TestIntervalProductL1:
         assert [(order, split, breaks[0]) for order, split, breaks in calls] == [
             (7, 1, 0.0), (21, 1, 0.0), (21, 2, 0.0), (21, 4, 0.0), (21, 8, 0.0)]
 
+    @pytest.mark.parametrize("P,Q", [(5, 0), (-3, 2), (0, 5), (0, 0)])
+    def test_a_kernel_below_one_is_refused(self, P, Q):
+        with pytest.raises(ValueError, match=rf"interval_product_l1\({P}, {Q}\): kernels must"):
+            su2num.interval_product_l1(P, Q, 1e-7)
 
-def cut_into_chunks(breaks):
-    """The oracle's whole break array cut into runs of CHUNK_PIECES pieces."""
-    pieces = su2num.CHUNK_PIECES
-    return [breaks[start:start + pieces + 1] for start in range(0, len(breaks) - 1, pieces)]
+    def test_a_kernel_past_the_exact_phase_reduction_is_refused(self, monkeypatch):
+        # _half_phase_tangent proves its reduction for a = M + 1/2 < 2^24;
+        # the largest admitted kernel reaches the ladder, on either side
+        monkeypatch.setattr(su2num, "_refine_chunks", lambda *args: (0.0, 0.0))
+        top = (1 << 24) - 1
+        assert su2num.interval_product_l1(top, 1, 1e-7) == su2num.interval_product_l1(
+            1, top, 1e-7) == (0.0, 0.0)
+        for P, Q in [(top + 1, 1), (1, top + 1), (1 << 30, 1 << 30)]:
+            with pytest.raises(ValueError, match=r"kernels must lie in 1 \.\. 2\^24 - 1"):
+                su2num.interval_product_l1(P, Q, 1e-7)
+
+
+def bracket_chunks(P, Q):
+    """Every chunk of interval_product_l1, each made from (P, Q, i) alone."""
+    count = (max(P, Q) - 1) // (su2num.CHUNK_PIECES // 2) + 1
+    return [su2num._bracket_chunk(P, Q, i) for i in range(count)]
 
 
 class TestIntervalChunks:
-    """The breaks of interval_product_l1, made chunk by chunk from one root cursor per kernel."""
+    """The breaks of interval_product_l1, chunk i a pure function of (P, Q, i)."""
 
-    @pytest.mark.parametrize("P,Q", [(1, 1), (2, 2), (3, 1), (975, 915), (30_668, 28_780),
-                                     (2 * B + 5, B + 3), (B + 2, B + 2), (965_604, 906_158)])
+    @pytest.mark.parametrize("P,Q", [(1, 1), (2, 2), (3, 1), (32, 30), (975, 915), (915, 975),
+                                     (30_668, 28_780), (2 * B + 5, B + 3), (B + 2, B + 2),
+                                     (965_604, 906_158)])
     def test_chunks_are_the_whole_array_cut_into_runs(self, P, Q):
-        # stages 4 and 5 of the D = 1.1 chain, kernels past one and two root
-        # blocks, and equal kernels, whose zeros all coincide
+        # the five stages of the D = 1.1 chain, a smaller first kernel, and
+        # equal kernels, whose zeros all coincide
         self._check_chunks(P, Q)
 
-    @given(P=st.integers(1, 400), Q=st.integers(1, 400), pieces=st.integers(1, 300),
-           block=st.integers(1, 50))
-    @example(P=60, Q=60, pieces=3, block=7)
-    @example(P=1, Q=37, pieces=1, block=1)
-    @example(P=400, Q=390, pieces=300, block=50)
-    @example(P=400, Q=400, pieces=300, block=50)
+    @given(P=st.integers(1, 400), Q=st.integers(1, 400), pieces=st.integers(2, 300))
+    @example(P=60, Q=60, pieces=6)
+    @example(P=1, Q=37, pieces=2)
+    @example(P=37, Q=1, pieces=3)
+    @example(P=7, Q=7, pieces=12)
+    @example(P=400, Q=390, pieces=300)
+    @example(P=400, Q=400, pieces=300)
     @settings(max_examples=150, deadline=None)
-    def test_chunk_and_block_seams_anywhere(self, P, Q, pieces, block):
-        # small chunks and root blocks put seams everywhere, including a
-        # chunk seam on a zero that S_P and S_Q share; past 128 pieces a
-        # chunk merges only each kernel's share of zeros, or all of them
-        # when a zero past the share may be missing (P = Q)
-        with mock.patch.object(su2num, "CHUNK_PIECES", pieces), \
-                mock.patch.object(su2num, "_ROOT_BLOCK", block):
+    def test_chunk_seams_anywhere(self, P, Q, pieces):
+        # small chunks put seams everywhere: on a zero that S_P and S_Q
+        # share, next to 0 and pi, and on the last zero of the larger kernel
+        # (P = Q = 7 with n = 6), which leaves a last chunk of one piece
+        with mock.patch.object(su2num, "CHUNK_PIECES", pieces):
             self._check_chunks(P, Q)
 
     @staticmethod
     def _check_chunks(P, Q):
-        chunks = list(su2num._interval_chunks(P, Q))
-        expected = cut_into_chunks(interval_product_breakpoints(P, Q))
-        assert len(chunks) == len(expected)
-        for (chunk, again), want in zip(chunks, expected):
-            assert chunk.tobytes() == want.tobytes()
-            # a chunk that climbs is made again, to the same bits
-            assert again().tobytes() == want.tobytes()
+        chunks = bracket_chunks(P, Q)
+        joined = np.concatenate([chunks[0], *(chunk[1:] for chunk in chunks[1:])])
+        assert joined.tobytes() == interval_product_breakpoints(P, Q).tobytes()
+        assert [c.tobytes() for c in chunks] == [c.tobytes() for c in interval_product_chunks(P, Q)]
+        assert all(left[-1] == right[0] for left, right in zip(chunks, chunks[1:]))
+        assert max(len(chunk) - 1 for chunk in chunks) <= su2num.CHUNK_PIECES + 2
+        # a chunk that climbs is made again, to the same bytes
+        assert all(su2num._bracket_chunk(P, Q, i).tobytes() == chunk.tobytes()
+                   for i, chunk in enumerate(chunks))
 
-    def test_each_cursor_solves_each_block_once(self, monkeypatch):
-        # stage 5: the first pass calls kernel_roots once per block of each
-        # kernel, on the block grid, and makes no zero twice
+    def test_each_chunk_solves_two_bracket_ranges(self, monkeypatch):
+        # stage 5, first pass: chunk i solves brackets i n .. (i + 1) n of
+        # the larger kernel and, beside them, one short range of the other
         calls = []
         original = su2num.kernel_roots
 
@@ -564,27 +584,37 @@ class TestIntervalChunks:
 
         monkeypatch.setattr(su2num, "kernel_roots", recording)
         P, Q = 965_604, 906_158
-        for _ in su2num._interval_chunks(P, Q):
-            pass
-        for M in (P, Q):
-            starts = list(range(1, M, B))
-            assert [(lo, hi) for m, lo, hi in calls if m == M] == [
-                (start, min(start + B, M)) for start in starts]
+        n = su2num.CHUNK_PIECES // 2
+        chunks = bracket_chunks(P, Q)
+        assert len(chunks) == len(calls) // 2 == 207
+        assert calls[0::2] == [(P, max(i * n, 1), min((i + 1) * n + 1, P))
+                               for i in range(len(chunks))]
+        others = calls[1::2]
+        assert {M for M, _, _ in others} == {Q}
+        assert others[0][1] == 1 and others[-1][2] == Q
+        # each range overlaps the next by a few brackets and holds at most
+        # n + 4 zeros, the bound for any two kernels
+        assert all(0 <= hi - lo <= n + 4 for _, lo, hi in others)
+        assert all(0 < hi - lo <= 4 for (_, _, hi), (_, lo, _) in zip(others, others[1:]))
 
-    def test_an_out_of_order_seam_between_cursor_blocks_raises(self, monkeypatch):
-        # the second block of S_P starts on the last zero of the first
+    @pytest.mark.parametrize("side", ["first", "last"])
+    def test_a_range_short_of_the_chunk_ends_raises(self, monkeypatch, side):
+        # the other kernel's zeros must reach past both ends of the chunk,
+        # or a zero between them could be missing
         original = su2num.kernel_roots
+        P, Q = 30_668, 28_780
 
-        def repeating(M, lo=1, hi=None):
-            roots = original(M, lo, hi)
-            if M == B + 10 and lo > 1:
-                roots[0] = original(M, lo - 1, lo)[0]
-            return roots
+        def short(M, lo=1, hi=None):
+            if M == Q and side == "first" and lo > 1:
+                lo += 2
+            if M == Q and side == "last" and hi < Q:
+                hi -= 2
+            return original(M, lo, hi)
 
-        monkeypatch.setattr(su2num, "kernel_roots", repeating)
-        seam = rf"kernel_roots\({B + 10}\): zero {B + 1} is not above the zeros before it"
-        with pytest.raises(InternalInvariantError, match=seam):
-            su2num.interval_product_l1(B + 10, 2, 1e-7)
+        monkeypatch.setattr(su2num, "kernel_roots", short)
+        with pytest.raises(InternalInvariantError,
+                           match=r"kernel_roots\(28780\): brackets \d+ \.\. \d+ do not cover"):
+            su2num.interval_product_l1(P, Q, 1e-7)
 
 
 class TestIntervalProductBits:
@@ -599,14 +629,14 @@ class TestIntervalProductBits:
 
     def test_stage_5_holds_one_chunk_not_every_break(self):
         # the whole array of 1 871 762 breaks peaked at 32.85 MiB; the
-        # integrand's workspace alone is 1.3 MiB
+        # integrand's workspace alone is 1.3 MiB, and the call peaks at 1.9
         tracemalloc.start()
         try:
             su2num.interval_product_l1(965_604, 906_158, 1e-7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20
+        assert peak < 3 * 2**20
 
 
 def u_product_loops(a, b):

@@ -194,12 +194,10 @@ def _put_a_norm(doc: dict[str, Any], a: Any) -> None:
 
 
 def _cmd_bump(args: argparse.Namespace, H: Dual) -> None:
-    K = parse_labels(H, args.K, "--K")
-    V = parse_labels(H, args.V, "--V")
-    plateau = bump(H, K, V)
+    plateau = bump(H, parse_labels(H, args.K, "--K"), parse_labels(H, args.V, "--V"))
     doc: dict[str, Any] = {
-        "K": sorted(H.label_str(x) for x in K),
-        "V": sorted(H.label_str(x) for x in V),
+        "K": sorted(H.label_str(x) for x in plateau.K),
+        "V": sorted(H.label_str(x) for x in plateau.V),
         "ratio": fraction_text(plateau.ratio),
         "a_norm_bound": plateau.a_norm_bound,
         "values": {H.label_str(x): fraction_text(v)
@@ -221,7 +219,10 @@ def _cmd_norms(args: argparse.Namespace, H: Dual) -> None:
             raise UsageError(f"bad assignment {assignment!r}; use label=value")
         label_text, _, value_text = assignment.partition("=")
         value = exact_in_float_range(value_text, "--values")
-        values[H.parse_label(label_text, "--values")] = value
+        label = H.parse_label(label_text, "--values")
+        if label in values:
+            raise UsageError(f"--values: label {H.label_str(label)} is assigned twice")
+        values[label] = value
     f = FiniteFunction(values)
     p = exact_in_float_range(args.p, "--p")
     doc: dict[str, Any] = {

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import re
 from collections.abc import Callable, Collection, Hashable, Iterable, Iterator, Set
 from dataclasses import dataclass, field
@@ -133,6 +134,22 @@ def count(value: Any, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise UsageError(f"{what}: must be a positive integer, got {value!r}")
     return value
+
+
+def real(value: Any, what: str) -> Any:
+    """Caller input as a real number in float range, else UsageError naming ``what``.
+
+    Accepts an int (not a bool), a float or a Fraction, not NaN; infinity
+    passes, for the caller's range check to decide.  Tolerances and
+    exponents are read here.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if not math.isnan(value):
+                return value
+        except OverflowError:
+            raise UsageError(f"{what}: {type(value).__name__} past float range") from None
+    raise UsageError(f"{what}: real number expected, got {type(value).__name__}: {value!r}")
 
 
 class ProductSample(Set):
@@ -400,6 +417,15 @@ class Hypergroup:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
+
+
+def label_set(H: Hypergroup, labels: Collection[Label]) -> Collection[Label]:
+    """``labels`` checked once and read as a set: a range or a frozenset as given, else a frozenset.
+
+    So a repeated label counts once in every Haar sum, and a range is never listed.
+    """
+    H.check_labels(labels)
+    return labels if isinstance(labels, (range, frozenset)) else frozenset(labels)
 
 
 def convolve_h(H: Hypergroup, f: FiniteFunction, g: FiniteFunction) -> FiniteFunction:

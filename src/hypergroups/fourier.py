@@ -30,8 +30,11 @@ from .core import (
     Hypergroup,
     InternalInvariantError,
     Label,
+    LabelDomainError,
     UsageError,
     convolve_h,
+    label_set,
+    real,
     support_product,
 )
 from .duals import (
@@ -51,7 +54,8 @@ class QuadratureConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+        if not (math.isfinite(real(self.tolerance, "quadrature tolerance"))
+                and self.tolerance > 0):
             raise UsageError(
                 f"quadrature tolerance must be finite and positive, got {self.tolerance}")
 
@@ -113,7 +117,7 @@ def lp_h_norm(H: Hypergroup, f: FiniteFunction, p: Any) -> Any:
     M = max |f|, whose terms are at most h(x).
     """
     values = [abs(v) for _, v in f.items()]
-    if p == math.inf:
+    if real(p, "p") == math.inf:
         return max(values, default=Fraction(0))
     if p < 1:
         raise UsageError(f"p must be at least 1, got {p}")
@@ -196,12 +200,12 @@ def a_norm(H: Hypergroup, v: FiniteFunction, config: QuadratureConfig | None = N
 class Plateau:
     """A plateau function u = (1/h(V)) 1_{K*V} *_h ~1_V with its ratio h(K*V)/h(V).
 
-    One type, two representations: :class:`BumpFunction` stores a
-    label->value dictionary, :class:`Su2IntervalBump` the two interval ends
-    and evaluates a closed form.  A representation
-    provides ``value``, ``support`` (the labels where u != 0), ``K``, ``V``,
-    ``as_finite_function``, ``segal_power_sum``, ``a_norm`` and
-    ``_segal_norm_float``; everything below is derived from those once.
+    One type, built by :func:`bump` in one of two representations:
+    :class:`Su2IntervalBump` keeps the ends of spin intervals K and V and
+    evaluates a closed form, :class:`BumpFunction` stores a label->value
+    dictionary.  Both give one accessor per quantity: ``K``, ``V``, ``value``,
+    ``support`` (where u != 0), ``function``, ``segal_power_sum`` (exact),
+    ``segal_norm`` (float) and ``a_norm``; the rest is derived here once.
     """
 
     ratio: Fraction
@@ -219,14 +223,6 @@ class Plateau:
 
     def is_one_on(self, labels: Collection[Label]) -> bool:
         return self.first_not_one(labels) is None
-
-    def segal_norm(self, p: Any) -> float:
-        """The lp(H, h) norm of u; exact power sum for p = 1 and p = 2."""
-        if p == 1:
-            return float(self.segal_power_sum(1))
-        if p == 2:
-            return math.sqrt(float(self.segal_power_sum(2)))
-        return self._segal_norm_float(p)
 
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} on {self.hypergroup.name}: |K|={len(self.K)}, "
@@ -247,7 +243,7 @@ class BumpFunction(Plateau):
     :meth:`_su2_series_zeros` has proven that factoring exactly.
     """
 
-    def __init__(self, hypergroup: Hypergroup, K: frozenset, V: frozenset,
+    def __init__(self, hypergroup: Hypergroup, K: Collection[Label], V: Collection[Label],
                  ratio: Fraction, function: FiniteFunction, grown: frozenset):
         self.hypergroup = hypergroup
         self.K = K
@@ -263,13 +259,10 @@ class BumpFunction(Plateau):
     def value(self, x: Label) -> Fraction:
         return self.function.value(x)
 
-    def as_finite_function(self) -> FiniteFunction:
-        return self.function
-
     def segal_power_sum(self, p: int) -> Fraction:
         return lp_h_power_sum(self.hypergroup, self.function, p)
 
-    def _segal_norm_float(self, p: Any) -> float:
+    def segal_norm(self, p: Any) -> float:
         return float(lp_h_norm(self.hypergroup, self.function, p))
 
     def a_norm(self, config: QuadratureConfig | None = None) -> Any:
@@ -299,11 +292,21 @@ class BumpFunction(Plateau):
         return np.concatenate([su2num.indicator_series_zeros(A) for A in factors])
 
 
-def bump(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> BumpFunction:
-    """Construct and exactly verify the plateau function for (K, V)."""
+def bump(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> Plateau:
+    """The plateau function of (K, V), exactly verified; the one constructor of a Plateau.
+
+    K and V are read as sets once.  On su2-hat with K = {0..k2} and
+    V = {0..m2} it is ``Su2IntervalBump(H, k2, m2)``, which proves its
+    closed form; any other (K, V) gets a :class:`BumpFunction`, checked here.
+    """
+    K, V = label_set(H, K), label_set(H, V)
     if not K or not V:
         raise UsageError("K and V must be nonempty")
-    grown = support_product(H, K, V)  # checks every label of K and V
+    if isinstance(H, Su2Dual):
+        k2, m2 = su2num.as_interval(K), su2num.as_interval(V)
+        if k2 is not None and m2 is not None:
+            return Su2IntervalBump(H, k2, m2)
+    grown = H._support_product(K, V)
     h_v = H._haar_sum(V)
     tilde_v = frozenset(H.involution(x) for x in V)
     u = convolve_h(H, FiniteFunction.indicator(grown), FiniteFunction.indicator(tilde_v))
@@ -323,7 +326,7 @@ def bump(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> BumpFunct
     if stray:
         raise InternalInvariantError(
             f"plateau support leaks outside K*V*~V at {sorted(stray)[:3]}")
-    return BumpFunction(H, frozenset(K), frozenset(V), ratio, u, grown)
+    return BumpFunction(H, K, V, ratio, u, grown)
 
 
 class Su2IntervalBump(Plateau):
@@ -331,15 +334,17 @@ class Su2IntervalBump(Plateau):
 
     u(z) = c_{z+1} / (h(V) (z+1)), with the integer numerators c_w given in
     closed form by :func:`su2num.plateau_numerator`, so the state is
-    (k2, m2) whatever the stage size.  The constructor re-proves the closed
-    form against its recurrence at O(1) cost, so every instance has the
-    exact guarantees of :func:`bump`: u >= 0, u = 1 on the interval K
-    (c_w = h(V) w there), support exactly the interval K*V*~V.
+    (k2, m2) whatever the stage size; :func:`bump` returns it for spin
+    intervals.  The constructor re-proves the closed form against its
+    recurrence at O(1) cost, so every instance has the exact guarantees of
+    the dictionary plateau: u >= 0, u = 1 on the interval K (c_w = h(V) w
+    there), support exactly the interval K*V*~V.
     """
 
     def __init__(self, hypergroup: Su2Dual, k2: int, m2: int):
-        if k2 < 0 or m2 < 0:
-            raise UsageError("interval endpoints must be nonnegative")
+        if not (hypergroup._is_label(k2) and hypergroup._is_label(m2)):
+            raise LabelDomainError(f"interval ends {k2!r} and {m2!r} must be su2-hat labels, "
+                                   f"nonnegative ints")
         self.hypergroup = hypergroup
         self.k2 = k2
         self.m2 = m2
@@ -383,7 +388,8 @@ class Su2IntervalBump(Plateau):
             raise CapacityError(f"the plateau support has {size} labels, more than the "
                                 f"{MAX_INTERVAL_SUPPORT} an interval {work} may have")
 
-    def as_finite_function(self) -> FiniteFunction:
+    @property
+    def function(self) -> FiniteFunction:
         self.check_support_budget("label->value function")
         return FiniteFunction({z: self.value(z) for z in self.support})
 
@@ -402,7 +408,7 @@ class Su2IntervalBump(Plateau):
                 max(0, (top - first + 1) // 2), 3 * p + 2)
         return total / h_p
 
-    def _segal_norm_float(self, p: Any) -> float:
+    def segal_norm(self, p: Any) -> float:
         # u = 1 up to w = k2 + 1, then the factored quartics per parity class
         self.check_support_budget("float Segal norm")
         p = float(p)

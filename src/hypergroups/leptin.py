@@ -48,7 +48,7 @@ from .core import (
     exact,
     fraction_text,
     label_count,
-    support_product,
+    label_set,
 )
 from .duals import ProductDual, Su2Dual, product_dual
 
@@ -60,20 +60,6 @@ def _epsilon(value: Any) -> Fraction:
     if eps <= 0:
         raise UsageError(f"epsilon must be positive, got {eps}")
     return eps
-
-
-def _as_interval(labels: Collection[int]) -> int | None:
-    """Largest label when the collection is exactly {0, 1, ..., n}, else None."""
-    if isinstance(labels, range):
-        if labels.start == 0 and labels.step == 1 and labels.stop > 0:  # len() stops at 2^63
-            return labels.stop - 1
-        return None
-    if not labels or not all(isinstance(x, int) and not isinstance(x, bool) for x in labels):
-        return None
-    top = max(labels)
-    if len(labels) == top + 1 and set(labels) == set(range(top + 1)):
-        return top
-    return None
 
 
 def _label_to_json(x: Label) -> Any:
@@ -113,8 +99,8 @@ class LeptinCertificate:
     def recompute_ratio(self) -> Fraction:
         """Re-derive the ratio from the hypergroup, by the strategy's engine."""
         if self.strategy == "interval" and isinstance(self.hypergroup, Su2Dual):
-            k2 = _as_interval(self.K)
-            m2 = _as_interval(self.V)
+            k2 = su2num.as_interval(self.K)
+            m2 = su2num.as_interval(self.V)
             if k2 is not None and m2 is not None:
                 return su2num.interval_ratio_n2(k2, m2)
         if self.strategy == "product" and self.factors:
@@ -177,13 +163,13 @@ def certificate_from_json_dict(data: dict[str, Any], H: Hypergroup) -> LeptinCer
 
 
 def leptin_ratio(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> Fraction:
-    """h(K*V) / h(V), exact, by direct support enumeration."""
+    """h(K*V) / h(V), exact, by direct support enumeration; K and V are read as sets."""
+    K, V = label_set(H, K), label_set(H, V)
     if not V:
         raise UsageError("V must be nonempty")
     if not K:
         raise UsageError("K must be nonempty")
-    grown = support_product(H, K, V)  # checks every label of K and V
-    return H._haar_sum(grown) / H._haar_sum(V)
+    return H._haar_sum(H._support_product(K, V)) / H._haar_sum(V)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .core import (
     count,
     exact,
     fraction_text,
+    real,
     support_product,
 )
 from .duals import Su2Dual
@@ -48,7 +49,6 @@ from .fourier import (
     DEFAULT_QUADRATURE,
     Plateau,
     QuadratureConfig,
-    Su2IntervalBump,
     a_norm_residual,
     bump,
 )
@@ -132,7 +132,7 @@ def _interval_stage(H: Hypergroup, K: Collection[Label], cap: Fraction, search: 
                     max_size: int) -> tuple[Plateau, LeptinCertificate, range]:
     """One O(1) interval stage: the least m2 >= max(k2, 1) with ratio below cap^2."""
     cert = leptin_search(H, K, cap * cap - 1, search, min_m2=1)
-    term = Su2IntervalBump(H, cert.K[-1], cert.V[-1])  # K, V are ranges; max() would walk them
+    term = bump(H, cert.K, cert.V)
     term.check_support_budget("witness stage")
     return term, cert, term.support
 
@@ -282,7 +282,7 @@ def blowup_report(w: WitnessSequence, p: Any,
     u_n is exactly 1 on K_n and nonnegative, so the norm's p-th power
     dominates h(K_n) term by term.
     """
-    if not (1 <= p <= 2):
+    if not (1 <= real(p, "p") <= 2):
         raise UsageError(f"the central Segal norm requires p in [1, 2], got {p}")
     integral_p = float(p).is_integer()
     a_values = w.a_values(config)
@@ -367,7 +367,7 @@ class CheckReport:
 
 def check_tolerance(tolerance: float) -> None:
     """Raise UsageError unless the A-norm cap tolerance is finite and nonnegative."""
-    if not (math.isfinite(tolerance) and tolerance >= 0):
+    if not (math.isfinite(real(tolerance, "tolerance")) and tolerance >= 0):
         raise UsageError(f"tolerance must be finite and nonnegative, got {tolerance}")
 
 

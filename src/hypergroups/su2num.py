@@ -39,6 +39,18 @@ def sum_first(n: int) -> int:
     return n * (n + 1) // 2
 
 
+def as_interval(labels: Collection[Any]) -> int | None:
+    """n when ``labels`` is exactly {0, 1, ..., n}, read from a range's ends, else None."""
+    if isinstance(labels, range):
+        if labels.start == 0 and labels.step == 1 and labels.stop > 0:  # len() stops at 2^63
+            return labels.stop - 1
+        return None
+    if not labels or not all(isinstance(x, int) and not isinstance(x, bool) for x in labels):
+        return None
+    top = max(labels)  # n + 1 distinct labels, none negative, make {0..n}
+    return top if min(labels) == 0 and len(set(labels)) == top + 1 else None
+
+
 def interval_ratio_n2(k2: int, m2: int) -> Fraction:
     """h(interval(k) * interval(m)) / h(interval(m)) for labels 2k, 2m."""
     return Fraction(sum_squares(m2 + k2 + 1), sum_squares(m2 + 1))
@@ -730,12 +742,13 @@ def indicator_series(labels: Collection[int]) -> list[int]:
 def indicator_series_zeros(labels: Collection[int]) -> np.ndarray:
     """The zeros in (0, pi) of :func:`indicator_series` (``labels``), F_A.
 
-    For A = {0..M-1}, F_A = S_M / sin theta, whose zeros are
-    :func:`kernel_roots` (M), solved and checked bracket by bracket; any
-    other A takes the companion zeros of F_A alone.
+    For A = {0..M-1} (:func:`as_interval`), F_A = S_M / sin theta, whose
+    zeros are :func:`kernel_roots` (M), solved and checked bracket by
+    bracket; any other A takes the companion zeros of F_A alone.
     """
-    if len(labels) == max(labels) + 1:
-        return kernel_roots(len(labels))
+    top = as_interval(labels)
+    if top is not None:
+        return kernel_roots(top + 1)
     return u_series_roots_theta(indicator_series(labels))
 
 

@@ -26,7 +26,9 @@ Gauss-Legendre rule and :func:`kernel_sum`, sharing no Kronrod rule and no
 fused integrand with the library.
 
 The defining loops the library's engines replaced: every ordered pair of a
-support product (:func:`support_product_ordered_loops`), associativity by
+support product (:func:`support_product_ordered_loops`), a plateau as a
+label->value function by the weighted convolution's triple loop, whatever
+closed form :func:`bump` would pick (:func:`dictionary_plateau`), associativity by
 extending each triple's fusions in Fractions
 (:func:`associativity_failures_loops`), and a character table's inner
 products, validation and multiplicities by its class loop
@@ -49,6 +51,7 @@ from hypergroups import CharacterTable, ExactComplex
 from hypergroups.core import (
     AxiomFailure,
     CapacityError,
+    FiniteFunction,
     FiniteMeasure,
     Hypergroup,
     InternalInvariantError,
@@ -56,9 +59,11 @@ from hypergroups.core import (
     Label,
     NumericError,
     UsageError,
+    _convolve_h_loops,
     count,
     support_product,
 )
+from hypergroups.fourier import BumpFunction
 from hypergroups.leptin import LeptinCertificate, _epsilon, leptin_ratio
 from hypergroups import su2num
 from hypergroups.su2num import _NEWTON_SWEEPS, _ROOT_SLACK
@@ -149,6 +154,22 @@ def support_product_ordered_loops(
 ) -> frozenset[Label]:
     """The union of the fusion supports of every ordered pair of A x B."""
     return frozenset(z for x in A for y in B for z in H._fuse(x, y).support)
+
+
+def dictionary_plateau(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> BumpFunction:
+    """The label->value plateau of (K, V), built by the defining loops, never by ``bump``.
+
+    u = (1/h(V)) 1_{K*V} *_h 1_{~V} by :func:`_convolve_h_loops`, with K*V
+    from every ordered pair and the ratio h(K*V)/h(V); K and V are read as
+    sets, and no property of u is checked.
+    """
+    K, V = frozenset(K), frozenset(V)
+    grown = support_product_ordered_loops(H, K, V)
+    h_v = sum((H._haar(x) for x in V), Fraction(0))
+    u = _convolve_h_loops(H, FiniteFunction.indicator(grown),
+                          FiniteFunction.indicator(H._involution(x) for x in V))
+    ratio = sum((H._haar(x) for x in grown), Fraction(0)) / h_v
+    return BumpFunction(H, K, V, ratio, u.scale(1 / h_v), grown)
 
 
 # ---------------------------------------------------------------------------

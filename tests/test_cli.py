@@ -484,6 +484,14 @@ class TestCommands:
         assert doc["a_norm"] <= doc["a_norm_bound"] + 1e-6
         assert 0 < doc["a_residual"] <= 1e-9
 
+    @pytest.mark.parametrize("dual,K,V,once", [
+        ("su2", "0", "0,0", "0"), ("s3", "0", "1,1", "1"), ("su2", "1,1", "0,1/2,0", "0,1/2")])
+    def test_bump_repeated_labels_count_once(self, capsys, dual, K, V, once):
+        reports = [run_cli(capsys, "bump", "--dual", dual, "--K", K, "--V", labels,
+                           "--measure-a-norm", "--format", "json", "--no-timestamp")
+                   for labels in (V, once)]
+        assert reports[0] == reports[1] and reports[0][0] == 0
+
     def test_bump_report_on_a_finite_dual_has_no_residual(self, capsys):
         code, out, _ = run_cli(capsys, "bump", "--dual", "s3", "--K", "triv",
                                "--V", "triv,sgn", "--measure-a-norm", "--format", "json")
@@ -508,6 +516,14 @@ class TestCommands:
         doc = json.loads(out)["norms"]
         assert 0 < doc["a_residual"] <= 1e-7
         assert "a_norm_exact" not in doc
+
+    @pytest.mark.parametrize("dual,values,label", [
+        ("su2", "1=1;1=2", "1"), ("su2", "0=1; 1/2=1; 0.5=3", "1/2"), ("s3", "rho=1;rho=1", "rho")])
+    def test_norms_label_assigned_twice_exits_2(self, capsys, dual, values, label):
+        code, out, err = run_cli(capsys, "norms", "--dual", dual, "--values", values)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage",
+                                   "message": f"--values: label {label} is assigned twice"}
 
     def test_norms_on_a_product_with_an_su2_factor_names_the_product(self, capsys):
         code, out, err = run_cli(capsys, "norms", "--dual", "su2,s3",

@@ -510,7 +510,7 @@ class TestSu2Budgets:
 
     def test_sizes_in_use_fit(self):
         start = time.perf_counter()
-        u = bump(_SU2, range(3), range(500))
+        u = bump(_SU2, [2], range(500))  # the plateau of K = {0, 1, 2}, as a dictionary
         assert time.perf_counter() - start < 1.0
         assert max(u.support) == 1000 <= core.MAX_U_SERIES_DEGREE
         assert 502 * 500 <= core.MAX_U_PRODUCT_WORK

@@ -35,7 +35,7 @@ from hypergroups.cli import run
 from hypergroups.duals import su2_u_coefficients
 from hypergroups.fourier import BumpFunction, Plateau, Su2IntervalBump, lp_h_power_sum
 from hypergroups.segal import absorption_witness
-from oracles import a_norm_su2_antiderivative
+from oracles import a_norm_su2_antiderivative, dictionary_plateau
 
 half = Fraction(1, 2)
 _SU2 = su2_dual()
@@ -310,8 +310,9 @@ class TestANormSu2:
             a_norm_su2(FiniteFunction({-2: 1}))
 
     def test_plateau_bound_cross_check(self, su2):
-        # a plateau built from a ratio certificate respects its norm cap
-        u = bump(su2, range(2), range(3))
+        # a plateau built from a ratio certificate respects its norm cap; K = {1}
+        # has the K*V = {0..3} of K = {0, 1}, so this is its plateau on the series path
+        u = bump(su2, [1], range(3))
         cap = math.sqrt(float(u.ratio))
         assert float(u.a_norm()) <= cap + 1e-6
 
@@ -488,11 +489,85 @@ class TestBump:
         with pytest.raises(UsageError):
             bump(su2, [0], [])
 
+    @pytest.mark.parametrize("family,K,V", [
+        ("su2", [0], [0, 0]), ("s3", [0], [1, 1]), ("su2", [1, 1], [2, 0, 2]),
+        ("s3", [2, 2], [0, 1, 0]), ("su2", [2, 0, 1, 0], [1, 0, 1])])
+    def test_repeated_labels_count_once(self, request, family, K, V):
+        H = request.getfixturevalue(family)
+        u, once = bump(H, K, V), bump(H, set(K), set(V))
+        assert (u.function, u.ratio) == (once.function, once.ratio)
+        assert set(u.K) == set(K) and set(u.V) == set(V)
+
     def test_absorption(self, s3):
         small = bump(s3, [s3.identity], [s3.identity, 1])
         big = bump(s3, list(s3.universe), list(s3.universe))
         assert absorption_witness(small, big) is None
         assert absorption_witness(big, small) is not None
+
+
+@st.composite
+def spin_interval_inputs(draw):
+    """(k2, m2, K, V): K = {0..k2} and V = {0..m2}, each given as a range, a list or a set.
+
+    A list comes in any order, with up to two of its labels repeated.
+    """
+    def given_as(top):
+        form = draw(st.sampled_from(("range", "list", "set")))
+        if form == "range":
+            return range(top + 1)
+        if form == "set":
+            return set(range(top + 1))
+        labels = draw(st.permutations(range(top + 1)))
+        return labels + labels[:draw(st.integers(0, 2))]
+
+    k2, m2 = draw(st.integers(0, 30)), draw(st.integers(0, 40))
+    return k2, m2, given_as(k2), given_as(m2)
+
+
+class TestOneConstructor:
+    """bump picks the representation: the closed form for su2-hat spin intervals."""
+
+    @given(case=spin_interval_inputs())
+    @example(case=(0, 0, [0], [0, 0]))
+    @example(case=(30, 40, range(31), range(41)))
+    @example(case=(7, 0, set(range(8)), [0]))
+    @settings(max_examples=20, deadline=None)
+    def test_spin_intervals_get_the_closed_form(self, case):
+        k2, m2, K, V = case
+        u = bump(_SU2, K, V)
+        assert isinstance(u, Su2IntervalBump) and (u.k2, u.m2) == (k2, m2)
+        oracle = dictionary_plateau(_SU2, K, V)
+        assert u.function == oracle.function
+        assert list(u.support) == list(oracle.support)
+        assert u.ratio == oracle.ratio
+        for p in (1, 2):
+            assert u.segal_power_sum(p) == oracle.segal_power_sum(p)
+        config = QuadratureConfig(tolerance=1e-9)
+        closed, series = u.a_norm(config), oracle.a_norm(config)
+        assert abs(closed - series) <= (fourier.a_norm_residual(closed)
+                                        + fourier.a_norm_residual(series))
+
+    def test_other_inputs_keep_the_dictionary(self, su2, s3):
+        for H, K, V in ((su2, [1], range(3)), (su2, range(3), [0, 2]), (su2, range(1, 3), [0]),
+                        (su2, [0], range(0, 4, 2)), (s3, [0], [0])):
+            assert isinstance(bump(H, K, V), BumpFunction)
+
+    def test_benchmark_generic_bumps_keep_the_dictionary(self, su2):
+        # the generic su2-hat workload measures the dictionary path
+        from test_bench_workloads import workloads
+
+        for K in workloads.GENERIC_KS:
+            assert isinstance(bump(su2, K, workloads.GENERIC_V), BumpFunction), K
+
+    def test_beyond_the_series_budget(self, su2):
+        # the dictionary path refuses this U-series product (2^20 multiply-adds)
+        start = time.perf_counter()
+        u = bump(su2, range(3), range(2001))
+        value = u.a_norm()
+        assert time.perf_counter() - start < 1.0
+        assert isinstance(u, Su2IntervalBump) and (u.k2, u.m2) == (2, 2000)
+        assert 0 < fourier.a_norm_residual(value) <= 1e-9
+        assert 1 <= value <= u.a_norm_bound
 
 
 @st.composite
@@ -526,15 +601,25 @@ def factored_plateau_sets(draw):
     return labels(6), labels(40)
 
 
+def _dictionary_bump(K, V):
+    """The su2-hat plateau of (K, V) on the dictionary path: the oracle's where bump has a closed form."""
+    u = bump(_SU2, K, V)
+    return u if isinstance(u, BumpFunction) else dictionary_plateau(_SU2, K, V)
+
+
 class TestFactoredSeriesZeros:
-    """A su2-hat plateau's A-norm breaks: the zeros of F_{K*V} and F_V."""
+    """A su2-hat plateau's A-norm breaks: the zeros of F_{K*V} and F_V.
+
+    K = {k} with V = {0..m2}, m2 >= k, has K*V = {0..k + m2}, so its
+    plateau is that of K = {0..k}, built on the dictionary path.
+    """
 
     @given(kv=factored_plateau_sets())
     @settings(max_examples=40, deadline=None)
-    @example(kv=(range(5), range(80)))
+    @example(kv=([4], range(80)))
     @example(kv=([0], [3]))
     def test_factor_zeros_are_series_zeros(self, kv):
-        u = bump(_SU2, *kv)
+        u = _dictionary_bump(*kv)
         zeros = u._su2_series_zeros()
         # the series times sin theta, in sine form: sum_n c_n sin((n+1) theta)
         c = su2_u_coefficients(u.function)
@@ -552,10 +637,10 @@ class TestFactoredSeriesZeros:
 
     @given(kv=factored_plateau_sets())
     @settings(max_examples=25, deadline=None)
-    @example(kv=(range(7), range(25)))
+    @example(kv=([6], range(25)))
     @example(kv=([0, 1, 2, 3], [2]))  # s is exactly 0 at a point of the oracle's grid
     def test_factored_a_norm_matches_the_product_zeros_and_the_oracle(self, kv):
-        u = bump(_SU2, *kv)
+        u = _dictionary_bump(*kv)
         tolerance = 1e-9
         config = QuadratureConfig(tolerance=tolerance)
         factored, product = u.a_norm(config), a_norm_su2(u.function, config)
@@ -581,7 +666,7 @@ class TestFactoredSeriesZeros:
     @given(kv=factored_plateau_sets(), where=st.integers(0, 1 << 20), by=st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
     def test_one_corrupted_value_fails_the_factorization(self, kv, where, by):
-        u = bump(_SU2, *kv)
+        u = _dictionary_bump(*kv)
         # any label of the series, or the one just past its degree
         n = where % (max(u.support) + 2)
         values = dict(u.function.items())
@@ -599,7 +684,7 @@ class TestFactoredSeriesZeros:
 
     def test_largest_plateau_in_budget_matches_the_interval_integral(self):
         # degree 1000: the product's companion zeros are off by up to 3.5e-8 rad
-        u = bump(_SU2, range(3), range(500))
+        u = bump(_SU2, [2], range(500))
         value = u.a_norm(QuadratureConfig(tolerance=1e-9))
         reference, residual = su2num.interval_product_l1(502, 500, 1e-9)
         assert abs(value - reference) <= fourier.a_norm_residual(value) + residual
@@ -609,8 +694,8 @@ class TestIntervalBump:
     @pytest.mark.parametrize("k2,m2", [(0, 0), (0, 2), (1, 1), (2, 4), (3, 7)])
     def test_matches_generic_construction(self, su2, k2, m2):
         fast = Su2IntervalBump(su2, k2, m2)
-        slow = bump(su2, range(k2 + 1), range(m2 + 1))
-        assert fast.as_finite_function() == slow.function
+        slow = dictionary_plateau(su2, range(k2 + 1), range(m2 + 1))
+        assert fast.function == slow.function
         assert fast.ratio == slow.ratio
         assert fast.segal_power_sum(1) == slow.segal_power_sum(1)
         assert fast.segal_power_sum(2) == slow.segal_power_sum(2)
@@ -620,7 +705,7 @@ class TestIntervalBump:
     @pytest.mark.parametrize("k2,m2", [(0, 1), (1, 2), (2, 5)])
     def test_a_norm_matches_series_quadrature(self, su2, k2, m2):
         fast = Su2IntervalBump(su2, k2, m2)
-        generic = a_norm_su2(fast.as_finite_function())
+        generic = a_norm_su2(fast.function)
         assert fast.a_norm() == pytest.approx(generic, abs=1e-8)
 
     def test_segal_norm_float_paths(self, su2):
@@ -665,8 +750,8 @@ class TestIntervalSupportBudget:
     @pytest.mark.parametrize("work", [
         lambda b: b.a_norm(),
         lambda b: b.segal_norm(Fraction(3, 2)),
-        lambda b: b.as_finite_function(),
-    ], ids=["a_norm", "segal_norm_3/2", "as_finite_function"])
+        lambda b: b.function,
+    ], ids=["a_norm", "segal_norm_3/2", "function"])
     def test_refused_before_allocating(self, su2, monkeypatch, work):
         monkeypatch.setattr(fourier, "MAX_INTERVAL_SUPPORT", 100)
         b = Su2IntervalBump(su2, 2, 60)  # support of 123 labels
@@ -682,14 +767,14 @@ class TestIntervalSupportBudget:
     def test_support_at_the_budget_is_admitted(self, su2, monkeypatch):
         monkeypatch.setattr(fourier, "MAX_INTERVAL_SUPPORT", 123)
         b = Su2IntervalBump(su2, 2, 60)
-        assert len(b.as_finite_function().support) == 123
+        assert len(b.function.support) == 123
         assert b.segal_norm(Fraction(3, 2)) > 0
 
     @pytest.mark.parametrize("work", [
         lambda b: b.a_norm(),
         lambda b: b.segal_norm(Fraction(3, 2)),
-        lambda b: b.as_finite_function(),
-    ], ids=["a_norm", "segal_norm_3/2", "as_finite_function"])
+        lambda b: b.function,
+    ], ids=["a_norm", "segal_norm_3/2", "function"])
     def test_support_past_ssize_is_refused(self, su2, work):
         # 2^65 + 2 labels: a C ssize_t cannot hold len() of this support
         b = Su2IntervalBump(su2, 1, 2 ** 64)

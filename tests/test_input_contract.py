@@ -1,13 +1,16 @@
 """The input contract: every bad input to a public function is a typed error.
 
-Each public call below has one open slot, a label, an exact number or a
-count.  Put a bad value in it, and the call must raise a HypergroupError
-subclass, never a raw ZeroDivisionError, ValueError or TypeError, on
-su2-hat, S3-hat and (S3 x Z4)-hat alike.  Numbers are read by one reader,
-``core.exact``, and counts by ``core.count``; label sets are checked once
-by the public function that receives them.
+Each public call below has one open slot, a label, an exact number, a
+real number or a count.  Put a bad value in it, and the call must raise a
+HypergroupError subclass, never a raw ZeroDivisionError, ValueError or
+TypeError, on su2-hat, S3-hat and (S3 x Z4)-hat alike.  Exact numbers are
+read by one reader, ``core.exact``, real numbers (tolerances and
+exponents, where a float is a good value) by ``core.real``, and counts by
+``core.count``; label sets are checked once by the public function that
+receives them.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -22,6 +25,8 @@ from hypergroups import (
     FiniteMeasure,
     HypergroupError,
     LabelDomainError,
+    QuadratureConfig,
+    Su2IntervalBump,
     UsageError,
     a_norm,
     build_witness,
@@ -36,6 +41,7 @@ from hypergroups import (
     leptin_search_exhaustive,
     leptin_search_greedy,
     leptin_search_interval,
+    lp_h_norm,
     product_dual,
     su2_dual,
     support_product,
@@ -81,6 +87,8 @@ LABEL_CALLS = [
     ("a_norm", lambda H, x: a_norm(H, _point(x))),
     ("lp_h_power_sum", lambda H, x: lp_h_power_sum(H, _point(x), 2)),
     ("su2_u_coefficients", lambda H, x: su2_u_coefficients(_point(x)), ("su2",)),
+    ("Su2IntervalBump k2", lambda H, x: Su2IntervalBump(H, x, 2), ("su2",)),
+    ("Su2IntervalBump m2", lambda H, x: Su2IntervalBump(H, 2, x), ("su2",)),
 ]
 
 # (name, call with the open slot q, the slot's out-of-range value or None)
@@ -97,6 +105,19 @@ NUMBER_CALLS = [
     ("twice_spin", lambda H, q: twice_spin(q), -1),
     ("build_witness D", lambda H, q: build_witness(H, [H.identity], q, 2), 1),
 ]
+
+
+# (name, call with the open slot r and a one-term witness w, the slot's
+# out-of-range value): tolerances and exponents are real numbers
+REAL_CALLS = [
+    ("QuadratureConfig tolerance", lambda H, w, r: QuadratureConfig(tolerance=r), 0),
+    ("check_multiplier_bounded tolerance",
+     lambda H, w, r: segal.check_multiplier_bounded(w, tolerance=r), -1),
+    ("blowup_report p", lambda H, w, r: segal.blowup_report(w, r), 3),
+    ("lp_h_norm p", lambda H, w, r: lp_h_norm(H, _point(H.identity), r), Fraction(1, 2)),
+]
+BAD_REALS = [True, None, "1e-9", "2", [1], math.nan, 10 ** 400, OUT_OF_RANGE]
+BAD_REAL_IDS = ["bool", "None", "1e-9", "2", "list", "nan", "10**400", "out-of-range"]
 
 
 # (name, call with the open slot n): counts and sizes are positive ints
@@ -160,6 +181,35 @@ def test_bad_number_is_a_typed_error(duals, family, call, value):
     with pytest.raises(HypergroupError):
         call(duals[family], value)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.fixture(scope="module")
+def one_term_witnesses(duals):
+    return {family: build_witness(H, [H.identity], "11/10", 1) for family, H in duals.items()}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("call,value", [
+    pytest.param(call, out_of_range if bad is OUT_OF_RANGE else bad, id=f"{name}-{bad_id}")
+    for name, call, out_of_range in REAL_CALLS
+    for bad, bad_id in zip(BAD_REALS, BAD_REAL_IDS)])
+def test_bad_real_is_a_usage_error(duals, one_term_witnesses, family, call, value):
+    with pytest.raises(UsageError):
+        call(duals[family], one_term_witnesses[family], value)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name,call,value", [
+    ("QuadratureConfig tolerance", lambda H, w, r: QuadratureConfig(tolerance=r), 1e-7),
+    ("QuadratureConfig tolerance", lambda H, w, r: QuadratureConfig(tolerance=r),
+     Fraction(1, 10 ** 7)),
+    ("blowup_report p", lambda H, w, r: segal.blowup_report(w, r), 1.5),
+    ("blowup_report p", lambda H, w, r: segal.blowup_report(w, r), Fraction(3, 2)),
+    ("lp_h_norm p", lambda H, w, r: lp_h_norm(H, _point(H.identity), r), math.inf),
+    ("lp_h_norm p", lambda H, w, r: lp_h_norm(H, _point(H.identity), r), 1.5),
+], ids=lambda v: repr(v) if not callable(v) else "")
+def test_good_reals_stay_accepted(duals, one_term_witnesses, family, name, call, value):
+    call(duals[family], one_term_witnesses[family], value)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -50,6 +50,11 @@ class TestLeptinRatio:
         for H in (s3, q8):
             assert leptin_ratio(H, set(H.universe), set(H.universe)) == 1
 
+    def test_repeated_labels_count_once(self, su2, s3):
+        assert leptin_ratio(su2, [0], [0, 0]) == leptin_ratio(su2, {0}, {0}) == 1
+        assert leptin_ratio(s3, [0], [1, 1]) == leptin_ratio(s3, {0}, {1}) == 1
+        assert leptin_ratio(su2, [1, 1], [2, 0, 2]) == leptin_ratio(su2, {1}, {0, 2})
+
     def test_empty_sets_rejected(self, su2):
         with pytest.raises(UsageError):
             leptin_ratio(su2, {0}, set())

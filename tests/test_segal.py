@@ -28,6 +28,7 @@ from hypergroups.segal import (
     WitnessSequence,
     absorption_witness,
 )
+from oracles import dictionary_plateau
 
 half = Fraction(1, 2)
 D32 = Fraction(3, 2)
@@ -53,8 +54,8 @@ class TestBuildWitnessInterval:
     def test_first_stages_match_generic_construction(self, su2):
         w = build_witness(su2, [0], Fraction("1.1"), 2, search="interval")
         for term, K, V in zip(w.terms, w.K_chain, w.V_chain):
-            generic = bump(su2, K, V)
-            assert term.as_finite_function() == generic.function
+            generic = dictionary_plateau(su2, K, V)
+            assert term.function == generic.function
             assert term.ratio == generic.ratio
 
     def test_single_term(self, su2):
@@ -339,16 +340,16 @@ class TestAbsorptionWitness:
     @staticmethod
     def product_oracle(earlier, later):
         """Smallest label where the materialized product differs from earlier."""
-        mine = earlier.as_finite_function()
-        diff = mine * later.as_finite_function() - mine
+        mine = earlier.function
+        diff = mine * later.function - mine
         return diff.support[0] if diff else None
 
     def test_su2_pairs_match_product_oracle(self, su2):
         # interval terms and generic bumps, every ordered pair: both mixed orders
         plateaus = [Su2IntervalBump(su2, k2, m2)
                     for k2, m2 in ((0, 0), (0, 1), (1, 2), (2, 3), (6, 4))]
-        plateaus += [bump(su2, [0], [0, 1]), bump(su2, [1], [0, 2]),
-                     bump(su2, [0, 1, 2], [0, 1, 2, 3]), bump(su2, [0, 2], [1])]
+        plateaus += [dictionary_plateau(su2, [0], [0, 1]), bump(su2, [1], [0, 2]),
+                     dictionary_plateau(su2, [0, 1, 2], [0, 1, 2, 3]), bump(su2, [0, 2], [1])]
         absorbed = 0
         for earlier in plateaus:
             for later in plateaus:

@@ -270,9 +270,16 @@ def kernel_sum(M: int, theta: np.ndarray) -> np.ndarray:
     return (c * np.sin(a * theta) - (2 * M + 1) * s * np.cos(a * theta)) / (4 * s * s)
 
 
-def _bisect(fn, lo: np.ndarray, hi: np.ndarray, iterations: int = 60) -> np.ndarray:
-    """One zero of fn in each bracket [lo, hi] where fn changes sign."""
-    lo_sign = np.sign(fn(lo))
+def _bisect(fn, lo: np.ndarray, hi: np.ndarray, iterations: int = 60,
+            lo_sign: np.ndarray | None = None) -> np.ndarray:
+    """One zero of fn in each bracket [lo, hi] where fn changes sign.
+
+    ``lo_sign`` is the sign of fn at lo that found the bracket, by default
+    fn(lo) again; a zero at lo can take either sign in rounding, and the
+    other one sends bisection to hi.
+    """
+    if lo_sign is None:
+        lo_sign = np.sign(fn(lo))
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         same = np.sign(fn(mid)) == lo_sign
@@ -352,21 +359,24 @@ def a_norm_su2_antiderivative(v: dict[int, float], grid_factor: int = 64) -> flo
                                for part in np.array_split(theta, max(1, len(theta) // 4096))])
 
     def sign_changes(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """The grid, its points where s is not 0, the flips between them, and their count."""
+        """The grid, the signs of s on it, the flips between its nonzero signs, and their count."""
         grid = np.linspace(0.0, math.pi, points + 1)[1:-1]
-        values = s(grid)
+        signs = np.sign(s(grid))
         # a grid point where s is exactly 0 is a zero itself, and brackets none
-        nonzero = values != 0
-        sign = np.sign(values[nonzero])
+        sign = signs[signs != 0]
         flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-        return grid, nonzero, flips, flips.size + int(np.count_nonzero(~nonzero))
+        return grid, signs, flips, flips.size + int(np.count_nonzero(signs == 0))
 
     points = grid_factor * (N + 2)
     found = sign_changes(points)
     while (finer := sign_changes(2 * points))[3] > found[3]:
         found, points = finer, 2 * points
-    grid, nonzero, flips, _ = found
-    zeros = _bisect(s, grid[nonzero][flips], grid[nonzero][flips + 1])
+    grid, signs, flips, _ = found
+    nonzero = signs != 0
+    # the grid's own signs: at a zero on the grid s rounds to either sign, and
+    # the other one, evaluated again, would bisect to the next grid point
+    zeros = _bisect(s, grid[nonzero][flips], grid[nonzero][flips + 1],
+                    lo_sign=signs[nonzero][flips])
     breaks = np.sort(np.concatenate([[0.0], zeros, grid[~nonzero], [math.pi]]))
     return _antiderivative_l1(e[0], e[1:], breaks)
 

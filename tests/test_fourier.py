@@ -544,8 +544,11 @@ class TestOneConstructor:
             assert u.segal_power_sum(p) == oracle.segal_power_sum(p)
         config = QuadratureConfig(tolerance=1e-9)
         closed, series = u.a_norm(config), oracle.a_norm(config)
+        # within their residuals and rounding: at K = {0..3}, V = {0} both
+        # integrands are polynomials on every piece, the residuals 2e-16 and
+        # 3e-16, and the two sums 6 ulps apart
         assert abs(closed - series) <= (fourier.a_norm_residual(closed)
-                                        + fourier.a_norm_residual(series))
+                                        + fourier.a_norm_residual(series) + 1e-12 * series)
 
     def test_other_inputs_keep_the_dictionary(self, su2, s3):
         for H, K, V in ((su2, [1], range(3)), (su2, range(3), [0, 2]), (su2, range(1, 3), [0]),
@@ -618,6 +621,9 @@ class TestFactoredSeriesZeros:
     @settings(max_examples=40, deadline=None)
     @example(kv=([4], range(80)))
     @example(kv=([0], [3]))
+    @example(kv=([1, 4], [19, 22, 29, 31, 36]))  # F_{K*V} has a double zero at pi/3
+    @example(kv=([4], [29, 34]))  # and the product a triple one at 3 pi/5
+    @example(kv=([0], [15, 31, 35]))  # F_V^2 has a double zero at pi/4
     def test_factor_zeros_are_series_zeros(self, kv):
         u = _dictionary_bump(*kv)
         zeros = u._su2_series_zeros()
@@ -625,9 +631,15 @@ class TestFactoredSeriesZeros:
         c = su2_u_coefficients(u.function)
         n1 = np.arange(1, c.size + 1)
         assert np.all(np.abs(np.sin(np.outer(zeros, n1)) @ c) <= 1e-9 * np.sum(np.abs(c) * n1))
-        # and every zero of the product's companion matrix is one of them
+        # and every zero of the product's companion matrix is one of them.  At
+        # a zero of multiplicity m, the count of factor zeros that meet there,
+        # the eigenvalues scatter by about (kappa eps)^(1/m): 1.7e-6 at the
+        # double zero pi/4 of K = {0}, V = {15, 31, 35}, 6.4e-6 at the triple
+        # zero 3 pi/5 of K = {4}, V = {29, 34}; kappa = 1e6 bounds both
         for z in su2num.u_series_roots_theta(c):
-            assert np.min(np.abs(zeros - z)) <= 1e-6
+            nearest = zeros[np.argmin(np.abs(zeros - z))]
+            m = np.count_nonzero(np.abs(zeros - nearest) <= 1e-6)
+            assert abs(nearest - z) <= max(1e-6, (1e6 * np.finfo(float).eps) ** (1 / m))
         for A in (u.grown, u.V):
             if len(A) == max(A) + 1:
                 want = su2num.kernel_roots(max(A) + 1)
@@ -639,6 +651,7 @@ class TestFactoredSeriesZeros:
     @settings(max_examples=25, deadline=None)
     @example(kv=([6], range(25)))
     @example(kv=([0, 1, 2, 3], [2]))  # s is exactly 0 at a point of the oracle's grid
+    @example(kv=([2, 3], [0, 1, 2, 3, 4, 7, 15, 25, 31, 38]))  # and rounds to either sign at pi/2
     def test_factored_a_norm_matches_the_product_zeros_and_the_oracle(self, kv):
         u = _dictionary_bump(*kv)
         tolerance = 1e-9

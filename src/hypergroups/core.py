@@ -419,12 +419,11 @@ class Hypergroup:
 # ---------------------------------------------------------------------------
 
 
-def label_set(H: Hypergroup, labels: Collection[Label]) -> Collection[Label]:
-    """``labels`` checked once and read as a set: a range or a frozenset as given, else a frozenset.
+def label_set(labels: Collection[Label]) -> Collection[Label]:
+    """Checked ``labels`` read as a set: a range or a frozenset as given, else a frozenset.
 
     So a repeated label counts once in every Haar sum, and a range is never listed.
     """
-    H.check_labels(labels)
     return labels if isinstance(labels, (range, frozenset)) else frozenset(labels)
 
 

@@ -299,14 +299,14 @@ def bump(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> Plateau:
     V = {0..m2} it is ``Su2IntervalBump(H, k2, m2)``, which proves its
     closed form; any other (K, V) gets a :class:`BumpFunction`, checked here.
     """
-    K, V = label_set(H, K), label_set(H, V)
     if not K or not V:
         raise UsageError("K and V must be nonempty")
     if isinstance(H, Su2Dual):
         k2, m2 = su2num.as_interval(K), su2num.as_interval(V)
         if k2 is not None and m2 is not None:
             return Su2IntervalBump(H, k2, m2)
-    grown = H._support_product(K, V)
+    grown = support_product(H, K, V)  # checks every label of K and V
+    K, V = label_set(K), label_set(V)
     h_v = H._haar_sum(V)
     tilde_v = frozenset(H.involution(x) for x in V)
     u = convolve_h(H, FiniteFunction.indicator(grown), FiniteFunction.indicator(tilde_v))

@@ -49,6 +49,7 @@ from .core import (
     fraction_text,
     label_count,
     label_set,
+    support_product,
 )
 from .duals import ProductDual, Su2Dual, product_dual
 
@@ -164,12 +165,12 @@ def certificate_from_json_dict(data: dict[str, Any], H: Hypergroup) -> LeptinCer
 
 def leptin_ratio(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> Fraction:
     """h(K*V) / h(V), exact, by direct support enumeration; K and V are read as sets."""
-    K, V = label_set(H, K), label_set(H, V)
     if not V:
         raise UsageError("V must be nonempty")
     if not K:
         raise UsageError("K must be nonempty")
-    return H._haar_sum(H._support_product(K, V)) / H._haar_sum(V)
+    grown = support_product(H, K, V)  # checks every label of K and V
+    return H._haar_sum(grown) / H._haar_sum(label_set(V))
 
 
 # ---------------------------------------------------------------------------

@@ -728,8 +728,9 @@ def u_series_roots_theta(coeffs: np.ndarray) -> np.ndarray:
     roots = npcheb.chebroots(t)
     # a double root comes back split by about the square root of the rounding,
     # as a real pair or as a complex one (2.7e-9 to 5.6e-9 off the axis at
-    # degree 40, where the nearest pair of complex zeros lies 1e-5 off at
-    # degree 300); both halves of the split are kept as zeros
+    # degree 40), and both halves are kept.  The cutoff is safe because a true
+    # complex pair kept by mistake only adds a break where the series keeps
+    # its sign: the piece is split and the integral of |s| is unchanged
     real = roots[np.abs(roots.imag) < 1e-6].real
     inside = real[(real > -1.0 + 1e-12) & (real < 1.0 - 1e-12)]
     return np.sort(np.arccos(np.clip(inside, -1.0, 1.0)))

@@ -91,6 +91,17 @@ MAX_EXACT_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
+def shown(value: Any, form: Callable[[Any], str] = repr) -> str:
+    """``form`` (value) for an error message: an int past 640 digits (2^2126 < 10^640, the least
+    limit Python allows) is named by its size, a value holding one Python will not write by type."""
+    if isinstance(value, int) and not isinstance(value, bool) and value.bit_length() > 2126:
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} holding an int too long to write>"
+
+
 def exact(value: Any, what: str) -> Fraction:
     """Caller input as an exact rational, else UsageError naming ``what``.
 
@@ -111,7 +122,7 @@ def exact(value: Any, what: str) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"{what}: {value!r} is not an exact rational ({exc})") from exc
-    raise UsageError(f"{what}: exact rational expected, got {type(value).__name__}: {value!r}")
+    raise UsageError(f"{what}: exact rational expected, got {type(value).__name__}: {shown(value)}")
 
 
 def exact_in_float_range(value: Any, what: str) -> Fraction:
@@ -120,7 +131,7 @@ def exact_in_float_range(value: Any, what: str) -> Fraction:
     try:
         float(q)
     except OverflowError as exc:
-        raise UsageError(f"{what}: {value!r} is not an exact number in float range") from exc
+        raise UsageError(f"{what}: {shown(value)} is not an exact number in float range") from exc
     return q
 
 
@@ -132,7 +143,7 @@ def fraction_text(q: Fraction) -> str:
 def count(value: Any, what: str) -> int:
     """Caller input as a positive int (not a bool), else UsageError naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise UsageError(f"{what}: must be a positive integer, got {value!r}")
+        raise UsageError(f"{what}: must be a positive integer, got {shown(value)}")
     return value
 
 
@@ -201,7 +212,7 @@ class FiniteFunction:
         try:
             return cls({x: value})
         except TypeError as exc:  # a dict cannot hold an unhashable label
-            raise UsageError(f"{x!r} is not a label: it is unhashable") from exc
+            raise UsageError(f"{shown(x)} is not a label: it is unhashable") from exc
 
     @classmethod
     def indicator(cls, labels: Iterable[Label]) -> "FiniteFunction":
@@ -271,7 +282,7 @@ class FiniteMeasure(FiniteFunction):
         super().__init__(masses)
         for label, q in self._value.items():
             if q < 0:
-                raise UsageError(f"negative mass {q} at label {label!r}")
+                raise UsageError(f"negative mass {shown(q, str)} at label {shown(label)}")
 
     def mass(self, x: Label) -> Fraction:
         return self.value(x)
@@ -342,7 +353,7 @@ class Hypergroup:
         """Raise LabelDomainError at the first of ``labels`` that is not a label here."""
         for x in labels:
             if not self._is_label(x):
-                raise LabelDomainError(f"{x!r} is not a label of {self.name}")
+                raise LabelDomainError(f"{shown(x)} is not a label of {self.name}")
 
     def label_str(self, x: Label) -> str:
         return str(x)
@@ -712,8 +723,8 @@ def _check_associativity_budget(s: int, t: int, w: int, bound: str = "") -> None
     entries, work = associativity_cost(s, t, w)
     if entries > MAX_ASSOCIATIVITY_ENTRIES or work > MAX_ASSOCIATIVITY_WORK:
         raise CapacityError(
-            f"associativity over {s} labels would hold {bound}{entries} integers "
-            f"and do {bound}{work} multiply-adds; the budget is {MAX_ASSOCIATIVITY_ENTRIES} "
+            f"associativity over {shown(s)} labels would hold {bound}{shown(entries)} integers "
+            f"and do {bound}{shown(work)} multiply-adds; the budget is {MAX_ASSOCIATIVITY_ENTRIES} "
             f"and {MAX_ASSOCIATIVITY_WORK}")
 
 

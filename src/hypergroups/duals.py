@@ -51,6 +51,7 @@ from .core import (
     cyclotomic_field,
     exact,
     exact_in_float_range,
+    shown,
 )
 
 
@@ -309,11 +310,7 @@ class CharacterTable:
         if not hits:
             raise InvalidTableError(
                 f"{self.name}: no conjugate row for irrep {i} ({self.irreps[i].name})")
-        if len(hits) > 1:
-            raise InvalidTableError(
-                f"{self.name}: conjugate row for irrep {i} ({self.irreps[i].name}) is "
-                f"ambiguous: rows {hits}")
-        return hits[0]
+        return hits[0]  # the only one: orthogonality refuses two equal rows
 
     def _checked_multiplicity(self, i: int, j: int, k: int, total: ExactComplex) -> int:
         """total / |G| as a nonnegative integer, for total = |G| m(i, j, k)."""
@@ -521,7 +518,7 @@ def twice_spin(value: Any, what: str = "spin") -> int:
     """Exact half-integer -> its doubled integer encoding, else UsageError naming ``what``."""
     doubled = exact(value, what) * 2
     if doubled.denominator != 1 or doubled < 0:
-        raise UsageError(f"{what}: expected a nonnegative half-integer, got {value}")
+        raise UsageError(f"{what}: expected a nonnegative half-integer, got {shown(value, str)}")
     return int(doubled)
 
 
@@ -529,14 +526,14 @@ class Su2Dual(Dual):
     """Dual of SU(2); labels n = 2*spin, Clebsch-Gordan fusion, h(n) = (n+1)^2.
 
     The exact engine works with U-series.  Write F = sum_x f(x) (x+1) U_x for
-    a function f on labels.  Since d_x *_h d_y = (x+1)(y+1)/(z+1) at each z
-    of the Clebsch-Gordan range |x-y|, |x-y|+2, .., x+y (the fusion mass
-    (z+1)/((x+1)(y+1)) times h(x) h(y) / h(z)), and U_x U_y = sum_z U_z over
-    the same range, F G = sum_z (z+1) (f *_h g)(z) U_z.  So weighted
-    convolution is one integer U-series product (:func:`su2num.u_product`)
-    once the denominators of f and g are cleared, and the support of A*B is
-    the nonzero set of the product of the 0/1 indicators of A and B (no
-    cancellation: every term is positive).  Work over MAX_U_PRODUCT_WORK is
+    a function f on labels (:func:`su2num.u_series`).  Since d_x *_h d_y =
+    (x+1)(y+1)/(z+1) at each z of the Clebsch-Gordan range |x-y|, |x-y|+2,
+    .., x+y (the fusion mass (z+1)/((x+1)(y+1)) times h(x) h(y) / h(z)), and
+    U_x U_y = sum_z U_z over the same range, F G = sum_z (z+1) (f *_h g)(z) U_z.
+    So weighted convolution is one integer U-series product
+    (:func:`su2num.u_product`), and the support of A*B is the nonzero set of
+    F_A F_B (no cancellation: every term is positive), on int64 within the
+    budget, as F_A sums to at most (max A + 1)^2.  Work over MAX_U_PRODUCT_WORK is
     refused up front, except that a support product whose pairwise fusion
     loops emit at most that many labels (sparse high labels) takes the
     loops.  A point fusion of more labels than that is refused too.  Fusion
@@ -587,26 +584,17 @@ class Su2Dual(Dual):
         work = (max(A) + 1) * (max(B) + 1)
         if work > MAX_U_PRODUCT_WORK:
             raise CapacityError(
-                f"a su2-hat U-series product up to labels {max(A)} and {max(B)} would do "
-                f"{work} multiply-adds; the budget is {MAX_U_PRODUCT_WORK}")
-
-    def _u_coefficients(self, f: FiniteFunction) -> tuple[list[int], int]:
-        """Integers a and scale L with a[x] = L f(x) (x+1)."""
-        scale = math.lcm(*(v.denominator for _, v in f.items()))
-        a = [0] * (max(f.support, default=0) + 1)
-        for x, v in f.items():
-            a[x] = v.numerator * (scale // v.denominator) * (x + 1)
-        return a, scale
+                f"a su2-hat U-series product up to labels {shown(max(A))} and {shown(max(B))} "
+                f"would do {shown(work)} multiply-adds; the budget is {MAX_U_PRODUCT_WORK}")
 
     def _convolve_exact(self, f: FiniteFunction, g: FiniteFunction) -> FiniteFunction:
         if not f or not g:
             return FiniteFunction({})
         self._check_u_product(f.support, g.support)
-        a, scale_f = self._u_coefficients(f)
-        b, scale_g = self._u_coefficients(g)
+        a, scale_f = su2num.u_series(f.items())
+        b, scale_g = su2num.u_series(g.items())
         c = su2num.u_product(a, b)
-        scale = scale_f * scale_g
-        return FiniteFunction({z: Fraction(int(c[z]), (z + 1) * scale)
+        return FiniteFunction({z: Fraction(int(c[z]), (z + 1) * scale_f * scale_g)
                                for z in np.flatnonzero(c).tolist()})
 
     def _support_product(self, A: Collection[int], B: Collection[int]) -> frozenset[int]:
@@ -617,14 +605,7 @@ class Su2Dual(Dual):
             # sparse high labels: fusing each pair emits far fewer labels
             return _support_product_loops(self, A, B)
         self._check_u_product(A, B)
-
-        def indicator(labels: Collection[int]) -> list[int]:
-            ones = [0] * (max(labels) + 1)
-            for x in labels:
-                ones[x] = 1
-            return ones
-
-        c = su2num.u_product(indicator(A), indicator(B))
+        c = su2num.u_product(su2num.indicator_series(A), su2num.indicator_series(B))
         return frozenset(np.flatnonzero(c).tolist())
 
 
@@ -649,8 +630,8 @@ def _fusion_loop_work(A: Collection[int], B: Collection[int]) -> int:
 def _check_fusion_size(H: Hypergroup, x: Any, y: Any, size: int) -> None:
     """Refuse a fusion of x and y of ``size`` labels past MAX_U_PRODUCT_WORK before building it."""
     if size > MAX_U_PRODUCT_WORK:
-        raise CapacityError(f"the fusion of {H.label_str(x)} and {H.label_str(y)} has {size} "
-                            f"labels; the budget is {MAX_U_PRODUCT_WORK}")
+        raise CapacityError(f"the fusion of {shown(x, H.label_str)} and {shown(y, H.label_str)} "
+                            f"has {shown(size)} labels; the budget is {MAX_U_PRODUCT_WORK}")
 
 
 def su2_dual() -> Su2Dual:
@@ -823,25 +804,8 @@ def _split_outside_parentheses(text: str) -> list[str]:
 def check_u_series_degree(degree: int) -> None:
     """CapacityError for a su2-hat U-series of degree over MAX_U_SERIES_DEGREE."""
     if degree > MAX_U_SERIES_DEGREE:
-        raise CapacityError(
-            f"a su2-hat U-series of degree {degree} exceeds the budget {MAX_U_SERIES_DEGREE}")
-
-
-def su2_u_coefficients(v: FiniteFunction) -> np.ndarray:
-    """The float array v(n) (n + 1) at index n, for v on su2-hat.
-
-    These are the U_n(cos theta) coefficients of the central function behind
-    v; chebval(cos theta, su2num.u_to_chebyshev_t(c)) evaluates it.  A label
-    outside su2-hat raises LabelDomainError, a UsageError, and one over
-    MAX_U_SERIES_DEGREE CapacityError.
-    """
-    Su2Dual().check_labels(v.support)
-    degree = max(v.support, default=0)
-    check_u_series_degree(degree)
-    coeffs = np.zeros(degree + 1)
-    for n, value in v.items():
-        coeffs[n] = float(value) * (n + 1)
-    return coeffs
+        raise CapacityError(f"a su2-hat U-series of degree {shown(degree)} exceeds the budget "
+                            f"{MAX_U_SERIES_DEGREE}")
 
 
 def _factor_tables(dual: Hypergroup) -> list[CharacterTable] | None:

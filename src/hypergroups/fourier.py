@@ -33,8 +33,10 @@ from .core import (
     LabelDomainError,
     UsageError,
     convolve_h,
+    label_count,
     label_set,
     real,
+    shown,
     support_product,
 )
 from .duals import (
@@ -44,8 +46,9 @@ from .duals import (
     _factor_tables,
     central_function,
     check_u_series_degree,
-    su2_u_coefficients,
 )
+
+_SU2 = Su2Dual()  # checks the labels of a bare function on su2-hat
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -174,15 +177,19 @@ def a_norm_su2(v: FiniteFunction, config: QuadratureConfig | None = None,
                zeros: np.ndarray | None = None) -> float:
     """A-norm of v over the dual of SU(2), one :func:`su2num.u_series_l1` call.
 
-    The series is v's central function sum_n v(n) (n+1) U_n; ``zeros``, if
-    given, are its zeros in (0, pi), else the companion matrix of the whole
+    The series is v's central function sum_n float(v(n)) (n+1) U_n; ``zeros``,
+    if given, are its zeros in (0, pi), else the companion matrix of the whole
     series finds them.  The value returned carries the residual the config
-    tolerance accepted.
+    tolerance accepted.  Labels and the degree budget are checked first.
     """
     config = config or DEFAULT_QUADRATURE
+    _SU2.check_labels(v.support)
     if not v:
         return 0.0
-    return QuadratureValue(*su2num.u_series_l1(su2_u_coefficients(v), config.tolerance, zeros))
+    check_u_series_degree(max(v.support))
+    coeffs = np.zeros(max(v.support) + 1)
+    coeffs[list(v.support)] = [float(q) * (n + 1) for n, q in v.items()]
+    return QuadratureValue(*su2num.u_series_l1(coeffs, config.tolerance, zeros))
 
 
 def a_norm(H: Hypergroup, v: FiniteFunction, config: QuadratureConfig | None = None) -> Any:
@@ -225,8 +232,8 @@ class Plateau:
         return self.first_not_one(labels) is None
 
     def __repr__(self) -> str:
-        return (f"<{type(self).__name__} on {self.hypergroup.name}: |K|={len(self.K)}, "
-                f"|V|={len(self.V)}, ratio={self.ratio}>")
+        return (f"<{type(self).__name__} on {self.hypergroup.name}: |K|={label_count(self.K)}, "
+                f"|V|={label_count(self.V)}, ratio={shown(self.ratio, str)}>")
 
 
 class BumpFunction(Plateau):
@@ -273,20 +280,17 @@ class BumpFunction(Plateau):
     def _su2_series_zeros(self) -> np.ndarray:
         """The zeros in (0, pi) of u's U-series on su2-hat, from its two factors.
 
-        First proves h(V) u(n) (n+1) = c_n at every n, where c is the exact
-        integer product of F_{K*V} and F_V (~V = V on su2-hat), so that
-        every zero of a factor is a zero of u's series and no other zero
-        exists; a mismatch raises InternalInvariantError.  The degree
-        budget is checked before any of this.
+        First proves h(V) a = L c as integer lists, with (a, L) u's :func:`su2num.u_series`
+        and c the product of F_{K*V} and F_V (~V = V on su2-hat), so that every
+        zero of a factor is a zero of u's series and no other zero exists; a
+        mismatch raises InternalInvariantError.  The degree budget comes first.
         """
-        u, factors = self.function, (self.grown, self.V)
-        check_u_series_degree(max(u.support, default=0))
+        factors = (self.grown, self.V)
+        check_u_series_degree(max(self.function.support, default=0))
+        a, scale = su2num.u_series(self.function.items())
         c = su2num.u_product(*map(su2num.indicator_series, factors)).tolist()
         h_v = int(self.hypergroup._haar_sum(self.V))
-        items = u.items()
-        if (len(items) != len(c) - c.count(0)
-                or any(not 0 <= n < len(c) or q.numerator * h_v * (n + 1) != c[n] * q.denominator
-                       for n, q in items)):
+        if [h_v * x for x in a] != [scale * x for x in c]:
             raise InternalInvariantError(
                 "plateau: h(V) u is not the U-series product of F_{K*V} and F_V")
         return np.concatenate([su2num.indicator_series_zeros(A) for A in factors])
@@ -343,8 +347,8 @@ class Su2IntervalBump(Plateau):
 
     def __init__(self, hypergroup: Su2Dual, k2: int, m2: int):
         if not (hypergroup._is_label(k2) and hypergroup._is_label(m2)):
-            raise LabelDomainError(f"interval ends {k2!r} and {m2!r} must be su2-hat labels, "
-                                   f"nonnegative ints")
+            raise LabelDomainError(f"interval ends {shown(k2)} and {shown(m2)} must be su2-hat "
+                                   f"labels, nonnegative ints")
         self.hypergroup = hypergroup
         self.k2 = k2
         self.m2 = m2
@@ -385,7 +389,7 @@ class Su2IntervalBump(Plateau):
         """CapacityError before ``work`` allocates one entry per support label."""
         size = self.k2 + 2 * self.m2 + 1
         if size > MAX_INTERVAL_SUPPORT:
-            raise CapacityError(f"the plateau support has {size} labels, more than the "
+            raise CapacityError(f"the plateau support has {shown(size)} labels, more than the "
                                 f"{MAX_INTERVAL_SUPPORT} an interval {work} may have")
 
     @property

@@ -49,6 +49,7 @@ from .core import (
     fraction_text,
     label_count,
     label_set,
+    shown,
     support_product,
 )
 from .duals import ProductDual, Su2Dual, product_dual
@@ -59,7 +60,7 @@ STRATEGIES = ("interval", "greedy", "exhaustive")
 def _epsilon(value: Any) -> Fraction:
     eps = exact(value, "epsilon")
     if eps <= 0:
-        raise UsageError(f"epsilon must be positive, got {eps}")
+        raise UsageError(f"epsilon must be positive, got {shown(eps, str)}")
     return eps
 
 
@@ -98,17 +99,14 @@ class LeptinCertificate:
         return cert
 
     def recompute_ratio(self) -> Fraction:
-        """Re-derive the ratio from the hypergroup, by the strategy's engine."""
-        if self.strategy == "interval" and isinstance(self.hypergroup, Su2Dual):
+        """Re-derive the ratio, by the closed form for spin intervals whatever the strategy."""
+        if isinstance(self.hypergroup, Su2Dual):
             k2 = su2num.as_interval(self.K)
             m2 = su2num.as_interval(self.V)
             if k2 is not None and m2 is not None:
                 return su2num.interval_ratio_n2(k2, m2)
         if self.strategy == "product" and self.factors:
-            result = Fraction(1)
-            for cert in self.factors:
-                result *= cert.recompute_ratio()
-            return result
+            return math.prod(cert.recompute_ratio() for cert in self.factors)
         return leptin_ratio(self.hypergroup, self.K, self.V)
 
     def verify(self) -> bool:
@@ -121,7 +119,7 @@ class LeptinCertificate:
         """The certificate as JSON, refused past MAX_HAAR_ROWS labels before K or V is listed."""
         size = label_count(self.K) + label_count(self.V)
         if size > MAX_HAAR_ROWS:
-            raise CapacityError(f"the certificate listing has {size} labels, "
+            raise CapacityError(f"the certificate listing has {shown(size)} labels, "
                                 f"more than the {MAX_HAAR_ROWS} it may print")
         return {
             "strategy": self.strategy,

@@ -42,6 +42,7 @@ from .core import (
     exact,
     fraction_text,
     real,
+    shown,
     support_product,
 )
 from .duals import Su2Dual
@@ -191,9 +192,10 @@ def build_witness(H: Hypergroup, K0: Collection[Label], D: Any, N: int,
     """
     cap = exact(D, "D")
     if cap <= 1:
-        raise UsageError(f"D must exceed 1, got {cap}")
+        raise UsageError(f"D must exceed 1, got {shown(cap, str)}")
     if count(N, "N") > MAX_WITNESS_TERMS:
-        raise CapacityError(f"N = {N} exceeds the budget of {MAX_WITNESS_TERMS} witness terms")
+        raise CapacityError(
+            f"N = {shown(N)} exceeds the budget of {MAX_WITNESS_TERMS} witness terms")
     count(max_size, "max_size")
     if not K0:
         raise UsageError("K0 must be nonempty")

@@ -15,7 +15,7 @@ exact is plain `int`/`Fraction`, the quadrature is numpy float64.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Iterable, Sequence
 from fractions import Fraction
 from typing import Any
 
@@ -658,6 +658,24 @@ def interval_product_l1(P: int, Q: int, tolerance: float) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 
 
+def u_series(items: Sequence[tuple[int, Any]]) -> tuple[list[int], int]:
+    """(a, L) with a[n] = L f(n) (n + 1), for f on su2-hat given by its (label, value) pairs.
+
+    sum_n a[n] U_n is L times the central function of f; L, the least common
+    denominator of the values (ints or Fractions), makes every a[n] an int.
+    """
+    scale = math.lcm(*{v.denominator for _, v in items})
+    a = [0] * (max([n for n, _ in items], default=0) + 1)
+    for n, v in items:
+        a[n] = v.numerator * (scale // v.denominator) * (n + 1)
+    return a, scale
+
+
+def indicator_series(labels: Iterable[int]) -> list[int]:
+    """F_A = sum_{n in A} (n + 1) U_n, the :func:`u_series` of the indicator of A = ``labels``."""
+    return u_series([(n, 1) for n in labels])[0]
+
+
 def u_product(a: list[int], b: list[int]) -> np.ndarray:
     """c with (sum_n a[n] U_n)(sum_m b[m] U_m) = sum_z c[z] U_z, exact.
 
@@ -734,14 +752,6 @@ def u_series_roots_theta(coeffs: np.ndarray) -> np.ndarray:
     real = roots[np.abs(roots.imag) < 1e-6].real
     inside = real[(real > -1.0 + 1e-12) & (real < 1.0 - 1e-12)]
     return np.sort(np.arccos(np.clip(inside, -1.0, 1.0)))
-
-
-def indicator_series(labels: Collection[int]) -> list[int]:
-    """F_A = sum_{n in A} (n + 1) U_n, the U-series of the indicator of A = ``labels``.
-
-    ``labels`` is a nonempty set of su2-hat labels; the coefficients run up to max A.
-    """
-    return [(n + 1) * (n in labels) for n in range(max(labels) + 1)]
 
 
 def indicator_series_zeros(labels: Collection[int]) -> np.ndarray:

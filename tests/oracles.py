@@ -33,6 +33,9 @@ extending each triple's fusions in Fractions
 (:func:`associativity_failures_loops`), and a character table's inner
 products, validation and multiplicities by its class loop
 (:func:`inner_loops`, :func:`validate_loops`, :func:`multiplicity_loops`).
+
+A non-commutative hypergroup: :class:`S3Group`, the group S3 with
+point-mass fusion, for the paths that only such a fusion takes.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import math
 from collections.abc import Callable, Collection
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from operator import mul
 from typing import Any
 
@@ -67,6 +70,31 @@ from hypergroups.fourier import BumpFunction
 from hypergroups.leptin import LeptinCertificate, _epsilon, leptin_ratio
 from hypergroups import su2num
 from hypergroups.su2num import _NEWTON_SWEEPS, _ROOT_SLACK
+
+
+class S3Group(Hypergroup):
+    """The group S3 with point-mass fusion d_x * d_y = d_(xy): a non-commutative hypergroup.
+
+    Labels are the permutations of (0, 1, 2) as tuples, with (xy)(i) =
+    x[y[i]]; the involution is the inverse and every Haar mass is 1.
+    ``commutative=True`` declares a commutativity the fusion lacks, and
+    ``finite=False`` drops the universe, so that no fusion is memoised.
+    """
+
+    ELEMENTS = tuple(permutations(range(3)))
+
+    def __init__(self, *, commutative: bool = False, finite: bool = True):
+        super().__init__(name="s3-group", identity=(0, 1, 2), commutative=commutative,
+                         universe=self.ELEMENTS if finite else None)
+
+    def _is_label(self, x: Any) -> bool:
+        return x in self.ELEMENTS
+
+    def _rule(self, x: tuple, y: tuple) -> dict[tuple, Fraction]:
+        return {tuple(x[i] for i in y): Fraction(1)}
+
+    def _involution(self, x: tuple) -> tuple:
+        return tuple(sorted(range(3), key=x.__getitem__))
 
 
 def leptin_search_greedy_loops(

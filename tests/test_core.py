@@ -33,12 +33,13 @@ from hypergroups import (
 )
 from hypergroups import core, duals
 from hypergroups.core import (
+    AxiomFailure,
     _associativity_failures,
     _convolve_h_loops,
     _support_product_loops,
     associativity_cost,
 )
-from oracles import associativity_failures_loops, support_product_ordered_loops
+from oracles import S3Group, associativity_failures_loops, support_product_ordered_loops
 
 half = Fraction(1, 2)
 
@@ -540,6 +541,53 @@ class _Perturbed(Hypergroup):
 
     def label_str(self, x):
         return self.base.label_str(x)
+
+
+class _SelfInverseS3(S3Group):
+    """S3 with the identity map as its involution, which the 3-cycles break."""
+
+    def _involution(self, x):
+        return x
+
+
+_E, _SWAP, _CYCLE = (0, 1, 2), (1, 0, 2), (1, 2, 0)
+
+
+class TestAxiomWitnessesOnS3:
+    """Each pair law's failure and its witness, on the group S3 with point-mass fusion."""
+
+    def test_the_group_passes(self):
+        H = S3Group()
+        report = check_axioms(H, H.universe)
+        assert report.ok and "commutativity" not in report.checks
+
+    @pytest.mark.parametrize("pair,side", [((_E, _SWAP), "left"), ((_SWAP, _E), "right")])
+    def test_identity(self, pair, side):
+        H = _Perturbed(S3Group(), [(*pair, _CYCLE, half)], "corrupted-s3-group")
+        failures = [f for f in check_axioms(H, S3Group.ELEMENTS).failures if f.check == "identity"]
+        assert failures == [AxiomFailure("identity", (str(_SWAP),), f"fusion with identity on "
+                                         f"the {side} is not a point mass")]
+
+    def test_inverse_support_and_involution(self):
+        report = check_axioms(_SelfInverseS3(), S3Group.ELEMENTS)
+        inverse = [f.labels for f in report.failures if f.check == "inverse_support"]
+        assert inverse == [(str(_CYCLE),), (str((2, 0, 1)),)]
+        swapped = {f.labels for f in report.failures if f.check == "involution_antihom"}
+        assert swapped == {(str(x), str(y)) for x in S3Group.ELEMENTS for y in S3Group.ELEMENTS
+                           if _compose(x, y) != _compose(y, x)}
+        assert len(swapped) == 18
+
+    def test_commutativity(self):
+        # no universe, so no memo serves fuse(y, x) from fuse(x, y)
+        report = check_axioms(S3Group(commutative=True, finite=False), S3Group.ELEMENTS)
+        assert {f.check for f in report.failures} == {"commutativity"}
+        assert {f.labels for f in report.failures} == {
+            (str(x), str(y)) for x in S3Group.ELEMENTS for y in S3Group.ELEMENTS
+            if _compose(x, y) != _compose(y, x)}
+
+
+def _compose(x, y):
+    return tuple(x[i] for i in y)
 
 
 def _engine_and_oracle(H, sample):

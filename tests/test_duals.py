@@ -29,8 +29,8 @@ from hypergroups import (
     su2_dual,
 )
 from hypergroups import core, duals, su2num
-from hypergroups.duals import ProductDual, ell_str, su2_u_coefficients
-from hypergroups.fourier import a_norm_su2
+from hypergroups.duals import ProductDual, ell_str
+from hypergroups.fourier import a_norm, a_norm_su2
 
 half = Fraction(1, 2)
 
@@ -147,6 +147,44 @@ class TestCharacterTable:
         with pytest.raises(InvalidTableError, match="^s3: " + message):
             CharacterTable(6, [1, 3, 2], [(d, r, n) for (d, r), n in zip(rows, names)],
                            name="s3")
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_class_sizes_must_be_positive(self, size):
+        with pytest.raises(InvalidTableError, match="^s3: class sizes must be positive"):
+            CharacterTable(6, [1, 3 - size, 2, size], [
+                (1, [1, 1, 1, 1]), (1, [1, -1, 1, 1]), (2, [2, 0, -1, 2])], name="s3")
+
+    def test_equal_rows_fail_orthogonality(self):
+        # so a row never has two conjugate rows to choose from
+        w = ExactComplex.cyclotomic(3, [0, 1])
+        with pytest.raises(InvalidTableError, match=r"rows 1 \(a\) and 2 \(b\) fail orthogonality"):
+            CharacterTable(3, [1, 1, 1], [
+                (1, [1, 1, 1], "triv"), (1, [1, w, w * w], "a"), (1, [1, w, w * w], "b")])
+
+    def test_row_without_its_conjugate(self):
+        # Z4's two complex rows turned within their span: orthonormal, with
+        # the identity value 1, but each row's conjugate is no row of the table
+        p, q = ["-4/5", "3/5"], ["4/5", "-3/5"]  # (-4 + 3i)/5 and its negative
+        rows = {"triv": [[1, 0], [1, 0], [1, 0], [1, 0]], "v": [[1, 0], p, [-1, 0], q],
+                "sgn": [[1, 0], [-1, 0], [1, 0], [-1, 0]], "w": [[1, 0], q, [-1, 0], p]}
+        with pytest.raises(InvalidTableError, match=r"^z4: no conjugate row for irrep 1 \(v\)"):
+            parse_character_table({"name": "z4", "group_order": 4, "classes": [1, 1, 1, 1],
+                                   "irreps": [{"name": name, "dim": 1, "values": values}
+                                              for name, values in rows.items()]})
+
+    @pytest.mark.parametrize("key", [1.5, None, (0,)])
+    def test_irrep_key_of_another_type(self, key):
+        with pytest.raises(LabelDomainError, match="^s3: cannot resolve irrep"):
+            builtin_table("s3").irrep_index(key)
+
+    @pytest.mark.parametrize("document", [[], "s3", None])
+    def test_table_document_must_be_an_object(self, document):
+        with pytest.raises(InvalidTableError, match="must be a JSON object"):
+            parse_character_table(document)
+
+    def test_unknown_bundled_table(self):
+        with pytest.raises(UsageError, match="^no bundled table 's4'"):
+            builtin_table("s4")
 
     def test_missing_trivial_irrep(self):
         i = ExactComplex(Fraction(0), Fraction(1))
@@ -415,9 +453,15 @@ class TestProductDual:
         assert prod.character_table() is None
 
 
+def u_series_floats(v):
+    """The U-coefficients v(n) (n + 1) of v on su2-hat, as floats."""
+    a, scale = su2num.u_series(v.items())
+    return np.array(a) / scale
+
+
 class TestCentralFunction:
     def test_identity_coefficient_gives_constant_one(self, s3):
-        coeffs = su2_u_coefficients(FiniteFunction.point(0))
+        coeffs = u_series_floats(FiniteFunction.point(0))
         theta = np.array([0.1, 1.0, 2.5])
         values = chebval(np.cos(theta), su2num.u_to_chebyshev_t(coeffs))
         assert np.allclose(values, 1.0, rtol=0, atol=1e-12)
@@ -425,7 +469,7 @@ class TestCentralFunction:
             (ExactComplex(Fraction(1)),) * 3)
 
     def test_su2_spin_half_at_pi_thirds(self):
-        coeffs = su2_u_coefficients(FiniteFunction.point(1))
+        coeffs = u_series_floats(FiniteFunction.point(1))
         value = chebval(math.cos(math.pi / 3), su2num.u_to_chebyshev_t(coeffs))
         assert abs(value - 2.0) < 1e-12
 
@@ -463,13 +507,14 @@ class TestCentralFunction:
     @pytest.mark.parametrize("label", [-1, True, 1.0, "1", (0,)])
     def test_su2_labels_checked_once_for_both_users(self, label):
         v = FiniteFunction({label: 1})
-        for use in (su2_u_coefficients, a_norm_su2):
+        for use in (a_norm_su2, lambda f: a_norm(su2_dual(), f)):
             with pytest.raises(LabelDomainError, match="is not a label of su2-hat"):
                 use(v)
 
     def test_su2_u_coefficients(self):
         v = FiniteFunction({0: 1, 3: half})
-        coeffs = su2_u_coefficients(v)
+        assert su2num.u_series(v.items()) == ([2, 0, 0, 4], 2)
+        coeffs = u_series_floats(v)
         assert coeffs.tolist() == [1.0, 0.0, 0.0, 2.0]
         theta = 0.7
         value = chebval(math.cos(theta), su2num.u_to_chebyshev_t(coeffs))

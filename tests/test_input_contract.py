@@ -48,8 +48,8 @@ from hypergroups import (
 )
 from hypergroups import segal
 from hypergroups.core import MAX_EXACT_EXPONENT, MAX_WITNESS_TERMS
-from hypergroups.duals import su2_u_coefficients, twice_spin
-from hypergroups.fourier import lp_h_power_sum
+from hypergroups.duals import twice_spin
+from hypergroups.fourier import a_norm_su2, lp_h_power_sum
 
 FAMILIES = ("su2", "s3", "s3,z4")
 
@@ -86,7 +86,7 @@ LABEL_CALLS = [
     ("central_function", lambda H, x: central_function(H, _point(x))),
     ("a_norm", lambda H, x: a_norm(H, _point(x))),
     ("lp_h_power_sum", lambda H, x: lp_h_power_sum(H, _point(x), 2)),
-    ("su2_u_coefficients", lambda H, x: su2_u_coefficients(_point(x)), ("su2",)),
+    ("a_norm_su2", lambda H, x: a_norm_su2(_point(x)), ("su2",)),
     ("Su2IntervalBump k2", lambda H, x: Su2IntervalBump(H, x, 2), ("su2",)),
     ("Su2IntervalBump m2", lambda H, x: Su2IntervalBump(H, 2, x), ("su2",)),
 ]
@@ -296,6 +296,49 @@ class TestWarmCache:
         cached = H.fuse(x, y)
         assert H.fuse(tuple([2, 3]), (1, int("2"))) is cached
         assert H.haar(tuple([2, 3])) == H.haar(x) == 4
+
+
+# past the 4 300 digits Python writes in decimal by default: 16 610 bits
+HUGE = -10 ** 5000
+
+
+class TestHugeInts:
+    """A caller's int too long to write in decimal leaves its typed error standing."""
+
+    @pytest.mark.parametrize("call,named", [
+        (lambda H: H.haar(HUGE), "-<int of 16610 bits> is not a label of su2-hat"),
+        (lambda H: bump(H, [0], [HUGE]), "-<int of 16610 bits> is not a label of su2-hat"),
+        (lambda H: Su2IntervalBump(H, HUGE, 1), "interval ends -<int of 16610 bits> and 1"),
+        (lambda H: build_witness(H, [0], "11/10", HUGE),
+         "N: must be a positive integer, got -<int of 16610 bits>"),
+        (lambda H: leptin_search_greedy(H, [0], HUGE),
+         "epsilon must be positive, got <Fraction holding an int too long to write>"),
+        (lambda H: product_dual([H, H]).haar((0, HUGE)),
+         "<tuple holding an int too long to write> is not a label"),
+    ], ids=["haar", "bump V", "Su2IntervalBump", "build_witness N", "epsilon", "product label"])
+    def test_error_names_the_value_by_its_size(self, su2, call, named):
+        with pytest.raises(UsageError) as caught:
+            call(su2)
+        assert named in str(caught.value)
+
+    @pytest.mark.parametrize("call", [
+        lambda H: H.fuse(-HUGE, -HUGE),
+        lambda H: convolve_h(H, _point(-HUGE), _point(0)),
+        lambda H: support_product(H, [-HUGE], [-HUGE, 0]),
+        lambda H: check_axioms(H, range(-HUGE)),
+        lambda H: a_norm(H, _point(-HUGE)),
+        lambda H: bump(H, range(3), range(-HUGE)).a_norm(),
+        lambda H: leptin_search_interval(H, [-HUGE], "1/4").to_json_dict(),
+    ], ids=["fuse", "convolve_h", "support_product", "check_axioms", "a_norm", "interval a_norm",
+            "certificate listing"])
+    def test_budget_names_a_huge_size_by_its_bits(self, su2, call):
+        # -HUGE is a valid su2-hat label; every budget refuses the work it would cost
+        with pytest.raises(CapacityError, match="<int of "):
+            call(su2)
+
+    def test_repr_of_a_plateau_past_ssize(self, su2):
+        u = Su2IntervalBump(su2, 1, 2 ** 64)
+        assert repr(u).startswith(f"<Su2IntervalBump on su2-hat: |K|=2, |V|={2 ** 64 + 1}, ")
 
 
 class TestExact:

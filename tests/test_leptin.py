@@ -31,8 +31,8 @@ from hypergroups import leptin, su2num
 from hypergroups.cli import run
 from hypergroups.core import InternalInvariantError
 from hypergroups.duals import twice_spin
-from hypergroups.leptin import certificate_from_json_dict
-from oracles import leptin_search_exhaustive_loops, leptin_search_greedy_loops
+from hypergroups.leptin import LeptinCertificate, certificate_from_json_dict
+from oracles import S3Group, leptin_search_exhaustive_loops, leptin_search_greedy_loops
 
 half = Fraction(1, 2)
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -259,6 +259,17 @@ class TestCertificates:
     def test_malformed_document(self, s3):
         with pytest.raises(UsageError):
             certificate_from_json_dict({"strategy": "greedy"}, s3)
+
+    @pytest.mark.parametrize("sets", [range, lambda n: frozenset(range(n))], ids=["range", "set"])
+    def test_spin_intervals_take_the_closed_form_under_any_strategy(self, su2, sets):
+        # the witness's stage-4 sets at D = 1.1: their support product is far
+        # past the U-series budget, so only the closed form can verify them
+        ratio = su2num.interval_ratio_n2(1888, 28779)
+        cert = LeptinCertificate("greedy", sets(1889), sets(28780), ratio, Fraction(21, 100), su2)
+        with mock.patch.object(leptin, "leptin_ratio", side_effect=AssertionError):
+            assert cert.verify()
+            cert.ratio += Fraction(1, 10 ** 9)
+            assert not cert.verify()
 
 
 _FINITE = [finite_group_dual(builtin_table(name)) for name in ("z2", "z4", "s3", "q8")]
@@ -530,6 +541,14 @@ class TestSearchesMatchTheirOracles:
         for K in list(combinations(s3_x_z4.universe, 2))[::22]:
             got = leptin_search_exhaustive(s3_x_z4, K, 2).to_json_dict()
             assert got == leptin_search_exhaustive_loops(s3_x_z4, K, 2).to_json_dict()
+
+    @pytest.mark.parametrize("epsilon", ["1/4", "1/2", "1"])
+    def test_greedy_on_a_non_commutative_group(self, epsilon):
+        # S3 with point-mass fusion: the pool also gains c*V when c joins V
+        H = S3Group()
+        for K in combinations(H.universe, 2):
+            got = _outcome(leptin_search_greedy, H, K, epsilon, max_size=6)
+            assert got == _outcome(leptin_search_greedy_loops, H, K, epsilon, max_size=6)
 
     def test_certificates_are_verified_by_leptin_ratio(self, s3_x_z4):
         K = [(2, 1), (1, 2)]

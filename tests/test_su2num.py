@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import hypergroups
 from hypergroups import InternalInvariantError, NumericError, QuadratureConfig
-from hypergroups import su2num
+from hypergroups import core, su2_dual, su2num, support_product
 from hypergroups.fourier import Su2IntervalBump
 from oracles import (
     interval_product_breakpoints,
@@ -666,6 +667,44 @@ class TestUProduct:
         assert su2num.u_product(a + [1], b).dtype == object
         for x, y in [(a, b), (a + [1], b), ([-(1 << 62)], [0, 0, 1])]:
             assert su2num.u_product(x, y).tolist() == u_product_loops(x, y)
+
+
+class TestUSeries:
+    @given(f=st.dictionaries(st.integers(0, 60),
+                             st.fractions(max_denominator=10 ** 6) | st.integers(-10 ** 30, 10 ** 30),
+                             max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_weighted_values_exactly(self, f):
+        a, scale = su2num.u_series(f.items())
+        assert scale == math.lcm(*(Fraction(v).denominator for v in f.values()))
+        assert len(a) == max(f, default=0) + 1
+        assert all(type(x) is int for x in a)
+        for n, x in enumerate(a):
+            assert Fraction(x, scale) == Fraction(f.get(n, 0)) * (n + 1)
+
+    @given(labels=st.sets(st.integers(0, 200), min_size=1, max_size=20)
+           | st.builds(range, st.integers(1, 300)))
+    @settings(max_examples=100, deadline=None)
+    def test_indicator_series_is_the_u_series_of_ones(self, labels):
+        assert su2num.indicator_series(labels) == [
+            (n + 1) * (n in labels) for n in range(max(labels) + 1)]
+
+    def test_indicator_product_stays_int64_at_the_budget_edge(self):
+        # (max A + 1)(max B + 1) = MAX_U_PRODUCT_WORK, the most the support engine takes
+        top = math.isqrt(core.MAX_U_PRODUCT_WORK) - 1
+        assert (top + 1) ** 2 == core.MAX_U_PRODUCT_WORK
+        F = su2num.indicator_series(range(top + 1))
+        assert 2 * sum(F) ** 2 < 1 << 41
+        products, real = [], su2num.u_product
+
+        def spy(a, b):
+            products.append(real(a, b))
+            return products[-1]
+
+        with mock.patch.object(su2num, "u_product", spy):
+            got = support_product(su2_dual(), range(top + 1), range(top + 1))
+        assert [c.dtype for c in products] == [np.int64]
+        assert got == frozenset(range(2 * top + 1))
 
 
 class TestUToChebyshevT:

@@ -290,9 +290,6 @@ class FiniteMeasure(FiniteFunction):
     def total(self) -> Fraction:
         return sum(self._value.values(), Fraction(0))
 
-    def map_labels(self, fn: Callable[[Label], Label]) -> "FiniteMeasure":
-        return FiniteMeasure({fn(x): v for x, v in self._value.items()})
-
 
 class Hypergroup:
     """A discrete hypergroup given by a point-fusion oracle.
@@ -555,10 +552,10 @@ def _check_pairs(
 
     for x in sample:
         counts["identity"] += 2
-        if fuse(e, x) != FiniteMeasure.point(x):
+        if fuse(e, x)._value != {x: 1}:
             failures.append(AxiomFailure("identity", (H.label_str(x),),
                                          "fusion with identity on the left is not a point mass"))
-        if fuse(x, e) != FiniteMeasure.point(x):
+        if fuse(x, e)._value != {x: 1}:
             failures.append(AxiomFailure("identity", (H.label_str(x),),
                                          "fusion with identity on the right is not a point mass"))
         counts["inverse_support"] += 1
@@ -576,14 +573,14 @@ def _check_pairs(
                     "normalization", (H.label_str(x), H.label_str(y)),
                     f"total mass {total} != 1"))
             counts["involution_antihom"] += 1
-            tilde = mu.map_labels(involution)
-            if tilde != fuse(involution(y), involution(x)):
+            tilde = {involution(z): q for z, q in mu._value.items()}
+            if tilde != fuse(involution(y), involution(x))._value:
                 failures.append(AxiomFailure(
                     "involution_antihom", (H.label_str(x), H.label_str(y)),
                     "involute of the fusion differs from fusion of the swapped involutes"))
             if H.commutative:
                 counts["commutativity"] += 1
-                if mu != fuse(y, x):
+                if mu._value != fuse(y, x)._value:
                     failures.append(AxiomFailure(
                         "commutativity", (H.label_str(x), H.label_str(y)),
                         "fusion is not symmetric"))

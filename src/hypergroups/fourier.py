@@ -134,11 +134,47 @@ def lp_h_norm(H: Hypergroup, f: FiniteFunction, p: Any) -> Any:
     if float(p) * spread <= _UNSCALED_LOG2:
         bits = max(q.numerator.bit_length() + q.denominator.bit_length() for q in values)
         if float(p).is_integer() and p * bits <= _EXACT_POWER_BITS:
-            return float(lp_h_power_sum(H, f, int(p))) ** (1.0 / float(p))
+            total = lp_h_power_sum(H, f, int(p))
+            try:
+                return float(total) ** (1.0 / float(p))
+            except OverflowError:
+                return _scaled_root(Fraction(1), *_binary(total), int(p))
         scale = Fraction(1)
     p = float(p)
-    total = sum(float(H.haar(x)) * float(abs(v) / scale) ** p for x, v in f.items())
-    return float(scale) * total ** (1.0 / p)
+    try:
+        total = sum(float(H.haar(x)) * float(abs(v) / scale) ** p for x, v in f.items())
+        norm = float(scale) * total ** (1.0 / p)
+        if math.isfinite(norm):
+            return norm
+    except OverflowError:
+        pass
+    # some h(x), a product or the norm is past float range: sum over the top power of two
+    haar = [_binary(H.haar(x)) for x, _ in f.items()]
+    top = max(e for _, e in haar)
+    total = sum(math.ldexp(m * float(abs(v) / scale) ** p, e - top)
+                for (m, e), (_, v) in zip(haar, f.items()))
+    return _scaled_root(scale, total, top, p)
+
+
+def _binary(q: Fraction) -> tuple[float, int]:
+    """(m, e) with q = m 2^e and 1/2 <= m < 2 for q > 0, m correctly rounded."""
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    if e >= 0:
+        return float(Fraction(q.numerator, q.denominator << e)), e
+    return float(Fraction(q.numerator << -e, q.denominator)), e
+
+
+def _scaled_root(scale: Fraction, mantissa: float, exponent: int, p: float) -> float:
+    """scale (mantissa 2^exponent)^(1/p) by powers of two; CapacityError past float range."""
+    m, e = _binary(scale)
+    k, r = divmod(exponent, p)  # 0 <= r < p
+    try:
+        # one rounding in the root where 2^r is a float, so for every integer p up to 1000
+        root = (mantissa * 2.0 ** r) ** (1.0 / p) if r < 1000 else (
+            mantissa ** (1.0 / p) * 2.0 ** (r / p))
+        return math.ldexp(m * root, e + int(k))
+    except OverflowError:
+        raise CapacityError(f"the lp norm at p = {p:g} is past float range") from None
 
 
 # ---------------------------------------------------------------------------

@@ -228,8 +228,7 @@ def leptin_search_greedy(
     """Grow V from the identity, adding the ratio-minimizing candidate each step.
 
     Candidates come from K*V and V*V.  Returns the first certificate with
-    ratio < 1 + epsilon, or None if max_size is reached or the candidate
-    pool dries up first.
+    ratio < 1 + epsilon, or None if max_size is reached first.
 
     Supports grow incrementally: K*(V | {c}) = K*V | K*c, so a candidate's
     ratio is (h(K*V) + h(K*c - K*V)) / (h(V) + h(c)), with K*c fused once
@@ -270,11 +269,9 @@ def leptin_search_greedy(
             return LeptinCertificate.proven("greedy", H, frozenset(K), frozenset(V), ratio, eps)
         if len(V) >= max_size:
             return None
-        candidates = sorted(pool - V)
-        if not candidates:
-            return None
+        # never empty: K*V lies in the pool, so a pool within V would have given ratio <= 1
         ratio, best = min(((h_kv + H._haar_sum(grow(c) - KV)) / (h_v + H._haar(c)), c)
-                          for c in candidates)
+                          for c in pool - V)
         add(best)
 
 

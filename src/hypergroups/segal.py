@@ -60,8 +60,8 @@ from .leptin import LeptinCertificate, leptin_ratio, leptin_search
 class WitnessSequence:
     """The chained plateau functions and their Leptin certificates.
 
-    ``next_K`` is the support bound of the last term, i.e. the set the next
-    stage would have to cover.
+    ``next_K`` is the support of the last term, the set the next stage
+    would have to cover.
     """
 
     hypergroup: Hypergroup
@@ -70,8 +70,7 @@ class WitnessSequence:
     terms: list[Plateau]
     next_K: Collection[Label]
     certificates: list[LeptinCertificate] = field(default_factory=list)
-    _a_cache: dict[float, tuple[tuple[Plateau, ...], list[Any]]] = field(
-        default_factory=dict, repr=False)
+    _a_cache: dict[tuple[Plateau, float], Any] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -93,16 +92,14 @@ class WitnessSequence:
         """Measured A-norms per term (quadrature on su2-hat, exact on finite duals).
 
         A quadrature value carries its residual; :func:`a_norm_residual` reads it.
-        The values are kept per tolerance together with the terms they were
-        measured on, and measured again once any term is replaced.
+        Each value is kept per plateau and tolerance, so a replaced term is
+        measured alone.
         """
-        key = (config or DEFAULT_QUADRATURE).tolerance
-        terms = tuple(self.terms)
-        cached = self._a_cache.get(key)
-        if (cached is None or len(cached[0]) != len(terms)
-                or any(a is not b for a, b in zip(cached[0], terms))):
-            cached = self._a_cache[key] = terms, [term.a_norm(config) for term in terms]
-        return cached[1]
+        tolerance = (config or DEFAULT_QUADRATURE).tolerance
+        for term in self.terms:
+            if (term, tolerance) not in self._a_cache:
+                self._a_cache[term, tolerance] = term.a_norm(config)
+        return [self._a_cache[term, tolerance] for term in self.terms]
 
     def chain_failures(self) -> list[tuple[int, int, str]]:
         """Exact check of u_n u_m = u_n for all n < m; witnesses on failure."""
@@ -130,48 +127,39 @@ def absorption_witness(earlier: Plateau, later: Plateau) -> Label | None:
 
 
 def _interval_stage(H: Hypergroup, K: Collection[Label], cap: Fraction, search: str,
-                    max_size: int) -> tuple[Plateau, LeptinCertificate, range]:
+                    max_size: int) -> Plateau:
     """One O(1) interval stage: the least m2 >= max(k2, 1) with ratio below cap^2."""
     cert = leptin_search(H, K, cap * cap - 1, search, min_m2=1)
     term = bump(H, cert.K, cert.V)
     term.check_support_budget("witness stage")
-    return term, cert, term.support
+    return term
 
 
 def _expansion_pool(H: Hypergroup, K: Collection[Label], V: set[Label]) -> list[Label]:
-    pool = set(support_product(H, K, V)) | set(support_product(H, V, V))
     if H.universe is not None:
-        pool |= set(H.universe)
-    elif isinstance(H, Su2Dual):
+        return sorted(set(H.universe) - V)
+    pool = set(support_product(H, K, V)) | set(support_product(H, V, V))
+    if isinstance(H, Su2Dual):
         pool.add(max(V) + 1)
     return sorted(pool - V)
 
 
 def _search_stage(H: Hypergroup, K: Collection[Label], cap: Fraction, search: str,
-                  max_size: int) -> tuple[Plateau, LeptinCertificate, frozenset]:
+                  max_size: int) -> Plateau:
     """One greedy or exhaustive stage, with V expanded past a frozen chain."""
     K = frozenset(K)
     bound = cap * cap
-    eps = bound - 1
-    cert = leptin_search(H, K, eps, search, max_size=max_size)
-    V = set(cert.V)
-
-    def grown_support() -> frozenset:
-        kv = support_product(H, K, V)
-        return support_product(H, kv, frozenset(H.involution(x) for x in V))
-
-    next_k = grown_support()
+    V = set(leptin_search(H, K, bound - 1, search, max_size=max_size).V)
+    term = bump(H, K, V)
     # expand V past a frozen chain, one label at a time, while the ratio allows it
-    while next_k <= K and len(V) < max_size:
+    while K.issuperset(term.support) and len(V) < max_size:
         extra = next((c for c in _expansion_pool(H, K, V)
                       if leptin_ratio(H, K, V | {c}) < bound), None)
         if extra is None:
             break
         V = V | {extra}
-        next_k = grown_support()
-
-    term = bump(H, K, V)
-    return term, LeptinCertificate.proven(cert.strategy, H, K, term.V, term.ratio, eps), next_k
+        term = bump(H, K, V)
+    return term
 
 
 def build_witness(H: Hypergroup, K0: Collection[Label], D: Any, N: int,
@@ -181,14 +169,17 @@ def build_witness(H: Hypergroup, K0: Collection[Label], D: Any, N: int,
     ``search`` names the per-stage engine of :func:`leptin_search`:
     "interval" (dual of SU(2) only; K0 is widened to the spin interval below
     its top label), "greedy", or "exhaustive" (finite duals).  An error a
-    stage raises names the stage.  Verifies exactly, at every stage, that
-    the ratio is below D^2 and that each plateau is 1 on the support bound
-    of the previous one: :func:`bump` checks u = 1 on K label by label, and
-    the interval plateau's closed form, proved against its recurrence, is 1
-    on K.  That implies the chain law u_n u_m = u_n for all n < m, since each
-    support bound holds the plateau's support and so its K; so the chain is
-    not scanned here.  :func:`check_multiplier_bounded` scans it, label by
-    label, and so catches a term replaced after construction.
+    stage raises names the stage.  Each stage's certificate is proven once
+    from its plateau, which verifies exactly that the ratio is below D^2.
+    The next K is the plateau's support, K*V*~V exactly: every term of
+    1_{K*V} *_h 1_{~V} is a positive Haar weight times a positive fusion
+    mass, so nothing cancels.  Each plateau is 1 on its K: :func:`bump`
+    checks u = 1 on K label by label, and the interval plateau's closed
+    form, proved against its recurrence, is 1 on K.  That implies the chain
+    law u_n u_m = u_n for all n < m, since each support holds the earlier
+    supports; so the chain is not scanned here.
+    :func:`check_multiplier_bounded` scans it, label by label, and so
+    catches a term replaced after construction.
     """
     cap = exact(D, "D")
     if cap <= 1:
@@ -204,14 +195,15 @@ def build_witness(H: Hypergroup, K0: Collection[Label], D: Any, N: int,
     K, terms, certs = K0, [], []
     for stage in range(1, N + 1):
         try:
-            term, cert, K = next_stage(H, K, cap, search, max_size)
-            if term.ratio != cert.ratio or not term.ratio < cap * cap:
-                raise InternalInvariantError("ratio bound violated")
+            term = next_stage(H, K, cap, search, max_size)
+            cert = LeptinCertificate.proven(search, H, term.K, term.V, term.ratio,
+                                            cap * cap - 1)
         except HypergroupError as exc:
             exc.args = (f"stage {stage}: {exc}",)
             raise
         terms.append(term)
         certs.append(cert)
+        K = term.support
     return WitnessSequence(H, cap, search, terms, K, certs)
 
 

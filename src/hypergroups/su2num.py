@@ -59,26 +59,46 @@ def interval_ratio_n2(k2: int, m2: int) -> Fraction:
 def min_m2_for_ratio(k2: int, bound: Fraction, m2_floor: int = 0) -> int:
     """Smallest m2 >= max(k2, m2_floor) with interval ratio < bound.
 
-    The ratio is strictly decreasing in m2 for fixed k2 >= 1 and tends to 1,
-    so doubling plus bisection finds the exact minimum.
+    The ratio is strictly decreasing in m2 for fixed k2 >= 1 and tends to 1.
+    With bound = n/d, m2 is admitted where f(m) = n S(m+1) - d S(m+k2+1) > 0.
+    Doubling brackets the least such m; integer Newton steps on the cubic f,
+    convex past its root, come down from above and never pass it, so the
+    minimum takes O(log bits) exact steps; a gallop and a bisection over the
+    last few units settle it.
     """
     if bound <= 1:
         raise ValueError("ratio bound must exceed 1")
+    n, d = bound.numerator, bound.denominator
     lo = max(k2, m2_floor)
 
-    def ok(m2: int) -> bool:
-        return (sum_squares(m2 + k2 + 1) * bound.denominator
-                < sum_squares(m2 + 1) * bound.numerator)
+    def f6(m: int) -> int:  # 6 f(m), as 6 S(x) = x (x+1) (2x+1)
+        a, b = m + 1, m + k2 + 1
+        return n * a * (a + 1) * (2 * a + 1) - d * b * (b + 1) * (2 * b + 1)
 
-    if ok(lo):
+    def slope6(m: int) -> int:  # 6 f'(m)
+        a, b = m + 1, m + k2 + 1
+        return n * (6 * a * a + 6 * a + 1) - d * (6 * b * b + 6 * b + 1)
+
+    if f6(lo) > 0:
         return lo
     hi = max(2 * lo, lo + 1)
-    while not ok(hi):
+    while f6(hi) <= 0:
         lo = hi
         hi *= 2
+    # f(hi) > 0 and lo is refused throughout
+    while (slope := slope6(hi)) > 0 and (step := f6(hi) // slope) > 0:
+        if f6(hi - step) <= 0:
+            lo = max(lo, hi - step)
+            break
+        hi -= step
+    gap = 1
+    while hi - gap > lo and f6(hi - gap) > 0:
+        hi -= gap
+        gap *= 2
+    lo = max(lo, hi - gap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if ok(mid):
+        if f6(mid) > 0:
             hi = mid
         else:
             lo = mid
@@ -738,20 +758,49 @@ def u_to_chebyshev_t(coeffs: np.ndarray) -> np.ndarray:
 
 
 def u_series_roots_theta(coeffs: np.ndarray) -> np.ndarray:
-    """Angles in (0, pi) where sum coeffs[n] U_n(cos theta) vanishes."""
+    """Angles in (0, pi) where sum coeffs[n] U_n(cos theta) vanishes.
+
+    A zero of multiplicity m comes back from the companion matrix as m
+    eigenvalues scattered by up to (kappa eps)^(1/m), on the axis or off it.
+    Eigenvalues within 1e-3 of the axis whose angles lie within 1e-4 of each
+    other form one cluster; Newton on the (m-1)-th derivative, from the
+    cluster's mean, gives its zero, taken when the series there is at
+    rounding level.  Otherwise, and for a lone eigenvalue, those within 1e-6
+    of the axis are kept.  That cutoff is safe because a true complex pair
+    kept by mistake only adds a break where the series keeps its sign: the
+    piece is split and the integral of |s| is unchanged.
+    """
     t = u_to_chebyshev_t(coeffs)
     t = np.trim_zeros(t, "b")
     if len(t) <= 1:
         return np.empty(0)
     roots = npcheb.chebroots(t)
-    # a double root comes back split by about the square root of the rounding,
-    # as a real pair or as a complex one (2.7e-9 to 5.6e-9 off the axis at
-    # degree 40), and both halves are kept.  The cutoff is safe because a true
-    # complex pair kept by mistake only adds a break where the series keeps
-    # its sign: the piece is split and the integral of |s| is unchanged
-    real = roots[np.abs(roots.imag) < 1e-6].real
+    near = roots[np.abs(roots.imag) < 1e-3]
+    angles = np.arccos(np.clip(near.real, -1.0, 1.0))
+    order = np.argsort(angles)
+    real = []
+    for cluster in np.split(near[order], np.flatnonzero(np.diff(angles[order]) > 1e-4) + 1):
+        zero = _repeated_zero(t, cluster.real.mean(), len(cluster)) if len(cluster) > 1 else None
+        real.extend([zero] if zero is not None else cluster[np.abs(cluster.imag) < 1e-6].real)
+    real = np.array(real, dtype=float)
     inside = real[(real > -1.0 + 1e-12) & (real < 1.0 - 1e-12)]
     return np.sort(np.arccos(np.clip(inside, -1.0, 1.0)))
+
+
+def _repeated_zero(t: np.ndarray, x: float, m: int) -> float | None:
+    """The m-fold zero of the T series t near x, or None where t is not at rounding level."""
+    derivative = npcheb.chebder(t, m - 1)
+    slope = npcheb.chebder(derivative)
+    for _ in range(32):
+        rate = npcheb.chebval(x, slope)
+        if rate == 0 or abs(x) > 2:  # lost: the members stand as they came
+            return None
+        step = npcheb.chebval(x, derivative) / rate
+        x -= step
+        if abs(step) <= 1e-15:
+            break
+    at_rounding = abs(npcheb.chebval(x, t)) <= 64 * np.finfo(float).eps * np.sum(np.abs(t))
+    return float(x) if at_rounding else None
 
 
 def indicator_series_zeros(labels: Collection[int]) -> np.ndarray:

@@ -34,6 +34,9 @@ extending each triple's fusions in Fractions
 products, validation and multiplicities by its class loop
 (:func:`inner_loops`, :func:`validate_loops`, :func:`multiplicity_loops`).
 
+The least interval V: :func:`min_m2_for_ratio_bisection` is the doubling
+and bisection that :func:`su2num.min_m2_for_ratio` replaced with Newton steps.
+
 A non-commutative hypergroup: :class:`S3Group`, the group S3 with
 point-mass fusion, for the paths that only such a fusion takes.
 """
@@ -95,6 +98,29 @@ class S3Group(Hypergroup):
 
     def _involution(self, x: tuple) -> tuple:
         return tuple(sorted(range(3), key=x.__getitem__))
+
+
+def min_m2_for_ratio_bisection(k2: int, bound: Fraction, m2_floor: int = 0) -> int:
+    """su2num.min_m2_for_ratio by doubling, then bisection, one exact ratio test a step."""
+    lo = max(k2, m2_floor)
+
+    def ok(m2: int) -> bool:
+        return (su2num.sum_squares(m2 + k2 + 1) * bound.denominator
+                < su2num.sum_squares(m2 + 1) * bound.numerator)
+
+    if ok(lo):
+        return lo
+    hi = max(2 * lo, lo + 1)
+    while not ok(hi):
+        lo = hi
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def leptin_search_greedy_loops(

@@ -107,6 +107,11 @@ class TestDualSpecs:
         assert code == 3 and out == ""
         assert "missing field 'group_order'" in json.loads(err)["message"]
 
+    def test_spec_of_only_commas_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "haar", "--dual", ",")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage", "message": "empty dual spec"}
+
     def test_unreadable_path_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "haar", "--dual", str(tmp_path))
         assert code == 2
@@ -516,6 +521,18 @@ class TestCommands:
         doc = json.loads(out)["norms"]
         assert 0 < doc["a_residual"] <= 1e-7
         assert "a_norm_exact" not in doc
+
+    def test_norms_skips_empty_assignments(self, capsys):
+        reports = [run_cli(capsys, "norms", "--dual", "su2", "--values", values,
+                           "--format", "json", "--no-timestamp") for values in ("1=1;;", "1=1")]
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0][1])["norms"]["l1_h"] == "9/1"  # spin 1 has h = 3^2
+
+    def test_norms_assignment_without_a_value_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "norms", "--dual", "su2", "--values", "1")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "usage",
+                                   "message": "bad assignment '1'; use label=value"}
 
     @pytest.mark.parametrize("dual,values,label", [
         ("su2", "1=1;1=2", "1"), ("su2", "0=1; 1/2=1; 0.5=3", "1/2"), ("s3", "rho=1;rho=1", "rho")])

@@ -73,10 +73,6 @@ class TestFiniteMeasure:
         assert mu.total() == 1
         assert mu.support == (3,)
 
-    def test_map_labels(self):
-        mu = FiniteMeasure({1: half, 2: half})
-        assert mu.map_labels(lambda x: -x) == FiniteMeasure({-1: half, -2: half})
-
     def test_is_a_nonnegative_finite_function(self):
         mu = FiniteMeasure({2: half, 1: Fraction(1, 3), 0: 0})
         assert isinstance(mu, FiniteFunction)
@@ -324,6 +320,14 @@ class TestCheckAxioms:
         assert not report.ok
         norm_failures = [f for f in report.failures if f.check == "normalization"]
         assert norm_failures and norm_failures[0].labels == ("rho", "rho")
+
+    def test_summary_lists_each_failure(self, s3):
+        report = check_axioms(_CorruptedS3(s3), range(3))
+        lines = report.summary().split("\n")
+        assert lines[0].endswith(": FAIL (3 sample labels)")
+        fails = [line for line in lines if line.startswith("  FAIL ")]
+        assert len(fails) == len(report.failures)
+        assert "  FAIL normalization at (rho, rho): total mass" in fails[0]
 
     def test_empty_sample_rejected(self, su2):
         with pytest.raises(UsageError):

@@ -154,6 +154,18 @@ class TestCharacterTable:
             CharacterTable(6, [1, 3 - size, 2, size], [
                 (1, [1, 1, 1, 1]), (1, [1, -1, 1, 1]), (2, [2, 0, -1, 2])], name="s3")
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_irrep_dimensions_must_be_positive(self, dim):
+        with pytest.raises(InvalidTableError, match=rf"^s3: irreps\[2\] has dimension {dim}$"):
+            CharacterTable(6, [1, 3, 2], [(1, [1, 1, 1]), (1, [1, -1, 1]), (dim, [dim, 0, -1])],
+                           name="s3")
+
+    def test_table_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"group_order": 2, "name": "\xff"}')
+        with pytest.raises(InvalidTableError, match="latin1.json: not UTF-8"):
+            load_character_table(path)
+
     def test_equal_rows_fail_orthogonality(self):
         # so a row never has two conjugate rows to choose from
         w = ExactComplex.cyclotomic(3, [0, 1])

@@ -74,6 +74,11 @@ class TestLpNorm:
         with pytest.raises(UsageError):
             lp_h_norm(su2, FiniteFunction.point(0), half)
 
+    @pytest.mark.parametrize("p", [Fraction(3, 2), 0, 2.0])
+    def test_exact_power_sum_needs_an_integer_p(self, su2, p):
+        with pytest.raises(UsageError, match="^integer exponent >= 1 required"):
+            lp_h_power_sum(su2, FiniteFunction.point(0), p)
+
     def test_sup_norm(self, su2):
         f = FiniteFunction({0: Fraction(-3, 2), 4: 1})
         assert lp_h_norm(su2, f, math.inf) == Fraction(3, 2)
@@ -621,6 +626,11 @@ class TestFactoredSeriesZeros:
     @example(kv=([4], range(80)))
     @example(kv=([0], [3]))
     @example(kv=([1, 4], [19, 22, 29, 31, 36]))  # F_{K*V} has a double zero at pi/3
+    # repeated zeros the companion matrix scattered by 1e-6 to 6.4e-6 rad
+    @example(kv=([0, 2], [14, 35]))
+    @example(kv=([4], [29, 34]))  # a triple zero at 3 pi/5
+    @example(kv=([2, 5], [11, 38]))
+    @example(kv=([3], [25, 35]))
     def test_factor_zeros_are_series_zeros(self, kv):
         u = _dictionary_bump(*kv)
         zeros = u._su2_series_zeros()
@@ -859,6 +869,7 @@ class TestIntervalClosedForm:
         assert su2num.sum_squares(b.k2 + 1) < power < b.segal_power_sum(1)
         assert b.value(b.k2) == 1 and 0 < b.value(b.k2 + 1) < 1
         assert b.value(b.k2 + 2 * b.m2) > 0 and b.value(b.k2 + 2 * b.m2 + 1) == 0
+        assert b.value(-1) == 0 and b.first_not_one([-1]) == -1
 
     def test_power_sums_past_ssize(self):
         # the parity classes are counted by integer arithmetic, not len(range)

@@ -10,6 +10,7 @@ exponents, where a float is a good value) by ``core.real``, and counts by
 receives them.
 """
 
+import decimal
 import math
 import time
 from fractions import Fraction
@@ -47,6 +48,7 @@ from hypergroups import (
     support_product,
 )
 from hypergroups import segal
+from hypergroups.cli import run
 from hypergroups.core import MAX_EXACT_EXPONENT, MAX_WITNESS_TERMS
 from hypergroups.duals import twice_spin
 from hypergroups.fourier import a_norm_su2, lp_h_power_sum
@@ -339,6 +341,33 @@ class TestHugeInts:
     def test_repr_of_a_plateau_past_ssize(self, su2):
         u = Su2IntervalBump(su2, 1, 2 ** 64)
         assert repr(u).startswith(f"<Su2IntervalBump on su2-hat: |K|=2, |V|={2 ** 64 + 1}, ")
+
+
+class TestLpNormPastFloatRange:
+    """An exact power sum past float range whose p-th root is a float, or is not."""
+
+    @pytest.mark.parametrize("p", [2, 3, Fraction(11, 2)], ids=str)
+    def test_root_in_float_range_is_returned(self, su2, p):
+        # h(x) = (x + 1)^2 is about 4e600, and the norm of the point is h(x)^(1/p)
+        x = 2 * 10 ** 300
+        with decimal.localcontext() as context:
+            context.prec = 40
+            expected = float((decimal.Decimal(x + 1) ** 2) ** (
+                decimal.Decimal(p.denominator) / p.numerator if isinstance(p, Fraction)
+                else 1 / decimal.Decimal(p)))
+        assert lp_h_norm(su2, _point(x), p) == pytest.approx(expected, rel=4e-16)
+
+    @pytest.mark.parametrize("x,p", [
+        (2 * 10 ** 300, Fraction(3, 2)),
+        (10 ** 5000, 2), (10 ** 5000, Fraction(3, 2)), (10 ** 5000, 3),
+    ], ids=["2e300 at 3/2", "1e5000 at 2", "1e5000 at 3/2", "1e5000 at 3"])
+    def test_root_past_float_range_is_a_capacity_error(self, su2, x, p):
+        with pytest.raises(CapacityError, match="past float range"):
+            lp_h_norm(su2, _point(x), p)
+
+    def test_cli_norms_reaches_the_a_norm_budget(self, capsys):
+        assert run(["norms", "--dual", "su2", "--values", "1e300=1"]) == 4
+        assert "exceeds the budget" in capsys.readouterr().err
 
 
 class TestExact:

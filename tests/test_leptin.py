@@ -61,6 +61,14 @@ class TestLeptinRatio:
         with pytest.raises(UsageError):
             leptin_ratio(su2, set(), {0})
 
+    @pytest.mark.parametrize("search", [leptin_search_interval, leptin_search_greedy,
+                                        leptin_search_exhaustive],
+                             ids=lambda search: search.__name__)
+    def test_every_search_refuses_an_empty_k(self, su2, s3, search):
+        H = su2 if search is leptin_search_interval else s3
+        with pytest.raises(UsageError, match="^K must be nonempty$"):
+            search(H, [], "1/4")
+
 
 class TestIntervalClosedForm:
     def test_spot_values(self):

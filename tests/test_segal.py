@@ -178,6 +178,19 @@ class TestBlowupReport:
         assert report.exact_growth_power is None
         assert report.growth_factor > 1
 
+    @pytest.mark.parametrize("p,message", [
+        (2, "stage 1: Segal power sum 1/4 below its certified lower bound 1"),
+        (Fraction(3, 2), "stage 1: plateau is not 1 on K"),
+    ])
+    def test_plateau_not_one_on_k_is_an_invariant_fault(self, s3, p, message):
+        w = build_witness(s3, [s3.identity], D32, 1, search="greedy")
+        u = w.terms[0]
+        w.terms[0] = BumpFunction(s3, u.K, u.V, u.ratio, FiniteFunction({s3.identity: half}),
+                                  u.grown)
+        with pytest.raises(InternalInvariantError) as info:
+            blowup_report(w, p)
+        assert str(info.value) == message
+
     def test_p_validation(self, su2):
         w = build_witness(su2, [0], D32, 1, search="interval")
         with pytest.raises(UsageError):

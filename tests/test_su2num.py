@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +28,7 @@ from oracles import (
     interval_product_l1_whole,
     kernel_roots_every_sweep,
     kernel_sum,
+    min_m2_for_ratio_bisection,
 )
 
 # a power of two, for kernel sizes and ranges on either side of it
@@ -638,6 +640,29 @@ class TestIntervalProductBits:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+
+class TestMinM2ForRatio:
+    @given(k2=st.one_of(st.integers(0, 12), st.integers(0, 10 ** 6), st.integers(0, 10 ** 30)),
+           excess=st.fractions(min_value=Fraction(1, 10 ** 12), max_value=10,
+                               max_denominator=10 ** 12),
+           floor=st.one_of(st.just(0), st.integers(0, 10 ** 35)))
+    @settings(max_examples=300, deadline=None)
+    @example(k2=1, excess=Fraction(1, 10 ** 12), floor=0)
+    @example(k2=10 ** 30, excess=Fraction(10), floor=0)
+    @example(k2=3, excess=Fraction(1, 4), floor=10 ** 35)
+    def test_matches_the_bisection(self, k2, excess, floor):
+        bound = 1 + excess
+        assert su2num.min_m2_for_ratio(k2, bound, floor) == min_m2_for_ratio_bisection(
+            k2, bound, floor)
+
+    def test_huge_k2_takes_few_exact_steps(self):
+        # the bisection takes about 16 600 exact steps on 16 600-bit integers, 20 s on a Xeon core
+        k2, bound = 10 ** 5000, Fraction(5, 4)
+        start = time.perf_counter()
+        m2 = su2num.min_m2_for_ratio(k2, bound, k2)
+        assert time.perf_counter() - start < 2.0
+        assert su2num.interval_ratio_n2(k2, m2) < bound <= su2num.interval_ratio_n2(k2, m2 - 1)
 
 
 def u_product_loops(a, b):

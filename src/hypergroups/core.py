@@ -377,7 +377,7 @@ class Hypergroup:
     def haar(self, x: Label) -> Fraction:
         """Haar mass h(x) = 1 / (d_~x * d_x)(e), normalised so h(e) = 1."""
         self.check_labels((x,))
-        return self._haar(x)
+        return Fraction(self._haar(x))
 
     def _haar(self, x: Label) -> Fraction:
         mass_at_identity = self._fuse(self._involution(x), x).mass(self._identity)
@@ -391,7 +391,7 @@ class Hypergroup:
     def haar_sum(self, labels: Collection[Label]) -> Fraction:
         """Sum of the Haar masses of ``labels``, each checked first."""
         self.check_labels(labels)
-        return self._haar_sum(labels)
+        return Fraction(self._haar_sum(labels))
 
     def _haar_sum(self, labels: Collection[Label]) -> Fraction:
         return sum((self._haar(x) for x in labels), Fraction(0))

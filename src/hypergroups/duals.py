@@ -489,16 +489,16 @@ def builtin_table(name: str) -> CharacterTable:
 
 
 class Dual(Hypergroup):
-    """The dual of a compact group: commutative, with Haar mass h(x) = dim(x)^2."""
+    """The dual of a compact group: commutative, Haar mass h(x) = dim(x)^2, an int in `_haar`."""
 
     def __init__(self, *, name: str, identity: Label, universe: Iterable[Label] | None = None):
         super().__init__(name=name, identity=identity, commutative=True, universe=universe)
 
-    def _haar(self, x: Label) -> Fraction:
-        return Fraction(self._dimension(x) ** 2)
+    def _haar(self, x: Label) -> int:
+        return self._dimension(x) ** 2
 
-    def _haar_sum(self, labels: Collection[Label]) -> Fraction:
-        return Fraction(sum(d * d for d in map(self._dimension, labels)))
+    def _haar_sum(self, labels: Collection[Label]) -> int:
+        return sum(d * d for d in map(self._dimension, labels))
 
     def parse_label(self, text: str, what: str = "label") -> Label:
         """The label :meth:`label_str` writes as ``text``, else UsageError naming ``what``."""
@@ -572,12 +572,12 @@ class Su2Dual(Dual):
             return
         super().check_labels(labels)
 
-    def _haar_sum(self, labels: Collection[int]) -> Fraction:
+    def _haar_sum(self, labels: Collection[int]) -> int:
         if isinstance(labels, range) and labels.step == 1 and labels.start >= 0:
             # (x+1)^2 summed over start <= x < stop
             stop = max(labels.start, labels.stop)
-            return Fraction(su2num.sum_squares(stop) - su2num.sum_squares(labels.start))
-        return Fraction(sum((x + 1) * (x + 1) for x in labels))
+            return su2num.sum_squares(stop) - su2num.sum_squares(labels.start)
+        return sum((x + 1) * (x + 1) for x in labels)
 
     def _check_u_product(self, A: Collection[int], B: Collection[int]) -> None:
         """Refuse a product up to max A and max B (both nonempty) past MAX_U_PRODUCT_WORK."""

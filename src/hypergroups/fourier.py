@@ -325,7 +325,7 @@ class BumpFunction(Plateau):
         check_u_series_degree(max(self.function.support, default=0))
         a, scale = su2num.u_series(self.function.items())
         c = su2num.u_product(*map(su2num.indicator_series, factors)).tolist()
-        h_v = int(self.hypergroup._haar_sum(self.V))
+        h_v = self.hypergroup._haar_sum(self.V)
         if [h_v * x for x in a] != [scale * x for x in c]:
             raise InternalInvariantError(
                 "plateau: h(V) u is not the U-series product of F_{K*V} and F_V")
@@ -351,7 +351,7 @@ def bump(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> Plateau:
     tilde_v = frozenset(H.involution(x) for x in V)
     u = convolve_h(H, FiniteFunction.indicator(grown), FiniteFunction.indicator(tilde_v))
     u = u.scale(Fraction(1, 1) / h_v)
-    ratio = H._haar_sum(grown) / h_v
+    ratio = Fraction(H._haar_sum(grown), h_v)
 
     for x, value in u.items():
         if value < 0:
@@ -393,7 +393,9 @@ class Su2IntervalBump(Plateau):
         su2num.check_plateau_recurrence(k2, m2, self.numerator)
 
     def numerator(self, w: int) -> int:
-        """c_w, the U_{w-1} coefficient of h(V) u."""
+        """c_w, the U_{w-1} coefficient of h(V) u; h(V) w up to w = k2 + 1, from the cache."""
+        if w <= self.k2 + 1:
+            return self._h_v * w
         return su2num.plateau_numerator(self.k2, self.m2, w)
 
     @property

@@ -168,7 +168,7 @@ def leptin_ratio(H: Hypergroup, K: Collection[Label], V: Collection[Label]) -> F
     if not K:
         raise UsageError("K must be nonempty")
     grown = support_product(H, K, V)  # checks every label of K and V
-    return H._haar_sum(grown) / H._haar_sum(label_set(V))
+    return Fraction(H._haar_sum(grown), H._haar_sum(label_set(V)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +233,9 @@ def leptin_search_greedy(
     Supports grow incrementally: K*(V | {c}) = K*V | K*c, so a candidate's
     ratio is (h(K*V) + h(K*c - K*V)) / (h(V) + h(c)), with K*c fused once
     per search, and the pool (K | V)*V gains (K | V)*c and c*V when c joins V.
+    The Haar sums are running sums of the masses :meth:`_haar` returns (ints
+    on a dual), so candidates and the bound are compared by cross-multiplying
+    positive sums, and only the certificate's ratio is made a Fraction.
     """
     eps = _epsilon(epsilon)
     count(max_size, "max_size")
@@ -261,17 +264,21 @@ def leptin_search_greedy(
     V: set[Label] = set()
     KV: set[Label] = set()
     pool: set[Label] = set()  # (K | V)*V, from which the candidates come
-    h_kv = h_v = Fraction(0)
+    h_kv = h_v = 0
     add(H.identity)
-    ratio = h_kv / h_v
     while True:
-        if ratio < bound:
-            return LeptinCertificate.proven("greedy", H, frozenset(K), frozenset(V), ratio, eps)
+        if h_kv * bound.denominator < bound.numerator * h_v:
+            return LeptinCertificate.proven("greedy", H, frozenset(K), frozenset(V),
+                                            Fraction(h_kv, h_v), eps)
         if len(V) >= max_size:
             return None
         # never empty: K*V lies in the pool, so a pool within V would have given ratio <= 1
-        ratio, best = min(((h_kv + H._haar_sum(grow(c) - KV)) / (h_v + H._haar(c)), c)
-                          for c in pool - V)
+        best, n_best, d_best = None, 1, 0  # 1/0, above every candidate's n/d
+        for c in pool - V:
+            n, d = h_kv + H._haar_sum(grow(c) - KV), h_v + H._haar(c)
+            new, old = n * d_best, n_best * d  # n/d against n_best/d_best
+            if new < old or new == old and c < best:  # the least label wins a tie
+                best, n_best, d_best = c, n, d
         add(best)
 
 

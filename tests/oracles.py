@@ -100,6 +100,30 @@ class S3Group(Hypergroup):
         return tuple(sorted(range(3), key=x.__getitem__))
 
 
+class TwoLabelHypergroup(Hypergroup):
+    """{e, x} with x * x = q e + (1 - q) x: commutative, x its own involute.
+
+    Labels are 0 for e and 1 for x.  The Haar mass h(x) = 1/q is not an
+    integer at the default q = 2/5 (h(x) = 5/2), so the generic engines sum
+    Fraction masses here, where every dual sums ints.
+    """
+
+    def __init__(self, q: Fraction = Fraction(2, 5)):
+        super().__init__(name=f"two-label q={q}", identity=0, commutative=True, universe=(0, 1))
+        self.q = q
+
+    def _is_label(self, x: Any) -> bool:
+        return isinstance(x, int) and not isinstance(x, bool) and x in (0, 1)
+
+    def _rule(self, x: int, y: int) -> dict[int, Fraction]:
+        if x == 0 or y == 0:
+            return {x + y: Fraction(1)}
+        return {0: self.q, 1: 1 - self.q}
+
+    def _involution(self, x: int) -> int:
+        return x
+
+
 def min_m2_for_ratio_bisection(k2: int, bound: Fraction, m2_floor: int = 0) -> int:
     """su2num.min_m2_for_ratio by doubling, then bisection, one exact ratio test a step."""
     lo = max(k2, m2_floor)

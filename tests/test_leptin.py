@@ -27,12 +27,18 @@ from hypergroups import (
     product_dual,
     su2_dual,
 )
-from hypergroups import leptin, su2num
+from hypergroups import bump, leptin, su2num
 from hypergroups.cli import run
 from hypergroups.core import InternalInvariantError
 from hypergroups.duals import twice_spin
+from hypergroups.fourier import BumpFunction
 from hypergroups.leptin import LeptinCertificate, certificate_from_json_dict
-from oracles import S3Group, leptin_search_exhaustive_loops, leptin_search_greedy_loops
+from oracles import (
+    S3Group,
+    TwoLabelHypergroup,
+    leptin_search_exhaustive_loops,
+    leptin_search_greedy_loops,
+)
 
 half = Fraction(1, 2)
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -68,6 +74,29 @@ class TestLeptinRatio:
         H = su2 if search is leptin_search_interval else s3
         with pytest.raises(UsageError, match="^K must be nonempty$"):
             search(H, [], "1/4")
+
+
+class TestRatiosAreFractions:
+    """Each ratio and public Haar mass is a Fraction: an equality test passes a float
+    (1.5 == Fraction(3, 2)), so these check the type."""
+
+    @pytest.mark.parametrize("name", ["su2", "s3", "s3_x_z4"])
+    def test_no_float_reaches_a_ratio(self, name, request):
+        H = request.getfixturevalue(name)
+        if H.is_finite:
+            K, V = H.universe[1:3], H.universe[:2]
+            certs = [leptin_search_greedy(H, K, 1), leptin_search_exhaustive(H, K, 1)]
+        else:
+            K, V = [1, 2], [0, 2, 5]
+            certs = [leptin_search_greedy(H, K, 1), leptin_search_interval(H, K, 1)]
+        certs.append(leptin_product(certs))
+        assert [c.strategy for c in certs][1:] in (["exhaustive", "product"],
+                                                   ["interval", "product"])
+        plateau = bump(H, K, V)
+        assert isinstance(plateau, BumpFunction)
+        values = [c.ratio for c in certs] + [leptin_ratio(H, K, V), plateau.ratio,
+                                             H.haar(V[-1]), H.haar_sum(V)]
+        assert [type(x) for x in values] == [Fraction] * len(values)
 
 
 class TestIntervalClosedForm:
@@ -470,6 +499,7 @@ _SEARCH_DUALS = {
                   ("z2", "q8"), ("q8", "z2"), ("s3", "s3"), ("s3", "z4"), ("z4", "s3"),
                   ("z2", "z2", "z2"), ("z2", "z2", "s3"), ("z2", "s3", "z2"), ("s3", "z2", "z2")]
 }
+_TWO_LABEL = TwoLabelHypergroup()
 _SEARCH_EPSILON = st.fractions(min_value=Fraction(1, 100), max_value=3, max_denominator=100)
 
 
@@ -524,6 +554,37 @@ class TestSearchesMatchTheirOracles:
             want = reference[json.dumps([list(x) for x in K], separators=(",", ":"))]
             assert sorted(cert.V) == [tuple(x) for x in want["V"]]
             assert cert.ratio == Fraction(want["ratio"]) and cert.verified
+
+    def test_greedy_on_every_k_of_the_generic_bench(self, su2):
+        # the benchmark's GENERIC_KS: three labels up to 4, with 4 and an odd one
+        ks = [list(K) for K in combinations(range(5), 3) if 4 in K and any(x % 2 for x in K)]
+        reference = json.loads(REFERENCE.read_text())["generic-su2"]["by_K"]
+        assert sorted(reference) == sorted(json.dumps(K, separators=(",", ":")) for K in ks)
+        for K in ks:
+            want = reference[json.dumps(K, separators=(",", ":"))]["greedy"]
+            cert = leptin_search_greedy(su2, K, Fraction(1, 4))
+            assert len(want["V"]) == 49
+            assert sorted(cert.V) == want["V"] and cert.strategy == want["strategy"]
+            assert cert.ratio == Fraction(want["ratio"]) and cert.verified
+
+    @pytest.mark.parametrize("H", [_TWO_LABEL, S3Group()], ids=["two-label", "s3-group"])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_greedy_with_fraction_masses(self, H, data):
+        assert all(type(H._haar(x)) is Fraction for x in H.universe)
+        K = data.draw(st.sets(st.sampled_from(H.universe), min_size=1, max_size=3))
+        epsilon = data.draw(_SEARCH_EPSILON)
+        max_size = data.draw(st.integers(1, 6))
+        got = _outcome(leptin_search_greedy, H, K, epsilon, max_size=max_size)
+        assert got == _outcome(leptin_search_greedy_loops, H, K, epsilon, max_size=max_size)
+
+    @given(K=st.sets(st.sampled_from((0, 1)), min_size=1), epsilon=_SEARCH_EPSILON)
+    @settings(max_examples=10, deadline=None)
+    def test_exhaustive_with_fraction_masses(self, K, epsilon):
+        H = _TWO_LABEL
+        assert H._haar(1) == Fraction(5, 2)
+        got = _outcome(leptin_search_exhaustive, H, K, epsilon)
+        assert got == _outcome(leptin_search_exhaustive_loops, H, K, epsilon)
 
     @pytest.mark.parametrize("H,sizes", [(_dual("z4"), range(1, 5)), (_dual("z2", "z4"), (1, 2))],
                              ids=["z4", "z2,z4"])
